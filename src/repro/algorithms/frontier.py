@@ -22,7 +22,6 @@ pair so each walk happens at most once per iteration (the
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,49 +33,7 @@ __all__ = [
     "FrontierCache",
     "expand_frontier",
     "active_edge_count",
-    "numba_walk_enabled",
 ]
-
-#: Set to ``1`` to compile the expansion walk with numba (needs the
-#: ``[speed]`` extra).  Off by default: the compiled walk is opt-in and the
-#: pure-NumPy path below is always the fallback — with bit-identical
-#: outputs, which the oracle test pins.
-_NUMBA_ENV = "REPRO_NUMBA"
-
-
-def _fill_expansion(vs, starts, counts, sources, positions) -> None:
-    """The expansion walk as a scalar kernel (what numba compiles).
-
-    Writes ``sources``/``positions`` in CSR order — the same int64 values
-    the vectorized repeat/arange path produces, by construction.
-    """
-    k = 0
-    for i in range(vs.size):
-        v = vs[i]
-        s = starts[i]
-        for j in range(counts[i]):
-            sources[k] = v
-            positions[k] = s + j
-            k += 1
-
-
-def _load_numba_fill():
-    """Compile the walk when opted in *and* numba is importable, else None."""
-    if os.environ.get(_NUMBA_ENV, "").lower() not in ("1", "true", "yes", "on"):
-        return None
-    try:
-        import numba
-    except ImportError:
-        return None
-    return numba.njit(cache=True)(_fill_expansion)
-
-
-_numba_fill = _load_numba_fill()
-
-
-def numba_walk_enabled() -> bool:
-    """Whether the compiled frontier walk is active in this process."""
-    return _numba_fill is not None
 
 
 @dataclass(frozen=True)
@@ -115,14 +72,6 @@ def _expand(vs: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> FrontierE
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return FrontierExpansion(sources=empty, positions=empty)
-    if _numba_fill is not None:
-        sources = np.empty(total, dtype=np.int64)
-        positions = np.empty(total, dtype=np.int64)
-        _numba_fill(np.ascontiguousarray(vs, dtype=np.int64),
-                    np.ascontiguousarray(starts, dtype=np.int64),
-                    np.ascontiguousarray(counts, dtype=np.int64),
-                    sources, positions)
-        return FrontierExpansion(sources=sources, positions=positions)
     cum = np.concatenate(([0], np.cumsum(counts)[:-1]))
     positions = np.repeat(starts - cum, counts) + np.arange(total, dtype=np.int64)
     sources = np.repeat(vs, counts)

@@ -2,10 +2,9 @@
 
 A report is a JSON document (``BENCH_<rev>.json`` by default, ``<rev>``
 being the :func:`repro.runner.code_version` content hash) carrying the
-timings plus enough environment fingerprint to judge comparability —
-cross-machine comparisons are only meaningful with a generous threshold,
-which is why the CI smoke job uses a far looser one than the local default
-(see ``docs/performance.md``).
+timings plus enough environment fingerprint to judge comparability
+(cross-machine comparisons carry the machine's own speed difference; see
+``docs/performance.md`` for what CI's gate does about it).
 
 Schema (``schema_version`` 1)::
 

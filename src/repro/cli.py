@@ -12,7 +12,7 @@ Exposes the experiment harness without writing Python::
     repro chaos FK BFS --engine Subway --seed 7     # fault-injected run
     repro serve --quick -o slo.json                 # seeded SLO load test
     repro fleet --quick                             # 2-device fleet smoke
-    repro fleet --devices 4 --requests 120          # multi-device load test
+    repro fleet --requests 120                      # `serve`, 4-device defaults
     repro bench --quick                             # wall-clock perf smoke
     repro bench --against BENCH_abc123.json         # regression gate
 
@@ -171,124 +171,80 @@ def build_parser() -> argparse.ArgumentParser:
                           "on regression")
     b_p.add_argument("--threshold", type=float, default=None,
                      help="fractional slowdown tolerated by --against "
-                          "(default 0.25; CI uses a looser cross-machine "
-                          "value)")
+                          "(default 0.25; CI's bench-gate uses 0.15)")
 
-    sv_p = sub.add_parser(
+    def load_test_args(sp):
+        sp.add_argument("--quick", action="store_true",
+                        help="the tiny pinned smoke config (what CI runs)")
+        sp.add_argument("--seed", type=int, default=0,
+                        help="workload-generator seed (default 0)")
+        sp.add_argument("--requests", type=int, default=24,
+                        help="offered requests (default %(default)s)")
+        sp.add_argument("--rate", type=float, default=1.0,
+                        help="arrival rate, requests per simulated second "
+                             "(default %(default)s)")
+        sp.add_argument("--graphs", nargs="+", default=["GS"],
+                        choices=sorted(DATASETS), metavar="ABBR",
+                        help="datasets requests draw from (default GS)")
+        sp.add_argument("--algos", nargs="+", default=["BFS", "CC"],
+                        choices=ALGOS, metavar="ALGO",
+                        help="algorithms requests draw from (default BFS CC)")
+        sp.add_argument("--engine", default="Ascetic", choices=engine_choices,
+                        help=engine_help + " (per-device engine, and the "
+                                           "inner engine of sharded dispatches)")
+        sp.add_argument("--scale", type=float, default=BENCH_SCALE,
+                        help=f"dataset down-scale (default {BENCH_SCALE:g})")
+        sp.add_argument("--tenants", nargs="+", default=["t0", "t1"],
+                        metavar="NAME", help="tenant names (default t0 t1)")
+        sp.add_argument("--deadline", type=float, default=None,
+                        help="per-request deadline budget in simulated seconds")
+        sp.add_argument("--multi-source", type=int, default=1,
+                        help="explicit sources per BFS/SSSP request")
+        sp.add_argument("--queue-capacity", type=int, default=16,
+                        help="admission-queue bound (default %(default)s)")
+        sp.add_argument("--queue-policy", default="reject",
+                        choices=("reject", "drop-oldest", "deadline"),
+                        help="backpressure policy when the queue is full")
+        sp.add_argument("--scheduler", default="affinity",
+                        choices=("fifo", "affinity"),
+                        help="dispatch order (default affinity)")
+        sp.add_argument("--max-batch", type=int, default=1,
+                        help="fuse up to N compatible traversals per dispatch")
+        sp.add_argument("--batch-wait", type=float, default=0.0,
+                        help="seconds to hold a free device for a fuller batch")
+        sp.add_argument("--max-engines", type=int, default=2,
+                        help="warm engine-pool size per device (default 2)")
+        sp.add_argument("--devices", type=int, default=1,
+                        help="simulated devices behind the router "
+                             "(default %(default)s)")
+        sp.add_argument("--topology", default="pcie",
+                        choices=sorted(TOPOLOGIES),
+                        help="inter-device link class (default pcie)")
+        sp.add_argument("--shard-over", type=float, default=None,
+                        help="shard a graph fabric-wide when its edge bytes "
+                             "exceed this multiple of device capacity "
+                             "(default: never shard; fleet --quick pins 1.0)")
+        sp.add_argument("--fabric", default=None, metavar="JSON",
+                        help="explicit FabricSpec as a JSON object (overrides "
+                             "--devices/--topology), e.g. "
+                             "'{\"n_devices\": 2, \"topology\": \"nvlink\"}'")
+        sp.add_argument("-o", "--output", default=None,
+                        help="write the full JSON report (trace + SLO) here")
+
+    load_test_args(sub.add_parser(
         "serve",
-        help="run a seeded multi-tenant load test against an engine pool "
-             "and emit a schema-versioned SLO report",
-    )
-    sv_p.add_argument("--quick", action="store_true",
-                      help="the tiny pinned smoke config (CI's serve-smoke)")
-    sv_p.add_argument("--seed", type=int, default=0,
-                      help="workload-generator seed (default 0)")
-    sv_p.add_argument("--requests", type=int, default=24,
-                      help="offered requests (default 24)")
-    sv_p.add_argument("--rate", type=float, default=1.0,
-                      help="arrival rate, requests per simulated second")
-    sv_p.add_argument("--graphs", nargs="+", default=["GS"],
-                      choices=sorted(DATASETS), metavar="ABBR",
-                      help="datasets requests draw from (default GS)")
-    sv_p.add_argument("--algos", nargs="+", default=["BFS", "CC"],
-                      choices=ALGOS, metavar="ALGO",
-                      help="algorithms requests draw from (default BFS CC)")
-    sv_p.add_argument("--engine", default="Ascetic", choices=engine_choices,
-                      help=engine_help)
-    sv_p.add_argument("--scale", type=float, default=BENCH_SCALE,
-                      help=f"dataset down-scale (default {BENCH_SCALE:g})")
-    sv_p.add_argument("--tenants", nargs="+", default=["t0", "t1"],
-                      metavar="NAME", help="tenant names (default t0 t1)")
-    sv_p.add_argument("--deadline", type=float, default=None,
-                      help="per-request deadline budget in simulated seconds")
-    sv_p.add_argument("--multi-source", type=int, default=1,
-                      help="explicit sources per BFS/SSSP request")
-    sv_p.add_argument("--queue-capacity", type=int, default=16,
-                      help="admission-queue bound (default 16)")
-    sv_p.add_argument("--queue-policy", default="reject",
-                      choices=("reject", "drop-oldest", "deadline"),
-                      help="backpressure policy when the queue is full")
-    sv_p.add_argument("--scheduler", default="affinity",
-                      choices=("fifo", "affinity"),
-                      help="dispatch order (default affinity)")
-    sv_p.add_argument("--max-batch", type=int, default=1,
-                      help="fuse up to N compatible traversals per dispatch")
-    sv_p.add_argument("--batch-wait", type=float, default=0.0,
-                      help="seconds to hold a free server for a fuller batch")
-    sv_p.add_argument("--max-engines", type=int, default=2,
-                      help="warm engine-pool size (default 2)")
-    sv_p.add_argument("--devices", type=int, default=1,
-                      help="simulated devices; >1 routes through the fleet "
-                           "(default 1, the pinned single-server path)")
-    sv_p.add_argument("--topology", default="pcie",
-                      choices=sorted(TOPOLOGIES),
-                      help="inter-device link class for --devices > 1")
-    sv_p.add_argument("--shard-over", type=float, default=None,
-                      help="shard a graph fabric-wide when its edge bytes "
-                           "exceed this multiple of device capacity "
-                           "(default: never shard)")
-    sv_p.add_argument("--fabric", default=None, metavar="JSON",
-                      help="explicit FabricSpec as a JSON object (overrides "
-                           "--devices/--topology), e.g. "
-                           "'{\"n_devices\": 2, \"topology\": \"nvlink\"}'")
-    sv_p.add_argument("-o", "--output", default=None,
-                      help="write the full JSON report (trace + SLO) here")
-
+        help="run a seeded multi-tenant load test against a router over "
+             "per-device engine pools (one device by default) and emit a "
+             "schema-versioned SLO report",
+    ))
     fl_p = sub.add_parser(
         "fleet",
-        help="run a seeded load test against a multi-device fleet — a "
-             "router over per-device engine pools — and emit the SLO "
-             "report with per-device utilization",
+        help="`serve` with multi-device defaults (4 devices, 48 requests "
+             "at 2/s, queue bound 32); --quick pins a 2-device config "
+             "where one graph replicates and one is sharded fabric-wide",
     )
-    fl_p.add_argument("--quick", action="store_true",
-                      help="the tiny pinned smoke config (CI's fleet-smoke)")
-    fl_p.add_argument("--seed", type=int, default=0,
-                      help="workload-generator seed (default 0)")
-    fl_p.add_argument("--devices", type=int, default=4,
-                      help="simulated devices in the fabric (default 4)")
-    fl_p.add_argument("--topology", default="pcie",
-                      choices=sorted(TOPOLOGIES),
-                      help="inter-device link class (default pcie)")
-    fl_p.add_argument("--shard-over", type=float, default=None,
-                      help="shard a graph fabric-wide when its edge bytes "
-                           "exceed this multiple of device capacity "
-                           "(default: never shard; --quick pins 1.0)")
-    fl_p.add_argument("--requests", type=int, default=48,
-                      help="offered requests (default 48)")
-    fl_p.add_argument("--rate", type=float, default=2.0,
-                      help="arrival rate, requests per simulated second")
-    fl_p.add_argument("--graphs", nargs="+", default=["GS"],
-                      choices=sorted(DATASETS), metavar="ABBR",
-                      help="datasets requests draw from (default GS)")
-    fl_p.add_argument("--algos", nargs="+", default=["BFS", "CC"],
-                      choices=ALGOS, metavar="ALGO",
-                      help="algorithms requests draw from (default BFS CC)")
-    fl_p.add_argument("--engine", default="Ascetic", choices=engine_choices,
-                      help="per-device engine (also the sharded inner)")
-    fl_p.add_argument("--scale", type=float, default=BENCH_SCALE,
-                      help=f"dataset down-scale (default {BENCH_SCALE:g})")
-    fl_p.add_argument("--tenants", nargs="+", default=["t0", "t1"],
-                      metavar="NAME", help="tenant names (default t0 t1)")
-    fl_p.add_argument("--deadline", type=float, default=None,
-                      help="per-request deadline budget in simulated seconds")
-    fl_p.add_argument("--queue-capacity", type=int, default=32,
-                      help="admission-queue bound (default 32)")
-    fl_p.add_argument("--queue-policy", default="reject",
-                      choices=("reject", "drop-oldest", "deadline"),
-                      help="backpressure policy when the queue is full")
-    fl_p.add_argument("--scheduler", default="affinity",
-                      choices=("fifo", "affinity"),
-                      help="dispatch order (default affinity)")
-    fl_p.add_argument("--max-batch", type=int, default=1,
-                      help="fuse up to N compatible traversals per dispatch")
-    fl_p.add_argument("--max-engines", type=int, default=2,
-                      help="warm engine-pool size per device (default 2)")
-    fl_p.add_argument("--fabric", default=None, metavar="JSON",
-                      help="explicit FabricSpec as a JSON object (overrides "
-                           "--devices/--topology), e.g. "
-                           "'{\"n_devices\": 2, \"topology\": \"nvlink\"}'")
-    fl_p.add_argument("-o", "--output", default=None,
-                      help="write the full JSON report (trace + SLO) here")
+    load_test_args(fl_p)
+    fl_p.set_defaults(devices=4, requests=48, rate=2.0, queue_capacity=32)
 
     ch_p = sub.add_parser(
         "chaos",
@@ -579,11 +535,7 @@ def _cmd_chaos_fleet(args) -> int:
     print(format_table(["quantity", "value"], deg_rows,
                        title="fleet load test under standard_fleet_plan"))
     if args.output:
-        payload = res.trace_payload()
-        payload["digest"] = res.run_digest()
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.output}")
+        _write_load_test(res, args.output)
     print(f"digest: {res.run_digest()}")
     return 0
 
@@ -596,7 +548,7 @@ def _fabric_from_args(args):
 
     from repro.gpusim.fabric import FabricSpec
 
-    if getattr(args, "fabric", None):
+    if args.fabric:
         try:
             data = json.loads(args.fabric)
         except json.JSONDecodeError as exc:
@@ -620,8 +572,27 @@ def _fabric_from_args(args):
         raise SystemExit(f"error: invalid fabric: {exc}")
 
 
-def _serve_report_rows(res, config) -> list:
-    """The summary rows `serve` and `fleet` share (counts + pool)."""
+def _write_load_test(res, path: str) -> None:
+    import json
+
+    payload = res.trace_payload()
+    payload["digest"] = res.run_digest()
+    payload["pool"] = res.pool_stats.as_dict()
+    payload["device_pools"] = {
+        str(d): stats.as_dict()
+        for d, stats in sorted(res.device_pool_stats.items())
+    }
+    payload["tenant_accounts"] = {
+        name: acct.as_dict() for name, acct in sorted(res.tenants.items())
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+    print(f"wrote {path}")
+
+
+def _print_load_test(res, write_to: Optional[str]) -> int:
+    config = res.config
+    serve = config.serve
     report = res.report
     rows = [[k, f"{v:g}"] for k, v in sorted(report["counts"].items())]
     rows += [
@@ -633,10 +604,12 @@ def _serve_report_rows(res, config) -> list:
         ["skipped fill", human_bytes(res.pool_stats.skipped_fill_bytes)],
         ["refilled", human_bytes(res.pool_stats.refill_bytes)],
     ]
-    return rows
-
-
-def _print_latency(report) -> None:
+    print(format_table(
+        ["quantity", "value"], rows,
+        title=f"fleet — {config.fabric.n_devices}x {serve.engine} over "
+              f"{config.fabric.topology}, {serve.scheduler} scheduler, "
+              f"seed {serve.seed} ({res.horizon:.1f}s simulated)",
+    ))
     lat = report["latency_seconds"]
     lat_rows = [
         [split, f"{lat[split]['p50']:.3f}", f"{lat[split]['p95']:.3f}",
@@ -644,105 +617,44 @@ def _print_latency(report) -> None:
         for split in ("queue", "service", "e2e")
     ]
     print(format_table(["latency (s)", "p50", "p95", "p99", "mean"], lat_rows))
-
-
-def _print_fleet_result(res, write_to: Optional[str]) -> int:
-    import json
-
-    config = res.config
-    serve = config.serve
-    report = res.report
-    rows = _serve_report_rows(res, serve)
-    print(format_table(
-        ["quantity", "value"], rows,
-        title=f"fleet — {config.fabric.n_devices}x {serve.engine} over "
-              f"{config.fabric.topology}, {serve.scheduler} scheduler, "
-              f"seed {serve.seed} ({res.horizon:.1f}s simulated)",
-    ))
-    _print_latency(report)
-    fleet = report.get("fleet", {})
+    fleet = report["fleet"]
     dev_rows = [
         [name, f"{d['dispatches']:g}", f"{d['requests']:g}",
          f"{d['busy_seconds']:.2f}s", f"{d['utilization']:.0%}",
          human_bytes(d["exchange_bytes"])]
-        for name, d in fleet.get("devices", {}).items()
+        for name, d in fleet["devices"].items()
     ]
     if dev_rows:
         print(format_table(
             ["device", "dispatches", "requests", "busy", "util", "exchange"],
             dev_rows,
             title=f"per-device utilization — "
-                  f"{fleet.get('sharded_dispatches', 0):g} of "
-                  f"{fleet.get('n_dispatches', 0):g} dispatches fabric-wide",
+                  f"{fleet['sharded_dispatches']:g} of "
+                  f"{fleet['n_dispatches']:g} dispatches fabric-wide",
         ))
     if write_to:
-        payload = res.trace_payload()
-        payload["digest"] = res.run_digest()
-        payload["pool"] = res.pool_stats.as_dict()
-        payload["device_pools"] = {
-            str(d): stats.as_dict()
-            for d, stats in sorted(res.device_pool_stats.items())
-        }
-        payload["tenant_accounts"] = {
-            name: acct.as_dict() for name, acct in sorted(res.tenants.items())
-        }
-        with open(write_to, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"wrote {write_to}")
+        _write_load_test(res, write_to)
     print(f"digest: {res.run_digest()}")
     return 0
 
 
-def _cmd_fleet(args) -> int:
-    from repro.serve import ServeConfig
-    from repro.serve.fleet import (
+def _cmd_serve(args) -> int:
+    """``repro serve`` and ``repro fleet``: one command, two sets of defaults."""
+    from repro.serve import (
         FleetConfig,
+        ServeConfig,
         fleet_quick_config,
+        quick_config,
         run_fleet_test,
     )
 
-    if args.quick:
-        # --quick pins the whole config (like `serve --quick`): two
-        # devices over PCIe, GS replicated, FK sharded fabric-wide.
+    fabric = _fabric_from_args(args)  # validated even when --quick pins it
+    if args.quick and args.command == "fleet":
+        # Pins the whole config: two devices over PCIe, GS replicated, FK
+        # sharded fabric-wide.
         config = fleet_quick_config(seed=args.seed)
     else:
-        fabric = _fabric_from_args(args)
-        config = FleetConfig(
-            serve=ServeConfig(
-                seed=args.seed,
-                n_requests=args.requests,
-                arrival_rate=args.rate,
-                graphs=tuple(args.graphs),
-                algorithms=tuple(a.upper() for a in args.algos),
-                tenants=tuple(args.tenants),
-                deadline=args.deadline,
-                engine=args.engine,
-                scale=args.scale,
-                queue_capacity=args.queue_capacity,
-                queue_policy=args.queue_policy,
-                scheduler=args.scheduler,
-                max_batch=args.max_batch,
-                max_engines=args.max_engines,
-            ),
-            fabric=fabric,
-            shard_over=args.shard_over,
-        )
-    return _print_fleet_result(run_fleet_test(config), args.output)
-
-
-def _cmd_serve(args) -> int:
-    import json
-
-    from repro.serve import ServeConfig, quick_config, run_load_test
-
-    if args.devices < 1:
-        raise SystemExit(
-            f"error: --devices must be >= 1 (n_devices={args.devices})"
-        )
-    if args.quick:
-        config = quick_config(seed=args.seed)
-    else:
-        config = ServeConfig(
+        serve = quick_config(seed=args.seed) if args.quick else ServeConfig(
             seed=args.seed,
             n_requests=args.requests,
             arrival_rate=args.rate,
@@ -760,36 +672,9 @@ def _cmd_serve(args) -> int:
             batch_wait=args.batch_wait,
             max_engines=args.max_engines,
         )
-    if args.devices > 1 or args.fabric:
-        from repro.serve.fleet import FleetConfig, run_fleet_test
-
-        fleet_config = FleetConfig(
-            serve=config,
-            fabric=_fabric_from_args(args),
-            shard_over=args.shard_over,
-        )
-        return _print_fleet_result(run_fleet_test(fleet_config), args.output)
-    res = run_load_test(config)
-    report = res.report
-    rows = _serve_report_rows(res, config)
-    print(format_table(
-        ["quantity", "value"], rows,
-        title=f"serve — {config.engine} pool, {config.scheduler} scheduler, "
-              f"seed {config.seed} ({res.horizon:.1f}s simulated)",
-    ))
-    _print_latency(report)
-    if args.output:
-        payload = res.trace_payload()
-        payload["digest"] = res.run_digest()
-        payload["pool"] = res.pool_stats.as_dict()
-        payload["tenant_accounts"] = {
-            name: acct.as_dict() for name, acct in sorted(res.tenants.items())
-        }
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.output}")
-    print(f"digest: {res.run_digest()}")
-    return 0
+        config = FleetConfig(serve=serve, fabric=fabric,
+                             shard_over=args.shard_over)
+    return _print_load_test(run_fleet_test(config), args.output)
 
 
 def _cmd_bench(args) -> int:
@@ -916,10 +801,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_chaos(args)
     if args.command == "bench":
         return _cmd_bench(args)
-    if args.command == "serve":
+    if args.command in ("serve", "fleet"):
         return _cmd_serve(args)
-    if args.command == "fleet":
-        return _cmd_fleet(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.algorithms.base import ProgramState, VertexProgram
 from repro.core.bitmaps import split_active
+from repro.core.manager import ROUND_LOOP_LIMIT
 from repro.core.ondemand import plan_ondemand
 from repro.core.replacement import HotnessTable
 from repro.core.static_region import DEFAULT_CHUNK_BYTES, StaticRegion
@@ -46,10 +47,6 @@ from repro.graph.csr import CSRGraph
 from repro.gpusim.device import GPUSpec, SimulatedGPU
 
 __all__ = ["HybridEngine", "HybridPolicy"]
-
-#: Above this round count the gather chain is charged in aggregate
-#: (matching :data:`repro.core.manager.ROUND_LOOP_LIMIT`'s rationale).
-ROUND_LOOP_LIMIT = 64
 
 _PATH_CODES = np.array(
     [int(AccessPath.MIGRATE), int(AccessPath.GATHER), int(AccessPath.DIRECT)],

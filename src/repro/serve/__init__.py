@@ -26,21 +26,23 @@ The moving parts, each its own module:
     reads; the batch-size/latency knob).
 :mod:`~repro.serve.slo`
     SLO report folded from request-lifecycle events (p50/p95/p99 split
-    queueing vs service, goodput, shed rate), schema-versioned and
-    digest-stable.
+    queueing vs service, goodput, shed rate, per-device utilization) under
+    one schema id, with a ``degraded`` section only when device faults
+    were observed; digest-stable.
 :mod:`~repro.serve.simulator`
-    The single-server discrete-event loop tying it together;
-    ``repro serve`` on the CLI.
+    ``ServeConfig``, the workload catalog, and ``run_load_test`` — the
+    one-device call into the loop below.
 :mod:`~repro.serve.fleet`
-    The multi-device generalization: a :class:`~repro.serve.fleet.Router`
-    places each dispatch on a per-device engine pool (replicating hot
-    graphs) or fabric-wide through the sharded engine (graphs exceeding
-    single-device capacity); ``repro fleet`` / ``repro serve --devices N``
-    on the CLI.
+    The one discrete-event loop tying it together, for any device count:
+    a :class:`~repro.serve.fleet.Router` places each dispatch on a
+    per-device engine pool (replicating hot graphs) or fabric-wide through
+    the sharded engine (graphs exceeding single-device capacity).  Every
+    load test returns a :class:`~repro.serve.fleet.FleetResult`;
+    ``repro serve`` and ``repro fleet`` on the CLI differ only in defaults.
 
 Determinism contract: no wall clock, no unseeded randomness, no dict-order
-dependence anywhere in this package — ``run_load_test`` is a pure function
-of its config, and its digest is pinned in CI.  See ``docs/serving.md``.
+dependence anywhere in this package — a load test is a pure function of
+its config, and its digest is pinned in CI.  See ``docs/serving.md``.
 """
 
 from repro.serve.batching import BatchedBFS, BatchedSSSP, make_batched
@@ -71,19 +73,12 @@ from repro.serve.scheduler import (
     make_scheduler,
 )
 from repro.serve.simulator import (
-    LoadTestResult,
     ServeConfig,
     WorkloadCatalog,
     quick_config,
     run_load_test,
 )
-from repro.serve.slo import (
-    SLO_SCHEMA,
-    SLO_SCHEMA_DEGRADED,
-    SLO_SCHEMA_FLEET,
-    fold_slo,
-    report_digest,
-)
+from repro.serve.slo import SLO_SCHEMA, fold_slo, report_digest
 
 __all__ = [
     # requests + workload
@@ -112,14 +107,11 @@ __all__ = [
     "make_batched",
     # SLO
     "SLO_SCHEMA",
-    "SLO_SCHEMA_FLEET",
-    "SLO_SCHEMA_DEGRADED",
     "fold_slo",
     "report_digest",
     # load tests
     "ServeConfig",
     "WorkloadCatalog",
-    "LoadTestResult",
     "run_load_test",
     "quick_config",
     # fleet

@@ -1,11 +1,14 @@
-"""Multi-device serving: a router in front of per-device engine pools.
+"""The serving loop: a router in front of per-device engine pools.
 
-The single-server simulator (:mod:`repro.serve.simulator`) models one
-engine slot.  A *fleet* models N simulated devices sharing one admission
-queue: a :class:`Router` decides, per dispatch, which device serves the
-batch — or whether the graph is too large for any one device and must run
-as a fabric-wide :class:`~repro.engines.sharded.ShardedEngine` dispatch
-spanning every device.  Two placement regimes fall out:
+One discrete-event loop serves every load test.  Arrivals are offered to
+the bounded admission queue *at their own arrival times* (so queue
+contention during a long service is evaluated faithfully), the scheduler
+picks the next batch when a device frees up, a :class:`Router` decides
+which device serves it, that device's engine pool supplies a warm or cold
+engine, and the engine's simulated ``run`` provides the service time.  A
+single server is the one-device case
+(:func:`~repro.serve.simulator.run_load_test`), not a second code path.
+With N devices sharing the queue two placement regimes fall out:
 
 * **replicate-hot** — requests for a graph that fits a device land on
   whichever free device already holds its warm Static Region (affinity),
@@ -18,13 +21,15 @@ spanning every device.  Two placement regimes fall out:
   inter-device exchange traffic charged by the fabric's cost model and
   surfaced in the SLO report's ``fleet`` section.
 
-Everything stays on the shared serve clock and the shared seeded workload
-stream, so a fleet load test replays bit for bit — same trace, same event
-stream, same report, same digest — exactly like the single-server path.
-The single-server code is untouched: the fleet loop emits its own
-``dispatch`` markers (with device ids), and :func:`~repro.serve.slo.fold_slo`
-adds the per-device section only when those markers are present, so the
-pinned single-device serve digest stays valid.
+The batching knob: with ``max_batch > 1`` the dispatcher may *hold* a free
+device for up to ``batch_wait`` seconds when another arrival is imminent
+and the queue has not yet filled a batch — trading first-request latency
+for fused service (see :mod:`repro.serve.batching`).
+
+Every timestamp lives on the serve clock — the same virtual-time
+discipline as :mod:`repro.gpusim` — and every random draw comes from the
+workload generator's seeded stream, so a config replays bit for bit: same
+request trace, same event stream, same SLO report, same digest.
 """
 
 from __future__ import annotations
@@ -68,11 +73,10 @@ FABRIC = -1
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Everything a fleet load test depends on — the digest's whole input."""
+    """Everything a load test depends on — the digest's whole input."""
 
-    #: The workload / queue / scheduler / pool knobs, shared verbatim with
-    #: the single-server simulator so a fleet is directly comparable to
-    #: one device running the same :class:`ServeConfig`.
+    #: The workload / queue / scheduler / pool knobs: the part of the
+    #: input that does not depend on how many devices serve it.
     serve: ServeConfig = field(default_factory=ServeConfig)
     #: Device count, per-device memories, and link topology.
     fabric: FabricSpec = field(default_factory=FabricSpec)
@@ -81,9 +85,8 @@ class FleetConfig:
     #: ``None`` disables sharding (replicate-only routing).
     shard_over: Optional[float] = None
     #: Chaos mode: a seeded fault plan whose device faults (times on the
-    #: *serve* clock) the fleet loop replays — failed dispatches, router
-    #: failover, degraded sharded fabrics.  ``None`` (the default) keeps
-    #: every fault-free code path — and every pinned digest — byte-exact.
+    #: *serve* clock) the loop replays — failed dispatches, router
+    #: failover, degraded sharded fabrics.  ``None`` = fault-free.
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
@@ -99,8 +102,7 @@ class FleetConfig:
             "fabric": self.fabric.to_dict(),
             "shard_over": self.shard_over,
         }
-        # Key omitted when absent so fault-free configs serialize (and
-        # digest) exactly as before the chaos fields existed.
+        # Omitted when absent: the convention of ``RunSpec.to_dict``.
         if self.fault_plan is not None:
             out["fault_plan"] = self.fault_plan.to_dict()
         return out
@@ -213,7 +215,7 @@ class Router:
 
 @dataclass
 class FleetResult:
-    """One fleet load test's full, replayable output."""
+    """One load test's full, replayable output (any device count)."""
 
     config: FleetConfig
     requests: Tuple[Request, ...]
@@ -236,32 +238,28 @@ class FleetResult:
 
     def trace_payload(self) -> Dict[str, Any]:
         """Canonical JSON-able form of trace + outcomes + report."""
-        responses = []
-        for resp in self.responses:
-            entry = {
-                "request_id": resp.request.request_id,
-                "status": resp.status.value,
-                "shed_reason": resp.shed_reason,
-                "start_time": resp.start_time,
-                "finish_time": resp.finish_time,
-                "batch_size": resp.batch_size,
-                "warm": resp.warm,
-                "device": resp.device,
-            }
-            # Gated on the plan (not on the count) so chaos payloads carry
-            # the key uniformly while fault-free payloads stay byte-exact.
-            if self.config.fault_plan is not None:
-                entry["retries"] = resp.retries
-            responses.append(entry)
         return {
             "config": self.config.as_dict(),
             "requests": [asdict(r) for r in self.requests],
-            "responses": responses,
+            "responses": [
+                {
+                    "request_id": resp.request.request_id,
+                    "status": resp.status.value,
+                    "shed_reason": resp.shed_reason,
+                    "start_time": resp.start_time,
+                    "finish_time": resp.finish_time,
+                    "batch_size": resp.batch_size,
+                    "warm": resp.warm,
+                    "device": resp.device,
+                    "retries": resp.retries,
+                }
+                for resp in self.responses
+            ],
             "report": self.report,
         }
 
     def run_digest(self) -> str:
-        """Digest over trace + responses + report (what fleet-smoke diffs)."""
+        """Digest over trace + responses + report (the CI-pinned value)."""
         blob = canonical_json(self.trace_payload())
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
@@ -269,14 +267,10 @@ class FleetResult:
 def run_fleet_test(config: FleetConfig,
                    requests: Optional[Tuple[Request, ...]] = None
                    ) -> FleetResult:
-    """Run one seeded fleet load test; pure function of ``(config, requests)``.
+    """Run one seeded load test; pure function of ``(config, requests)``.
 
-    The same discrete-event discipline as
-    :func:`~repro.serve.simulator.run_load_test`, generalized to N device
-    slots: arrivals are offered to the shared admission queue at their own
-    arrival times, the scheduler picks the next batch when a device frees
-    up, the router places it, and the chosen device's (or the fabric's)
-    simulated run provides the service time.
+    ``requests`` overrides the generated trace (tests build hand-crafted
+    traces; the CLI always generates from the config's seed).
     """
     serve = config.serve
     if requests is None:
@@ -383,7 +377,7 @@ def run_fleet_test(config: FleetConfig,
         if not queue:
             continue  # the shed path can drain what just arrived
         # Hold a free device briefly if another arrival could complete a
-        # batch — the same latency/throughput knob as the single server.
+        # batch — the latency/throughput tradeoff knob.
         if (serve.max_batch > 1 and serve.batch_wait > 0
                 and next_arrival < len(requests)
                 and len(queue) < serve.max_batch
@@ -452,25 +446,20 @@ def run_fleet_test(config: FleetConfig,
             device = decision.target
             start, attempt, dead_end = now, 0, False
             while True:
-                if injector is not None \
-                        and injector.device_state(device, start) != "up":
+                state = ("up" if injector is None
+                         else injector.device_state(device, start))
+                if state != "up":
                     # Dead (or stalled) before the dispatch even started.
-                    fail_t = start
-                    lost = injector.device_state(device, start) == "down"
+                    fail_t, lost = start, state == "down"
                 else:
                     engine, pooled = pools[device].acquire(
                         key, lambda: registry.create(serve.engine, spec=spec,
                                                      data_scale=data_scale))
-                    if injector is None:
-                        start_markers(start, device, pooled)
-                        result = engine.run(
-                            graph, catalog.program_for(batch, graph))
-                        finish = start + result.elapsed_seconds
-                        break
                     result = engine.run(
                         graph, catalog.program_for(batch, graph))
                     finish = start + result.elapsed_seconds
-                    down_t = injector.device_down_at(device)
+                    down_t = (None if injector is None
+                              else injector.device_down_at(device))
                     if down_t is None or not (start < down_t < finish):
                         start_markers(start, device, pooled)
                         break
@@ -516,7 +505,7 @@ def run_fleet_test(config: FleetConfig,
                     shed(r, "fleet-down", start)
                 now = start
                 continue
-            if router.note_success(device) and injector is not None:
+            if router.note_success(device):
                 log.marker("breaker-close", f"dev{device}", start,
                            device=device,
                            extra=(("device", float(device)),))
@@ -571,7 +560,7 @@ def run_fleet_test(config: FleetConfig,
 
 def fleet_quick_config(seed: int = 0, n_devices: int = 2,
                        topology: str = "pcie") -> FleetConfig:
-    """The tiny seeded fleet load test behind ``repro fleet --quick``.
+    """The tiny seeded multi-device load test behind ``repro fleet --quick``.
 
     Same spirit as :func:`~repro.serve.simulator.quick_config`, with two
     graphs so both router regimes fire: GS requests replicate across the

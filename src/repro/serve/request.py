@@ -119,8 +119,8 @@ class Response:
     finish_time: Optional[float] = None
     batch_size: int = 1
     warm: bool = False
-    #: Device that served the request in a fleet run (``None`` on the
-    #: single-server path; ``-1`` = a fabric-wide sharded dispatch).
+    #: Device that served the request (``None`` if it was shed; ``-1`` = a
+    #: fabric-wide sharded dispatch).
     device: Optional[int] = None
     #: How many dispatch attempts failed (device death / circuit breaker)
     #: before the one that completed — 0 on every fault-free path.

@@ -1,32 +1,21 @@
-"""The deterministic single-server load-test simulator.
+"""What a load test is made of: its config, its workload catalog, and the
+single-server entry point.
 
-Discrete-event loop over one engine "slot": arrivals are offered to the
-bounded admission queue *at their own arrival times* (so queue contention
-during a long service is evaluated faithfully), the scheduler picks the
-next dispatch when the server frees up, the engine pool supplies a warm
-or cold engine, and the engine's simulated ``run`` provides the service
-time.  Every timestamp lives on the serve clock — the same virtual-time
-discipline as :mod:`repro.gpusim` — and every random draw comes from the
-workload generator's seeded stream, so a config replays bit-identically:
-same request trace, same event stream, same SLO report, same digest.
-
-The batching knob: with ``max_batch > 1`` the dispatcher may *hold* the
-server for up to ``batch_wait`` seconds when another arrival is imminent
-and the queue has not yet filled a batch — trading first-request latency
-for fused service (see :mod:`repro.serve.batching`).
+:class:`ServeConfig` is the workload / queue / scheduler / pool half of
+every load test's input, :class:`WorkloadCatalog` hands out the shared
+graph objects warm reuse depends on, and :func:`run_load_test` runs a
+config on one device.  There is one discrete-event loop and it lives in
+:mod:`repro.serve.fleet`; a single server is a fleet of one.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.engines import registry
-from repro.engines.base import RunResult
 from repro.graph.properties import best_source
 from repro.gpusim.device import GPUSpec
-from repro.gpusim.events import EventLog, SimEvent
+from repro.gpusim.fabric import FabricSpec
 from repro.harness.experiments import (
     BENCH_SCALE,
     PR_TOL,
@@ -35,25 +24,15 @@ from repro.harness.experiments import (
 )
 from repro.algorithms import make_program
 from repro.serve.batching import make_batched
-from repro.serve.pool import EnginePool, PoolStats
-from repro.serve.queue import AdmissionQueue, TenantAccount
-from repro.serve.request import (
-    Request,
-    RequestStatus,
-    Response,
-    engine_key,
-    generate_requests,
-)
-from repro.serve.scheduler import make_scheduler
-from repro.serve.slo import canonical_json, fold_slo
+from repro.serve.request import Request
 
-__all__ = ["ServeConfig", "WorkloadCatalog", "LoadTestResult",
-           "run_load_test", "quick_config"]
+__all__ = ["ServeConfig", "WorkloadCatalog", "run_load_test", "quick_config"]
 
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Everything a load test depends on — the digest's whole input."""
+    """The workload / queue / scheduler / pool half of a load test's input
+    (:class:`~repro.serve.fleet.FleetConfig` adds the devices)."""
 
     seed: int = 0
     n_requests: int = 24
@@ -144,174 +123,23 @@ class WorkloadCatalog:
         return make_program(algo)
 
 
-@dataclass
-class LoadTestResult:
-    """One load test's full, replayable output."""
-
-    config: ServeConfig
-    requests: Tuple[Request, ...]
-    responses: Tuple[Response, ...]
-    events: List[SimEvent]
-    report: Dict[str, Any]
-    pool_stats: PoolStats
-    tenants: Dict[str, TenantAccount]
-    #: Total simulated time (last completion or arrival).
-    horizon: float = 0.0
-    run_results: List[RunResult] = field(default_factory=list)
-
-    def trace_payload(self) -> Dict[str, Any]:
-        """Canonical JSON-able form of trace + outcomes + report."""
-        return {
-            "config": self.config.as_dict(),
-            "requests": [asdict(r) for r in self.requests],
-            "responses": [
-                {
-                    "request_id": resp.request.request_id,
-                    "status": resp.status.value,
-                    "shed_reason": resp.shed_reason,
-                    "start_time": resp.start_time,
-                    "finish_time": resp.finish_time,
-                    "batch_size": resp.batch_size,
-                    "warm": resp.warm,
-                }
-                for resp in self.responses
-            ],
-            "report": self.report,
-        }
-
-    def run_digest(self) -> str:
-        """Digest over trace + responses + report (the CI-pinned value)."""
-        blob = canonical_json(self.trace_payload())
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
 def run_load_test(config: ServeConfig,
-                  requests: Optional[Tuple[Request, ...]] = None) -> LoadTestResult:
-    """Run one seeded load test; pure function of ``(config, requests)``.
+                  requests: Optional[Tuple[Request, ...]] = None):
+    """Run one seeded single-server load test: a fleet of one device.
 
-    ``requests`` overrides the generated trace (tests build hand-crafted
-    traces; the CLI always generates from the config's seed).
+    Pure function of ``(config, requests)``; returns the
+    :class:`~repro.serve.fleet.FleetResult` of the one discrete-event loop
+    (:func:`~repro.serve.fleet.run_fleet_test`) over a one-device fabric,
+    never sharding, with no fault plan.  ``requests`` overrides the
+    generated trace (tests build hand-crafted traces; the CLI always
+    generates from the config's seed).
     """
-    if requests is None:
-        requests = generate_requests(
-            n_requests=config.n_requests,
-            seed=config.seed,
-            arrival_rate=config.arrival_rate,
-            graphs=config.graphs,
-            algorithms=config.algorithms,
-            tenants=config.tenants,
-            priorities=config.priorities,
-            deadline=config.deadline,
-            multi_source=config.multi_source,
-        )
-    catalog = WorkloadCatalog(config.scale)
-    log = EventLog(record=True)
-    queue = AdmissionQueue(config.queue_capacity, config.queue_policy)
-    scheduler = make_scheduler(config.scheduler, config.max_batch,
-                               config.aging_seconds)
-    # Re-arm pooled engines for warm start only when the engine declares the
-    # capability — registry metadata instead of a hardcoded Ascetic-ism.
-    pool = EnginePool(
-        config.max_engines,
-        keep_static=registry.describe(config.engine).supports_warm_start,
-    )
-    responses: Dict[int, Response] = {}
-    run_results: List[RunResult] = []
+    # Imported here because fleet.py builds on this module's ServeConfig
+    # and WorkloadCatalog.
+    from repro.serve.fleet import FleetConfig, run_fleet_test
 
-    def shed(victim: Request, reason: str, t: float) -> None:
-        log.marker("request-shed", reason, t,
-                   extra=(("request", float(victim.request_id)),))
-        responses[victim.request_id] = Response(
-            request=victim, status=RequestStatus.SHED, shed_reason=reason)
-
-    def admit_until(t: float) -> None:
-        nonlocal next_arrival
-        while next_arrival < len(requests) \
-                and requests[next_arrival].arrival <= t:
-            r = requests[next_arrival]
-            next_arrival += 1
-            log.marker(
-                "request-arrive", f"{r.tenant}/{r.graph_id}/{r.algorithm}",
-                r.arrival,
-                extra=(("request", float(r.request_id)),
-                       ("deadline", -1.0 if r.deadline is None
-                        else float(r.deadline)),
-                       ("priority", float(r.priority))))
-            for victim, reason in queue.purge_expired(r.arrival):
-                shed(victim, reason, r.arrival)
-            admitted, dropped = queue.offer(r, r.arrival)
-            for victim, reason in dropped:
-                shed(victim, reason, r.arrival)
-            if admitted:
-                log.marker("request-admit", r.tenant, r.arrival,
-                           extra=(("request", float(r.request_id)),))
-
-    next_arrival = 0
-    now = 0.0  # when the server is next free
-    while next_arrival < len(requests) or queue:
-        if not queue:
-            now = max(now, requests[next_arrival].arrival)
-        admit_until(now)
-        if not queue:
-            continue  # the shed path can drain what just arrived
-        # Hold the free server briefly if another arrival could complete
-        # a batch — the latency/throughput tradeoff knob.
-        if (config.max_batch > 1 and config.batch_wait > 0
-                and next_arrival < len(requests)
-                and len(queue) < config.max_batch
-                and requests[next_arrival].arrival <= now + config.batch_wait):
-            now = requests[next_arrival].arrival
-            continue
-        for victim, reason in queue.purge_expired(now):
-            shed(victim, reason, now)
-        if not queue:
-            continue
-        batch = scheduler.select(queue.items, now, pool.warm_keys())
-        for r in batch:
-            queue.take(r)
-        key = engine_key(batch[0])
-        graph = catalog.graph(*key)
-        graph_id = key[0]
-        engine, pooled = pool.acquire(key, lambda: registry.create(
-            config.engine, spec=catalog.spec(graph_id),
-            data_scale=catalog.data_scale(graph_id)))
-        log.marker("warm-hit" if pooled else "warm-miss",
-                   f"{key[0]}/{key[1]}", now,
-                   extra=(("requests", float(len(batch))),))
-        for r in batch:
-            log.marker("request-start", r.tenant, now,
-                       extra=(("request", float(r.request_id)),
-                              ("batch", float(len(batch))),
-                              ("warm", 1.0 if pooled else 0.0)))
-        result = engine.run(graph, catalog.program_for(batch, graph))
-        run_results.append(result)
-        pool.fold_result(result)
-        warm_run = bool(result.extra.get("warm_start", 0.0))
-        finish = now + result.elapsed_seconds
-        for r in batch:
-            log.marker("request-complete", r.tenant, finish,
-                       extra=(("request", float(r.request_id)),
-                              ("warm_start", 1.0 if warm_run else 0.0)))
-            queue.note_completed(r, result.elapsed_seconds)
-            responses[r.request_id] = Response(
-                request=r, status=RequestStatus.COMPLETED,
-                start_time=now, finish_time=finish,
-                batch_size=len(batch), warm=warm_run)
-        now = finish
-
-    horizon = max([now] + [r.arrival for r in requests]) if requests else now
-    report = fold_slo(log.events, horizon=horizon)
-    return LoadTestResult(
-        config=config,
-        requests=requests,
-        responses=tuple(responses[r.request_id] for r in requests),
-        events=log.events,
-        report=report,
-        pool_stats=pool.stats,
-        tenants=dict(queue.tenants),
-        horizon=horizon,
-        run_results=run_results,
-    )
+    return run_fleet_test(
+        FleetConfig(serve=config, fabric=FabricSpec(n_devices=1)), requests)
 
 
 def quick_config(seed: int = 0) -> ServeConfig:

@@ -1,12 +1,13 @@
 """SLO metrics as a pure fold over request-lifecycle events.
 
-The load-test simulator narrates every request through instant marker
+The serving loop narrates every request through instant marker
 events (:data:`repro.gpusim.events.REQUEST_KINDS`) on the serve clock:
 ``request-arrive`` (label ``tenant/graph/algo``, with the deadline in
 ``extra``), ``request-admit``, ``request-shed`` (label = reason),
 ``request-start`` (batch size + warm flag in ``extra``) and
 ``request-complete``; ``warm-hit`` / ``warm-miss`` record each dispatch's
-pool outcome.  :func:`fold_slo` replays that stream into the
+pool outcome and ``dispatch`` its device and service time.
+:func:`fold_slo` replays that stream into the
 schema-versioned SLO report — the same replayability contract the rest of
 the repo uses (metrics are folds over the event log, never separately
 maintained truth).
@@ -26,27 +27,16 @@ from typing import Any, Dict, Iterable, List
 
 from repro.gpusim.events import SimEvent
 
-__all__ = ["SLO_SCHEMA", "SLO_SCHEMA_FLEET", "SLO_SCHEMA_DEGRADED",
-           "fold_slo", "report_digest", "canonical_json"]
+__all__ = ["SLO_SCHEMA", "fold_slo", "report_digest", "canonical_json"]
 
-#: Report schema identifier; bump on any shape change.
-SLO_SCHEMA = "repro.serve/1"
+#: Report schema identifier; bump on any shape change.  One id for every
+#: load test: the ``fleet`` section is always present (a single server is a
+#: one-device fleet), the ``degraded`` section only when a device-fault
+#: marker falls inside the horizon.
+SLO_SCHEMA = "repro.serve/4"
 
-#: Schema a report carries when it includes the per-device ``fleet``
-#: section (multi-device load tests emit ``dispatch`` markers; the
-#: single-server simulator never does, so its reports — and the pinned
-#: CI digest — keep :data:`SLO_SCHEMA` exactly).
-SLO_SCHEMA_FLEET = "repro.serve/2-fleet"
-
-#: Schema a report carries when it additionally includes the ``degraded``
-#: section: per-device downtime, failover/retry counts, and goodput while
-#: the fleet ran short-handed.  Emitted ONLY when device-fault markers
-#: (``device-down`` / ``device-up`` / ``device-fail`` / ``request-retry``)
-#: are present in the event stream — fault-free fleet runs keep
-#: :data:`SLO_SCHEMA_FLEET`, single-server runs keep :data:`SLO_SCHEMA`.
-SLO_SCHEMA_DEGRADED = "repro.serve/3-degraded"
-
-#: Marker kinds whose presence flips a report to the degraded schema.
+#: Device-fault marker kinds: folded into the ``degraded`` section, and
+#: never allowed to stretch the default horizon.
 _DEGRADED_KINDS = frozenset({
     "device-down", "device-up", "device-fail", "request-retry",
     "breaker-open", "breaker-close",
@@ -118,7 +108,7 @@ def fold_slo(events: Iterable[SimEvent], horizon: float | None = None) -> Dict[s
     if horizon is None:
         horizon = last_t
     # A fault scheduled beyond the horizon never touched any request: the
-    # report (and schema) stay exactly fault-free.
+    # report stays exactly fault-free.
     fault_markers = [e for e in fault_markers if e.start <= horizon]
 
     e2e: List[float] = []
@@ -141,9 +131,11 @@ def fold_slo(events: Iterable[SimEvent], horizon: float | None = None) -> Dict[s
 
     for rid, ev in sorted(arrive.items()):
         tenant_bucket(tenant_of(ev))["arrived"] += 1
-    for rid, ev in sorted(shed.items()):
-        src = arrive.get(rid, ev)
-        tenant_bucket(tenant_of(src))["shed"] += 1
+    for rid in sorted(shed):
+        came = arrive.get(rid)
+        if came is None:
+            continue  # torn lifecycle: the shed label is a reason, not a tenant
+        tenant_bucket(tenant_of(came))["shed"] += 1
     for rid, done in sorted(complete.items()):
         came = arrive.get(rid)
         began = start.get(rid)
@@ -182,12 +174,9 @@ def fold_slo(events: Iterable[SimEvent], horizon: float | None = None) -> Dict[s
         "shed_rate": len(shed) / arrived if arrived else 0.0,
         "warm": {"hits": warm_hits, "misses": warm_misses},
         "tenants": {name: tenants[name] for name in sorted(tenants)},
+        "fleet": _fold_fleet(dispatches, horizon),
     }
-    if dispatches:
-        out["schema"] = SLO_SCHEMA_FLEET
-        out["fleet"] = _fold_fleet(dispatches, horizon)
     if fault_markers:
-        out["schema"] = SLO_SCHEMA_DEGRADED
         out["degraded"] = _fold_degraded(fault_markers, arrive, complete,
                                          horizon)
     return out
@@ -282,7 +271,7 @@ def _fold_fleet(dispatches: List[SimEvent],
                 horizon: float) -> Dict[str, Any]:
     """Per-device utilization and exchange traffic from ``dispatch`` markers.
 
-    Each fleet dispatch emits one instant ``dispatch`` event carrying the
+    Each dispatch emits one instant ``dispatch`` event carrying the
     serving device (``-1`` = a fabric-wide sharded run occupying every
     device), the batch size, the service seconds, and — for sharded
     dispatches — the inter-device exchange bytes the run charged.  A

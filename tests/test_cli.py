@@ -177,9 +177,9 @@ class TestFleetChaosCommand:
         out = capsys.readouterr().out
         assert "identical to fault-free baseline" in out
         assert "device_losses" in out
-        assert "repro.serve/3-degraded" in out
         import json
         payload = json.loads(report.read_text())
+        assert "fleet" in payload["report"]
         assert payload["report"]["degraded"]["relocated_requests"] > 0
         assert payload["digest"] in out
 

@@ -14,7 +14,6 @@ from repro.serve import (
     FleetConfig,
     Router,
     ServeConfig,
-    SLO_SCHEMA_FLEET,
     fleet_quick_config,
     run_fleet_test,
     run_load_test,
@@ -109,7 +108,8 @@ class TestFleetQuick:
 
     def test_report_carries_fleet_schema(self, quick_result):
         report = quick_result.report
-        assert report["schema"] == SLO_SCHEMA_FLEET
+        assert report["schema"] == SLO_SCHEMA
+        assert "degraded" not in report  # no fault observed
         fleet = report["fleet"]
         assert fleet["n_dispatches"] > 0
         # The quick config is tuned so both regimes fire: GS replicates,
@@ -152,15 +152,23 @@ class TestFleetQuick:
         assert ids == [r.request_id for r in quick_result.requests]
 
 
-def test_single_server_report_keeps_plain_schema():
-    # The single-server simulator never emits dispatch markers, so its
-    # report keeps the v1 schema — the pinned CI serve digest depends on
-    # this staying true.
+def test_single_server_is_a_fleet_of_one():
+    # One loop, one report shape: the single server's report carries the
+    # same schema and a one-device fleet section, and the call is exactly
+    # the one-device fleet config.
     from repro.serve import quick_config
 
-    report = run_load_test(quick_config()).report
+    res = run_load_test(quick_config())
+    report = res.report
     assert report["schema"] == SLO_SCHEMA
-    assert "fleet" not in report
+    assert "degraded" not in report
+    assert set(report["fleet"]["devices"]) == {"0"}
+    assert report["fleet"]["sharded_dispatches"] == 0
+    assert report["fleet"]["n_dispatches"] > 0
+    assert all(r.device == 0 for r in res.responses if r.completed)
+    one = run_fleet_test(FleetConfig(serve=quick_config(),
+                                     fabric=FabricSpec(n_devices=1)))
+    assert one.trace_payload() == res.trace_payload()
 
 
 class TestFleetScaling:

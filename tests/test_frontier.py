@@ -151,14 +151,30 @@ class TestProgramStateFrontier:
         assert clone.active_edges(small_web) == before
 
 
+def _fill_expansion(vs, starts, counts, sources, positions) -> None:
+    """The expansion walk as a scalar kernel, kept as the test oracle.
+
+    Writes ``sources``/``positions`` in CSR order — the same int64 values
+    the vectorized repeat/arange path produces, by construction.
+    """
+    k = 0
+    for i in range(vs.size):
+        v = vs[i]
+        s = starts[i]
+        for j in range(counts[i]):
+            sources[k] = v
+            positions[k] = s + j
+            k += 1
+
+
 class TestScalarKernelOracle:
-    """The scalar walk (what numba compiles under ``REPRO_NUMBA=1``) must
-    write the exact int64 buffers the vectorized repeat/arange path
-    produces — the two are interchangeable by construction."""
+    """The scalar walk must write the exact int64 buffers the vectorized
+    repeat/arange path produces — the two are interchangeable by
+    construction."""
 
     @staticmethod
     def _run_scalar(graph, active):
-        from repro.algorithms.frontier import _fill_expansion, _walk_mask
+        from repro.algorithms.frontier import _walk_mask
 
         vs, starts, counts = _walk_mask(graph, active)
         nz = counts > 0
@@ -188,73 +204,3 @@ class TestScalarKernelOracle:
             srcs, poss = self._run_scalar(small_rmat, active)
             assert np.array_equal(srcs, exp.sources)
             assert np.array_equal(poss, exp.positions)
-
-
-class TestNumbaGate:
-    """The compiled walk is strictly opt-in with a pure-NumPy fallback."""
-
-    def test_disabled_without_env(self, monkeypatch):
-        from repro.algorithms.frontier import _NUMBA_ENV, _load_numba_fill
-
-        monkeypatch.delenv(_NUMBA_ENV, raising=False)
-        assert _load_numba_fill() is None
-
-    @pytest.mark.parametrize("value", ["0", "no", "off", "false", ""])
-    def test_disabled_on_falsy_values(self, monkeypatch, value):
-        from repro.algorithms.frontier import _NUMBA_ENV, _load_numba_fill
-
-        monkeypatch.setenv(_NUMBA_ENV, value)
-        assert _load_numba_fill() is None
-
-    def test_enabled_requires_numba(self, monkeypatch):
-        """With the env set, the gate compiles iff numba imports; either
-        way it never raises — missing numba silently falls back."""
-        from repro.algorithms.frontier import _NUMBA_ENV, _load_numba_fill
-
-        monkeypatch.setenv(_NUMBA_ENV, "1")
-        try:
-            import numba  # noqa: F401
-            has_numba = True
-        except ImportError:
-            has_numba = False
-        fill = _load_numba_fill()
-        assert (fill is not None) == has_numba
-
-    def test_default_process_state_matches_env(self):
-        import os
-
-        from repro.algorithms.frontier import (_NUMBA_ENV, _numba_fill,
-                                               numba_walk_enabled)
-
-        assert numba_walk_enabled() == (_numba_fill is not None)
-        if os.environ.get(_NUMBA_ENV, "").lower() not in ("1", "true", "yes",
-                                                          "on"):
-            assert not numba_walk_enabled()
-
-    @pytest.mark.skipif(
-        not pytest.importorskip("importlib.util").find_spec("numba"),
-        reason="numba not installed")
-    def test_compiled_walk_matches_numpy(self, monkeypatch, small_rmat):
-        """Only meaningful on the CI leg that installs the [speed] extra."""
-        from repro.algorithms.frontier import _NUMBA_ENV, _load_numba_fill
-
-        monkeypatch.setenv(_NUMBA_ENV, "1")
-        fill = _load_numba_fill()
-        assert fill is not None
-        rng = np.random.default_rng(3)
-        active = rng.random(small_rmat.n_vertices) < 0.4
-        ref = expand_frontier(small_rmat, active)
-        vs = np.nonzero(active)[0]
-        starts = small_rmat.indptr[vs]
-        counts = small_rmat.indptr[vs + 1] - starts
-        nz = counts > 0
-        vs, starts, counts = vs[nz], starts[nz], counts[nz]
-        total = int(counts.sum())
-        sources = np.empty(total, dtype=np.int64)
-        positions = np.empty(total, dtype=np.int64)
-        fill(np.ascontiguousarray(vs, dtype=np.int64),
-             np.ascontiguousarray(starts, dtype=np.int64),
-             np.ascontiguousarray(counts, dtype=np.int64),
-             sources, positions)
-        assert np.array_equal(sources, ref.sources)
-        assert np.array_equal(positions, ref.positions)

@@ -6,15 +6,20 @@ the same trace dispatched FIFO, and the Static Region counters prove the
 win came from skipped fills rather than luck.
 """
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.ascetic import AsceticEngine
 from repro.engines.base import Engine
 from repro.gpusim.device import GPUSpec
+from repro.gpusim.events import SimEvent
 from repro.gpusim.faults import CapacitySqueeze, FaultPlan
 from repro.serve import (
     EnginePool,
+    SLO_SCHEMA,
     RequestStatus,
     ServeConfig,
     fold_slo,
@@ -153,6 +158,36 @@ class TestDeterminism:
         assert a.run_digest() != b.run_digest()
 
 
+#: Response hashes taken from the dedicated single-server loop before it was
+#: deleted (parent of the one-loop PR): a one-device fleet must reproduce
+#: the old server request for request.
+GOLDEN_RESPONSES = {
+    "quick0": (quick_config(0), "37f99cb6e7b0b4f3"),
+    "quick1": (quick_config(1), "e3e8d917176caffe"),
+    "quick2": (quick_config(2), "de8c370b31702c58"),
+    "quick3": (quick_config(3), "43ea085b5b0e687e"),
+    # The bench's s1_* leg shape, overloaded: 33 of 60 requests shed.
+    "overload": (replace(quick_config(0), n_requests=60, arrival_rate=5.0,
+                         scale=1e-5, deadline=60.0, queue_capacity=32),
+                 "5b2f9d680f15e60e"),
+    "fifo-reject": (ServeConfig(seed=5, n_requests=16, arrival_rate=2.0,
+                                algorithms=("BFS", "CC", "SSSP"), scale=SCALE,
+                                deadline=20.0, queue_capacity=4,
+                                queue_policy="reject", scheduler="fifo",
+                                max_batch=1),
+                    "d7307e56119e3585"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RESPONSES))
+def test_responses_match_the_deleted_single_server_loop(case):
+    config, expected = GOLDEN_RESPONSES[case]
+    rows = [(r.request.request_id, r.status.value, r.shed_reason,
+             r.start_time, r.finish_time, r.batch_size, r.warm)
+            for r in run_load_test(config).responses]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == expected
+
+
 class TestAcceptance:
     """Affinity beats FIFO on latency, and the counters prove why."""
 
@@ -256,7 +291,8 @@ class TestSLOReport:
 
     def test_schema_and_counts_balance(self, result):
         rep = result.report
-        assert rep["schema"] == "repro.serve/1"
+        assert rep["schema"] == SLO_SCHEMA
+        assert "fleet" in rep and "degraded" not in rep
         c = rep["counts"]
         assert c["arrived"] == 6
         assert c["completed"] + c["shed"] == c["arrived"]
@@ -276,6 +312,22 @@ class TestSLOReport:
     def test_fold_is_pure(self, result):
         again = fold_slo(result.events, horizon=result.horizon)
         assert again == result.report
+
+
+def test_clipped_log_invents_no_tenant_and_no_latency():
+    # A log clipped after the arrivals: the shed marker's label is the shed
+    # *reason* and the completion has nothing to measure from, so neither
+    # may be attributed to a tenant or a latency sample.
+    def marker(kind, label, t, rid):
+        return SimEvent(lane="", kind=kind, label=label, start=t, end=t,
+                        extra=(("request", float(rid)),))
+
+    report = fold_slo([marker("request-shed", "queue-full", 1.0, 0),
+                       marker("request-complete", "acme", 2.0, 1)])
+    assert report["tenants"] == {}
+    assert report["counts"]["shed"] == 1
+    assert report["counts"]["deadline_met"] == 0
+    assert report["latency_seconds"]["e2e"]["max"] == 0.0
 
 
 class TestCatalog:
