@@ -22,7 +22,7 @@ from repro.algorithms.frontier import (
     expand_frontier,
 )
 from repro.bench.registry import Prepared, register
-from repro.core.static_region import StaticRegion
+from repro.core.static_region import DEFAULT_CHUNK_BYTES, StaticRegion
 from repro.graph.generators import rmat_graph, web_graph
 
 __all__ = []  # registration happens at import; nothing to re-export
@@ -91,7 +91,7 @@ def _bench_shared(quick: bool) -> Prepared:
 
 @register("static_region/chunk_touch_counts", kind="micro",
           description="per-chunk touch counts from a 40% active mask"
-                      " (adaptive range-marking, dense regime)")
+                      " (4 KB chunks: the dense view of the segment counts)")
 def _bench_touch_counts(quick: bool) -> Prepared:
     graph, region, mask = _region_inputs(quick)
     n_edges = active_edge_count(graph, mask)
@@ -128,6 +128,60 @@ def _bench_bitmap(quick: bool) -> Prepared:
         return region.vertex_static_bitmap()
 
     return Prepared(fn=run, units={"vertices": float(graph.n_vertices)})
+
+
+def _scaled_chunk_inputs(quick: bool, fill: str):
+    """GS at the macro scale with the chunk size engines actually run:
+    16 KB scaled down (3 B at the bench default 2e-4, 1 B in quick mode) —
+    chunks smaller than one edge, the regime every scaled cell is in."""
+    from repro.core.replacement import HotnessTable
+    from repro.harness.experiments import make_workload
+
+    scale = _MACRO_SCALE[quick]
+    graph = make_workload("GS", "BFS", scale=scale).graph
+    region = StaticRegion(graph, capacity_bytes=graph.edge_array_bytes // 2,
+                          fill=fill,
+                          chunk_bytes=max(int(DEFAULT_CHUNK_BYTES * scale), 1))
+    rng = np.random.default_rng(29)
+    hotness = HotnessTable(region.n_chunks, policy="cumulative",
+                           stale_threshold=1,
+                           seg_bounds=region.chunk_map.seg_bounds)
+    for _ in range(4):
+        hotness.update(region.segment_touch_counts(
+            rng.random(graph.n_vertices) < 0.3))
+    return graph, region, hotness, rng.random(graph.n_vertices) < 0.3
+
+
+@register("replacement/plan_swaps", kind="micro",
+          description="§3.4 fragment swap plan over a half-resident region at"
+                      " the engines' scaled (sub-edge) chunk size")
+def _bench_plan_swaps(quick: bool) -> Prepared:
+    _, region, hotness, _ = _scaled_chunk_inputs(quick, fill="front")
+    counts = region.fragment_resident_counts(64)
+    run = lambda: hotness.plan_swaps(region.resident, region.n_chunks, 64,
+                                     resident_counts=counts)
+    if not run().n_swaps:
+        raise RuntimeError("plan_swaps benchmark planned nothing")
+    return Prepared(fn=run, units={"chunks": float(region.n_chunks)})
+
+
+@register("hybrid/policy_plan", kind="micro",
+          description="HybridPolicy.plan for a 30% frontier at the engines'"
+                      " scaled (sub-edge) chunk size, budget-bound")
+def _bench_policy_plan(quick: bool) -> Prepared:
+    from repro.engines.hybrid import HybridPolicy
+    from repro.gpusim.device import GPUSpec
+
+    graph, region, hotness, mask = _scaled_chunk_inputs(quick, fill="random")
+    policy = HybridPolicy(GPUSpec(memory_bytes=graph.dataset_bytes), region,
+                          chunk_bytes=DEFAULT_CHUNK_BYTES)
+    policy.bytes_per_touch = 8192.0
+    seg_touch = region.segment_touch_counts(mask)
+    touched = np.nonzero(seg_touch)[0]
+    runs, touch = region.chunk_map.segments(touched), seg_touch[touched]
+    policy.migrate_budget = runs.n_chunks // 8
+    return Prepared(fn=lambda: policy.plan(0, runs, touch, hotness),
+                    units={"chunks": float(runs.n_chunks)})
 
 
 @register("events/fold_metrics", kind="micro",

@@ -282,6 +282,7 @@ class AsceticEngine(Engine):
             self._region.n_chunks,
             policy=cfg.policy_for(program),
             stale_threshold=cfg.stale_threshold,
+            seg_bounds=self._region.chunk_map.seg_bounds,
         )
         #: Ascetic's policy through the shared API: chunks resident in the
         #: Static Region compute in place, the rest are CPU-gathered (§3.3).

@@ -23,17 +23,16 @@ Schedule per iteration (Fig. 4 numbering, Fig. 5 timeline):
 schedule (Fig. 5 top) — that switch is exactly how the paper isolates
 *Static savings* from *Overlapping savings* in Fig. 8.
 
-Execution has two representations with identical accounting:
-
-* **Recorded mode** (``record_events=True``) keeps the original op-by-op
-  path so retained traces, span logs, and ``validate_log`` stay
-  byte-identical.
-* **Lean mode** answers the per-iteration chunk queries from merged
-  interval runs (:meth:`StaticRegion.touched_chunk_runs`) instead of dense
-  chunk-length arrays, queues the hotness update as intervals, and folds
-  the round loop through :meth:`EventLog.emit_batch` — every time stamp,
-  counter, and phase second comes out bit-identical to the recorded
-  schedule, which the lean≡recorded property tests pin.
+Touch accounting has one representation: per-segment counts from
+:meth:`StaticRegion.segment_touch_counts`, computed once per iteration and
+fed to the transfer policy's plan marker and the §3.4 hotness table alike.
+Recording only decides what is *emitted*: with ``record_events=True`` every
+op and every per-run ``access-path`` marker is retained (traces, span logs
+and ``validate_log`` stay byte-identical); the lean log gets the plan's
+summary marker from interval counts and folds the round loop through
+:meth:`EventLog.emit_batch` — every time stamp, counter and phase second
+bit-identical to the recorded schedule, which the lean≡recorded property
+tests pin.
 """
 
 from __future__ import annotations
@@ -90,11 +89,11 @@ def run_iteration(
     out = IterationOutcome()
     n = graph.n_vertices
     bpe = graph.bytes_per_edge
-    # The interval fast path replaces dense chunk-length sweeps when nothing
+    # The plan's summary marker needs only interval counts when nothing
     # retains per-chunk output: the log folds (no per-event retention) and
-    # the policy is Ascetic's own region-residency policy, whose summary
-    # marker is reconstructible from interval counts alone.  Any other
-    # policy may read the dense touch counts, so it keeps them.
+    # the policy is Ascetic's own region-residency policy.  Any other
+    # policy may read per-chunk touch counts, and a recording log wants the
+    # per-run markers, so those get the dense plan.
     lean = not gpu.events.record and (
         policy is None
         or (type(policy) is RegionPolicy and policy.region is region)
@@ -147,39 +146,37 @@ def run_iteration(
     out.n_rounds = plan.n_rounds
 
     # Per-chunk decisions through the shared TransferPolicy API: the
-    # movement scheduled below follows them.  The touch information is
-    # computed once here and reused for the hotness update in step ➍½ (the
-    # active mask does not change mid-iteration, so the values are
-    # identical).  The lean path carries it as merged chunk intervals; the
-    # dense counts exist only where a consumer can see them.
-    if lean:
-        touch = None
-        run_s, run_e = region.touched_chunk_runs(state.active)
-        if policy is not None:
-            n_touched = int((run_e - run_s).sum())
-            if n_touched:
-                # RegionPolicy's plan over the touched ids is RESIDENT for
-                # resident chunks and the fallback path for the rest, so
-                # the summary marker needs only the two counts — same
-                # event, same extra tuple as emit_access_plan's bincount.
-                n_res = region.resident_count_in_runs(run_s, run_e)
-                counts = [0, 0, 0, 0]
-                counts[int(AccessPath.RESIDENT)] = n_res
-                counts[int(policy.fallback)] += n_touched - n_res
-                summary = tuple(
-                    (path.name.lower(), float(counts[path]))
-                    for path in AccessPath if counts[path]
-                )
-                gpu.events.marker("access-path", f"{engine_label}:chunk",
-                                  gpu.clock.now, extra=summary)
-    else:
-        touch = region.chunk_touch_counts(state.active)
-        if policy is not None:
-            touched_ids = np.nonzero(touch)[0]
-            if touched_ids.size:
-                paths = policy.plan(state.iteration, touched_ids,
-                                    touch[touched_ids], hotness)
-                emit_access_plan(gpu, engine_label, "chunk", touched_ids, paths)
+    # movement scheduled below follows them.  The touch counts are computed
+    # once, per chunk-map segment, and reused for the hotness update in step
+    # ➍½ (the active mask does not change mid-iteration).
+    seg_touch = region.segment_touch_counts(state.active)
+    if policy is not None and lean:
+        touched = region.chunk_map.segment_runs(seg_touch > 0)
+        n_touched = touched.n_chunks
+        if n_touched:
+            # RegionPolicy's plan over the touched ids is RESIDENT for
+            # resident chunks and the fallback path for the rest, so the
+            # summary marker needs only the two counts — same event, same
+            # extra tuple as emit_access_plan's bincount.
+            n_res = region.resident_count_in_runs(touched.starts, touched.ends)
+            counts = [0, 0, 0, 0]
+            counts[int(AccessPath.RESIDENT)] = n_res
+            counts[int(policy.fallback)] += n_touched - n_res
+            summary = tuple(
+                (path.name.lower(), float(counts[path]))
+                for path in AccessPath if counts[path]
+            )
+            gpu.events.marker("access-path", f"{engine_label}:chunk",
+                              gpu.clock.now, extra=summary)
+    elif policy is not None:
+        # Chunk-length on purpose: the policy protocol and the recorded
+        # per-run markers are per chunk id.
+        touch = np.repeat(seg_touch, region.chunk_map.seg_len)
+        touched_ids = np.nonzero(touch)[0]
+        if touched_ids.size:
+            paths = policy.plan(state.iteration, touched_ids,
+                                touch[touched_ids], hotness)
+            emit_access_plan(gpu, engine_label, "chunk", touched_ids, paths)
 
     # ➌ Static computing — overlapped (or not) with the on-demand chain.
     if overlap:
@@ -237,10 +234,7 @@ def run_iteration(
     # ➍½ Lazy fill: on-demand data that just landed on the device is kept
     # in the Static Region while there is room (a device-side copy, free of
     # PCIe traffic).  Once the region is full, §3.4 replacement takes over.
-    if lean:
-        hotness.update_runs(run_s, run_e)
-    else:
-        hotness.update(touch)
+    hotness.update(seg_touch)
     if lazy_fill and region.free_chunks > 0:
         promoted = region.promote_vertices(odmap)
         out.promoted_chunks = promoted

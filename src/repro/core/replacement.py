@@ -22,22 +22,20 @@ On-demand Region; the paper measures that window at ~28 % of iteration
 time, enough for only ~2 % of the data (§5) — which is why replacement
 barely moves the needle (the ablation benchmark reproduces that).
 
-Representation note: the counters can be fed either densely
-(:meth:`HotnessTable.update`, one array of per-chunk counts) or as merged
-touched-chunk intervals (:meth:`HotnessTable.update_runs`, what the
-Manager's lean path produces).  Interval updates are queued and only
-*materialized* into the dense ``cumulative`` / ``last`` arrays when
-something actually reads them — :meth:`plan_swaps` usually answers from
-fragment-level aggregates and early-exits long before that, so a run whose
-region never qualifies for a swap touches no chunk-length array at all.
+Representation: counters are stored per *segment* of the chunk map
+(:class:`~repro.graph.csr.ChunkMap`) — touch counts are constant on a
+segment, so the counters are too.  The dense per-chunk ``cumulative`` /
+``last`` arrays exist only as derived views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
+
+from repro.graph.csr import ChunkRuns
 
 __all__ = ["HotnessTable", "SwapPlan"]
 
@@ -55,15 +53,16 @@ class SwapPlan:
 
 
 class HotnessTable:
-    """Per-chunk access counters driving §3.4 replacement.
+    """Per-chunk access counters driving §3.4 replacement, kept per segment.
 
-    ``cumulative[c]`` counts iterations in which chunk ``c`` was touched;
-    ``last[c]`` is 1 iff it was touched in the most recent iteration.
-    Both are materialized lazily from any queued interval updates (see the
-    module docstring); read them through the properties.
+    ``seg_cumulative[s]`` counts iterations in which the chunks of segment
+    ``s`` were touched; ``seg_last[s]`` is 1 iff they were touched in the
+    most recent one.  ``seg_bounds`` is the owning chunk map's segment
+    partition; without one every chunk is its own segment.
     """
 
-    def __init__(self, n_chunks: int, policy: str = "last", stale_threshold: int = 1):
+    def __init__(self, n_chunks: int, policy: str = "last", stale_threshold: int = 1,
+                 seg_bounds: Optional[np.ndarray] = None):
         if policy not in ("last", "cumulative"):
             raise ValueError("policy must be 'last' or 'cumulative'")
         if stale_threshold < 0:
@@ -79,106 +78,110 @@ class HotnessTable:
         self.n_chunks = int(n_chunks)
         self.policy = policy
         self.stale_threshold = stale_threshold
-        self._cumulative = np.zeros(self.n_chunks, dtype=np.int64)
-        self._last = np.zeros(self.n_chunks, dtype=np.int64)
-        #: Interval updates (one per iteration, oldest first) not yet folded
-        #: into the dense arrays.
-        self._pending: List[Tuple[np.ndarray, np.ndarray]] = []
-        #: Fragment geometry cache: f -> (boundaries, sizes).
+        if seg_bounds is None:
+            seg_bounds = np.arange(self.n_chunks + 1, dtype=np.int64)
+        elif seg_bounds[0] != 0 or seg_bounds[-1] != self.n_chunks:
+            raise ValueError("seg_bounds must run from 0 to n_chunks")
+        self.seg_bounds = seg_bounds
+        self._seg_len = np.diff(seg_bounds)
+        self.seg_cumulative = np.zeros(self._seg_len.size, dtype=np.int64)
+        self.seg_last = np.zeros(self._seg_len.size, dtype=np.int64)
+        #: Fragment geometry cache: f -> (boundaries, sizes, edge_seg, edge_off).
         self._frag_geom: dict = {}
 
     # --------------------------------------------------------------- state
     @property
     def cumulative(self) -> np.ndarray:
-        self._materialize()
-        return self._cumulative
+        """Dense per-chunk view of ``seg_cumulative`` (tests and tools)."""
+        return np.repeat(self.seg_cumulative, self._seg_len)
 
     @property
     def last(self) -> np.ndarray:
-        self._materialize()
-        return self._last
+        """Dense per-chunk view of ``seg_last`` (tests and tools)."""
+        return np.repeat(self.seg_last, self._seg_len)
 
-    def _materialize(self) -> None:
-        """Fold queued interval updates into the dense arrays."""
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, []
-        # ``cumulative`` gains each update's 0/1 touched indicator.  Within
-        # one update the merged runs are disjoint, so stacking all updates'
-        # ±1 boundary marks and prefix-summing once adds exactly the sum of
-        # the indicators.
-        diff = np.zeros(self.n_chunks + 1, dtype=np.int64)
-        for starts, ends in pending:
-            np.add.at(diff, starts, 1)
-            np.add.at(diff, ends, -1)
-        self._cumulative += np.cumsum(diff[:-1])
-        # ``last`` reflects only the newest update.
-        last_s, last_e = pending[-1]
-        last = np.zeros(self.n_chunks, dtype=np.int64)
-        for s, e in zip(last_s.tolist(), last_e.tolist()):
-            last[s:e] = 1
-        self._last = last
+    def cumulative_at(self, chunk_ids: np.ndarray) -> np.ndarray:
+        """``cumulative`` of the given chunks, without the dense array."""
+        return self.seg_cumulative[
+            np.searchsorted(self.seg_bounds, chunk_ids, side="right") - 1]
 
     # ------------------------------------------------------------- updates
     def update(self, touch_counts: np.ndarray) -> None:
-        """Fold one iteration's per-chunk access counts in (binarized)."""
-        if touch_counts.shape != (self.n_chunks,):
-            raise ValueError("touch_counts shape mismatch")
-        self._materialize()
+        """Fold one iteration's access counts in (binarized).
+
+        One count per segment: :meth:`StaticRegion.segment_touch_counts`
+        for a table on the region's chunk map, the plain per-chunk array
+        for a table built without one.
+        """
+        if touch_counts.shape != self.seg_last.shape:
+            raise ValueError("touch_counts shape mismatch (one per segment)")
         touched = touch_counts > 0
-        self._cumulative += touched
-        self._last = touched.astype(np.int64)
+        self.seg_cumulative += touched
+        self.seg_last = touched.astype(np.int64)
 
     def update_runs(self, starts: np.ndarray, ends: np.ndarray) -> None:
-        """Fold one iteration in from merged touched-chunk intervals.
-
-        ``(starts, ends)`` are half-open, disjoint, increasing — exactly
-        what :meth:`StaticRegion.touched_chunk_runs` returns.  Equivalent to
-        :meth:`update` on the dense indicator of the union of the
-        intervals, but queued: no chunk-length array is written until a
-        reader forces materialization.
-        """
+        """:meth:`update` from merged touched-chunk intervals: half-open,
+        disjoint, increasing and on segment boundaries — what
+        :meth:`StaticRegion.touched_chunk_runs` returns."""
         starts = np.asarray(starts, dtype=np.int64)
         ends = np.asarray(ends, dtype=np.int64)
         if starts.shape != ends.shape:
             raise ValueError("starts/ends shape mismatch")
-        if starts.size:
-            if starts[0] < 0 or ends[-1] > self.n_chunks:
-                raise ValueError("interval outside the chunk space")
-            if np.any(ends <= starts) or np.any(starts[1:] <= ends[:-1]):
-                raise ValueError("intervals must be disjoint and increasing")
-        self._pending.append((starts, ends))
+        if np.any(ends <= starts) or np.any(starts[1:] <= ends[:-1]):
+            raise ValueError("intervals must be disjoint and increasing")
+        if not np.isin(np.concatenate((starts, ends)), self.seg_bounds).all():
+            raise ValueError("intervals must lie on segment boundaries")
+        mark = np.zeros(self._seg_len.size + 1, dtype=np.int64)
+        mark[np.searchsorted(self.seg_bounds, starts)] = 1
+        mark[np.searchsorted(self.seg_bounds, ends)] = -1
+        self.update(np.cumsum(mark[:-1]))
 
     # -------------------------------------------------------------- scores
-    def staleness(self) -> np.ndarray:
-        """Boolean: chunks considered stale under the configured policy."""
+    def _seg_staleness(self) -> np.ndarray:
         if self.policy == "cumulative":
             # Consumed: touched in more than `threshold` iterations ever.
-            return self.cumulative > self.stale_threshold
+            return self.seg_cumulative > self.stale_threshold
         # Cold: not touched in the last iteration (threshold-adjusted).
-        return self.last < self.stale_threshold
+        return self.seg_last < self.stale_threshold
+
+    def _seg_hotness(self) -> np.ndarray:
+        return self.seg_last if self.policy == "last" else -self.seg_cumulative
+
+    def staleness(self) -> np.ndarray:
+        """Boolean: chunks considered stale under the configured policy."""
+        return np.repeat(self._seg_staleness(), self._seg_len)
 
     def hotness(self) -> np.ndarray:
         """Ranking score for swap-in candidates (hotter = better)."""
-        return self.last if self.policy == "last" else -self.cumulative
+        return np.repeat(self._seg_hotness(), self._seg_len)
 
     # ---------------------------------------------------------------- plan
-    def _fragment_geometry(self, f: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(boundaries, sizes)`` of the fragment partition for reduceat."""
+    def _fragment_geometry(self, f: int) -> Tuple[np.ndarray, ...]:
+        """``(boundaries, sizes, edge_seg, edge_off)``: fragment edge ``i`` (``0,
+        f, .., n_chunks``) lies ``edge_off[i]`` chunks into segment ``edge_seg[i]``."""
         geom = self._frag_geom.get(f)
         if geom is None:
-            boundaries = np.arange(0, self.n_chunks, f, dtype=np.int64)
-            sizes = np.full(boundaries.size, f, dtype=np.int64)
-            tail = self.n_chunks - int(boundaries[-1]) if boundaries.size else 0
-            if boundaries.size and tail != f:
-                sizes[-1] = tail
-            geom = self._frag_geom[f] = (boundaries, sizes)
+            edges = np.append(np.arange(0, self.n_chunks, f, dtype=np.int64),
+                              self.n_chunks)
+            seg = np.minimum(np.searchsorted(self.seg_bounds, edges, side="right") - 1,
+                             self._seg_len.size - 1)
+            geom = self._frag_geom[f] = (edges[:-1], np.diff(edges), seg,
+                                         edges - self.seg_bounds[seg])
         return geom
+
+    def _fragment_sums(self, per_segment: np.ndarray, f: int) -> np.ndarray:
+        """Per-fragment chunk sums of a per-segment value: one segment
+        prefix sum, evaluated at the fragment edges (exact integers)."""
+        _, _, edge_seg, edge_off = self._fragment_geometry(f)
+        value = per_segment.astype(np.int64)
+        prefix = np.concatenate(([0], np.cumsum(value * self._seg_len)))
+        at_edge = prefix[edge_seg] + value[edge_seg] * edge_off
+        return at_edge[1:] - at_edge[:-1]
 
     def fragment_resident_counts(self, resident: np.ndarray, f: int) -> np.ndarray:
         """Per-fragment resident-chunk counts (callers may cache this)."""
-        boundaries, _ = self._fragment_geometry(f)
-        return np.add.reduceat(resident, boundaries, dtype=np.int64)
+        return np.add.reduceat(resident, self._fragment_geometry(f)[0],
+                               dtype=np.int64)
 
     def plan_swaps(
         self, resident: np.ndarray, budget_chunks: int, fragment_chunks: int = 64,
@@ -196,8 +199,7 @@ class HotnessTable:
         changes far more rarely than the per-iteration planning cadence, so
         the Manager caches them on the region.  Staleness aggregates are
         only computed once both a fully-resident and a fully-absent
-        candidate fragment exist; a region pinned fully resident (or fully
-        absent) plans in O(fragments) with no chunk-length pass.
+        candidate fragment exist.
         """
         empty = np.empty(0, dtype=np.int64)
         if budget_chunks <= 0 or self.n_chunks == 0 or fragment_chunks <= 0:
@@ -205,25 +207,20 @@ class HotnessTable:
         if resident.shape != (self.n_chunks,):
             raise ValueError("resident mask shape mismatch")
         f = int(fragment_chunks)
-        boundaries, sizes = self._fragment_geometry(f)
+        sizes = self._fragment_geometry(f)[1]
         if resident_counts is None:
             resident_counts = self.fragment_resident_counts(resident, f)
         full = resident_counts == sizes
         absent = resident_counts == 0
         if not full.any() or not absent.any():
             return SwapPlan(empty, empty)
-        stale_cnt = np.add.reduceat(self.staleness(), boundaries,
-                                    dtype=np.int64)
-        evict_ok = full & (stale_cnt * 2 > sizes)
-        load_ok = absent & (stale_cnt * 2 <= sizes)
-        evict_frags = np.nonzero(evict_ok)[0]
-        load_frags = np.nonzero(load_ok)[0]
-        if evict_frags.size == 0 or load_frags.size == 0:
-            return SwapPlan(empty, empty)
+        stale_cnt = self._fragment_sums(self._seg_staleness(), f)
+        evict_frags = np.nonzero(full & (stale_cnt * 2 > sizes))[0]
+        load_frags = np.nonzero(absent & (stale_cnt * 2 <= sizes))[0]
         k = min(budget_chunks // f, evict_frags.size, load_frags.size)
         if k <= 0:
             return SwapPlan(empty, empty)
-        hot = np.add.reduceat(self.hotness(), boundaries, dtype=np.int64)
+        hot = self._fragment_sums(self._seg_hotness(), f)
         evict_frags = evict_frags[np.argsort(hot[evict_frags], kind="stable")[:k]]
         load_frags = load_frags[np.argsort(-hot[load_frags], kind="stable")[:k]]
         evict = _expand_fragments(evict_frags, f, self.n_chunks)
@@ -234,6 +231,5 @@ class HotnessTable:
 
 
 def _expand_fragments(frags: np.ndarray, f: int, n_chunks: int) -> np.ndarray:
-    """Chunk ids of the given fragments, clipped to the chunk space."""
-    ids = (frags[:, None] * f + np.arange(f)[None, :]).ravel()
-    return ids[ids < n_chunks]
+    """Chunk ids of the fragments, in that order, clipped to the chunk space."""
+    return ChunkRuns(frags * f, np.minimum(frags * f + f, n_chunks)).ids()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import ChunkRuns, CSRGraph
 
 __all__ = ["StaticRegion", "DEFAULT_CHUNK_BYTES", "range_mark"]
 
@@ -275,20 +275,43 @@ class StaticRegion:
         np.cumsum(self.resident, out=cum[1:])
         return cum
 
+    def segment_touch_counts(self, active: np.ndarray) -> np.ndarray:
+        """Active-vertex count per chunk-map *segment*.
+
+        The per-chunk touch count is constant on a segment (see
+        :class:`~repro.graph.csr.ChunkMap`), so this is the whole of
+        :meth:`chunk_touch_counts` at ``O(V)`` instead of ``O(chunks)`` —
+        what the Manager, the §3.4 hotness table and the Hybrid policy
+        consume.  Same range-mark trick, over segment indices.
+        """
+        cmap = self.chunk_map
+        vs = np.nonzero(active & self._has_edges)[0]
+        if vs.size == 0:
+            return np.zeros(cmap.n_segments, dtype=np.int64)
+        diff = range_mark(cmap.s_lo[vs], cmap.s_hi[vs] + 1, cmap.n_segments)
+        return np.cumsum(diff[:-1])
+
     def chunk_touch_counts(self, active: np.ndarray) -> np.ndarray:
         """Per-chunk access counts from the active vertices' edge ranges.
 
-        Feeds the §3.4 hotness table.  Vectorized with the regime-adaptive
-        :func:`range_mark` (see its docstring for the bincount/add.at
-        dispatch).
+        The dense view of :meth:`segment_touch_counts`, for tests and tools;
+        nothing on a per-iteration path builds it.
         """
-        if self.n_chunks == 0:
-            return np.zeros(0, dtype=np.int64)
-        vs = np.nonzero(active & self._has_edges)[0]
-        if vs.size == 0:
-            return np.zeros(self.n_chunks, dtype=np.int64)
-        diff = range_mark(self._c_lo[vs], self._c_hi[vs] + 1, self.n_chunks)
-        return np.cumsum(diff[:-1])
+        return np.repeat(self.segment_touch_counts(active),
+                         self.chunk_map.seg_len)
+
+    def split_by_residency(
+        self, runs: ChunkRuns,
+    ) -> tuple[ChunkRuns, np.ndarray, np.ndarray]:
+        """Cut ``runs`` where residency flips: ``(pieces, origin, resident)``.
+
+        Every piece is wholly resident or wholly absent (``resident[j]``);
+        ``origin[j]`` is the input run it was cut from.
+        """
+        starts, ends, _ = self.resident_runs()
+        # Maximal runs never touch, so start/end interleaved is sorted.
+        pieces, origin = runs.cut(np.stack((starts, ends), axis=1).ravel())
+        return pieces, origin, self.resident[pieces.starts]
 
     @property
     def free_chunks(self) -> int:

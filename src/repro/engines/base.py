@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Protocol, runtime_checkable
 import numpy as np
 
 from repro.algorithms.base import ProgramState, VertexProgram
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import ChunkRuns, CSRGraph
 from repro.gpusim.device import GPUSpec, SimulatedGPU
 from repro.gpusim.events import EventLog
 from repro.gpusim.faults import FaultInjector, FaultPlan
@@ -28,6 +28,7 @@ from repro.gpusim.metrics import Metrics
 __all__ = [
     "AccessPath",
     "TransferPolicy",
+    "RunPlan",
     "FixedPolicy",
     "RegionPolicy",
     "PinnedPrefixPolicy",
@@ -60,6 +61,21 @@ class AccessPath(IntEnum):
     DIRECT = 3
 
 
+@dataclass(frozen=True)
+class RunPlan:
+    """A run-length access plan: every chunk of ``runs[i]`` takes ``paths[i]``.
+
+    What a policy returns when it was handed :class:`ChunkRuns` instead of
+    an id array.  The runs are the input's, re-cut wherever the decision
+    changes inside one; ``origin[i]`` is the input run ``runs[i]`` came
+    from, so the caller's per-run values carry over as ``values[origin]``.
+    """
+
+    runs: ChunkRuns
+    paths: np.ndarray  # int8, per run
+    origin: np.ndarray  # intp, per run
+
+
 @runtime_checkable
 class TransferPolicy(Protocol):
     """Per-granule transfer decisions — the introspectable engine contract.
@@ -80,6 +96,11 @@ class TransferPolicy(Protocol):
         granule and ``hotness`` the engine's
         :class:`~repro.core.replacement.HotnessTable`; fixed policies may
         ignore both.
+
+        A chunk-granular policy may also accept the ids run-length encoded
+        (:class:`~repro.graph.csr.ChunkRuns`, pieces of chunk-map segments,
+        with one ``touch_counts`` entry per run) and then answers with a
+        :class:`RunPlan`; :class:`~repro.engines.hybrid.HybridPolicy` does.
         """
         ...
 
@@ -138,35 +159,46 @@ class PinnedPrefixPolicy:
 
 
 def emit_access_plan(gpu: SimulatedGPU, engine: str, granule: str,
-                     chunk_ids: np.ndarray, paths: np.ndarray) -> None:
+                     chunk_ids, paths) -> None:
     """Record one iteration's transfer decisions in the event log.
 
-    Always emits one counter-less summary marker (per-path granule counts
-    in ``extra`` — markers without counters leave ``Metrics`` and lean-mode
-    digests untouched).  In recorded mode it additionally emits one marker
-    per contiguous same-path run of granule ids, which is what makes the
-    per-chunk decision visible in an exported Chrome trace.
+    Takes an id array with its path codes, or a :class:`RunPlan` (then
+    ``chunk_ids`` is ignored).  Always emits one counter-less summary marker
+    (per-path granule counts in ``extra`` — markers without counters leave
+    ``Metrics`` and lean-mode digests untouched).  In recorded mode it
+    additionally emits one marker per contiguous same-path run of granule
+    ids, which is what makes the per-chunk decision visible in an exported
+    Chrome trace.
     """
     log = gpu.events
     now = gpu.clock.now
-    counts = np.bincount(np.asarray(paths, dtype=np.int64), minlength=4)
+    runs = None
+    if isinstance(paths, RunPlan):
+        runs, paths = paths.runs, paths.paths
+    codes = np.asarray(paths, dtype=np.int64)
+    counts = np.bincount(codes, weights=None if runs is None else runs.lengths,
+                         minlength=4)
     summary = tuple(
         (path.name.lower(), float(counts[path])) for path in AccessPath
         if counts[path]
     )
     log.marker("access-path", f"{engine}:{granule}", now, extra=summary)
-    if not log.record or not len(chunk_ids):
+    if not log.record or not len(codes):
         return
-    ids = np.asarray(chunk_ids, dtype=np.int64)
-    codes = np.asarray(paths, dtype=np.int64)
-    breaks = np.nonzero((np.diff(codes) != 0) | (np.diff(ids) != 1))[0] + 1
-    starts = np.concatenate(([0], breaks))
-    ends = np.concatenate((breaks, [len(ids)]))
-    for lo, hi in zip(starts, ends):
+    if runs is None:
+        runs, first = ChunkRuns.from_ids(chunk_ids, codes)
+        codes = codes[first]
+    # One marker per maximal run: neighbours merge when they abut and agree.
+    breaks = np.flatnonzero((codes[1:] != codes[:-1])
+                            | (runs.starts[1:] != runs.ends[:-1])) + 1
+    heads = np.concatenate(([0], breaks))
+    his = runs.ends[np.append(breaks - 1, len(runs) - 1)]
+    for lo, hi, code in zip(runs.starts[heads].tolist(), his.tolist(),
+                            codes[heads].tolist()):
         log.marker(
-            "access-path", AccessPath(codes[lo]).name.lower(), now,
-            extra=((f"{granule}_lo", float(ids[lo])),
-                   (f"{granule}_hi", float(ids[hi - 1])),
+            "access-path", AccessPath(code).name.lower(), now,
+            extra=((f"{granule}_lo", float(lo)),
+                   (f"{granule}_hi", float(hi - 1)),
                    ("n", float(hi - lo))),
         )
 
@@ -531,10 +563,14 @@ class Engine(abc.ABC):
 
     # ------------------------------------------------------------- helpers
     def _plan_access(self, gpu: SimulatedGPU, iteration: int,
-                     chunk_ids: np.ndarray,
-                     touch_counts: Optional[np.ndarray] = None,
-                     hotness=None, granule: str = "chunk") -> np.ndarray:
-        """Run :attr:`transfer_policy` for one iteration and log the plan."""
+                     chunk_ids, touch_counts: Optional[np.ndarray] = None,
+                     hotness=None, granule: str = "chunk"):
+        """Run :attr:`transfer_policy` for one iteration and log the plan.
+
+        ``chunk_ids`` is an id array or, for a policy that takes them,
+        :class:`~repro.graph.csr.ChunkRuns` (the result is then a
+        :class:`RunPlan`); it must not be empty in run-length form.
+        """
         if not len(chunk_ids):
             return np.empty(0, dtype=np.int8)
         paths = self.transfer_policy.plan(iteration, chunk_ids,

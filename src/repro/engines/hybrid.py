@@ -42,8 +42,8 @@ from repro.core.manager import ROUND_LOOP_LIMIT
 from repro.core.ondemand import plan_ondemand
 from repro.core.replacement import HotnessTable
 from repro.core.static_region import DEFAULT_CHUNK_BYTES, StaticRegion
-from repro.engines.base import AccessPath, Engine, RunResult
-from repro.graph.csr import CSRGraph
+from repro.engines.base import AccessPath, Engine, RunPlan, RunResult
+from repro.graph.csr import ChunkRuns, CSRGraph, grant_in_order
 from repro.gpusim.device import GPUSpec, SimulatedGPU
 
 __all__ = ["HybridEngine", "HybridPolicy"]
@@ -56,6 +56,11 @@ _PATH_CODES = np.array(
 
 class HybridPolicy:
     """Cost-model scores for migrate / gather / direct, per touched chunk.
+
+    The cost model depends on a chunk only through its touch count, its
+    hotness history and its residency, all constant along a piece of a
+    chunk-map segment, so it is evaluated once per such run and weighted by
+    the run's length — never once per (sub-edge, down-scaled) chunk.
 
     The per-iteration inputs the engine installs before ``plan``:
 
@@ -77,70 +82,109 @@ class HybridPolicy:
         self.bytes_per_touch = float(chunk_bytes)
         self.migrate_budget = 0
 
-    def plan(self, iteration: int, chunk_ids: np.ndarray,
+    def plan(self, iteration: int, chunk_ids,
              touch_counts: Optional[np.ndarray] = None,
-             hotness=None) -> np.ndarray:
-        ids = np.asarray(chunk_ids, dtype=np.int64)
-        paths = np.empty(len(ids), dtype=np.int8)
-        resident = self.region.resident[ids]
+             hotness=None):
+        """Score *runs* of chunks that agree in (touch, history, residency).
+
+        ``chunk_ids`` as :class:`~repro.graph.csr.ChunkRuns` (pieces of
+        chunk-map segments, one ``touch_counts`` entry each) is the engine's
+        form and yields a :class:`~repro.engines.base.RunPlan`; an id array
+        is run-length-compressed on entry, scored by the same body, and
+        expanded back to one code per id.
+        """
+        region = self.region
+        by_runs = isinstance(chunk_ids, ChunkRuns)
+        if by_runs:
+            runs, origin, resident = region.split_by_residency(chunk_ids)
+        else:
+            ids = np.asarray(chunk_ids, dtype=np.int64)
+            keys = [region.resident[ids]]
+            if touch_counts is not None:
+                keys.append(np.asarray(touch_counts))
+            if hotness is not None:
+                keys.append(hotness.cumulative_at(ids))
+            runs, origin = ChunkRuns.from_ids(ids, *keys)
+            resident = keys[0][origin]
+        starts, ends = runs.starts, runs.ends
+        paths = np.empty(len(runs), dtype=np.int8)
         paths[resident] = int(AccessPath.RESIDENT)
         need = np.nonzero(~resident)[0]
-        if need.size == 0:
-            return paths
-        touches = (
-            np.asarray(touch_counts, dtype=np.float64)[need]
-            if touch_counts is not None else np.ones(need.size)
-        )
-        needed = np.clip(touches * self.bytes_per_touch, 1.0, self.chunk_bytes)
-        link = self.spec.pcie
-        gather = self.spec.gather
-        history = (
-            np.minimum(hotness.cumulative[ids[need]], self.reuse_horizon)
-            .astype(np.float64)
-            if hotness is not None else np.zeros(need.size)
-        )
-        reuse = 1.0 + history
-        # Fixed stage costs amortize over *this iteration's* candidate set:
-        # one DMA launch serves every migrated chunk and one request
-        # round-trip plus CPU wake-up serves every gathered chunk, so a
-        # sparse iteration (few candidates) carries a large per-chunk share
-        # — which is exactly when zero-copy's setup-free loads win (EMOGI's
-        # sparse-frontier result) — while a dense one amortizes it away.
-        n_cand = float(need.size)
-        # Migrate: the whole chunk once over bulk PCIe (contiguous in host
-        # memory, so no CPU gather), amortized over expected reuse.
-        cost_migrate = (
-            link.latency / n_cand + self.chunk_bytes / link.bandwidth
-        ) / reuse
-        # Gather: CPU assembly pipelines with the bulk copy, so the score
-        # is the bottleneck stage plus the amortized round overhead (the
-        # request round-trip and the gather kick-off).
-        cost_gather = (
-            needed / min(gather.bandwidth, link.bandwidth)
-            + (link.latency + gather.setup) / n_cand
-        )
-        # Direct: sector-granular zero-copy loads of only the needed bytes.
-        sectors = np.ceil(needed / link.sector)
-        cost_direct = (
-            sectors * link.direct_latency
-            + sectors * link.sector / link.direct_bandwidth
-        )
-        costs = np.stack([cost_migrate, cost_gather, cost_direct])
-        chosen = _PATH_CODES[np.argmin(costs, axis=0)].copy()
-        # Capacity-bounded migration: keep the candidates with the largest
-        # savings over their runner-up path; the rest take the runner-up.
-        mig = np.nonzero(chosen == int(AccessPath.MIGRATE))[0]
-        budget = max(int(self.migrate_budget), 0)
-        if mig.size > budget:
-            runner_up = np.where(costs[1, mig] <= costs[2, mig],
-                                 _PATH_CODES[1], _PATH_CODES[2])
-            saving = np.minimum(costs[1, mig], costs[2, mig]) - costs[0, mig]
-            keep = np.argsort(-saving, kind="stable")[:budget]
-            overflow = np.ones(mig.size, dtype=bool)
-            overflow[keep] = False
-            chosen[mig[overflow]] = runner_up[overflow]
-        paths[need] = chosen
-        return paths
+        if need.size:
+            n_chunks = (ends - starts)[need]
+            touches = (
+                np.asarray(touch_counts, dtype=np.float64)[origin[need]]
+                if touch_counts is not None else np.ones(need.size)
+            )
+            needed = np.clip(touches * self.bytes_per_touch, 1.0, self.chunk_bytes)
+            link = self.spec.pcie
+            gather = self.spec.gather
+            history = (
+                np.minimum(hotness.cumulative_at(starts[need]), self.reuse_horizon)
+                .astype(np.float64)
+                if hotness is not None else np.zeros(need.size)
+            )
+            reuse = 1.0 + history
+            # Fixed stage costs amortize over *this iteration's* candidate
+            # set: one DMA launch serves every migrated chunk and one
+            # request round-trip plus CPU wake-up serves every gathered
+            # chunk, so a sparse iteration (few candidates) carries a large
+            # per-chunk share — which is exactly when zero-copy's setup-free
+            # loads win (EMOGI's sparse-frontier result) — while a dense one
+            # amortizes it away.
+            n_cand = float(n_chunks.sum())
+            # Migrate: the whole chunk once over bulk PCIe (contiguous in
+            # host memory, so no CPU gather), amortized over expected reuse.
+            cost_migrate = (
+                link.latency / n_cand + self.chunk_bytes / link.bandwidth
+            ) / reuse
+            # Gather: CPU assembly pipelines with the bulk copy, so the
+            # score is the bottleneck stage plus the amortized round
+            # overhead (the request round-trip and the gather kick-off).
+            cost_gather = (
+                needed / min(gather.bandwidth, link.bandwidth)
+                + (link.latency + gather.setup) / n_cand
+            )
+            # Direct: sector-granular zero-copy loads of only the needed bytes.
+            sectors = np.ceil(needed / link.sector)
+            cost_direct = (
+                sectors * link.direct_latency
+                + sectors * link.sector / link.direct_bandwidth
+            )
+            costs = np.stack([cost_migrate, cost_gather, cost_direct])
+            chosen = _PATH_CODES[np.argmin(costs, axis=0)].copy()
+            # Capacity-bounded migration: keep the candidates with the
+            # largest savings over their runner-up path (ties: lowest chunk
+            # id first); the rest take the runner-up.  Whole runs in that
+            # order, at most one run split at the budget.
+            mig = np.nonzero(chosen == int(AccessPath.MIGRATE))[0]
+            budget = max(int(self.migrate_budget), 0)
+            split = None
+            if n_chunks[mig].sum() > budget:
+                runner_up = np.where(costs[1, mig] <= costs[2, mig],
+                                     _PATH_CODES[1], _PATH_CODES[2])
+                saving = np.minimum(costs[1, mig], costs[2, mig]) - costs[0, mig]
+                granted = grant_in_order(
+                    n_chunks[mig], np.argsort(-saving, kind="stable"), budget)
+                overflow = granted == 0
+                chosen[mig[overflow]] = runner_up[overflow]
+                partial = np.nonzero(~overflow & (granted < n_chunks[mig]))[0]
+                if partial.size:
+                    j = int(partial[0])
+                    split = (int(need[mig[j]]), int(granted[j]), runner_up[j])
+            paths[need] = chosen
+            if split is not None:
+                # The run straddling the budget: its lowest ids migrate,
+                # the rest become a second run on the runner-up path.
+                k, kept, fallback = split
+                rows = np.insert(np.arange(len(runs)), k, k)
+                starts, ends = starts[rows], ends[rows]
+                paths, origin = paths[rows], origin[rows]
+                ends[k] = starts[k + 1] = starts[k] + kept
+                paths[k + 1] = fallback
+        if by_runs:
+            return RunPlan(ChunkRuns(starts, ends), paths, origin)
+        return np.repeat(paths, ends - starts)
 
 
 class HybridEngine(Engine):
@@ -225,7 +269,8 @@ class HybridEngine(Engine):
         # Cumulative history: how many iterations each chunk has been
         # touched — the migration score's reuse estimate.
         self._hotness = HotnessTable(region.n_chunks, policy="cumulative",
-                                     stale_threshold=self.reuse_horizon)
+                                     stale_threshold=self.reuse_horizon,
+                                     seg_bounds=region.chunk_map.seg_bounds)
         self.transfer_policy = HybridPolicy(
             gpu.spec, region, self.chunk_bytes, self.reuse_horizon)
         gpu.h2d(self._vertex_state_bytes(graph), label="vertex-state")
@@ -271,8 +316,12 @@ class HybridEngine(Engine):
         with gpu.phase("Tmap"):
             t_map = gpu.vertex_scan(graph.n_vertices, passes=2,
                                     label="gen-datamap")
-        touch = region.chunk_touch_counts(state.active)
-        ids = np.nonzero(touch)[0]
+        # Touch counts per chunk-map segment: the whole iteration reasons
+        # about runs of chunks (segments, cut by residency), never about the
+        # chunk axis itself.
+        cmap = region.chunk_map
+        seg_touch = region.segment_touch_counts(state.active)
+        touched = np.nonzero(seg_touch)[0]
         total_edges = state.active_edges(graph)
         static_bitmap = region.vertex_static_bitmap()
         smap, odmap = split_active(state.active, static_bitmap)
@@ -301,18 +350,35 @@ class HybridEngine(Engine):
             )
         else:
             policy.bytes_per_touch = 0.0
-        evictable = region.resident & (self._hotness.last == 0)
-        policy.migrate_budget = int(region.free_chunks + int(evictable.sum()))
-        paths = self._plan_access(gpu, state.iteration, ids, touch[ids],
-                                  self._hotness)
-
+        # Evictable: resident chunks not touched last iteration.
+        cold = cmap.segment_runs(self._hotness.seg_last == 0)
+        policy.migrate_budget = int(
+            region.free_chunks
+            + region.resident_count_in_runs(cold.starts, cold.ends))
         # Split the on-demand traffic across paths by needed-bytes weight.
-        needed = np.clip(touch[ids] * policy.bytes_per_touch, 1.0,
-                         float(self.chunk_bytes))
-        needed[region.resident[ids]] = 0.0
-        w_m = float(needed[paths == int(AccessPath.MIGRATE)].sum())
-        w_g = float(needed[paths == int(AccessPath.GATHER)].sum())
-        w_d = float(needed[paths == int(AccessPath.DIRECT)].sum())
+        w_m = w_g = w_d = 0.0
+        mig_ids = np.empty(0, dtype=np.int64)
+        if touched.size:
+            touch = seg_touch[touched]
+            plan = self._plan_access(gpu, state.iteration,
+                                     cmap.segments(touched), touch,
+                                     self._hotness)
+            n_chunks = plan.runs.lengths
+            needed = np.clip(touch[plan.origin] * policy.bytes_per_touch,
+                             1.0, float(self.chunk_bytes))
+
+            def weight(path: AccessPath) -> float:
+                # Chunk-length on purpose: the weight is a float pairwise
+                # sum over the path's chunks in id order, and that order of
+                # additions is part of every digest downstream.
+                on_path = plan.paths == int(path)
+                return float(np.repeat(needed[on_path], n_chunks[on_path]).sum())
+
+            w_m = weight(AccessPath.MIGRATE)
+            w_g = weight(AccessPath.GATHER)
+            w_d = weight(AccessPath.DIRECT)
+            # Chunk-length on purpose: region.swap takes chunk ids.
+            mig_ids = plan.runs[plan.paths == int(AccessPath.MIGRATE)].ids()
         w_total = w_m + w_g + w_d
         od_edges = od_plan.n_edges
         if w_total > 0:
@@ -324,7 +390,6 @@ class HybridEngine(Engine):
         else:
             e_m = e_g = b_g = b_d = req_g = 0
         e_d = od_edges - e_m - e_g
-        mig_ids = ids[paths == int(AccessPath.MIGRATE)]
         mig_bytes = int(mig_ids.size) * region.chunk_bytes
 
         # ➊ Resident compute overlaps every transfer chain.
@@ -383,16 +448,23 @@ class HybridEngine(Engine):
         # the cache is read-only).
         if mig_ids.size:
             n_evict = int(mig_ids.size) - region.free_chunks
+            evict_ids = np.empty(0, dtype=np.int64)
             if n_evict > 0:
-                cand = np.nonzero(evictable)[0]
-                order = np.argsort(-self._hotness.cumulative[cand],
-                                   kind="stable")
-                evict_ids = cand[order][:n_evict]
-            else:
-                evict_ids = np.empty(0, dtype=np.int64)
+                # Most-consumed first, lowest chunk id first among equals:
+                # whole resident pieces of the cold segments in that order,
+                # the last one cut at the count.
+                cold_seg = np.nonzero(self._hotness.seg_last == 0)[0]
+                pieces, origin, resident = region.split_by_residency(
+                    cmap.segments(cold_seg))
+                pieces = pieces[resident]
+                consumed = self._hotness.seg_cumulative[cold_seg[origin[resident]]]
+                granted = grant_in_order(
+                    pieces.lengths, np.argsort(-consumed, kind="stable"), n_evict)
+                # Chunk-length on purpose: region.swap takes chunk ids.
+                evict_ids = ChunkRuns(pieces.starts, pieces.starts + granted).ids()
             region.swap(evict_ids, mig_ids)
             self._migrated_chunks += int(mig_ids.size)
-        self._hotness.update(touch)
+        self._hotness.update(seg_touch)
         up = gpu.charge_scale
         self._path_bytes[AccessPath.MIGRATE] += int(mig_bytes * up)
         self._path_bytes[AccessPath.GATHER] += int(b_g * up)

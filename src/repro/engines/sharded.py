@@ -70,6 +70,18 @@ __all__ = ["ShardedEngine", "DeviceLostError", "VALUE_DELTA_BYTES"]
 VALUE_DELTA_BYTES = 12
 
 
+def count_distinct(indices: np.ndarray, seen: np.ndarray) -> int:
+    """Number of distinct values in ``indices``, via the all-False scratch
+    ``seen`` (at least ``indices.max() + 1`` long; handed back all-False).
+
+    Mark, count, unmark: ``O(len(indices))`` against ``np.unique``'s sort.
+    """
+    seen[indices] = True
+    n = int(np.count_nonzero(seen))
+    seen[indices] = False
+    return n
+
+
 class DeviceLostError(RuntimeError):
     """Every device of the fabric failed; there is nothing to recover onto."""
 
@@ -448,12 +460,14 @@ class ShardedEngine(Engine):
         if len(device_ids) == 1:
             return
         per_pair: Dict[Tuple[int, int], int] = {}
+        # Every shard is a full-vertex-set CSR, so one scratch serves all.
+        seen = np.zeros(shards[0].graph.n_vertices, dtype=bool)
         for pos, d in enumerate(device_ids):
             shard = shards[pos]
             exp = local_states[pos].frontier(shard.graph)
             if exp.n_edges == 0:
                 continue
-            n_updated = int(np.unique(shard.graph.indices[exp.positions]).size)
+            n_updated = count_distinct(shard.graph.indices[exp.positions], seen)
             # n_updated counts scaled-graph vertices, so this payload is in
             # scaled bytes, exactly like every h2d(nbytes) call; the fabric
             # charges it at paper scale.

@@ -30,8 +30,12 @@ import numpy as np
 __all__ = ["IterationCheckpoint", "ShardCheckpoint", "CheckpointStore",
            "CheckpointWriter"]
 
-#: Bumped when the on-disk layout changes; mismatched files load as None.
-CHECKPOINT_VERSION = 1
+#: Bumped when the on-disk layout changes — the blob pickles engine
+#: attributes, so that includes their layout; mismatched files load as None.
+#: 2: ``HotnessTable`` keeps its counters per chunk-map segment (a version-1
+#: blob would unpickle into a table without the segment fields and fail
+#: mid-iteration instead of at load).
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,7 @@ class IterationCheckpoint:
     :meth:`~repro.engines.base.Engine.snapshot_state`, from which the run
     is actually resumed.  ``shards`` (sharded runs only) carries the
     per-device :class:`ShardCheckpoint` payloads the fleet recovery path
-    restores from; the default keeps single-device checkpoints — and every
-    v1 file already on disk — loading unchanged.
+    restores from; the default keeps single-device checkpoints unchanged.
     """
 
     engine: str

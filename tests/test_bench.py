@@ -76,6 +76,24 @@ class TestRunBenchmarks:
         assert r["units"]["edges"] > 0
         assert r["throughput"]["edges_per_second"] > 0
 
+    def test_scaled_chunk_benchmarks_end_to_end(self):
+        """The two micro benches at the engines' own (sub-edge) chunk size
+        run, do real work, and are gated by the checked-in baseline."""
+        import json
+        import pathlib
+
+        names = {"replacement/plan_swaps", "hybrid/policy_plan"}
+        results = run_benchmarks(names=names, quick=True)
+        assert set(results) == names
+        for r in results.values():
+            assert r["kind"] == "micro"
+            assert r["best_seconds"] > 0
+            assert r["units"]["chunks"] > 0
+        baseline = json.loads(
+            (pathlib.Path(__file__).parent.parent / "benchmarks"
+             / "BENCH_baseline.json").read_text())
+        assert names <= set(baseline["benchmarks"])
+
 
 class TestReport:
     @staticmethod
@@ -158,6 +176,8 @@ class TestCLI:
         assert main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
         assert "static_region/chunk_touch_counts" in out
+        assert "replacement/plan_swaps" in out
+        assert "hybrid/policy_plan" in out
 
     def test_bench_filter_no_match(self, capsys):
         from repro.cli import main

@@ -79,6 +79,29 @@ class TestStore:
             pickle.dump({"version": -1, "checkpoint": _dummy_checkpoint()}, fh)
         assert store.load("cell") is None
 
+    def test_stale_v1_checkpoint_is_ignored_and_cell_runs_from_scratch(
+            self, tmp_path):
+        """A checkpoint written before the hotness table moved onto segments
+        (layout version 1) pickles a table without the segment fields.  It
+        must be refused at load — not resumed into and failing mid-iteration
+        — and the cell then runs from iteration 0 to the fault-free values."""
+        w = make_workload("GS", "BFS", scale=SCALE)
+        clean = run_workload(w, "Ascetic")
+        store = CheckpointStore(str(tmp_path))
+        stale = IterationCheckpoint(
+            engine="Ascetic", algorithm="BFS", graph_name=w.graph.name,
+            iteration=2, values=np.zeros(w.graph.n_vertices),
+            active=np.zeros(w.graph.n_vertices, dtype=bool),
+            blob=b"version-1 engine state")
+        with open(store.path_for("cell"), "wb") as fh:
+            pickle.dump({"version": 1, "checkpoint": stale}, fh)
+        assert store.load("cell") is None
+        result = run_workload(w, "Ascetic", checkpoint=store,
+                              checkpoint_key="cell")
+        assert result.iterations == clean.iterations
+        assert np.array_equal(result.values, clean.values)
+        assert result.elapsed_seconds == clean.elapsed_seconds
+
     def test_clear_and_keys(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
         store.save("a", _dummy_checkpoint())

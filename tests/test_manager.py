@@ -166,7 +166,8 @@ class TestSwapCausality:
         active = np.zeros(wg.n_vertices, dtype=bool)
         active[2 * wg.n_vertices // 3:] = True
         state.active = active
-        hotness = HotnessTable(region.n_chunks, policy="last")
+        hotness = HotnessTable(region.n_chunks, policy="last",
+                               seg_bounds=region.chunk_map.seg_bounds)
         with gpu.iteration(0):  # stamp events as engines do
             out = run_iteration(gpu, wg, program, state, region, hotness,
                                 static_alloc, ondemand_alloc, adaptive=False,

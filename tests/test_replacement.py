@@ -184,18 +184,29 @@ class TestUpdateRuns:
         assert np.array_equal(by_runs.last, by_dense.last)
         assert np.array_equal(by_runs.staleness(), by_dense.staleness())
 
-    def test_updates_stay_queued_until_read(self):
+    def test_updates_fold_immediately(self):
+        """Every interval update is visible to the next read — per segment
+        and through the dense views — with nothing deferred."""
         h = table(16)
         h.update_runs(np.array([0]), np.array([4]))
+        assert list(h.seg_cumulative[:5]) == [1, 1, 1, 1, 0]
         h.update_runs(np.array([8]), np.array([12]))
-        assert len(h._pending) == 2
-        assert not h._cumulative.any()  # raw array untouched
         assert list(h.last[:13]) == [0] * 8 + [1] * 4 + [0]
-        assert not h._pending  # reading materialized everything
-        assert list(h.cumulative[:5]) == [1, 1, 1, 1, 0]
+        assert list(h.cumulative[:13]) == [1] * 4 + [0] * 4 + [1] * 4 + [0]
+        assert np.array_equal(h.staleness(), h.last == 0)
+
+    def test_runs_must_fall_on_segment_boundaries(self):
+        """A table on a coarser segment partition cannot represent an
+        interval that cuts a segment — refused, not silently rounded."""
+        h = HotnessTable(12, seg_bounds=np.array([0, 4, 6, 12]))
+        h.update_runs(np.array([4]), np.array([12]))
+        assert list(h.seg_last) == [0, 1, 1]
+        assert list(h.last) == [0] * 4 + [1] * 8
+        with pytest.raises(ValueError, match="segment boundaries"):
+            h.update_runs(np.array([5]), np.array([12]))
 
     def test_mixed_dense_and_runs(self):
-        """A dense update folds pending intervals in first."""
+        """Dense and interval updates interleave in call order."""
         h, ref = table(8), table(8)
         h.update_runs(np.array([0]), np.array([3]))
         h.update(np.array([0, 1, 0, 0, 1, 0, 0, 0]))

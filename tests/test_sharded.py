@@ -142,6 +142,21 @@ class TestShardedRunShape:
         assert "Texchange" in res.metrics.phase_seconds
         assert res.metrics.phase_seconds["Texchange"] > 0
 
+    def test_exchange_counts_destinations_like_unique(self, small_social):
+        """The mark/count/unmark scratch is the same integer ``np.unique``
+        gave (so ``exchange_bytes`` cannot move), duplicates included, and
+        hands the scratch back clean."""
+        from repro.engines.sharded import count_distinct
+
+        seen = np.zeros(small_social.n_vertices, dtype=bool)
+        rng = np.random.default_rng(5)
+        for size in (0, 1, 7, 5000):
+            # Destination lists as _exchange sees them: int32, repeats.
+            dst = small_social.indices[
+                rng.integers(0, small_social.n_edges, size=size)]
+            assert count_distinct(dst, seen) == np.unique(dst).size
+            assert not seen.any()
+
     def test_resume_not_supported(self, small_social):
         eng = ShardedEngine(spec=make_spec_for(small_social),
                             data_scale=TEST_SCALE)
