@@ -7,37 +7,29 @@ Region — "similar to the scheme used in Subway" (§3.1).  When the gathered
 volume exceeds the region, it is processed in rounds (§3.3's motivation for
 not letting the region get too small).
 
-This module computes the *plan* — volumes and round schedule; the manager
-charges its costs to the simulated lanes.  Rounds are represented lazily:
-a pathologically small region (the right edge of Fig. 10's sweep) implies
-millions of rounds, which the manager charges in aggregate instead of
-looping.
+This module computes the *plan* — volumes and round count;
+:func:`repro.gpusim.rounds.stream_rounds` splits them over the rounds and
+charges the simulated lanes.  Rounds are never materialized: a
+pathologically small region (the right edge of Fig. 10's sweep) implies
+millions of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from repro.algorithms.frontier import active_edge_count
 from repro.graph.csr import CSRGraph
+from repro.gpusim.rounds import round_shares
 
-__all__ = ["OnDemandRound", "OnDemandPlan", "plan_ondemand", "round_shares",
+__all__ = ["OnDemandPlan", "plan_ondemand", "round_shares",
            "OFFSET_BYTES_PER_VERTEX"]
 
 #: Bytes per on-demand vertex for the request/offset structures that ride
 #: along with the edges (mirrors Subway's SubVertex arrays).
 OFFSET_BYTES_PER_VERTEX = 8
-
-
-@dataclass(frozen=True)
-class OnDemandRound:
-    """One gather → transfer → compute round."""
-
-    n_edges: int
-    nbytes: int
 
 
 @dataclass(frozen=True)
@@ -53,44 +45,6 @@ class OnDemandPlan:
     @property
     def total_bytes(self) -> int:
         return self.edge_bytes + self.request_bytes
-
-    def iter_rounds(self) -> Iterator[OnDemandRound]:
-        """Yield the rounds, volumes split as evenly as integer math allows."""
-        edges_left, bytes_left = self.n_edges, self.total_bytes
-        for r in range(self.n_rounds):
-            share_bytes = -(-bytes_left // (self.n_rounds - r))
-            share_edges = -(-edges_left // (self.n_rounds - r))
-            yield OnDemandRound(n_edges=share_edges, nbytes=share_bytes)
-            bytes_left -= share_bytes
-            edges_left -= share_edges
-
-    def round_sizes(self) -> tuple[int, int, int, int]:
-        """The byte split of :meth:`iter_rounds` in closed form.
-
-        Returns ``(hi, n_hi, lo, n_lo)``: the first ``n_hi`` rounds carry
-        ``hi`` bytes, the remaining ``n_lo`` carry ``lo``.  Lets the
-        manager charge a many-round chain from the exact per-round volumes
-        without iterating (the parity the 64→65-round boundary test pins).
-        """
-        return round_shares(self.total_bytes, self.n_rounds)
-
-
-def round_shares(total: int, n_rounds: int) -> tuple[int, int, int, int]:
-    """Closed form of the iterative ``ceil(left / rounds_left)`` split.
-
-    Splitting ``total`` over ``n_rounds`` by repeatedly taking
-    ``ceil(remaining / rounds_remaining)`` gives exactly ``total % n``
-    rounds of ``ceil(total/n)`` followed by the rest at ``total // n``
-    (each ceil take keeps the remainder's residue class; once the residue
-    hits zero the division is exact).  Returned as ``(hi, n_hi, lo,
-    n_lo)`` with the ``hi`` rounds first, matching
-    :meth:`OnDemandPlan.iter_rounds` round for round.
-    """
-    if n_rounds <= 0:
-        return 0, 0, 0, 0
-    lo, rem = divmod(total, n_rounds)
-    hi = lo + 1 if rem else lo
-    return hi, rem, lo, n_rounds - rem
 
 
 def plan_ondemand(

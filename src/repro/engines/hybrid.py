@@ -38,13 +38,13 @@ import numpy as np
 
 from repro.algorithms.base import ProgramState, VertexProgram
 from repro.core.bitmaps import split_active
-from repro.core.manager import ROUND_LOOP_LIMIT
 from repro.core.ondemand import plan_ondemand
 from repro.core.replacement import HotnessTable
 from repro.core.static_region import DEFAULT_CHUNK_BYTES, StaticRegion
 from repro.engines.base import AccessPath, Engine, RunPlan, RunResult
 from repro.graph.csr import ChunkRuns, CSRGraph, grant_in_order
 from repro.gpusim.device import GPUSpec, SimulatedGPU
+from repro.gpusim.rounds import stream_rounds
 
 __all__ = ["HybridEngine", "HybridPolicy"]
 
@@ -408,33 +408,8 @@ class HybridEngine(Engine):
         # gather → transfer → compute rounds (Ascetic's schedule).
         if b_g > 0:
             prev = gpu.d2h(req_g, label="od-requests", after=t_map)
-            rounds = max(-(-b_g // staging), 1)
-            if rounds > ROUND_LOOP_LIMIT:
-                with gpu.phase("Tfilling"):
-                    t_gather = gpu.cpu_gather(b_g, label="od-gather",
-                                              after=prev)
-                with gpu.phase("Ttransfer"):
-                    t_xfer = gpu.h2d(b_g, label="od-transfer", after=t_gather)
-                with gpu.phase("Tondemand"):
-                    gpu.edge_kernel(e_g, label="od-compute",
-                                    atomics=program.atomics, after=t_xfer)
-            else:
-                bytes_left, edges_left = b_g, e_g
-                for r in range(rounds):
-                    r_bytes = -(-bytes_left // (rounds - r))
-                    r_edges = -(-edges_left // (rounds - r))
-                    bytes_left -= r_bytes
-                    edges_left -= r_edges
-                    with gpu.phase("Tfilling"):
-                        t_gather = gpu.cpu_gather(r_bytes, label="od-gather",
-                                                  after=prev)
-                    with gpu.phase("Ttransfer"):
-                        t_xfer = gpu.h2d(r_bytes, label="od-transfer",
-                                         after=t_gather)
-                    with gpu.phase("Tondemand"):
-                        gpu.edge_kernel(r_edges, label="od-compute",
-                                        atomics=program.atomics, after=t_xfer)
-                    prev = t_gather
+            stream_rounds(gpu, b_g, e_g, max(-(-b_g // staging), 1),
+                          atomics=program.atomics, after=prev)
         # ➍ Direct chain: zero-copy loads feed the consuming kernel; both
         # start at t_map and overlap (the sync below takes the max).
         if b_d > 0 or e_d > 0:

@@ -26,6 +26,7 @@ from repro.algorithms.base import ProgramState, VertexProgram
 from repro.engines.base import AccessPath, Engine, FixedPolicy, RunResult
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import SimulatedGPU
+from repro.gpusim.rounds import stream_rounds
 
 __all__ = ["SubwayEngine"]
 
@@ -144,36 +145,12 @@ class SubwayEngine(Engine):
             rounds = 2  # split to expose pipelining within the iteration
         self._plan_access(gpu, state.iteration,
                           np.arange(rounds, dtype=np.int64), granule="round")
-        edges_left, bytes_left = n_edges, total_bytes
-        prev_gather = 0.0
-        for r in range(rounds):
-            r_bytes = -(-bytes_left // (rounds - r))
-            r_edges = -(-edges_left // (rounds - r))
-            bytes_left -= r_bytes
-            edges_left -= r_edges
-            if self.pipelined:
-                with gpu.phase("Tfilling"):
-                    t_g = gpu.cpu_gather(r_bytes, label="gather",
-                                         after=prev_gather)
-                with gpu.phase("Ttransfer"):
-                    t_x = gpu.h2d(r_bytes, label="subgraph", after=t_g)
-                with gpu.phase("Tcompute"):
-                    gpu.edge_kernel(r_edges, label="compute",
-                                    atomics=program.atomics, after=t_x)
-                prev_gather = t_g
-            else:
-                # (b) host gather, then PCIe copy — GPU idles throughout.
-                with gpu.phase("Tfilling"):
-                    done = gpu.cpu_gather(r_bytes, label="gather")
-                gpu.sync(done)
-                with gpu.phase("Ttransfer"):
-                    done = gpu.h2d(r_bytes, label="subgraph")
-                gpu.sync(done)
-                # (c) compute on the gathered subgraph.
-                with gpu.phase("Tcompute"):
-                    done = gpu.edge_kernel(r_edges, label="compute",
-                                           atomics=program.atomics)
-                gpu.sync(done)
+        # (b) host gather, then PCIe copy — the GPU idles throughout unless
+        # pipelined; (c) compute on the gathered subgraph.
+        stream_rounds(gpu, total_bytes, n_edges, rounds,
+                      atomics=program.atomics, sequential=not self.pipelined,
+                      labels=("gather", "subgraph", "compute"),
+                      compute_phase="Tcompute")
         gpu.sync()
 
     def _report_extra(self, result: RunResult, gpu: SimulatedGPU, graph: CSRGraph) -> None:

@@ -10,6 +10,8 @@ GPU memory control, so this package models the platform deterministically:
 * :mod:`repro.gpusim.pcie` — PCIe link (bandwidth + latency + burst);
 * :mod:`repro.gpusim.stream` — lanes (GPU compute / copy engine / CPU) with
   overlap and idle-time accounting;
+* :mod:`repro.gpusim.rounds` — the one gather → transfer → compute round
+  chain every streaming engine is charged by;
 * :mod:`repro.gpusim.kernel` — kernel cost model (edges/s, scans, launches);
 * :mod:`repro.gpusim.uvm` — Unified Virtual Memory: pages, faults, LRU;
 * :mod:`repro.gpusim.host` — host-side gather cost model;

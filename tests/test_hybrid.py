@@ -223,3 +223,69 @@ class TestWarmStart:
         eng.reset_for_request(keep_static=False)
         again = eng.run(w.graph, w.fresh_program())
         assert again.extra["warm_start"] == 0.0
+
+
+class TestGatherChainAboveTheRoundLimit:
+    """Regression: above ``ROUND_LOOP_LIMIT`` gather rounds Hybrid collapsed
+    its chain to one gather, one H2D and one kernel of the whole volume,
+    each waiting for the previous one — the pipeline serialised and 64
+    latencies / gather set-ups / launches vanished, so the iteration's
+    modelled time jumped by +149 % between 64 and 65 rounds.  It now pays
+    what Ascetic pays (``stream_rounds``' aggregate)."""
+
+    ITERATION = 6  # GS/BFS's widest frontier: ~90 KB through the gather path
+    CHAIN_PHASES = ("Tfilling", "Ttransfer", "Tondemand")
+
+    @classmethod
+    def _run(cls, staging=None):
+        """GS/BFS up to ITERATION, the staging buffer squeezed to ``staging``
+        bytes for that iteration; ``(its events, its seconds, its gather
+        bytes)``."""
+        w = _constrained_workload("GS", "BFS", 0.05)
+        eng = HybridEngine(spec=w.spec, data_scale=w.scale, record_events=True,
+                           max_iterations=cls.ITERATION + 1)
+        before = []
+
+        def hook(engine, gpu, graph, state):
+            if state.iteration == cls.ITERATION:
+                before.append(engine._path_bytes[AccessPath.GATHER])
+                if staging is not None:
+                    gpu.memory.resize(engine._staging_alloc, staging)
+
+        eng.iteration_hook = hook
+        res = eng.run(w.graph, w.fresh_program())
+        events = [e for e in res.event_log.events if e.iteration == cls.ITERATION]
+        record = res.per_iteration[cls.ITERATION]
+        gathered = round((res.extra["gather_bytes"] - before[0]) * w.scale)
+        return events, record.t_end - record.t_start, gathered
+
+    @classmethod
+    def _squeezed(cls, gathered, rounds):
+        staging = -(-gathered // rounds)
+        assert -(-gathered // staging) == rounds
+        return cls._run(staging)
+
+    @staticmethod
+    def _phase_seconds(events, phase):
+        return sum(e.duration for e in events if e.phase == phase)
+
+    def test_65_rounds_cost_what_64_rounds_cost(self, monkeypatch):
+        from repro.gpusim import rounds
+
+        _, _, gathered = self._run()
+        assert rounds.ROUND_LOOP_LIMIT == 64
+        _, seconds_64, _ = self._squeezed(gathered, 64)
+        events_65, seconds_65, _ = self._squeezed(gathered, 65)
+        transfers = sum(e.h2d_transfers for e in events_65
+                        if e.label.startswith("od-transfer"))
+        assert transfers >= 65
+        assert seconds_65 == pytest.approx(seconds_64, rel=0.05)
+
+        # The same 65 rounds, looped op by op: identical stage totals.
+        monkeypatch.setattr(rounds, "ROUND_LOOP_LIMIT", 10**9)
+        looped, seconds_looped, _ = self._squeezed(gathered, 65)
+        assert sum(e.label == "od-transfer" for e in looped) == 65
+        for phase in self.CHAIN_PHASES:
+            assert self._phase_seconds(events_65, phase) == pytest.approx(
+                self._phase_seconds(looped, phase), rel=1e-12)
+        assert seconds_65 == pytest.approx(seconds_looped, rel=0.05)

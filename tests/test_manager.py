@@ -5,11 +5,12 @@ import pytest
 
 from repro.algorithms import make_program
 from repro.core.ascetic import AsceticConfig, AsceticEngine
-from repro.core.manager import ROUND_LOOP_LIMIT
 from repro.graph.generators import social_graph
 from repro.graph.properties import best_source
+from repro.gpusim.rounds import ROUND_LOOP_LIMIT, stream_rounds
 
 from conftest import TEST_SCALE, make_spec_for
+from round_oracles import round_chain_loop
 
 
 @pytest.fixture(scope="module")
@@ -285,19 +286,8 @@ class TestPhaseAttribution:
         assert self._orphans(res.event_log.events) == []
 
 
-def _round_chain_loop(gpu, plan, program, after=0.0):
-    """The manager's overlapped per-round schedule, verbatim."""
-    prev = after
-    for rnd in plan.iter_rounds():
-        with gpu.phase("Tfilling"):
-            t_gather = gpu.cpu_gather(rnd.nbytes, label="od-gather",
-                                      after=prev)
-        with gpu.phase("Ttransfer"):
-            t_xfer = gpu.h2d(rnd.nbytes, label="od-transfer", after=t_gather)
-        with gpu.phase("Tondemand"):
-            gpu.edge_kernel(rnd.n_edges, label="od-compute",
-                            atomics=program.atomics, after=t_xfer)
-        prev = t_gather
+SUBWAY_CHAIN = dict(labels=("gather", "subgraph", "compute"),
+                    compute_phase="Tcompute")
 
 
 class TestRoundBoundaryParity:
@@ -308,67 +298,88 @@ class TestRoundBoundaryParity:
     crossing produced a spurious bytes/duration discontinuity whenever the
     share split straddled a burst boundary."""
 
-    BURST = None  # set from the spec in _plans
-
     @staticmethod
-    def _plan(n_rounds, extra_bytes, n_edges=123_457):
-        from repro.core.ondemand import OnDemandPlan
+    def _volumes(n_rounds, extra_bytes, n_edges=123_457):
+        """``(total_bytes, n_edges, n_rounds)``: hi rounds land one burst
+        above lo rounds — the exact case the old per-round-average formula
+        over-charged."""
         from repro.gpusim.device import GPUSpec
         burst = GPUSpec(memory_bytes=1 << 20).pcie.burst
-        # hi rounds land one burst above lo rounds: the exact case the old
-        # per-round-average formula over-charged.
-        total = n_rounds * burst + extra_bytes
-        return OnDemandPlan(n_vertices=1000, n_edges=n_edges,
-                            edge_bytes=total, request_bytes=0,
-                            n_rounds=n_rounds)
+        return n_rounds * burst + extra_bytes, n_edges, n_rounds
+
+    @staticmethod
+    def _pair(volumes, **chain):
+        """The same chain through the naive loop and through stream_rounds."""
+        from repro.gpusim.device import GPUSpec, SimulatedGPU
+
+        atomics = make_program("CC").atomics
+        looped = SimulatedGPU(GPUSpec(memory_bytes=1 << 30))
+        round_chain_loop(looped, *volumes, atomics=atomics, **chain)
+        streamed = SimulatedGPU(GPUSpec(memory_bytes=1 << 30))
+        stream_rounds(streamed, *volumes, atomics=atomics, **chain)
+        return looped, streamed
+
+    @staticmethod
+    def _assert_same_charges(looped, streamed):
+        ml, ms = looped.metrics, streamed.metrics
+        assert ms.bytes_h2d == ml.bytes_h2d
+        assert ms.h2d_transfers == ml.h2d_transfers
+        assert ms.kernel_launches == ml.kernel_launches
+        assert ms.edges_processed == ml.edges_processed
+        assert set(ms.phase_seconds) == set(ml.phase_seconds)
+        for phase, dur in ml.phase_seconds.items():
+            assert ms.phase_seconds[phase] == pytest.approx(dur, rel=1e-12)
 
     @pytest.mark.parametrize("n_rounds", [ROUND_LOOP_LIMIT,
                                           ROUND_LOOP_LIMIT + 1, 101])
     @pytest.mark.parametrize("extra_bytes", [0, 35, 63])
     def test_aggregate_charges_equal_loop_charges(self, n_rounds, extra_bytes):
-        from repro.core.manager import _stream_aggregate
-        from repro.gpusim.device import GPUSpec, SimulatedGPU
+        self._assert_same_charges(
+            *self._pair(self._volumes(n_rounds, extra_bytes)))
 
-        plan = self._plan(n_rounds, extra_bytes)
-        program = make_program("CC")
-        looped = SimulatedGPU(GPUSpec(memory_bytes=1 << 30))
-        _round_chain_loop(looped, plan, program)
-        agg = SimulatedGPU(GPUSpec(memory_bytes=1 << 30))
-        _stream_aggregate(agg, plan, program, after=0.0, sequential=False)
-
-        ml, ma = looped.metrics, agg.metrics
-        assert ma.bytes_h2d == ml.bytes_h2d
-        assert ma.h2d_transfers == ml.h2d_transfers
-        assert ma.kernel_launches == ml.kernel_launches
-        assert ma.edges_processed == ml.edges_processed
-        for phase, dur in ml.phase_seconds.items():
-            assert ma.phase_seconds[phase] == pytest.approx(dur, rel=1e-12)
+    @pytest.mark.parametrize("n_rounds", [ROUND_LOOP_LIMIT,
+                                          ROUND_LOOP_LIMIT + 1])
+    @pytest.mark.parametrize("chain", [{}, SUBWAY_CHAIN],
+                             ids=["ascetic", "subway"])
+    @pytest.mark.parametrize("sequential", [False, True],
+                             ids=["pipelined", "sequential"])
+    def test_crossing_holds_in_every_mode(self, sequential, chain, n_rounds):
+        """Both dependency rules and both label/phase sets: same counters
+        and phase seconds either side of the limit, and a makespan that
+        differs from the loop's by less than one round's worth."""
+        looped, streamed = self._pair(self._volumes(n_rounds, 35),
+                                      sequential=sequential, **chain)
+        self._assert_same_charges(looped, streamed)
+        looped.sync()
+        streamed.sync()
+        if n_rounds <= ROUND_LOOP_LIMIT:
+            assert streamed.elapsed == looped.elapsed
+        elif sequential:
+            assert streamed.elapsed == pytest.approx(looped.elapsed, rel=1e-12)
+        else:
+            assert streamed.elapsed == pytest.approx(looped.elapsed,
+                                                     rel=1.0 / n_rounds)
 
     def test_limit_crossing_is_continuous(self):
         """Total charged bytes grow smoothly across the 64→65 boundary."""
-        from repro.core.manager import _stream_aggregate
         from repro.gpusim.device import GPUSpec, SimulatedGPU
 
         import math
 
-        program = make_program("CC")
+        atomics = make_program("CC").atomics
         per_round = []
         burst = GPUSpec(memory_bytes=1 << 30).pcie.burst
         for n_rounds in (ROUND_LOOP_LIMIT, ROUND_LOOP_LIMIT + 1):
-            plan = self._plan(n_rounds, extra_bytes=35)
+            total_bytes, n_edges, _ = self._volumes(n_rounds, extra_bytes=35)
             gpu = SimulatedGPU(GPUSpec(memory_bytes=1 << 30))
-            if n_rounds > ROUND_LOOP_LIMIT:
-                _stream_aggregate(gpu, plan, program, after=0.0,
-                                  sequential=False)
-            else:
-                _round_chain_loop(gpu, plan, program)
+            stream_rounds(gpu, total_bytes, n_edges, n_rounds, atomics=atomics)
             if n_rounds > ROUND_LOOP_LIMIT:
                 # The old aggregate charged every round as if it carried the
                 # *average* share, burst-rounded once and multiplied out —
                 # collapsing the hi/lo round split the loop preserves.
                 pcie = gpu.spec.pcie
                 uniform = pcie.payload_bytes(
-                    math.ceil(plan.edge_bytes / n_rounds)) * n_rounds
+                    math.ceil(total_bytes / n_rounds)) * n_rounds
                 assert gpu.metrics.bytes_h2d != uniform
             per_round.append(gpu.metrics.bytes_h2d / n_rounds)
         # Per-round charged payload stays flat across the boundary.  The hi/lo
@@ -377,34 +388,6 @@ class TestRoundBoundaryParity:
         # against produced a full-burst (≈50 %) step here.
         assert per_round[1] == pytest.approx(per_round[0], rel=2e-2)
         assert abs(per_round[1] - per_round[0]) < burst // 16
-
-
-class TestBatchedRoundScheduler:
-    """The lean-mode array scheduler must replay the per-round loop's
-    float operations exactly: identical Metrics, identical lane horizons."""
-
-    @pytest.mark.parametrize("n_rounds", [1, 2, 7, 33, ROUND_LOOP_LIMIT])
-    @pytest.mark.parametrize("n_edges", [0, 64, 999_331])
-    def test_bit_identical_to_loop(self, n_rounds, n_edges):
-        from repro.core.manager import _stream_rounds_batched
-        from repro.core.ondemand import OnDemandPlan
-        from repro.gpusim.device import GPUSpec, SimulatedGPU
-
-        plan = OnDemandPlan(n_vertices=77, n_edges=n_edges,
-                            edge_bytes=n_rounds * 17_003 + 29,
-                            request_bytes=616, n_rounds=n_rounds)
-        program = make_program("CC")
-        looped = SimulatedGPU(GPUSpec(memory_bytes=1 << 30),
-                              charge_scale=100.0)
-        _round_chain_loop(looped, plan, program, after=1e-4)
-        batched = SimulatedGPU(GPUSpec(memory_bytes=1 << 30),
-                               charge_scale=100.0)
-        _stream_rounds_batched(batched, plan, program, after=1e-4)
-
-        assert batched.metrics.as_dict() == looped.metrics.as_dict()
-        for lane in ("cpu", "copy", "gpu"):
-            assert getattr(batched, lane).busy_until == \
-                getattr(looped, lane).busy_until, lane
 
 
 class TestSwapBudgetWindow:

@@ -5,8 +5,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.ondemand import OFFSET_BYTES_PER_VERTEX, plan_ondemand
+from repro.core.ondemand import (OFFSET_BYTES_PER_VERTEX, plan_ondemand,
+                                 round_shares)
 from repro.graph.generators import rmat_graph
+
+from round_oracles import iterative_split
+
+
+def expand(total, n_rounds):
+    """``round_shares`` written out as one share per round."""
+    hi, n_hi, lo, n_lo = round_shares(total, n_rounds)
+    return [hi] * n_hi + [lo] * n_lo
+
+
+def byte_rounds(plan):
+    return expand(plan.total_bytes, plan.n_rounds)
+
+
+def edge_rounds(plan):
+    return expand(plan.n_edges, plan.n_rounds)
 
 
 @pytest.fixture()
@@ -19,7 +36,7 @@ class TestPlan:
         plan = plan_ondemand(graph, np.zeros(graph.n_vertices, bool), 1024)
         assert plan.n_rounds == 0
         assert plan.total_bytes == 0
-        assert list(plan.iter_rounds()) == []
+        assert byte_rounds(plan) == []
 
     def test_volumes(self, graph):
         mask = np.zeros(graph.n_vertices, dtype=bool)
@@ -44,21 +61,20 @@ class TestPlan:
     def test_round_sums_match_totals(self, graph):
         mask = np.ones(graph.n_vertices, dtype=bool)
         plan = plan_ondemand(graph, mask, 777)
-        rounds = list(plan.iter_rounds())
-        assert sum(r.nbytes for r in rounds) == plan.total_bytes
-        assert sum(r.n_edges for r in rounds) == plan.n_edges
-        assert len(rounds) == plan.n_rounds
+        assert sum(byte_rounds(plan)) == plan.total_bytes
+        assert sum(edge_rounds(plan)) == plan.n_edges
+        assert len(byte_rounds(plan)) == plan.n_rounds
 
     def test_rounds_nearly_even(self, graph):
         mask = np.ones(graph.n_vertices, dtype=bool)
         plan = plan_ondemand(graph, mask, 777)
-        sizes = [r.nbytes for r in plan.iter_rounds()]
+        sizes = byte_rounds(plan)
         assert max(sizes) - min(sizes) <= 1
 
     def test_rounds_fit_region(self, graph):
         mask = np.ones(graph.n_vertices, dtype=bool)
         plan = plan_ondemand(graph, mask, 777)
-        assert all(r.nbytes <= 777 for r in plan.iter_rounds())
+        assert all(nbytes <= 777 for nbytes in byte_rounds(plan))
 
     def test_degenerate_region_streams(self, graph):
         mask = np.ones(graph.n_vertices, dtype=bool)
@@ -71,44 +87,27 @@ class TestPlan:
         g = rmat_graph(5, 300, seed=19, directed=True)
         mask = np.array([(bits >> (i % 30)) & 1 for i in range(g.n_vertices)], dtype=bool)
         plan = plan_ondemand(g, mask, region)
-        rounds = list(plan.iter_rounds())
-        assert sum(r.nbytes for r in rounds) == plan.total_bytes
-        assert sum(r.n_edges for r in rounds) == plan.n_edges
-        assert all(r.nbytes >= 0 and r.n_edges >= 0 for r in rounds)
+        assert sum(byte_rounds(plan)) == plan.total_bytes
+        assert sum(edge_rounds(plan)) == plan.n_edges
+        assert all(n >= 0 for n in byte_rounds(plan) + edge_rounds(plan))
 
 
 class TestRoundShares:
     """The closed-form split must reproduce the iterative
     ``ceil(left / rounds_left)`` schedule round for round."""
 
-    @staticmethod
-    def _iterative(total, n_rounds):
-        sizes, left = [], total
-        for k in range(n_rounds, 0, -1):
-            take = -(-left // k)
-            sizes.append(take)
-            left -= take
-        return sizes
-
     @given(st.integers(0, 2**40), st.integers(1, 500))
     def test_property_matches_iterative_split(self, total, n_rounds):
-        from repro.core.ondemand import round_shares
-
         hi, n_hi, lo, n_lo = round_shares(total, n_rounds)
-        assert [hi] * n_hi + [lo] * n_lo == self._iterative(total, n_rounds)
+        assert [hi] * n_hi + [lo] * n_lo == iterative_split(total, n_rounds)
         assert hi * n_hi + lo * n_lo == total
         assert n_hi + n_lo == n_rounds
 
     def test_zero_rounds(self):
-        from repro.core.ondemand import round_shares
-
         assert round_shares(100, 0) == (0, 0, 0, 0)
 
     def test_matches_plan_iter_rounds(self, graph):
-        from repro.core.ondemand import round_shares
-
         mask = np.ones(graph.n_vertices, dtype=bool)
         plan = plan_ondemand(graph, mask, 777)
-        hi, n_hi, lo, n_lo = round_shares(plan.total_bytes, plan.n_rounds)
-        sizes = [r.nbytes for r in plan.iter_rounds()]
-        assert sizes == [hi] * n_hi + [lo] * n_lo
+        assert byte_rounds(plan) == iterative_split(plan.total_bytes,
+                                                    plan.n_rounds)
