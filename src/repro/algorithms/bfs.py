@@ -62,7 +62,7 @@ class BFS(VertexProgram):
             dsts = graph.indices[exp.positions]
             fresh = dsts[state.levels[dsts] == UNREACHED]
             if fresh.size:
-                fresh = np.unique(fresh)
+                # Idempotent discovery: duplicates scatter the same constant.
                 state.levels[fresh] = state.iteration + 1
                 nxt[fresh] = True
         state.active = nxt

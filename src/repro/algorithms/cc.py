@@ -58,7 +58,7 @@ class ConnectedComponents(VertexProgram):
             np.minimum.at(state.labels, dsts, pushed)
             changed = dsts[state.labels[dsts] < old]
             if changed.size:
-                nxt[np.unique(changed)] = True
+                nxt[changed] = True
         state.active = nxt
         state.iteration += 1
 

@@ -85,7 +85,7 @@ class SSSP(VertexProgram):
             np.minimum.at(state.dist, dsts, cand)
             improved = dsts[state.dist[dsts] < old]
             if improved.size:
-                nxt[np.unique(improved)] = True
+                nxt[improved] = True
         if self.delta is None:
             state.active = nxt
             state.iteration += 1

@@ -72,7 +72,7 @@ class SSWP(VertexProgram):
             np.maximum.at(state.width, dsts, cand)
             widened = dsts[state.width[dsts] > old]
             if widened.size:
-                nxt[np.unique(widened)] = True
+                nxt[widened] = True
         state.active = nxt
         state.iteration += 1
 

@@ -3,9 +3,10 @@
 Micro benchmarks cover the host hot paths every simulated iteration pays:
 frontier expansion and edge counting (the per-iteration mask walk), the
 Static Region's chunk accounting (touch counts, promotion, the
-StaticBitmap), and the event-log fold.  Macro benchmarks time whole engine
-runs and a small grid, catching regressions the micro kernels miss
-(allocation churn, per-iteration overheads, scheduling).
+StaticBitmap), the UVM pager, one program superstep, and the event-log
+fold.  Macro benchmarks time whole engine runs and a small grid, catching
+regressions the micro kernels miss (allocation churn, per-iteration
+overheads, scheduling).
 
 Sizes are fixed per mode (``quick`` vs full) and every input is seeded, so
 two runs of the same revision time identical work — the comparator's whole
@@ -182,6 +183,42 @@ def _bench_policy_plan(quick: bool) -> Prepared:
     policy.migrate_budget = runs.n_chunks // 8
     return Prepared(fn=lambda: policy.plan(0, runs, touch, hotness),
                     units={"chunks": float(runs.n_chunks)})
+
+
+@register("uvm/touch", kind="micro",
+          description="UVMMemory.touch of a sorted 48% page set, all resident,"
+                      " at the engines' scaled page geometry (FK: 13 B pages)")
+def _bench_uvm_touch(quick: bool) -> Prepared:
+    from repro.gpusim.uvm import UVMMemory
+
+    # FK at the macro scale as UVMEngine sizes it: 64 KB pages scaled down,
+    # the pool at paper-ratio memory, a quarter of it pinned.
+    n_pages, capacity, page = (39_846, 32_152, 3) if quick else (159_385, 128_609, 13)
+    pager = UVMMemory(n_pages * page, capacity * page, page_size=page)
+    pager.advise_pin(np.arange(capacity // 4, dtype=np.int64))
+    rng = np.random.default_rng(31)
+    pages = np.nonzero(rng.random(n_pages) < 0.48)[0]
+    pager.touch(pages)  # fault the set in: every timed call is the hit path
+    return Prepared(fn=lambda: pager.touch(pages),
+                    units={"pages": float(pages.size)})
+
+
+@register("algorithms/cc_step", kind="micro",
+          description="one full-frontier CC superstep on scaled FK (expansion,"
+                      " atomic-min scatter, next-frontier marking)")
+def _bench_cc_step(quick: bool) -> Prepared:
+    from repro.algorithms import make_program
+    from repro.harness.experiments import make_workload
+
+    graph = make_workload("FK", "CC", scale=_MACRO_SCALE[quick]).graph
+    program = make_program("CC")
+
+    def run():
+        state = program.init_state(graph)
+        program.step(graph, state)
+        return state
+
+    return Prepared(fn=run, units={"edges": float(graph.n_edges)})
 
 
 @register("events/fold_metrics", kind="micro",

@@ -37,6 +37,22 @@ from repro.gpusim.events import EventLog
 __all__ = ["UVMMemory", "UVMAccess"]
 
 
+def _sorted_unique(pages) -> np.ndarray:
+    """Any page ids, any order or shape → sorted, duplicate-free int64.
+
+    Costs one compare when the input is already strictly increasing (the
+    engine passes ``np.nonzero`` output); that case returns the caller's
+    array itself, so the pager only ever reads it.
+    """
+    pages = np.asarray(pages, dtype=np.int64).ravel()
+    if (pages[1:] > pages[:-1]).all():
+        return pages
+    pages = np.sort(pages)
+    keep = np.ones(pages.size, dtype=bool)
+    np.not_equal(pages[1:], pages[:-1], out=keep[1:])
+    return pages[keep]
+
+
 @dataclass(frozen=True)
 class UVMAccess:
     """Outcome of touching a set of pages in one kernel."""
@@ -82,6 +98,7 @@ class UVMMemory:
         self._last_touch = np.full(self.n_pages, -1, dtype=np.int64)
         self._tick = 0
         self._n_resident = 0
+        self._n_pinned = 0
 
     # ------------------------------------------------------------ properties
     @property
@@ -95,7 +112,7 @@ class UVMMemory:
     @property
     def pinned_pages(self) -> int:
         """Number of pages pinned via :meth:`advise_pin` (never evicted)."""
-        return int(np.count_nonzero(self._pinned))
+        return self._n_pinned
 
     def is_resident(self, pages: np.ndarray) -> np.ndarray:
         return self._resident[pages]
@@ -122,20 +139,21 @@ class UVMMemory:
         Pinning more pages than capacity raises — the driver would fail the
         advice the same way.
         """
-        pages = np.unique(np.asarray(pages, dtype=np.int64))
+        pages = _sorted_unique(pages)
         if pages.size and (pages.min() < 0 or pages.max() >= self.n_pages):
             raise IndexError("page id out of range")
         new = pages[~self._resident[pages]]
-        pinned_after = int(np.count_nonzero(self._pinned)) + int(
-            np.count_nonzero(~self._pinned[pages])
-        )
-        if pinned_after > self.capacity_pages:
+        newly_pinned = int(np.count_nonzero(~self._pinned[pages]))
+        if self._n_pinned + newly_pinned > self.capacity_pages:
             raise ValueError("cannot pin more pages than device capacity")
+        # Pin before choosing victims: a resident page named in this call
+        # must not be evicted to make room for the others.
+        self._pinned[pages] = True
+        self._n_pinned += newly_pinned
         if self._n_resident + new.size > self.capacity_pages:
             self._evict(self._n_resident + new.size - self.capacity_pages)
         self._resident[new] = True
         self._n_resident += new.size
-        self._pinned[pages] = True
         self._tick += 1
         self._last_touch[pages] = self._tick
         self._emit("uvm-pin", "memadvise",
@@ -146,16 +164,17 @@ class UVMMemory:
     def touch(self, pages: np.ndarray) -> UVMAccess:
         """Access a set of pages from a kernel; fault in what is missing.
 
-        ``pages`` may contain duplicates; residency/faulting is per unique
-        page.  Returns fault/migration counts for the cost model.
+        ``pages`` may contain duplicates, in any order; residency/faulting
+        is per unique page.  Returns fault/migration counts for the cost
+        model.
         """
-        pages = np.unique(np.asarray(pages, dtype=np.int64))
+        pages = _sorted_unique(pages)
         if pages.size == 0:
             return UVMAccess(0, 0, 0, 0)
         if pages.min() < 0 or pages.max() >= self.n_pages:
             raise IndexError("page id out of range")
         unpinned_touched = pages[~self._pinned[pages]]
-        free_after_pins = self.capacity_pages - int(np.count_nonzero(self._pinned))
+        free_after_pins = self.capacity_pages - self._n_pinned
         if unpinned_touched.size > free_after_pins:
             # The scan's working set exceeds what LRU can hold: the classic
             # cyclic-scan-vs-LRU pathology (§2, Fig. 1) — every unpinned
@@ -215,7 +234,7 @@ class UVMMemory:
         the real prefetcher also backs off under pressure.  Returns bytes
         migrated.
         """
-        pages = np.unique(np.asarray(pages, dtype=np.int64))
+        pages = _sorted_unique(pages)
         if pages.size == 0:
             return 0
         if pages.min() < 0 or pages.max() >= self.n_pages:

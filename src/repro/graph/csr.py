@@ -294,7 +294,10 @@ class CSRGraph:
         # Segment boundaries: every chunk id where some vertex's span starts
         # or stops.  Each chunk lies in some vertex's span, so 0 is always
         # among them once there are edges.
-        seg_bounds = np.union1d(c_lo[has_edges], c_hi[has_edges] + 1)
+        seg_bounds = np.sort(np.concatenate((c_lo[has_edges], c_hi[has_edges] + 1)))
+        keep = np.ones(seg_bounds.size, dtype=bool)
+        np.not_equal(seg_bounds[1:], seg_bounds[:-1], out=keep[1:])
+        seg_bounds = seg_bounds[keep]
         if n_chunks == 0:
             seg_bounds = np.zeros(1, dtype=np.int64)
         s_lo = np.where(has_edges, np.searchsorted(seg_bounds, c_lo), 0)

@@ -107,7 +107,6 @@ class BatchedBFS(_BatchedTraversal):
                 levels = state.values_2d[row]
                 fresh = dsts[levels[dsts] == UNREACHED]
                 if fresh.size:
-                    fresh = np.unique(fresh)
                     levels[fresh] = state.iteration + 1
                     new_fronts[row][fresh] = True
         state.fronts = new_fronts
@@ -144,7 +143,7 @@ class BatchedSSSP(_BatchedTraversal):
                 np.minimum.at(dist, dsts, cand)
                 improved = dsts[dist[dsts] < old]
                 if improved.size:
-                    new_fronts[row][np.unique(improved)] = True
+                    new_fronts[row][improved] = True
         state.fronts = new_fronts
         state.active = new_fronts.any(axis=0)
         state.iteration += 1

@@ -11,6 +11,7 @@ from repro.algorithms import (
     ConnectedComponents,
     PageRank,
     SSSP,
+    SSWP,
     make_program,
 )
 from repro.algorithms.bfs import UNREACHED
@@ -32,6 +33,8 @@ from repro.graph.generators import (
     star_graph,
 )
 from repro.graph.properties import best_source
+
+from dedupe_step_oracles import dedupe_relax, has_parallel_edges_and_self_loops
 
 
 class TestRegistry:
@@ -254,3 +257,37 @@ class TestProgramContract:
         while state.active.any() and not p.done(state):
             p.step(small_social, state)
         assert state.iteration == 3
+
+
+class TestNextFrontierByScatter:
+    """``step`` scatters raw destination ids; the deduplicating form it
+    replaced (``tests/dedupe_step_oracles.py``) must agree superstep by
+    superstep on a graph that does produce duplicates."""
+
+    @pytest.mark.parametrize("make,kind", [
+        (lambda src: BFS(source=src), "BFS"),
+        (lambda src: SSSP(source=src), "SSSP"),
+        (lambda src: SSSP(source=src, delta=3), "SSSP"),
+        (lambda src: ConnectedComponents(), "CC"),
+        (lambda src: SSWP(source=src), "SSWP"),
+    ], ids=["BFS", "SSSP", "delta-SSSP", "CC", "SSWP"])
+    def test_every_superstep_equals_the_dedupe_oracle(self, make, kind, small_rmat):
+        graph = small_rmat
+        if kind in ("SSSP", "SSWP"):
+            graph = graph.with_random_weights(high=8)
+        assert has_parallel_edges_and_self_loops(graph)
+        program = make(best_source(graph))
+        state = program.init_state(graph)
+        while state.active.any():
+            ref_values = program.values(state).copy()
+            ref_next = dedupe_relax(kind, graph, ref_values, state.active,
+                                    state.iteration)
+            # Delta-stepping parks part of the next frontier in `pending`.
+            pending = getattr(state, "pending", None)
+            if pending is not None:
+                ref_next |= pending
+            program.step(graph, state)
+            assert np.array_equal(program.values(state), ref_values)
+            nxt = state.active if pending is None else state.active | state.pending
+            assert np.array_equal(nxt, ref_next)
+        assert state.iteration > 2

@@ -94,6 +94,22 @@ class TestRunBenchmarks:
              / "BENCH_baseline.json").read_text())
         assert names <= set(baseline["benchmarks"])
 
+    def test_hot_path_set_benchmarks_end_to_end(self):
+        """The pager and CC-superstep micro benches run, do real work, and
+        are in the checked-in baseline."""
+        import pathlib
+
+        units = {"uvm/touch": "pages", "algorithms/cc_step": "edges"}
+        results = run_benchmarks(names=set(units), quick=True)
+        assert set(results) == set(units)
+        for name, unit in units.items():
+            assert results[name]["best_seconds"] > 0
+            assert results[name]["units"][unit] > 0
+        baseline = json.loads(
+            (pathlib.Path(__file__).parent.parent / "benchmarks"
+             / "BENCH_baseline.json").read_text())
+        assert set(units) <= set(baseline["benchmarks"])
+
 
 class TestReport:
     @staticmethod

@@ -7,6 +7,7 @@ from repro.algorithms import make_program
 from repro.serve.batching import BatchedBFS, BatchedSSSP, make_batched
 
 from conftest import make_spec_for
+from dedupe_step_oracles import dedupe_relax, has_parallel_edges_and_self_loops
 
 
 def drive(program, graph):
@@ -97,6 +98,32 @@ class TestMultiSourceParity:
         fused = drive(BatchedBFS(sources), small_web)
         assert fused.edges_relaxed <= sum(per_source)
         assert fused.edges_relaxed >= max(per_source)
+
+
+class TestNextFrontierByScatter:
+    """Each row of a fused superstep equals the deduplicating single-source
+    step (``tests/dedupe_step_oracles.py``) on that row's own frontier."""
+
+    @pytest.mark.parametrize("algo", ["BFS", "SSSP"])
+    def test_every_superstep_equals_the_dedupe_oracle(self, algo, small_rmat):
+        graph = small_rmat
+        if algo == "SSSP":
+            graph = graph.with_random_weights(high=8)
+        assert has_parallel_edges_and_self_loops(graph)
+        sources = np.argsort(graph.out_degree(), kind="stable")[-3:].tolist()
+        program = make_batched(algo, sources)
+        state = program.init_state(graph)
+        while state.active.any():
+            ref_values = state.values_2d.copy()
+            ref_fronts = np.array([
+                dedupe_relax(algo, graph, ref_values[row], state.fronts[row],
+                             state.iteration)
+                for row in range(len(sources))])
+            program.step(graph, state)
+            assert np.array_equal(state.values_2d, ref_values)
+            assert np.array_equal(state.fronts, ref_fronts)
+            assert np.array_equal(state.active, ref_fronts.any(axis=0))
+        assert state.iteration > 2
 
 
 class TestUnderEngines:

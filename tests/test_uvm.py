@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.gpusim.uvm import UVMMemory
+from repro.gpusim.events import EventLog
+from repro.gpusim.uvm import UVMMemory, _sorted_unique
 
 
 def make(managed_pages=100, capacity_pages=10, page=64):
@@ -143,6 +145,20 @@ class TestPinning:
         with pytest.raises(IndexError):
             u.advise_pin(np.array([99]))
 
+    def test_pin_never_evicts_what_it_pins(self):
+        """Pinning a resident LRU page while faulting another in must evict
+        someone else: pinned pages are resident, always."""
+        u = make(100, 3, page=10)
+        for page in (0, 1, 2):
+            u.touch(np.array([page]))
+        moved = u.advise_pin(np.array([0, 5]))
+        assert moved == u.page_size  # only page 5 was missing
+        assert u.is_resident(np.array([0, 5])).all()
+        assert not u.is_resident(np.array([1]))[0]  # the unpinned LRU page
+        assert u.pinned_pages == 2
+        assert not (u._pinned & ~u._resident).any()
+        assert u.touch(np.array([0])).n_faults == 0
+
 
 @given(
     st.lists(
@@ -190,3 +206,77 @@ class TestPrefetch:
     def test_prefetch_empty(self):
         u = make(10, 5)
         assert u.prefetch(np.array([], dtype=np.int64)) == 0
+
+
+class TestSortedUnique:
+    """The pager's normaliser against the ``np.unique`` it replaced."""
+
+    @pytest.mark.parametrize("ids", [
+        [], 5, [3], [3, 3, 3, 4], [9, 7, 7, 2, 0], [0, 1, 2, 5, 9],
+        [[4, 1], [1, 4]], np.arange(6, dtype=np.int32), (2, 1),
+    ], ids=["empty", "0-d", "one", "dups", "descending", "sorted", "2-D",
+            "int32", "tuple"])
+    def test_named_shapes(self, ids):
+        out = _sorted_unique(ids)
+        assert out.dtype == np.int64 and out.ndim == 1
+        assert np.array_equal(out, np.unique(np.asarray(ids, dtype=np.int64)))
+
+    def test_strictly_increasing_input_is_not_copied(self):
+        ids = np.array([1, 4, 6, 7], dtype=np.int64)
+        assert np.shares_memory(_sorted_unique(ids), ids)
+
+    @given(hnp.arrays(
+        dtype=st.sampled_from([np.int64, np.int32, np.uint8]),
+        shape=hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=12),
+        elements=st.integers(0, 20)))
+    def test_property_equals_np_unique_and_leaves_input_alone(self, ids):
+        before = ids.copy()
+        out = _sorted_unique(ids)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, np.unique(ids))
+        assert np.array_equal(ids, before)
+
+
+N_PAGES, PAGE = 40, 8
+_ids = st.lists(st.integers(0, N_PAGES - 1), max_size=30)
+_pager_ops = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["touch", "prefetch", "advise_pin"]), _ids),
+    st.tuples(st.just("shrink_capacity"), st.integers(0, 14)),
+), min_size=1, max_size=20)
+
+
+def _apply(pager: UVMMemory, op: str, arg):
+    """``(result | exception type)`` of one pager call."""
+    try:
+        return getattr(pager, op)(arg)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+@given(_pager_ops, st.randoms(use_true_random=False))
+def test_property_any_id_order_equals_deduplicated_ids(ops, rnd):
+    """A pager fed shuffled ids with duplicates ends where one fed
+    ``np.unique`` of them ends — results, residency, pins, LRU ticks and
+    markers — and keeps its pin counter, without touching or keeping the
+    caller's array."""
+    raw = UVMMemory(N_PAGES * PAGE, 12 * PAGE, PAGE, events=EventLog(record=True))
+    ref = UVMMemory(N_PAGES * PAGE, 12 * PAGE, PAGE, events=EventLog(record=True))
+    for op, arg in ops:
+        if op == "shrink_capacity":
+            assert _apply(raw, op, arg * PAGE) == _apply(ref, op, arg * PAGE)
+        else:
+            ids = arg + rnd.sample(arg, len(arg) // 2)
+            rnd.shuffle(ids)
+            ids = np.array(ids, dtype=np.int64)
+            before = ids.copy()
+            assert _apply(raw, op, ids) == _apply(ref, op, np.unique(before))
+            assert np.array_equal(ids, before)
+            ids[:] = 0  # a retained reference would now corrupt `raw`
+        for pager in (raw, ref):
+            assert pager.pinned_pages == np.count_nonzero(pager._pinned)
+            assert pager.resident_pages == np.count_nonzero(pager._resident)
+            assert not (pager._pinned & ~pager._resident).any()
+        assert np.array_equal(raw._resident, ref._resident)
+        assert np.array_equal(raw._pinned, ref._pinned)
+        assert np.array_equal(raw._last_touch, ref._last_touch)
+    assert raw._events.events == ref._events.events
