@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Union
+from typing import Any, Dict, Iterable, Iterator, List, Union
 
 import numpy as np
 
@@ -37,8 +37,10 @@ from repro.gpusim.device import GPUSpec
 from repro.gpusim.events import (
     DEVICE_FAULT_KINDS,
     FAULT_KINDS,
+    EventColumns,
     EventLog,
     SimEvent,
+    as_columns,
 )
 
 __all__ = [
@@ -155,10 +157,10 @@ LANE_TIDS = {"gpu": 0, "copy": 1, "cpu": 2}
 #: Instant (lane-less) markers — UVM faults, pins — get their own row.
 MARKER_TID = 3
 
-TraceSource = Union[EventLog, RunResult, Iterable[SimEvent]]
+TraceSource = Union[EventLog, RunResult, EventColumns, Iterable[SimEvent]]
 
 
-def _source_events(source: TraceSource) -> List[SimEvent]:
+def _source_columns(source: TraceSource) -> EventColumns:
     if isinstance(source, RunResult):
         if source.event_log is None:
             raise ValueError(
@@ -173,21 +175,28 @@ def _source_events(source: TraceSource) -> List[SimEvent]:
                 "(engine record_events=True) to export a trace"
             )
         return source.events
-    return list(source)
+    return as_columns(source)
 
 
-def _event_args(e: SimEvent) -> Dict[str, Any]:
-    """The per-slice ``args`` payload shared by both export modes."""
-    args: Dict[str, Any] = {"kind": e.kind}
-    if e.phase is not None:
-        args["phase"] = e.phase
-    if e.iteration is not None:
-        args["iteration"] = e.iteration
-    args.update({k: v for k, v in e.to_dict().items()
-                 if k not in ("lane", "kind", "label", "start", "end",
-                              "phase", "iteration", "device", "extra")})
-    args.update(dict(e.extra))
-    return args
+def _trace_rows(cols: EventColumns) -> Iterator[tuple]:
+    """Per row: ``(lane, device, kind, name, phase, ts, dur, args)``.
+
+    ``args`` is the per-slice payload shared by both export modes: kind,
+    phase and iteration, then the non-zero counters, then ``extra``.
+    """
+    for ((lane, device), kind, label, phase, iteration, start, end,
+         cnames, cvals, xkeys, xvals) in cols.rows():
+        args: Dict[str, Any] = {"kind": kind}
+        if phase is not None:
+            args["phase"] = phase
+        if iteration is not None:
+            args["iteration"] = iteration
+        if cnames:
+            args.update(zip(cnames, cvals))
+        if xkeys:
+            args.update(zip(xkeys, xvals))
+        yield (lane, device, kind, label or kind, phase, start * 1e6,
+               (end - start) * 1e6, args)
 
 
 def chrome_trace_events(source: TraceSource) -> List[Dict[str, Any]]:
@@ -208,10 +217,10 @@ def chrome_trace_events(source: TraceSource) -> List[Dict[str, Any]]:
     counter track (``ph="C"``), one running count per fault kind, so chaos
     activity is visible at a glance in each device's process group.
     """
-    events = _source_events(source)
-    devices = sorted({e.device for e in events if e.device is not None})
+    cols = _source_columns(source)
+    devices = sorted({d for _, d in cols.whos.values if d is not None})
     if devices:
-        return _multi_device_trace_events(events, devices)
+        return _multi_device_trace_events(cols, devices)
     out: List[Dict[str, Any]] = [{
         "name": "process_name", "ph": "M", "pid": 0, "tid": 0,
         "args": {"name": "repro-sim"},
@@ -227,36 +236,35 @@ def chrome_trace_events(source: TraceSource) -> List[Dict[str, Any]]:
     })
     next_tid = MARKER_TID + 1
     tids = dict(LANE_TIDS)
-    for e in events:
-        args = _event_args(e)
-        if e.is_instant:
+    for lane, _, kind, name, phase, ts, dur, args in _trace_rows(cols):
+        if not lane:
             out.append({
-                "name": e.label or e.kind, "ph": "i", "s": "t",
-                "ts": e.start * 1e6, "pid": 0, "tid": MARKER_TID,
-                "cat": e.kind, "args": args,
+                "name": name, "ph": "i", "s": "t",
+                "ts": ts, "pid": 0, "tid": MARKER_TID,
+                "cat": kind, "args": args,
             })
             continue
-        tid = tids.get(e.lane)
+        tid = tids.get(lane)
         if tid is None:  # an engine invented a lane: give it its own row
-            tid = tids[e.lane] = next_tid
+            tid = tids[lane] = next_tid
             next_tid += 1
             out.append({
                 "name": "thread_name", "ph": "M", "pid": 0, "tid": tid,
-                "args": {"name": e.lane},
+                "args": {"name": lane},
             })
         out.append({
-            "name": e.label or e.kind, "ph": "X",
-            "ts": e.start * 1e6, "dur": e.duration * 1e6,
+            "name": name, "ph": "X",
+            "ts": ts, "dur": dur,
             "pid": 0, "tid": tid,
             # Fault/retry slices keep their own category even inside a
             # phase, so Perfetto can colour and filter chaos activity.
-            "cat": e.kind if e.kind in FAULT_KINDS else (e.phase or e.kind),
+            "cat": kind if kind in FAULT_KINDS else (phase or kind),
             "args": args,
         })
     return out
 
 
-def _multi_device_trace_events(events: List[SimEvent],
+def _multi_device_trace_events(cols: EventColumns,
                                devices: List[int]) -> List[Dict[str, Any]]:
     """The fabric export: one Chrome-trace process per device.
 
@@ -293,40 +301,39 @@ def _multi_device_trace_events(events: List[SimEvent],
         "tid": MARKER_TID, "args": {"name": "markers"},
     })
     fault_counts: Dict[int, Dict[str, int]] = {}
-    for e in events:
-        args = _event_args(e)
-        pid = e.device if e.device is not None else fabric_pid
-        if e.kind in FAULT_KINDS or e.kind in DEVICE_FAULT_KINDS:
+    for lane, device, kind, name, phase, ts, dur, args in _trace_rows(cols):
+        pid = device if device is not None else fabric_pid
+        if kind in FAULT_KINDS or kind in DEVICE_FAULT_KINDS:
             # Running per-device fault counters, one Chrome counter track
             # per process: fold_device_faults as a timeline.
             counts = fault_counts.setdefault(pid, {})
-            key = "fault_" + e.kind.replace("-", "_")
+            key = "fault_" + kind.replace("-", "_")
             counts[key] = counts.get(key, 0) + 1
             out.append({
-                "name": "faults", "ph": "C", "ts": e.start * 1e6,
+                "name": "faults", "ph": "C", "ts": ts,
                 "pid": pid, "args": dict(sorted(counts.items())),
             })
-        if e.is_instant:
+        if not lane:
             out.append({
-                "name": e.label or e.kind, "ph": "i", "s": "t",
-                "ts": e.start * 1e6, "pid": pid, "tid": MARKER_TID,
-                "cat": e.kind, "args": args,
+                "name": name, "ph": "i", "s": "t",
+                "ts": ts, "pid": pid, "tid": MARKER_TID,
+                "cat": kind, "args": args,
             })
             continue
         lane_tids = tids.setdefault(pid, {})
-        tid = lane_tids.get(e.lane)
+        tid = lane_tids.get(lane)
         if tid is None:
-            tid = lane_tids[e.lane] = next_tid.get(pid, MARKER_TID + 1)
+            tid = lane_tids[lane] = next_tid.get(pid, MARKER_TID + 1)
             next_tid[pid] = tid + 1
             out.append({
                 "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                "args": {"name": e.lane},
+                "args": {"name": lane},
             })
         out.append({
-            "name": e.label or e.kind, "ph": "X",
-            "ts": e.start * 1e6, "dur": e.duration * 1e6,
+            "name": name, "ph": "X",
+            "ts": ts, "dur": dur,
             "pid": pid, "tid": tid,
-            "cat": e.kind if e.kind in FAULT_KINDS else (e.phase or e.kind),
+            "cat": kind if kind in FAULT_KINDS else (phase or kind),
             "args": args,
         })
     return out

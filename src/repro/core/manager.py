@@ -26,22 +26,20 @@ schedule (Fig. 5 top) — that switch is exactly how the paper isolates
 
 Touch accounting has one representation: per-segment counts from
 :meth:`StaticRegion.segment_touch_counts`, computed once per iteration and
-fed to the transfer policy's plan marker and the §3.4 hotness table alike.
-Recording only decides what is *emitted* for the plan: with
-``record_events=True`` every per-run ``access-path`` marker is retained
-(traces, span logs and ``validate_log`` stay byte-identical); the lean log
-gets the plan's summary marker from interval counts.  Ops are submitted the
-same way either way.
+fed to the access plan and the §3.4 hotness table alike.  The plan is
+run-length too: the touched chunk intervals, counted against the resident
+intervals for the summary marker.  Recording only decides how much of it is
+*retained* — a recording log additionally gets the intervals cut by
+residency, one ``access-path`` marker per run.  Nothing chunk-length is
+built either way, and ops are submitted the same way either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.algorithms.base import ProgramState, VertexProgram
-from repro.engines.base import AccessPath, RegionPolicy, emit_access_plan
+from repro.engines.base import AccessPath, emit_plan_runs, emit_plan_summary
 from repro.core.bitmaps import split_active
 from repro.core.ondemand import plan_ondemand
 from repro.core.ratio import check_repartition
@@ -85,19 +83,15 @@ def run_iteration(
     policy=None,
     engine_label: str = "Ascetic",
 ) -> IterationOutcome:
-    """Schedule one iteration; returns its accounting."""
+    """Schedule one iteration; returns its accounting.
+
+    ``policy`` is the engine's :class:`~repro.engines.base.RegionPolicy`
+    over ``region`` (its ``fallback`` names the path of non-resident
+    chunks); ``None`` logs no access plan.
+    """
     out = IterationOutcome()
     n = graph.n_vertices
     bpe = graph.bytes_per_edge
-    # The plan's summary marker needs only interval counts when nothing
-    # retains per-chunk output: the log folds (no per-event retention) and
-    # the policy is Ascetic's own region-residency policy.  Any other
-    # policy may read per-chunk touch counts, and a recording log wants the
-    # per-run markers, so those get the dense plan.
-    lean = not gpu.events.record and (
-        policy is None
-        or (type(policy) is RegionPolicy and policy.region is region)
-    )
 
     # ➊ Generate the data maps (two bitmap passes + compaction scan).
     with gpu.phase("Tmap"):
@@ -150,33 +144,20 @@ def run_iteration(
     # once, per chunk-map segment, and reused for the hotness update in step
     # ➍½ (the active mask does not change mid-iteration).
     seg_touch = region.segment_touch_counts(state.active)
-    if policy is not None and lean:
+    if policy is not None:
         touched = region.chunk_map.segment_runs(seg_touch > 0)
         n_touched = touched.n_chunks
         if n_touched:
-            # RegionPolicy's plan over the touched ids is RESIDENT for
-            # resident chunks and the fallback path for the rest, so the
-            # summary marker needs only the two counts — same event, same
-            # extra tuple as emit_access_plan's bincount.
-            n_res = region.resident_count_in_runs(touched.starts, touched.ends)
+            # RegionPolicy: RESIDENT for resident chunks, the fallback path
+            # for the rest — so the summary needs only the two counts.
             counts = [0, 0, 0, 0]
-            counts[int(AccessPath.RESIDENT)] = n_res
-            counts[int(policy.fallback)] += n_touched - n_res
-            summary = tuple(
-                (path.name.lower(), float(counts[path]))
-                for path in AccessPath if counts[path]
-            )
-            gpu.events.marker("access-path", f"{engine_label}:chunk",
-                              gpu.clock.now, extra=summary)
-    elif policy is not None:
-        # Chunk-length on purpose: the policy protocol and the recorded
-        # per-run markers are per chunk id.
-        touch = np.repeat(seg_touch, region.chunk_map.seg_len)
-        touched_ids = np.nonzero(touch)[0]
-        if touched_ids.size:
-            paths = policy.plan(state.iteration, touched_ids,
-                                touch[touched_ids], hotness)
-            emit_access_plan(gpu, engine_label, "chunk", touched_ids, paths)
+            counts[AccessPath.RESIDENT] = region.resident_count_in_runs(
+                touched.starts, touched.ends)
+            counts[policy.fallback] += n_touched - counts[AccessPath.RESIDENT]
+            emit_plan_summary(gpu, engine_label, "chunk", counts)
+            if gpu.events.record:
+                emit_plan_runs(gpu, "chunk",
+                               policy.plan(state.iteration, touched))
 
     # ➌ Static computing — overlapped with the on-demand chain, or (Fig. 5
     # top) with the controlling thread waiting after every op.

@@ -32,6 +32,8 @@ __all__ = [
     "FixedPolicy",
     "RegionPolicy",
     "PinnedPrefixPolicy",
+    "emit_plan_summary",
+    "emit_plan_runs",
     "emit_access_plan",
     "Engine",
     "IterationRecord",
@@ -100,7 +102,8 @@ class TransferPolicy(Protocol):
         A chunk-granular policy may also accept the ids run-length encoded
         (:class:`~repro.graph.csr.ChunkRuns`, pieces of chunk-map segments,
         with one ``touch_counts`` entry per run) and then answers with a
-        :class:`RunPlan`; :class:`~repro.engines.hybrid.HybridPolicy` does.
+        :class:`RunPlan`; :class:`RegionPolicy` and
+        :class:`~repro.engines.hybrid.HybridPolicy` do.
         """
         ...
 
@@ -129,9 +132,13 @@ class RegionPolicy:
         self.region = region
         self.fallback = AccessPath(fallback)
 
-    def plan(self, iteration: int, chunk_ids: np.ndarray,
+    def plan(self, iteration: int, chunk_ids,
              touch_counts: Optional[np.ndarray] = None,
-             hotness=None) -> np.ndarray:
+             hotness=None):
+        if isinstance(chunk_ids, ChunkRuns):
+            pieces, origin, resident = self.region.split_by_residency(chunk_ids)
+            paths = np.where(resident, AccessPath.RESIDENT, self.fallback)
+            return RunPlan(pieces, paths.astype(np.int8), origin)
         paths = np.full(len(chunk_ids), int(self.fallback), dtype=np.int8)
         if len(chunk_ids):
             ids = np.asarray(chunk_ids, dtype=np.int64)
@@ -158,49 +165,66 @@ class PinnedPrefixPolicy:
         return paths
 
 
+#: ``AccessPath`` code → the name it is logged under.
+_PATH_NAMES = tuple(path.name.lower() for path in AccessPath)
+
+
+def emit_plan_summary(gpu: SimulatedGPU, engine: str, granule: str,
+                      counts) -> None:
+    """The plan's one counter-less marker: granules per path, in ``extra``.
+
+    ``counts[code]`` is the number of granules taking ``AccessPath(code)``.
+    Markers without counters leave ``Metrics`` and lean digests untouched.
+    """
+    summary = tuple((_PATH_NAMES[path], float(counts[path]))
+                    for path in AccessPath if counts[path])
+    gpu.events.marker("access-path", f"{engine}:{granule}", gpu.clock.now,
+                      extra=summary)
+
+
+def emit_plan_runs(gpu: SimulatedGPU, granule: str, plan: RunPlan) -> None:
+    """One marker per maximal same-path run of granule ids, in one block.
+
+    The per-granule decision as an exported Chrome trace shows it.  Pure
+    detail: call it only when the log retains rows (``gpu.events.record``).
+    """
+    runs, codes = plan.runs, np.asarray(plan.paths, dtype=np.int64)
+    if not len(codes):
+        return
+    # Neighbours merge when they abut and agree.
+    breaks = np.flatnonzero((codes[1:] != codes[:-1])
+                            | (runs.starts[1:] != runs.ends[:-1])) + 1
+    heads = np.concatenate(([0], breaks))
+    los = runs.starts[heads]
+    his = runs.ends[np.append(breaks - 1, len(runs) - 1)]
+    gpu.events.marker_block(
+        "access-path", [_PATH_NAMES[code] for code in codes[heads].tolist()],
+        gpu.clock.now, (f"{granule}_lo", f"{granule}_hi", "n"),
+        [col.astype(np.float64).tolist() for col in (los, his - 1, his - los)],
+    )
+
+
 def emit_access_plan(gpu: SimulatedGPU, engine: str, granule: str,
                      chunk_ids, paths) -> None:
     """Record one iteration's transfer decisions in the event log.
 
     Takes an id array with its path codes, or a :class:`RunPlan` (then
-    ``chunk_ids`` is ignored).  Always emits one counter-less summary marker
-    (per-path granule counts in ``extra`` — markers without counters leave
-    ``Metrics`` and lean-mode digests untouched).  In recorded mode it
-    additionally emits one marker per contiguous same-path run of granule
-    ids, which is what makes the per-chunk decision visible in an exported
-    Chrome trace.
+    ``chunk_ids`` is ignored).  Always emits :func:`emit_plan_summary`; a
+    recording log additionally gets :func:`emit_plan_runs`.
     """
-    log = gpu.events
-    now = gpu.clock.now
-    runs = None
-    if isinstance(paths, RunPlan):
-        runs, paths = paths.runs, paths.paths
-    codes = np.asarray(paths, dtype=np.int64)
-    counts = np.bincount(codes, weights=None if runs is None else runs.lengths,
-                         minlength=4)
-    summary = tuple(
-        (path.name.lower(), float(counts[path])) for path in AccessPath
-        if counts[path]
-    )
-    log.marker("access-path", f"{engine}:{granule}", now, extra=summary)
-    if not log.record or not len(codes):
-        return
-    if runs is None:
-        runs, first = ChunkRuns.from_ids(chunk_ids, codes)
-        codes = codes[first]
-    # One marker per maximal run: neighbours merge when they abut and agree.
-    breaks = np.flatnonzero((codes[1:] != codes[:-1])
-                            | (runs.starts[1:] != runs.ends[:-1])) + 1
-    heads = np.concatenate(([0], breaks))
-    his = runs.ends[np.append(breaks - 1, len(runs) - 1)]
-    for lo, hi, code in zip(runs.starts[heads].tolist(), his.tolist(),
-                            codes[heads].tolist()):
-        log.marker(
-            "access-path", AccessPath(code).name.lower(), now,
-            extra=((f"{granule}_lo", float(lo)),
-                   (f"{granule}_hi", float(hi - 1)),
-                   ("n", float(hi - lo))),
-        )
+    plan = paths if isinstance(paths, RunPlan) else None
+    if plan is not None:
+        counts = np.bincount(plan.paths, weights=plan.runs.lengths,
+                             minlength=4)
+    else:
+        codes = np.asarray(paths, dtype=np.int64)
+        counts = np.bincount(codes, minlength=4)
+    emit_plan_summary(gpu, engine, granule, counts)
+    if gpu.events.record:
+        if plan is None:
+            runs, first = ChunkRuns.from_ids(chunk_ids, codes)
+            plan = RunPlan(runs, codes[first], first)
+        emit_plan_runs(gpu, granule, plan)
 
 
 @dataclass(frozen=True)
@@ -279,10 +303,11 @@ class Engine(abc.ABC):
     record_spans:
         Keep a full timeline (slower; used by overlap tests and plots).
     record_events:
-        Retain the run's full :class:`~repro.gpusim.events.SimEvent` list
-        and attach it to :attr:`RunResult.event_log` (trace export,
-        validation).  Off by default: lean mode folds events into the
-        counters on emit, keeping benchmark overhead flat.
+        Retain every emitted row (as
+        :class:`~repro.gpusim.events.EventColumns`) and attach the log to
+        :attr:`RunResult.event_log` (trace export, validation).  Off by
+        default: lean mode folds events into the counters on emit, keeping
+        benchmark overhead flat.
     max_iterations:
         Safety cap overriding the program's own.
     data_scale:

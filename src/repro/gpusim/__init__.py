@@ -17,9 +17,11 @@ GPU memory control, so this package models the platform deterministically:
 * :mod:`repro.gpusim.host` — host-side gather cost model;
 * :mod:`repro.gpusim.metrics` — counters every engine reports from;
 * :mod:`repro.gpusim.events` — the event-sourced accounting core: every
-  submit emits one :class:`~repro.gpusim.events.SimEvent`, and metrics,
-  phases, spans, and idle accounting are folds over the per-run
-  :class:`~repro.gpusim.events.EventLog`;
+  submit emits one row into the per-run
+  :class:`~repro.gpusim.events.EventLog` (typed
+  :class:`~repro.gpusim.events.EventColumns` when recording), and metrics,
+  phases, spans, and idle accounting are folds over it;
+  :class:`~repro.gpusim.events.SimEvent` is one row, read back;
 * :mod:`repro.gpusim.fabric` — multi-device fabric: N
   :class:`~repro.gpusim.device.SimulatedGPU` instances sharing one clock
   and one event log, with typed host↔device / device↔device links built
@@ -37,6 +39,7 @@ enforces capacity.
 
 from repro.gpusim.clock import VirtualClock, Span
 from repro.gpusim.events import (
+    EventColumns,
     EventLog,
     EventLogError,
     IdleBreakdown,
@@ -86,6 +89,7 @@ __all__ = [
     "VirtualClock",
     "Span",
     "SimEvent",
+    "EventColumns",
     "EventLog",
     "EventLogError",
     "LaneStats",

@@ -9,7 +9,7 @@ identically.
 
 Accounting is event-sourced: every operation routes through
 :meth:`~repro.gpusim.stream.Lane.submit`, which emits exactly one
-:class:`~repro.gpusim.events.SimEvent` carrying the op's counter
+row into the log, carrying the op's counter
 contribution and the phase/iteration context installed with
 ``with gpu.phase("Tsr", iteration=i): ...``.  The legacy ``gpu.metrics``
 counters remain available as the log's derived view.  Empty operations
@@ -95,9 +95,9 @@ class SimulatedGPU:
     tables.  Capacity accounting (the memory allocator) stays in scaled
     bytes throughout.
 
-    ``record_events`` retains the full :class:`SimEvent` list on
-    ``self.events`` for trace export and validation; the default lean mode
-    folds each event into the counters on emit and drops it.
+    ``record_events`` retains every emitted row on ``self.events`` (as
+    columns) for trace export and validation; the default lean mode folds
+    each emit into the counters and keeps nothing.
     """
 
     def __init__(self, spec: GPUSpec, record_spans: bool = False,

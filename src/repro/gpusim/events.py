@@ -2,37 +2,47 @@
 
 Every number the reproduction reports — bytes over PCIe (Tables 2/5),
 per-phase component times (Fig. 10), GPU idle share (§2.2's 68 %), UVM
-fault counts (§4.4) — used to be produced by three disconnected bookkeeping
-paths: hand-maintained :class:`~repro.gpusim.metrics.Metrics` counters,
-optional :class:`~repro.gpusim.clock.VirtualClock` spans, and per-lane
-``busy_seconds`` aggregates.  This module replaces them with a single
-source of truth:
+fault counts (§4.4) — comes from one source of truth:
 
-* :class:`SimEvent` — one typed record per simulated activity (lane, op
-  kind, label, start/end, engine phase, iteration, counter payload);
 * :class:`EventLog` — the per-run log every
-  :meth:`~repro.gpusim.stream.Lane.submit` emits into.  In **lean** mode
-  (the default) nothing is retained: each event is folded into a
-  :class:`~repro.gpusim.metrics.Metrics` bundle and per-lane
-  :class:`LaneStats` on emit, keeping benchmark overhead flat.  In
-  **recorded** mode the full event list is kept for trace export
-  (:mod:`repro.analysis.traces`), idle-gap attribution, and validation.
+  :meth:`~repro.gpusim.stream.Lane.submit` emits into.  Each emit is folded
+  into a :class:`~repro.gpusim.metrics.Metrics` bundle and per-lane
+  :class:`LaneStats` on the spot (engines read ``gpu.metrics`` mid-run);
+  that one fold is all a **lean** log (the default) does.  A **recorded**
+  log additionally appends the row to :class:`EventColumns` for trace
+  export (:mod:`repro.analysis.traces`), idle-gap attribution, and
+  validation.  Recording decides how much is *retained*, never how
+  anything is computed.
+* :class:`EventColumns` — the retained rows as growable typed columns:
+  interned lane/device, kind, label and phase ids, start/end doubles, the
+  iteration, and the counter and ``extra`` payloads as an interned
+  key-tuple id plus a value tuple.  ``log.events`` *is* this store; it
+  reads as a ``Sequence`` of rows.
+* :class:`SimEvent` — one row, materialized on demand (indexing and
+  iterating ``log.events``, the JSON codec).  Nothing on an emission path
+  constructs one.
 
 ``Metrics``, ``phase_seconds``, span traces, and idle accounting are all
-*pure folds* over the log (:func:`fold_metrics`, :func:`fold_spans`,
-:func:`fold_phase_seconds`, :func:`fold_lane_stats`, :func:`idle_breakdown`)
-— the legacy ``Metrics`` fields survive as the fold's derived view, so
-everything downstream (analysis, persistence, the result cache) keeps
-working.  :func:`validate_log` asserts the invariants that make the fold
-trustworthy: lanes never self-overlap, spans are monotone per lane, and the
-re-folded metrics equal the incrementally maintained counters bit for bit.
+*pure folds* over the columns (:func:`fold_metrics`, :func:`fold_spans`,
+:func:`fold_phase_seconds`, :func:`fold_lane_stats`, :func:`idle_breakdown`):
+NumPy selects the rows a fold reads, the floats are then added one by one
+in row order — float addition is not associative and every digest is a
+fixed point, so no fold may reduce pairwise.  Any iterable of
+:class:`SimEvent` is accepted too (it is loaded into columns first).
+:func:`validate_log` asserts the invariants that make the fold trustworthy:
+lanes never self-overlap, spans are monotone per lane, and the re-folded
+metrics equal the incrementally maintained counters bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from itertools import repeat
+from typing import (Any, Dict, Hashable, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple)
 
 import numpy as np
 
@@ -41,8 +51,10 @@ from repro.gpusim.metrics import Metrics
 
 __all__ = [
     "SimEvent",
+    "EventColumns",
     "EventLog",
     "EventLogError",
+    "as_columns",
     "LaneStats",
     "IdleBreakdown",
     "COUNTER_FIELDS",
@@ -82,6 +94,7 @@ COUNTER_FIELDS: Tuple[str, ...] = (
 )
 
 _COUNTER_SET = frozenset(COUNTER_FIELDS)
+_COUNTER_RANK = {name: i for i, name in enumerate(COUNTER_FIELDS)}
 
 #: Event kinds emitted by chaos-mode fault injection and recovery.  Lane
 #: time under these kinds is *wasted* work: :func:`idle_breakdown` reports
@@ -274,21 +287,248 @@ class EventLogError(ValueError):
     """A consistency invariant of an :class:`EventLog` does not hold."""
 
 
+class _Interner:
+    """Value ↔ small-int id, ids handed out in first-seen order."""
+
+    __slots__ = ("ids", "values")
+
+    def __init__(self, *seed: Hashable) -> None:
+        self.ids: Dict[Hashable, int] = {}
+        self.values: List[Any] = []
+        for value in seed:
+            self(value)
+
+    def __call__(self, value: Hashable) -> int:
+        i = self.ids.get(value)
+        if i is None:
+            i = self.ids[value] = len(self.values)
+            self.values.append(value)
+        return i
+
+
+def _counter_items(event: SimEvent) -> Dict[str, Any]:
+    """An event's non-zero counter fields, as an emit ``counters`` mapping."""
+    return {name: value for name in COUNTER_FIELDS
+            if (value := getattr(event, name))}
+
+
+class EventColumns(Sequence):
+    """The retained rows of a log: typed columns in, :class:`SimEvent` rows out.
+
+    One entry per row in every column, in emission order:
+
+    ============  ==========  ===============================================
+    column        type        holds
+    ============  ==========  ===============================================
+    ``who``       int32       id of ``(lane, device)`` in :attr:`whos`
+    ``kind``      int32       id in :attr:`kinds`
+    ``label``     int32       id in :attr:`labels`
+    ``phase``     int32       id in :attr:`phases` (0 = no phase)
+    ``start``     float64     virtual seconds
+    ``end``       float64     virtual seconds
+    ``iteration`` object      ``int`` or ``None``
+    ``ckey``      int32       id of the counter-name tuple in :attr:`keysets`
+                              (0 = none; names in ``COUNTER_FIELDS`` order)
+    ``cval``      object      the counters' non-zero values, a tuple
+    ``xkey``      int32       id of the ``extra`` key tuple in :attr:`keysets`
+    ``xval``      object      the ``extra`` values, a tuple
+    ============  ==========  ===============================================
+
+    The id and time columns are :class:`array.array`\\ s — ``np.array(col)``
+    is a memcpy, so folds select rows with NumPy masks.  The payload
+    columns are plain lists because their *types* are part of the pinned
+    JSON: an ``int`` value must come back an ``int``.  (Times are stored as
+    C doubles: an ``int`` time comes back as the equal ``float``.)
+
+    As a ``Sequence`` the store reads like the ``List[SimEvent]`` it
+    replaces — ``len`` is O(1); indexing, iteration and ``==`` materialize
+    :class:`SimEvent` rows.  :meth:`append` takes a row *without* folding
+    it anywhere, which is how tests plant a row no emitter would produce.
+    """
+
+    __slots__ = ("who", "kind", "label", "phase", "start", "end", "iteration",
+                 "ckey", "cval", "xkey", "xval",
+                 "whos", "kinds", "labels", "phases", "keysets")
+
+    def __init__(self, events: Iterable[SimEvent] = ()) -> None:
+        self.who, self.kind, self.label = array("i"), array("i"), array("i")
+        self.phase, self.ckey, self.xkey = array("i"), array("i"), array("i")
+        self.start, self.end = array("d"), array("d")
+        self.iteration: List[Optional[int]] = []
+        self.cval: List[tuple] = []
+        self.xval: List[tuple] = []
+        self.whos = _Interner()
+        self.kinds = _Interner()
+        self.labels = _Interner()
+        self.phases = _Interner(None)
+        self.keysets = _Interner(())
+        for event in events:
+            self.append(event)
+
+    # -------------------------------------------------------------- writing
+    def add(self, lane: str, kind: str, label: str, start: float, end: float,
+            phase: Optional[str], iteration: Optional[int],
+            device: Optional[int], counters: Optional[Mapping[str, Any]],
+            extra: Tuple[Tuple[str, Any], ...]) -> None:
+        """Append one row (zero-valued counters are dropped)."""
+        ckey, cval = 0, ()
+        if counters:
+            items = sorted(((name, value) for name, value in counters.items()
+                            if value), key=lambda kv: _COUNTER_RANK[kv[0]])
+            if items:
+                names, cval = zip(*items)
+                ckey = self.keysets(names)
+        xkey, xval = 0, ()
+        if extra:
+            keys, xval = zip(*extra)
+            xkey = self.keysets(keys)
+        self.start.append(start)
+        self.end.append(end)
+        self.who.append(self.whos((lane, device)))
+        self.kind.append(self.kinds(kind))
+        self.label.append(self.labels(label))
+        self.phase.append(self.phases(phase))
+        self.iteration.append(iteration)
+        self.ckey.append(ckey)
+        self.cval.append(cval)
+        self.xkey.append(xkey)
+        self.xval.append(xval)
+
+    def add_markers(self, kind: str, labels: Sequence, t: float,
+                    phase: Optional[str], iteration: Optional[int],
+                    device: Optional[int], extra_keys: Tuple[str, ...],
+                    extra_cols: Sequence) -> None:
+        """Append ``len(labels)`` counter-less instants sharing ``t``."""
+        n = len(labels)
+        label_ids = {label: self.labels(label) for label in set(labels)}
+        self.start.extend(array("d", (t,)) * n)
+        self.end.extend(array("d", (t,)) * n)
+        self.who.extend(array("i", (self.whos(("", device)),)) * n)
+        self.kind.extend(array("i", (self.kinds(kind),)) * n)
+        self.label.extend(array("i", map(label_ids.__getitem__, labels)))
+        self.phase.extend(array("i", (self.phases(phase),)) * n)
+        self.iteration.extend(repeat(iteration, n))
+        self.ckey.extend(array("i", (0,)) * n)
+        self.cval.extend(repeat((), n))
+        self.xkey.extend(array("i", (self.keysets(extra_keys),)) * n)
+        self.xval.extend(zip(*extra_cols) if extra_cols else repeat((), n))
+
+    def append(self, event: SimEvent) -> None:
+        """Retain ``event`` as a row — stored only, folded into nothing."""
+        self.add(event.lane, event.kind, event.label, event.start, event.end,
+                 event.phase, event.iteration, event.device,
+                 _counter_items(event), event.extra)
+
+    # -------------------------------------------------------------- reading
+    def rows(self, index: slice = slice(None)) -> Iterator[tuple]:
+        """Decoded rows: ``((lane, device), kind, label, phase, iteration,
+        start, end, counter names, counter values, extra keys, extra values)``.
+        """
+        keysets = self.keysets.values.__getitem__
+        return zip(
+            map(self.whos.values.__getitem__, self.who[index]),
+            map(self.kinds.values.__getitem__, self.kind[index]),
+            map(self.labels.values.__getitem__, self.label[index]),
+            map(self.phases.values.__getitem__, self.phase[index]),
+            self.iteration[index], self.start[index], self.end[index],
+            map(keysets, self.ckey[index]), self.cval[index],
+            map(keysets, self.xkey[index]), self.xval[index],
+        )
+
+    def _events(self, index: slice = slice(None)) -> Iterator[SimEvent]:
+        for ((lane, device), kind, label, phase, iteration, start, end,
+             cnames, cvals, xkeys, xvals) in self.rows(index):
+            yield SimEvent(lane, kind, label, start, end, phase, iteration,
+                           device, extra=tuple(zip(xkeys, xvals)),
+                           **dict(zip(cnames, cvals)))
+
+    def to_dicts(self) -> List[Dict[str, Any]]:
+        """Every row's JSON form — ``[e.to_dict() for e in self]``."""
+        out = []
+        for ((lane, device), kind, label, phase, iteration, start, end,
+             cnames, cvals, xkeys, xvals) in self.rows():
+            row: Dict[str, Any] = {"lane": lane, "kind": kind, "label": label,
+                                   "start": start, "end": end}
+            if phase is not None:
+                row["phase"] = phase
+            if iteration is not None:
+                row["iteration"] = iteration
+            if device is not None:
+                row["device"] = device
+            if cnames:
+                row.update(zip(cnames, cvals))
+            if xkeys:
+                row["extra"] = [[k, v] for k, v in zip(xkeys, xvals)]
+            out.append(row)
+        return out
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def __iter__(self) -> Iterator[SimEvent]:
+        return self._events()
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self._events(index))
+        i = range(len(self))[index]  # normalizes negatives, raises IndexError
+        return next(self._events(slice(i, i + 1)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"<EventColumns: {len(self)} rows>"
+
+    # ---------------------------------------------------- per-id fold views
+    def lane_keys(self) -> List[Optional[str]]:
+        """Per ``who`` id: the :func:`lane_key` string, ``None`` if lane-less."""
+        return [qualified_lane(lane, device) if lane else None
+                for lane, device in self.whos.values]
+
+    def devices(self) -> np.ndarray:
+        """Per ``who`` id: the device, ``-1`` for ``None``."""
+        return np.array([-1 if device is None else device
+                         for _, device in self.whos.values], dtype=np.int64)
+
+    def kinds_in(self, *kind_sets: frozenset) -> np.ndarray:
+        """Per ``kind`` id: whether the kind is in any of ``kind_sets``."""
+        return np.array([any(k in s for s in kind_sets)
+                         for k in self.kinds.values], dtype=bool)
+
+
+def as_columns(events: "EventColumns | Iterable[SimEvent]") -> EventColumns:
+    """``events`` itself when it already is the store, else loaded into one."""
+    return events if isinstance(events, EventColumns) else EventColumns(events)
+
+
 class EventLog:
     """The per-run event stream plus its incrementally maintained folds.
 
     Parameters
     ----------
     record:
-        Retain the full event list.  Off (lean mode) by default: emits
-        fold straight into the counters and lane stats and the event
-        object is dropped, so benchmarks pay only the fold.
+        Retain every row in :attr:`events`.  Off (lean mode) by default:
+        an emit folds into the counters and lane stats and nothing else
+        happens, so benchmarks pay only the fold.
+
+    Emission has one path — :meth:`_emit`, the fold plus (when recording)
+    one :meth:`EventColumns.add` — behind four doors: :meth:`emit_op` (lane
+    ops), :meth:`marker` / :meth:`marker_block` (instants) and :meth:`emit`
+    / :meth:`emit_row` (replaying rows that already exist).  The first
+    three reject bad input the same way in both modes: an unknown counter
+    name is a ``TypeError``, an op ending before it starts a ``ValueError``.
+    The replay doors take rows as they are — :func:`validate_log` is what
+    judges a foreign log.
 
     The log also carries the *emission context* — the engine phase and
     iteration installed by :meth:`~repro.gpusim.device.SimulatedGPU.phase`
-    / :meth:`~repro.gpusim.device.SimulatedGPU.iteration` — which
-    :meth:`~repro.gpusim.stream.Lane.submit` stamps onto every event it
-    emits, replacing the old per-call ``phase=`` string threading.
+    / :meth:`~repro.gpusim.device.SimulatedGPU.iteration` — which the
+    doors stamp onto every row, replacing the old per-call ``phase=``
+    string threading.
     """
 
     __slots__ = ("record", "events", "metrics", "lane_stats",
@@ -296,62 +536,28 @@ class EventLog:
 
     def __init__(self, record: bool = False) -> None:
         self.record = record
-        self.events: List[SimEvent] = []
+        #: The retained rows (stays empty in lean mode).
+        self.events = EventColumns()
         #: The legacy counter bundle, now a derived view: a running fold
-        #: of every emitted event.
+        #: of every emitted row.
         self.metrics = Metrics()
         self.lane_stats: Dict[str, LaneStats] = {}
         self.current_phase: Optional[str] = None
         self.current_iteration: Optional[int] = None
 
     # ------------------------------------------------------------ emission
-    def emit(self, event: SimEvent) -> SimEvent:
-        """Fold ``event`` into the counters (and retain it when recording)."""
-        _apply(self.metrics, event)
-        if event.lane:
-            key = lane_key(event)
-            stats = self.lane_stats.get(key)
-            if stats is None:
-                stats = self.lane_stats[key] = LaneStats()
-            stats.busy_seconds += event.end - event.start
-            stats.n_ops += 1
-            if event.start < stats.first_start:
-                stats.first_start = event.start
-            if event.end > stats.last_end:
-                stats.last_end = event.end
-        if self.record:
-            self.events.append(event)
-        return event
-
-    def emit_op(self, lane: str, kind: str, label: str, start: float,
-                end: float, counters: Optional[Mapping[str, Any]] = None,
-                extra: Tuple[Tuple[str, float], ...] = (),
-                device: Optional[int] = None) -> None:
-        """Fold one lane op without materializing a :class:`SimEvent`.
-
-        The scalar fast path behind :meth:`~repro.gpusim.stream.Lane.submit`:
-        identical fold semantics to :meth:`emit` — same counter additions,
-        same phase attribution, same lane stats, stamped with the current
-        phase/iteration context — but the frozen dataclass (16 counter
-        fields, a ``__init__`` per op) is only constructed when the log is
-        recording, where the retained event has to exist anyway.
-        """
-        if self.record:
-            self.emit(SimEvent(
-                lane=lane, kind=kind, label=label, start=start, end=end,
-                phase=self.current_phase, iteration=self.current_iteration,
-                device=device, extra=extra, **dict(counters or {}),
-            ))
-            return
+    def _emit(self, lane: str, kind: str, label: str, start: float,
+              end: float, phase: Optional[str], iteration: Optional[int],
+              device: Optional[int], counters: Optional[Mapping[str, Any]],
+              extra: Tuple[Tuple[str, Any], ...]) -> None:
+        """Fold one row into the counters; retain it when recording."""
         metrics = self.metrics
         if counters:
             for name, value in counters.items():
-                if name not in _COUNTER_SET:
-                    raise TypeError(f"unknown counter field {name!r}")
                 if value:
                     setattr(metrics, name, getattr(metrics, name) + value)
-        if self.current_phase is not None and end > start:
-            metrics.add_phase(self.current_phase, end - start)
+        if phase is not None and end > start:
+            metrics.add_phase(phase, end - start)
         if lane:
             key = lane if device is None else f"{lane}@{device}"
             stats = self.lane_stats.get(key)
@@ -363,25 +569,38 @@ class EventLog:
                 stats.first_start = start
             if end > stats.last_end:
                 stats.last_end = end
+        if self.record:
+            self.events.add(lane, kind, label, start, end, phase, iteration,
+                            device, counters, extra)
+
+    def emit_op(self, lane: str, kind: str, label: str, start: float,
+                end: float, counters: Optional[Mapping[str, Any]] = None,
+                extra: Tuple[Tuple[str, float], ...] = (),
+                device: Optional[int] = None) -> None:
+        """Emit one lane op, stamped with the current phase/iteration.
+
+        The door behind :meth:`~repro.gpusim.stream.Lane.submit`.
+        """
+        if end < start:
+            raise ValueError(f"{kind} {label!r} ends before it starts: "
+                             f"[{start}, {end}]")
+        if counters and not _COUNTER_SET.issuperset(counters):
+            raise _unknown_counter(counters)
+        self._emit(lane, kind, label, start, end, self.current_phase,
+                   self.current_iteration, device, counters, extra)
 
     def emit_batch(self, lane: str, kind: str, label: str,
                    starts, ends,
                    counters: Optional[Mapping[str, Any]] = None,
                    device: Optional[int] = None) -> None:
-        """Fold a column of same-lane, same-context ops in one call.
+        """Emit a column of same-lane, same-context ops, one row each.
 
         ``starts``/``ends`` are equal-length arrays, one op per row in
-        emission order; ``counters`` maps counter names to per-op integer
-        columns of the same length.  In lean mode the integer counters fold
-        through exact array sums while the float accumulators — per-phase
-        seconds, lane busy time, ``retry_seconds`` — are added row by row,
-        so the resulting :class:`Metrics` equal a row-by-row :meth:`emit`
-        sequence bit for bit (float addition is not associative; a
-        ``np.sum`` shortcut would drift in the last ulp).  In recorded mode
-        the rows materialize as individual events, so the retained trace is
-        the same as per-op emission.
+        emission order; ``counters`` maps counter names to per-op columns
+        of the same length.  A loop over :meth:`_emit` — caller-less under
+        ``src/``; kept because the benchmark harness binds it by name.
 
-        Rows are folded as given: callers must pre-filter empty ops
+        Rows are emitted as given: callers must pre-filter empty ops
         (zero duration, no counters) exactly as :meth:`Lane.submit`
         short-circuits them.
         """
@@ -390,81 +609,84 @@ class EventLog:
         n = starts.size
         if ends.size != n:
             raise ValueError("starts/ends length mismatch")
+        if (ends < starts).any():
+            raise ValueError(f"{kind} {label!r}: an op ends before it starts")
         cols = {}
         if counters:
+            if not _COUNTER_SET.issuperset(counters):
+                raise _unknown_counter(counters)
             for name, col in counters.items():
-                if name not in _COUNTER_SET:
-                    raise TypeError(f"unknown counter field {name!r}")
                 col = np.asarray(col)
                 if col.shape != (n,):
                     raise ValueError(f"counter column {name!r} shape mismatch")
-                cols[name] = col
-        if n == 0:
-            return
-        if self.record:
-            phase, it = self.current_phase, self.current_iteration
-            for i in range(n):
-                row = {name: col[i].item() for name, col in cols.items()
-                       if col[i]}
-                self.emit(SimEvent(
-                    lane=lane, kind=kind, label=label,
-                    start=float(starts[i]), end=float(ends[i]),
-                    phase=phase, iteration=it, device=device, **row,
-                ))
-            return
-        metrics = self.metrics
-        for name, col in cols.items():
-            if name == "retry_seconds":
-                for v in col.tolist():
-                    if v:
-                        metrics.retry_seconds += v
-            else:
-                total = int(col.sum())
-                if total:
-                    setattr(metrics, name, getattr(metrics, name) + total)
-        durations = (ends - starts).tolist()
-        if self.current_phase is not None:
-            phase = self.current_phase
-            for d in durations:
-                if d > 0:
-                    metrics.add_phase(phase, d)
-        if lane:
-            key = lane if device is None else f"{lane}@{device}"
-            stats = self.lane_stats.get(key)
-            if stats is None:
-                stats = self.lane_stats[key] = LaneStats()
-            busy = stats.busy_seconds
-            for d in durations:
-                busy += d
-            stats.busy_seconds = busy
-            stats.n_ops += n
-            first = float(starts.min())
-            last = float(ends.max())
-            if first < stats.first_start:
-                stats.first_start = first
-            if last > stats.last_end:
-                stats.last_end = last
+                cols[name] = col.tolist()
+        phase, iteration = self.current_phase, self.current_iteration
+        for i, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
+            self._emit(lane, kind, label, start, end, phase, iteration,
+                       device, {name: col[i] for name, col in cols.items()},
+                       ())
 
     def marker(self, kind: str, label: str, t: float,
                counters: Optional[Mapping[str, int]] = None,
                extra: Tuple[Tuple[str, float], ...] = (),
-               device: Optional[int] = None) -> SimEvent:
-        """Emit an instant (zero-width, lane-less) bookkeeping event.
+               device: Optional[int] = None) -> None:
+        """Emit an instant (zero-width, lane-less) bookkeeping row.
 
         ``device`` attributes the marker to one device of a fabric log
         (it renders in that device's Chrome-trace process); the default
-        ``None`` keeps single-device logs byte-identical.
+        ``None`` keeps single-device logs byte-identical.  A counter-less
+        marker folds into nothing, so on a lean log it costs one branch.
         """
-        return self.emit(SimEvent(
-            lane="", kind=kind, label=label, start=t, end=t,
-            phase=self.current_phase, iteration=self.current_iteration,
-            device=device, extra=extra, **dict(counters or {}),
-        ))
+        if counters and not _COUNTER_SET.issuperset(counters):
+            raise _unknown_counter(counters)
+        if counters or self.record:
+            self._emit("", kind, label, t, t, self.current_phase,
+                       self.current_iteration, device, counters, extra)
+
+    def marker_block(self, kind: str, labels: Sequence, t: float,
+                     extra_keys: Tuple[str, ...] = (),
+                     extra_cols: Sequence = (),
+                     device: Optional[int] = None) -> None:
+        """Emit ``len(labels)`` counter-less markers at one instant ``t``.
+
+        Row ``i`` is ``marker(kind, labels[i], t, extra=zip(extra_keys,
+        (col[i] for col in extra_cols)))`` — same rows, appended a column
+        at a time (an access plan is tens of thousands of them).  Counter-
+        less by signature: a block folds into nothing, so a lean log
+        ignores it.
+        """
+        if len(extra_keys) != len(extra_cols) or any(
+                len(col) != len(labels) for col in extra_cols):
+            raise ValueError("extra_keys/extra_cols/labels shape mismatch")
+        if self.record and len(labels):
+            self.events.add_markers(kind, labels, t, self.current_phase,
+                                    self.current_iteration, device,
+                                    tuple(extra_keys), extra_cols)
+
+    def emit(self, event: SimEvent) -> None:
+        """Replay an existing :class:`SimEvent` (its own phase/iteration)."""
+        self._emit(event.lane, event.kind, event.label, event.start,
+                   event.end, event.phase, event.iteration, event.device,
+                   _counter_items(event), event.extra)
+
+    def emit_row(self, data: Mapping[str, Any]) -> None:
+        """Replay one serialized row — the inverse of
+        :meth:`EventColumns.to_dicts`, with no :class:`SimEvent` between."""
+        row = dict(data)
+        interval = [row.pop(name) for name in ("lane", "kind", "label",
+                                               "start", "end")]
+        context = [row.pop(name, None)
+                   for name in ("phase", "iteration", "device")]
+        extra = tuple((str(k), v) for k, v in row.pop("extra", None) or ())
+        if not _COUNTER_SET.issuperset(row):
+            raise ValueError(
+                f"unknown SimEvent fields: {sorted(set(row) - _COUNTER_SET)}")
+        self._emit(*interval, *context, row, extra)
 
     # -------------------------------------------------------------- views
     @property
     def n_events(self) -> int:
-        """Retained event count (0 in lean mode)."""
+        """Retained row count (0 in lean mode)."""
         return len(self.events)
 
     def busy_seconds(self, lane: str) -> float:
@@ -488,129 +710,141 @@ class EventLog:
             )
 
 
+def _unknown_counter(counters: Mapping[str, Any]) -> TypeError:
+    return TypeError(
+        f"unknown counter field {min(set(counters) - _COUNTER_SET)!r}")
+
+
 # ------------------------------------------------------------------- folds
-def _apply(metrics: Metrics, event: SimEvent) -> None:
-    """Fold one event into a counter bundle (the single accounting path)."""
-    if event.bytes_h2d:
-        metrics.bytes_h2d += event.bytes_h2d
-    if event.bytes_d2h:
-        metrics.bytes_d2h += event.bytes_d2h
-    if event.h2d_transfers:
-        metrics.h2d_transfers += event.h2d_transfers
-    if event.d2h_transfers:
-        metrics.d2h_transfers += event.d2h_transfers
-    if event.bytes_direct:
-        metrics.bytes_direct += event.bytes_direct
-    if event.direct_accesses:
-        metrics.direct_accesses += event.direct_accesses
-    if event.kernel_launches:
-        metrics.kernel_launches += event.kernel_launches
-    if event.edges_processed:
-        metrics.edges_processed += event.edges_processed
-    if event.page_faults:
-        metrics.page_faults += event.page_faults
-    if event.fault_batches:
-        metrics.fault_batches += event.fault_batches
-    if event.pages_migrated:
-        metrics.pages_migrated += event.pages_migrated
-    if event.pages_evicted:
-        metrics.pages_evicted += event.pages_evicted
-    if event.transfer_faults:
-        metrics.transfer_faults += event.transfer_faults
-    if event.transfer_retries:
-        metrics.transfer_retries += event.transfer_retries
-    if event.kernel_aborts:
-        metrics.kernel_aborts += event.kernel_aborts
-    if event.retry_seconds:
-        metrics.retry_seconds += event.retry_seconds
-    if event.phase is not None and event.end > event.start:
-        metrics.add_phase(event.phase, event.end - event.start)
+def _fold_metrics(cols: EventColumns,
+                  mask: Optional[np.ndarray] = None) -> Metrics:
+    """Fold the rows of ``cols`` (those under ``mask``) into a fresh bundle.
+
+    NumPy picks the rows that carry counters or phase time; the additions
+    then run one row at a time in row order, exactly as the emit-time fold
+    made them.
+    """
+    metrics = Metrics()
+    counted = np.array(cols.ckey) != 0
+    phase, start, end = (np.array(cols.phase), np.array(cols.start),
+                         np.array(cols.end))
+    timed = (phase != 0) & (end > start)
+    if mask is not None:
+        counted &= mask
+        timed &= mask
+    ckey, cval, keysets = cols.ckey, cols.cval, cols.keysets.values
+    for i in np.flatnonzero(counted).tolist():
+        for name, value in zip(keysets[ckey[i]], cval[i]):
+            setattr(metrics, name, getattr(metrics, name) + value)
+    phases = cols.phases.values
+    for p, seconds in zip(phase[timed].tolist(),
+                          (end[timed] - start[timed]).tolist()):
+        metrics.add_phase(phases[p], seconds)
+    return metrics
 
 
-def fold_metrics(events: Iterable[SimEvent]) -> Metrics:
-    """Replay a list of events into a fresh counter bundle.
+def fold_metrics(events: "EventColumns | Iterable[SimEvent]") -> Metrics:
+    """Replay a log's rows into a fresh counter bundle.
 
     Addition order matches emission order, so on a recorded log this
     reproduces ``log.metrics`` bit-identically — the property
     :func:`validate_log` asserts.
     """
-    metrics = Metrics()
-    for event in events:
-        _apply(metrics, event)
-    return metrics
+    return _fold_metrics(as_columns(events))
 
 
-def fold_spans(events: Iterable[SimEvent]) -> List[Span]:
-    """The legacy span timeline: one span per lane-occupying event."""
+def _lane_rows(cols: EventColumns) -> Tuple[np.ndarray, np.ndarray]:
+    """``(row indices, who ids)`` of the lane-occupying rows."""
+    who = np.array(cols.who)
+    has_lane = np.array([bool(lane) for lane, _ in cols.whos.values],
+                        dtype=bool)
+    rows = np.flatnonzero(has_lane[who])
+    return rows, who[rows]
+
+
+def fold_spans(events: "EventColumns | Iterable[SimEvent]") -> List[Span]:
+    """The legacy span timeline: one span per lane-occupying row."""
     return [
-        Span(lane=lane_key(e), label=e.label, start=e.start, end=e.end)
-        for e in events
-        if e.lane and e.end > e.start
+        Span(lane=qualified_lane(lane, device), label=label, start=start,
+             end=end)
+        for (lane, device), _, label, _, _, start, end, *_
+        in as_columns(events).rows()
+        if lane and end > start
     ]
 
 
-def fold_phase_seconds(events: Iterable[SimEvent]) -> Dict[str, float]:
+def fold_phase_seconds(
+        events: "EventColumns | Iterable[SimEvent]") -> Dict[str, float]:
     """Per-phase accumulated seconds (Fig. 10's Tsr/Tfilling/... bars)."""
     return dict(fold_metrics(events).phase_seconds)
 
 
-def fold_lane_stats(events: Iterable[SimEvent]) -> Dict[str, LaneStats]:
-    """Per-lane busy/op aggregates, identical to the lean-mode fold."""
+def fold_lane_stats(
+        events: "EventColumns | Iterable[SimEvent]") -> Dict[str, LaneStats]:
+    """Per-lane busy/op aggregates, identical to the emit-time fold."""
+    cols = as_columns(events)
+    rows, who = _lane_rows(cols)
+    keys = cols.lane_keys()
     stats: Dict[str, LaneStats] = {}
-    for e in events:
-        if not e.lane:
-            continue
-        key = lane_key(e)
-        st = stats.get(key)
+    for w, start, end in zip(who.tolist(),
+                             np.array(cols.start)[rows].tolist(),
+                             np.array(cols.end)[rows].tolist()):
+        st = stats.get(keys[w])
         if st is None:
-            st = stats[key] = LaneStats()
-        st.busy_seconds += e.end - e.start
+            st = stats[keys[w]] = LaneStats()
+        st.busy_seconds += end - start
         st.n_ops += 1
-        if e.start < st.first_start:
-            st.first_start = e.start
-        if e.end > st.last_end:
-            st.last_end = e.end
+        if start < st.first_start:
+            st.first_start = start
+        if end > st.last_end:
+            st.last_end = end
     return stats
 
 
-def fold_device_metrics(events: Iterable[SimEvent]) -> Dict[Optional[int], Metrics]:
+def fold_device_metrics(
+    events: "EventColumns | Iterable[SimEvent]",
+) -> Dict[Optional[int], Metrics]:
     """Per-device counter bundles from a shared (fabric) event log.
 
-    Events carrying no ``device`` fold under the ``None`` key, so a
+    Rows carrying no ``device`` fold under the ``None`` key, so a
     single-device log comes back as ``{None: fold_metrics(events)}``.
     """
-    out: Dict[Optional[int], Metrics] = {}
-    for e in events:
-        metrics = out.get(e.device)
-        if metrics is None:
-            metrics = out[e.device] = Metrics()
-        _apply(metrics, e)
-    return out
+    cols = as_columns(events)
+    device = cols.devices()
+    row_device = device[np.array(cols.who)]
+    # ``who`` ids are interned in first-seen order, so is this dict.
+    return {
+        (None if d < 0 else d): _fold_metrics(cols, row_device == d)
+        for d in dict.fromkeys(device.tolist())
+    }
 
 
 def fold_device_faults(
-    events: Iterable[SimEvent],
+    events: "EventColumns | Iterable[SimEvent]",
 ) -> Dict[Optional[int], Dict[str, int]]:
     """Per-device fault/recovery counts from a recorded log.
 
-    Counts every :data:`FAULT_KINDS` / :data:`DEVICE_FAULT_KINDS` event
-    under its device (``None`` for device-less events), keyed
+    Counts every :data:`FAULT_KINDS` / :data:`DEVICE_FAULT_KINDS` row
+    under its device (``None`` for device-less rows), keyed
     ``fault_<kind>`` to match the ``fault_*`` naming of
     ``RunResult.extra``.  A fault-free log folds to ``{}``, so asserting
     byte-identical single-device behaviour stays a one-liner.
     """
+    cols = as_columns(events)
     out: Dict[Optional[int], Dict[str, int]] = {}
-    for e in events:
-        if e.kind not in FAULT_KINDS and e.kind not in DEVICE_FAULT_KINDS:
-            continue
-        bucket = out.setdefault(e.device, {})
-        key = "fault_" + e.kind.replace("-", "_")
+    kind = np.array(cols.kind)
+    rows = np.flatnonzero(cols.kinds_in(FAULT_KINDS, DEVICE_FAULT_KINDS)[kind])
+    whos, kinds = cols.whos.values, cols.kinds.values
+    for w, k in zip(np.array(cols.who)[rows].tolist(), kind[rows].tolist()):
+        bucket = out.setdefault(whos[w][1], {})
+        key = "fault_" + kinds[k].replace("-", "_")
         bucket[key] = bucket.get(key, 0) + 1
     return out
 
 
 def idle_breakdown(
-    log: "EventLog | Iterable[SimEvent]", lane: str, horizon: float
+    log: "EventLog | EventColumns | Iterable[SimEvent]", lane: str,
+    horizon: float,
 ) -> IdleBreakdown:
     """Attribute a lane's idle time to lead / stalls / tail.
 
@@ -621,18 +855,18 @@ def idle_breakdown(
     """
     if isinstance(log, EventLog):
         log._require_recorded("idle_breakdown()")
-        events = log.events
-    else:
-        events = list(log)
-    ops = sorted(
-        ((e.start, e.end) for e in events
-         if e.lane and lane_key(e) == lane and e.end > e.start),
-    )
+        log = log.events
+    cols = as_columns(log)
+    rows, who = _lane_rows(cols)
+    mine = np.array([key == lane for key in cols.lane_keys()], dtype=bool)
+    start, end = np.array(cols.start)[rows], np.array(cols.end)[rows]
+    keep = mine[who] & (end > start)
+    rows, start, end = rows[keep], start[keep], end[keep]
+    ops = sorted(zip(start.tolist(), end.tolist()))
+    wasted = cols.kinds_in(FAULT_KINDS)[np.array(cols.kind)[rows]]
     retry = sum(
-        min(e.end, horizon) - min(e.start, horizon)
-        for e in events
-        if e.lane and lane_key(e) == lane and e.end > e.start
-        and e.kind in FAULT_KINDS
+        min(e, horizon) - min(s, horizon)
+        for s, e in zip(start[wasted].tolist(), end[wasted].tolist())
     )
     if horizon < 0:
         raise ValueError(f"negative horizon {horizon}")
@@ -663,46 +897,27 @@ def validate_log(
 
     Checks, raising :class:`EventLogError` on the first violation:
 
-    * every event is well-formed (``start <= end``, non-negative times);
-    * per lane, events are monotone and **never self-overlap** (a lane is
+    * every row is well-formed (``start <= end``, non-negative times);
+    * per lane, rows are monotone and **never self-overlap** (a lane is
       one serially-ordered engine);
-    * instant events occupy no lane;
-    * re-folding the retained events reproduces the incrementally
+    * instant rows occupy no lane;
+    * re-folding the retained rows reproduces the incrementally
       maintained ``log.metrics`` **bit-identically** (counters *and*
       ``phase_seconds``), and likewise the per-lane stats;
     * when ``metrics`` is given (e.g. a ``RunResult.metrics``), it equals
       the fold too;
-    * when ``horizon`` is given, no event ends after it.
+    * when ``horizon`` is given, no row ends after it.
     """
     log._require_recorded("validate_log()")
-    last_end: Dict[str, float] = {}
-    for i, e in enumerate(log.events):
-        where = f"event #{i} ({e.kind} {e.label!r})"
-        if e.start < 0 or e.end < e.start:
-            raise EventLogError(f"{where}: bad interval [{e.start}, {e.end}]")
-        if horizon is not None and e.end > horizon:
-            raise EventLogError(
-                f"{where}: ends at {e.end} beyond horizon {horizon}"
-            )
-        if not e.lane:
-            if e.end != e.start:
-                raise EventLogError(f"{where}: lane-less event has width")
-            continue
-        key = lane_key(e)
-        prev = last_end.get(key)
-        if prev is not None and e.start < prev:
-            raise EventLogError(
-                f"{where}: lane {key!r} self-overlaps "
-                f"(starts at {e.start} before previous end {prev})"
-            )
-        last_end[key] = e.end
+    cols = log.events
+    _require_well_formed(cols, horizon)
 
-    folded = fold_metrics(log.events)
+    folded = fold_metrics(cols)
     _require_metrics_equal(folded, log.metrics, "incrementally folded metrics")
     if metrics is not None and metrics is not log.metrics:
         _require_metrics_equal(folded, metrics, "reported metrics")
 
-    refolded_stats = fold_lane_stats(log.events)
+    refolded_stats = fold_lane_stats(cols)
     if set(refolded_stats) != set(log.lane_stats):
         raise EventLogError(
             f"lane set mismatch: fold has {sorted(refolded_stats)}, "
@@ -715,6 +930,40 @@ def validate_log(
                 or st.last_end != have.last_end):
             raise EventLogError(f"lane {lane!r}: folded stats diverge")
     return folded
+
+
+def _require_well_formed(cols: EventColumns, horizon: Optional[float]) -> None:
+    """The per-row checks of :func:`validate_log`, first offender reported."""
+    start, end = np.array(cols.start), np.array(cols.end)
+    rows, who = _lane_rows(cols)
+    laneless = np.ones(len(cols), dtype=bool)
+    laneless[rows] = False
+    # A lane row overlaps when it starts before the previous row of the
+    # same lane ended: a stable sort by lane puts that row right before it.
+    order = np.argsort(who, kind="stable")
+    by_lane, same = rows[order], who[order][1:] == who[order][:-1]
+    prev_end = np.full(len(cols), -np.inf)
+    prev_end[by_lane[1:][same]] = end[by_lane[:-1][same]]
+    bad = ((start < 0) | (end < start) | (laneless & (end != start))
+           | (start < prev_end))
+    if horizon is not None:
+        bad |= end > horizon
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    (lane, device), kind, label, *_ = next(cols.rows(slice(i, i + 1)))
+    s, e = cols.start[i], cols.end[i]
+    where = f"event #{i} ({kind} {label!r})"
+    if s < 0 or e < s:
+        raise EventLogError(f"{where}: bad interval [{s}, {e}]")
+    if horizon is not None and e > horizon:
+        raise EventLogError(f"{where}: ends at {e} beyond horizon {horizon}")
+    if not lane:
+        raise EventLogError(f"{where}: lane-less event has width")
+    raise EventLogError(
+        f"{where}: lane {qualified_lane(lane, device)!r} self-overlaps "
+        f"(starts at {s} before previous end {float(prev_end[i])})"
+    )
 
 
 def _require_metrics_equal(folded: Metrics, other: Metrics, what: str) -> None:

@@ -14,10 +14,10 @@ Gather+Transfer on the CPU/copy lanes with no sync in between, so the
 timeline overlaps and the total is the max, not the sum.
 
 Every submit is also the single accounting point: when the lane is wired to
-an :class:`~repro.gpusim.events.EventLog` it emits exactly one
-:class:`~repro.gpusim.events.SimEvent` per op, carrying the op's counter
-contribution and the phase/iteration context active at emission time.
-``Metrics``, spans, and idle accounting are all folds over those events.
+an :class:`~repro.gpusim.events.EventLog` it emits exactly one row per
+op, carrying the op's counter contribution and the phase/iteration context
+active at emission time.  ``Metrics``, spans, and idle accounting are all
+folds over those rows.
 
 Chaos mode adds the resilience layer here, where the events are born:
 :meth:`Lane.submit_transfer` retries injected transfer failures with
@@ -96,8 +96,6 @@ class Lane:
         self.busy_until = end
         if duration > 0:
             self.clock.log(self.key, label, start, end)
-        # emit_op folds without constructing a SimEvent in lean mode (and
-        # builds the identical event in recorded mode).
         self.log.emit_op(
             self.name, kind, label, start, end,
             counters=counters, extra=extra, device=self.device,

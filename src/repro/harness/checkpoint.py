@@ -35,7 +35,10 @@ __all__ = ["IterationCheckpoint", "ShardCheckpoint", "CheckpointStore",
 #: 2: ``HotnessTable`` keeps its counters per chunk-map segment (a version-1
 #: blob would unpickle into a table without the segment fields and fail
 #: mid-iteration instead of at load).
-CHECKPOINT_VERSION = 2
+#: 3: ``EventLog.events`` is an ``EventColumns`` store, not a list of
+#: ``SimEvent`` (a version-2 blob of a recording run would unpickle a log
+#: whose next emit calls ``list.add``).
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Union
 import numpy as np
 
 from repro.engines.base import IterationRecord, RunResult
-from repro.gpusim.events import EventLog, SimEvent
+from repro.gpusim.events import EventLog
 from repro.gpusim.metrics import Metrics
 
 __all__ = [
@@ -141,7 +141,7 @@ def result_to_payload(result: RunResult) -> Dict:
         ],
         "extra": dict(result.extra),
         "events": (
-            [e.to_dict() for e in result.event_log.events]
+            result.event_log.events.to_dicts()
             if result.event_log is not None
             else None
         ),
@@ -185,7 +185,7 @@ def result_from_payload(payload: Dict) -> RunResult:
         # views (folded counters, lane stats) exactly as the live run did.
         event_log = EventLog(record=True)
         for entry in payload["events"]:
-            event_log.emit(SimEvent.from_dict(entry))
+            event_log.emit_row(entry)
     return RunResult(
         engine=payload["engine"],
         algorithm=payload["algorithm"],

@@ -220,7 +220,8 @@ class FleetResult:
     config: FleetConfig
     requests: Tuple[Request, ...]
     responses: Tuple[Response, ...]
-    events: List[SimEvent]
+    #: The serve log's rows (``log.events``: reads as a sequence of events).
+    events: Sequence[SimEvent]
     report: Dict[str, Any]
     #: Per-device warm-reuse ledgers (device id → stats).
     device_pool_stats: Dict[int, PoolStats]

@@ -102,6 +102,30 @@ class TestStore:
         assert np.array_equal(result.values, clean.values)
         assert result.elapsed_seconds == clean.elapsed_seconds
 
+    def test_stale_v2_checkpoint_is_ignored_and_cell_runs_from_scratch(
+            self, tmp_path):
+        """A checkpoint written before the event log went columnar (layout
+        version 2) pickles an ``EventLog`` whose ``events`` is a list of
+        ``SimEvent``; resumed into, a recording run would fail on its next
+        emit.  It must be refused at load, and the recorded cell then runs
+        from iteration 0 to the same log an undisturbed run retains."""
+        w = make_workload("GS", "BFS", scale=SCALE)
+        clean = run_workload(w, "Ascetic", record_events=True)
+        store = CheckpointStore(str(tmp_path))
+        stale = IterationCheckpoint(
+            engine="Ascetic", algorithm="BFS", graph_name=w.graph.name,
+            iteration=2, values=np.zeros(w.graph.n_vertices),
+            active=np.zeros(w.graph.n_vertices, dtype=bool),
+            blob=b"version-2 engine state")
+        with open(store.path_for("cell"), "wb") as fh:
+            pickle.dump({"version": 2, "checkpoint": stale}, fh)
+        assert store.load("cell") is None
+        result = run_workload(w, "Ascetic", record_events=True,
+                              checkpoint=store, checkpoint_key="cell")
+        assert result.iterations == clean.iterations
+        assert np.array_equal(result.values, clean.values)
+        assert result.event_log.events == clean.event_log.events
+
     def test_clear_and_keys(self, tmp_path):
         store = CheckpointStore(str(tmp_path))
         store.save("a", _dummy_checkpoint())

@@ -26,6 +26,7 @@ from repro.engines.hybrid import HybridEngine
 from repro.engines.partition_based import PartitionEngine
 from repro.engines.subway import SubwayEngine
 from repro.engines.uvm_engine import UVMEngine
+from repro.graph.csr import ChunkRuns
 from repro.graph.properties import best_source
 from repro.gpusim.device import GPUSpec, SimulatedGPU
 
@@ -70,6 +71,23 @@ class TestPolicyObjects:
         first = int(np.nonzero(resident)[0][0])
         region.swap(np.array([first]), np.empty(0, dtype=np.int64))
         assert policy.plan(1, ids)[first] == int(AccessPath.GATHER)
+
+    def test_region_policy_answers_runs_with_the_same_plan(self, small_web):
+        """Handed ``ChunkRuns`` the policy answers with a ``RunPlan`` that
+        expands to its per-id plan, every piece wholly one path."""
+        region = StaticRegion(small_web,
+                              capacity_bytes=small_web.edge_array_bytes // 3,
+                              fill="random", chunk_bytes=4096)
+        policy = RegionPolicy(region, fallback=AccessPath.DIRECT)
+        n = region.n_chunks
+        runs = ChunkRuns(np.array([0, n // 4, n // 2]),
+                         np.array([n // 8, n // 3, n]))
+        plan = policy.plan(0, runs)
+        assert np.array_equal(plan.runs.ids(), runs.ids())
+        assert np.array_equal(np.repeat(plan.paths, plan.runs.lengths),
+                              policy.plan(0, runs.ids()))
+        assert np.array_equal(runs.starts[plan.origin] <= plan.runs.starts,
+                              np.ones(len(plan.runs), dtype=bool))
 
     def test_all_policies_satisfy_protocol(self, small_web):
         region = StaticRegion(small_web, capacity_bytes=1 << 16,
