@@ -8,8 +8,6 @@
 * :mod:`repro.analysis.breakdown` — Static vs Overlapping savings (Fig. 8);
 * :mod:`repro.analysis.reuse` — reuse-distance / LRU-vs-pinned analysis
   (the §1–2 motivation, quantified);
-* :mod:`repro.analysis.predict` — closed-form transfer predictions per
-  engine (model-vs-measurement validation and what-if planning);
 * :mod:`repro.analysis.report` — fixed-width tables, normalization,
   geomean, ASCII sparklines for the figure benches.
 """
@@ -27,12 +25,6 @@ from repro.analysis.memory_usage import subway_memory_usage, subway_idle_fractio
 from repro.analysis.breakdown import OptimizationBreakdown, measure_breakdown
 from repro.analysis.report import format_table, geomean, sparkline
 from repro.analysis.reuse import reuse_distances, lru_hit_rate_curve, pinned_hit_rate
-from repro.analysis.predict import (
-    ActiveTrace,
-    record_active_trace,
-    predict_pt_bytes,
-    predict_subway_bytes,
-)
 
 __all__ = [
     "AccessTrace",
@@ -53,8 +45,4 @@ __all__ = [
     "reuse_distances",
     "lru_hit_rate_curve",
     "pinned_hit_rate",
-    "ActiveTrace",
-    "record_active_trace",
-    "predict_pt_bytes",
-    "predict_subway_bytes",
 ]

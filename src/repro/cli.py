@@ -13,8 +13,6 @@ Exposes the experiment harness without writing Python::
     repro serve --quick -o slo.json                 # seeded SLO load test
     repro fleet --quick                             # 2-device fleet smoke
     repro fleet --requests 120                      # `serve`, 4-device defaults
-    repro bench --quick                             # wall-clock perf smoke
-    repro bench --against BENCH_abc123.json         # regression gate
 
 Every command prints the same fixed-width reports the benchmarks produce.
 ``grid`` (and ``compare``/``sweep-ratio`` with ``--jobs``) go through
@@ -34,6 +32,7 @@ from repro.analysis.report import format_table, human_bytes, sparkline
 from repro.core.ascetic import AsceticConfig
 from repro.engines import registry
 from repro.gpusim.fabric import TOPOLOGIES
+from repro.gpusim.memory import GPUOutOfMemory
 from repro.graph.datasets import DATASETS
 from repro.harness.experiments import (
     BENCH_SCALE,
@@ -54,6 +53,22 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: The paper's Tables-4/5 grid axes.
 GRID_DATASETS = ("GS", "FK", "FS", "UK")
 GRID_ALGOS = ("BFS", "SSSP", "CC", "PR")
+
+
+def unit_ratio(text: str) -> float:
+    """argparse ``type=`` for a static-region share: a float in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
+    return value
+
+
+def data_scale(text: str) -> float:
+    """argparse ``type=`` for a dataset down-scale: a float in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in (0, 1]")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Table-3 dataset abbreviation")
         sp.add_argument("--algo", required=True, choices=ALGOS,
                         help="vertex program")
-        sp.add_argument("--scale", type=float, default=BENCH_SCALE,
+        sp.add_argument("--scale", type=data_scale, default=BENCH_SCALE,
                         help=f"dataset down-scale (default {BENCH_SCALE:g})")
         sp.add_argument("--memory-bytes", type=int, default=None,
                         help="override the (scaled) device capacity")
@@ -94,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--fill", default=None,
                        choices=("lazy", "front", "rear", "random"),
                        help="Ascetic static-region fill policy")
-    run_p.add_argument("--ratio", type=float, default=None,
+    run_p.add_argument("--ratio", type=unit_ratio, default=None,
                        help="Ascetic forced static ratio (overrides Eq. 2)")
     run_p.add_argument("--no-overlap", action="store_true",
                        help="disable the §3.2 overlap (Fig. 8 ablation)")
@@ -106,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw_p = sub.add_parser("sweep-ratio", help="Fig.-10-style static-ratio sweep")
     common(sw_p)
     jobs_arg(sw_p)
-    sw_p.add_argument("--ratios", type=float, nargs="+",
+    sw_p.add_argument("--ratios", type=unit_ratio, nargs="+",
                       default=[0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 1.0])
 
     tr_p = sub.add_parser(
@@ -119,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr_p.add_argument("algo", choices=ALGOS, help="vertex program")
     tr_p.add_argument("--engine", default="Ascetic", choices=engine_choices,
                       help=engine_help)
-    tr_p.add_argument("--scale", type=float, default=BENCH_SCALE,
+    tr_p.add_argument("--scale", type=data_scale, default=BENCH_SCALE,
                       help=f"dataset down-scale (default {BENCH_SCALE:g})")
     tr_p.add_argument("--memory-bytes", type=int, default=None,
                       help="override the (scaled) device capacity")
@@ -141,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_p.add_argument("--engines", nargs="+", default=None,
                      choices=engine_choices, metavar="ENGINE",
                      help="engines (default: every registered engine)")
-    g_p.add_argument("--scale", type=float, default=BENCH_SCALE,
+    g_p.add_argument("--scale", type=data_scale, default=BENCH_SCALE,
                      help=f"dataset down-scale (default {BENCH_SCALE:g})")
     g_p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                      help=f"result cache directory (default {DEFAULT_CACHE_DIR})")
@@ -151,27 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-cell wall-clock budget in seconds")
     g_p.add_argument("--retries", type=int, default=1,
                      help="extra attempts for a failing cell (default 1)")
-
-    b_p = sub.add_parser(
-        "bench",
-        help="time the simulator's own hot paths (wall-clock, not modelled "
-             "seconds) and emit a schema-versioned BENCH_<rev>.json",
-    )
-    b_p.add_argument("--quick", action="store_true",
-                     help="smoke mode: smaller inputs, fewer repeats")
-    b_p.add_argument("--filter", default=None, metavar="SUBSTR",
-                     help="only run benchmarks whose name contains SUBSTR")
-    b_p.add_argument("--list", action="store_true", dest="list_only",
-                     help="list registered benchmarks and exit")
-    b_p.add_argument("-o", "--output", default=None,
-                     help="report path (default BENCH_<rev>.json; '-' to "
-                          "skip writing)")
-    b_p.add_argument("--against", default=None, metavar="REPORT",
-                     help="compare against a previous report; exit nonzero "
-                          "on regression")
-    b_p.add_argument("--threshold", type=float, default=None,
-                     help="fractional slowdown tolerated by --against "
-                          "(default 0.25; CI's bench-gate uses 0.15)")
 
     def load_test_args(sp):
         sp.add_argument("--quick", action="store_true",
@@ -192,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--engine", default="Ascetic", choices=engine_choices,
                         help=engine_help + " (per-device engine, and the "
                                            "inner engine of sharded dispatches)")
-        sp.add_argument("--scale", type=float, default=BENCH_SCALE,
+        sp.add_argument("--scale", type=data_scale, default=BENCH_SCALE,
                         help=f"dataset down-scale (default {BENCH_SCALE:g})")
         sp.add_argument("--tenants", nargs="+", default=["t0", "t1"],
                         metavar="NAME", help="tenant names (default t0 t1)")
@@ -258,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help=engine_help)
     ch_p.add_argument("--seed", type=int, default=0,
                       help="fault-injector seed (default 0)")
-    ch_p.add_argument("--scale", type=float, default=BENCH_SCALE,
+    ch_p.add_argument("--scale", type=data_scale, default=BENCH_SCALE,
                       help=f"dataset down-scale (default {BENCH_SCALE:g})")
     ch_p.add_argument("--memory-bytes", type=int, default=None,
                       help="override the (scaled) device capacity")
@@ -309,9 +303,7 @@ def _cmd_engines() -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    w = make_workload(args.dataset, args.algo, scale=args.scale,
-                      memory_bytes=args.memory_bytes)
+def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     kwargs = {}
     if args.engine == "Ascetic":
         cfg = AsceticConfig()
@@ -322,6 +314,16 @@ def _cmd_run(args) -> int:
         if args.no_overlap:
             cfg = cfg.with_(overlap=False)
         kwargs["config"] = cfg
+    else:
+        # A flag the engine would ignore is a silently wrong cell.
+        for flag, given in (("--fill", args.fill),
+                            ("--ratio", args.ratio is not None),
+                            ("--no-overlap", args.no_overlap)):
+            if given:
+                parser.error(f"{flag} configures the Ascetic engine; "
+                             f"--engine {args.engine} has no such option")
+    w = make_workload(args.dataset, args.algo, scale=args.scale,
+                      memory_bytes=args.memory_bytes)
     res = run_workload(w, args.engine, **kwargs)
     print(res.summary())
     rows = [[k, f"{v:.4g}"] for k, v in sorted(res.extra.items())]
@@ -677,80 +679,6 @@ def _cmd_serve(args) -> int:
     return _print_load_test(run_fleet_test(config), args.output)
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench import (
-        all_benchmarks,
-        compare_reports,
-        default_report_name,
-        load_report,
-        make_report,
-        run_benchmarks,
-        write_report,
-    )
-
-    benches = all_benchmarks()
-    if args.filter:
-        benches = [b for b in benches if args.filter in b.name]
-    if not benches:
-        print(f"no benchmark matches {args.filter!r}", file=sys.stderr)
-        return 2
-    if args.list_only:
-        rows = [[b.name, b.kind, b.description] for b in benches]
-        print(format_table(["benchmark", "kind", "description"], rows,
-                           title="repro bench — registered benchmarks"))
-        return 0
-
-    names = {b.name for b in benches}
-    results = run_benchmarks(
-        names=names, quick=args.quick,
-        progress=lambda name: print(f"  running {name} ...", file=sys.stderr),
-    )
-    rows = []
-    for name, r in sorted(results.items()):
-        tput = ", ".join(
-            f"{v:.3g} {k.replace('_per_second', '/s')}"
-            for k, v in sorted(r["throughput"].items())
-        )
-        rows.append([name, r["kind"], f"{r['best_seconds'] * 1e3:.3f}ms",
-                     f"{r['mean_seconds'] * 1e3:.3f}ms", r["repeats"], tput])
-    mode = "quick" if args.quick else "full"
-    print(format_table(
-        ["benchmark", "kind", "best", "mean", "N", "throughput"], rows,
-        title=f"repro bench — host wall-clock, {mode} mode",
-    ))
-
-    report = make_report(results, quick=args.quick)
-    if args.output != "-":
-        out = args.output or default_report_name(report)
-        write_report(out, report)
-        print(f"\nwrote {out} (revision {report['revision']})")
-
-    if args.against:
-        baseline = load_report(args.against)
-        cmp = compare_reports(baseline, report, threshold=args.threshold)
-        rows = [
-            [d.name, f"{d.old_seconds * 1e3:.3f}ms",
-             f"{d.new_seconds * 1e3:.3f}ms", f"{d.ratio:.2f}x",
-             "REGRESSION" if d in cmp.regressions else "ok"]
-            for d in cmp.deltas
-        ]
-        print()
-        print(format_table(
-            ["benchmark", "baseline", "current", "ratio", "verdict"], rows,
-            title=f"vs {args.against} (threshold {cmp.threshold:.0%})",
-        ))
-        for name in cmp.only_old:
-            print(f"note: {name} only in baseline", file=sys.stderr)
-        for name in cmp.only_new:
-            print(f"note: {name} only in current run", file=sys.stderr)
-        if not cmp.ok:
-            print(f"error: {len(cmp.regressions)} benchmark(s) regressed "
-                  f"beyond {cmp.threshold:.0%}", file=sys.stderr)
-            return 1
-        print("no regressions")
-    return 0
-
-
 def _cmd_grid(args) -> int:
     engines = tuple(args.engines) if args.engines else registry.available()
     specs = grid_specs(args.datasets, args.algos, engines, scale=args.scale)
@@ -782,27 +710,32 @@ def _cmd_grid(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point: parse ``argv`` (default ``sys.argv[1:]``) and dispatch."""
-    args = build_parser().parse_args(argv)
-    if args.command == "datasets":
-        return _cmd_datasets()
-    if args.command == "engines":
-        return _cmd_engines()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "sweep-ratio":
-        return _cmd_sweep_ratio(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "grid":
-        return _cmd_grid(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command in ("serve", "fleet"):
-        return _cmd_serve(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        if args.command == "datasets":
+            return _cmd_datasets()
+        if args.command == "engines":
+            return _cmd_engines()
+        if args.command == "run":
+            return _cmd_run(args, parser)
+        if args.command == "compare":
+            return _cmd_compare(args)
+        if args.command == "sweep-ratio":
+            return _cmd_sweep_ratio(args)
+        if args.command == "trace":
+            return _cmd_trace(args)
+        if args.command == "grid":
+            return _cmd_grid(args)
+        if args.command == "chaos":
+            return _cmd_chaos(args)
+        if args.command in ("serve", "fleet"):
+            return _cmd_serve(args)
+    except GPUOutOfMemory as exc:
+        # The workload does not fit the device it was given: a fact about
+        # the input, reported the way ``grid`` reports it per cell.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

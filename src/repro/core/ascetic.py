@@ -24,6 +24,11 @@ from repro.gpusim.device import GPUSpec, SimulatedGPU
 
 __all__ = ["AsceticConfig", "AsceticEngine"]
 
+#: Replacement swaps contiguous *fragments* of chunks (Fig. 6), sized here
+#: in paper-scale bytes; chunk-scattered swaps would destroy vertex-level
+#: coverage.
+FRAGMENT_BYTES = 1024 * 1024
+
 
 @dataclass(frozen=True)
 class AsceticConfig:
@@ -46,44 +51,24 @@ class AsceticConfig:
         note) report *processing* transfers without the prestore.
         ``lazy`` instead keeps on-demand data as it arrives until the
         region is full — no prefill traffic at all.
-    fill_seed:
-        RNG seed for ``fill="random"``.
-    fragment_bytes:
-        Replacement swaps contiguous *fragments* of chunks (Fig. 6), sized
-        here in paper-scale bytes; chunk-scattered swaps would destroy
-        vertex-level coverage.
     overlap:
         Overlap static compute with the on-demand chain (§3.2).  Disabling
         isolates Fig. 8's *Static savings*.
     replacement:
-        Run the §3.4 chunk-replacement server.
-    replacement_policy:
-        ``"auto"`` picks per algorithm as §3.4 describes — cumulative
-        counters for monotone programs (BFS/SSSP/CC read each edge region a
-        bounded number of times), last-iteration counters for PR;
-        or force ``"cumulative"`` / ``"last"``.
-    stale_threshold:
-        Counter threshold for staleness.
+        Run the §3.4 chunk-replacement server (see :meth:`policy_for`).
     adaptive:
         Apply the §3.3 Eq. 3 repartition check each iteration.
     forced_ratio:
         Override Eq. 2 with a fixed static-region share (Fig. 10 sweep).
-    static_floor:
-        Lower clip for Eq. 2 when ``K·D ≥ M``.
     """
 
     k: float = 0.10
     chunk_bytes: int = DEFAULT_CHUNK_BYTES
     fill: str = "front"
-    fill_seed: int = 0
-    fragment_bytes: int = 1024 * 1024
     overlap: bool = True
     replacement: bool = True
-    replacement_policy: str = "auto"
-    stale_threshold: int = 1
     adaptive: bool = True
     forced_ratio: Optional[float] = None
-    static_floor: float = 0.0
 
     def with_(self, **kwargs) -> "AsceticConfig":
         """A copy with some fields replaced (sweep convenience)."""
@@ -106,9 +91,10 @@ class AsceticConfig:
             raise ValueError(f"unknown AsceticConfig fields: {sorted(extra)}")
         return cls(**data)
 
-    def policy_for(self, program: VertexProgram) -> str:
-        if self.replacement_policy != "auto":
-            return self.replacement_policy
+    @staticmethod
+    def policy_for(program: VertexProgram) -> str:
+        """§3.4: last-iteration counters for PR, cumulative ones for the
+        monotone programs (each edge region is read a bounded number of times)."""
         return "last" if program.name == "PR" else "cumulative"
 
 
@@ -126,15 +112,14 @@ class AsceticEngine(Engine):
         self,
         spec: GPUSpec | None = None,
         config: AsceticConfig | None = None,
-        record_spans: bool = False,
         max_iterations: int | None = None,
         data_scale: float = 1.0,
         record_events: bool = False,
         fault_plan=None,
         seed: int = 0,
     ) -> None:
-        super().__init__(spec, record_spans, max_iterations, data_scale,
-                         record_events, fault_plan, seed)
+        super().__init__(spec, max_iterations, data_scale, record_events,
+                         fault_plan, seed)
         self.config = config or AsceticConfig()
         #: Region handed over from the previous request by
         #: :meth:`reset_for_request` (None = next run fills cold).
@@ -229,13 +214,13 @@ class AsceticEngine(Engine):
         ratio = (
             cfg.forced_ratio
             if cfg.forced_ratio is not None
-            else static_ratio(cfg.k, d, available, floor=cfg.static_floor)
+            else static_ratio(cfg.k, d, available)
         )
         # Chunk geometry scales with the data so the chunk *count* (and the
         # hotness table the replacement server manages) matches paper scale.
         chunk_bytes = self.scaled_bytes(cfg.chunk_bytes)
         self._fragment_chunks = max(
-            self.scaled_bytes(cfg.fragment_bytes) // chunk_bytes, 1
+            self.scaled_bytes(FRAGMENT_BYTES) // chunk_bytes, 1
         )
         static_bytes, _ = region_bytes(available, ratio, align=chunk_bytes)
         # Warm-start (serving): a region handed over by reset_for_request is
@@ -255,7 +240,6 @@ class AsceticEngine(Engine):
                 capacity_bytes=static_bytes,
                 chunk_bytes=chunk_bytes,
                 fill=cfg.fill,
-                seed=cfg.fill_seed,
                 fragment_chunks=self._fragment_chunks,
             )
         self._warm_region = None
@@ -281,7 +265,6 @@ class AsceticEngine(Engine):
         self._hotness = HotnessTable(
             self._region.n_chunks,
             policy=cfg.policy_for(program),
-            stale_threshold=cfg.stale_threshold,
             seg_bounds=self._region.chunk_map.seg_bounds,
         )
         #: Ascetic's policy through the shared API: chunks resident in the

@@ -34,9 +34,8 @@ def range_mark(lo: np.ndarray, hi_next: np.ndarray, n_bins: int) -> np.ndarray:
     indices without ``np.add.at``'s per-element dispatch; for sparse marks
     over many bins, the two full-width arrays bincount allocates and
     subtracts cost more than scattering into one preallocated array.  The
-    crossover sits near indices ≈ bins on this container's NumPy
-    (``repro bench static_region/chunk_touch_counts`` tracks the dense
-    case; the scaled Ascetic engine exercises the sparse one).
+    crossover sits near indices ≈ bins on this container's NumPy (the
+    scaled Ascetic engine exercises the sparse side).
     """
     if lo.size >= n_bins:
         diff = np.bincount(lo, minlength=n_bins + 1)

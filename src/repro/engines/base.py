@@ -300,8 +300,6 @@ class Engine(abc.ABC):
     spec:
         The simulated platform (cost model + device-memory cap, in
         *scaled* bytes — i.e. already multiplied by ``data_scale``).
-    record_spans:
-        Keep a full timeline (slower; used by overlap tests and plots).
     record_events:
         Retain every emitted row (as
         :class:`~repro.gpusim.events.EventColumns`) and attach the log to
@@ -340,7 +338,6 @@ class Engine(abc.ABC):
     def __init__(
         self,
         spec: GPUSpec | None = None,
-        record_spans: bool = False,
         max_iterations: Optional[int] = None,
         data_scale: float = 1.0,
         record_events: bool = False,
@@ -350,7 +347,6 @@ class Engine(abc.ABC):
         if data_scale <= 0 or data_scale > 1.0:
             raise ValueError("data_scale must be in (0, 1]")
         self.spec = spec or GPUSpec()
-        self.record_spans = record_spans
         self.record_events = record_events
         self.max_iterations = max_iterations
         self.data_scale = data_scale
@@ -425,8 +421,7 @@ class Engine(abc.ABC):
                 faults = FaultInjector(self.fault_plan, seed=self.seed)
             gpu = SimulatedGPU(
                 self.spec,
-                record_spans=self.record_spans,
-                charge_scale=1.0 / self.data_scale,
+                    charge_scale=1.0 / self.data_scale,
                 record_events=self.record_events,
                 faults=faults,
             )

@@ -205,13 +205,13 @@ class HybridEngine(Engine):
 
     name = "Hybrid"
 
-    def __init__(self, spec=None, record_spans=False, max_iterations=None,
-                 data_scale=1.0, record_events=False, fault_plan=None, seed=0,
+    def __init__(self, spec=None, max_iterations=None, data_scale=1.0,
+                 record_events=False, fault_plan=None, seed=0,
                  chunk_bytes: int = DEFAULT_CHUNK_BYTES,
                  cache_fraction: float = 0.75,
                  reuse_horizon: int = 8):
-        super().__init__(spec, record_spans, max_iterations, data_scale,
-                         record_events, fault_plan, seed)
+        super().__init__(spec, max_iterations, data_scale, record_events,
+                         fault_plan, seed)
         if chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
         if not 0.0 <= cache_fraction <= 0.95:

@@ -38,11 +38,11 @@ class PartitionEngine(Engine):
 
     name = "PT"
 
-    def __init__(self, spec=None, record_spans=False, max_iterations=None,
-                 data_scale=1.0, record_events=False, fault_plan=None, seed=0,
+    def __init__(self, spec=None, max_iterations=None, data_scale=1.0,
+                 record_events=False, fault_plan=None, seed=0,
                  double_buffer: bool = False, pinned_partitions: int = 0):
-        super().__init__(spec, record_spans, max_iterations, data_scale,
-                         record_events, fault_plan, seed)
+        super().__init__(spec, max_iterations, data_scale, record_events,
+                         fault_plan, seed)
         if pinned_partitions < 0:
             raise ValueError("pinned_partitions must be non-negative")
         self.double_buffer = double_buffer

@@ -50,7 +50,6 @@ __all__ = [
 #: engine-specific extras come on top via ``EngineInfo.supported_engine_opts``.
 COMMON_ENGINE_OPTS: Tuple[str, ...] = (
     "spec",
-    "record_spans",
     "max_iterations",
     "data_scale",
     "record_events",
@@ -207,7 +206,7 @@ def _register_builtins() -> None:
             description="subgraph-gathering baseline: CPU gathers the active "
                         "subgraph each iteration (EuroSys '20)",
             supports_warm_start=False,
-            supported_engine_opts=("pipelined", "materialize"),
+            supported_engine_opts=("pipelined",),
             transfer_policy="every gather round CPU-gathered "
                             "(FixedPolicy: GATHER)",
         )),

@@ -110,7 +110,6 @@ class ShardedEngine(Engine):
     def __init__(
         self,
         spec: Optional[GPUSpec] = None,
-        record_spans: bool = False,
         max_iterations: Optional[int] = None,
         data_scale: float = 1.0,
         record_events: bool = False,
@@ -121,8 +120,8 @@ class ShardedEngine(Engine):
         topology: str = "pcie",
         inner: str = "Ascetic",
     ) -> None:
-        super().__init__(spec=spec, record_spans=record_spans,
-                         max_iterations=max_iterations, data_scale=data_scale,
+        super().__init__(spec=spec, max_iterations=max_iterations,
+                         data_scale=data_scale,
                          record_events=record_events, fault_plan=fault_plan,
                          seed=seed)
         if isinstance(fabric, Mapping):
@@ -167,7 +166,6 @@ class ShardedEngine(Engine):
         fabric = Fabric(
             self.fabric_spec,
             base=self.spec,
-            record_spans=self.record_spans,
             charge_scale=1.0 / self.data_scale,
             record_events=self.record_events,
             faults=injector,

@@ -50,21 +50,15 @@ class SubwayEngine(Engine):
 
     name = "Subway"
 
-    def __init__(self, spec=None, record_spans=False, max_iterations=None,
-                 data_scale=1.0, record_events=False, fault_plan=None, seed=0,
-                 pipelined: bool = False, materialize: bool = False):
-        super().__init__(spec, record_spans, max_iterations, data_scale,
-                         record_events, fault_plan, seed)
+    def __init__(self, spec=None, max_iterations=None, data_scale=1.0,
+                 record_events=False, fault_plan=None, seed=0,
+                 pipelined: bool = False):
+        super().__init__(spec, max_iterations, data_scale, record_events,
+                         fault_plan, seed)
         #: Subway's fixed policy: every granule (a gather round) is
         #: CPU-gathered — nothing is resident, nothing migrates.
         self.transfer_policy = FixedPolicy(AccessPath.GATHER)
         self.pipelined = pipelined
-        #: Physically build each iteration's SubCSR (the buffer a real
-        #: system DMAs) instead of only costing it.  Slower; the staged
-        #: byte count feeds the cost model directly, cross-validating the
-        #: closed-form accounting (and is itself validated against the
-        #: source graph).
-        self.materialize = materialize
 
     def _prepare(self, gpu: SimulatedGPU, graph: CSRGraph, program: VertexProgram) -> None:
         from repro.gpusim.memory import GPUOutOfMemory
@@ -115,19 +109,10 @@ class SubwayEngine(Engine):
     def _iteration(
         self, gpu: SimulatedGPU, graph: CSRGraph, program: VertexProgram, state: ProgramState
     ) -> None:
-        if self.materialize:
-            from repro.graph.subgraph import extract_subgraph
-
-            sub = extract_subgraph(graph, state.active)
-            sub.validate_against(graph)
-            n_edges = sub.n_edges
-            offset_bytes = sub.offset_nbytes
-            total_bytes = sub.nbytes
-        else:
-            n_edges = state.active_edges(graph)
-            edge_bytes = n_edges * graph.bytes_per_edge
-            offset_bytes = state.n_active * OFFSET_BYTES_PER_ACTIVE_VERTEX
-            total_bytes = edge_bytes + offset_bytes
+        n_edges = state.active_edges(graph)
+        edge_bytes = n_edges * graph.bytes_per_edge
+        offset_bytes = state.n_active * OFFSET_BYTES_PER_ACTIVE_VERTEX
+        total_bytes = edge_bytes + offset_bytes
         self._sum_iteration_bytes += total_bytes
         self._n_iterations += 1
 

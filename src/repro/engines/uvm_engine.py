@@ -40,7 +40,6 @@ class UVMEngine(Engine):
     def __init__(
         self,
         spec: GPUSpec | None = None,
-        record_spans: bool = False,
         max_iterations: int | None = None,
         data_scale: float = 1.0,
         record_events: bool = False,
@@ -48,8 +47,8 @@ class UVMEngine(Engine):
         seed: int = 0,
         pin_fraction: float = 0.25,
     ) -> None:
-        super().__init__(spec, record_spans, max_iterations, data_scale,
-                         record_events, fault_plan, seed)
+        super().__init__(spec, max_iterations, data_scale, record_events,
+                         fault_plan, seed)
         if not 0.0 <= pin_fraction <= 1.0:
             raise ValueError("pin_fraction must be in [0, 1]")
         self.pin_fraction = pin_fraction

@@ -3,7 +3,7 @@
 The paper's artifact is CUDA on a Tesla P100; Python offers no fine-grained
 GPU memory control, so this package models the platform deterministically:
 
-* :mod:`repro.gpusim.clock` — virtual time and span recording;
+* :mod:`repro.gpusim.clock` — virtual time;
 * :mod:`repro.gpusim.device` — the :class:`~repro.gpusim.device.SimulatedGPU`
   facade and its :class:`~repro.gpusim.device.GPUSpec` cost model;
 * :mod:`repro.gpusim.memory` — device-memory allocator;
@@ -37,7 +37,7 @@ engines; this package only turns (bytes, edges) into virtual seconds and
 enforces capacity.
 """
 
-from repro.gpusim.clock import VirtualClock, Span
+from repro.gpusim.clock import VirtualClock
 from repro.gpusim.events import (
     EventColumns,
     EventLog,
@@ -45,6 +45,7 @@ from repro.gpusim.events import (
     IdleBreakdown,
     LaneStats,
     SimEvent,
+    Span,
     fold_device_faults,
     fold_device_metrics,
     fold_lane_stats,

@@ -9,37 +9,16 @@ lets the benchmarks reproduce the paper's *ratios* without real hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
 
-__all__ = ["VirtualClock", "Span"]
-
-
-@dataclass(frozen=True)
-class Span:
-    """One recorded activity on one lane of the timeline."""
-
-    lane: str
-    label: str
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+__all__ = ["VirtualClock"]
 
 
 @dataclass
 class VirtualClock:
-    """A monotonic virtual clock with an optional span log.
-
-    ``record=True`` keeps every span (used by trace analysis, Fig. 2 and the
-    timeline tests); benchmarks leave it off to stay lean.
-    """
+    """A monotonic virtual clock; what happened *when* is the event log's job."""
 
     now: float = 0.0
-    record: bool = False
-    spans: List[Span] = field(default_factory=list)
 
     def advance(self, dt: float) -> float:
         """Move time forward by ``dt`` seconds (must be non-negative)."""
@@ -54,14 +33,5 @@ class VirtualClock:
             self.now = t
         return self.now
 
-    def log(self, lane: str, label: str, start: float, end: float) -> Optional[Span]:
-        """Record a span if recording is enabled."""
-        if not self.record:
-            return None
-        span = Span(lane=lane, label=label, start=start, end=end)
-        self.spans.append(span)
-        return span
-
     def reset(self) -> None:
         self.now = 0.0
-        self.spans.clear()

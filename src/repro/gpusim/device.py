@@ -100,8 +100,7 @@ class SimulatedGPU:
     each emit into the counters and keeps nothing.
     """
 
-    def __init__(self, spec: GPUSpec, record_spans: bool = False,
-                 charge_scale: float = 1.0,
+    def __init__(self, spec: GPUSpec, charge_scale: float = 1.0,
                  record_events: bool = False,
                  faults=None,
                  device_id: Optional[int] = None,
@@ -116,7 +115,7 @@ class SimulatedGPU:
         self.device_id = device_id
         # A Fabric passes one shared clock + log so all its devices live on
         # one timeline; standalone construction keeps private ones.
-        self.clock = clock if clock is not None else VirtualClock(record=record_spans)
+        self.clock = clock if clock is not None else VirtualClock()
         self.events = events if events is not None else EventLog(record=record_events)
         #: Optional chaos-mode :class:`~repro.gpusim.faults.FaultInjector`;
         #: None means the fault-free model, bit for bit.

@@ -46,11 +46,11 @@ from typing import (Any, Dict, Hashable, Iterable, Iterator, List, Mapping,
 
 import numpy as np
 
-from repro.gpusim.clock import Span
 from repro.gpusim.metrics import Metrics
 
 __all__ = [
     "SimEvent",
+    "Span",
     "EventColumns",
     "EventLog",
     "EventLogError",
@@ -240,6 +240,20 @@ def lane_key(event: SimEvent) -> str:
 def qualified_lane(lane: str, device: Optional[int]) -> str:
     """The :func:`lane_key` for a bare lane name on a given device."""
     return lane if device is None else f"{lane}@{device}"
+
+
+@dataclass(frozen=True)
+class Span:
+    """One lane-occupying activity — the row type of :func:`fold_spans`."""
+
+    lane: str
+    label: str
+    start: float
+    end: float
+
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
 
 
 @dataclass
@@ -698,7 +712,7 @@ class EventLog:
         return max(horizon - self.busy_seconds(lane), 0.0)
 
     def spans(self) -> List[Span]:
-        """The lane timeline as legacy spans (requires recorded mode)."""
+        """The lane timeline as spans (requires recorded mode)."""
         self._require_recorded("spans()")
         return fold_spans(self.events)
 
@@ -763,7 +777,7 @@ def _lane_rows(cols: EventColumns) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def fold_spans(events: "EventColumns | Iterable[SimEvent]") -> List[Span]:
-    """The legacy span timeline: one span per lane-occupying row."""
+    """The span timeline: one span per lane-occupying row."""
     return [
         Span(lane=qualified_lane(lane, device), label=label, start=start,
              end=end)

@@ -283,14 +283,14 @@ class Fabric:
     """
 
     def __init__(self, spec: FabricSpec, base: Optional[GPUSpec] = None,
-                 record_spans: bool = False, charge_scale: float = 1.0,
-                 record_events: bool = False, faults=None) -> None:
+                 charge_scale: float = 1.0, record_events: bool = False,
+                 faults=None) -> None:
         if charge_scale <= 0:
             raise ValueError("charge_scale must be positive")
         self.spec = spec
         self.topology = FabricTopology(spec, base or GPUSpec())
         self.charge_scale = charge_scale
-        self.clock = VirtualClock(record=record_spans)
+        self.clock = VirtualClock()
         self.events = EventLog(record=record_events)
         self.faults = faults
         self.devices: List[SimulatedGPU] = [

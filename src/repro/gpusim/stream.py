@@ -94,8 +94,6 @@ class Lane:
         start = max(self.clock.now, self.busy_until, after)
         end = start + duration
         self.busy_until = end
-        if duration > 0:
-            self.clock.log(self.key, label, start, end)
         self.log.emit_op(
             self.name, kind, label, start, end,
             counters=counters, extra=extra, device=self.device,

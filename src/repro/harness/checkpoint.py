@@ -38,7 +38,10 @@ __all__ = ["IterationCheckpoint", "ShardCheckpoint", "CheckpointStore",
 #: 3: ``EventLog.events`` is an ``EventColumns`` store, not a list of
 #: ``SimEvent`` (a version-2 blob of a recording run would unpickle a log
 #: whose next emit calls ``list.add``).
-CHECKPOINT_VERSION = 3
+#: 4: the clock's span log is gone from engines, ``SimulatedGPU`` and
+#: ``VirtualClock``, and ``AsceticConfig`` lost five fields (a version-3
+#: blob would restore all of them as dead attributes).
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.analysis.traces import LANE_TIDS, MARKER_TID
-from repro.gpusim.clock import Span
 from repro.gpusim.events import (
     COUNTER_FIELDS,
     DEVICE_FAULT_KINDS,
@@ -26,6 +25,7 @@ from repro.gpusim.events import (
     IdleBreakdown,
     LaneStats,
     SimEvent,
+    Span,
     lane_key,
 )
 from repro.gpusim.metrics import Metrics

@@ -1,10 +1,10 @@
 """Materialized subgraphs — the SubCSR the On-demand Engine actually ships.
 
 The cost model charges ``active_edges × bytes_per_edge + vertices × 8`` for
-each gathered subgraph; this module *builds* that structure (Subway's
+each gathered subgraph; this oracle *builds* that structure (Subway's
 SubCSR: compacted offsets over the requested vertices plus their gathered
-edge slices), so the accounting can be cross-validated against real bytes
-and engines can be run in ``materialize`` mode that stages genuine buffers.
+edge slices), so ``tests/test_subgraph.py`` can cross-validate the
+accounting against real bytes.
 
 Everything is vectorized; extraction is O(active edges).
 """

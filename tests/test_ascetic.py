@@ -34,10 +34,6 @@ class TestConfig:
         assert cfg.policy_for(make_program("BFS")) == "cumulative"
         assert cfg.policy_for(make_program("CC")) == "cumulative"
 
-    def test_policy_forced(self):
-        cfg = AsceticConfig(replacement_policy="last")
-        assert cfg.policy_for(make_program("BFS")) == "last"
-
 
 class TestCorrectness:
     @pytest.mark.parametrize("fill", ["front", "rear", "random", "lazy"])

@@ -107,24 +107,28 @@ class TestStore:
         """A checkpoint written before the event log went columnar (layout
         version 2) pickles an ``EventLog`` whose ``events`` is a list of
         ``SimEvent``; resumed into, a recording run would fail on its next
-        emit.  It must be refused at load, and the recorded cell then runs
-        from iteration 0 to the same log an undisturbed run retains."""
+        emit.  A version-3 one pickles an engine ``record_spans``, a
+        ``VirtualClock`` with a span list and five ``AsceticConfig``
+        attributes that no longer exist.  Both must be refused at load, and
+        the recorded cell then runs from iteration 0 to the same log an
+        undisturbed run retains."""
         w = make_workload("GS", "BFS", scale=SCALE)
         clean = run_workload(w, "Ascetic", record_events=True)
         store = CheckpointStore(str(tmp_path))
-        stale = IterationCheckpoint(
-            engine="Ascetic", algorithm="BFS", graph_name=w.graph.name,
-            iteration=2, values=np.zeros(w.graph.n_vertices),
-            active=np.zeros(w.graph.n_vertices, dtype=bool),
-            blob=b"version-2 engine state")
-        with open(store.path_for("cell"), "wb") as fh:
-            pickle.dump({"version": 2, "checkpoint": stale}, fh)
-        assert store.load("cell") is None
-        result = run_workload(w, "Ascetic", record_events=True,
-                              checkpoint=store, checkpoint_key="cell")
-        assert result.iterations == clean.iterations
-        assert np.array_equal(result.values, clean.values)
-        assert result.event_log.events == clean.event_log.events
+        for version in (2, 3):
+            stale = IterationCheckpoint(
+                engine="Ascetic", algorithm="BFS", graph_name=w.graph.name,
+                iteration=2, values=np.zeros(w.graph.n_vertices),
+                active=np.zeros(w.graph.n_vertices, dtype=bool),
+                blob=b"version-%d engine state" % version)
+            with open(store.path_for("cell"), "wb") as fh:
+                pickle.dump({"version": version, "checkpoint": stale}, fh)
+            assert store.load("cell") is None
+            result = run_workload(w, "Ascetic", record_events=True,
+                                  checkpoint=store, checkpoint_key="cell")
+            assert result.iterations == clean.iterations
+            assert np.array_equal(result.values, clean.values)
+            assert result.event_log.events == clean.event_log.events
 
     def test_clear_and_keys(self, tmp_path):
         store = CheckpointStore(str(tmp_path))

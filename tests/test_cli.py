@@ -102,6 +102,50 @@ class TestCommands:
         assert "Subway baseline" in capsys.readouterr().out
 
 
+RUN = ["run", "--dataset", "FK", "--algo", "BFS", "--scale", "5e-5"]
+
+
+class TestBadInput:
+    """Bad input is a usage error or ``error: ...`` — never a traceback,
+    never a silently wrong cell."""
+
+    @pytest.mark.parametrize("flag", [["--fill", "lazy"], ["--ratio", "0.5"],
+                                      ["--no-overlap"]])
+    def test_run_rejects_ascetic_flag_on_other_engine(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(RUN + ["--engine", "UVM"] + flag)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag[0] in err and "UVM" in err
+
+    @pytest.mark.parametrize("argv", [
+        RUN + ["--ratio", "1.5"],
+        RUN + ["--ratio", "nan"],
+        ["sweep-ratio", "--dataset", "FK", "--algo", "CC", "--scale", "5e-5",
+         "--ratios", "0.2", "-0.1"],
+        RUN[:-1] + ["0"],
+        RUN[:-1] + ["1.5"],
+        ["trace", "FK", "BFS", "--scale", "0"],
+        ["grid", "--scale", "-1"],
+        ["chaos", "FK", "BFS", "--scale", "0"],
+        ["serve", "--scale", "0"],
+    ])
+    def test_out_of_range_value_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "is not in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        RUN, ["compare"] + RUN[1:], ["trace", "FK", "BFS", "--scale", "5e-5"],
+        ["chaos", "FK", "BFS", "--scale", "5e-5"],
+    ])
+    def test_out_of_memory_is_reported_not_raised(self, argv, capsys):
+        assert main(argv + ["--memory-bytes", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "vertex_state" in err
+
+
 class TestGridCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["grid"])

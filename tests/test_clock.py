@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.gpusim.clock import Span, VirtualClock
+from repro.gpusim.clock import VirtualClock
+from repro.gpusim.events import Span
 
 
 class TestVirtualClock:
@@ -34,24 +35,12 @@ class TestVirtualClock:
         assert c.now == 5.0
 
     def test_reset(self):
-        c = VirtualClock(record=True)
+        c = VirtualClock()
         c.advance(1.0)
-        c.log("gpu", "k", 0.0, 1.0)
         c.reset()
-        assert c.now == 0.0 and not c.spans
+        assert c.now == 0.0
 
 
 class TestSpans:
-    def test_logging_disabled_by_default(self):
-        c = VirtualClock()
-        assert c.log("gpu", "k", 0.0, 1.0) is None
-        assert c.spans == []
-
-    def test_logging_enabled(self):
-        c = VirtualClock(record=True)
-        s = c.log("copy", "h2d", 1.0, 2.5)
-        assert s == Span("copy", "h2d", 1.0, 2.5)
-        assert c.spans == [s]
-
     def test_span_duration(self):
         assert Span("gpu", "k", 1.0, 3.5).duration == 2.5

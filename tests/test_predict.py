@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_program
-from repro.analysis.predict import (
-    predict_pt_bytes,
-    predict_subway_bytes,
-    record_active_trace,
-)
 from repro.engines.partition_based import PartitionEngine
 from repro.engines.subway import SubwayEngine
 from repro.graph.properties import best_source
 
 from conftest import TEST_SCALE, make_spec_for
+from predict_oracles import (
+    predict_pt_bytes,
+    predict_subway_bytes,
+    record_active_trace,
+)
 
 
 class TestActiveTrace:

@@ -15,7 +15,6 @@ MODULES = [
     "repro.graph.partition",
     "repro.graph.properties",
     "repro.graph.reorder",
-    "repro.graph.subgraph",
     "repro.gpusim",
     "repro.gpusim.clock",
     "repro.gpusim.device",
@@ -59,7 +58,6 @@ MODULES = [
     "repro.analysis.active_edges",
     "repro.analysis.memory_usage",
     "repro.analysis.breakdown",
-    "repro.analysis.predict",
     "repro.analysis.reuse",
     "repro.analysis.report",
     "repro.harness",
@@ -79,7 +77,6 @@ MODULES = [
     "repro.serve.batching",
     "repro.serve.slo",
     "repro.serve.simulator",
-    "repro.bench",
     "repro.cli",
 ]
 

@@ -2,10 +2,10 @@
 
 ``stream_rounds`` replaces seven hand-written gather → transfer → compute
 chains.  Every chain of at most ``ROUND_LOOP_LIMIT`` rounds is a fixed
-point — lean, recorded, span-recorded and faulted.  The hashes below were
-taken from the parent commit *before* ``manager.py`` / ``hybrid.py`` /
-``subway.py`` were touched, for the configurations the deleted batched gate
-keyed on (``events.record``, ``faults``, ``clock.record``) and
+point — lean, recorded, its folded span timeline, and faulted.  The hashes
+below were taken from the parent commit *before* ``manager.py`` /
+``hybrid.py`` / ``subway.py`` were touched, for the configurations the
+deleted batched gate keyed on (``events.record``, ``faults``) and
 ``tests/test_chunk_axis_pins.py`` does not cover: GS/BFS and GS/SSSP at
 scale 2e-4 with device memory at 0.2 × the dataset (multi-round chains), on
 Subway (sequential and pipelined), Ascetic (overlapped and sequential) and
@@ -60,18 +60,10 @@ def run(algo: str, config: str, **kwargs):
 
 
 def span_hash(algo: str, config: str) -> str:
-    """Hash of the clock's span list (``record_spans=True``)."""
-    from repro.engines import registry
-
-    engine, opts = CONFIGS[config]
-    wl = workload(algo)
-    eng = registry.create(engine, spec=wl.spec, data_scale=wl.scale,
-                          record_spans=True, **opts)
-    clocks = []
-    eng.iteration_hook = lambda _e, gpu, _g, _s: clocks.append(gpu.clock)
-    eng.run(wl.graph, wl.fresh_program())
+    """Hash of the span timeline folded from the recorded event log."""
+    spans = run(algo, config, record_events=True).event_log.spans()
     blob = repr([(s.lane, s.label, repr(s.start), repr(s.end))
-                 for s in clocks[0].spans])
+                 for s in spans])
     return hashlib.sha1(blob.encode()).hexdigest()[:16]
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.gpusim.clock import VirtualClock
+from repro.gpusim.events import EventLog
 from repro.gpusim.stream import Lane
 
 
@@ -101,14 +102,14 @@ class TestLane:
         clock.advance_to(7.0)
         assert lane.submit(1.0) == 8.0
 
-    def test_span_recording(self):
-        clock = VirtualClock(record=True)
-        lane = Lane("gpu", clock)
+    def test_span_recording(self, clock):
+        lane = Lane("gpu", clock, log=EventLog(record=True))
         lane.submit(2.0, label="kernel")
-        assert clock.spans[0].label == "kernel"
-        assert clock.spans[0].lane == "gpu"
+        (span,) = lane.log.spans()
+        assert (span.lane, span.label) == ("gpu", "kernel")
 
-    def test_zero_duration_not_logged(self):
-        clock = VirtualClock(record=True)
-        Lane("gpu", clock).submit(0.0, label="noop")
-        assert clock.spans == []
+    def test_zero_duration_not_logged(self, clock):
+        lane = Lane("gpu", clock, log=EventLog(record=True))
+        lane.submit(0.0, label="noop")
+        lane.submit(0.0, label="counted", counters={"h2d_transfers": 1})
+        assert lane.log.spans() == []

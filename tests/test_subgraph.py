@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from repro.algorithms import make_program
 from repro.engines.subway import OFFSET_BYTES_PER_ACTIVE_VERTEX, SubwayEngine
 from repro.graph.generators import rmat_graph
-from repro.graph.subgraph import extract_subgraph
 from repro.graph.properties import best_source
 
 from conftest import TEST_SCALE, make_spec_for
+from subgraph_oracles import extract_subgraph
 
 
 class TestExtraction:
@@ -82,16 +82,24 @@ class TestExtraction:
 
 class TestMaterializedSubway:
     def test_same_accounting_as_costed_mode(self, small_social):
-        """materialize=True must charge the identical bytes and produce the
-        identical timeline — the cost model is exactly the materialization."""
-        spec = make_spec_for(small_social, edge_fraction=0.4)
-        prog = lambda: make_program("BFS", source=best_source(small_social))
-        costed = SubwayEngine(spec=spec, data_scale=TEST_SCALE).run(
-            small_social, prog()
-        )
-        staged = SubwayEngine(
-            spec=spec, data_scale=TEST_SCALE, materialize=True
-        ).run(small_social, prog())
-        assert staged.metrics.bytes_h2d == costed.metrics.bytes_h2d
-        assert staged.elapsed_seconds == costed.elapsed_seconds
-        assert np.array_equal(staged.values, costed.values)
+        """Every frontier, physically built, is byte for byte what Subway
+        accounted for it — the cost model is exactly the materialization."""
+        engine = SubwayEngine(spec=make_spec_for(small_social, edge_fraction=0.4),
+                              data_scale=TEST_SCALE)
+        staged = []
+
+        def materialize(_engine, _gpu, graph, state):
+            sub = extract_subgraph(graph, state.active)
+            sub.validate_against(graph)
+            staged.append(sub.nbytes)
+
+        engine.iteration_hook = materialize
+        result = engine.run(
+            small_social, make_program("BFS", source=best_source(small_social)))
+        assert staged == [
+            r.n_active_edges * small_social.bytes_per_edge
+            + r.n_active_vertices * OFFSET_BYTES_PER_ACTIVE_VERTEX
+            for r in result.per_iteration
+        ]
+        assert result.extra["avg_iteration_bytes"] == (
+            sum(staged) / len(staged) * (1.0 / TEST_SCALE))

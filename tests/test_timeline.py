@@ -1,10 +1,9 @@
 """Timeline (span-level) tests: the Fig. 5 overlap claims hold for real.
 
-These run engines with ``record_spans=True`` and inspect the recorded
-timeline directly — stronger evidence than comparing totals.
+These run engines with ``record_events=True`` and inspect the span
+timeline folded from the event log — stronger evidence than comparing
+totals.
 """
-
-import numpy as np
 
 from repro.algorithms import make_program
 from repro.core.ascetic import AsceticConfig, AsceticEngine
@@ -13,36 +12,27 @@ from repro.engines.subway import SubwayEngine
 from conftest import TEST_SCALE, make_spec_for
 
 
-def spans_by_lane(result_engine_gpu_spans, lane):
-    return [s for s in result_engine_gpu_spans if s.lane == lane]
-
-
 def overlap_seconds(a, b):
     return max(0.0, min(a.end, b.end) - max(a.start, b.start))
 
 
-def run_with_spans(engine_cls, graph, program, **kwargs):
-    spec = make_spec_for(graph, edge_fraction=0.4)
-    engine = engine_cls(spec=spec, data_scale=TEST_SCALE, record_spans=True, **kwargs)
-    # Reach into the run to keep the clock's span log.
-    result = engine.run(graph, program)
-    return result
+def lane_overlap(result, lane_a, lane_b):
+    """Seconds during which ``lane_a`` and ``lane_b`` are both busy."""
+    spans = result.event_log.spans()
+    return sum(overlap_seconds(a, b)
+               for a in spans if a.lane == lane_a
+               for b in spans if b.lane == lane_b)
 
 
 class TestAsceticOverlap:
     def test_static_compute_overlaps_gather(self, small_social):
         spec = make_spec_for(small_social, edge_fraction=0.4)
-        engine = AsceticEngine(spec=spec, data_scale=TEST_SCALE, record_spans=True)
-        # Run manually to retain the clock.
-        from repro.gpusim.device import SimulatedGPU
-
-        program = make_program("CC")
-        result = engine.run(small_social, program)
-        assert result.elapsed_seconds > 0
-        # The engine builds a fresh SimulatedGPU per run; re-run one
-        # iteration's schedule through the public API instead: check the
-        # aggregate signature of overlap — total elapsed strictly below the
-        # busy-time sum of the lanes.
+        result = AsceticEngine(spec=spec, data_scale=TEST_SCALE,
+                               record_events=True).run(
+            small_social, make_program("CC"))
+        assert lane_overlap(result, "gpu", "cpu") > 0
+        # The aggregate signature of overlap — total elapsed strictly below
+        # the busy-time sum of the lanes.
         ph = result.metrics.phase_seconds
         lane_work = ph.get("Tsr", 0) + ph.get("Tondemand", 0) + ph.get(
             "Tfilling", 0
@@ -70,8 +60,9 @@ class TestSubwaySequentiality:
     def test_phases_serialize(self, small_social):
         res = SubwayEngine(
             spec=make_spec_for(small_social, edge_fraction=0.4),
-            data_scale=TEST_SCALE,
+            data_scale=TEST_SCALE, record_events=True,
         ).run(small_social, make_program("CC"))
+        assert lane_overlap(res, "gpu", "cpu") == 0
         ph = res.metrics.phase_seconds
         chain = ph.get("Tfilling", 0) + ph.get("Ttransfer", 0) + ph.get("Tcompute", 0)
         assert res.elapsed_seconds >= chain * 0.999
