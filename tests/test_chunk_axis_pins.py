@@ -11,6 +11,9 @@ touched and must keep passing unchanged:
   0.2/0.6 × the dataset, Subway / Ascetic / Hybrid / Sharded(4 × Ascetic)),
   hashed over ``elapsed_seconds``, the value array, every ``Metrics`` field
   and every ``extra``;
+* ten more Sharded cells off that grid — one and three devices, Hybrid as
+  the inner engine, and runs cut short by ``max_iterations=3`` — taken
+  before ``ShardedEngine`` moved onto ``Engine.run``;
 * Ascetic and Hybrid on GS/BFS and GS/SSSP, recorded under
   ``standard_plan()``, hashed over the full event log (per-run
   ``access-path`` markers included).
@@ -36,6 +39,19 @@ OOM_CELLS = (
     ("FK", "PR", (0.2,), ("Subway", "Ascetic", "Hybrid")),
 )
 SHARDED_OPTS = {"devices": 4, "inner": "Ascetic"}
+#: ``(dataset, algo, memory ratio, devices, inner, max_iterations)``.
+SHARDED_VARIANTS = (
+    ("FK", "BFS", 0.2, 1, "Ascetic", None),
+    ("FK", "BFS", 0.2, 3, "Ascetic", None),
+    ("FK", "BFS", 0.2, 3, "Hybrid", None),
+    ("FK", "BFS", 0.2, 4, "Hybrid", 3),
+    ("FK", "BFS", 0.6, 1, "Hybrid", None),
+    ("GS", "SSSP", 0.6, 3, "Ascetic", None),
+    ("GS", "SSSP", 0.6, 4, "Hybrid", None),
+    ("GS", "SSSP", 0.2, 3, "Hybrid", 3),
+    ("GS", "SSSP", 0.2, 1, "Ascetic", 3),
+    ("GS", "BFS", 0.6, 3, "Hybrid", None),
+)
 RECORDED_CELLS = tuple(
     (algo, engine) for algo in ("BFS", "SSSP") for engine in ("Ascetic", "Hybrid")
 )
@@ -53,6 +69,22 @@ def oom_specs():
                                memory_bytes=memory,
                                engine_opts=SHARDED_OPTS if engine == "Sharded" else {})
                 out.append((f"{dataset}/{algo}/m{ratio:g}/{engine}", spec))
+    return out
+
+
+def sharded_variant_specs():
+    """``(name, RunSpec)`` for the Sharded cells off the ``oom_pressure`` grid."""
+    out = []
+    for dataset, algo, ratio, devices, inner, cap in SHARDED_VARIANTS:
+        graph = make_workload(dataset, algo, scale=SCALE).graph
+        opts = {"devices": devices, "inner": inner}
+        if cap is not None:
+            opts["max_iterations"] = cap
+        spec = RunSpec(dataset, algo, "Sharded", scale=SCALE,
+                       memory_bytes=int(ratio * graph.dataset_bytes),
+                       engine_opts=opts)
+        name = f"{dataset}/{algo}/m{ratio:g}/{devices}x{inner}"
+        out.append((name + (f"/cap{cap}" if cap is not None else ""), spec))
     return out
 
 
@@ -113,6 +145,19 @@ OOM_PINS = {
     "FK/PR/m0.2/Hybrid": "7aac447e7d7f8c01",
 }
 
+SHARDED_VARIANT_PINS = {
+    "FK/BFS/m0.2/1xAscetic": "5bbbffaa19766534",
+    "FK/BFS/m0.2/3xAscetic": "e7a6da3a27917796",
+    "FK/BFS/m0.2/3xHybrid": "d380046d218786bc",
+    "FK/BFS/m0.2/4xHybrid/cap3": "59038c9bce9f19af",
+    "FK/BFS/m0.6/1xHybrid": "1d6835f64284fed4",
+    "GS/SSSP/m0.6/3xAscetic": "d0aa20e731de00e9",
+    "GS/SSSP/m0.6/4xHybrid": "08c39f006ceaa33e",
+    "GS/SSSP/m0.2/3xHybrid/cap3": "3d658c6203792ed9",
+    "GS/SSSP/m0.2/1xAscetic/cap3": "501ea1c505d604e8",
+    "GS/BFS/m0.6/3xHybrid": "d8473c4a03b9ddcd",
+}
+
 EVENT_LOG_PINS = {
     "GS/BFS/Ascetic": "4a1ca3517329329a",
     "GS/BFS/Hybrid": "3ae5028a68136be6",
@@ -124,6 +169,15 @@ EVENT_LOG_PINS = {
 @pytest.mark.parametrize("name,spec", oom_specs(), ids=[n for n, _ in oom_specs()])
 def test_oom_pressure_cell_is_bit_identical_to_parent(name, spec):
     assert result_hash(run_cell(spec)) == OOM_PINS[name]
+
+
+@pytest.mark.parametrize("name,spec", sharded_variant_specs(),
+                         ids=[n for n, _ in sharded_variant_specs()])
+def test_sharded_variant_is_bit_identical_to_parent(name, spec):
+    result = run_cell(spec)
+    if "/cap" in name:
+        assert result.iterations == len(result.per_iteration) == 3
+    assert result_hash(result) == SHARDED_VARIANT_PINS[name]
 
 
 @pytest.mark.parametrize("algo,engine", RECORDED_CELLS,

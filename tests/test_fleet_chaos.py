@@ -11,6 +11,11 @@ The two acceptance pins of the fault-tolerance PR live here:
   baseline, the SLO report carries a ``degraded`` section with nonzero
   relocated-request counts, and the chaos run replays bit for bit.
 
+Both rest on :class:`TestShardedPayloadPins`: full-payload hashes of
+sharded runs under the standard fleet plan (two victims) and the
+single-device ``standard_plan()``, lean and recorded, taken before
+``ShardedEngine`` moved onto ``Engine.run`` and held unchanged since.
+
 Around them: the hypothesis determinism property (twice-run digests are
 identical under *any* seeded device-fault plan), the late-loss regression
 (a device dying after the final superstep changes no values and no
@@ -38,9 +43,11 @@ from repro.gpusim.faults import (
     FaultPlan,
     LinkDegradation,
     standard_fleet_plan,
+    standard_plan,
 )
 from repro.gpusim.events import fold_device_faults
 from repro.graph.properties import best_source
+from repro.harness.experiments import make_workload, run_workload
 from repro.harness.persistence import result_to_payload
 from repro.serve import (
     SLO_SCHEMA,
@@ -135,6 +142,59 @@ class TestShardedRecovery:
         with pytest.raises(DeviceLostError):
             run_sharded(small_social, bfs_factory(small_social),
                         devices=2, fault_plan=plan, seed=0)
+
+
+#: ``(dataset, algo, devices, inner)`` at scale 5e-5.
+PINNED_FLEETS = (
+    ("GS", "BFS", 4, "Ascetic"),
+    ("FK", "BFS", 3, "Hybrid"),
+    ("GS", "SSSP", 2, "Ascetic"),
+)
+PINNED_PLANS = ("fleet0", "fleet7", "standard")
+
+PAYLOAD_PINS = {
+    "GS/BFS/4xAscetic/fleet0/lean": "d11691878c651a22",
+    "GS/BFS/4xAscetic/fleet0/recorded": "6f08458783cceff5",
+    "GS/BFS/4xAscetic/fleet7/lean": "5fc5e0b04c95ee25",
+    "GS/BFS/4xAscetic/fleet7/recorded": "ad97d83579a1f9c1",
+    "GS/BFS/4xAscetic/standard/lean": "5977ee8ebfc45339",
+    "GS/BFS/4xAscetic/standard/recorded": "b6e7d96df76ee628",
+    "FK/BFS/3xHybrid/fleet0/lean": "6eec32ffc2c795b3",
+    "FK/BFS/3xHybrid/fleet0/recorded": "4c496c94749f80c9",
+    "FK/BFS/3xHybrid/fleet7/lean": "d27467c33aa818b0",
+    "FK/BFS/3xHybrid/fleet7/recorded": "5a364613af6202d8",
+    "FK/BFS/3xHybrid/standard/lean": "e131d3b2785d77bb",
+    "FK/BFS/3xHybrid/standard/recorded": "3288f70e1c134070",
+    "GS/SSSP/2xAscetic/fleet0/lean": "d67a5c5f09d2aa99",
+    "GS/SSSP/2xAscetic/fleet0/recorded": "453aaaa7850a8c58",
+    "GS/SSSP/2xAscetic/fleet7/lean": "247c548d84b73114",
+    "GS/SSSP/2xAscetic/fleet7/recorded": "f40fa4545a318364",
+    "GS/SSSP/2xAscetic/standard/lean": "17341cc6daa4159a",
+    "GS/SSSP/2xAscetic/standard/recorded": "4a2e46397968c7c6",
+}
+
+
+class TestShardedPayloadPins:
+    """Every byte of a faulted sharded payload is a fixed point."""
+
+    @pytest.mark.parametrize("plan_name", PINNED_PLANS)
+    @pytest.mark.parametrize("dataset,algo,devices,inner", PINNED_FLEETS)
+    def test_payload_is_bit_identical_to_parent(self, dataset, algo, devices,
+                                                inner, plan_name):
+        w = make_workload(dataset, algo, scale=5e-5)
+        opts = {"devices": devices, "inner": inner}
+        baseline = run_workload(w, "Sharded", **opts)
+        if plan_name == "standard":
+            plan, seed = standard_plan(), 0
+        else:
+            seed = int(plan_name[len("fleet"):])
+            plan = mid_run_plan(baseline, seed=seed, devices=devices)
+        for mode, record in (("lean", False), ("recorded", True)):
+            chaos = run_workload(w, "Sharded", fault_plan=plan, seed=seed,
+                                 record_events=record, **opts)
+            assert np.array_equal(chaos.values, baseline.values)
+            key = f"{dataset}/{algo}/{devices}x{inner}/{plan_name}/{mode}"
+            assert payload_digest(chaos) == PAYLOAD_PINS[key], key
 
 
 class TestChaosDeterminism:
