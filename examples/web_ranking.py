@@ -15,7 +15,7 @@ from repro import GPUSpec, load_dataset
 from repro.algorithms import make_program
 from repro.algorithms.validate import reference_pagerank
 from repro.analysis.report import format_table, human_bytes
-from repro.harness.experiments import ENGINES
+from repro.engines import registry
 
 SCALE = 2e-4
 dataset = load_dataset("UK", scale=SCALE)
@@ -25,8 +25,8 @@ print(f"ranking {graph} on a "
       f"{human_bytes(dataset.gpu_memory_bytes / SCALE)} (paper-scale) device\n")
 
 results = {}
-for name, cls in ENGINES.items():
-    engine = cls(spec=spec, data_scale=SCALE)
+for name in registry.available():
+    engine = registry.create(name, spec=spec, data_scale=SCALE)
     results[name] = engine.run(graph, make_program("PR", tol=1e-2))
 
 # Every engine must rank the pages identically (they differ only in how

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -124,15 +125,21 @@ class VertexProgram(abc.ABC):
         if self.needs_weights and not graph.is_weighted:
             raise ValueError(f"{self.name} requires edge weights")
 
-    def run_reference(self, graph: CSRGraph) -> np.ndarray:
+    def run_reference(
+        self, graph: CSRGraph,
+        before_step: Optional[Callable[[ProgramState], None]] = None,
+    ) -> np.ndarray:
         """Run the program to completion host-side (no engine, no costs).
 
         This is the oracle the engine tests compare against, and the
         cheapest way to get exact per-iteration frontiers for the analysis
-        tooling.
+        tooling: ``before_step(state)`` sees each superstep's state while
+        ``state.active`` is still the frontier about to be consumed.
         """
         self.validate_graph(graph)
         state = self.init_state(graph)
         while state.active.any() and not self.done(state):
+            if before_step is not None:
+                before_step(state)
             self.step(graph, state)
         return self.values(state)

@@ -20,13 +20,10 @@ __all__ = ["active_edge_fractions", "table1_row"]
 
 def active_edge_fractions(graph: CSRGraph, program: VertexProgram) -> List[float]:
     """Per-iteration active-edge fractions of a host-side reference run."""
-    program.validate_graph(graph)
-    state = program.init_state(graph)
     fractions: List[float] = []
     m = max(graph.n_edges, 1)
-    while state.active.any() and not program.done(state):
-        fractions.append(active_edge_count(graph, state.active) / m)
-        program.step(graph, state)
+    program.run_reference(graph, lambda state: fractions.append(
+        active_edge_count(graph, state.active) / m))
     return fractions
 
 

@@ -71,6 +71,27 @@ def data_scale(text: str) -> float:
     return value
 
 
+def _at_least(kind, low, strict=False):
+    """argparse ``type=`` factory: ``kind(text)`` in ``[low, inf)`` — or
+    ``(low, inf)`` when ``strict``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low or (value == low and not strict)):
+            raise argparse.ArgumentTypeError(
+                f"{text} is not in {'(' if strict else '['}{low}, inf)")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+positive_int = _at_least(int, 1)
+non_negative_int = _at_least(int, 0)
+positive_float = _at_least(float, 0.0, strict=True)
+non_negative_float = _at_least(float, 0.0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for the ``repro`` entry point."""
     p = argparse.ArgumentParser(
@@ -95,11 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="vertex program")
         sp.add_argument("--scale", type=data_scale, default=BENCH_SCALE,
                         help=f"dataset down-scale (default {BENCH_SCALE:g})")
-        sp.add_argument("--memory-bytes", type=int, default=None,
+        sp.add_argument("--memory-bytes", type=positive_int, default=None,
                         help="override the (scaled) device capacity")
 
     def jobs_arg(sp):
-        sp.add_argument("--jobs", type=int, default=1,
+        sp.add_argument("--jobs", type=positive_int, default=1,
                         help="worker processes (1 = in-process serial)")
 
     run_p = sub.add_parser("run", help="run one engine on one workload")
@@ -136,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help=engine_help)
     tr_p.add_argument("--scale", type=data_scale, default=BENCH_SCALE,
                       help=f"dataset down-scale (default {BENCH_SCALE:g})")
-    tr_p.add_argument("--memory-bytes", type=int, default=None,
+    tr_p.add_argument("--memory-bytes", type=positive_int, default=None,
                       help="override the (scaled) device capacity")
     tr_p.add_argument("-o", "--output", default=None,
                       help="trace JSON path (default "
@@ -162,19 +183,19 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"result cache directory (default {DEFAULT_CACHE_DIR})")
     g_p.add_argument("--no-cache", action="store_true",
                      help="recompute every cell, touch no cache")
-    g_p.add_argument("--timeout", type=float, default=None,
+    g_p.add_argument("--timeout", type=positive_float, default=None,
                      help="per-cell wall-clock budget in seconds")
-    g_p.add_argument("--retries", type=int, default=1,
+    g_p.add_argument("--retries", type=non_negative_int, default=1,
                      help="extra attempts for a failing cell (default 1)")
 
     def load_test_args(sp):
         sp.add_argument("--quick", action="store_true",
                         help="the tiny pinned smoke config (what CI runs)")
-        sp.add_argument("--seed", type=int, default=0,
+        sp.add_argument("--seed", type=non_negative_int, default=0,
                         help="workload-generator seed (default 0)")
-        sp.add_argument("--requests", type=int, default=24,
+        sp.add_argument("--requests", type=non_negative_int, default=24,
                         help="offered requests (default %(default)s)")
-        sp.add_argument("--rate", type=float, default=1.0,
+        sp.add_argument("--rate", type=positive_float, default=1.0,
                         help="arrival rate, requests per simulated second "
                              "(default %(default)s)")
         sp.add_argument("--graphs", nargs="+", default=["GS"],
@@ -190,11 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"dataset down-scale (default {BENCH_SCALE:g})")
         sp.add_argument("--tenants", nargs="+", default=["t0", "t1"],
                         metavar="NAME", help="tenant names (default t0 t1)")
-        sp.add_argument("--deadline", type=float, default=None,
+        sp.add_argument("--deadline", type=positive_float, default=None,
                         help="per-request deadline budget in simulated seconds")
-        sp.add_argument("--multi-source", type=int, default=1,
+        sp.add_argument("--multi-source", type=positive_int, default=1,
                         help="explicit sources per BFS/SSSP request")
-        sp.add_argument("--queue-capacity", type=int, default=16,
+        sp.add_argument("--queue-capacity", type=positive_int, default=16,
                         help="admission-queue bound (default %(default)s)")
         sp.add_argument("--queue-policy", default="reject",
                         choices=("reject", "drop-oldest", "deadline"),
@@ -202,11 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--scheduler", default="affinity",
                         choices=("fifo", "affinity"),
                         help="dispatch order (default affinity)")
-        sp.add_argument("--max-batch", type=int, default=1,
+        sp.add_argument("--max-batch", type=positive_int, default=1,
                         help="fuse up to N compatible traversals per dispatch")
-        sp.add_argument("--batch-wait", type=float, default=0.0,
+        sp.add_argument("--batch-wait", type=non_negative_float, default=0.0,
                         help="seconds to hold a free device for a fuller batch")
-        sp.add_argument("--max-engines", type=int, default=2,
+        sp.add_argument("--max-engines", type=positive_int, default=2,
                         help="warm engine-pool size per device (default 2)")
         sp.add_argument("--devices", type=int, default=1,
                         help="simulated devices behind the router "
@@ -214,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--topology", default="pcie",
                         choices=sorted(TOPOLOGIES),
                         help="inter-device link class (default pcie)")
-        sp.add_argument("--shard-over", type=float, default=None,
+        sp.add_argument("--shard-over", type=positive_float, default=None,
                         help="shard a graph fabric-wide when its edge bytes "
                              "exceed this multiple of device capacity "
                              "(default: never shard; fleet --quick pins 1.0)")
@@ -254,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="fault-injector seed (default 0)")
     ch_p.add_argument("--scale", type=data_scale, default=BENCH_SCALE,
                       help=f"dataset down-scale (default {BENCH_SCALE:g})")
-    ch_p.add_argument("--memory-bytes", type=int, default=None,
+    ch_p.add_argument("--memory-bytes", type=positive_int, default=None,
                       help="override the (scaled) device capacity")
     ch_p.add_argument("--fleet", action="store_true",
                       help="fleet chaos: kill one device mid-run under the "

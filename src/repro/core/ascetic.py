@@ -39,8 +39,6 @@ class AsceticConfig:
     k:
         Expected active-edge fraction per iteration, Eq. 2's K (paper
         default 10 %).
-    chunk_bytes:
-        Static Region chunk size (§3.4: 16 KB).
     fill:
         How the Static Region gets its content.  ``front`` (default) /
         ``rear`` / ``random`` prefill the region eagerly during setup with
@@ -63,7 +61,6 @@ class AsceticConfig:
     """
 
     k: float = 0.10
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES
     fill: str = "front"
     overlap: bool = True
     replacement: bool = True
@@ -218,7 +215,7 @@ class AsceticEngine(Engine):
         )
         # Chunk geometry scales with the data so the chunk *count* (and the
         # hotness table the replacement server manages) matches paper scale.
-        chunk_bytes = self.scaled_bytes(cfg.chunk_bytes)
+        chunk_bytes = self.scaled_bytes(DEFAULT_CHUNK_BYTES)
         self._fragment_chunks = max(
             self.scaled_bytes(FRAGMENT_BYTES) // chunk_bytes, 1
         )

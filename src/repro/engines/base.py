@@ -1,8 +1,10 @@
 """Engine contract and run results.
 
 An engine executes one :class:`~repro.algorithms.base.VertexProgram` on one
-graph against a fresh :class:`~repro.gpusim.device.SimulatedGPU`, charging
-every byte it moves and every kernel it launches to the virtual clock.  The
+graph against a fresh device (a :class:`~repro.gpusim.device.SimulatedGPU`
+unless the engine builds something else, see ``Engine._make_device``),
+charging every byte it moves and every kernel it launches to the virtual
+clock.  The
 numeric computation itself is identical across engines (see
 ``VertexProgram.step``); what an engine contributes is a *data-movement
 policy* — which is what the paper evaluates.
@@ -19,7 +21,7 @@ import numpy as np
 
 from repro.algorithms.base import ProgramState, VertexProgram
 from repro.graph.csr import ChunkRuns, CSRGraph
-from repro.gpusim.device import GPUSpec, SimulatedGPU
+from repro.gpusim.device import DeviceFacade, GPUSpec, SimulatedGPU
 from repro.gpusim.events import EventLog
 from repro.gpusim.faults import FaultInjector, FaultPlan
 from repro.gpusim.memory import Allocation, GPUOutOfMemory
@@ -42,7 +44,8 @@ __all__ = [
 
 #: Optional per-iteration observer: ``hook(engine, gpu, graph, state)`` runs
 #: before each superstep (used by the analysis tooling to trace accesses).
-IterationHook = Callable[["Engine", SimulatedGPU, CSRGraph, ProgramState], None]
+#: ``gpu`` is the engine's device — the whole ``Fabric`` for a sharded run.
+IterationHook = Callable[["Engine", DeviceFacade, CSRGraph, ProgramState], None]
 
 
 class AccessPath(IntEnum):
@@ -378,9 +381,27 @@ class Engine(abc.ABC):
         self.resumed_iteration = None
 
     # ------------------------------------------------------------ interface
+    def _make_device(self, faults: Optional[FaultInjector]) -> DeviceFacade:
+        """The fresh device one run is charged against."""
+        return SimulatedGPU(
+            self.spec,
+            charge_scale=1.0 / self.data_scale,
+            record_events=self.record_events,
+            faults=faults,
+        )
+
     @abc.abstractmethod
     def _prepare(self, gpu: SimulatedGPU, graph: CSRGraph, program: VertexProgram) -> None:
         """Allocate device regions and do one-time setup (charged to the clock)."""
+
+    def _begin_superstep(self, gpu: DeviceFacade, graph: CSRGraph,
+                         program: VertexProgram, state: ProgramState) -> None:
+        """Hook: runs at the top of every superstep, before ``iteration_hook``.
+
+        Outside the iteration stamp and the :class:`IterationRecord`'s
+        ``t_start``, so what it charges (a sharded run's device-loss
+        recovery) belongs to no superstep.
+        """
 
     @abc.abstractmethod
     def _iteration(
@@ -419,12 +440,7 @@ class Engine(abc.ABC):
             faults = None
             if self.fault_plan is not None and not self.fault_plan.is_null:
                 faults = FaultInjector(self.fault_plan, seed=self.seed)
-            gpu = SimulatedGPU(
-                self.spec,
-                    charge_scale=1.0 / self.data_scale,
-                record_events=self.record_events,
-                faults=faults,
-            )
+            gpu = self._make_device(faults)
             state = program.init_state(graph)
             records = []
             self._squeeze_allocs = {}
@@ -434,6 +450,7 @@ class Engine(abc.ABC):
         cap = self.max_iterations if self.max_iterations is not None else program.max_iterations
         cap = max(cap, 0)
         while state.active.any() and state.iteration < cap and not program.done(state):
+            self._begin_superstep(gpu, graph, program, state)
             if self.iteration_hook is not None:
                 self.iteration_hook(self, gpu, graph, state)
             t0 = gpu.clock.now

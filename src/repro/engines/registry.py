@@ -1,7 +1,7 @@
 """Engine registry — the single source of truth for engine names.
 
-Every place that used to hard-code the engine names (the harness's
-``ENGINES`` dict, the CLI's ``--engine`` choices, the grid runner) now
+Every place that needs the engine names (the harness's
+``run_all_engines``, the CLI's ``--engine`` choices, the grid runner)
 derives them from this registry.  Third-party engines plug in with one
 call::
 
@@ -232,7 +232,7 @@ def _register_builtins() -> None:
                         "fabric of N devices, one inner engine per device, "
                         "bulk-synchronous delta exchange (docs/fleet.md)",
             supports_warm_start=False,
-            supported_engine_opts=("fabric", "devices", "topology", "inner"),
+            supported_engine_opts=("fabric", "devices", "inner"),
             transfer_policy="per shard, the inner engine's policy; deltas "
                             "exchanged over inter-device links per superstep",
         )),

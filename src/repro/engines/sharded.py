@@ -1,10 +1,13 @@
 """Multi-device sharded execution over a :class:`~repro.gpusim.fabric.Fabric`.
 
 The :class:`ShardedEngine` is a *meta*-engine: it shards the edge array
-across the fabric's devices (:func:`~repro.graph.shard.shard_graph`),
+across the fabric's devices (:func:`~repro.graph.shard.shard_graph`) and
 instantiates one **inner** engine per device (any registered single-device
-engine — Ascetic or Hybrid are the intended ones), and drives all of them
-through one bulk-synchronous superstep loop:
+engine — Ascetic or Hybrid are the intended ones).  It is an ordinary
+:class:`~repro.engines.base.Engine` whose device is the whole fabric:
+:meth:`Engine.run <repro.engines.base.Engine.run>` is its superstep loop
+(so it checkpoints and resumes like every other engine), and what it
+contributes is the bulk-synchronous superstep body:
 
 1. every device runs the inner engine's ``_iteration`` against its own
    shard — each shard is a full-vertex-set CSR holding only its edge
@@ -14,7 +17,7 @@ through one bulk-synchronous superstep loop:
    distinct destination its active local edges touched) to every peer over
    the inter-device links, charged to the cost model and attributed to the
    ``Texchange`` phase;
-3. one global ``program.step`` applies the numeric update.
+3. the run loop's one global ``program.step`` applies the numeric update.
 
 Because the numeric computation is exactly the single global
 ``program.step(graph, state)`` per superstep — engines are pure
@@ -28,7 +31,9 @@ a fabric of N.
 Fleet chaos mode adds whole-device fault tolerance on top.  Device faults
 in the :class:`~repro.gpusim.faults.FaultPlan` resolve at **barrier
 granularity**: health is sampled at the top of every superstep
-(:meth:`~repro.gpusim.fabric.Fabric.check_health`), so a device that dies
+(:meth:`~repro.gpusim.fabric.Fabric.check_health`, from the run loop's
+``_begin_superstep`` hook — outside the iteration stamp, so recovery
+belongs to no superstep), so a device that dies
 mid-superstep is discovered at the next barrier, where the replicated
 vertex state is consistent.  Recovery re-shards the dead device's edge
 range across the survivors (the same byte-range tiling as the initial
@@ -49,7 +54,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.algorithms.base import ProgramState, VertexProgram
-from repro.engines.base import Engine, IterationRecord, RunResult
+from repro.engines.base import Engine, RunResult
 from repro.graph.csr import CSRGraph
 from repro.graph.shard import GraphShard, shard_graph
 from repro.gpusim.device import GPUSpec
@@ -89,18 +94,19 @@ class DeviceLostError(RuntimeError):
 class ShardedEngine(Engine):
     """Bulk-synchronous multi-device engine wrapping per-device inner engines.
 
+    An ordinary :class:`~repro.engines.base.Engine` whose device is a
+    :class:`~repro.gpusim.fabric.Fabric`: :meth:`Engine.run` drives it, so
+    it checkpoints and resumes like every other engine.
+
     Parameters (beyond the base :class:`~repro.engines.base.Engine` set)
     ----------------------------------------------------------------------
     fabric:
         A :class:`~repro.gpusim.fabric.FabricSpec` (or its plain-dict /
-        HeteroG form) describing the device fleet.  ``None`` builds one
-        from ``devices`` + ``topology`` with every device inheriting the
-        base spec's memory.
+        HeteroG form) describing the device fleet.  ``None`` builds
+        ``devices`` PCIe-linked devices, each inheriting the base spec's
+        memory.
     devices:
         Device count shorthand when ``fabric`` is not given (default 2).
-    topology:
-        Link class shorthand when ``fabric`` is not given
-        (``"pcie"`` | ``"nvlink"``).
     inner:
         Registered name of the per-device engine (default ``"Ascetic"``).
     """
@@ -117,7 +123,6 @@ class ShardedEngine(Engine):
         seed: int = 0,
         fabric: Union[FabricSpec, Mapping, None] = None,
         devices: Optional[int] = None,
-        topology: str = "pcie",
         inner: str = "Ascetic",
     ) -> None:
         super().__init__(spec=spec, max_iterations=max_iterations,
@@ -127,8 +132,7 @@ class ShardedEngine(Engine):
         if isinstance(fabric, Mapping):
             fabric = FabricSpec.from_dict(fabric)
         if fabric is None:
-            fabric = FabricSpec(n_devices=devices if devices else 2,
-                                topology=topology)
+            fabric = FabricSpec(n_devices=2 if devices is None else devices)
         elif devices is not None and devices != fabric.n_devices:
             raise ValueError(
                 f"devices={devices} contradicts fabric.n_devices="
@@ -138,150 +142,104 @@ class ShardedEngine(Engine):
             raise ValueError("inner engine cannot be Sharded itself")
         self.fabric_spec: FabricSpec = fabric
         self.inner = inner
-        #: The last run's fabric (telemetry/tests); rebuilt per run.
-        self.fabric: Optional[Fabric] = None
+        # Positional view of the live fleet: _shards[i] / _inners[i] run on
+        # fabric device _device_ids[i].  Recovery shrinks all three in
+        # lockstep; the fabric keeps every device's lanes for accounting.
+        self._device_ids: List[int] = []
+        self._shards: List[GraphShard] = []
+        self._inners: List[Engine] = []
+        self._max_shard_bytes = 0
+        self._device_losses = 0
 
-    # ------------------------------------------------------------ interface
-    # The base-class hooks never run (run() is overridden), but the ABC
-    # requires them.
-    def _prepare(self, gpu, graph, program) -> None:  # pragma: no cover
-        raise NotImplementedError("ShardedEngine drives inner engines")
-
-    def _iteration(self, gpu, graph, program, state) -> None:  # pragma: no cover
-        raise NotImplementedError("ShardedEngine drives inner engines")
-
-    # ----------------------------------------------------------- main loop
+    # bench_e2e/layers.py binds ``ShardedEngine.run`` through the class
+    # ``__dict__``; until it unbinds (ROADMAP 6b) the name stays defined here.
     def run(self, graph: CSRGraph, program: VertexProgram,
             resume_from=None) -> RunResult:
-        if resume_from is not None:
-            raise NotImplementedError(
-                "ShardedEngine does not support checkpoint resume"
-            )
-        from repro.engines import registry
+        return super().run(graph, program, resume_from)
 
-        program.validate_graph(graph)
-        injector: Optional[FaultInjector] = None
-        if self.fault_plan is not None and not self.fault_plan.is_null:
-            injector = FaultInjector(self.fault_plan, seed=self.seed)
-        fabric = Fabric(
+    # ------------------------------------------------------------ interface
+    def _make_device(self, faults: Optional[FaultInjector]) -> Fabric:
+        return Fabric(
             self.fabric_spec,
             base=self.spec,
             charge_scale=1.0 / self.data_scale,
             record_events=self.record_events,
-            faults=injector,
+            faults=faults,
         )
-        self.fabric = fabric
-        n = fabric.n_devices
-        # Positional view of the live fleet: shards[i] / inners[i] run on
-        # fabric device device_ids[i].  Recovery shrinks all three in
-        # lockstep; the fabric keeps every device's lanes for accounting.
-        device_ids: List[int] = list(range(n))
-        shards: List[GraphShard] = shard_graph(graph, n)
-        inners: List[Engine] = [
-            registry.create(
-                self.inner,
-                spec=fabric.topology.gpu_spec(d),
-                data_scale=self.data_scale,
-                max_iterations=self.max_iterations,
-            )
-            for d in device_ids
-        ]
-        state = program.init_state(graph)
-        for pos, d in enumerate(device_ids):
-            gpu_d = fabric.devices[d]
-            with gpu_d.phase("Tprepare"):
-                inners[pos]._prepare(gpu_d, shards[pos].graph, program)
-        fabric.sync_all()
-        max_shard_bytes = max(s.local_edge_bytes for s in shards)
-        device_losses = 0
-        # Superstep checkpoints are only maintained when the plan can
-        # actually kill/stall devices — plans without device faults follow
-        # the exact fault-free code path, byte for byte.
-        track_faults = injector is not None and injector.plan.affects_devices
-        checkpoint: Optional["IterationCheckpoint"] = None
-        if track_faults:
-            checkpoint = self._shard_checkpoint(graph, program, state,
-                                                shards, device_ids)
 
-        cap = self.max_iterations if self.max_iterations is not None \
-            else program.max_iterations
-        cap = max(cap, 0)
-        records: List[IterationRecord] = []
-        while state.active.any() and state.iteration < cap \
-                and not program.done(state):
-            if track_faults:
-                dead = self._handle_device_faults(fabric, injector)
-                if dead:
-                    device_ids, shards, inners = self._recover(
-                        registry, fabric, graph, program, state,
-                        device_ids, dead, checkpoint,
-                    )
-                    device_losses += len(dead)
-                    max_shard_bytes = max(
-                        max_shard_bytes,
-                        max(s.local_edge_bytes for s in shards),
-                    )
-            if self.iteration_hook is not None:
-                self.iteration_hook(self, fabric.devices[device_ids[0]],
-                                    graph, state)
-            t0 = fabric.clock.now
-            h2d0 = fabric.events.metrics.bytes_h2d
-            n_active = state.n_active
-            n_edges = state.active_edges(graph)
-            it = state.iteration
-            # Per-device local views of the same global frontier: the shard
-            # CSR zeroes foreign vertices' degrees, so no explicit masking
-            # is needed, and a private state object per device keeps each
-            # FrontierCache coherent for its own (shard, mask) pair.
-            local_states = [ProgramState(active=state.active, iteration=it)
-                            for _ in device_ids]
-            for pos, d in enumerate(device_ids):
-                gpu_d = fabric.devices[d]
-                with gpu_d.iteration(it):
-                    inners[pos]._iteration(gpu_d, shards[pos].graph, program,
-                                           local_states[pos])
-            # Superstep barrier: everyone's local work lands before deltas
-            # move — the bulk-synchronous contract that makes one global
-            # step equivalent to the single-device run.
-            fabric.sync_all()
-            self._exchange(fabric, shards, local_states, device_ids, it)
-            program.step(graph, state)
-            fabric.sync_all()
-            if track_faults:
-                checkpoint = self._shard_checkpoint(graph, program, state,
-                                                    shards, device_ids)
-            records.append(IterationRecord(
-                iteration=it,
-                n_active_vertices=n_active,
-                n_active_edges=n_edges,
-                bytes_h2d=fabric.events.metrics.bytes_h2d - h2d0,
-                t_start=t0,
-                t_end=fabric.clock.now,
-            ))
+    def _new_inner(self, fabric: Fabric, device: int) -> Engine:
+        from repro.engines import registry
+
+        return registry.create(
+            self.inner,
+            spec=fabric.topology.gpu_spec(device),
+            data_scale=self.data_scale,
+            max_iterations=self.max_iterations,
+        )
+
+    def _prepare(self, fabric: Fabric, graph: CSRGraph,
+                 program: VertexProgram) -> None:
+        self._device_ids = list(range(fabric.n_devices))
+        self._shards = shard_graph(graph, fabric.n_devices)
+        self._inners = [self._new_inner(fabric, d) for d in self._device_ids]
+        with fabric.phase("Tprepare"):
+            for inner, shard, d in zip(self._inners, self._shards,
+                                       self._device_ids):
+                inner._prepare(fabric.devices[d], shard.graph, program)
+        self._max_shard_bytes = max(s.local_edge_bytes for s in self._shards)
+        self._device_losses = 0
+
+    def _begin_superstep(self, fabric: Fabric, graph: CSRGraph,
+                         program: VertexProgram, state: ProgramState) -> None:
+        """Sample device health at the barrier and recover from any loss.
+
+        Only under a plan that can kill or stall devices — plans without
+        device faults follow the exact fault-free code path, byte for byte.
+        """
+        injector = fabric.faults
+        if injector is None or not injector.plan.affects_devices:
+            return
+        barrier = self._shard_checkpoint(graph, program, state,
+                                         self._shards, self._device_ids)
+        dead = self._handle_device_faults(fabric, injector)
+        if dead:
+            self._recover(fabric, graph, program, state, dead, barrier)
+
+    def _service_squeezes(self, gpu, graph, iteration) -> None:
+        """Capacity squeezes are not applied fabric-wide (ROADMAP 5e)."""
+
+    def _iteration(self, fabric: Fabric, graph: CSRGraph,
+                   program: VertexProgram, state: ProgramState) -> None:
+        # Per-device local views of the same global frontier: the shard
+        # CSR zeroes foreign vertices' degrees, so no explicit masking
+        # is needed, and a private state object per device keeps each
+        # FrontierCache coherent for its own (shard, mask) pair.
+        local_states = [ProgramState(active=state.active,
+                                     iteration=state.iteration)
+                        for _ in self._device_ids]
+        for inner, shard, d, local in zip(self._inners, self._shards,
+                                          self._device_ids, local_states):
+            inner._iteration(fabric.devices[d], shard.graph, program, local)
+        # Superstep barrier: everyone's local work lands before deltas
+        # move — the bulk-synchronous contract that makes one global
+        # step equivalent to the single-device run.
+        fabric.sync_all()
+        self._exchange(fabric, local_states, state.iteration)
+
+    def _finish(self, fabric: Fabric, graph: CSRGraph, program: VertexProgram,
+                state: ProgramState) -> None:
         # Results live replicated on every device; one copy-back suffices.
-        fabric.devices[device_ids[0]].d2h(self._result_bytes(graph),
-                                          label="results")
+        fabric.devices[self._device_ids[0]].d2h(self._result_bytes(graph),
+                                                label="results")
         fabric.sync_all()
 
-        result = RunResult(
-            engine=self.name,
-            algorithm=program.name,
-            graph_name=graph.name,
-            values=program.values(state),
-            iterations=state.iteration,
-            elapsed_seconds=fabric.elapsed,
-            metrics=fabric.events.metrics,
-            gpu_idle_fraction=float(np.mean(
-                [fabric.gpu_idle_fraction(d) for d in range(n)]
-            )),
-            per_iteration=records,
-            extra={"dataset_bytes": graph.dataset_bytes / self.data_scale},
-            event_log=fabric.events if self.record_events else None,
-        )
+    def _report_extra(self, result: RunResult, fabric: Fabric,
+                      graph: CSRGraph) -> None:
+        n = fabric.n_devices
         result.extra["n_devices"] = float(n)
         result.extra["exchange_bytes"] = float(fabric.exchange_bytes)
         result.extra["max_shard_edge_bytes"] = float(
-            max_shard_bytes / self.data_scale
+            self._max_shard_bytes / self.data_scale
         )
         horizon = fabric.clock.now
         for d in range(n):
@@ -295,13 +253,14 @@ class ShardedEngine(Engine):
         # Fault telemetry: only *observed* faults are reported, so a plan
         # whose device loss lands after the final superstep (or a run with
         # no plan at all) produces the exact fault-free extras — pinned by
-        # the digest-stability regression tests.
-        if injector is not None:
-            for key in sorted(injector.counts):
-                if injector.counts[key]:
-                    result.extra[f"fault_{key}"] = float(injector.counts[key])
-        if device_losses:
-            result.extra["device_losses"] = float(device_losses)
+        # the digest-stability regression tests.  The run loop reported
+        # every counter; keep the nonzero ones, sorted, after the devices'.
+        counts = {key: result.extra.pop(key) for key in list(result.extra)
+                  if key.startswith("fault_")}
+        result.extra.update((key, counts[key]) for key in sorted(counts)
+                            if counts[key])
+        if self._device_losses:
+            result.extra["device_losses"] = float(self._device_losses)
         if self.record_events:
             per_device = fold_device_faults(fabric.events.events)
             for dev in sorted(per_device,
@@ -309,7 +268,6 @@ class ShardedEngine(Engine):
                 prefix = "" if dev is None else f"device{dev}_"
                 for key in sorted(per_device[dev]):
                     result.extra[prefix + key] = float(per_device[dev][key])
-        return result
 
     # ------------------------------------------------------- fault handling
     def _shard_checkpoint(self, graph: CSRGraph, program: VertexProgram,
@@ -317,11 +275,10 @@ class ShardedEngine(Engine):
                           device_ids: List[int]) -> "IterationCheckpoint":
         """Snapshot the superstep barrier state plus per-shard layout.
 
-        Taken right after every ``program.step`` (and once before the first
-        superstep), so when a death is detected at the *next* barrier the
-        checkpoint is exactly the consistent state every survivor already
-        replicates — recovery restores placement and charges traffic, it
-        never needs to roll numeric state back.
+        Taken at every barrier, before device health is sampled, so when a
+        death is detected the checkpoint is exactly the consistent state
+        every survivor already replicates — recovery restores placement and
+        charges traffic, it never needs to roll numeric state back.
         """
         from repro.harness.checkpoint import (IterationCheckpoint,
                                               ShardCheckpoint)
@@ -368,11 +325,9 @@ class ShardedEngine(Engine):
                     )
         return dead
 
-    def _recover(self, registry, fabric: Fabric, graph: CSRGraph,
+    def _recover(self, fabric: Fabric, graph: CSRGraph,
                  program: VertexProgram, state: ProgramState,
-                 device_ids: List[int], dead: List[int],
-                 checkpoint: "IterationCheckpoint",
-                 ) -> Tuple[List[int], List[GraphShard], List[Engine]]:
+                 dead: List[int], checkpoint: "IterationCheckpoint") -> None:
         """Re-shard the dead devices' edge ranges across the survivors.
 
         All recovery work is attributed to a ``Trecover`` phase: a typed
@@ -384,10 +339,10 @@ class ShardedEngine(Engine):
         barrier state *is* the checkpoint — so values stay bit-identical
         to a fault-free run.
         """
-        survivors = [d for d in device_ids if d not in dead]
+        survivors = [d for d in self._device_ids if d not in dead]
         if not survivors:
             raise DeviceLostError(
-                f"all {len(device_ids)} device(s) failed at "
+                f"all {len(self._device_ids)} device(s) failed at "
                 f"iteration {state.iteration}; nothing to recover onto"
             )
         old_range = {s.device: (s.e_lo, s.e_hi) for s in checkpoint.shards}
@@ -406,12 +361,7 @@ class ShardedEngine(Engine):
             new_inners: List[Engine] = []
             for pos, d in enumerate(survivors):
                 gpu_d = fabric.devices[d]
-                inner = registry.create(
-                    self.inner,
-                    spec=fabric.topology.gpu_spec(d),
-                    data_scale=self.data_scale,
-                    max_iterations=self.max_iterations,
-                )
+                inner = self._new_inner(fabric, d)
                 # Redistribution H2D: the survivor drops its old shard's
                 # placement and re-stages the (larger) re-tiled shard
                 # exactly like the initial placement did.
@@ -438,11 +388,16 @@ class ShardedEngine(Engine):
                 }
                 fabric.all_exchange(per_pair, label="recovery-exchange")
         fabric.sync_all()
-        return survivors, new_shards, new_inners
+        self._device_ids, self._shards, self._inners = \
+            survivors, new_shards, new_inners
+        self._device_losses += len(dead)
+        self._max_shard_bytes = max(
+            self._max_shard_bytes,
+            max(s.local_edge_bytes for s in new_shards),
+        )
 
     # ------------------------------------------------------------- exchange
-    def _exchange(self, fabric: Fabric, shards: List[GraphShard],
-                  local_states: List[ProgramState], device_ids: List[int],
+    def _exchange(self, fabric: Fabric, local_states: List[ProgramState],
                   iteration: int) -> None:
         """Broadcast each shard's value/frontier deltas to every live peer.
 
@@ -451,10 +406,10 @@ class ShardedEngine(Engine):
         pushed to this superstep; those deltas (vertex id + value, deduped
         per destination) go to all peers over the inter-device links.  The
         frontier walk is the one the inner engine already memoized on this
-        ``(shard, mask)`` pair — no second mask walk.  Only ``device_ids``
-        (the surviving fleet) participates — dead devices neither send nor
-        receive.
+        ``(shard, mask)`` pair — no second mask walk.  Only the surviving
+        fleet participates — dead devices neither send nor receive.
         """
+        shards, device_ids = self._shards, self._device_ids
         if len(device_ids) == 1:
             return
         per_pair: Dict[Tuple[int, int], int] = {}

@@ -32,7 +32,7 @@ from repro.gpusim.metrics import Metrics
 from repro.gpusim.pcie import PCIeLink
 from repro.gpusim.stream import Lane
 
-__all__ = ["GPUSpec", "SimulatedGPU"]
+__all__ = ["GPUSpec", "DeviceFacade", "SimulatedGPU"]
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,62 @@ class GPUSpec:
         return replace(self, memory_bytes=int(memory_bytes))
 
 
-class SimulatedGPU:
+class DeviceFacade:
+    """What :meth:`Engine.run <repro.engines.base.Engine.run>` needs of a device.
+
+    One ``clock`` and one ``events`` log (set by the subclass), the
+    phase / iteration stamping on that log, and the counters folded from
+    it.  :class:`SimulatedGPU` is one device;
+    :class:`~repro.gpusim.fabric.Fabric` is N of them on one timeline.
+    Each adds ``sync()`` and ``gpu_idle_fraction()`` over its own lanes.
+    """
+
+    clock: VirtualClock
+    events: EventLog
+
+    @property
+    def metrics(self) -> Metrics:
+        """The legacy counter bundle — now the event log's derived view."""
+        return self.events.metrics
+
+    @property
+    def elapsed(self) -> float:
+        """Virtual seconds since the run started."""
+        return self.clock.now
+
+    @contextmanager
+    def phase(self, name: str, iteration: Optional[int] = None) -> Iterator:
+        """Attribute all work submitted inside the block to phase ``name``.
+
+        Replaces the old per-call ``phase=`` string threading: the emitted
+        events carry the phase, and ``metrics.phase_seconds`` is folded
+        from them.  Optionally also (re)binds the iteration index.
+        """
+        log = self.events
+        prev_phase = log.current_phase
+        prev_iter = log.current_iteration
+        log.current_phase = name
+        if iteration is not None:
+            log.current_iteration = iteration
+        try:
+            yield self
+        finally:
+            log.current_phase = prev_phase
+            log.current_iteration = prev_iter
+
+    @contextmanager
+    def iteration(self, index: int) -> Iterator:
+        """Stamp events emitted inside the block with iteration ``index``."""
+        log = self.events
+        prev = log.current_iteration
+        log.current_iteration = index
+        try:
+            yield self
+        finally:
+            log.current_iteration = prev
+
+
+class SimulatedGPU(DeviceFacade):
     """One simulated device + host pair for one engine run.
 
     ``charge_scale`` reconciles scaled datasets with real time constants:
@@ -130,47 +185,9 @@ class SimulatedGPU:
         #: and overlap freely with DMA copies in flight.
         self.direct = Lane("direct", self.clock, log=self.events, device=device_id)
 
-    @property
-    def metrics(self) -> Metrics:
-        """The legacy counter bundle — now the event log's derived view."""
-        return self.events.metrics
-
     def _scale(self, n: float) -> int:
         """Scaled count → paper-scale count for the cost model."""
         return int(round(n * self.charge_scale))
-
-    # ------------------------------------------------------------- context
-    @contextmanager
-    def phase(self, name: str,
-              iteration: Optional[int] = None) -> Iterator["SimulatedGPU"]:
-        """Attribute all work submitted inside the block to phase ``name``.
-
-        Replaces the old per-call ``phase=`` string threading: the emitted
-        events carry the phase, and ``metrics.phase_seconds`` is folded
-        from them.  Optionally also (re)binds the iteration index.
-        """
-        log = self.events
-        prev_phase = log.current_phase
-        prev_iter = log.current_iteration
-        log.current_phase = name
-        if iteration is not None:
-            log.current_iteration = iteration
-        try:
-            yield self
-        finally:
-            log.current_phase = prev_phase
-            log.current_iteration = prev_iter
-
-    @contextmanager
-    def iteration(self, index: int) -> Iterator["SimulatedGPU"]:
-        """Stamp events emitted inside the block with iteration ``index``."""
-        log = self.events
-        prev = log.current_iteration
-        log.current_iteration = index
-        try:
-            yield self
-        finally:
-            log.current_iteration = prev
 
     # ------------------------------------------------------------ transfers
     def h2d(self, nbytes: int, label: str = "h2d", after: float = 0.0,
@@ -278,11 +295,6 @@ class SimulatedGPU:
             t = max(self.gpu.busy_until, self.copy.busy_until,
                     self.cpu.busy_until, self.direct.busy_until)
         return self.clock.advance_to(t)
-
-    @property
-    def elapsed(self) -> float:
-        """Virtual seconds since the run started."""
-        return self.clock.now
 
     def gpu_idle_fraction(self) -> float:
         """Share of elapsed time the GPU compute lane sat idle (§2.2's 68 %)."""

@@ -34,12 +34,13 @@ the classic single-device model.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.gpusim.clock import VirtualClock
-from repro.gpusim.device import GPUSpec, SimulatedGPU
+from repro.gpusim.device import DeviceFacade, GPUSpec, SimulatedGPU
 from repro.gpusim.events import EventLog
 from repro.gpusim.stream import Lane
 
@@ -270,7 +271,7 @@ class FabricTopology:
         return spec
 
 
-class Fabric:
+class Fabric(DeviceFacade):
     """N simulated devices sharing one virtual clock and one event log.
 
     The fabric owns one extra lane per device — its *link port* — on which
@@ -335,10 +336,6 @@ class Fabric:
         """Paper-scale bytes device ``device_id`` has sent over its port."""
         return self._exchange_by_device[device_id]
 
-    @property
-    def elapsed(self) -> float:
-        return self.clock.now
-
     def alive(self) -> List[int]:
         """Device ids not permanently down, in id order."""
         return [d for d in sorted(self.health) if self.health[d] != "down"]
@@ -382,23 +379,6 @@ class Fabric:
                                    extra=(("device", float(d)),))
             transitions.append((d, new))
         return transitions
-
-    # -------------------------------------------------------------- context
-    @contextmanager
-    def phase(self, name: str,
-              iteration: Optional[int] = None) -> Iterator["Fabric"]:
-        """Attribute all fabric-wide work inside the block to phase ``name``."""
-        log = self.events
-        prev_phase = log.current_phase
-        prev_iter = log.current_iteration
-        log.current_phase = name
-        if iteration is not None:
-            log.current_iteration = iteration
-        try:
-            yield self
-        finally:
-            log.current_phase = prev_phase
-            log.current_iteration = prev_iter
 
     # ------------------------------------------------------------ transfers
     def transfer(self, src: int, dst: int, nbytes: int,
@@ -460,12 +440,16 @@ class Fabric:
         )
         return self.clock.advance_to(t)
 
-    def gpu_idle_fraction(self, device_id: int) -> float:
-        """Idle share of one device's compute lane on the shared timeline."""
-        if self.clock.now <= 0:
-            return 0.0
-        key = self.devices[device_id].gpu.key
-        return self.events.idle_seconds(key, self.clock.now) / self.clock.now
+    def sync(self) -> float:
+        """The facade's name for :meth:`sync_all`."""
+        return self.sync_all()
+
+    def gpu_idle_fraction(self, device_id: Optional[int] = None) -> float:
+        """Idle share of one device's compute lane on the shared timeline;
+        without an id, the mean over every device."""
+        if device_id is None:
+            return float(np.mean([g.gpu_idle_fraction() for g in self.devices]))
+        return self.devices[device_id].gpu_idle_fraction()
 
 
 def fold_exchange_bytes(events) -> Dict[int, int]:

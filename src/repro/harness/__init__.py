@@ -17,7 +17,6 @@ from repro.harness.checkpoint import (
     IterationCheckpoint,
 )
 from repro.harness.experiments import (
-    ENGINES,
     BENCH_SCALE,
     Workload,
     make_workload,
@@ -43,7 +42,6 @@ from repro.harness.sweeps import (
 )
 
 __all__ = [
-    "ENGINES",
     "BENCH_SCALE",
     "Workload",
     "make_workload",

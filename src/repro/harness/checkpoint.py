@@ -41,7 +41,10 @@ __all__ = ["IterationCheckpoint", "ShardCheckpoint", "CheckpointStore",
 #: 4: the clock's span log is gone from engines, ``SimulatedGPU`` and
 #: ``VirtualClock``, and ``AsceticConfig`` lost five fields (a version-3
 #: blob would restore all of them as dead attributes).
-CHECKPOINT_VERSION = 4
+#: 5: ``AsceticConfig`` lost ``chunk_bytes``, ``SimulatedGPU`` gained a base
+#: class, and a Sharded engine's blob now carries its fleet (a version-4
+#: blob would restore a dead config attribute).
+CHECKPOINT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -71,9 +74,12 @@ class IterationCheckpoint:
     inspectable form (tests, debugging, partial-result salvage); ``blob``
     is the authoritative pickle produced by
     :meth:`~repro.engines.base.Engine.snapshot_state`, from which the run
-    is actually resumed.  ``shards`` (sharded runs only) carries the
-    per-device :class:`ShardCheckpoint` payloads the fleet recovery path
-    restores from; the default keeps single-device checkpoints unchanged.
+    is actually resumed — by every engine, Sharded included, whose blob
+    holds the whole fabric, the shards and the per-device inner engines.
+    ``shards`` is filled only on the in-memory barrier snapshot a sharded
+    run takes each superstep under a device-fault plan: the per-device
+    :class:`ShardCheckpoint` payloads its device-loss recovery re-tiles
+    from.  That snapshot is never written to disk and has an empty ``blob``.
     """
 
     engine: str

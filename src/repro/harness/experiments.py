@@ -16,11 +16,9 @@ Tables 4/5.  The harness pins the parameters the paper pins:
 from __future__ import annotations
 
 import threading
-import warnings
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Dict, Union
+from typing import TYPE_CHECKING, Callable, Dict
 
 from repro.algorithms import make_program
 from repro.algorithms.base import VertexProgram
@@ -35,7 +33,6 @@ if TYPE_CHECKING:  # avoid an import cycle; RunSpec is imported at call time
     from repro.runner.spec import RunSpec
 
 __all__ = [
-    "ENGINES",
     "BENCH_SCALE",
     "SSSP_WEIGHT_HIGH",
     "PR_TOL",
@@ -61,31 +58,6 @@ SSSP_WEIGHT_HIGH = 3
 #: PR activation threshold (relative to teleport mass); yields iteration
 #: counts and mean active fractions near Table 1's PR rows.
 PR_TOL = 1e-2
-
-class _EngineView(Mapping):
-    """Read-only, live dict-shaped view over the engine registry.
-
-    Kept for compatibility: ``ENGINES[name]``, ``name in ENGINES``,
-    ``for name in ENGINES`` all keep working, but the contents now track
-    :mod:`repro.engines.registry` — engines registered at runtime appear
-    here (and on the CLI) automatically.
-    """
-
-    def __getitem__(self, name: str) -> Callable[..., Engine]:
-        return registry.get(name)
-
-    def __iter__(self):
-        return iter(registry.available())
-
-    def __len__(self) -> int:
-        return len(registry.available())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"ENGINES({', '.join(registry.available())})"
-
-
-#: Legacy name → factory mapping, now a thin view over the registry.
-ENGINES: Mapping = _EngineView()
 
 
 @dataclass(frozen=True)
@@ -211,52 +183,26 @@ def run_workload(workload: Workload, engine_name: str, checkpoint=None,
             raise ValueError("checkpoint requires a checkpoint_key")
         engine.checkpoint = CheckpointWriter(checkpoint, checkpoint_key)
         resume = checkpoint.load(checkpoint_key)
-    if resume is not None:
-        result = engine.run(workload.graph, workload.fresh_program(),
-                            resume_from=resume)
-    else:
-        # Keep the two-argument call for engines that predate resume
-        # support (third-party engines only need run(graph, program)).
-        result = engine.run(workload.graph, workload.fresh_program())
+    result = engine.run(workload.graph, workload.fresh_program(),
+                        resume_from=resume)
     if checkpoint is not None:
         checkpoint.clear(checkpoint_key)
     return result
 
 
-def run_cell(
-    spec: "Union[RunSpec, Workload]", engine_name: str | None = None,
-    checkpoint_dir: str | None = None, **engine_kwargs
-) -> RunResult:
+def run_cell(spec: "RunSpec", *, checkpoint_dir: str | None = None) -> RunResult:
     """Run one grid cell described by a :class:`~repro.runner.spec.RunSpec`.
 
     The spec's chaos fields (``fault_plan``/``seed``) are forwarded to the
     engine; ``checkpoint_dir`` enables per-iteration checkpointing keyed by
-    the spec's cache key, resuming an interrupted cell bit-exactly.
-
-    .. deprecated:: 1.1
-        The old positional form ``run_cell(workload, engine_name, **kw)``
-        still works but warns; call :func:`run_workload` (same signature)
-        or build a ``RunSpec`` instead.
+    the spec's cache key, resuming an interrupted cell bit-exactly.  Engine
+    options go in ``RunSpec.engine_opts``; a pre-built workload runs through
+    :func:`run_workload`.
     """
     from repro.runner.spec import RunSpec
 
-    if isinstance(spec, Workload):
-        warnings.warn(
-            "run_cell(workload, engine_name, ...) is deprecated; pass a "
-            "RunSpec, or use run_workload() for pre-built workloads",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if engine_name is None:
-            raise TypeError("run_cell(workload, ...) requires an engine name")
-        return run_workload(spec, engine_name, **engine_kwargs)
     if not isinstance(spec, RunSpec):
         raise TypeError(f"run_cell expects a RunSpec, got {type(spec).__name__}")
-    if engine_name is not None or engine_kwargs:
-        raise TypeError(
-            "run_cell(RunSpec) takes no extra arguments — put engine "
-            "options in RunSpec.engine_opts"
-        )
     kwargs = spec.engine_kwargs()
     if spec.fault_plan is not None:
         kwargs.setdefault("fault_plan", spec.fault_plan)
@@ -273,4 +219,4 @@ def run_cell(
 
 def run_all_engines(workload: Workload) -> Dict[str, RunResult]:
     """Run every registered engine on one workload (Tables 4/5 cells)."""
-    return {name: run_workload(workload, name) for name in ENGINES}
+    return {name: run_workload(workload, name) for name in registry.available()}

@@ -6,6 +6,7 @@ import pytest
 from repro.algorithms import make_program
 from repro.algorithms.validate import reference_bfs_levels
 from repro.core.ascetic import AsceticConfig, AsceticEngine
+from repro.core.static_region import DEFAULT_CHUNK_BYTES
 from repro.engines.subway import SubwayEngine
 from repro.graph.properties import best_source
 
@@ -20,7 +21,7 @@ class TestConfig:
     def test_defaults_match_paper(self):
         cfg = AsceticConfig()
         assert cfg.k == 0.10  # §3.3 default K
-        assert cfg.chunk_bytes == 16 * 1024  # §3.4
+        assert DEFAULT_CHUNK_BYTES == 16 * 1024  # §3.4; a constant, not a field
         assert cfg.overlap and cfg.replacement and cfg.adaptive
 
     def test_with_replaces_fields(self):

@@ -1,18 +1,21 @@
 """Iteration checkpoints: store round-trip, thinning, bit-exact resume."""
 
+import os
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.engines import registry
-from repro.gpusim.faults import FaultPlan
+from repro.gpusim.faults import FaultPlan, standard_fleet_plan
 from repro.harness.checkpoint import (
     CheckpointStore,
     CheckpointWriter,
     IterationCheckpoint,
 )
-from repro.harness.experiments import make_workload, run_workload
+from repro.harness.experiments import make_workload, run_cell, run_workload
+from repro.runner import RunSpec, run_grid
 
 SCALE = 5e-5
 
@@ -29,14 +32,50 @@ def _fingerprint(result):
         result.gpu_idle_fraction,
         tuple(sorted(result.metrics.as_dict().items())),
         tuple(tuple(sorted(r.__dict__.items())) for r in result.per_iteration),
-        tuple(tuple(sorted(e.to_dict().items(), key=lambda kv: kv[0]))
-              for e in result.event_log.events),
+        tuple(sorted(result.extra.items())),
+        None if result.event_log is None else tuple(
+            tuple(sorted(e.to_dict().items(), key=lambda kv: kv[0]))
+            for e in result.event_log.events),
     )
 
 
 def _make_engine(name, w, **kw):
-    return registry.create(name, spec=w.spec, data_scale=w.scale,
-                           record_events=True, fault_plan=PLAN, seed=5, **kw)
+    opts = dict(record_events=True, fault_plan=PLAN, seed=5)
+    opts.update(kw)
+    return registry.create(name, spec=w.spec, data_scale=w.scale, **opts)
+
+
+def _device_loss_plan(w, victim, **opts):
+    """``PLAN`` plus the standard fleet plan (device ``victim`` dies halfway,
+    then a peer-link window), retimed inside this sharded run's horizon."""
+    t = _make_engine("Sharded", w, **opts).run(
+        w.graph, w.fresh_program()).elapsed_seconds
+    fleet = standard_fleet_plan(seed=victim, n_devices=opts["devices"],
+                                down_at=t / 2, degrade_start=t * 0.6,
+                                degrade_end=t * 0.8)
+    return replace(PLAN, device_faults=fleet.device_faults,
+                   peer_degradations=fleet.peer_degradations)
+
+
+#: ``(engine, options, device that dies mid-run or None, supersteps done
+#: before the interrupt — None for all but the last)``.
+RESUME_CASES = (
+    pytest.param("Subway", {}, None, 3, id="Subway"),
+    pytest.param("Ascetic", {}, None, 3, id="Ascetic"),
+    pytest.param("Sharded", {"devices": 2}, None, 3, id="Sharded-2xAscetic"),
+    pytest.param("Sharded", {"devices": 3, "inner": "Hybrid"}, None, 1,
+                 id="Sharded-3xHybrid-first"),
+    pytest.param("Sharded", {"devices": 2, "record_events": False}, None, None,
+                 id="Sharded-2xAscetic-lean-last"),
+    # Interrupted before the loss: the resumed half detects and recovers.
+    pytest.param("Sharded", {"devices": 3}, 0, 1,
+                 id="Sharded-3xAscetic-loss-after-resume"),
+    # Interrupted after it: the resumed half runs on the re-tiled survivors.
+    pytest.param("Sharded", {"devices": 2, "record_events": False}, 1, None,
+                 id="Sharded-2xAscetic-lean-loss-before-resume"),
+    pytest.param("Sharded", {"devices": 3, "inner": "Hybrid"}, 2, 3,
+                 id="Sharded-3xHybrid-loss"),
+)
 
 
 def _dummy_checkpoint(iteration=3):
@@ -109,13 +148,14 @@ class TestStore:
         ``SimEvent``; resumed into, a recording run would fail on its next
         emit.  A version-3 one pickles an engine ``record_spans``, a
         ``VirtualClock`` with a span list and five ``AsceticConfig``
-        attributes that no longer exist.  Both must be refused at load, and
-        the recorded cell then runs from iteration 0 to the same log an
-        undisturbed run retains."""
+        attributes that no longer exist; a version-4 one an ``AsceticConfig``
+        with ``chunk_bytes`` and a ``SimulatedGPU`` pickled without its base
+        class.  All must be refused at load, and the recorded cell then runs
+        from iteration 0 to the same log an undisturbed run retains."""
         w = make_workload("GS", "BFS", scale=SCALE)
         clean = run_workload(w, "Ascetic", record_events=True)
         store = CheckpointStore(str(tmp_path))
-        for version in (2, 3):
+        for version in (2, 3, 4):
             stale = IterationCheckpoint(
                 engine="Ascetic", algorithm="BFS", graph_name=w.graph.name,
                 iteration=2, values=np.zeros(w.graph.n_vertices),
@@ -164,9 +204,9 @@ class TestWriter:
 
 
 class TestResume:
-    def _interrupted_store(self, w, engine_name, tmp_path, stop_at=3):
+    def _interrupted_store(self, w, engine_name, tmp_path, stop_at=3, **kw):
         store = CheckpointStore(str(tmp_path))
-        engine = _make_engine(engine_name, w)
+        engine = _make_engine(engine_name, w, **kw)
         engine.checkpoint = CheckpointWriter(store, "cell")
 
         def bomb(engine_, gpu, graph, state):
@@ -178,21 +218,58 @@ class TestResume:
             engine.run(w.graph, w.fresh_program())
         return store
 
-    @pytest.mark.parametrize("engine_name", ("Subway", "Ascetic"))
-    def test_resume_is_bit_identical(self, engine_name, tmp_path):
+    @pytest.mark.parametrize("engine_name,opts,victim,stop_at", RESUME_CASES)
+    def test_resume_is_bit_identical(self, engine_name, opts, victim, stop_at,
+                                     tmp_path):
         w = make_workload("GS", "BFS", scale=SCALE)
-        uninterrupted = _make_engine(engine_name, w).run(
+        if victim is not None:
+            opts = dict(opts, fault_plan=_device_loss_plan(w, victim, **opts))
+        uninterrupted = _make_engine(engine_name, w, **opts).run(
             w.graph, w.fresh_program())
         assert uninterrupted.iterations > 4  # the interruption is mid-run
+        if victim is not None:
+            assert uninterrupted.extra["device_losses"] == 1.0
+        if stop_at is None:
+            stop_at = uninterrupted.iterations - 1
 
-        store = self._interrupted_store(w, engine_name, tmp_path)
+        store = self._interrupted_store(w, engine_name, tmp_path, stop_at,
+                                        **opts)
         ckpt = store.load("cell")
-        assert ckpt is not None and ckpt.iteration == 3
+        assert ckpt is not None and ckpt.iteration == stop_at
 
-        fresh = _make_engine(engine_name, w)
+        fresh = _make_engine(engine_name, w, **opts)
         resumed = fresh.run(w.graph, w.fresh_program(), resume_from=ckpt)
-        assert fresh.resumed_iteration == 3
+        assert fresh.resumed_iteration == stop_at
         assert _fingerprint(resumed) == _fingerprint(uninterrupted)
+
+    def test_run_grid_retry_resumes_an_interrupted_sharded_cell(self, tmp_path):
+        """``Engine.run`` honours ``engine.checkpoint`` for Sharded too, so a
+        retried grid cell finds a snapshot — and must resume from it."""
+        spec = RunSpec("GS", "BFS", "Sharded", scale=SCALE,
+                       engine_opts={"devices": 2, "inner": "Hybrid"})
+        w = make_workload("GS", "BFS", scale=SCALE)
+        store = CheckpointStore(str(tmp_path))
+        engine = registry.create("Sharded", spec=w.spec, data_scale=w.scale,
+                                 **spec.engine_kwargs())
+        engine.checkpoint = CheckpointWriter(store, spec.cache_key())
+
+        def bomb(engine_, gpu, graph, state):
+            if state.iteration == 3:
+                raise _Interrupt
+
+        engine.iteration_hook = bomb
+        with pytest.raises(_Interrupt):
+            engine.run(w.graph, w.fresh_program())
+        assert store.load(spec.cache_key()).iteration == 3
+
+        cell = run_grid([spec], jobs=1, retries=0,
+                        checkpoint_dir=str(tmp_path)).cells[0]
+        assert cell.status == "ok", cell.error
+        clean = run_cell(spec)
+        assert np.array_equal(cell.result.values, clean.values)
+        assert cell.result.elapsed_seconds == clean.elapsed_seconds
+        assert cell.result.extra == clean.extra
+        assert os.listdir(tmp_path) == []  # cleared on success
 
     def test_run_workload_resumes_and_clears(self, tmp_path):
         w = make_workload("GS", "BFS", scale=SCALE)

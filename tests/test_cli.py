@@ -129,12 +129,33 @@ class TestBadInput:
         ["grid", "--scale", "-1"],
         ["chaos", "FK", "BFS", "--scale", "0"],
         ["serve", "--scale", "0"],
+        # Each of these was a ValueError traceback from the config object ...
+        ["serve", "--rate", "0"],
+        ["serve", "--requests", "-1"],
+        ["serve", "--max-batch", "0"],
+        ["serve", "--max-engines", "0"],
+        ["serve", "--multi-source", "0"],
+        ["serve", "--shard-over", "0"],
+        ["serve", "--seed", "-1"],
+        ["grid", "--jobs", "0"],
+        ["grid", "--retries", "-1"],
+        RUN + ["--memory-bytes", "-5"],
+        # ... and each of these was accepted and ran.
+        ["compare"] + RUN[1:] + ["--jobs", "0"],
+        ["sweep-ratio"] + RUN[1:] + ["--jobs", "0"],
+        ["grid", "--timeout", "0"],
+        ["serve", "--deadline", "-1"],
+        ["serve", "--batch-wait", "-1"],
+        ["serve", "--queue-capacity", "0"],
     ])
     def test_out_of_range_value_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "is not in" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "is not in" in err
+        flag = next(a for a in reversed(argv) if a.startswith("--"))
+        assert f"argument {flag}" in err
 
     @pytest.mark.parametrize("argv", [
         RUN, ["compare"] + RUN[1:], ["trace", "FK", "BFS", "--scale", "5e-5"],

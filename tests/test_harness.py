@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core.ascetic import AsceticConfig
+from repro.engines import registry
 from repro.harness.experiments import (
-    ENGINES,
     clear_dataset_cache,
     make_workload,
     run_all_engines,
@@ -25,7 +25,8 @@ def _fresh_cache():
 
 class TestWorkloads:
     def test_engine_registry(self):
-        assert set(ENGINES) == {"PT", "UVM", "Subway", "Ascetic", "Hybrid", "Sharded"}
+        assert set(registry.available()) == {
+            "PT", "UVM", "Subway", "Ascetic", "Hybrid", "Sharded"}
 
     def test_make_workload_basic(self):
         w = make_workload("FK", "BFS", scale=SCALE)
@@ -56,7 +57,7 @@ class TestRunCell:
     def test_all_engines_complete(self):
         w = make_workload("FK", "BFS", scale=SCALE)
         results = run_all_engines(w)
-        assert set(results) == set(ENGINES)
+        assert set(results) == set(registry.available())
         for res in results.values():
             assert res.elapsed_seconds > 0
 
@@ -78,15 +79,17 @@ class TestRunCell:
         with pytest.raises(TypeError):
             run_cell(RunSpec("FK", "BFS", "Subway", scale=SCALE), "Ascetic")
 
-    def test_run_cell_workload_shim_warns_and_matches(self):
+    def test_run_cell_takes_a_runspec_only_and_matches_run_workload(self):
         import numpy as np
+        from repro.runner import RunSpec
 
         w = make_workload("FK", "BFS", scale=SCALE)
-        with pytest.warns(DeprecationWarning):
-            old = run_cell(w, "Subway")
-        new = run_workload(w, "Subway")
-        assert np.array_equal(old.values, new.values)
-        assert old.elapsed_seconds == new.elapsed_seconds
+        with pytest.raises(TypeError, match="RunSpec"):
+            run_cell(w)
+        cell = run_cell(RunSpec("FK", "BFS", "Subway", scale=SCALE))
+        direct = run_workload(w, "Subway")
+        assert np.array_equal(cell.values, direct.values)
+        assert cell.elapsed_seconds == direct.elapsed_seconds
 
 
 class TestSweeps:

@@ -1,4 +1,4 @@
-"""Tests for the engine registry and its legacy ``ENGINES`` view."""
+"""Tests for the engine registry."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.core.ascetic import AsceticEngine
 from repro.engines import registry
 from repro.engines.base import Engine
 from repro.gpusim.device import GPUSpec
-from repro.harness.experiments import ENGINES
 
 
 class _FakeEngine:
@@ -18,7 +17,7 @@ class _FakeEngine:
         self.spec = spec
         self.kwargs = kwargs
 
-    def run(self, graph, program):  # pragma: no cover - never exercised
+    def run(self, graph, program, resume_from=None):  # pragma: no cover
         raise NotImplementedError
 
 
@@ -140,18 +139,17 @@ class TestEngineInfo:
 
 
 class TestEnginesView:
+    """``available()`` / ``get()`` are live — what every name list (the
+    harness, ``--engine`` choices, the grid's default engines) reads."""
+
     def test_view_tracks_registry(self, fake_engine):
-        assert "Fake" in ENGINES
-        assert ENGINES["Fake"] is fake_engine
-        assert set(ENGINES) == set(registry.available())
-        assert len(ENGINES) == len(registry.available())
+        assert "Fake" in registry.available()
+        assert registry.get("Fake") is fake_engine
+        assert registry.is_registered("Fake")
 
     def test_view_after_unregister(self):
-        assert "Fake" not in ENGINES
-
-    def test_view_is_read_only(self):
-        with pytest.raises(TypeError):
-            ENGINES["PT"] = _FakeEngine  # Mapping, not MutableMapping
+        assert "Fake" not in registry.available()
+        assert not registry.is_registered("Fake")
 
     def test_cli_choices_follow_registry(self, fake_engine):
         from repro.cli import build_parser

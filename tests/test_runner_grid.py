@@ -39,7 +39,7 @@ class _ExplodingEngine:
     def __init__(self, **kwargs):
         pass
 
-    def run(self, graph, program):
+    def run(self, graph, program, resume_from=None):
         raise RuntimeError("injected failure")
 
 
@@ -49,7 +49,7 @@ class _CrashingEngine:
     def __init__(self, **kwargs):
         pass
 
-    def run(self, graph, program):
+    def run(self, graph, program, resume_from=None):
         os._exit(7)
 
 
@@ -59,7 +59,7 @@ class _SleepingEngine:
     def __init__(self, **kwargs):
         pass
 
-    def run(self, graph, program):
+    def run(self, graph, program, resume_from=None):
         time.sleep(60)
 
 

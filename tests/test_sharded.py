@@ -43,8 +43,14 @@ class TestConstruction:
         assert eng.inner == "Ascetic"
 
     def test_shorthand_and_spec_agree(self):
-        eng = ShardedEngine(devices=4, topology="nvlink")
-        assert eng.fabric_spec == FabricSpec(n_devices=4, topology="nvlink")
+        assert ShardedEngine(devices=4).fabric_spec == FabricSpec(n_devices=4)
+        nvlink = FabricSpec(n_devices=4, topology="nvlink")
+        assert ShardedEngine(fabric=nvlink, devices=4).fabric_spec == nvlink
+
+    def test_zero_devices_rejected_like_the_fabric_spec(self):
+        # ``devices=0`` used to fall through ``devices if devices else 2``.
+        with pytest.raises(ValueError, match="n_devices"):
+            ShardedEngine(devices=0)
 
     def test_fabric_dict_accepted(self):
         eng = ShardedEngine(fabric={"n_devices": 3, "topology": "nvlink"})
@@ -68,8 +74,8 @@ class TestConstruction:
     def test_registered_with_opts(self):
         info = registry.describe("Sharded")
         assert not info.supports_warm_start
-        assert set(info.supported_engine_opts) >= {
-            "fabric", "devices", "topology", "inner"}
+        assert set(info.supported_engine_opts) == {
+            "fabric", "devices", "inner"}
 
     def test_unknown_opt_rejected_by_registry(self):
         with pytest.raises(TypeError, match="chunk_bytes"):
@@ -157,12 +163,61 @@ class TestShardedRunShape:
             assert count_distinct(dst, seen) == np.unique(dst).size
             assert not seen.any()
 
-    def test_resume_not_supported(self, small_social):
-        eng = ShardedEngine(spec=make_spec_for(small_social),
-                            data_scale=TEST_SCALE)
-        program = make_program("BFS", source=0)
-        with pytest.raises(NotImplementedError):
-            eng.run(small_social, program, resume_from=object())
+    def test_zero_iteration_cap_runs_no_superstep(self, small_social):
+        factory = lambda: make_program(
+            "BFS", source=best_source(small_social))
+        res = run_engine("Sharded", small_social, factory, devices=3,
+                         max_iterations=0)
+        assert res.iterations == 0
+        assert res.per_iteration == []
+        assert "Texchange" not in res.metrics.phase_seconds
+
+    def test_records_carry_the_pre_step_index(self, small_social):
+        factory = lambda: make_program(
+            "BFS", source=best_source(small_social))
+        res = run_engine("Sharded", small_social, factory, devices=3)
+        assert [r.iteration for r in res.per_iteration] \
+            == list(range(res.iterations))
+        for prev, rec in zip(res.per_iteration, res.per_iteration[1:]):
+            assert rec.t_start == prev.t_end
+
+    def test_hook_fires_once_per_superstep_after_recovery(self, small_social):
+        """The hook sees the fabric, once per superstep; a device loss is
+        recovered (and charged) before it, outside the superstep's record."""
+        from repro.gpusim.fabric import Fabric
+        from repro.gpusim.faults import standard_fleet_plan
+
+        factory = lambda: make_program(
+            "BFS", source=best_source(small_social))
+        t = run_engine("Sharded", small_social, factory,
+                       devices=3).elapsed_seconds
+        plan = standard_fleet_plan(seed=0, n_devices=3, down_at=t / 2,
+                                   degrade_start=t * 2, degrade_end=t * 3)
+        engine = registry.create("Sharded", spec=make_spec_for(small_social),
+                                 data_scale=TEST_SCALE, devices=3,
+                                 fault_plan=plan, seed=0)
+        seen = []
+
+        def hook(eng, fabric, graph, state):
+            assert eng is engine and isinstance(fabric, Fabric)
+            seen.append((state.iteration, fabric.clock.now,
+                         fabric.alive(), list(eng._device_ids)))
+
+        engine.iteration_hook = hook
+        res = engine.run(small_social, factory())
+        assert res.extra["device_losses"] == 1.0
+        assert [it for it, *_ in seen] == list(range(res.iterations))
+        # From the loss on, the hook only ever sees the recovered fleet.
+        assert all(alive == ids for _, _, alive, ids in seen)
+        assert seen[0][2] == [0, 1, 2] and seen[-1][2] == [1, 2]
+        # Recovery sits between two records: after the previous superstep
+        # ended, before the hook (and the next record's t_start).
+        assert [now for _, now, *_ in seen] \
+            == [r.t_start for r in res.per_iteration]
+        gaps = [rec.t_start - prev.t_end for prev, rec in
+                zip(res.per_iteration, res.per_iteration[1:])]
+        assert sum(g > 0 for g in gaps) == 1
+        assert res.metrics.phase_seconds["Trecover"] > 0
 
 
 class TestOutOfSingleDeviceCapacity:

@@ -26,8 +26,6 @@ DEFERRED = {
        for name in UVM_MODEL},
     **{f"Hybrid.{name}": "ROADMAP item 4e (Hybrid itself is on trial)"
        for name in ("chunk_bytes", "cache_fraction", "reuse_horizon")},
-    "AsceticConfig.chunk_bytes": "ROADMAP item 7 (§3.4's 16 KB; set by nothing)",
-    "Sharded.topology": "ROADMAP item 7 (shorthand for fabric=; tests only)",
 }
 
 
