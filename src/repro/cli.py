@@ -77,7 +77,7 @@ def _at_least(kind, low, strict=False):
 
     def parse(text: str):
         value = kind(text)
-        if not (value > low or (value == low and not strict)):
+        if not (value > low if strict else value >= low):  # NaN fails both
             raise argparse.ArgumentTypeError(
                 f"{text} is not in {'(' if strict else '['}{low}, inf)")
         return value

@@ -4,8 +4,7 @@ An engine executes one :class:`~repro.algorithms.base.VertexProgram` on one
 graph against a fresh device (a :class:`~repro.gpusim.device.SimulatedGPU`
 unless the engine builds something else, see ``Engine._make_device``),
 charging every byte it moves and every kernel it launches to the virtual
-clock.  The
-numeric computation itself is identical across engines (see
+clock.  The numeric computation itself is identical across engines (see
 ``VertexProgram.step``); what an engine contributes is a *data-movement
 policy* — which is what the paper evaluates.
 """

@@ -199,8 +199,7 @@ class ShardedEngine(Engine):
         injector = fabric.faults
         if injector is None or not injector.plan.affects_devices:
             return
-        barrier = self._shard_checkpoint(graph, program, state,
-                                         self._shards, self._device_ids)
+        barrier = self._shard_checkpoint(graph, program, state)
         dead = self._handle_device_faults(fabric, injector)
         if dead:
             self._recover(fabric, graph, program, state, dead, barrier)
@@ -271,8 +270,7 @@ class ShardedEngine(Engine):
 
     # ------------------------------------------------------- fault handling
     def _shard_checkpoint(self, graph: CSRGraph, program: VertexProgram,
-                          state: ProgramState, shards: List[GraphShard],
-                          device_ids: List[int]) -> "IterationCheckpoint":
+                          state: ProgramState) -> "IterationCheckpoint":
         """Snapshot the superstep barrier state plus per-shard layout.
 
         Taken at every barrier, before device health is sampled, so when a
@@ -294,11 +292,11 @@ class ShardedEngine(Engine):
             shards=tuple(
                 ShardCheckpoint(
                     device=d,
-                    e_lo=shards[pos].e_lo,
-                    e_hi=shards[pos].e_hi,
+                    e_lo=shard.e_lo,
+                    e_hi=shard.e_hi,
                     restore_bytes=graph.vertex_state_bytes,
                 )
-                for pos, d in enumerate(device_ids)
+                for shard, d in zip(self._shards, self._device_ids)
             ),
         )
 
