@@ -11,12 +11,13 @@ where ``cum`` is the exclusive prefix sum of counts.  All engines use the
 same expansion, so every engine processes exactly the same edge set and
 produces bit-identical results.
 
-Within one engine iteration the same mask is walked several times — the run
-loop counts its edges for telemetry, the engine's data-movement accounting
-counts them again, and the program's ``step`` finally materializes the full
-expansion.  :class:`FrontierCache` memoizes that work per ``(graph, mask)``
-pair so each walk happens at most once per iteration (the
-``state.frontier()`` / ``state.active_edges()`` API on
+The same mask is walked more than once per superstep — while a program
+trace is built, ``step`` materializes the full expansion; while an engine
+replays it, the run loop counts the edges for telemetry and the engine's
+data-movement accounting counts them again (a sharded run also expands
+each shard's slice for its exchange).  :class:`FrontierCache` memoizes that
+work per ``(graph, mask)`` pair so each walk happens at most once per state
+(the ``state.frontier()`` / ``state.active_edges()`` API on
 :class:`~repro.algorithms.base.ProgramState` fronts it).
 """
 

@@ -11,7 +11,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.algorithms.base import VertexProgram
+from repro.algorithms.base import VertexProgram, program_trace
 from repro.algorithms.frontier import active_edge_count
 from repro.graph.csr import CSRGraph
 
@@ -19,12 +19,11 @@ __all__ = ["active_edge_fractions", "table1_row"]
 
 
 def active_edge_fractions(graph: CSRGraph, program: VertexProgram) -> List[float]:
-    """Per-iteration active-edge fractions of a host-side reference run."""
-    fractions: List[float] = []
+    """Per-iteration active-edge fractions of the program's trace."""
+    trace = program_trace(graph, program)
     m = max(graph.n_edges, 1)
-    program.run_reference(graph, lambda state: fractions.append(
-        active_edge_count(graph, state.active) / m))
-    return fractions
+    return [active_edge_count(graph, trace.mask(i)) / m
+            for i in range(len(trace))]
 
 
 def table1_row(graph: CSRGraph, programs: Dict[str, VertexProgram]) -> Dict[str, float]:

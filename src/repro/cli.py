@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seconds to hold a free device for a fuller batch")
         sp.add_argument("--max-engines", type=positive_int, default=2,
                         help="warm engine-pool size per device (default 2)")
-        sp.add_argument("--devices", type=int, default=1,
+        sp.add_argument("--devices", type=positive_int, default=1,
                         help="simulated devices behind the router "
                              "(default %(default)s)")
         sp.add_argument("--topology", default="pcie",
@@ -282,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "standard fleet plan — a sharded engine run "
                            "checked bit-identical against fault-free, plus "
                            "a fleet load test with the degraded SLO report")
-    ch_p.add_argument("--devices", type=int, default=4,
-                      help="fabric size for --fleet (default 4)")
+    ch_p.add_argument("--devices", type=positive_int, default=4,
+                      help="fabric size for --fleet, at least 2 (default 4)")
     ch_p.add_argument("-o", "--output", default=None,
                       help="with --fleet: write the degraded SLO report "
                            "JSON here")
@@ -424,7 +424,7 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
+def _cmd_chaos(args, parser) -> int:
     import hashlib
     import json
 
@@ -435,6 +435,10 @@ def _cmd_chaos(args) -> int:
     from repro.harness.persistence import result_to_payload
 
     if args.fleet:
+        if args.devices < 2:
+            # A device loss needs a survivor to recover onto.
+            parser.error(f"argument --devices: {args.devices} is not in "
+                         f"[2, inf) with --fleet")
         return _cmd_chaos_fleet(args)
     w = make_workload(args.dataset, args.algo, scale=args.scale,
                       memory_bytes=args.memory_bytes)
@@ -491,12 +495,6 @@ def _cmd_chaos_fleet(args) -> int:
     from repro.gpusim.faults import standard_fleet_plan
     from repro.harness.persistence import result_to_payload
     from repro.serve.fleet import fleet_quick_config, run_fleet_test
-
-    if args.devices < 2:
-        raise SystemExit(
-            f"error: chaos --fleet needs at least 2 devices "
-            f"(n_devices={args.devices})"
-        )
 
     # --- engine leg: kill one device mid-run, demand bit-identity -------
     w = make_workload(args.dataset, args.algo, scale=args.scale,
@@ -585,10 +583,6 @@ def _fabric_from_args(args):
             return FabricSpec.from_dict(data)
         except (ValueError, TypeError) as exc:
             raise SystemExit(f"error: invalid --fabric: {exc}")
-    if args.devices < 1:
-        raise SystemExit(
-            f"error: --devices must be >= 1 (n_devices={args.devices})"
-        )
     try:
         return FabricSpec(n_devices=args.devices, topology=args.topology)
     except ValueError as exc:
@@ -749,7 +743,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "grid":
             return _cmd_grid(args)
         if args.command == "chaos":
-            return _cmd_chaos(args)
+            return _cmd_chaos(args, parser)
         if args.command in ("serve", "fleet"):
             return _cmd_serve(args)
     except GPUOutOfMemory as exc:

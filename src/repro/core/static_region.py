@@ -87,9 +87,6 @@ class StaticRegion:
         self._has_edges = cmap.has_edges
         self._c_lo = cmap.c_lo
         self._c_hi = cmap.c_hi
-        # Scratch buffer reused by the per-iteration paths (bitmap/coverage
-        # prefix sums); contents are never live across calls.
-        self._cum_scratch = np.empty(self.n_chunks + 1, dtype=np.int64)
 
     def _fill(self, fill: str, seed: int) -> None:
         if fill not in ("lazy", "front", "rear", "random"):
@@ -264,12 +261,13 @@ class StaticRegion:
         return int((rank(run_e) - rank(run_s)).sum())
 
     def _resident_prefix(self) -> np.ndarray:
-        """Inclusive prefix sum of ``resident`` into the shared scratch.
+        """Inclusive prefix sum of ``resident``, with a leading zero.
 
-        ``out[i]`` = number of resident chunks with id < ``i``.  The scratch
-        is overwritten by the next per-iteration call — consume immediately.
+        ``out[i]`` = number of resident chunks with id < ``i``.  Allocated
+        per call: its one caller (``promote_vertices``, under the lazy-fill
+        ablation) is rare, so no chunk-length scratch lives on the region.
         """
-        cum = self._cum_scratch
+        cum = np.empty(self.n_chunks + 1, dtype=np.int64)
         cum[0] = 0
         np.cumsum(self.resident, out=cum[1:])
         return cum

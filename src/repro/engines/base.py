@@ -4,9 +4,10 @@ An engine executes one :class:`~repro.algorithms.base.VertexProgram` on one
 graph against a fresh device (a :class:`~repro.gpusim.device.SimulatedGPU`
 unless the engine builds something else, see ``Engine._make_device``),
 charging every byte it moves and every kernel it launches to the virtual
-clock.  The numeric computation itself is identical across engines (see
-``VertexProgram.step``); what an engine contributes is a *data-movement
-policy* — which is what the paper evaluates.
+clock.  The numeric computation is not the engine's: every engine replays
+the same memoized :class:`~repro.algorithms.base.ProgramTrace` (the
+program's frontiers and final values); what an engine contributes is a
+*data-movement policy* — which is what the paper evaluates.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.algorithms.base import ProgramState, VertexProgram
+from repro.algorithms.base import ProgramState, VertexProgram, program_trace
 from repro.graph.csr import ChunkRuns, CSRGraph
 from repro.gpusim.device import DeviceFacade, GPUSpec, SimulatedGPU
 from repro.gpusim.events import EventLog
@@ -409,8 +410,8 @@ class Engine(abc.ABC):
         """Account one superstep's data movement + compute on the clock.
 
         Called with ``state.active`` being the frontier about to be
-        processed; must leave the clock at the iteration's completion time.
-        The numeric update itself is performed by the caller (``run``).
+        processed (read-only: it is the trace's); must leave the clock at
+        the iteration's completion time.  The numeric update is the trace's.
         """
 
     def _finish(self, gpu: SimulatedGPU, graph: CSRGraph, program: VertexProgram,
@@ -424,49 +425,45 @@ class Engine(abc.ABC):
             resume_from=None) -> RunResult:
         """Execute ``program`` on ``graph``; returns values + accounting.
 
+        The numeric run is the program's memoized
+        :func:`~repro.algorithms.base.program_trace`; this loop replays its
+        frontiers, one superstep each, and charges their data movement.
+
         ``resume_from`` accepts an
         :class:`~repro.harness.checkpoint.IterationCheckpoint` written by a
-        previous (interrupted) run of the same spec: the engine, device,
-        program state, and fault-injector RNG stream are restored bit-exactly
-        from the snapshot, ``_prepare`` is skipped, and the loop continues
-        from the next iteration — producing the same ``RunResult`` an
-        uninterrupted run would have.
+        previous (interrupted) run of the same spec: the engine, device and
+        fault-injector RNG stream are restored bit-exactly from the
+        snapshot, ``_prepare`` is skipped, and the replay continues from the
+        next superstep — producing the same ``RunResult`` an uninterrupted
+        run would have.
         """
-        program.validate_graph(graph)
+        trace = program_trace(graph, program, self.max_iterations)
         if resume_from is not None:
-            gpu, state, records = self._restore(resume_from)
+            gpu, records = self._restore(resume_from)
         else:
             faults = None
             if self.fault_plan is not None and not self.fault_plan.is_null:
                 faults = FaultInjector(self.fault_plan, seed=self.seed)
             gpu = self._make_device(faults)
-            state = program.init_state(graph)
             records = []
             self._squeeze_allocs = {}
             self._prepare(gpu, graph, program)
             gpu.sync()
 
-        cap = self.max_iterations if self.max_iterations is not None else program.max_iterations
-        cap = max(cap, 0)
-        while state.active.any() and state.iteration < cap and not program.done(state):
+        for i in range(len(records), len(trace)):
+            state = trace.state(i)
             self._begin_superstep(gpu, graph, program, state)
             if self.iteration_hook is not None:
                 self.iteration_hook(self, gpu, graph, state)
             t0 = gpu.clock.now
             h2d0 = gpu.metrics.bytes_h2d
             n_active = state.n_active
-            # Memoized: the engine's accounting and the program's step
-            # reuse this same walk instead of re-expanding the mask.
+            # Memoized: the engine's accounting reuses this same walk.
             n_edges = state.active_edges(graph)
-            # The record is labelled with the superstep it *describes* —
-            # the pre-step index — so a program whose ``step`` does not
-            # bump ``state.iteration`` cannot produce an off-by-one (or,
-            # on a zero-iteration run, a phantom ``-1``) record.
             iter_index = state.iteration
             with gpu.iteration(iter_index):
                 self._service_squeezes(gpu, graph, iter_index)
                 self._iteration(gpu, graph, program, state)
-            program.step(graph, state)
             gpu.sync()
             records.append(
                 IterationRecord(
@@ -479,15 +476,16 @@ class Engine(abc.ABC):
                 )
             )
             if self.checkpoint is not None:
-                self.checkpoint.save(self, gpu, graph, program, state, records)
-        self._finish(gpu, graph, program, state)
+                self.checkpoint.save(self, gpu, graph, program,
+                                     trace.state(i + 1), records)
+        self._finish(gpu, graph, program, trace.state(len(trace)))
 
         result = RunResult(
             engine=self.name,
             algorithm=program.name,
             graph_name=graph.name,
-            values=program.values(state),
-            iterations=state.iteration,
+            values=trace.values.copy(),
+            iterations=trace.iterations,
             elapsed_seconds=gpu.elapsed,
             metrics=gpu.metrics,
             gpu_idle_fraction=gpu.gpu_idle_fraction(),
@@ -502,15 +500,17 @@ class Engine(abc.ABC):
         return result
 
     # -------------------------------------------------------- checkpointing
-    def snapshot_state(self, gpu: SimulatedGPU, state: ProgramState,
+    def snapshot_state(self, gpu: SimulatedGPU,
                        records: List[IterationRecord]) -> bytes:
         """Pickle everything a bit-exact resume needs into one opaque blob.
 
-        A *single* pickle of (engine attrs, gpu, state, records) preserves
-        shared object identity — the engine's ``Allocation`` handles stay
-        the same objects ``DeviceMemory`` tracks, the lanes keep sharing
-        one clock and event log, and the fault injector's RNG stream rides
-        along — so the restored run continues exactly where it stopped.
+        A *single* pickle of (engine attrs, gpu, records) preserves shared
+        object identity — the engine's ``Allocation`` handles stay the same
+        objects ``DeviceMemory`` tracks, the lanes keep sharing one clock
+        and event log, and the fault injector's RNG stream rides along — so
+        the restored run continues exactly where it stopped.  The program
+        state is not in it: the resumed run replays the same trace from
+        superstep ``len(records)``.
         """
         import pickle
 
@@ -518,19 +518,18 @@ class Engine(abc.ABC):
             "engine": {k: v for k, v in self.__dict__.items()
                        if k not in self._CKPT_EXCLUDE},
             "gpu": gpu,
-            "state": state,
             "records": records,
         }
         return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
 
     def _restore(self, checkpoint):
-        """Rehydrate ``snapshot_state``'s blob; returns (gpu, state, records)."""
+        """Rehydrate ``snapshot_state``'s blob; returns (gpu, records)."""
         import pickle
 
         payload = pickle.loads(checkpoint.blob)
         self.__dict__.update(payload["engine"])
         self.resumed_iteration = checkpoint.iteration
-        return payload["gpu"], payload["state"], payload["records"]
+        return payload["gpu"], payload["records"]
 
     # ----------------------------------------------------------- resilience
     def _alloc_retry(self, gpu: SimulatedGPU, name: str, nbytes: int) -> Allocation:

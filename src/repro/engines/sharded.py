@@ -17,16 +17,15 @@ contributes is the bulk-synchronous superstep body:
    distinct destination its active local edges touched) to every peer over
    the inter-device links, charged to the cost model and attributed to the
    ``Texchange`` phase;
-3. the run loop's one global ``program.step`` applies the numeric update.
+3. the run loop moves on to the program trace's next frontier.
 
-Because the numeric computation is exactly the single global
-``program.step(graph, state)`` per superstep — engines are pure
-data-movement policies — the sharded run's value arrays are **bit-identical**
-to the single-device engines' by construction, which the cross-device
-determinism tests pin.  What sharding buys is capacity: the per-device edge
-slice (and the inner engine's Static Region over it) only has to fit one
-device, so a graph whose edge array exceeds any single device completes on
-a fabric of N.
+Because the numeric computation is the one program trace every engine
+replays — engines are pure data-movement policies — the sharded run's value
+arrays are **bit-identical** to the single-device engines' by construction,
+which the cross-device determinism tests pin.  What sharding buys is
+capacity: the per-device edge slice (and the inner engine's Static Region
+over it) only has to fit one device, so a graph whose edge array exceeds
+any single device completes on a fabric of N.
 
 Fleet chaos mode adds whole-device fault tolerance on top.  Device faults
 in the :class:`~repro.gpusim.faults.FaultPlan` resolve at **barrier
@@ -43,8 +42,8 @@ duplicated), restores the superstep checkpoint
 :class:`~repro.harness.checkpoint.ShardCheckpoint` payloads), and charges
 the redistribution H2D plus a survivor re-sync exchange to the sim clock
 under a ``Trecover`` phase.  Values stay bit-identical to a fault-free run
-because the one global ``program.step`` never depends on the shard layout;
-faults cost virtual time, never correctness.
+because the one program trace never depends on the shard layout; faults
+cost virtual time, never correctness.
 """
 
 from __future__ import annotations
@@ -221,7 +220,7 @@ class ShardedEngine(Engine):
             inner._iteration(fabric.devices[d], shard.graph, program, local)
         # Superstep barrier: everyone's local work lands before deltas
         # move — the bulk-synchronous contract that makes one global
-        # step equivalent to the single-device run.
+        # trace equivalent to the single-device run.
         fabric.sync_all()
         self._exchange(fabric, local_states, state.iteration)
 
@@ -276,7 +275,8 @@ class ShardedEngine(Engine):
         Taken at every barrier, before device health is sampled, so when a
         death is detected the checkpoint is exactly the consistent state
         every survivor already replicates — recovery restores placement and
-        charges traffic, it never needs to roll numeric state back.
+        charges traffic, it never needs to roll numeric state back (the
+        values are the program trace's).
         """
         from repro.harness.checkpoint import (IterationCheckpoint,
                                               ShardCheckpoint)
@@ -286,8 +286,7 @@ class ShardedEngine(Engine):
             algorithm=program.name,
             graph_name=graph.name,
             iteration=state.iteration,
-            values=np.array(program.values(state), copy=True),
-            active=np.array(state.active, copy=True),
+            active=state.active,
             blob=b"",
             shards=tuple(
                 ShardCheckpoint(
@@ -334,8 +333,8 @@ class ShardedEngine(Engine):
         H2D of the re-tiled shards), a charged checkpoint-restore H2D per
         survivor, and one survivors-only exchange round re-syncing the
         active frontier's deltas.  Numeric state needs no rollback — the
-        barrier state *is* the checkpoint — so values stay bit-identical
-        to a fault-free run.
+        values are the program trace's — so they stay bit-identical to a
+        fault-free run.
         """
         survivors = [d for d in self._device_ids if d not in dead]
         if not survivors:
@@ -373,9 +372,6 @@ class ShardedEngine(Engine):
                            ("iteration", float(checkpoint.iteration))),
                 )
                 new_inners.append(inner)
-            # The barrier state is the checkpoint (copyto documents the
-            # restore; it is a bit-identical no-op by construction).
-            np.copyto(state.active, checkpoint.active)
             # Survivors re-sync the in-flight frontier deltas among
             # themselves so every replica agrees before the next superstep.
             payload = int(state.active.sum()) * VALUE_DELTA_BYTES

@@ -17,6 +17,7 @@ Conventions
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple
 
@@ -204,6 +205,9 @@ class CSRGraph:
     name: str = "graph"
     _out_degree: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _chunk_maps: dict = field(default_factory=dict, repr=False, compare=False)
+    #: Program traces memoized on this graph (``algorithms.base.program_trace``).
+    _traces: OrderedDict = field(default_factory=OrderedDict, init=False,
+                                 repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
@@ -228,6 +232,13 @@ class CSRGraph:
             self.indices.min() < 0 or self.indices.max() >= self.n_vertices
         ):
             raise ValueError("edge destination out of range")
+
+    def __getstate__(self):
+        # Traces are derived and can be large; a pickled graph (a Static
+        # Region in a checkpoint blob) rebuilds them on demand.
+        state = dict(self.__dict__)
+        state["_traces"] = OrderedDict()
+        return state
 
     # ------------------------------------------------------------------ size
     @property

@@ -3,13 +3,15 @@
 A mid-run crash (a worker killed on timeout, a fault plan exhausting its
 retry budget, the host dying) used to lose every completed iteration.  This
 module snapshots the *entire* simulation state after each superstep —
-vertex values, frontier, iteration index, plus an opaque pickle blob
-holding the engine, the simulated device (clock, lanes, event log, memory
-allocator), and the fault injector's RNG stream — so
+frontier and iteration index, plus an opaque pickle blob holding the
+engine, the simulated device (clock, lanes, event log, memory allocator),
+the iteration records and the fault injector's RNG stream — so
 :meth:`repro.engines.base.Engine.run` can continue from the next iteration
 and produce a **bit-identical** :class:`~repro.engines.base.RunResult` to
 an uninterrupted run (determinism is what makes resume trustworthy: the
-resumed half replays no differently than it would have run).
+resumed half replays no differently than it would have run).  Vertex
+values are not in it: they are the program trace's, which the resumed run
+rebuilds (or finds memoized) and replays from the next superstep.
 
 Layout on disk: one pickle file per cell under the store root, keyed by
 the cell's :meth:`~repro.runner.spec.RunSpec.cache_key` (or any caller
@@ -44,7 +46,10 @@ __all__ = ["IterationCheckpoint", "ShardCheckpoint", "CheckpointStore",
 #: 5: ``AsceticConfig`` lost ``chunk_bytes``, ``SimulatedGPU`` gained a base
 #: class, and a Sharded engine's blob now carries its fleet (a version-4
 #: blob would restore a dead config attribute).
-CHECKPOINT_VERSION = 5
+#: 6: ``IterationCheckpoint`` lost ``values`` and the blob its program state:
+#: engines replay the program trace (a version-5 blob pickles a full program
+#: state beside the records, which ``_restore`` no longer reads).
+CHECKPOINT_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -70,8 +75,8 @@ class ShardCheckpoint:
 class IterationCheckpoint:
     """One superstep's snapshot.
 
-    ``values``/``active``/``iteration`` duplicate the algorithm state in
-    inspectable form (tests, debugging, partial-result salvage); ``blob``
+    ``active``/``iteration`` are the frontier the next superstep consumes
+    and the post-step iteration count, in inspectable form; ``blob``
     is the authoritative pickle produced by
     :meth:`~repro.engines.base.Engine.snapshot_state`, from which the run
     is actually resumed — by every engine, Sharded included, whose blob
@@ -86,7 +91,6 @@ class IterationCheckpoint:
     algorithm: str
     graph_name: str
     iteration: int
-    values: np.ndarray
     active: np.ndarray
     blob: bytes
     shards: Tuple[ShardCheckpoint, ...] = ()
@@ -163,7 +167,8 @@ class CheckpointWriter:
 
     def save(self, engine, gpu, graph, program, state, records) -> Optional[str]:
         """Snapshot the run right after an iteration; returns the path
-        written (None when thinned out by ``every``)."""
+        written (None when thinned out by ``every``).  ``state`` is the
+        replay state of the *next* superstep."""
         done = len(records)
         if done % self.every != 0:
             return None
@@ -172,9 +177,8 @@ class CheckpointWriter:
             algorithm=program.name,
             graph_name=graph.name,
             iteration=state.iteration,
-            values=np.array(program.values(state), copy=True),
-            active=np.array(state.active, copy=True),
-            blob=engine.snapshot_state(gpu, state, records),
+            active=state.active,
+            blob=engine.snapshot_state(gpu, records),
         )
         self.n_saved += 1
         return self.store.save(self.key, ckpt)

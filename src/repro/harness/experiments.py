@@ -99,10 +99,35 @@ def _cached_dataset(abbr: str, scale: float) -> Dataset:
         return _cached_dataset_unlocked(abbr, scale)
 
 
+@lru_cache(maxsize=32)
+def _cached_graph_unlocked(abbr: str, scale: float, algorithm: str) -> CSRGraph:
+    """The graph ``algorithm`` runs on, one object per key — so every cell
+    of a (dataset, scale, algorithm) shares its program traces (which the
+    graph memoizes, ``algorithms.base.program_trace``)."""
+    return _algorithm_graph(_cached_dataset_unlocked(abbr, scale).graph,
+                            algorithm)
+
+
 def clear_dataset_cache() -> None:
-    """Drop memoized datasets (tests and memory-conscious sweeps)."""
+    """Drop memoized datasets and graphs, and with them their program
+    traces (tests and memory-conscious sweeps)."""
     with _dataset_lock:
+        _cached_graph_unlocked.cache_clear()
         _cached_dataset_unlocked.cache_clear()
+
+
+def _algorithm_graph(graph: CSRGraph, algorithm: str) -> CSRGraph:
+    """The view of ``graph`` that ``algorithm`` streams."""
+    if algorithm in ("SSSP", "SSWP"):
+        return graph.with_random_weights(high=SSSP_WEIGHT_HIGH)
+    if algorithm == "KCORE":
+        # k-core is defined on undirected graphs; directed crawls get the
+        # weakly-connected view.
+        return graph.symmetrized()
+    if algorithm == "PR-PULL":
+        # Pull mode gathers over in-edges: stream the reverse CSR.
+        return graph.reverse()
+    return graph
 
 
 def make_workload(
@@ -119,23 +144,18 @@ def make_workload(
     a pre-built dataset (the RMAT family of Fig. 11's right sweep).
     """
     algorithm = algorithm.upper()
-    ds = dataset if dataset is not None else _cached_dataset(abbr, scale)
-    graph = ds.graph
-    if algorithm in ("SSSP", "SSWP"):
-        graph = graph.with_random_weights(high=SSSP_WEIGHT_HIGH)
-    if algorithm == "KCORE":
-        # k-core is defined on undirected graphs; directed crawls get the
-        # weakly-connected view.
-        graph = graph.symmetrized()
+    if dataset is None:
+        with _dataset_lock:
+            ds = _cached_dataset_unlocked(abbr, scale)
+            graph = _cached_graph_unlocked(abbr, scale, algorithm)
+    else:
+        ds, graph = dataset, _algorithm_graph(dataset.graph, algorithm)
     spec = GPUSpec(memory_bytes=memory_bytes or ds.gpu_memory_bytes)
     if algorithm in ("BFS", "SSSP", "SSWP"):
         src = best_source(graph)
         factory = lambda: make_program(algorithm, source=src)  # noqa: E731
     elif algorithm in ("PR", "PR-PULL"):
         factory = lambda: make_program(algorithm, tol=PR_TOL)  # noqa: E731
-        if algorithm == "PR-PULL":
-            # Pull mode gathers over in-edges: stream the reverse CSR.
-            graph = graph.reverse()
     else:
         factory = lambda: make_program(algorithm)  # noqa: E731
     return Workload(

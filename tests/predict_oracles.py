@@ -12,8 +12,8 @@ All predictions are in charged (paper-scale) bytes, like engine metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from dataclasses import dataclass, field
+from typing import List, Optional
 
 import numpy as np
 
@@ -35,23 +35,35 @@ class ActiveTrace:
     masks: List[np.ndarray]
     n_active_vertices: List[int]
     n_active_edges: List[int]
+    #: ``state.iteration`` before each superstep, then after the last one.
+    iteration_numbers: List[int] = field(default_factory=list)
+    #: The program's values when the run stopped.
+    values: Optional[np.ndarray] = None
 
     @property
     def iterations(self) -> int:
         return len(self.masks)
 
 
-def record_active_trace(graph: CSRGraph, program: VertexProgram) -> ActiveTrace:
-    """Run the program host-side and record every frontier."""
+def record_active_trace(graph: CSRGraph, program: VertexProgram,
+                        cap: Optional[int] = None) -> ActiveTrace:
+    """Run the program host-side, at most ``cap`` supersteps (default: the
+    program's ``max_iterations``), and record every frontier."""
     program.validate_graph(graph)
     state = program.init_state(graph)
-    masks, nv, ne = [], [], []
-    while state.active.any() and not program.done(state):
+    cap = program.max_iterations if cap is None else cap
+    masks, nv, ne, its = [], [], [], []
+    while state.active.any() and state.iteration < cap \
+            and not program.done(state):
         masks.append(state.active.copy())
         nv.append(state.n_active)
         ne.append(active_edge_count(graph, state.active))
+        its.append(state.iteration)
         program.step(graph, state)
-    return ActiveTrace(masks=masks, n_active_vertices=nv, n_active_edges=ne)
+    its.append(state.iteration)
+    return ActiveTrace(masks=masks, n_active_vertices=nv, n_active_edges=ne,
+                       iteration_numbers=its,
+                       values=program.values(state).copy())
 
 
 def _payload(link: PCIeLink, nbytes: int, charge_scale: float) -> int:

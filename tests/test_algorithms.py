@@ -14,6 +14,7 @@ from repro.algorithms import (
     SSWP,
     make_program,
 )
+from repro.algorithms.base import ProgramTrace
 from repro.algorithms.bfs import UNREACHED
 from repro.algorithms.sssp import INF_DIST
 from repro.algorithms.validate import (
@@ -239,8 +240,12 @@ class TestProgramContract:
         runs = []
         for _ in range(2):
             p = make_program(name, **({"source": 0} if name in ("BFS", "SSSP") else {}))
-            runs.append(p.run_reference(g))
-        assert np.array_equal(runs[0], runs[1])
+            # Built directly: run_reference would hand back the memoized trace.
+            runs.append(ProgramTrace(g, p, p.max_iterations))
+        assert len(runs[0]) == len(runs[1])
+        assert all(np.array_equal(runs[0].mask(i), runs[1].mask(i))
+                   for i in range(len(runs[0]) + 1))
+        assert np.array_equal(runs[0].values, runs[1].values)
 
     @pytest.mark.parametrize("name", ["BFS", "SSSP", "CC", "PR"])
     def test_iteration_counter_advances(self, name, tiny_grid):

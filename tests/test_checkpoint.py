@@ -81,7 +81,7 @@ RESUME_CASES = (
 def _dummy_checkpoint(iteration=3):
     return IterationCheckpoint(
         engine="Subway", algorithm="BFS", graph_name="g",
-        iteration=iteration, values=np.arange(4.0),
+        iteration=iteration,
         active=np.array([True, False, True, False]), blob=b"opaque",
     )
 
@@ -98,7 +98,6 @@ class TestStore:
         loaded = store.load("cell-1")
         assert loaded.engine == "Subway"
         assert loaded.iteration == 3
-        assert np.array_equal(loaded.values, ckpt.values)
         assert np.array_equal(loaded.active, ckpt.active)
         assert loaded.blob == b"opaque"
 
@@ -129,8 +128,7 @@ class TestStore:
         store = CheckpointStore(str(tmp_path))
         stale = IterationCheckpoint(
             engine="Ascetic", algorithm="BFS", graph_name=w.graph.name,
-            iteration=2, values=np.zeros(w.graph.n_vertices),
-            active=np.zeros(w.graph.n_vertices, dtype=bool),
+            iteration=2, active=np.zeros(w.graph.n_vertices, dtype=bool),
             blob=b"version-1 engine state")
         with open(store.path_for("cell"), "wb") as fh:
             pickle.dump({"version": 1, "checkpoint": stale}, fh)
@@ -150,16 +148,17 @@ class TestStore:
         ``VirtualClock`` with a span list and five ``AsceticConfig``
         attributes that no longer exist; a version-4 one an ``AsceticConfig``
         with ``chunk_bytes`` and a ``SimulatedGPU`` pickled without its base
-        class.  All must be refused at load, and the recorded cell then runs
+        class; a version-5 one a checkpoint with ``values`` and a blob with
+        the full program state, from before engines replayed the program
+        trace.  All must be refused at load, and the recorded cell then runs
         from iteration 0 to the same log an undisturbed run retains."""
         w = make_workload("GS", "BFS", scale=SCALE)
         clean = run_workload(w, "Ascetic", record_events=True)
         store = CheckpointStore(str(tmp_path))
-        for version in (2, 3, 4):
+        for version in (2, 3, 4, 5):
             stale = IterationCheckpoint(
                 engine="Ascetic", algorithm="BFS", graph_name=w.graph.name,
-                iteration=2, values=np.zeros(w.graph.n_vertices),
-                active=np.zeros(w.graph.n_vertices, dtype=bool),
+                iteration=2, active=np.zeros(w.graph.n_vertices, dtype=bool),
                 blob=b"version-%d engine state" % version)
             with open(store.path_for("cell"), "wb") as fh:
                 pickle.dump({"version": version, "checkpoint": stale}, fh)

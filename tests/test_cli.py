@@ -147,6 +147,10 @@ class TestBadInput:
         ["serve", "--deadline", "-1"],
         ["serve", "--batch-wait", "-1"],
         ["serve", "--queue-capacity", "0"],
+        # These three exited 1 with a hand-written ``error:`` line.
+        ["serve", "--quick", "--devices", "0"],
+        ["fleet", "--devices", "0"],
+        ["chaos", "GS", "BFS", "--fleet", "--devices", "1"],
     ])
     def test_out_of_range_value_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -258,21 +262,9 @@ class TestFleetChaosCommand:
         assert len(d1) == 2  # one per leg: engine recovery + fleet load
         assert d1 == d2
 
-    def test_fleet_chaos_needs_two_devices(self):
-        with pytest.raises(SystemExit, match="at least 2 devices"):
-            main(self.ARGV + ["--devices", "1"])
-
 
 class TestFabricValidation:
     """Malformed fabrics exit with a friendly message naming the key."""
-
-    def test_serve_rejects_zero_devices(self):
-        with pytest.raises(SystemExit, match="n_devices=0"):
-            main(["serve", "--quick", "--devices", "0"])
-
-    def test_fleet_rejects_zero_devices(self):
-        with pytest.raises(SystemExit, match="n_devices=0"):
-            main(["fleet", "--devices", "0"])
 
     def test_fleet_rejects_malformed_fabric_json(self):
         with pytest.raises(SystemExit, match="not valid JSON"):
