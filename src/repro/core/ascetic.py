@@ -14,11 +14,12 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import List, Optional
 
 from repro.algorithms.base import ProgramState, VertexProgram
-from repro.core.manager import IterationOutcome, run_iteration
+from repro.core.manager import (IterationOutcome, RegionEngine, run_iteration,
+                                shrink_region)
 from repro.core.ratio import region_bytes, static_ratio
 from repro.core.replacement import HotnessTable
-from repro.core.static_region import DEFAULT_CHUNK_BYTES, StaticRegion
-from repro.engines.base import Engine, RegionPolicy, RunResult
+from repro.core.static_region import DEFAULT_CHUNK_BYTES
+from repro.engines.base import RegionPolicy, RunResult
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import GPUSpec, SimulatedGPU
 
@@ -95,7 +96,7 @@ class AsceticConfig:
         return "last" if program.name == "PR" else "cumulative"
 
 
-class AsceticEngine(Engine):
+class AsceticEngine(RegionEngine):
     """The paper's engine: Static Region + On-demand Region + overlap.
 
     Sizing follows Eq. 2 (or ``config.forced_ratio``), the per-iteration
@@ -118,25 +119,6 @@ class AsceticEngine(Engine):
         super().__init__(spec, max_iterations, data_scale, record_events,
                          fault_plan, seed)
         self.config = config or AsceticConfig()
-        #: Region handed over from the previous request by
-        #: :meth:`reset_for_request` (None = next run fills cold).
-        self._warm_region: Optional[StaticRegion] = None
-
-    def reset_for_request(self, keep_static: bool = True) -> None:
-        """Arm the warm-start path for the next :meth:`run`.
-
-        With ``keep_static`` (the default here — it is the engine's whole
-        point), the Static Region object of the finished run is retained:
-        the next ``run`` on the *same* graph object skips the fill phase
-        entirely and only tops up chunks lost to capacity pressure,
-        modelling a region that stayed device-resident between requests.
-        The next run validates compatibility itself
-        (:meth:`~repro.core.static_region.StaticRegion.compatible_with`)
-        and silently falls back to a cold fill when it does not hold.
-        """
-        super().reset_for_request(keep_static)
-        region = getattr(self, "_region", None)
-        self._warm_region = region if (keep_static and region is not None) else None
 
     # ----------------------------------------------------------- resilience
     def _alloc_static_region(self, gpu: SimulatedGPU, want: int,
@@ -179,18 +161,14 @@ class AsceticEngine(Engine):
         the on-demand region down to a one-chunk floor."""
         freed = 0
         chunk = self._region.chunk_bytes
-        if need > freed and self._static_alloc.nbytes > 0:
-            give = min(self._static_alloc.nbytes, need - freed)
-            give_chunks = -(-give // chunk)
-            new_static = max(self._static_alloc.nbytes - give_chunks * chunk, 0)
-            self._region.shrink_to(new_static)
-            real = self._region.capacity_chunks * chunk
-            if real < self._static_alloc.nbytes:
-                freed += self._static_alloc.nbytes - real
-                gpu.memory.resize(self._static_alloc, real)
+        if self._static_alloc.nbytes > 0:
+            give_chunks = -(-min(self._static_alloc.nbytes, need) // chunk)
+            freed = shrink_region(gpu, self._region, self._static_alloc,
+                                  self._static_alloc.nbytes - give_chunks * chunk)
+            if freed:
                 gpu.events.marker(
                     "static-shrink", "squeeze", gpu.clock.now,
-                    extra=(("static_bytes", float(real)),))
+                    extra=(("static_bytes", float(self._static_alloc.nbytes)),))
         if freed < need and self._ondemand_alloc.nbytes > chunk:
             give = min(self._ondemand_alloc.nbytes - chunk, need - freed)
             gpu.memory.resize(self._ondemand_alloc,
@@ -207,12 +185,9 @@ class AsceticEngine(Engine):
         self._alloc_retry(gpu, "vertex_state", self._vertex_state_bytes(graph))
         gpu.h2d(self._vertex_state_bytes(graph), label="vertex-state")
         available = gpu.memory.available
-        d = graph.edge_array_bytes
-        ratio = (
-            cfg.forced_ratio
-            if cfg.forced_ratio is not None
-            else static_ratio(cfg.k, d, available)
-        )
+        ratio = cfg.forced_ratio
+        if ratio is None:
+            ratio = static_ratio(cfg.k, graph.edge_array_bytes, available)
         # Chunk geometry scales with the data so the chunk *count* (and the
         # hotness table the replacement server manages) matches paper scale.
         chunk_bytes = self.scaled_bytes(DEFAULT_CHUNK_BYTES)
@@ -220,26 +195,11 @@ class AsceticEngine(Engine):
             self.scaled_bytes(FRAGMENT_BYTES) // chunk_bytes, 1
         )
         static_bytes, _ = region_bytes(available, ratio, align=chunk_bytes)
-        # Warm-start (serving): a region handed over by reset_for_request is
-        # reused if its chunk table still describes this graph — the
-        # cross-request analogue of the paper's cross-iteration reuse.  The
-        # residency survives; capacity is reconciled to this run's Eq. 2
-        # target (shrink_to drops overflow residency, growth keeps it).
-        warm = (self._warm_region is not None
-                and self._warm_region.compatible_with(graph, chunk_bytes))
-        invalidated = 0
-        if warm:
-            self._region = self._warm_region
-            invalidated += self._region.shrink_to(static_bytes)
-        else:
-            self._region = StaticRegion(
-                graph,
-                capacity_bytes=static_bytes,
-                chunk_bytes=chunk_bytes,
-                fill=cfg.fill,
-                fragment_chunks=self._fragment_chunks,
-            )
-        self._warm_region = None
+        # Warm-start (serving): the cross-request analogue of the paper's
+        # cross-iteration reuse.  The residency survives; capacity is
+        # reconciled to this run's Eq. 2 target.
+        self._adopt_region(graph, chunk_bytes, static_bytes, cfg.fill,
+                           self._fragment_chunks)
         real_static = self._region.capacity_chunks * chunk_bytes
         self._static_alloc = self._alloc_static_region(gpu, real_static,
                                                        chunk_bytes)
@@ -248,7 +208,8 @@ class AsceticEngine(Engine):
             # the region to match (zero bytes = pure on-demand streaming)
             # and hand the difference to the on-demand region.  On a warm
             # start the dropped chunks are invalidated warmth.
-            invalidated += self._region.shrink_to(self._static_alloc.nbytes)
+            self._warm_invalidated += self._region.shrink_to(
+                self._static_alloc.nbytes)
             ratio = self._static_alloc.nbytes / available if available else 0.0
             gpu.events.marker(
                 "static-degrade", "alloc-ladder", gpu.clock.now,
@@ -267,9 +228,7 @@ class AsceticEngine(Engine):
         #: Ascetic's policy through the shared API: chunks resident in the
         #: Static Region compute in place, the rest are CPU-gathered (§3.3).
         self.transfer_policy = RegionPolicy(self._region)
-        self._warm_hit = warm
-        self._warm_invalidated = invalidated
-        if warm:
+        if self._warm_hit:
             # Fill-skip: resident chunks stayed on the device between
             # requests, so only chunks lost to capacity pressure (squeezes,
             # degraded allocation) are re-transferred.
@@ -288,7 +247,7 @@ class AsceticEngine(Engine):
                 extra=(("resident_chunks", float(self._region.resident_chunks)),
                        ("skipped_bytes", float(self._warm_bytes)),
                        ("refill_bytes", float(self._refill_bytes)),
-                       ("invalidated_chunks", float(invalidated))))
+                       ("invalidated_chunks", float(self._warm_invalidated))))
         else:
             self._warm_bytes = 0
             self._refill_bytes = 0
@@ -307,37 +266,21 @@ class AsceticEngine(Engine):
         self, gpu: SimulatedGPU, graph: CSRGraph, program: VertexProgram, state: ProgramState
     ) -> None:
         cfg = self.config
-        self._outcomes.append(
-            run_iteration(
-                gpu,
-                graph,
-                program,
-                state,
-                region=self._region,
-                hotness=self._hotness,
-                static_alloc=self._static_alloc,
-                ondemand_alloc=self._ondemand_alloc,
-                overlap=cfg.overlap,
-                replacement=cfg.replacement,
-                adaptive=cfg.adaptive,
-                lazy_fill=cfg.fill == "lazy",
-                fragment_chunks=self._fragment_chunks,
-                policy=self.transfer_policy,
-                engine_label=self.name,
-            )
-        )
+        self._outcomes.append(run_iteration(
+            gpu, graph, program, state, region=self._region,
+            hotness=self._hotness, static_alloc=self._static_alloc,
+            ondemand_alloc=self._ondemand_alloc, overlap=cfg.overlap,
+            replacement=cfg.replacement, adaptive=cfg.adaptive,
+            lazy_fill=cfg.fill == "lazy", fragment_chunks=self._fragment_chunks,
+            policy=self.transfer_policy, engine_label=self.name))
 
     def _report_extra(self, result: RunResult, gpu: SimulatedGPU, graph: CSRGraph) -> None:
         # Byte quantities are reported at paper scale, like the metrics.
         up = 1.0 / self.data_scale
         result.extra["static_ratio"] = float(self._ratio)
         result.extra["static_prefill_bytes"] = self._prefill_bytes * up
-        # Warm-start accounting (the serving layer's hit/refill counters):
-        # on a warm hit static_prefill_bytes above is only the refill.
-        result.extra["warm_start"] = 1.0 if self._warm_hit else 0.0
-        result.extra["static_warm_bytes"] = self._warm_bytes * up
-        result.extra["static_refill_bytes"] = self._refill_bytes * up
-        result.extra["warm_invalidated_chunks"] = float(self._warm_invalidated)
+        # On a warm hit static_prefill_bytes above is only the refill.
+        self._report_warm(result)
         result.extra["static_region_bytes"] = self._static_alloc.nbytes * up
         result.extra["ondemand_region_bytes"] = self._ondemand_alloc.nbytes * up
         result.extra["swap_bytes"] = sum(o.swap_bytes for o in self._outcomes) * up

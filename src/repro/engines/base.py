@@ -70,10 +70,9 @@ class AccessPath(IntEnum):
 class RunPlan:
     """A run-length access plan: every chunk of ``runs[i]`` takes ``paths[i]``.
 
-    What a policy returns when it was handed :class:`ChunkRuns` instead of
-    an id array.  The runs are the input's, re-cut wherever the decision
-    changes inside one; ``origin[i]`` is the input run ``runs[i]`` came
-    from, so the caller's per-run values carry over as ``values[origin]``.
+    What a chunk policy returns.  The runs are the input's, re-cut wherever
+    the decision changes inside one; ``origin[i]`` is the input run
+    ``runs[i]`` came from, so per-run values carry over as ``values[origin]``.
     """
 
     runs: ChunkRuns
@@ -92,21 +91,19 @@ class TransferPolicy(Protocol):
     engine's policy is visible in traces through the same API.
     """
 
-    def plan(self, iteration: int, chunk_ids: np.ndarray,
+    def plan(self, iteration: int, chunk_ids,
              touch_counts: Optional[np.ndarray] = None,
-             hotness=None) -> np.ndarray:
+             hotness=None):
         """Path codes (``AccessPath`` values, int8) for ``chunk_ids``.
 
         ``touch_counts`` is this iteration's active-vertex count per
         granule and ``hotness`` the engine's
         :class:`~repro.core.replacement.HotnessTable`; fixed policies may
-        ignore both.
-
-        A chunk-granular policy may also accept the ids run-length encoded
-        (:class:`~repro.graph.csr.ChunkRuns`, pieces of chunk-map segments,
-        with one ``touch_counts`` entry per run) and then answers with a
-        :class:`RunPlan`; :class:`RegionPolicy` and
-        :class:`~repro.engines.hybrid.HybridPolicy` do.
+        ignore both.  The chunk policies (:class:`RegionPolicy`,
+        :class:`~repro.engines.hybrid.HybridPolicy`) take the chunks as
+        :class:`~repro.graph.csr.ChunkRuns` — pieces of chunk-map segments,
+        one ``touch_counts`` entry per run — and answer with a
+        :class:`RunPlan`.
         """
         ...
 
@@ -135,18 +132,12 @@ class RegionPolicy:
         self.region = region
         self.fallback = AccessPath(fallback)
 
-    def plan(self, iteration: int, chunk_ids,
+    def plan(self, iteration: int, runs: ChunkRuns,
              touch_counts: Optional[np.ndarray] = None,
-             hotness=None):
-        if isinstance(chunk_ids, ChunkRuns):
-            pieces, origin, resident = self.region.split_by_residency(chunk_ids)
-            paths = np.where(resident, AccessPath.RESIDENT, self.fallback)
-            return RunPlan(pieces, paths.astype(np.int8), origin)
-        paths = np.full(len(chunk_ids), int(self.fallback), dtype=np.int8)
-        if len(chunk_ids):
-            ids = np.asarray(chunk_ids, dtype=np.int64)
-            paths[self.region.resident[ids]] = int(AccessPath.RESIDENT)
-        return paths
+             hotness=None) -> RunPlan:
+        pieces, origin, resident = self.region.split_by_residency(runs)
+        paths = np.where(resident, AccessPath.RESIDENT, self.fallback)
+        return RunPlan(pieces, paths.astype(np.int8), origin)
 
 
 @dataclass(frozen=True)
@@ -375,8 +366,8 @@ class Engine(abc.ABC):
         asks the engine to carry device-resident state across the runs —
         the cross-request analogue of the paper's cross-*iteration* reuse.
         The base contract keeps nothing (every run is cold);
-        :class:`~repro.core.ascetic.AsceticEngine` overrides it to hand its
-        warm Static Region to the next run, skipping the fill phase.
+        :class:`~repro.core.manager.RegionEngine` (Ascetic, Hybrid)
+        overrides it to hand its warm region to the next run.
         """
         self.resumed_iteration = None
 
@@ -602,7 +593,7 @@ class Engine(abc.ABC):
                      hotness=None, granule: str = "chunk"):
         """Run :attr:`transfer_policy` for one iteration and log the plan.
 
-        ``chunk_ids`` is an id array or, for a policy that takes them,
+        ``chunk_ids`` is an id array or, for a chunk policy,
         :class:`~repro.graph.csr.ChunkRuns` (the result is then a
         :class:`RunPlan`); it must not be empty in run-length form.
         """

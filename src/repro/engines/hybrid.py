@@ -3,11 +3,12 @@
 HyTGraph (PAPERS.md) shows the win from *choosing per chunk* among explicit
 migration, CPU-assisted gather, and zero-copy direct access; EMOGI shows
 direct access beating migration outright for sparse, low-reuse traversals.
-This engine combines the repo's existing machinery — the
-:class:`~repro.core.static_region.StaticRegion` as a migrated-chunk device
-cache, the :class:`~repro.core.replacement.HotnessTable` as the reuse
-signal, Ascetic's pipelined gather rounds — with the simulator's new
-zero-copy path (:meth:`~repro.gpusim.device.SimulatedGPU.direct_access`).
+This engine is Ascetic plus migration and zero-copy
+(:meth:`~repro.gpusim.device.SimulatedGPU.direct_access`).  It opens every
+superstep with Ascetic's frame and hands its cache — a
+:class:`~repro.core.static_region.StaticRegion` of migrated chunks — between
+requests the same way (:class:`~repro.core.manager.RegionEngine`); a
+:class:`~repro.core.replacement.HotnessTable` is the reuse signal.
 
 Every iteration, :class:`HybridPolicy` scores each touched non-resident
 chunk with the platform's own cost model:
@@ -32,16 +33,13 @@ like the fixed-policy engines'.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.algorithms.base import ProgramState, VertexProgram
-from repro.core.bitmaps import split_active
-from repro.core.ondemand import plan_ondemand
+from repro.core.manager import RegionEngine, shrink_region, superstep_frame
 from repro.core.replacement import HotnessTable
 from repro.core.static_region import DEFAULT_CHUNK_BYTES, StaticRegion
-from repro.engines.base import AccessPath, Engine, RunPlan, RunResult
+from repro.engines.base import AccessPath, RunPlan, RunResult
 from repro.graph.csr import ChunkRuns, CSRGraph, grant_in_order
 from repro.gpusim.device import GPUSpec, SimulatedGPU
 from repro.gpusim.rounds import stream_rounds
@@ -82,48 +80,26 @@ class HybridPolicy:
         self.bytes_per_touch = float(chunk_bytes)
         self.migrate_budget = 0
 
-    def plan(self, iteration: int, chunk_ids,
-             touch_counts: Optional[np.ndarray] = None,
-             hotness=None):
-        """Score *runs* of chunks that agree in (touch, history, residency).
+    def plan(self, iteration: int, runs: ChunkRuns, touch_counts: np.ndarray,
+             hotness: HotnessTable) -> RunPlan:
+        """Score pieces of ``runs`` that agree in (touch, history, residency).
 
-        ``chunk_ids`` as :class:`~repro.graph.csr.ChunkRuns` (pieces of
-        chunk-map segments, one ``touch_counts`` entry each) is the engine's
-        form and yields a :class:`~repro.engines.base.RunPlan`; an id array
-        is run-length-compressed on entry, scored by the same body, and
-        expanded back to one code per id.
+        ``runs`` are pieces of chunk-map segments with one ``touch_counts``
+        entry each; ``hotness`` is the engine's cumulative table.
         """
-        region = self.region
-        by_runs = isinstance(chunk_ids, ChunkRuns)
-        if by_runs:
-            runs, origin, resident = region.split_by_residency(chunk_ids)
-        else:
-            ids = np.asarray(chunk_ids, dtype=np.int64)
-            keys = [region.resident[ids]]
-            if touch_counts is not None:
-                keys.append(np.asarray(touch_counts))
-            if hotness is not None:
-                keys.append(hotness.cumulative_at(ids))
-            runs, origin = ChunkRuns.from_ids(ids, *keys)
-            resident = keys[0][origin]
-        starts, ends = runs.starts, runs.ends
-        paths = np.empty(len(runs), dtype=np.int8)
+        pieces, origin, resident = self.region.split_by_residency(runs)
+        starts, ends = pieces.starts, pieces.ends
+        paths = np.empty(len(pieces), dtype=np.int8)
         paths[resident] = int(AccessPath.RESIDENT)
         need = np.nonzero(~resident)[0]
         if need.size:
             n_chunks = (ends - starts)[need]
-            touches = (
-                np.asarray(touch_counts, dtype=np.float64)[origin[need]]
-                if touch_counts is not None else np.ones(need.size)
-            )
+            touches = np.asarray(touch_counts, dtype=np.float64)[origin[need]]
             needed = np.clip(touches * self.bytes_per_touch, 1.0, self.chunk_bytes)
             link = self.spec.pcie
             gather = self.spec.gather
-            history = (
-                np.minimum(hotness.cumulative_at(starts[need]), self.reuse_horizon)
-                .astype(np.float64)
-                if hotness is not None else np.zeros(need.size)
-            )
+            history = np.minimum(hotness.cumulative_at(starts[need]),
+                                 self.reuse_horizon).astype(np.float64)
             reuse = 1.0 + history
             # Fixed stage costs amortize over *this iteration's* candidate
             # set: one DMA launch serves every migrated chunk and one
@@ -177,17 +153,15 @@ class HybridPolicy:
                 # The run straddling the budget: its lowest ids migrate,
                 # the rest become a second run on the runner-up path.
                 k, kept, fallback = split
-                rows = np.insert(np.arange(len(runs)), k, k)
+                rows = np.insert(np.arange(len(pieces)), k, k)
                 starts, ends = starts[rows], ends[rows]
                 paths, origin = paths[rows], origin[rows]
                 ends[k] = starts[k + 1] = starts[k] + kept
                 paths[k + 1] = fallback
-        if by_runs:
-            return RunPlan(ChunkRuns(starts, ends), paths, origin)
-        return np.repeat(paths, ends - starts)
+        return RunPlan(ChunkRuns(starts, ends), paths, origin)
 
 
-class HybridEngine(Engine):
+class HybridEngine(RegionEngine):
     """Hotness-driven hybrid transfer management (HyTGraph/EMOGI direction).
 
     Parameters beyond the :class:`~repro.engines.base.Engine` basics:
@@ -221,15 +195,8 @@ class HybridEngine(Engine):
         self.chunk_bytes = int(chunk_bytes)
         self.cache_fraction = float(cache_fraction)
         self.reuse_horizon = int(reuse_horizon)
-        self._warm_region: Optional[StaticRegion] = None
 
     # ------------------------------------------------------------ lifecycle
-    def reset_for_request(self, keep_static: bool = False) -> None:
-        """Arm the next run to reuse this run's migrated-chunk cache."""
-        super().reset_for_request(keep_static)
-        region = getattr(self, "_region", None)
-        self._warm_region = region if (keep_static and region is not None) else None
-
     def _prepare(self, gpu: SimulatedGPU, graph: CSRGraph,
                  program: VertexProgram) -> None:
         from repro.gpusim.memory import GPUOutOfMemory
@@ -243,20 +210,10 @@ class HybridEngine(Engine):
                 capacity=gpu.memory.capacity, live=gpu.memory.live_allocations(),
             )
         chunk_scaled = self.scaled_bytes(self.chunk_bytes)
-        cache_bytes = int(available * self.cache_fraction)
-        warm = (self._warm_region is not None
-                and self._warm_region.compatible_with(graph, chunk_scaled))
-        invalidated = 0
-        if warm:
-            region = self._warm_region
-            invalidated = region.shrink_to(cache_bytes)
-        else:
-            # The cache starts empty and fills from migration decisions —
-            # the lazy analogue of Ascetic's prefilled Static Region.
-            region = StaticRegion(graph, capacity_bytes=cache_bytes,
-                                  chunk_bytes=chunk_scaled, fill="lazy")
-        self._warm_region = None
-        self._region = region
+        # A cold cache starts empty and fills from migration decisions —
+        # the lazy analogue of Ascetic's prefilled Static Region.
+        region = self._adopt_region(graph, chunk_scaled,
+                                    int(available * self.cache_fraction), "lazy")
         cache_alloc_bytes = region.capacity_chunks * chunk_scaled
         self._cache_alloc = (
             self._alloc_retry(gpu, "hybrid_cache", cache_alloc_bytes)
@@ -274,15 +231,13 @@ class HybridEngine(Engine):
         self.transfer_policy = HybridPolicy(
             gpu.spec, region, self.chunk_bytes, self.reuse_horizon)
         gpu.h2d(self._vertex_state_bytes(graph), label="vertex-state")
-        self._warm_hit = warm
-        self._warm_bytes = region.resident_bytes if warm else 0
-        self._warm_invalidated = invalidated
-        if warm:
+        self._warm_bytes = region.resident_bytes if self._warm_hit else 0
+        if self._warm_hit:
             gpu.events.marker(
                 "warm-hit", "hybrid-cache", gpu.clock.now,
                 extra=(("resident_chunks", float(region.resident_chunks)),
                        ("skipped_bytes", float(self._warm_bytes)),
-                       ("invalidated_chunks", float(invalidated))))
+                       ("invalidated_chunks", float(self._warm_invalidated))))
         self._migrated_chunks = 0
         self._path_bytes = {AccessPath.MIGRATE: 0, AccessPath.GATHER: 0,
                             AccessPath.DIRECT: 0}
@@ -297,12 +252,8 @@ class HybridEngine(Engine):
                               self._staging_alloc.nbytes - give)
             freed += give
         if freed < need and self._cache_alloc is not None:
-            region = self._region
-            target = max(self._cache_alloc.nbytes - (need - freed), 0)
-            region.shrink_to(target)
-            new_bytes = region.capacity_chunks * region.chunk_bytes
-            freed += self._cache_alloc.nbytes - new_bytes
-            gpu.memory.resize(self._cache_alloc, new_bytes)
+            freed += shrink_region(gpu, self._region, self._cache_alloc,
+                                   self._cache_alloc.nbytes - (need - freed))
         if freed:
             gpu.events.marker("cache-shrink", "hybrid", gpu.clock.now,
                               extra=(("freed", float(freed)),))
@@ -313,23 +264,15 @@ class HybridEngine(Engine):
                    program: VertexProgram, state: ProgramState) -> None:
         region = self._region
         policy: HybridPolicy = self.transfer_policy
-        with gpu.phase("Tmap"):
-            t_map = gpu.vertex_scan(graph.n_vertices, passes=2,
-                                    label="gen-datamap")
-        # Touch counts per chunk-map segment: the whole iteration reasons
-        # about runs of chunks (segments, cut by residency), never about the
-        # chunk axis itself.
+        # Ascetic's frame, with the staging buffer as the on-demand region.
+        # Touch counts are per chunk-map segment: the whole iteration
+        # reasons about runs of chunks (segments, cut by residency), never
+        # about the chunk axis itself.
+        frame = superstep_frame(gpu, graph, state, region,
+                                self._staging_alloc.nbytes)
+        t_map, od_plan, seg_touch = frame.t_map, frame.plan, frame.seg_touch
         cmap = region.chunk_map
-        seg_touch = region.segment_touch_counts(state.active)
         touched = np.nonzero(seg_touch)[0]
-        total_edges = state.active_edges(graph)
-        static_bitmap = region.vertex_static_bitmap()
-        smap, odmap = split_active(state.active, static_bitmap)
-        # A squeezed staging buffer still streams chunk by chunk (the same
-        # floor Ascetic's _stream_cap applies).
-        staging = max(self._staging_alloc.nbytes, region.chunk_bytes)
-        od_plan = plan_ondemand(graph, odmap, staging)
-        resident_edges = total_edges - od_plan.n_edges
 
         # Install this iteration's cost-model inputs, then decide.  The
         # needed-bytes-per-touch estimate is reconstructed in *paper*
@@ -338,7 +281,7 @@ class HybridEngine(Engine):
         # hide exactly the sub-chunk sparsity zero-copy exploits.  At paper
         # scale a touched 16 KB chunk holds one frontier vertex's edges when
         # the frontier is sparse and ``density × chunk`` bytes when dense.
-        n_od_active = int(np.count_nonzero(odmap))
+        n_od_active = od_plan.n_vertices
         if n_od_active:
             # Degree is scale-invariant, so scaled bytes over scaled count
             # is the paper-scale per-vertex edge footprint.
@@ -394,7 +337,7 @@ class HybridEngine(Engine):
 
         # ➊ Resident compute overlaps every transfer chain.
         with gpu.phase("Tsr"):
-            gpu.edge_kernel(resident_edges, label="static-compute",
+            gpu.edge_kernel(frame.static_edges, label="static-compute",
                             atomics=program.atomics, after=t_map)
         # ➋ Migration: whole chunks, contiguous in pinned host memory —
         # one bulk copy, no CPU gather, then their compute.
@@ -408,7 +351,7 @@ class HybridEngine(Engine):
         # gather → transfer → compute rounds (Ascetic's schedule).
         if b_g > 0:
             prev = gpu.d2h(req_g, label="od-requests", after=t_map)
-            stream_rounds(gpu, b_g, e_g, max(-(-b_g // staging), 1),
+            stream_rounds(gpu, b_g, e_g, max(-(-b_g // frame.round_bytes), 1),
                           atomics=program.atomics, after=prev)
         # ➍ Direct chain: zero-copy loads feed the consuming kernel; both
         # start at t_map and overlap (the sync below takes the max).
@@ -449,16 +392,10 @@ class HybridEngine(Engine):
     # ------------------------------------------------------------- reporting
     def _report_extra(self, result: RunResult, gpu: SimulatedGPU,
                       graph: CSRGraph) -> None:
-        up = 1.0 / self.data_scale
         result.extra["cache_chunks"] = float(self._region.capacity_chunks)
         result.extra["resident_chunks"] = float(self._region.resident_chunks)
         result.extra["migrated_chunks"] = float(self._migrated_chunks)
         result.extra["migrate_bytes"] = float(self._path_bytes[AccessPath.MIGRATE])
         result.extra["gather_bytes"] = float(self._path_bytes[AccessPath.GATHER])
         result.extra["direct_bytes"] = float(self._path_bytes[AccessPath.DIRECT])
-        # Warm-start ledger, named like Ascetic's so the serve pool's
-        # fold_result picks it up unchanged.
-        result.extra["warm_start"] = 1.0 if self._warm_hit else 0.0
-        result.extra["static_warm_bytes"] = self._warm_bytes * up
-        result.extra["static_refill_bytes"] = 0.0
-        result.extra["warm_invalidated_chunks"] = float(self._warm_invalidated)
+        self._report_warm(result)

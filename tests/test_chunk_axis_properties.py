@@ -156,24 +156,27 @@ def _hybrid_setup(graph, chunk_bytes, rng, reuse_horizon):
 
 
 def _check_plans(policy, region, table, active, use_touch, use_hot):
-    """Dense-entry and run-entry plans both equal the per-chunk oracle."""
+    """The run plan equals the per-chunk oracle, chunk for chunk.
+
+    Without ``use_touch`` every touched segment counts one active vertex;
+    without ``use_hot`` the policy sees a table with no history.
+    """
     cmap = region.chunk_map
     touch = dense_touch_counts(cmap, active)
     ids = np.nonzero(touch)[0]
     oracle = dense_hybrid_plan(
         policy, ids, touch[ids] if use_touch else None,
         table.cumulative if use_hot else None)
-    hot = table if use_hot else None
-    dense = policy.plan(0, ids, touch[ids] if use_touch else None, hot)
-    assert dense.dtype == np.int8
-    assert np.array_equal(dense, oracle)
     seg_touch = region.segment_touch_counts(active)
     touched = np.nonzero(seg_touch)[0]
     if not touched.size:
         return None
-    plan = policy.plan(0, cmap.segments(touched),
-                       seg_touch[touched] if use_touch else None, hot)
+    hot = table if use_hot else HotnessTable(
+        region.n_chunks, policy="cumulative", seg_bounds=cmap.seg_bounds)
+    counts = seg_touch[touched] if use_touch else np.ones(touched.size)
+    plan = policy.plan(0, cmap.segments(touched), counts, hot)
     assert isinstance(plan, RunPlan)
+    assert plan.paths.dtype == np.int8
     assert np.array_equal(plan.runs.ids(), ids)
     assert np.array_equal(np.repeat(plan.paths, plan.runs.lengths), oracle)
     assert np.array_equal(

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_program
+from repro.core.replacement import HotnessTable
 from repro.engines.base import AccessPath
 from repro.engines.hybrid import HybridEngine, HybridPolicy
+from repro.graph.csr import ChunkRuns
 from repro.graph.properties import best_source
 from repro.harness.experiments import make_workload, run_workload
 
@@ -132,11 +134,25 @@ class TestPolicyUnit:
         return HybridPolicy(spec, region, chunk_bytes=16384,
                             reuse_horizon=reuse_horizon), region
 
+    @staticmethod
+    def _plan(policy, iteration, ids, touch=None, hot=None):
+        """The run plan for chunk ``ids``, one path code per id.
+
+        No ``touch``: one active vertex per chunk; no ``hot``: no history.
+        """
+        touch = np.ones(len(ids)) if touch is None else touch
+        if hot is None:
+            hot = HotnessTable(policy.region.n_chunks, policy="cumulative")
+        runs, first = ChunkRuns.from_ids(ids, touch, hot.cumulative_at(ids))
+        plan = policy.plan(iteration, runs, touch[first], hot)
+        assert np.array_equal(plan.runs.ids(), ids)
+        return np.repeat(plan.paths, plan.runs.lengths)
+
     def test_resident_chunks_stay_resident(self, small_web):
         policy, region = self._policy(small_web)
         region.promote_vertices(np.ones(small_web.n_vertices, dtype=bool))
         ids = np.nonzero(region.resident)[0][:4]
-        plan = policy.plan(0, ids)
+        plan = self._plan(policy, 0, ids)
         assert (plan == int(AccessPath.RESIDENT)).all()
 
     def test_sparse_one_touch_goes_direct(self, small_web):
@@ -146,12 +162,10 @@ class TestPolicyUnit:
         # has none — the EMOGI regime.
         policy.bytes_per_touch = 256.0
         policy.migrate_budget = 100
-        plan = policy.plan(0, np.array([0]), touch_counts=np.array([1]))
+        plan = self._plan(policy, 0, np.array([0]))
         assert plan[0] == int(AccessPath.DIRECT)
 
     def test_measured_reuse_flips_to_migrate(self, small_web):
-        from repro.core.replacement import HotnessTable
-
         policy, region = self._policy(small_web)
         # Half-chunk footprint: direct access pays for most of the chunk at
         # half bandwidth anyway, so measured reuse amortizes the migration
@@ -163,10 +177,9 @@ class TestPolicyUnit:
         touch[0] = 1
         for _ in range(policy.reuse_horizon):
             hot.update(touch)
-        cold = policy.plan(5, np.array([0]), touch_counts=np.array([1]))
+        cold = self._plan(policy, 5, np.array([0]))
         assert cold[0] == int(AccessPath.DIRECT)
-        plan = policy.plan(5, np.array([0]), touch_counts=np.array([1]),
-                           hotness=hot)
+        plan = self._plan(policy, 5, np.array([0]), hot=hot)
         assert plan[0] == int(AccessPath.MIGRATE)
 
     def test_dense_footprint_goes_gather(self, small_web):
@@ -178,12 +191,10 @@ class TestPolicyUnit:
         policy.migrate_budget = 0
         ids = np.arange(64)
         assert region.n_chunks > 64  # candidates stay in range
-        plan = policy.plan(0, ids, touch_counts=np.ones(64))
+        plan = self._plan(policy, 0, ids)
         assert (plan == int(AccessPath.GATHER)).all()
 
     def test_migrate_budget_bounds_migration(self, small_web):
-        from repro.core.replacement import HotnessTable
-
         policy, region = self._policy(small_web)
         policy.bytes_per_touch = 8192.0
         policy.migrate_budget = 2
@@ -193,7 +204,7 @@ class TestPolicyUnit:
         touch[ids] = 1
         for _ in range(policy.reuse_horizon):
             hot.update(touch)
-        plan = policy.plan(9, ids, touch_counts=np.ones(8), hotness=hot)
+        plan = self._plan(policy, 9, ids, hot=hot)
         assert int((plan == int(AccessPath.MIGRATE)).sum()) == 2
         # Overflow candidates fall to a real fallback path, never RESIDENT.
         rest = plan[plan != int(AccessPath.MIGRATE)]

@@ -63,18 +63,24 @@ class TestPolicyObjects:
                               fill="front", chunk_bytes=4096)
         policy = RegionPolicy(region)
         ids = np.arange(region.n_chunks)
-        plan = policy.plan(0, ids)
+        runs, _ = ChunkRuns.from_ids(ids)
+
+        def paths(iteration):
+            plan = policy.plan(iteration, runs)
+            return np.repeat(plan.paths, plan.runs.lengths)
+
+        plan = paths(0)
         resident = region.resident[ids]
         assert (plan[resident] == int(AccessPath.RESIDENT)).all()
         assert (plan[~resident] == int(AccessPath.GATHER)).all()
         # Residency is read live: evicting a chunk flips its next plan.
         first = int(np.nonzero(resident)[0][0])
         region.swap(np.array([first]), np.empty(0, dtype=np.int64))
-        assert policy.plan(1, ids)[first] == int(AccessPath.GATHER)
+        assert paths(1)[first] == int(AccessPath.GATHER)
 
     def test_region_policy_answers_runs_with_the_same_plan(self, small_web):
         """Handed ``ChunkRuns`` the policy answers with a ``RunPlan`` that
-        expands to its per-id plan, every piece wholly one path."""
+        expands to the per-id residency rule, every piece wholly one path."""
         region = StaticRegion(small_web,
                               capacity_bytes=small_web.edge_array_bytes // 3,
                               fill="random", chunk_bytes=4096)
@@ -83,9 +89,12 @@ class TestPolicyObjects:
         runs = ChunkRuns(np.array([0, n // 4, n // 2]),
                          np.array([n // 8, n // 3, n]))
         plan = policy.plan(0, runs)
-        assert np.array_equal(plan.runs.ids(), runs.ids())
+        ids = runs.ids()
+        assert np.array_equal(plan.runs.ids(), ids)
         assert np.array_equal(np.repeat(plan.paths, plan.runs.lengths),
-                              policy.plan(0, runs.ids()))
+                              np.where(region.resident[ids],
+                                       int(AccessPath.RESIDENT),
+                                       int(AccessPath.DIRECT)))
         assert np.array_equal(runs.starts[plan.origin] <= plan.runs.starts,
                               np.ones(len(plan.runs), dtype=bool))
 
