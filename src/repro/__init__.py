@@ -47,13 +47,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.datasets import DATASETS, load_dataset
 from repro.gpusim.device import GPUSpec, SimulatedGPU
 from repro.gpusim.faults import FaultPlan, standard_plan
-from repro.engines.base import (
-    AccessPath,
-    Engine,
-    IterationRecord,
-    RunResult,
-    TransferPolicy,
-)
+from repro.engines.base import AccessPath, Engine, IterationRecord, RunResult
 from repro.engines.partition_based import PartitionEngine
 from repro.engines.uvm_engine import UVMEngine
 from repro.engines.subway import SubwayEngine
@@ -80,7 +74,6 @@ __all__ = [
     "IterationRecord",
     "RunResult",
     "AccessPath",
-    "TransferPolicy",
     "PartitionEngine",
     "UVMEngine",
     "SubwayEngine",

@@ -19,7 +19,7 @@ from repro.core.manager import (IterationOutcome, RegionEngine, run_iteration,
 from repro.core.ratio import region_bytes, static_ratio
 from repro.core.replacement import HotnessTable
 from repro.core.static_region import DEFAULT_CHUNK_BYTES
-from repro.engines.base import RegionPolicy, RunResult
+from repro.engines.base import RunResult
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import GPUSpec, SimulatedGPU
 
@@ -225,9 +225,6 @@ class AsceticEngine(RegionEngine):
             policy=cfg.policy_for(program),
             seg_bounds=self._region.chunk_map.seg_bounds,
         )
-        #: Ascetic's policy through the shared API: chunks resident in the
-        #: Static Region compute in place, the rest are CPU-gathered (§3.3).
-        self.transfer_policy = RegionPolicy(self._region)
         if self._warm_hit:
             # Fill-skip: resident chunks stayed on the device between
             # requests, so only chunks lost to capacity pressure (squeezes,
@@ -271,8 +268,7 @@ class AsceticEngine(RegionEngine):
             hotness=self._hotness, static_alloc=self._static_alloc,
             ondemand_alloc=self._ondemand_alloc, overlap=cfg.overlap,
             replacement=cfg.replacement, adaptive=cfg.adaptive,
-            lazy_fill=cfg.fill == "lazy", fragment_chunks=self._fragment_chunks,
-            policy=self.transfer_policy, engine_label=self.name))
+            lazy_fill=cfg.fill == "lazy", fragment_chunks=self._fragment_chunks))
 
     def _report_extra(self, result: RunResult, gpu: SimulatedGPU, graph: CSRGraph) -> None:
         # Byte quantities are reported at paper scale, like the metrics.

@@ -30,11 +30,10 @@ engines call :func:`superstep_frame`, and both are a :class:`RegionEngine`
 (the warm-region handoff between serving requests).
 
 Touch accounting has one representation: per-segment counts, fed to the
-access plan and the §3.4 hotness table alike.  The plan is run-length too:
-the touched chunk intervals, counted against the resident intervals for the
-summary marker; a recording log additionally gets the intervals cut by
-residency, one ``access-path`` marker per run.  Nothing chunk-length is
-built either way, and ops are submitted the same way either way.
+§3.4 hotness table and, when the log records, to the access plan — the
+touched chunk intervals cut by residency, one ``access-path`` marker per
+run.  A lean superstep builds no plan.  Nothing chunk-length is built
+either way, and ops are submitted the same way either way.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ from typing import Optional
 import numpy as np
 
 from repro.algorithms.base import ProgramState, VertexProgram
-from repro.engines.base import (AccessPath, Engine, RunResult, emit_plan_runs,
-                                emit_plan_summary)
+from repro.engines.base import (AccessPath, Engine, RunPlan, RunResult,
+                                emit_access_plan)
 from repro.core.bitmaps import split_active
 from repro.core.ondemand import OnDemandPlan, plan_ondemand
 from repro.core.ratio import check_repartition
@@ -152,15 +151,8 @@ def run_iteration(
     adaptive: bool = True,
     lazy_fill: bool = False,
     fragment_chunks: int = 64,
-    policy=None,
-    engine_label: str = "Ascetic",
 ) -> IterationOutcome:
-    """Schedule one iteration; returns its accounting.
-
-    ``policy`` is the engine's :class:`~repro.engines.base.RegionPolicy`
-    over ``region`` (its ``fallback`` names the path of non-resident
-    chunks); ``None`` logs no access plan.
-    """
+    """Schedule one iteration; returns its accounting."""
     out = IterationOutcome()
     bpe = graph.bytes_per_edge
 
@@ -196,25 +188,17 @@ def run_iteration(
     out.ondemand_bytes = plan.total_bytes
     out.n_rounds = plan.n_rounds
 
-    # Per-chunk decisions through the shared TransferPolicy API: the
-    # movement scheduled below follows them.  The frame's touch counts are
-    # reused for the hotness update in step ➍½ (the active mask does not
-    # change mid-iteration).
+    # The plan the movement below follows (§3.3): touched chunks resident
+    # in the Static Region compute in place, the rest are gathered.  The
+    # frame's touch counts are reused for the hotness update in step ➍½
+    # (the active mask does not change mid-iteration).
     seg_touch = frame.seg_touch
-    if policy is not None:
-        touched = region.chunk_map.segment_runs(seg_touch > 0)
-        n_touched = touched.n_chunks
-        if n_touched:
-            # RegionPolicy: RESIDENT for resident chunks, the fallback path
-            # for the rest — so the summary needs only the two counts.
-            counts = [0, 0, 0, 0]
-            counts[AccessPath.RESIDENT] = region.resident_count_in_runs(
-                touched.starts, touched.ends)
-            counts[policy.fallback] += n_touched - counts[AccessPath.RESIDENT]
-            emit_plan_summary(gpu, engine_label, "chunk", counts)
-            if gpu.events.record:
-                emit_plan_runs(gpu, "chunk",
-                               policy.plan(state.iteration, touched))
+    if gpu.events.record:
+        pieces, origin, resident = region.split_by_residency(
+            region.chunk_map.segment_runs(seg_touch > 0))
+        paths = np.where(resident, AccessPath.RESIDENT, AccessPath.GATHER)
+        emit_access_plan(gpu, "Ascetic", "chunk",
+                         RunPlan(pieces, paths.astype(np.int8), origin))
 
     # ➌ Static computing — overlapped with the on-demand chain, or (Fig. 5
     # top) with the controlling thread waiting after every op.

@@ -21,10 +21,10 @@ which is the entire subject of the paper.
 A fifth engine, :class:`~repro.engines.hybrid.HybridEngine`, goes beyond
 the paper: it chooses per chunk among explicit migration, CPU gathering,
 and zero-copy direct access from measured hotness (the HyTGraph/EMOGI
-direction).  Every engine expresses its per-granule decision rule through
-the :class:`~repro.engines.base.TransferPolicy` API, so the choice of
-:class:`~repro.engines.base.AccessPath` is introspectable and visible in
-traces uniformly.
+direction).  Every engine logs its per-granule choice of
+:class:`~repro.engines.base.AccessPath` the same way when the run records
+events: one :class:`~repro.engines.base.RunPlan` per superstep, through
+:func:`~repro.engines.base.emit_access_plan`.
 
 Engine lookup by name goes through :mod:`repro.engines.registry`; the
 built-in five (``PT``, ``UVM``, ``Subway``, ``Ascetic``, ``Hybrid``) are
@@ -32,16 +32,7 @@ pre-registered with :class:`~repro.engines.registry.EngineInfo` capability
 metadata.
 """
 
-from repro.engines.base import (
-    AccessPath,
-    Engine,
-    FixedPolicy,
-    IterationRecord,
-    PinnedPrefixPolicy,
-    RegionPolicy,
-    RunResult,
-    TransferPolicy,
-)
+from repro.engines.base import AccessPath, Engine, IterationRecord, RunResult
 from repro.engines.partition_based import PartitionEngine
 from repro.engines.uvm_engine import UVMEngine
 from repro.engines.subway import SubwayEngine
@@ -53,10 +44,6 @@ from repro.engines.registry import EngineInfo
 
 __all__ = [
     "AccessPath",
-    "TransferPolicy",
-    "FixedPolicy",
-    "RegionPolicy",
-    "PinnedPrefixPolicy",
     "Engine",
     "EngineInfo",
     "IterationRecord",

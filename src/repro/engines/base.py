@@ -15,7 +15,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, Dict, List, Optional, Protocol, runtime_checkable
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -29,13 +29,7 @@ from repro.gpusim.metrics import Metrics
 
 __all__ = [
     "AccessPath",
-    "TransferPolicy",
     "RunPlan",
-    "FixedPolicy",
-    "RegionPolicy",
-    "PinnedPrefixPolicy",
-    "emit_plan_summary",
-    "emit_plan_runs",
     "emit_access_plan",
     "Engine",
     "IterationRecord",
@@ -51,7 +45,7 @@ IterationHook = Callable[["Engine", DeviceFacade, CSRGraph, ProgramState], None]
 class AccessPath(IntEnum):
     """How one granule of edge data reaches the GPU this iteration.
 
-    Small int codes so a policy's plan is a compact numpy array.  The
+    Small int codes so a plan's paths are a compact numpy array.  The
     *granule* is whatever unit the engine moves data in — 16 KB chunks for
     Ascetic/Hybrid, UVM pages, whole partitions, Subway gather rounds.
     """
@@ -68,123 +62,54 @@ class AccessPath(IntEnum):
 
 @dataclass(frozen=True)
 class RunPlan:
-    """A run-length access plan: every chunk of ``runs[i]`` takes ``paths[i]``.
+    """A run-length access plan: every granule of ``runs[i]`` takes ``paths[i]``.
 
-    What a chunk policy returns.  The runs are the input's, re-cut wherever
-    the decision changes inside one; ``origin[i]`` is the input run
-    ``runs[i]`` came from, so per-run values carry over as ``values[origin]``.
+    An engine builds one from its own decision, and only for a recording
+    log (:func:`emit_access_plan`); Hybrid's policy also moves its bytes by
+    one.  When the runs are input runs re-cut wherever the decision changes
+    inside one, ``origin[i]`` is the input run ``runs[i]`` came from, so
+    per-run values carry over as ``values[origin]``.
     """
 
     runs: ChunkRuns
     paths: np.ndarray  # int8, per run
     origin: np.ndarray  # intp, per run
 
+    @classmethod
+    def from_ids(cls, ids, paths) -> "RunPlan":
+        """The plan of ascending granule ``ids``, one path per id or one for all.
 
-@runtime_checkable
-class TransferPolicy(Protocol):
-    """Per-granule transfer decisions — the introspectable engine contract.
-
-    Engines call :meth:`plan` once per iteration with the granules the
-    frontier touches; the returned path codes drive (or, for the fixed
-    single-path engines, describe) the iteration's data movement and are
-    emitted into the event log via :func:`emit_access_plan`, so every
-    engine's policy is visible in traces through the same API.
-    """
-
-    def plan(self, iteration: int, chunk_ids,
-             touch_counts: Optional[np.ndarray] = None,
-             hotness=None):
-        """Path codes (``AccessPath`` values, int8) for ``chunk_ids``.
-
-        ``touch_counts`` is this iteration's active-vertex count per
-        granule and ``hotness`` the engine's
-        :class:`~repro.core.replacement.HotnessTable`; fixed policies may
-        ignore both.  The chunk policies (:class:`RegionPolicy`,
-        :class:`~repro.engines.hybrid.HybridPolicy`) take the chunks as
-        :class:`~repro.graph.csr.ChunkRuns` — pieces of chunk-map segments,
-        one ``touch_counts`` entry per run — and answer with a
-        :class:`RunPlan`.
+        A run breaks at an id gap and wherever the path changes; ``origin``
+        is the position in ``ids`` where each run starts.
         """
-        ...
-
-
-@dataclass(frozen=True)
-class FixedPolicy:
-    """Every granule takes the same path (Subway's gather, UVM's direct)."""
-
-    path: AccessPath
-
-    def plan(self, iteration: int, chunk_ids: np.ndarray,
-             touch_counts: Optional[np.ndarray] = None,
-             hotness=None) -> np.ndarray:
-        return np.full(len(chunk_ids), int(self.path), dtype=np.int8)
-
-
-class RegionPolicy:
-    """RESIDENT for granules resident in a Static Region, else a fixed path.
-
-    Ascetic's policy: chunks inside the Static Region are computed in
-    place, everything else is CPU-gathered on demand (§3.3).  Residency is
-    read live from the region, so the plan tracks swaps and repartitions.
-    """
-
-    def __init__(self, region, fallback: AccessPath = AccessPath.GATHER) -> None:
-        self.region = region
-        self.fallback = AccessPath(fallback)
-
-    def plan(self, iteration: int, runs: ChunkRuns,
-             touch_counts: Optional[np.ndarray] = None,
-             hotness=None) -> RunPlan:
-        pieces, origin, resident = self.region.split_by_residency(runs)
-        paths = np.where(resident, AccessPath.RESIDENT, self.fallback)
-        return RunPlan(pieces, paths.astype(np.int8), origin)
-
-
-@dataclass(frozen=True)
-class PinnedPrefixPolicy:
-    """RESIDENT for the first ``n_pinned`` granules, else bulk MIGRATE.
-
-    The partition-based engine's policy: pinned partitions stay on device,
-    touched streamed partitions are shipped whole.
-    """
-
-    n_pinned: int
-
-    def plan(self, iteration: int, chunk_ids: np.ndarray,
-             touch_counts: Optional[np.ndarray] = None,
-             hotness=None) -> np.ndarray:
-        ids = np.asarray(chunk_ids, dtype=np.int64)
-        paths = np.full(len(ids), int(AccessPath.MIGRATE), dtype=np.int8)
-        paths[ids < self.n_pinned] = int(AccessPath.RESIDENT)
-        return paths
+        ids = np.asarray(ids, dtype=np.int64)
+        codes = np.broadcast_to(np.asarray(paths, dtype=np.int8), ids.shape)
+        runs, first = ChunkRuns.from_ids(ids, codes)
+        return cls(runs, codes[first], first)
 
 
 #: ``AccessPath`` code → the name it is logged under.
 _PATH_NAMES = tuple(path.name.lower() for path in AccessPath)
 
 
-def emit_plan_summary(gpu: SimulatedGPU, engine: str, granule: str,
-                      counts) -> None:
-    """The plan's one counter-less marker: granules per path, in ``extra``.
+def emit_access_plan(gpu: SimulatedGPU, engine: str, granule: str,
+                     plan: RunPlan) -> None:
+    """Record one superstep's transfer decisions in a recording log.
 
-    ``counts[code]`` is the number of granules taking ``AccessPath(code)``.
-    Markers without counters leave ``Metrics`` and lean digests untouched.
-    """
-    summary = tuple((_PATH_NAMES[path], float(counts[path]))
-                    for path in AccessPath if counts[path])
-    gpu.events.marker("access-path", f"{engine}:{granule}", gpu.clock.now,
-                      extra=summary)
-
-
-def emit_plan_runs(gpu: SimulatedGPU, granule: str, plan: RunPlan) -> None:
-    """One marker per maximal same-path run of granule ids, in one block.
-
-    The per-granule decision as an exported Chrome trace shows it.  Pure
-    detail: call it only when the log retains rows (``gpu.events.record``).
+    One summary marker (granules per path, in ``extra``), then one block
+    with a marker per maximal same-path run of granule ids.  The markers
+    carry no counters, so a lean log would drop them: build the plan and
+    call this only under ``if gpu.events.record:``.  An empty plan logs
+    nothing.
     """
     runs, codes = plan.runs, np.asarray(plan.paths, dtype=np.int64)
     if not len(codes):
         return
+    counts = np.bincount(codes, weights=runs.lengths, minlength=len(AccessPath))
+    gpu.events.marker(
+        "access-path", f"{engine}:{granule}", gpu.clock.now,
+        extra=tuple((_PATH_NAMES[path], float(counts[path]))
+                    for path in AccessPath if counts[path]))
     # Neighbours merge when they abut and agree.
     breaks = np.flatnonzero((codes[1:] != codes[:-1])
                             | (runs.starts[1:] != runs.ends[:-1])) + 1
@@ -196,29 +121,6 @@ def emit_plan_runs(gpu: SimulatedGPU, granule: str, plan: RunPlan) -> None:
         gpu.clock.now, (f"{granule}_lo", f"{granule}_hi", "n"),
         [col.astype(np.float64).tolist() for col in (los, his - 1, his - los)],
     )
-
-
-def emit_access_plan(gpu: SimulatedGPU, engine: str, granule: str,
-                     chunk_ids, paths) -> None:
-    """Record one iteration's transfer decisions in the event log.
-
-    Takes an id array with its path codes, or a :class:`RunPlan` (then
-    ``chunk_ids`` is ignored).  Always emits :func:`emit_plan_summary`; a
-    recording log additionally gets :func:`emit_plan_runs`.
-    """
-    plan = paths if isinstance(paths, RunPlan) else None
-    if plan is not None:
-        counts = np.bincount(plan.paths, weights=plan.runs.lengths,
-                             minlength=4)
-    else:
-        codes = np.asarray(paths, dtype=np.int64)
-        counts = np.bincount(codes, minlength=4)
-    emit_plan_summary(gpu, engine, granule, counts)
-    if gpu.events.record:
-        if plan is None:
-            runs, first = ChunkRuns.from_ids(chunk_ids, codes)
-            plan = RunPlan(runs, codes[first], first)
-        emit_plan_runs(gpu, granule, plan)
 
 
 @dataclass(frozen=True)
@@ -318,12 +220,6 @@ class Engine(abc.ABC):
     """
 
     name: str = "?"
-
-    #: The engine's per-granule :class:`TransferPolicy`.  Subclasses set it
-    #: (in ``__init__`` or ``_prepare``) so the decision rule is a
-    #: first-class, introspectable object instead of logic buried in
-    #: ``_iteration``; ``None`` means the engine has not declared one.
-    transfer_policy: Optional[TransferPolicy] = None
 
     #: Engine attributes never pickled into checkpoints: user-supplied
     #: callbacks and the checkpoint writer itself.
@@ -588,22 +484,6 @@ class Engine(abc.ABC):
         """Hook: a squeeze ended and its bytes are available again."""
 
     # ------------------------------------------------------------- helpers
-    def _plan_access(self, gpu: SimulatedGPU, iteration: int,
-                     chunk_ids, touch_counts: Optional[np.ndarray] = None,
-                     hotness=None, granule: str = "chunk"):
-        """Run :attr:`transfer_policy` for one iteration and log the plan.
-
-        ``chunk_ids`` is an id array or, for a chunk policy,
-        :class:`~repro.graph.csr.ChunkRuns` (the result is then a
-        :class:`RunPlan`); it must not be empty in run-length form.
-        """
-        if not len(chunk_ids):
-            return np.empty(0, dtype=np.int8)
-        paths = self.transfer_policy.plan(iteration, chunk_ids,
-                                          touch_counts, hotness)
-        emit_access_plan(gpu, self.name, granule, chunk_ids, paths)
-        return paths
-
     def _report_extra(self, result: RunResult, gpu: SimulatedGPU, graph: CSRGraph) -> None:
         """Subclasses append engine-specific numbers to ``result.extra``."""
 

@@ -25,10 +25,9 @@ chunk with the platform's own cost model:
   bandwidth (cold, sparse, one-touch chunks win here).
 
 Chunks already in the cache are **RESIDENT** and compute in place.  The
-decisions are emitted through the shared
-:class:`~repro.engines.base.TransferPolicy` API, so the per-chunk
-:class:`~repro.engines.base.AccessPath` choice is visible in traces exactly
-like the fixed-policy engines'.
+policy's :class:`~repro.engines.base.RunPlan` drives the superstep's
+movement, and a recording log gets it through the same
+:func:`~repro.engines.base.emit_access_plan` as every engine's plan.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from repro.algorithms.base import ProgramState, VertexProgram
 from repro.core.manager import RegionEngine, shrink_region, superstep_frame
 from repro.core.replacement import HotnessTable
 from repro.core.static_region import DEFAULT_CHUNK_BYTES, StaticRegion
-from repro.engines.base import AccessPath, RunPlan, RunResult
+from repro.engines.base import AccessPath, RunPlan, RunResult, emit_access_plan
 from repro.graph.csr import ChunkRuns, CSRGraph, grant_in_order
 from repro.gpusim.device import GPUSpec, SimulatedGPU
 from repro.gpusim.rounds import stream_rounds
@@ -80,7 +79,7 @@ class HybridPolicy:
         self.bytes_per_touch = float(chunk_bytes)
         self.migrate_budget = 0
 
-    def plan(self, iteration: int, runs: ChunkRuns, touch_counts: np.ndarray,
+    def plan(self, runs: ChunkRuns, touch_counts: np.ndarray,
              hotness: HotnessTable) -> RunPlan:
         """Score pieces of ``runs`` that agree in (touch, history, residency).
 
@@ -303,9 +302,9 @@ class HybridEngine(RegionEngine):
         mig_ids = np.empty(0, dtype=np.int64)
         if touched.size:
             touch = seg_touch[touched]
-            plan = self._plan_access(gpu, state.iteration,
-                                     cmap.segments(touched), touch,
-                                     self._hotness)
+            plan = policy.plan(cmap.segments(touched), touch, self._hotness)
+            if gpu.events.record:
+                emit_access_plan(gpu, self.name, "chunk", plan)
             n_chunks = plan.runs.lengths
             needed = np.clip(touch[plan.origin] * policy.bytes_per_touch,
                              1.0, float(self.chunk_bytes))

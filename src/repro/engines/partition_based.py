@@ -17,7 +17,8 @@ from typing import List
 import numpy as np
 
 from repro.algorithms.base import ProgramState, VertexProgram
-from repro.engines.base import Engine, PinnedPrefixPolicy, RunResult
+from repro.engines.base import (AccessPath, Engine, RunPlan, RunResult,
+                                emit_access_plan)
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import EdgePartition, partition_by_bytes, partitions_of_vertices
 from repro.gpusim.device import SimulatedGPU
@@ -73,10 +74,6 @@ class PartitionEngine(Engine):
             )
         self._parts: List[EdgePartition] = partition_by_bytes(graph, part_budget)
         self._n_pinned = min(self.pinned_partitions, len(self._parts))
-        #: PT's fixed policy at partition granularity: pinned partitions
-        #: stay resident, every other touched partition bulk-migrates whole
-        #: (and is thrown away again — Fig. 1's "Partition" row).
-        self.transfer_policy = PinnedPrefixPolicy(self._n_pinned)
         buf = min(part_budget, max(p.nbytes for p in self._parts))
         self._part_allocs = [self._alloc_retry(gpu, "partition_buffer", buf)]
         if self.double_buffer:
@@ -124,16 +121,23 @@ class PartitionEngine(Engine):
         touched = partitions_of_vertices(graph, self._parts, state.active)
         if not touched.any():
             return
-        self._plan_access(gpu, state.iteration, np.nonzero(touched)[0],
-                          granule="partition")
+        # Pinned partitions stay resident; every other touched partition
+        # bulk-migrates whole (and is thrown away again — Fig. 1's
+        # "Partition" row).
+        pids = np.nonzero(touched)[0]
+        pinned = pids < self._n_pinned
+        if gpu.events.record:
+            paths = np.where(pinned, AccessPath.RESIDENT, AccessPath.MIGRATE)
+            emit_access_plan(gpu, self.name, "partition",
+                             RunPlan.from_ids(pids, paths))
         gpu.vertex_scan(graph.n_vertices, passes=1, label="gen-active")
         # kernel_ends[-2] gates the transfer into a reused buffer: with one
         # buffer the previous kernel, with two the one before it.
         lag = 2 if self.double_buffer else 1
         kernel_ends: List[float] = []
-        for pid in np.nonzero(touched)[0]:
+        for pid, resident in zip(pids, pinned):
             part = self._parts[pid]
-            if pid < self._n_pinned:
+            if resident:
                 # Resident across iterations (Fig. 1 "Partition + Reuse"):
                 # compute straight away, nothing to transfer.  Does not
                 # gate the streaming buffers (kernel_ends tracks only

@@ -192,7 +192,7 @@ def _register_builtins() -> None:
             supports_warm_start=False,
             supported_engine_opts=("double_buffer", "pinned_partitions"),
             transfer_policy="pinned prefix resident, rest bulk-migrated per "
-                            "iteration (PinnedPrefixPolicy)",
+                            "iteration",
         )),
         ("UVM", UVMEngine, EngineInfo(
             description="unified-memory baseline: demand paging with LRU "
@@ -200,15 +200,14 @@ def _register_builtins() -> None:
             supports_warm_start=False,
             supported_engine_opts=("pin_fraction",),
             transfer_policy="every touched page direct via the unified "
-                            "address space (FixedPolicy: DIRECT)",
+                            "address space",
         )),
         ("Subway", SubwayEngine, EngineInfo(
             description="subgraph-gathering baseline: CPU gathers the active "
                         "subgraph each iteration (EuroSys '20)",
             supports_warm_start=False,
             supported_engine_opts=("pipelined",),
-            transfer_policy="every gather round CPU-gathered "
-                            "(FixedPolicy: GATHER)",
+            transfer_policy="every gather round CPU-gathered",
         )),
         ("Ascetic", AsceticEngine, EngineInfo(
             description="the paper's engine: Static Region + overlapped "
@@ -216,7 +215,7 @@ def _register_builtins() -> None:
             supports_warm_start=True,
             supported_engine_opts=("config",),
             transfer_policy="resident chunks compute in place, rest "
-                            "CPU-gathered (RegionPolicy)",
+                            "CPU-gathered",
         )),
         ("Hybrid", HybridEngine, EngineInfo(
             description="hotness-driven hybrid: migrate hot chunks, gather "

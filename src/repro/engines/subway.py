@@ -23,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import ProgramState, VertexProgram
-from repro.engines.base import AccessPath, Engine, FixedPolicy, RunResult
+from repro.engines.base import (AccessPath, Engine, RunPlan, RunResult,
+                                emit_access_plan)
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import SimulatedGPU
 from repro.gpusim.rounds import stream_rounds
@@ -55,9 +56,6 @@ class SubwayEngine(Engine):
                  pipelined: bool = False):
         super().__init__(spec, max_iterations, data_scale, record_events,
                          fault_plan, seed)
-        #: Subway's fixed policy: every granule (a gather round) is
-        #: CPU-gathered — nothing is resident, nothing migrates.
-        self.transfer_policy = FixedPolicy(AccessPath.GATHER)
         self.pipelined = pipelined
 
     def _prepare(self, gpu: SimulatedGPU, graph: CSRGraph, program: VertexProgram) -> None:
@@ -128,8 +126,10 @@ class SubwayEngine(Engine):
         rounds = max(-(-total_bytes // self._staging_bytes), 1)
         if self.pipelined and rounds == 1 and total_bytes > 0:
             rounds = 2  # split to expose pipelining within the iteration
-        self._plan_access(gpu, state.iteration,
-                          np.arange(rounds, dtype=np.int64), granule="round")
+        if gpu.events.record:
+            # One run: every round is CPU-gathered, nothing is resident.
+            plan = RunPlan.from_ids(np.arange(rounds), AccessPath.GATHER)
+            emit_access_plan(gpu, self.name, "round", plan)
         # (b) host gather, then PCIe copy — the GPU idles throughout unless
         # pipelined; (c) compute on the gathered subgraph.
         stream_rounds(gpu, total_bytes, n_edges, rounds,

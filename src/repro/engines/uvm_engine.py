@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import ProgramState, VertexProgram
-from repro.engines.base import AccessPath, Engine, FixedPolicy, RunResult
+from repro.engines.base import (AccessPath, Engine, RunPlan, RunResult,
+                                emit_access_plan)
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import GPUSpec, SimulatedGPU
 from repro.gpusim.uvm import UVMMemory
@@ -52,9 +53,6 @@ class UVMEngine(Engine):
         if not 0.0 <= pin_fraction <= 1.0:
             raise ValueError("pin_fraction must be in [0, 1]")
         self.pin_fraction = pin_fraction
-        #: UVM's fixed policy: every touched page is accessed through the
-        #: unified address space (demand paging does the moving).
-        self.transfer_policy = FixedPolicy(AccessPath.DIRECT)
         #: Optional access-trace recorder with ``record(t, chunk_ids)``
         #: (duck-typed; see :mod:`repro.analysis.traces`).  Fig. 2 is
         #: produced through this hook — the paper acquired the same signal
@@ -129,7 +127,11 @@ class UVMEngine(Engine):
         self, gpu: SimulatedGPU, graph: CSRGraph, program: VertexProgram, state: ProgramState
     ) -> None:
         pages = self._touched_pages(graph, state.active)
-        self._plan_access(gpu, state.iteration, pages, granule="page")
+        if gpu.events.record:
+            # Every touched page is accessed through the unified address
+            # space; demand paging does the moving.
+            emit_access_plan(gpu, self.name, "page",
+                             RunPlan.from_ids(pages, AccessPath.DIRECT))
         access = self._uvm.touch(pages)
         prefetch_bytes = 0
         k = gpu.spec.uvm_prefetch_pages

@@ -67,6 +67,23 @@ NVLINK_LATENCY = 5.0e-6
 TOPOLOGIES = ("pcie", "nvlink")
 
 
+def _device_count(value: Any) -> int:
+    """A dict's ``n_devices``: an integer, integral float or integer string.
+
+    A bool, a fraction or null is a ``ValueError`` naming the key, never a
+    silently truncated fleet.
+    """
+    if not isinstance(value, bool):
+        try:
+            n = int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if isinstance(value, str) or n == value:
+                return n
+    raise ValueError(f"n_devices must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LinkSpec:
     """One typed link of the fabric (host↔device or device↔device)."""
@@ -178,9 +195,9 @@ class FabricSpec:
         mems = data.get("device_mems")
         if mems is not None:
             kwargs["device_mems"] = tuple(int(m) for m in mems)
-            kwargs["n_devices"] = int(data.get("n_devices", len(mems)))
+            kwargs["n_devices"] = _device_count(data.get("n_devices", len(mems)))
         elif "n_devices" in data:
-            kwargs["n_devices"] = int(data["n_devices"])
+            kwargs["n_devices"] = _device_count(data["n_devices"])
         if "topology" in data:
             kwargs["topology"] = str(data["topology"])
         # HeteroG's bandwidth pair, MB/s: [device<->device, host<->device].

@@ -174,7 +174,7 @@ def _check_plans(policy, region, table, active, use_touch, use_hot):
     hot = table if use_hot else HotnessTable(
         region.n_chunks, policy="cumulative", seg_bounds=cmap.seg_bounds)
     counts = seg_touch[touched] if use_touch else np.ones(touched.size)
-    plan = policy.plan(0, cmap.segments(touched), counts, hot)
+    plan = policy.plan(cmap.segments(touched), counts, hot)
     assert isinstance(plan, RunPlan)
     assert plan.paths.dtype == np.int8
     assert np.array_equal(plan.runs.ids(), ids)

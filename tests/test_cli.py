@@ -170,6 +170,17 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "vertex_state" in err
 
+    @pytest.mark.parametrize("value", ["2.7", "true", "null"])
+    def test_fabric_device_count_must_be_an_integer(self, value):
+        """``2.7`` ran on 2 devices, ``true`` on 1, and ``null`` failed
+        without naming the key."""
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--fabric", f'{{"n_devices": {value}}}'])
+        # A string code: the interpreter prints it and exits with status 1.
+        message = exc.value.code
+        assert isinstance(message, str)
+        assert message.startswith("error: invalid --fabric: n_devices")
+
 
 class TestGridCommand:
     def test_parser_defaults(self):

@@ -69,6 +69,25 @@ class TestFabricSpec:
         with pytest.raises(ValueError, match="unknown"):
             FabricSpec.from_dict({"n_devices": 2, "nvlinks": 4})
 
+    @pytest.mark.parametrize("bad", [2.7, 1.9, True, False, None, "2.5",
+                                     "two", [2]])
+    def test_from_dict_rejects_non_integer_device_count(self, bad):
+        """Was truncated (2.7 → 2, true → 1), or a message without the key."""
+        with pytest.raises(ValueError, match="n_devices"):
+            FabricSpec.from_dict({"n_devices": bad})
+        with pytest.raises(ValueError, match="n_devices"):
+            FabricSpec.from_dict({"n_devices": bad, "device_mems": [1, 2]})
+
+    @pytest.mark.parametrize("good", [2, 2.0, "2"])
+    def test_from_dict_accepts_integral_device_count(self, good):
+        assert FabricSpec.from_dict({"n_devices": good}) == FabricSpec(n_devices=2)
+
+    def test_sharded_engine_rejects_fractional_fabric(self):
+        from repro.engines.sharded import ShardedEngine
+
+        with pytest.raises(ValueError, match="n_devices"):
+            ShardedEngine(fabric={"n_devices": 1.9})
+
     def test_memory_of_and_scaled(self):
         spec = FabricSpec(n_devices=2, device_mems=(1000, 2000))
         assert spec.memory_of(1, default=7) == 2000

@@ -135,7 +135,7 @@ class TestPolicyUnit:
                             reuse_horizon=reuse_horizon), region
 
     @staticmethod
-    def _plan(policy, iteration, ids, touch=None, hot=None):
+    def _plan(policy, ids, touch=None, hot=None):
         """The run plan for chunk ``ids``, one path code per id.
 
         No ``touch``: one active vertex per chunk; no ``hot``: no history.
@@ -144,7 +144,7 @@ class TestPolicyUnit:
         if hot is None:
             hot = HotnessTable(policy.region.n_chunks, policy="cumulative")
         runs, first = ChunkRuns.from_ids(ids, touch, hot.cumulative_at(ids))
-        plan = policy.plan(iteration, runs, touch[first], hot)
+        plan = policy.plan(runs, touch[first], hot)
         assert np.array_equal(plan.runs.ids(), ids)
         return np.repeat(plan.paths, plan.runs.lengths)
 
@@ -152,7 +152,7 @@ class TestPolicyUnit:
         policy, region = self._policy(small_web)
         region.promote_vertices(np.ones(small_web.n_vertices, dtype=bool))
         ids = np.nonzero(region.resident)[0][:4]
-        plan = self._plan(policy, 0, ids)
+        plan = self._plan(policy, ids)
         assert (plan == int(AccessPath.RESIDENT)).all()
 
     def test_sparse_one_touch_goes_direct(self, small_web):
@@ -162,7 +162,7 @@ class TestPolicyUnit:
         # has none — the EMOGI regime.
         policy.bytes_per_touch = 256.0
         policy.migrate_budget = 100
-        plan = self._plan(policy, 0, np.array([0]))
+        plan = self._plan(policy, np.array([0]))
         assert plan[0] == int(AccessPath.DIRECT)
 
     def test_measured_reuse_flips_to_migrate(self, small_web):
@@ -177,9 +177,9 @@ class TestPolicyUnit:
         touch[0] = 1
         for _ in range(policy.reuse_horizon):
             hot.update(touch)
-        cold = self._plan(policy, 5, np.array([0]))
+        cold = self._plan(policy, np.array([0]))
         assert cold[0] == int(AccessPath.DIRECT)
-        plan = self._plan(policy, 5, np.array([0]), hot=hot)
+        plan = self._plan(policy, np.array([0]), hot=hot)
         assert plan[0] == int(AccessPath.MIGRATE)
 
     def test_dense_footprint_goes_gather(self, small_web):
@@ -191,7 +191,7 @@ class TestPolicyUnit:
         policy.migrate_budget = 0
         ids = np.arange(64)
         assert region.n_chunks > 64  # candidates stay in range
-        plan = self._plan(policy, 0, ids)
+        plan = self._plan(policy, ids)
         assert (plan == int(AccessPath.GATHER)).all()
 
     def test_migrate_budget_bounds_migration(self, small_web):
@@ -204,7 +204,7 @@ class TestPolicyUnit:
         touch[ids] = 1
         for _ in range(policy.reuse_horizon):
             hot.update(touch)
-        plan = self._plan(policy, 9, ids, hot=hot)
+        plan = self._plan(policy, ids, hot=hot)
         assert int((plan == int(AccessPath.MIGRATE)).sum()) == 2
         # Overflow candidates fall to a real fallback path, never RESIDENT.
         rest = plan[plan != int(AccessPath.MIGRATE)]

@@ -128,7 +128,6 @@ def test_top_level_surface_pinned():
         "IterationRecord",
         "RunResult",
         "AccessPath",
-        "TransferPolicy",
         "PartitionEngine",
         "UVMEngine",
         "SubwayEngine",
