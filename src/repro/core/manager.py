@@ -258,20 +258,18 @@ def _swap_budget_chunks(gpu: SimulatedGPU, region: StaticRegion) -> int:
     the *burst-rounded* payload — so a raw-bandwidth budget can plan swaps
     that overrun the window they were supposed to hide inside.  Instead
     divide by the full charged cost of one chunk: ``k`` chunks in one
-    transfer then cost ``latency + payload_bytes(k·chunk)/bw ≤
-    k · transfer_seconds(chunk)``, so any budgeted swap completes inside
-    the window (the property the budget-window regression test pins).
+    transfer then cost at most ``k`` times one chunk's ``copy_cost``, so
+    any budgeted swap completes inside the window (the property the
+    budget-window regression test pins).
     """
     window = max(gpu.gpu.busy_until - gpu.copy.busy_until, 0.0)
     if window <= 0.0:
         return 0
     # The window buys paper-scale seconds; chunks are scaled bytes, so
     # price the chunk at its *charged* size.
-    charged_chunk = int(round(region.chunk_bytes * gpu.charge_scale))
-    per_chunk = gpu.spec.pcie.transfer_seconds(charged_chunk)
-    if per_chunk <= 0.0:
-        return 0
-    return int(window / per_chunk)
+    pcie = gpu.spec.pcie
+    payload = pcie.payload_bytes(gpu._scale(region.chunk_bytes))
+    return int(window / sum(pcie.copy_cost(payload)))
 
 
 class RegionEngine(Engine):

@@ -96,36 +96,32 @@ class HybridPolicy:
             touches = np.asarray(touch_counts, dtype=np.float64)[origin[need]]
             needed = np.clip(touches * self.bytes_per_touch, 1.0, self.chunk_bytes)
             link = self.spec.pcie
-            gather = self.spec.gather
             history = np.minimum(hotness.cumulative_at(starts[need]),
                                  self.reuse_horizon).astype(np.float64)
             reuse = 1.0 + history
-            # Fixed stage costs amortize over *this iteration's* candidate
-            # set: one DMA launch serves every migrated chunk and one
-            # request round-trip plus CPU wake-up serves every gathered
-            # chunk, so a sparse iteration (few candidates) carries a large
-            # per-chunk share — which is exactly when zero-copy's setup-free
-            # loads win (EMOGI's sparse-frontier result) — while a dense one
-            # amortizes it away.
+            # Each score is built from the (fixed, variable) functions the
+            # lanes charge with.  Fixed stage costs amortize over *this
+            # iteration's* candidate set: one DMA launch serves every
+            # migrated chunk and one request round-trip plus CPU wake-up
+            # serves every gathered chunk, so a sparse iteration (few
+            # candidates) carries a large per-chunk share — which is exactly
+            # when zero-copy's setup-free loads win (EMOGI's sparse-frontier
+            # result) — while a dense one amortizes it away.
             n_cand = float(n_chunks.sum())
             # Migrate: the whole chunk once over bulk PCIe (contiguous in
             # host memory, so no CPU gather), amortized over expected reuse.
-            cost_migrate = (
-                link.latency / n_cand + self.chunk_bytes / link.bandwidth
-            ) / reuse
+            chunk_fixed, chunk_variable = link.copy_cost(self.chunk_bytes)
+            cost_migrate = (chunk_fixed / n_cand + chunk_variable) / reuse
             # Gather: CPU assembly pipelines with the bulk copy, so the
             # score is the bottleneck stage plus the amortized round
             # overhead (the request round-trip and the gather kick-off).
-            cost_gather = (
-                needed / min(gather.bandwidth, link.bandwidth)
-                + (link.latency + gather.setup) / n_cand
-            )
+            copy_fixed, copy_variable = link.copy_cost(needed)
+            gather_fixed, gather_variable = self.spec.gather.gather_cost(needed)
+            cost_gather = (np.maximum(gather_variable, copy_variable)
+                           + (copy_fixed + gather_fixed) / n_cand)
             # Direct: sector-granular zero-copy loads of only the needed bytes.
             sectors = np.ceil(needed / link.sector)
-            cost_direct = (
-                sectors * link.direct_latency
-                + sectors * link.sector / link.direct_bandwidth
-            )
+            cost_direct = sum(link.direct_cost(sectors * link.sector, sectors))
             costs = np.stack([cost_migrate, cost_gather, cost_direct])
             chosen = _PATH_CODES[np.argmin(costs, axis=0)].copy()
             # Capacity-bounded migration: keep the candidates with the

@@ -146,14 +146,11 @@ class UVMEngine(Engine):
         gpu.vertex_scan(graph.n_vertices, passes=1, label="gen-active")
         n_edges = state.active_edges(graph)
         spec = gpu.spec
-        charged_bytes = int((access.bytes_migrated + prefetch_bytes) * gpu.charge_scale)
+        charged_bytes = gpu._scale(access.bytes_migrated + prefetch_bytes)
         fault_batches = -(-access.n_faults // spec.uvm_fault_batch) if access.n_faults else 0
         stall = (
             fault_batches * spec.uvm_fault_latency
             + charged_bytes / spec.uvm_migration_bandwidth
-        )
-        kernel = spec.uvm_kernel_penalty * spec.kernel.edge_kernel_seconds(
-            int(n_edges * gpu.charge_scale), atomics=program.atomics
         )
         # Faults stall the SMs: kernel then migration serialize on the GPU
         # lane as two events, so the compute / fault-stall split survives in
@@ -161,14 +158,15 @@ class UVMEngine(Engine):
         # emitted by the pager's touch(); the stall event carries the PCIe
         # charge.
         done = gpu.clock.now
-        if n_edges > 0 or kernel > 0:
+        if n_edges > 0:
+            charged_edges = gpu._scale(n_edges)
+            kernel = spec.uvm_kernel_penalty * sum(
+                spec.kernel.edge_cost(charged_edges, program.atomics))
             with gpu.phase("Tcompute"):
                 done = gpu.gpu.submit_kernel(
                     kernel, label="uvm-kernel",
-                    counters={
-                        "kernel_launches": 1 if n_edges else 0,
-                        "edges_processed": int(n_edges * gpu.charge_scale),
-                    },
+                    counters={"kernel_launches": 1,
+                              "edges_processed": charged_edges},
                     faults=gpu.faults,
                 )
         if stall > 0 or fault_batches or charged_bytes:

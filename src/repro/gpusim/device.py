@@ -190,37 +190,30 @@ class SimulatedGPU(DeviceFacade):
         return int(round(n * self.charge_scale))
 
     # ------------------------------------------------------------ transfers
-    def h2d(self, nbytes: int, label: str = "h2d", after: float = 0.0,
-            n_requests: int = 1) -> float:
-        """Queue a host→device copy on the copy engine; returns finish time."""
+    def _copy(self, nbytes: int, label: str, after: float, kind: str) -> float:
+        """Queue one explicit copy on the copy engine; returns finish time.
+
+        Fixed latency and streamed payload reach the lane apart so chaos-mode
+        link degradation slows only the streamed part.
+        """
         if nbytes <= 0:
             return self.copy.submit(0.0, label, after=after)
-        charged = self._scale(nbytes)
-        payload = self.spec.pcie.payload_bytes(charged)
-        # Split into fixed latency + streamed payload so chaos-mode link
-        # degradation can slow only the streamed part; summed unchanged,
-        # this reproduces streaming_seconds() bit for bit.
-        fixed = self.spec.pcie.latency if payload else 0.0
+        pcie = self.spec.pcie
+        payload = pcie.payload_bytes(self._scale(nbytes))
+        fixed, variable = pcie.copy_cost(payload)
         return self.copy.submit_transfer(
-            fixed, payload / self.spec.pcie.bandwidth, label, after=after,
-            kind="h2d",
-            counters={"bytes_h2d": payload, "h2d_transfers": 1},
+            fixed, variable, label, after=after, kind=kind,
+            counters={f"bytes_{kind}": payload, f"{kind}_transfers": 1},
             faults=self.faults,
         )
 
+    def h2d(self, nbytes: int, label: str = "h2d", after: float = 0.0) -> float:
+        """Queue a host→device copy on the copy engine; returns finish time."""
+        return self._copy(nbytes, label, after, "h2d")
+
     def d2h(self, nbytes: int, label: str = "d2h", after: float = 0.0) -> float:
         """Queue a device→host copy on the copy engine; returns finish time."""
-        if nbytes <= 0:
-            return self.copy.submit(0.0, label, after=after)
-        charged = self._scale(nbytes)
-        payload = self.spec.pcie.payload_bytes(charged)
-        fixed = self.spec.pcie.latency if payload else 0.0
-        return self.copy.submit_transfer(
-            fixed, payload / self.spec.pcie.bandwidth, label, after=after,
-            kind="d2h",
-            counters={"bytes_d2h": payload, "d2h_transfers": 1},
-            faults=self.faults,
-        )
+        return self._copy(nbytes, label, after, "d2h")
 
     def direct_access(self, nbytes: int, n_accesses: Optional[int] = None,
                       label: str = "zero-copy", after: float = 0.0) -> float:
@@ -234,16 +227,14 @@ class SimulatedGPU(DeviceFacade):
         if nbytes <= 0:
             return self.direct.submit(0.0, label, after=after)
         pcie = self.spec.pcie
-        charged = self._scale(nbytes)
-        payload = pcie.direct_payload_bytes(charged)
+        payload = pcie.direct_payload_bytes(self._scale(nbytes))
         if n_accesses is None:
             accesses = payload // pcie.sector
         else:
             accesses = max(self._scale(n_accesses), 1)
-        # fixed + variable sums to pcie.direct_access_seconds() bit for bit.
+        fixed, variable = pcie.direct_cost(payload, accesses)
         return self.direct.submit_transfer(
-            accesses * pcie.direct_latency, payload / pcie.direct_bandwidth,
-            label, after=after, kind="direct",
+            fixed, variable, label, after=after, kind="direct",
             counters={"bytes_direct": payload, "direct_accesses": accesses},
             faults=self.faults,
         )
@@ -255,9 +246,8 @@ class SimulatedGPU(DeviceFacade):
         if n_edges <= 0:
             return self.gpu.submit(0.0, label, after=after)
         charged = self._scale(n_edges)
-        dur = self.spec.kernel.edge_kernel_seconds(charged, atomics=atomics)
         return self.gpu.submit_kernel(
-            dur, label, after=after,
+            sum(self.spec.kernel.edge_cost(charged, atomics)), label, after=after,
             counters={"kernel_launches": 1, "edges_processed": charged},
             faults=self.faults,
         )
@@ -267,7 +257,7 @@ class SimulatedGPU(DeviceFacade):
         """Queue a vertex-array scan kernel (map generation etc.)."""
         if n_vertices <= 0 or passes <= 0:
             return self.gpu.submit(0.0, label, after=after)
-        dur = self.spec.kernel.vertex_scan_seconds(self._scale(n_vertices), passes)
+        dur = sum(self.spec.kernel.scan_cost(self._scale(n_vertices), passes))
         return self.gpu.submit_kernel(
             dur, label, after=after,
             counters={"kernel_launches": 1},
@@ -280,7 +270,7 @@ class SimulatedGPU(DeviceFacade):
         """Queue a host gather of ``nbytes`` into the staging buffer."""
         if nbytes <= 0:
             return self.cpu.submit(0.0, label, after=after)
-        dur = self.spec.gather.gather_seconds(self._scale(nbytes))
+        dur = sum(self.spec.gather.gather_cost(self._scale(nbytes)))
         return self.cpu.submit(dur, label, after=after, kind="gather")
 
     def cpu_work(self, seconds: float, label: str = "cpu",

@@ -98,11 +98,9 @@ class LinkSpec:
         if self.latency < 0:
             raise ValueError("link latency must be non-negative")
 
-    def transfer_seconds(self, nbytes: int) -> float:
-        """Seconds to move ``nbytes`` over this link (latency + streaming)."""
-        if nbytes <= 0:
-            return 0.0
-        return self.latency + nbytes / self.bandwidth
+    def copy_cost(self, nbytes):
+        """``(fixed, variable)`` seconds to move ``nbytes`` over this link."""
+        return self.latency, nbytes / self.bandwidth
 
 
 @dataclass(frozen=True)
@@ -248,8 +246,6 @@ class FabricTopology:
         pcie = base.pcie
         if spec.h2d_bandwidth is not None:
             pcie = replace(pcie, bandwidth=spec.h2d_bandwidth)
-        self.host_link = LinkSpec(kind="pcie", bandwidth=pcie.bandwidth,
-                                  latency=pcie.latency)
         if spec.topology == "nvlink":
             d2d_bw = spec.d2d_bandwidth or NVLINK_BANDWIDTH
             d2d_lat = spec.d2d_latency if spec.d2d_latency is not None \
@@ -272,11 +268,10 @@ class FabricTopology:
         return len(self.devices)
 
     def link(self, src: int, dst: int) -> LinkSpec:
-        """The link used between two endpoints (-1 denotes the host)."""
+        """The link used between two devices (each reaches the host through
+        its :class:`GPUSpec`'s PCIe link)."""
         if src == dst:
             raise ValueError(f"no link from device {src} to itself")
-        if src < 0 or dst < 0:
-            return self.host_link
         return self.device_link
 
     def gpu_spec(self, device_id: int) -> GPUSpec:
@@ -411,7 +406,8 @@ class Fabric(DeviceFacade):
         if nbytes <= 0:
             return self.links[src].submit(0.0, label, after=after)
         charged = int(round(nbytes * self.charge_scale))
-        dur = link.transfer_seconds(charged)
+        fixed, variable = link.copy_cost(charged)
+        dur = fixed + variable
         if self.faults is not None and self.faults.plan.peer_degradations:
             t0 = max(self.clock.now, self.links[src].busy_until, after)
             factor, fresh = self.faults.peer_link_state(t0)
@@ -423,7 +419,7 @@ class Fabric(DeviceFacade):
             if factor < 1.0:
                 # Only the streaming part slows; latency is unaffected,
                 # like the host-link degradation in Lane.submit_transfer.
-                dur = link.latency + (charged / link.bandwidth) / factor
+                dur = fixed + variable / factor
         self.exchange_bytes += charged
         self._exchange_by_device[src] += charged
         return self.links[src].submit(

@@ -37,10 +37,7 @@ class HostGather:
         if self.bandwidth <= 0 or self.setup < 0:
             raise ValueError("invalid host gather parameters")
 
-    def gather_seconds(self, nbytes: int) -> float:
-        """Seconds to assemble ``nbytes`` of edge data into the staging buffer."""
-        if nbytes < 0:
-            raise ValueError("negative gather size")
-        if nbytes == 0:
-            return 0.0
-        return self.setup + nbytes / self.bandwidth
+    def gather_cost(self, nbytes, n: int = 1):
+        """``(fixed, variable)`` seconds of ``n`` gather rounds assembling
+        ``nbytes`` into the staging buffer (scalars or arrays)."""
+        return n * self.setup, nbytes / self.bandwidth

@@ -47,19 +47,15 @@ class KernelModel:
         if self.launch_overhead < 0 or self.atomic_penalty < 1.0:
             raise ValueError("invalid kernel overheads")
 
-    def edge_kernel_seconds(self, n_edges: int, atomics: bool = False) -> float:
-        """Seconds to process ``n_edges`` in one traversal kernel."""
-        if n_edges < 0:
-            raise ValueError("negative edge count")
-        if n_edges == 0:
-            return 0.0
+    def edge_cost(self, n_edges, atomics: bool, n_launches: int = 1):
+        """``(fixed, variable)`` seconds of ``n_launches`` traversal kernels
+        processing ``n_edges`` edges between them (scalars or arrays)."""
         penalty = self.atomic_penalty if atomics else 1.0
-        return self.launch_overhead + penalty * n_edges / self.edge_throughput
+        return (n_launches * self.launch_overhead,
+                penalty * n_edges / self.edge_throughput)
 
-    def vertex_scan_seconds(self, n_vertices: int, passes: int = 1) -> float:
-        """Seconds for ``passes`` full scans over ``n_vertices`` state words."""
-        if n_vertices < 0 or passes < 0:
-            raise ValueError("negative scan size")
-        if n_vertices == 0 or passes == 0:
-            return 0.0
-        return self.launch_overhead + passes * n_vertices / self.vertex_scan_throughput
+    def scan_cost(self, n_vertices, passes: int):
+        """``(fixed, variable)`` seconds of one kernel making ``passes`` full
+        scans over ``n_vertices`` state words."""
+        return (self.launch_overhead,
+                passes * n_vertices / self.vertex_scan_throughput)

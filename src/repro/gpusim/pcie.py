@@ -64,30 +64,17 @@ class PCIeLink:
         """Bytes actually moved after burst rounding."""
         if nbytes < 0:
             raise ValueError("negative transfer size")
-        if nbytes == 0:
-            return 0
         bursts = -(-nbytes // self.burst)  # ceil division
         return bursts * self.burst
 
-    def transfer_seconds(self, nbytes: int) -> float:
-        """Virtual seconds one explicit transfer of ``nbytes`` takes."""
-        if nbytes == 0:
-            return 0.0
-        return self.latency + self.payload_bytes(nbytes) / self.bandwidth
+    def copy_cost(self, payload, n: int = 1):
+        """``(fixed, variable)`` seconds of ``n`` explicit copies of ``payload``.
 
-    def streaming_seconds(self, nbytes: int, n_requests: int = 1) -> float:
-        """Seconds for ``nbytes`` split over ``n_requests`` queued transfers.
-
-        Queued async copies pay the latency once per request but pipeline,
-        so latencies beyond the first hide under the data movement; we charge
-        the dominant term plus one latency, matching measured cudaMemcpyAsync
-        batching behaviour closely enough for ratio work.
+        ``payload`` is the bytes that fly, already burst-rounded by the
+        caller (:meth:`payload_bytes`); scalars or NumPy arrays.  Each copy
+        pays one latency; the bytes stream at bulk bandwidth.
         """
-        if nbytes == 0:
-            return 0.0
-        if n_requests < 1:
-            raise ValueError("n_requests must be >= 1")
-        return self.latency + self.payload_bytes(nbytes) / self.bandwidth
+        return n * self.latency, payload / self.bandwidth
 
     # ------------------------------------------------------ zero-copy path
     def direct_payload_bytes(self, nbytes: int) -> int:
@@ -98,24 +85,18 @@ class PCIeLink:
         """
         if nbytes < 0:
             raise ValueError("negative direct-access size")
-        if nbytes == 0:
-            return 0
         sectors = -(-nbytes // self.sector)  # ceil division
         return sectors * self.sector
 
-    def direct_access_seconds(self, nbytes: int, n_accesses: int = 1) -> float:
-        """Virtual seconds ``n_accesses`` zero-copy loads of ``nbytes`` take.
+    def direct_cost(self, payload, n_accesses):
+        """``(fixed, variable)`` seconds of ``n_accesses`` zero-copy loads.
 
-        ``n_accesses`` per-access latencies plus the sector-rounded payload
-        over the (halved) direct bandwidth.  With one access per sector this
-        is cheaper than :meth:`transfer_seconds` below a crossover footprint
-        of roughly ``latency / (1/direct_bandwidth + direct_latency/sector
-        - 1/bandwidth)`` bytes (~50 KB at the defaults) — the EMOGI regime —
-        and dearer above it, which is what a hybrid policy exploits.
+        ``payload`` is sector-rounded by the caller
+        (:meth:`direct_payload_bytes`); scalars or NumPy arrays.  With one
+        access per sector this is cheaper than :meth:`copy_cost` below a
+        crossover footprint of roughly ``latency / (1/direct_bandwidth +
+        direct_latency/sector - 1/bandwidth)`` bytes (~50 KB at the
+        defaults) — the EMOGI regime — and dearer above it, which is what a
+        hybrid policy exploits.
         """
-        if nbytes == 0:
-            return 0.0
-        if n_accesses < 1:
-            raise ValueError("n_accesses must be >= 1")
-        payload = self.direct_payload_bytes(nbytes)
-        return n_accesses * self.direct_latency + payload / self.direct_bandwidth
+        return n_accesses * self.direct_latency, payload / self.direct_bandwidth

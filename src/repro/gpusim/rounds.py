@@ -102,21 +102,16 @@ def stream_rounds(gpu: SimulatedGPU, total_bytes: int, n_edges: int,
                + nb_lo * spec.pcie.payload_bytes(cb_lo))
     # Rounds whose edge share is zero launch no kernel in the loop.
     n_kernels = n if lo_e > 0 else ne_hi
-    gather_dur = n * spec.gather.setup + charged_bytes / spec.gather.bandwidth
-    xfer_dur = n * spec.pcie.latency + payload / spec.pcie.bandwidth
-    kern_dur = (
-        n_kernels * spec.kernel.launch_overhead
-        + (spec.kernel.atomic_penalty if atomics else 1.0)
-        * charged_edges / spec.kernel.edge_throughput
-    )
+    gather_dur = sum(spec.gather.gather_cost(charged_bytes, n))
+    x_fixed, x_variable = spec.pcie.copy_cost(payload, n)
+    xfer_dur = x_fixed + x_variable
+    kern_dur = sum(spec.kernel.edge_cost(charged_edges, atomics, n_kernels))
     with gpu.phase("Tfilling"):
         t_g = gpu.cpu.submit(gather_dur, gather + "*", after=after,
                              kind="gather")
     with gpu.phase("Ttransfer"):
-        # Split as fixed + variable so chaos-mode retry/degradation applies;
-        # summed unchanged this equals xfer_dur bit for bit.
         t_x = gpu.copy.submit_transfer(
-            n * spec.pcie.latency, payload / spec.pcie.bandwidth,
+            x_fixed, x_variable,
             transfer + "*",
             after=t_g if sequential else (t_g - gather_dur + gather_dur / n),
             kind="h2d",

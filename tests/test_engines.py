@@ -168,6 +168,16 @@ class TestUVMEngine:
         eng.run(small_social, bfs_for(small_social))
         assert eng._uvm.page_size == int(spec.uvm_page_size * TEST_SCALE)
 
+    def test_charges_round_like_every_other_engine(self):
+        # At scale 1e-5 the charge factor 1/1e-5 is 99999.99999999999, so
+        # truncating a charge instead of rounding it loses edges.
+        from repro.harness.experiments import make_workload, run_workload
+
+        workload = make_workload("GS", "BFS", scale=1e-5)
+        edges = {engine: run_workload(workload, engine).metrics.edges_processed
+                 for engine in ("UVM", "Subway", "Ascetic")}
+        assert edges == dict.fromkeys(edges, 1_800_000_000)
+
 
 class TestUVMPrefetch:
     def test_sequential_prefetch_reduces_faults_on_local_graph(self, small_web):

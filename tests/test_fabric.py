@@ -100,9 +100,8 @@ class TestFabricSpec:
 class TestLinkSpec:
     def test_transfer_seconds(self):
         link = LinkSpec(kind="pcie", bandwidth=1e9, latency=1e-5)
-        assert link.transfer_seconds(0) == 0.0
-        assert link.transfer_seconds(1_000_000) == pytest.approx(
-            1e-5 + 1_000_000 / 1e9)
+        assert link.copy_cost(0) == (1e-5, 0.0)
+        assert link.copy_cost(1_000_000) == (1e-5, 1_000_000 / 1e9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -117,9 +116,9 @@ class TestFabricTopology:
         topo = FabricTopology(FabricSpec(n_devices=2, topology="pcie"), base)
         assert topo.device_link.kind == "pcie"
         assert topo.device_link.bandwidth == pytest.approx(
-            topo.host_link.bandwidth / 2)
+            base.pcie.bandwidth / 2)
         assert topo.device_link.latency == pytest.approx(
-            topo.host_link.latency * 2)
+            base.pcie.latency * 2)
 
     def test_nvlink_defaults(self):
         topo = FabricTopology(FabricSpec(n_devices=2, topology="nvlink"),
@@ -128,12 +127,10 @@ class TestFabricTopology:
         assert topo.device_link.bandwidth == NVLINK_BANDWIDTH
         assert topo.device_link.latency == NVLINK_LATENCY
         # NVLink-class peers are an order of magnitude above host PCIe.
-        assert topo.device_link.bandwidth > topo.host_link.bandwidth
+        assert topo.device_link.bandwidth > GPUSpec().pcie.bandwidth
 
     def test_link_selection(self):
         topo = FabricTopology(FabricSpec(n_devices=2), GPUSpec())
-        assert topo.link(-1, 0) is topo.host_link
-        assert topo.link(0, -1) is topo.host_link
         assert topo.link(0, 1) is topo.device_link
         with pytest.raises(ValueError, match="itself"):
             topo.link(1, 1)

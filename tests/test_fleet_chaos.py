@@ -278,6 +278,10 @@ class TestFabricHealth:
         slow = degraded.transfer(0, 1, payload, label="x")
         fast = clean.transfer(0, 1, payload, label="x")
         assert slow > fast
+        # The degradation divides only the streamed term of the link's cost.
+        fixed, variable = clean.topology.link(0, 1).copy_cost(payload)
+        assert fast == fixed + variable
+        assert slow == fixed + variable / 0.25
 
 
 class TestRouterBreaker:

@@ -415,8 +415,8 @@ class TestSwapBudgetWindow:
         # The manager transfers the whole swap as one H2D; its charged
         # duration must fit the window that justified the budget.
         moved = budget * region.chunk_bytes
-        charged = gpu._scale(moved)
-        dur = gpu.spec.pcie.transfer_seconds(charged)
+        pcie = gpu.spec.pcie
+        dur = sum(pcie.copy_cost(pcie.payload_bytes(gpu._scale(moved))))
         assert dur <= window * (1 + 1e-12), (
             f"budget {budget} chunks → H2D {dur:.3e}s overruns "
             f"window {window:.3e}s"
