@@ -12,7 +12,6 @@
 import pytest
 
 from repro.analysis.report import format_table
-from repro.core.ascetic import AsceticConfig
 from repro.harness.experiments import BENCH_SCALE, make_workload, run_workload
 
 from conftest import report
@@ -23,7 +22,7 @@ def test_ablation_fill_policies(benchmark):
 
     def run():
         return {
-            fill: run_workload(w, "Ascetic", config=AsceticConfig(fill=fill))
+            fill: run_workload(w, "Ascetic", fill=fill)
             for fill in ("front", "rear", "random", "lazy")
         }
 
@@ -51,8 +50,8 @@ def test_ablation_replacement(benchmark):
     w = make_workload("FK", "PR", scale=BENCH_SCALE)
 
     def run():
-        on = run_workload(w, "Ascetic", config=AsceticConfig(fill="front", replacement=True))
-        off = run_workload(w, "Ascetic", config=AsceticConfig(fill="front", replacement=False))
+        on = run_workload(w, "Ascetic", fill="front", replacement=True)
+        off = run_workload(w, "Ascetic", fill="front", replacement=False)
         return on, off
 
     on, off = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -80,11 +79,11 @@ def test_ablation_adaptive_repartition(benchmark):
     # A deliberately mis-sized static region on an id-local dataset: the
     # Eq. 3 valve must recover most of the loss.
     w = make_workload("UK", "SSSP", scale=BENCH_SCALE)
-    bad = AsceticConfig(fill="rear", forced_ratio=0.97)
+    bad = dict(fill="rear", forced_ratio=0.97)
 
     def run():
-        on = run_workload(w, "Ascetic", config=bad.with_(adaptive=True))
-        off = run_workload(w, "Ascetic", config=bad.with_(adaptive=False))
+        on = run_workload(w, "Ascetic", adaptive=True, **bad)
+        off = run_workload(w, "Ascetic", adaptive=False, **bad)
         return on, off
 
     on, off = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -112,7 +111,7 @@ def test_ablation_adaptive_repartition(benchmark):
 def test_ablation_k_sensitivity(benchmark, k):
     w = make_workload("FS", "CC", scale=BENCH_SCALE)
     res = benchmark.pedantic(
-        lambda: run_workload(w, "Ascetic", config=AsceticConfig(k=k)),
+        lambda: run_workload(w, "Ascetic", k=k),
         rounds=1,
         iterations=1,
     )

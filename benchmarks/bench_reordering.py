@@ -9,7 +9,7 @@ cache; a shuffle is the neutral control; BFS order helps wave algorithms.
 
 from repro.algorithms import make_program
 from repro.analysis.report import format_table
-from repro.core.ascetic import AsceticConfig, AsceticEngine
+from repro.core.ascetic import AsceticEngine
 from repro.graph.reorder import bfs_order, degree_order, random_order, relabel
 from repro.harness.experiments import BENCH_SCALE, make_workload
 
@@ -20,7 +20,6 @@ ORDERINGS = ("as-loaded", "shuffled", "degree", "bfs")
 
 def test_reordering_static_region(benchmark):
     w = make_workload("FK", "PR", scale=BENCH_SCALE)
-    cfg = AsceticConfig(fill="front", adaptive=False)
 
     def layout(name):
         g = w.graph
@@ -36,9 +35,8 @@ def test_reordering_static_region(benchmark):
         out = {}
         for name in ORDERINGS:
             g = layout(name)
-            res = AsceticEngine(spec=w.spec, data_scale=w.scale, config=cfg).run(
-                g, make_program("PR", tol=1e-2)
-            )
+            res = AsceticEngine(spec=w.spec, data_scale=w.scale, fill="front",
+                                adaptive=False).run(g, make_program("PR", tol=1e-2))
             out[name] = res
         return out
 

@@ -10,11 +10,10 @@ Run:  python examples/memory_tuning.py
 """
 
 from repro.analysis.report import format_table, sparkline
-from repro.core.ratio import static_ratio
+from repro.core.ratio import DEFAULT_K, static_ratio
 from repro.graph.generators import social_graph
 from repro.gpusim.device import GPUSpec
-from repro.harness.experiments import Workload
-from repro.harness.sweeps import sweep_static_ratio
+from repro.harness.experiments import Workload, run_workload
 from repro.algorithms import make_program
 
 # Bring your own graph — anything in CSR form works.  Here: a synthetic
@@ -32,23 +31,31 @@ workload = Workload(
     program_factory=lambda: make_program("PR", tol=1e-2),
 )
 
+# A custom graph has no dataset name for the grid runner, so the sweep is a
+# plain loop over run_workload.  Adaptive repartitioning is pinned off so
+# each run keeps its forced ratio.
 ratios = [0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 1.0]
-points, subway_seconds, eq2 = sweep_static_ratio(workload, ratios)
+points = [(r, run_workload(workload, "Ascetic", forced_ratio=r, adaptive=False))
+          for r in ratios]
+subway_seconds = run_workload(workload, "Subway").elapsed_seconds
+eq2 = static_ratio(DEFAULT_K, graph.edge_array_bytes,
+                   spec.memory_bytes - graph.vertex_state_bytes)
 
 rows = [
-    [f"{p.ratio:.2f}", f"{p.total_seconds:.2f}s", f"{p.t_sr:.2f}s",
-     f"{p.t_filling:.2f}s", f"{p.t_transfer:.2f}s", f"{p.t_ondemand:.2f}s"]
-    for p in points
+    [f"{r:.2f}", f"{res.elapsed_seconds:.2f}s"]
+    + [f"{res.metrics.phase_seconds.get(ph, 0.0):.2f}s"
+       for ph in ("Tsr", "Tfilling", "Ttransfer", "Tondemand")]
+    for r, res in points
 ]
 print(format_table(
     ["ratio", "total", "Tsr", "Tfilling", "Ttransfer", "Tondemand"],
     rows,
     title="Static Region ratio sweep (PR on a custom community graph)",
 ))
-print("\ntotal time over ratio:", sparkline([p.total_seconds for p in points],
-                                            width=len(points)))
-best = min(points, key=lambda p: p.total_seconds)
-print(f"\nsweep optimum   : ratio {best.ratio:.2f} → {best.total_seconds:.2f}s")
+print("\ntotal time over ratio:",
+      sparkline([res.elapsed_seconds for _, res in points], width=len(points)))
+best_ratio, best = min(points, key=lambda p: p[1].elapsed_seconds)
+print(f"\nsweep optimum   : ratio {best_ratio:.2f} → {best.elapsed_seconds:.2f}s")
 print(f"Eq. 2 analytic  : ratio {eq2:.2f} (K = 10% default)")
 print(f"Subway baseline : {subway_seconds:.2f}s")
 

@@ -2,7 +2,7 @@
 """Reproduce the paper's headline numbers in one script.
 
 A condensed version of what ``pytest benchmarks/ --benchmark-only`` does
-in full: runs the 4-dataset × 4-algorithm grid on all four engines and
+in full: runs the 4-dataset × 4-algorithm grid on every engine and
 prints the three headline comparisons —
 
 * Table 4's geomean speedups over PT (paper: Subway 5.6×, Ascetic 11.4×);
@@ -15,20 +15,19 @@ Run:  python examples/reproduce_headlines.py         (~2 minutes)
 """
 
 from repro.analysis.report import format_table, geomean
-from repro.harness.experiments import BENCH_SCALE, make_workload, run_all_engines
+from repro.engines import registry
+from repro.harness.experiments import BENCH_SCALE
 from repro.harness.persistence import save_results
+from repro.runner import grid_specs, run_grid
 
 DATASETS = ("GS", "FK", "FS", "UK")
 ALGOS = ("BFS", "SSSP", "CC", "PR")
 
-grid = {}
-all_runs = []
-for abbr in DATASETS:
-    for algo in ALGOS:
-        w = make_workload(abbr, algo, scale=BENCH_SCALE)
-        grid[(abbr, algo)] = run_all_engines(w)
-        all_runs.extend(grid[(abbr, algo)].values())
-        print(f"  ran {algo:<4} on {abbr}")
+report = run_grid(grid_specs(DATASETS, ALGOS, registry.available(),
+                             scale=BENCH_SCALE))
+print(report.summary())
+grid = report.result_map()
+all_runs = [r for cell in grid.values() for r in cell.values()]
 
 sub_speed, asc_speed, asc_vs_sub = [], [], []
 xfer = {"PT": [], "Subway": [], "Ascetic": []}

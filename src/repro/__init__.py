@@ -52,8 +52,7 @@ from repro.engines.partition_based import PartitionEngine
 from repro.engines.uvm_engine import UVMEngine
 from repro.engines.subway import SubwayEngine
 from repro.engines import registry
-from repro.engines.registry import EngineInfo
-from repro.core.ascetic import AsceticConfig, AsceticEngine
+from repro.core.ascetic import AsceticEngine
 from repro.engines.hybrid import HybridEngine
 from repro.runner import GridReport, ResultCache, RunSpec, run_grid
 from repro import serve
@@ -70,7 +69,6 @@ __all__ = [
     "SimulatedGPU",
     # engine surface
     "Engine",
-    "EngineInfo",
     "IterationRecord",
     "RunResult",
     "AccessPath",
@@ -78,7 +76,6 @@ __all__ = [
     "UVMEngine",
     "SubwayEngine",
     "AsceticEngine",
-    "AsceticConfig",
     "HybridEngine",
     "registry",
     # chaos mode

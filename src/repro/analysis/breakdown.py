@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.algorithms.base import VertexProgram
-from repro.core.ascetic import AsceticConfig, AsceticEngine
+from repro.core.ascetic import AsceticEngine
 from repro.engines.base import RunResult
 from repro.engines.subway import SubwayEngine
 from repro.graph.csr import CSRGraph
@@ -52,23 +52,21 @@ def measure_breakdown(
     program_factory,
     spec: GPUSpec,
     data_scale: float = 1.0,
-    config: AsceticConfig | None = None,
 ) -> OptimizationBreakdown:
     """Run the three configurations of §4.3 on one workload.
 
     ``program_factory`` is a zero-argument callable returning a fresh
     program (state must not be shared between runs).
     """
-    cfg = config or AsceticConfig()
     t_subway = SubwayEngine(spec=spec, data_scale=data_scale).run(
         graph, program_factory()
     ).elapsed_seconds
     t_no_overlap = AsceticEngine(
-        spec=spec, data_scale=data_scale, config=cfg.with_(overlap=False)
+        spec=spec, data_scale=data_scale, overlap=False
     ).run(graph, program_factory()).elapsed_seconds
-    t_ascetic = AsceticEngine(
-        spec=spec, data_scale=data_scale, config=cfg.with_(overlap=True)
-    ).run(graph, program_factory()).elapsed_seconds
+    t_ascetic = AsceticEngine(spec=spec, data_scale=data_scale).run(
+        graph, program_factory()
+    ).elapsed_seconds
     return OptimizationBreakdown(
         subway_seconds=t_subway,
         no_overlap_seconds=t_no_overlap,

@@ -4,7 +4,7 @@ Exposes the experiment harness without writing Python::
 
     repro datasets                                  # Table-3 inventory
     repro run --dataset FK --algo BFS --engine Ascetic
-    repro compare --dataset UK --algo PR            # all four engines
+    repro compare --dataset UK --algo PR            # every registered engine
     repro compare --dataset UK --algo PR --jobs 4   # ...in parallel
     repro sweep-ratio --dataset FK --algo CC        # Fig.-10 style sweep
     repro trace FK BFS --engine Ascetic -o run.json # Perfetto timeline
@@ -15,10 +15,11 @@ Exposes the experiment harness without writing Python::
     repro fleet --requests 120                      # `serve`, 4-device defaults
 
 Every command prints the same fixed-width reports the benchmarks produce.
-``grid`` (and ``compare``/``sweep-ratio`` with ``--jobs``) go through
-:mod:`repro.runner`: independent cells fan out across worker processes and
-finished cells persist in an on-disk cache (default ``.repro-cache/``), so
-a re-run replays unchanged cells instead of recomputing them.  Installed as
+``grid``, ``compare`` and ``sweep-ratio`` go through :mod:`repro.runner`:
+with ``--jobs N`` independent cells fan out across worker processes, and
+``grid``'s finished cells persist in an on-disk cache (default
+``.repro-cache/``), so a re-run replays unchanged cells instead of
+recomputing them.  Installed as
 the ``repro`` console script; also runnable as ``python -m repro.cli``.
 """
 
@@ -29,17 +30,13 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.report import format_table, human_bytes, sparkline
-from repro.core.ascetic import AsceticConfig
+from repro.core.manager import RegionEngine
+from repro.core.static_region import FILLS
 from repro.engines import registry
 from repro.gpusim.fabric import TOPOLOGIES
 from repro.gpusim.memory import GPUOutOfMemory
 from repro.graph.datasets import DATASETS
-from repro.harness.experiments import (
-    BENCH_SCALE,
-    make_workload,
-    run_all_engines,
-    run_workload,
-)
+from repro.harness.experiments import BENCH_SCALE, make_workload, run_workload
 from repro.harness.sweeps import sweep_static_ratio
 from repro.runner import RunSpec, grid_specs, run_grid
 
@@ -127,15 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(run_p)
     run_p.add_argument("--engine", default="Ascetic", choices=engine_choices,
                       help=engine_help)
-    run_p.add_argument("--fill", default=None,
-                       choices=("lazy", "front", "rear", "random"),
+    run_p.add_argument("--fill", default=None, choices=FILLS,
                        help="Ascetic static-region fill policy")
     run_p.add_argument("--ratio", type=unit_ratio, default=None,
                        help="Ascetic forced static ratio (overrides Eq. 2)")
     run_p.add_argument("--no-overlap", action="store_true",
                        help="disable the §3.2 overlap (Fig. 8 ablation)")
 
-    cmp_p = sub.add_parser("compare", help="run all four engines on one workload")
+    cmp_p = sub.add_parser("compare",
+                           help="run every registered engine on one workload")
     common(cmp_p)
     jobs_arg(cmp_p)
 
@@ -308,41 +305,36 @@ def _cmd_datasets() -> int:
 def _cmd_engines() -> int:
     rows = []
     for name in registry.available():
-        info = registry.describe(name)
-        opts = ("any (unvalidated)" if info.supported_engine_opts is None
-                else ", ".join(info.supported_engine_opts) or "-")
+        cls = registry.get(name)
+        opts = registry.options(name)
         rows.append([
             name,
-            "yes" if info.supports_warm_start else "no",
-            opts,
-            info.transfer_policy or "-",
+            "yes" if issubclass(cls, RegionEngine) else "no",
+            "any" if opts is None else ", ".join(opts) or "-",
+            (cls.__doc__ or "-").strip().splitlines()[0],
         ])
     print(format_table(
-        ["engine", "warm-start", "engine opts", "transfer policy"], rows,
-        title="Registered engines (registry.describe)",
+        ["engine", "warm-start", "engine opts", "summary"], rows,
+        title="Registered engines",
     ))
     return 0
 
 
 def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
+    flags = (("--fill", args.fill, {"fill": args.fill}),
+             ("--ratio", args.ratio is not None,
+              {"forced_ratio": args.ratio, "adaptive": False}),
+             ("--no-overlap", args.no_overlap, {"overlap": False}))
+    accepted = registry.options(args.engine)
     kwargs = {}
-    if args.engine == "Ascetic":
-        cfg = AsceticConfig()
-        if args.fill:
-            cfg = cfg.with_(fill=args.fill)
-        if args.ratio is not None:
-            cfg = cfg.with_(forced_ratio=args.ratio, adaptive=False)
-        if args.no_overlap:
-            cfg = cfg.with_(overlap=False)
-        kwargs["config"] = cfg
-    else:
-        # A flag the engine would ignore is a silently wrong cell.
-        for flag, given in (("--fill", args.fill),
-                            ("--ratio", args.ratio is not None),
-                            ("--no-overlap", args.no_overlap)):
-            if given:
-                parser.error(f"{flag} configures the Ascetic engine; "
-                             f"--engine {args.engine} has no such option")
+    for flag, given, opts in flags:
+        if not given:
+            continue
+        if accepted is not None and not set(opts) <= set(accepted):
+            # A flag the engine would ignore is a silently wrong cell.
+            parser.error(f"{flag} configures the Ascetic engine; "
+                         f"--engine {args.engine} has no such option")
+        kwargs.update(opts)
     w = make_workload(args.dataset, args.algo, scale=args.scale,
                       memory_bytes=args.memory_bytes)
     res = run_workload(w, args.engine, **kwargs)
@@ -354,37 +346,31 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.jobs > 1:
-        specs = [
-            RunSpec(dataset=args.dataset, algorithm=args.algo, engine=name,
-                    scale=args.scale, memory_bytes=args.memory_bytes)
-            for name in registry.available()
-        ]
-        report = run_grid(specs, jobs=args.jobs)
-        for cell in report.cells:
-            if not cell.ok:
-                print(f"warning: {cell.spec.label()} failed: {cell.error}",
-                      file=sys.stderr)
-        results = {c.spec.engine: c.result for c in report.cells if c.ok}
-    else:
-        w = make_workload(args.dataset, args.algo, scale=args.scale,
-                          memory_bytes=args.memory_bytes)
-        results = run_all_engines(w)
-    if not results:
-        print("all engines failed", file=sys.stderr)
-        return 1
-    best = min(r.elapsed_seconds for r in results.values())
-    rows = [
-        [name, f"{r.elapsed_seconds:.2f}s", f"{r.elapsed_seconds / best:.2f}x",
-         human_bytes(r.metrics.bytes_h2d), f"{r.gpu_idle_fraction:.0%}",
-         r.iterations]
-        for name, r in results.items()
+    specs = [
+        RunSpec(dataset=args.dataset, algorithm=args.algo, engine=name,
+                scale=args.scale, memory_bytes=args.memory_bytes)
+        for name in registry.available()
     ]
-    print(format_table(
-        ["engine", "time", "vs best", "H2D", "GPU idle", "iters"], rows,
-        title=f"{args.algo} on {args.dataset} (scale {args.scale:g})",
-    ))
-    return 0
+    # Cells are deterministic: a retry would only repeat a failure.
+    report = run_grid(specs, jobs=args.jobs, retries=0)
+    for cell in report.cells:
+        if not cell.ok:
+            print(f"error: {cell.spec.label()}: {cell.error}", file=sys.stderr)
+    results = {c.spec.engine: c.result for c in report.cells if c.ok}
+    if results:
+        best = min(r.elapsed_seconds for r in results.values())
+        rows = [
+            [name, f"{r.elapsed_seconds:.2f}s",
+             f"{r.elapsed_seconds / best:.2f}x",
+             human_bytes(r.metrics.bytes_h2d), f"{r.gpu_idle_fraction:.0%}",
+             r.iterations]
+            for name, r in results.items()
+        ]
+        print(format_table(
+            ["engine", "time", "vs best", "H2D", "GPU idle", "iters"], rows,
+            title=f"{args.algo} on {args.dataset} (scale {args.scale:g})",
+        ))
+    return 0 if report.n_failed == 0 else 1
 
 
 def _cmd_sweep_ratio(args) -> int:

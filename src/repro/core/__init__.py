@@ -20,7 +20,7 @@ Module map:
 * :mod:`repro.core.ascetic` — the engine facade.
 """
 
-from repro.core.ascetic import AsceticConfig, AsceticEngine
+from repro.core.ascetic import AsceticEngine
 from repro.core.bitmaps import and_map, ondemand_map
 from repro.core.ratio import static_ratio, region_bytes, RepartitionDecision, check_repartition
 from repro.core.static_region import StaticRegion
@@ -28,7 +28,6 @@ from repro.core.replacement import HotnessTable, SwapPlan
 from repro.core.ondemand import OnDemandPlan, plan_ondemand
 
 __all__ = [
-    "AsceticConfig",
     "AsceticEngine",
     "and_map",
     "ondemand_map",

@@ -3,27 +3,27 @@
 Wires the pieces of :mod:`repro.core` into the common
 :class:`~repro.engines.base.Engine` interface: sizes the two regions with
 Eq. 2, prefills the Static Region, and delegates each iteration to the
-Manager's overlapped schedule.  All the paper's ablation switches are on
-:class:`AsceticConfig` — Fig. 8 (overlap off), Fig. 10 (forced ratio sweep),
-§5 (fill policy, replacement on/off).
+Manager's overlapped schedule.  The paper's ablation switches are
+:class:`AsceticEngine` constructor keywords, like every engine's options —
+Eq. 2's ``k``, Fig. 8's ``overlap``, Fig. 10's ``forced_ratio``, §3.3's
+``adaptive`` and §5's ``fill`` and ``replacement``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
 from typing import List, Optional
 
 from repro.algorithms.base import ProgramState, VertexProgram
 from repro.core.manager import (IterationOutcome, RegionEngine, run_iteration,
                                 shrink_region)
-from repro.core.ratio import region_bytes, static_ratio
+from repro.core.ratio import DEFAULT_K, region_bytes, static_ratio
 from repro.core.replacement import HotnessTable
-from repro.core.static_region import DEFAULT_CHUNK_BYTES
+from repro.core.static_region import DEFAULT_CHUNK_BYTES, FILLS
 from repro.engines.base import RunResult
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import GPUSpec, SimulatedGPU
 
-__all__ = ["AsceticConfig", "AsceticEngine"]
+__all__ = ["AsceticEngine", "policy_for"]
 
 #: Replacement swaps contiguous *fragments* of chunks (Fig. 6), sized here
 #: in paper-scale bytes; chunk-scattered swaps would destroy vertex-level
@@ -31,12 +31,21 @@ __all__ = ["AsceticConfig", "AsceticEngine"]
 FRAGMENT_BYTES = 1024 * 1024
 
 
-@dataclass(frozen=True)
-class AsceticConfig:
-    """Tunables of the Ascetic engine (defaults follow the paper, §4.1).
+def policy_for(program: VertexProgram) -> str:
+    """§3.4's hotness policy: last-iteration counters for PR, cumulative ones
+    for the monotone programs (each edge region is read a bounded number of
+    times)."""
+    return "last" if program.name == "PR" else "cumulative"
 
-    Parameters
-    ----------
+
+class AsceticEngine(RegionEngine):
+    """The paper's engine: Static Region + On-demand Region + overlap.
+
+    Sizing follows Eq. 2 (or ``forced_ratio``) and the per-iteration
+    schedule is :func:`repro.core.manager.run_iteration`.  The keywords
+    beyond the base :class:`~repro.engines.base.Engine` set are the paper's
+    ablation switches (defaults follow §4.1):
+
     k:
         Expected active-edge fraction per iteration, Eq. 2's K (paper
         default 10 %).
@@ -54,54 +63,11 @@ class AsceticConfig:
         Overlap static compute with the on-demand chain (§3.2).  Disabling
         isolates Fig. 8's *Static savings*.
     replacement:
-        Run the §3.4 chunk-replacement server (see :meth:`policy_for`).
+        Run the §3.4 chunk-replacement server (see :func:`policy_for`).
     adaptive:
         Apply the §3.3 Eq. 3 repartition check each iteration.
     forced_ratio:
         Override Eq. 2 with a fixed static-region share (Fig. 10 sweep).
-    """
-
-    k: float = 0.10
-    fill: str = "front"
-    overlap: bool = True
-    replacement: bool = True
-    adaptive: bool = True
-    forced_ratio: Optional[float] = None
-
-    def with_(self, **kwargs) -> "AsceticConfig":
-        """A copy with some fields replaced (sweep convenience)."""
-        return replace(self, **kwargs)
-
-    def to_dict(self) -> dict:
-        """Plain JSON-able field mapping (cache keys, run specs)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AsceticConfig":
-        """Rebuild a config written by :meth:`to_dict`.
-
-        Unknown keys raise so a stale cache entry cannot silently drop a
-        tunable that this version no longer has.
-        """
-        known = {f.name for f in fields(cls)}
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unknown AsceticConfig fields: {sorted(extra)}")
-        return cls(**data)
-
-    @staticmethod
-    def policy_for(program: VertexProgram) -> str:
-        """§3.4: last-iteration counters for PR, cumulative ones for the
-        monotone programs (each edge region is read a bounded number of times)."""
-        return "last" if program.name == "PR" else "cumulative"
-
-
-class AsceticEngine(RegionEngine):
-    """The paper's engine: Static Region + On-demand Region + overlap.
-
-    Sizing follows Eq. 2 (or ``config.forced_ratio``), the per-iteration
-    schedule is :func:`repro.core.manager.run_iteration`, and every §4/§5
-    ablation switch lives on :class:`AsceticConfig`.
     """
 
     name = "Ascetic"
@@ -109,16 +75,28 @@ class AsceticEngine(RegionEngine):
     def __init__(
         self,
         spec: GPUSpec | None = None,
-        config: AsceticConfig | None = None,
         max_iterations: int | None = None,
         data_scale: float = 1.0,
         record_events: bool = False,
         fault_plan=None,
         seed: int = 0,
+        k: float = DEFAULT_K,
+        fill: str = "front",
+        overlap: bool = True,
+        replacement: bool = True,
+        adaptive: bool = True,
+        forced_ratio: Optional[float] = None,
     ) -> None:
         super().__init__(spec, max_iterations, data_scale, record_events,
                          fault_plan, seed)
-        self.config = config or AsceticConfig()
+        if fill not in FILLS:
+            raise ValueError(f"unknown fill policy {fill!r} ({'/'.join(FILLS)})")
+        self.k = k
+        self.fill = fill
+        self.overlap = overlap
+        self.replacement = replacement
+        self.adaptive = adaptive
+        self.forced_ratio = forced_ratio
 
     # ----------------------------------------------------------- resilience
     def _alloc_static_region(self, gpu: SimulatedGPU, want: int,
@@ -181,13 +159,12 @@ class AsceticEngine(RegionEngine):
 
     # ----------------------------------------------------------- lifecycle
     def _prepare(self, gpu: SimulatedGPU, graph: CSRGraph, program: VertexProgram) -> None:
-        cfg = self.config
         self._alloc_retry(gpu, "vertex_state", self._vertex_state_bytes(graph))
         gpu.h2d(self._vertex_state_bytes(graph), label="vertex-state")
         available = gpu.memory.available
-        ratio = cfg.forced_ratio
+        ratio = self.forced_ratio
         if ratio is None:
-            ratio = static_ratio(cfg.k, graph.edge_array_bytes, available)
+            ratio = static_ratio(self.k, graph.edge_array_bytes, available)
         # Chunk geometry scales with the data so the chunk *count* (and the
         # hotness table the replacement server manages) matches paper scale.
         chunk_bytes = self.scaled_bytes(DEFAULT_CHUNK_BYTES)
@@ -198,7 +175,7 @@ class AsceticEngine(RegionEngine):
         # Warm-start (serving): the cross-request analogue of the paper's
         # cross-iteration reuse.  The residency survives; capacity is
         # reconciled to this run's Eq. 2 target.
-        self._adopt_region(graph, chunk_bytes, static_bytes, cfg.fill,
+        self._adopt_region(graph, chunk_bytes, static_bytes, self.fill,
                            self._fragment_chunks)
         real_static = self._region.capacity_chunks * chunk_bytes
         self._static_alloc = self._alloc_static_region(gpu, real_static,
@@ -222,7 +199,7 @@ class AsceticEngine(RegionEngine):
         # pattern would mislead the §3.4 server.
         self._hotness = HotnessTable(
             self._region.n_chunks,
-            policy=cfg.policy_for(program),
+            policy=policy_for(program),
             seg_bounds=self._region.chunk_map.seg_bounds,
         )
         if self._warm_hit:
@@ -231,7 +208,7 @@ class AsceticEngine(RegionEngine):
             # degraded allocation) are re-transferred.
             self._warm_bytes = self._region.resident_bytes
             refill_chunks = 0
-            if cfg.fill != "lazy" and self._region.free_chunks > 0:
+            if self.fill != "lazy" and self._region.free_chunks > 0:
                 refill_chunks = self._region.top_up()
             self._refill_bytes = refill_chunks * chunk_bytes
             self._prefill_bytes = self._refill_bytes
@@ -262,13 +239,12 @@ class AsceticEngine(RegionEngine):
     def _iteration(
         self, gpu: SimulatedGPU, graph: CSRGraph, program: VertexProgram, state: ProgramState
     ) -> None:
-        cfg = self.config
         self._outcomes.append(run_iteration(
             gpu, graph, program, state, region=self._region,
             hotness=self._hotness, static_alloc=self._static_alloc,
-            ondemand_alloc=self._ondemand_alloc, overlap=cfg.overlap,
-            replacement=cfg.replacement, adaptive=cfg.adaptive,
-            lazy_fill=cfg.fill == "lazy", fragment_chunks=self._fragment_chunks))
+            ondemand_alloc=self._ondemand_alloc, overlap=self.overlap,
+            replacement=self.replacement, adaptive=self.adaptive,
+            lazy_fill=self.fill == "lazy", fragment_chunks=self._fragment_chunks))
 
     def _report_extra(self, result: RunResult, gpu: SimulatedGPU, graph: CSRGraph) -> None:
         # Byte quantities are reported at paper scale, like the metrics.

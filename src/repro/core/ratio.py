@@ -24,7 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["static_ratio", "region_bytes", "RepartitionDecision", "check_repartition"]
+__all__ = ["DEFAULT_K", "static_ratio", "region_bytes", "RepartitionDecision",
+           "check_repartition"]
+
+#: The paper's default K: 10 % of the edges active per iteration.
+DEFAULT_K = 0.10
 
 
 def static_ratio(k: float, dataset_bytes: int, memory_bytes: int,

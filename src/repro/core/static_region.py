@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.graph.csr import ChunkRuns, CSRGraph
 
-__all__ = ["StaticRegion", "DEFAULT_CHUNK_BYTES", "range_mark"]
+__all__ = ["StaticRegion", "DEFAULT_CHUNK_BYTES", "FILLS", "range_mark"]
 
 #: §3.4: 16 KB chunks.
 DEFAULT_CHUNK_BYTES = 16 * 1024
@@ -45,6 +45,10 @@ def range_mark(lo: np.ndarray, hi_next: np.ndarray, n_bins: int) -> np.ndarray:
     np.add.at(diff, lo, 1)
     np.add.at(diff, hi_next, -1)
     return diff
+
+
+#: The §5 fill policies.
+FILLS = ("front", "rear", "random", "lazy")
 
 
 class StaticRegion:
@@ -89,8 +93,8 @@ class StaticRegion:
         self._c_hi = cmap.c_hi
 
     def _fill(self, fill: str, seed: int) -> None:
-        if fill not in ("lazy", "front", "rear", "random"):
-            raise ValueError(f"unknown fill policy {fill!r} (lazy/front/rear/random)")
+        if fill not in FILLS:
+            raise ValueError(f"unknown fill policy {fill!r} ({'/'.join(FILLS)})")
         k = self.capacity_chunks
         if fill == "lazy":
             # Start empty; chunks are promoted from on-demand traffic as it

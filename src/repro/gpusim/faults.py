@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import asdict, dataclass, fields, replace
+from numbers import Integral
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -204,8 +205,15 @@ class FaultPlan:
             raise ValueError("kernel_abort_fraction must be in (0, 1]")
         if self.kernel_slowdown_factor < 1.0:
             raise ValueError("kernel_slowdown_factor must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
+        if (isinstance(self.max_retries, bool)
+                or not isinstance(self.max_retries, Integral)
+                or self.max_retries < 0):
+            raise ValueError("max_retries must be a non-negative integer, "
+                             f"got {self.max_retries!r}")
+        if isinstance(self.alloc_failures, str) or not all(
+                isinstance(n, str) for n in self.alloc_failures):
+            raise ValueError("alloc_failures must be a list of allocation "
+                             f"names, got {self.alloc_failures!r}")
         if self.backoff_base < 0 or self.backoff_factor < 1.0:
             raise ValueError("invalid backoff parameters")
         object.__setattr__(self, "degradations", tuple(
@@ -214,8 +222,7 @@ class FaultPlan:
         object.__setattr__(self, "squeezes", tuple(
             s if isinstance(s, CapacitySqueeze) else CapacitySqueeze(**s)
             for s in self.squeezes))
-        object.__setattr__(self, "alloc_failures",
-                           tuple(str(n) for n in self.alloc_failures))
+        object.__setattr__(self, "alloc_failures", tuple(self.alloc_failures))
         object.__setattr__(self, "device_faults", tuple(
             f if isinstance(f, DeviceFault) else DeviceFault(**f)
             for f in self.device_faults))

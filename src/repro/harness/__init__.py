@@ -23,7 +23,6 @@ from repro.harness.experiments import (
     workload_for_spec,
     run_workload,
     run_cell,
-    run_all_engines,
     clear_dataset_cache,
 )
 from repro.harness.persistence import (
@@ -48,7 +47,6 @@ __all__ = [
     "workload_for_spec",
     "run_workload",
     "run_cell",
-    "run_all_engines",
     "clear_dataset_cache",
     "RatioPoint",
     "sweep_static_ratio",

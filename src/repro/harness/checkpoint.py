@@ -41,15 +41,18 @@ __all__ = ["IterationCheckpoint", "ShardCheckpoint", "CheckpointStore",
 #: ``SimEvent`` (a version-2 blob of a recording run would unpickle a log
 #: whose next emit calls ``list.add``).
 #: 4: the clock's span log is gone from engines, ``SimulatedGPU`` and
-#: ``VirtualClock``, and ``AsceticConfig`` lost five fields (a version-3
+#: ``VirtualClock``, and Ascetic's config object lost five fields (a version-3
 #: blob would restore all of them as dead attributes).
-#: 5: ``AsceticConfig`` lost ``chunk_bytes``, ``SimulatedGPU`` gained a base
+#: 5: Ascetic's config lost ``chunk_bytes``, ``SimulatedGPU`` gained a base
 #: class, and a Sharded engine's blob now carries its fleet (a version-4
 #: blob would restore a dead config attribute).
 #: 6: ``IterationCheckpoint`` lost ``values`` and the blob its program state:
 #: engines replay the program trace (a version-5 blob pickles a full program
 #: state beside the records, which ``_restore`` no longer reads).
-CHECKPOINT_VERSION = 6
+#: 7: ``AsceticEngine`` holds its six switches (``k``, ``fill``, ...) as
+#: attributes instead of a ``config`` object (a version-6 blob would restore
+#: a dead ``config`` attribute and none of the switches).
+CHECKPOINT_VERSION = 7
 
 
 @dataclass(frozen=True)

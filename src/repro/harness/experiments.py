@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Dict
+from typing import TYPE_CHECKING, Callable
 
 from repro.algorithms import make_program
 from repro.algorithms.base import VertexProgram
@@ -41,7 +41,6 @@ __all__ = [
     "workload_for_spec",
     "run_workload",
     "run_cell",
-    "run_all_engines",
     "clear_dataset_cache",
 ]
 
@@ -236,7 +235,3 @@ def run_cell(spec: "RunSpec", *, checkpoint_dir: str | None = None) -> RunResult
                         checkpoint=store, checkpoint_key=spec.cache_key(),
                         **kwargs)
 
-
-def run_all_engines(workload: Workload) -> Dict[str, RunResult]:
-    """Run every registered engine on one workload (Tables 4/5 cells)."""
-    return {name: run_workload(workload, name) for name in registry.available()}

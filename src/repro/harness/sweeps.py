@@ -15,11 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.core.ascetic import AsceticConfig
-from repro.core.ratio import static_ratio
+from repro.core.ratio import DEFAULT_K, static_ratio
 from repro.engines.base import RunResult
-from repro.graph.datasets import DATASETS, rmat_dataset
-from repro.gpusim.device import GPUSpec
+from repro.graph.datasets import rmat_dataset
 from repro.harness.experiments import Workload, make_workload, run_workload
 
 __all__ = [
@@ -58,63 +56,49 @@ def _ratio_point(ratio: float, res: RunResult) -> RatioPoint:
 def sweep_static_ratio(
     workload: Workload,
     ratios: Sequence[float],
-    config: AsceticConfig | None = None,
     jobs: int = 1,
     cache=None,
 ) -> tuple[List[RatioPoint], float, float]:
     """Fig. 10: run Ascetic at each forced Static Region ratio.
 
     Returns (points, subway_seconds, eq2_ratio) — the horizontal Subway
-    line and the vertical Eq. 2 marker of the paper's plots.
-
-    With ``jobs > 1`` the ratio points (and the Subway baseline) fan out
-    through :func:`repro.runner.run_grid` — results are bit-identical to
-    the serial path.  Parallel execution requires a workload built by
-    :func:`~repro.harness.experiments.make_workload` on a named dataset;
-    custom-dataset workloads fall back to serial.
+    line and the vertical Eq. 2 marker (at the default K) of the paper's
+    plots.  The ratio points and the Subway baseline are one
+    :func:`repro.runner.run_grid` batch of ``jobs`` workers, so
+    ``workload`` must come from
+    :func:`~repro.harness.experiments.make_workload` on a named dataset.
     """
-    cfg = config or AsceticConfig()
+    from repro.runner import RunSpec, run_grid
+
+    common = dict(
+        dataset=workload.dataset.abbr,
+        algorithm=workload.algorithm,
+        scale=workload.scale,
+        memory_bytes=workload.spec.memory_bytes,
+    )
     # Fig. 10 isolates the ratio: adaptive repartitioning would move the
     # forced ratio mid-run, so it is pinned off for every point.
-    ratio_cfgs = [cfg.with_(forced_ratio=float(r), adaptive=False) for r in ratios]
-    if jobs > 1 and workload.dataset.abbr in DATASETS:
-        from repro.runner import RunSpec, run_grid
-
-        common = dict(
-            dataset=workload.dataset.abbr,
-            algorithm=workload.algorithm,
-            scale=workload.scale,
-            memory_bytes=workload.spec.memory_bytes,
+    specs = [
+        RunSpec(engine="Ascetic", **common,
+                engine_opts={"forced_ratio": float(r), "adaptive": False})
+        for r in ratios
+    ]
+    specs.append(RunSpec(engine="Subway", **common))
+    report = run_grid(specs, jobs=jobs, cache=cache)
+    failed = [c for c in report.cells if not c.ok]
+    if failed:
+        raise RuntimeError(
+            "ratio sweep cells failed: "
+            + "; ".join(f"{c.spec.label()}: {c.error}" for c in failed)
         )
-        specs = [
-            RunSpec(engine="Ascetic", engine_opts={"config": c}, **common)
-            for c in ratio_cfgs
-        ]
-        specs.append(RunSpec(engine="Subway", **common))
-        report = run_grid(specs, jobs=jobs, cache=cache)
-        failed = [c for c in report.cells if not c.ok]
-        if failed:
-            raise RuntimeError(
-                "ratio sweep cells failed: "
-                + "; ".join(f"{c.spec.label()}: {c.error}" for c in failed)
-            )
-        points = [
-            _ratio_point(r, c.result) for r, c in zip(ratios, report.cells)
-        ]
-        subway_seconds = report.cells[-1].result.elapsed_seconds
-    else:
-        points = [
-            _ratio_point(r, run_workload(workload, "Ascetic", config=c))
-            for r, c in zip(ratios, ratio_cfgs)
-        ]
-        subway_seconds = run_workload(workload, "Subway").elapsed_seconds
+    points = [_ratio_point(r, c.result) for r, c in zip(ratios, report.cells)]
     vertex_state = workload.graph.vertex_state_bytes
     eq2 = static_ratio(
-        cfg.k,
+        DEFAULT_K,
         workload.graph.edge_array_bytes,
         max(workload.spec.memory_bytes - vertex_state, 1),
     )
-    return points, subway_seconds, eq2
+    return points, report.cells[-1].result.elapsed_seconds, eq2
 
 
 @dataclass(frozen=True)

@@ -2,61 +2,67 @@
 
 A *cell* is one (dataset, algorithm, engine) point of the paper's grid,
 plus everything that determines its outcome: the dataset down-scale, an
-optional device-capacity override, and engine-specific options (e.g.
-Ascetic's :class:`~repro.core.ascetic.AsceticConfig`).  Because engine runs
-are deterministic functions of these inputs, a ``RunSpec`` is also a cache
-key: :meth:`RunSpec.cache_key` is a stable content hash that the
-:mod:`repro.runner.cache` uses to replay unchanged cells across sessions.
+optional device-capacity override, and engine-specific options (the
+engine's constructor keywords, e.g. Ascetic's ``forced_ratio``).  Because
+engine runs are deterministic functions of these inputs, a ``RunSpec`` is
+also a cache key: :meth:`RunSpec.cache_key` is a stable content hash that
+the :mod:`repro.runner.cache` uses to replay unchanged cells across
+sessions.
 
 ``RunSpec`` is frozen and hashable; option values must themselves be
-hashable and serializable (JSON scalars or ``AsceticConfig``).
+hashable and serializable (JSON scalars, ``FaultPlan`` or ``FabricSpec``).
+A malformed spec — from a constructor, a cache file or CLI JSON — raises
+``ValueError`` naming the offending key.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from repro.core.ascetic import AsceticConfig
 from repro.gpusim.fabric import FabricSpec
 from repro.gpusim.faults import FaultPlan
 
 __all__ = ["RunSpec"]
 
-#: Option values a spec can carry: JSON scalars plus engine config objects.
-OptValue = Union[str, int, float, bool, None, AsceticConfig, FaultPlan,
-                 FabricSpec]
+#: Option values a spec can carry: JSON scalars plus the tagged types.
+OptValue = Union[str, int, float, bool, None, FaultPlan, FabricSpec]
+
+#: The option types that serialize under a ``__kind__`` tag.
+_TAGGED = {cls.__name__: cls for cls in (FaultPlan, FabricSpec)}
+
+#: The fields a serialized spec must carry.
+_REQUIRED = ("dataset", "algorithm", "engine")
 
 
 def _encode_opt(value: OptValue) -> Any:
     """One engine option → a JSON-able value (configs get a type tag)."""
-    if isinstance(value, AsceticConfig):
-        return {"__kind__": "AsceticConfig", "fields": value.to_dict()}
-    if isinstance(value, FaultPlan):
-        return {"__kind__": "FaultPlan", "fields": value.to_dict()}
-    if isinstance(value, FabricSpec):
-        return {"__kind__": "FabricSpec", "fields": value.to_dict()}
+    if isinstance(value, tuple(_TAGGED.values())):
+        return {"__kind__": type(value).__name__, "fields": value.to_dict()}
     if value is None or isinstance(value, (str, int, float, bool)):
         return value
     raise TypeError(
         f"engine option {value!r} is not serializable; use JSON scalars, "
-        "AsceticConfig, FaultPlan, or FabricSpec"
+        "FaultPlan, or FabricSpec"
     )
 
 
 def _decode_opt(value: Any) -> OptValue:
     """Inverse of :func:`_encode_opt`."""
     if isinstance(value, dict):
-        if value.get("__kind__") == "AsceticConfig":
-            return AsceticConfig.from_dict(value["fields"])
-        if value.get("__kind__") == "FaultPlan":
-            return FaultPlan.from_dict(value["fields"])
-        if value.get("__kind__") == "FabricSpec":
-            return FabricSpec.from_dict(value["fields"])
-        raise ValueError(f"unknown tagged engine option {value!r}")
+        kind = _TAGGED.get(value.get("__kind__"))
+        if kind is None:
+            raise ValueError(f"unknown tagged engine option {value!r}")
+        return kind.from_dict(value["fields"])
     return value
+
+
+def _is_int(value: Any) -> bool:
+    """An integer that is not a bool (``True`` is an ``int`` in Python)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -78,8 +84,8 @@ class RunSpec:
     memory_bytes:
         Optional (scaled) device-capacity override.
     engine_opts:
-        Extra keyword options for the engine factory, e.g.
-        ``{"config": AsceticConfig(...)}``.  Accepted as a mapping;
+        Extra keyword options for the engine's constructor, e.g.
+        ``{"forced_ratio": 0.5, "adaptive": False}``.  Accepted as a mapping;
         stored as a sorted tuple of pairs so the spec stays hashable.
     seed:
         Run seed feeding the chaos-mode fault injector (inert without a
@@ -100,12 +106,25 @@ class RunSpec:
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
+        for name in _REQUIRED:
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"RunSpec {name} must be a string, "
+                                 f"got {getattr(self, name)!r}")
         object.__setattr__(self, "algorithm", self.algorithm.upper())
         if self.scale is None:
             from repro.harness.experiments import BENCH_SCALE
 
             object.__setattr__(self, "scale", BENCH_SCALE)
+        if (isinstance(self.scale, bool) or not isinstance(self.scale, Real)
+                or not 0.0 < self.scale <= 1.0):
+            raise ValueError(f"RunSpec scale must be in (0, 1], got {self.scale!r}")
         object.__setattr__(self, "scale", float(self.scale))
+        if self.memory_bytes is not None and not (
+                _is_int(self.memory_bytes) and self.memory_bytes > 0):
+            raise ValueError("RunSpec memory_bytes must be a positive integer "
+                             f"or None, got {self.memory_bytes!r}")
+        if not _is_int(self.seed):
+            raise ValueError(f"RunSpec seed must be an integer, got {self.seed!r}")
         opts = self.engine_opts
         if isinstance(opts, Mapping):
             opts = tuple(sorted(opts.items()))
@@ -157,7 +176,15 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
-        """Rebuild a spec written by :meth:`to_dict`."""
+        """Rebuild a spec written by :meth:`to_dict` (a missing or unknown
+        key raises ``ValueError`` naming it)."""
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(set(data) - set(names))
+        if unknown:
+            raise ValueError(f"unknown RunSpec key(s): {', '.join(unknown)}")
+        missing = [name for name in _REQUIRED if name not in data]
+        if missing:
+            raise ValueError(f"RunSpec key(s) missing: {', '.join(missing)}")
         plan = data.get("fault_plan")
         return cls(
             dataset=data["dataset"],

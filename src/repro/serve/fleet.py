@@ -292,9 +292,7 @@ def run_fleet_test(config: FleetConfig,
     queue = AdmissionQueue(serve.queue_capacity, serve.queue_policy)
     scheduler = make_scheduler(serve.scheduler, serve.max_batch,
                                serve.aging_seconds)
-    warm_capable = registry.describe(serve.engine).supports_warm_start
-    pools = [EnginePool(serve.max_engines, keep_static=warm_capable)
-             for _ in range(n_devices)]
+    pools = [EnginePool(serve.max_engines) for _ in range(n_devices)]
     router = Router(config.fabric, config.shard_over)
     responses: Dict[int, Response] = {}
     run_results: List[RunResult] = []

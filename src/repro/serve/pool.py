@@ -8,10 +8,11 @@ fleet can afford to keep resident).
 
 A pool *hit* re-arms the cached engine with
 :meth:`~repro.engines.base.Engine.reset_for_request` ``(keep_static=True)``
-— for :class:`~repro.core.ascetic.AsceticEngine` that hands the previous
-run's Static Region to the next ``run``, which skips the fill phase
-(``static_warm_bytes``) and tops up only what a capacity squeeze or
-repartition dropped (``static_refill_bytes``).  :meth:`EnginePool.fold_result`
+— for a :class:`~repro.core.manager.RegionEngine` (Ascetic, Hybrid) that
+hands the previous run's Static Region to the next ``run``, which skips
+the fill phase (``static_warm_bytes``) and tops up only what a capacity
+squeeze or repartition dropped (``static_refill_bytes``); every other
+engine keeps nothing across the re-arm.  :meth:`EnginePool.fold_result`
 folds those per-run counters into :class:`PoolStats`, which is how the
 acceptance test *proves* fills were skipped rather than inferring it from
 latency.
@@ -75,15 +76,10 @@ class PoolStats:
 class EnginePool:
     """LRU-bounded map of affinity key → reusable engine instance."""
 
-    def __init__(self, max_engines: int = 4, keep_static: bool = True) -> None:
+    def __init__(self, max_engines: int = 4) -> None:
         if max_engines < 1:
             raise ValueError("max_engines must be >= 1")
         self.max_engines = int(max_engines)
-        #: Whether pool hits re-arm the engine's warm-start path.  The
-        #: serving layer sets this from the engine's registered
-        #: :attr:`~repro.engines.registry.EngineInfo.supports_warm_start`,
-        #: so engines without cross-request state skip the no-op re-arm.
-        self.keep_static = bool(keep_static)
         self._engines: "OrderedDict[Hashable, Engine]" = OrderedDict()
         self.stats = PoolStats()
 
@@ -103,7 +99,7 @@ class EnginePool:
         engine = self._engines.get(key)
         if engine is not None:
             self._engines.move_to_end(key)
-            engine.reset_for_request(keep_static=self.keep_static)
+            engine.reset_for_request(keep_static=True)
             self.stats.hits += 1
             return engine, True
         while len(self._engines) >= self.max_engines:

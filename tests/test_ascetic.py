@@ -5,7 +5,7 @@ import pytest
 
 from repro.algorithms import make_program
 from repro.algorithms.validate import reference_bfs_levels
-from repro.core.ascetic import AsceticConfig, AsceticEngine
+from repro.core.ascetic import AsceticEngine, policy_for
 from repro.core.static_region import DEFAULT_CHUNK_BYTES
 from repro.engines.subway import SubwayEngine
 from repro.graph.properties import best_source
@@ -19,21 +19,16 @@ def bfs_for(graph):
 
 class TestConfig:
     def test_defaults_match_paper(self):
-        cfg = AsceticConfig()
-        assert cfg.k == 0.10  # §3.3 default K
-        assert DEFAULT_CHUNK_BYTES == 16 * 1024  # §3.4; a constant, not a field
-        assert cfg.overlap and cfg.replacement and cfg.adaptive
-
-    def test_with_replaces_fields(self):
-        cfg = AsceticConfig().with_(overlap=False, k=0.2)
-        assert not cfg.overlap and cfg.k == 0.2
-        assert AsceticConfig().overlap  # original untouched
+        eng = AsceticEngine()
+        assert eng.k == 0.10  # §3.3 default K
+        assert DEFAULT_CHUNK_BYTES == 16 * 1024  # §3.4; a constant, not a switch
+        assert eng.fill == "front" and eng.forced_ratio is None
+        assert eng.overlap and eng.replacement and eng.adaptive
 
     def test_policy_auto_selection(self):
-        cfg = AsceticConfig()
-        assert cfg.policy_for(make_program("PR")) == "last"
-        assert cfg.policy_for(make_program("BFS")) == "cumulative"
-        assert cfg.policy_for(make_program("CC")) == "cumulative"
+        assert policy_for(make_program("PR")) == "last"
+        assert policy_for(make_program("BFS")) == "cumulative"
+        assert policy_for(make_program("CC")) == "cumulative"
 
 
 class TestCorrectness:
@@ -41,7 +36,7 @@ class TestCorrectness:
     def test_values_correct_any_fill(self, fill, small_social):
         spec = make_spec_for(small_social)
         eng = AsceticEngine(
-            spec=spec, data_scale=TEST_SCALE, config=AsceticConfig(fill=fill)
+            spec=spec, data_scale=TEST_SCALE, fill=fill
         )
         res = eng.run(small_social, bfs_for(small_social))
         ref = reference_bfs_levels(small_social, best_source(small_social))
@@ -51,8 +46,8 @@ class TestCorrectness:
     @pytest.mark.parametrize("adaptive", [True, False])
     def test_values_correct_any_schedule(self, overlap, adaptive, small_social):
         spec = make_spec_for(small_social)
-        cfg = AsceticConfig(overlap=overlap, adaptive=adaptive)
-        res = AsceticEngine(spec=spec, data_scale=TEST_SCALE, config=cfg).run(
+        cfg = dict(overlap=overlap, adaptive=adaptive)
+        res = AsceticEngine(spec=spec, data_scale=TEST_SCALE, **cfg).run(
             small_social, make_program("CC")
         )
         from repro.algorithms.validate import reference_cc_labels
@@ -90,7 +85,7 @@ class TestRegionAccounting:
     def test_eager_prefill_counted_and_separated(self, small_social):
         spec = make_spec_for(small_social)
         res = AsceticEngine(
-            spec=spec, data_scale=TEST_SCALE, config=AsceticConfig(fill="front")
+            spec=spec, data_scale=TEST_SCALE, fill="front"
         ).run(small_social, bfs_for(small_social))
         assert res.extra["static_prefill_bytes"] > 0
         assert res.processing_bytes_h2d < res.metrics.bytes_h2d
@@ -98,7 +93,7 @@ class TestRegionAccounting:
     def test_lazy_fill_no_prefill(self, small_social):
         spec = make_spec_for(small_social)
         res = AsceticEngine(
-            spec=spec, data_scale=TEST_SCALE, config=AsceticConfig(fill="lazy")
+            spec=spec, data_scale=TEST_SCALE, fill="lazy"
         ).run(small_social, bfs_for(small_social))
         assert res.extra["static_prefill_bytes"] == 0
 
@@ -115,8 +110,8 @@ class TestRegionAccounting:
 
     def test_forced_ratio_respected(self, small_social):
         spec = make_spec_for(small_social)
-        cfg = AsceticConfig(forced_ratio=0.5, adaptive=False)
-        eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, config=cfg)
+        cfg = dict(forced_ratio=0.5, adaptive=False)
+        eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, **cfg)
         res = eng.run(small_social, bfs_for(small_social))
         assert res.extra["static_ratio"] == 0.5
         avail = spec.memory_bytes - small_social.vertex_state_bytes
@@ -148,12 +143,11 @@ class TestOptimizations:
 
     def test_overlap_helps(self, small_social):
         spec = make_spec_for(small_social)
-        base = AsceticConfig()
         t_seq = AsceticEngine(
-            spec=spec, data_scale=TEST_SCALE, config=base.with_(overlap=False)
+            spec=spec, data_scale=TEST_SCALE, overlap=False
         ).run(small_social, make_program("CC")).elapsed_seconds
         t_ovl = AsceticEngine(
-            spec=spec, data_scale=TEST_SCALE, config=base.with_(overlap=True)
+            spec=spec, data_scale=TEST_SCALE, overlap=True
         ).run(small_social, make_program("CC")).elapsed_seconds
         assert t_ovl < t_seq
 
@@ -184,7 +178,7 @@ class TestOptimizations:
         res = AsceticEngine(
             spec=spec,
             data_scale=TEST_SCALE,
-            config=AsceticConfig(fill="front", replacement=True),
+            fill="front", replacement=True,
         ).run(small_social, make_program("PR", tol=1e-2))
         assert res.extra["swap_bytes"] < 0.25 * res.metrics.bytes_h2d
 
@@ -194,7 +188,7 @@ class TestOptimizations:
         times = {}
         for fill in ("front", "rear", "random"):
             times[fill] = AsceticEngine(
-                spec=spec, data_scale=TEST_SCALE, config=AsceticConfig(fill=fill)
+                spec=spec, data_scale=TEST_SCALE, fill=fill
             ).run(small_social, make_program("PR", tol=1e-2)).elapsed_seconds
         spread = (max(times.values()) - min(times.values())) / min(times.values())
         assert spread < 0.15

@@ -150,12 +150,13 @@ class TestStore:
         with ``chunk_bytes`` and a ``SimulatedGPU`` pickled without its base
         class; a version-5 one a checkpoint with ``values`` and a blob with
         the full program state, from before engines replayed the program
-        trace.  All must be refused at load, and the recorded cell then runs
+        trace; a version-6 one an Ascetic engine holding its switches in a
+        ``config`` object.  All must be refused at load, and the recorded cell then runs
         from iteration 0 to the same log an undisturbed run retains."""
         w = make_workload("GS", "BFS", scale=SCALE)
         clean = run_workload(w, "Ascetic", record_events=True)
         store = CheckpointStore(str(tmp_path))
-        for version in (2, 3, 4, 5):
+        for version in (2, 3, 4, 5, 6):
             stale = IterationCheckpoint(
                 engine="Ascetic", algorithm="BFS", graph_name=w.graph.name,
                 iteration=2, active=np.zeros(w.graph.n_vertices, dtype=bool),

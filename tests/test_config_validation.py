@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.ascetic import AsceticConfig, AsceticEngine
+from repro.core.ascetic import AsceticEngine
 from repro.core.static_region import StaticRegion
 from repro.engines.partition_based import PartitionEngine
 from repro.engines.subway import SubwayEngine
@@ -13,23 +13,16 @@ from conftest import TEST_SCALE, make_spec_for
 
 
 class TestAsceticConfig:
-    def test_bad_fill_rejected_at_prepare(self, small_social):
-        from repro.algorithms import make_program
-
-        spec = make_spec_for(small_social)
-        eng = AsceticEngine(
-            spec=spec, data_scale=TEST_SCALE, config=AsceticConfig(fill="middle")
-        )
-        with pytest.raises(ValueError):
-            eng.run(small_social, make_program("CC"))
+    def test_bad_fill_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="middle"):
+            AsceticEngine(fill="middle")
 
     def test_forced_ratio_out_of_range(self, small_social):
         from repro.algorithms import make_program
 
         spec = make_spec_for(small_social)
         eng = AsceticEngine(
-            spec=spec, data_scale=TEST_SCALE,
-            config=AsceticConfig(forced_ratio=1.5),
+            spec=spec, data_scale=TEST_SCALE, forced_ratio=1.5,
         )
         with pytest.raises(ValueError):
             eng.run(small_social, make_program("CC"))
@@ -39,14 +32,14 @@ class TestAsceticConfig:
 
         spec = make_spec_for(small_social)
         eng = AsceticEngine(
-            spec=spec, data_scale=TEST_SCALE, config=AsceticConfig(k=1.0)
+            spec=spec, data_scale=TEST_SCALE, k=1.0
         )
         with pytest.raises(ValueError):
             eng.run(small_social, make_program("CC"))
 
-    def test_with_rejects_unknown_field(self):
+    def test_unknown_switch_rejected(self):
         with pytest.raises(TypeError):
-            AsceticConfig().with_(bogus=1)
+            AsceticEngine(bogus=1)
 
 
 class TestEngineArguments:

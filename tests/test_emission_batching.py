@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.algorithms import make_program
-from repro.core.ascetic import AsceticConfig, AsceticEngine
+from repro.core.ascetic import AsceticEngine
 from repro.engines.hybrid import HybridEngine
 from repro.engines.sharded import ShardedEngine
 from repro.gpusim.events import COUNTER_FIELDS, EventLog
@@ -183,10 +183,10 @@ class TestLeanEqualsRecorded:
                                            source=best_source(small_social))
         else:
             program = lambda: make_program("PR", tol=1e-2)
-        cfg = AsceticConfig(fill="front", replacement=True)
+        cfg = dict(fill="front", replacement=True)
 
         def run(record_events):
-            eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, config=cfg,
+            eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, **cfg,
                                 record_events=record_events)
             return eng.run(small_social, program())
 
@@ -195,10 +195,10 @@ class TestLeanEqualsRecorded:
     def test_ascetic_many_rounds(self, small_web):
         """A squeezed on-demand region drives the batched round scheduler."""
         spec = make_spec_for(small_web, edge_fraction=0.15)
-        cfg = AsceticConfig(forced_ratio=0.9, adaptive=False)
+        cfg = dict(forced_ratio=0.9, adaptive=False)
 
         def run(record_events):
-            eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, config=cfg,
+            eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, **cfg,
                                 record_events=record_events)
             return eng.run(small_web, make_program("CC"))
 

@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.core.ascetic import AsceticConfig
 from repro.engines import registry
 from repro.harness.experiments import (
     clear_dataset_cache,
     make_workload,
-    run_all_engines,
     run_cell,
     run_workload,
 )
@@ -56,14 +54,13 @@ class TestWorkloads:
 class TestRunCell:
     def test_all_engines_complete(self):
         w = make_workload("FK", "BFS", scale=SCALE)
-        results = run_all_engines(w)
-        assert set(results) == set(registry.available())
+        results = {name: run_workload(w, name) for name in registry.available()}
         for res in results.values():
             assert res.elapsed_seconds > 0
 
     def test_engine_kwargs_forwarded(self):
         w = make_workload("FK", "BFS", scale=SCALE)
-        res = run_workload(w, "Ascetic", config=AsceticConfig(overlap=False))
+        res = run_workload(w, "Ascetic", overlap=False)
         assert res.engine == "Ascetic"
 
     def test_run_cell_accepts_runspec(self):

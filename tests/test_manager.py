@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_program
-from repro.core.ascetic import AsceticConfig, AsceticEngine
+from repro.core.ascetic import AsceticEngine
 from repro.graph.generators import social_graph
 from repro.graph.properties import best_source
 from repro.gpusim.rounds import ROUND_LOOP_LIMIT, stream_rounds
@@ -21,7 +21,7 @@ def graph():
 
 def run(graph, cfg, edge_fraction=0.4, algo="CC", record_events=False):
     spec = make_spec_for(graph, edge_fraction=edge_fraction)
-    eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, config=cfg,
+    eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, **cfg,
                         record_events=record_events)
     kwargs = {"source": best_source(graph)} if algo in ("BFS", "SSSP") else {}
     res = eng.run(graph, make_program(algo, **kwargs))
@@ -30,19 +30,19 @@ def run(graph, cfg, edge_fraction=0.4, algo="CC", record_events=False):
 
 class TestOverlap:
     def test_overlapped_not_slower(self, graph):
-        _, seq = run(graph, AsceticConfig(overlap=False))
-        _, ovl = run(graph, AsceticConfig(overlap=True))
+        _, seq = run(graph, dict(overlap=False))
+        _, ovl = run(graph, dict(overlap=True))
         assert ovl.elapsed_seconds <= seq.elapsed_seconds
 
     def test_same_bytes_either_way(self, graph):
         """Overlap changes *when*, never *what* moves."""
-        _, seq = run(graph, AsceticConfig(overlap=False, replacement=False))
-        _, ovl = run(graph, AsceticConfig(overlap=True, replacement=False))
+        _, seq = run(graph, dict(overlap=False, replacement=False))
+        _, ovl = run(graph, dict(overlap=True, replacement=False))
         assert seq.metrics.bytes_h2d == ovl.metrics.bytes_h2d
 
     def test_overlap_hides_gather_behind_static_compute(self, graph):
         """With overlap, elapsed < sum of all phase components."""
-        _, ovl = run(graph, AsceticConfig(overlap=True, replacement=False))
+        _, ovl = run(graph, dict(overlap=True, replacement=False))
         ph = ovl.metrics.phase_seconds
         component_sum = sum(
             ph.get(k, 0.0) for k in ("Tsr", "Tfilling", "Ttransfer", "Tondemand")
@@ -51,7 +51,7 @@ class TestOverlap:
 
     def test_concurrent_lanes_in_timeline(self, graph):
         """Somewhere, a gpu span and a cpu span overlap in time."""
-        _, res = run(graph, AsceticConfig(overlap=True), record_events=True)
+        _, res = run(graph, dict(overlap=True), record_events=True)
         assert lane_overlap(res, "gpu", "cpu") > 0
 
 
@@ -64,22 +64,22 @@ class TestAdaptiveRepartition:
 
         wg = web_graph(2000, 24000, seed=5)
         spec = make_spec_for(wg, edge_fraction=0.5)
-        cfg = AsceticConfig(fill="rear", forced_ratio=0.98, adaptive=True)
-        eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, config=cfg)
+        cfg = dict(fill="rear", forced_ratio=0.98, adaptive=True)
+        eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, **cfg)
         res = eng.run(wg, make_program("BFS", source=0))
         assert res.extra["repartitions"] >= 1
 
     def test_disabled_never_repartitions(self, graph):
         spec = make_spec_for(graph, edge_fraction=0.5)
-        cfg = AsceticConfig(fill="rear", forced_ratio=0.98, adaptive=False)
-        eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, config=cfg)
+        cfg = dict(fill="rear", forced_ratio=0.98, adaptive=False)
+        eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, **cfg)
         res = eng.run(graph, make_program("CC"))
         assert res.extra["repartitions"] == 0
 
     def test_repartition_returns_memory_to_ondemand(self, graph):
         spec = make_spec_for(graph, edge_fraction=0.5)
-        cfg = AsceticConfig(fill="rear", forced_ratio=0.98, adaptive=True)
-        eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, config=cfg)
+        cfg = dict(fill="rear", forced_ratio=0.98, adaptive=True)
+        eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, **cfg)
         eng.run(graph, make_program("CC"))
         if any(o.repartitioned for o in eng._outcomes):
             avail = spec.memory_bytes - graph.vertex_state_bytes
@@ -88,8 +88,8 @@ class TestAdaptiveRepartition:
     def test_lazy_warmup_protected(self, graph):
         """Adaptive check must not shrink an (empty) lazily-filled region."""
         spec = make_spec_for(graph, edge_fraction=0.5)
-        cfg = AsceticConfig(fill="lazy", adaptive=True)
-        eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, config=cfg)
+        cfg = dict(fill="lazy", adaptive=True)
+        eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, **cfg)
         res = eng.run(graph, make_program("CC"))
         assert eng._region.capacity_chunks > 0
         assert sum(o.promoted_chunks for o in eng._outcomes) > 0
@@ -101,8 +101,8 @@ class TestStreamingAggregate:
         aggregate path must charge them without looping and remain worse
         than a healthy configuration (the Fig. 10 right-edge collapse)."""
         spec = make_spec_for(graph, edge_fraction=0.5)
-        collapse = AsceticConfig(forced_ratio=1.0, adaptive=False, replacement=False)
-        healthy = AsceticConfig(forced_ratio=0.9, adaptive=False, replacement=False)
+        collapse = dict(forced_ratio=1.0, adaptive=False, replacement=False)
+        healthy = dict(forced_ratio=0.9, adaptive=False, replacement=False)
         _, bad = run(graph, collapse, edge_fraction=0.5)
         _, good = run(graph, healthy, edge_fraction=0.5)
         assert bad.elapsed_seconds > good.elapsed_seconds
@@ -113,8 +113,8 @@ class TestStreamingAggregate:
         """Bytes and edges charged by the aggregate path equal the looped
         path's for the same plan volumes (phases may differ in timing)."""
         spec = make_spec_for(graph, edge_fraction=0.5)
-        cfg = AsceticConfig(forced_ratio=1.0, adaptive=False, replacement=False)
-        eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, config=cfg)
+        cfg = dict(forced_ratio=1.0, adaptive=False, replacement=False)
+        eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, **cfg)
         res = eng.run(graph, make_program("BFS", source=best_source(graph)))
         m = res.metrics
         assert m.edges_processed > 0
@@ -189,9 +189,8 @@ class TestSwapCausality:
         """Every swap pair in a full engine run obeys the same ordering."""
         spec = make_spec_for(graph, edge_fraction=0.4)
         eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE,
-                            record_events=True,
-                            config=AsceticConfig(fill="front",
-                                                 replacement=True))
+                            record_events=True, fill="front",
+                            replacement=True)
         res = eng.run(graph, make_program("PR", tol=1e-2))
         last_gather_end = None
         for e in res.event_log.events:
@@ -204,26 +203,24 @@ class TestSwapCausality:
     def test_swap_scheduling_never_changes_values(self, graph):
         """The fixed swap path is pure scheduling: results stay
         bit-identical with replacement on or off."""
-        _, with_swaps = run(graph, AsceticConfig(fill="front",
-                                                 replacement=True))
-        _, without = run(graph, AsceticConfig(fill="front",
-                                              replacement=False))
+        _, with_swaps = run(graph, dict(fill="front", replacement=True))
+        _, without = run(graph, dict(fill="front", replacement=False))
         assert np.array_equal(with_swaps.values, without.values)
 
 
 class TestReplacementScheduling:
     def test_swaps_happen_for_pr_front_fill(self, graph):
         spec = make_spec_for(graph, edge_fraction=0.4)
-        cfg = AsceticConfig(fill="front", replacement=True)
-        eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, config=cfg)
+        cfg = dict(fill="front", replacement=True)
+        eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, **cfg)
         res = eng.run(graph, make_program("PR", tol=1e-2))
         # Replacement is allowed but bounded by the on-demand window.
         assert res.extra["swap_bytes"] >= 0
 
     def test_disabled_replacement_moves_nothing(self, graph):
         spec = make_spec_for(graph, edge_fraction=0.4)
-        cfg = AsceticConfig(fill="front", replacement=False)
-        eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, config=cfg)
+        cfg = dict(fill="front", replacement=False)
+        eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE, **cfg)
         res = eng.run(graph, make_program("PR", tol=1e-2))
         assert res.extra["swap_bytes"] == 0
 
@@ -270,9 +267,8 @@ class TestPhaseAttribution:
         """The same invariant over a whole swap-active engine run."""
         spec = make_spec_for(graph, edge_fraction=0.4)
         eng = AsceticEngine(spec=spec, data_scale=TEST_SCALE,
-                            record_events=True,
-                            config=AsceticConfig(fill="front",
-                                                 replacement=True))
+                            record_events=True, fill="front",
+                            replacement=True)
         res = eng.run(graph, make_program("PR", tol=1e-2))
         assert self._orphans(res.event_log.events) == []
 

@@ -124,7 +124,6 @@ def test_top_level_surface_pinned():
         "GPUSpec",
         "SimulatedGPU",
         "Engine",
-        "EngineInfo",
         "IterationRecord",
         "RunResult",
         "AccessPath",
@@ -132,7 +131,6 @@ def test_top_level_surface_pinned():
         "UVMEngine",
         "SubwayEngine",
         "AsceticEngine",
-        "AsceticConfig",
         "HybridEngine",
         "registry",
         "FaultPlan",

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import pytest
 
-from repro.core.ascetic import AsceticConfig, AsceticEngine
+from repro.core.ascetic import AsceticEngine
 from repro.engines.hybrid import HybridEngine
 from repro.harness.experiments import make_workload
 from repro.harness.persistence import result_to_payload
@@ -35,10 +35,10 @@ SCALE = 5e-5
 EDGE_FRACTION = 0.15
 
 ABLATIONS = {
-    "lazy": AsceticConfig(fill="lazy"),
-    "no-replacement": AsceticConfig(replacement=False),
-    "no-adaptive": AsceticConfig(adaptive=False),
-    "ratio0.3": AsceticConfig(forced_ratio=0.3),
+    "lazy": dict(fill="lazy"),
+    "no-replacement": dict(replacement=False),
+    "no-adaptive": dict(adaptive=False),
+    "ratio0.3": dict(forced_ratio=0.3),
 }
 ABLATION_CELLS = (("GS", "SSSP"), ("FK", "PR"))
 #: engine → (warm cell, the cell whose graph the cold fallback runs on).
@@ -57,10 +57,10 @@ def _workload(dataset: str, algo: str):
     return make_workload(dataset, algo, scale=SCALE, memory_bytes=max(memory, 4096))
 
 
-def _engine(name: str, workload, record: bool, config=None):
+def _engine(name: str, workload, record: bool, switches=()):
     kw = dict(spec=workload.spec, data_scale=workload.scale, record_events=record)
     if name == "Ascetic":
-        return AsceticEngine(config=config, **kw)
+        return AsceticEngine(**kw, **dict(switches))
     return HybridEngine(**kw)
 
 

@@ -1,10 +1,14 @@
 """Tests for the engine registry."""
 
+import inspect
+
 import pytest
 
 from repro.core.ascetic import AsceticEngine
+from repro.core.manager import RegionEngine
 from repro.engines import registry
 from repro.engines.base import Engine
+from repro.engines.hybrid import HybridEngine
 from repro.gpusim.device import GPUSpec
 
 
@@ -47,10 +51,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             registry.register("Ascetic", AsceticEngine)
 
-    def test_replace_allows_override(self, fake_engine):
-        registry.register("Fake", fake_engine, replace=True)
-        assert registry.get("Fake") is fake_engine
-
     def test_register_validates(self):
         with pytest.raises(ValueError):
             registry.register("", _FakeEngine)
@@ -60,33 +60,35 @@ class TestRegistry:
     def test_unregister(self):
         registry.register("Temp", _FakeEngine)
         registry.unregister("Temp")
-        assert not registry.is_registered("Temp")
+        assert "Temp" not in registry.available()
         with pytest.raises(KeyError):
             registry.unregister("Temp")
 
 
 class TestEngineInfo:
+    """What an engine accepts and can do is read from its class."""
+
     def test_every_builtin_has_metadata(self):
         for name in registry.available():
-            info = registry.describe(name)
-            assert info.description
-            assert info.transfer_policy
-            assert info.supported_engine_opts is not None
+            cls = registry.get(name)
+            assert issubclass(cls, Engine) and cls.name == name
+            assert cls.__doc__.strip().splitlines()[0]  # `repro engines` summary
+            assert registry.options(name) is not None
 
     def test_warm_start_capability_flags(self):
-        assert registry.describe("Ascetic").supports_warm_start
-        assert registry.describe("Hybrid").supports_warm_start
-        for name in ("PT", "UVM", "Subway"):
-            assert not registry.describe(name).supports_warm_start
-
-    def test_describe_unknown_matches_get(self):
-        with pytest.raises(KeyError, match="registered engines"):
-            registry.describe("CUDA")
+        warm = {name for name in registry.available()
+                if issubclass(registry.get(name), RegionEngine)}
+        assert warm == {"Ascetic", "Hybrid"}
 
     def test_all_opts_extends_the_common_set(self):
-        info = registry.describe("Hybrid")
-        assert set(registry.COMMON_ENGINE_OPTS) <= set(info.all_opts)
-        assert "cache_fraction" in info.all_opts
+        accepted = set(inspect.signature(HybridEngine).parameters)
+        assert set(inspect.signature(Engine).parameters) <= accepted
+        assert registry.options("Hybrid") == ("chunk_bytes", "cache_fraction",
+                                              "reuse_horizon")
+
+    def test_ascetic_switches_are_keywords(self):
+        assert registry.options("Ascetic") == (
+            "k", "fill", "overlap", "replacement", "adaptive", "forced_ratio")
 
     def test_create_rejects_unknown_option(self):
         with pytest.raises(TypeError, match=r"'Ascetic'.*'bogus'"):
@@ -102,38 +104,43 @@ class TestEngineInfo:
                               cache_fraction=0.5)
         assert eng.cache_fraction == 0.5
 
+    @pytest.mark.parametrize("name", registry.available())
+    def test_create_accepts_exactly_the_constructor_keywords(self, name):
+        cls = registry.get(name)
+        params = inspect.signature(cls).parameters
+        registry.create(name, **{k: p.default for k, p in params.items()})
+        with pytest.raises(TypeError, match=f"{name!r}.*'not_an_option'"):
+            registry.create(name, not_an_option=None)
+
+    def test_options_unknown_matches_get(self):
+        with pytest.raises(KeyError, match="registered engines"):
+            registry.options("CUDA")
+
     def test_unregister_unknown_matches_get_style(self):
         with pytest.raises(KeyError, match="registered engines"):
             registry.unregister("CUDA")
 
-    def test_infoless_registration_is_unvalidated(self, fake_engine):
-        # Back-compat: third-party engines registered without EngineInfo
-        # keep working — default metadata, no option validation.
-        info = registry.describe("Fake")
-        assert not info.supports_warm_start
-        assert info.supported_engine_opts is None
-        assert info.all_opts is None
+    def test_kwargs_constructor_is_unvalidated(self, fake_engine):
+        # A constructor taking **kwargs accepts anything (the grid tests'
+        # fakes rely on it).
+        assert registry.options("Fake") is None
         eng = registry.create("Fake", anything_goes=1)
         assert eng.kwargs == {"anything_goes": 1}
 
-    def test_register_with_info_validates(self):
-        info = registry.EngineInfo(description="test engine",
-                                   supported_engine_opts=("knob",))
-        registry.register("Temp", _FakeEngine, info=info)
+    def test_register_validates_against_the_constructor(self):
+        class Knobbed(Engine):
+            def __init__(self, spec=None, knob=0):
+                super().__init__(spec)
+                self.knob = knob
+
+            _prepare = _iteration = None
+
+        registry.register("Temp", Knobbed)
         try:
-            assert registry.describe("Temp") == info
-            assert registry.create("Temp", knob=2).kwargs == {"knob": 2}
+            assert registry.options("Temp") == ("knob",)
+            assert registry.create("Temp", knob=2).knob == 2
             with pytest.raises(TypeError, match="knob"):
                 registry.create("Temp", dial=3)
-        finally:
-            registry.unregister("Temp")
-
-    def test_replace_without_info_clears_metadata(self):
-        info = registry.EngineInfo(supported_engine_opts=("knob",))
-        registry.register("Temp", _FakeEngine, info=info)
-        try:
-            registry.register("Temp", _FakeEngine, replace=True)
-            assert registry.describe("Temp").all_opts is None
         finally:
             registry.unregister("Temp")
 
@@ -145,11 +152,11 @@ class TestEnginesView:
     def test_view_tracks_registry(self, fake_engine):
         assert "Fake" in registry.available()
         assert registry.get("Fake") is fake_engine
-        assert registry.is_registered("Fake")
 
     def test_view_after_unregister(self):
         assert "Fake" not in registry.available()
-        assert not registry.is_registered("Fake")
+        with pytest.raises(KeyError):
+            registry.get("Fake")
 
     def test_cli_choices_follow_registry(self, fake_engine):
         from repro.cli import build_parser

@@ -106,13 +106,13 @@ class TestReorderingAndAscetic:
         only modestly — the Static Region's value is its size, not which
         bytes it holds."""
         from conftest import TEST_SCALE, make_spec_for
-        from repro.core.ascetic import AsceticConfig, AsceticEngine
+        from repro.core.ascetic import AsceticEngine
 
         spec = make_spec_for(small_social, edge_fraction=0.4)
-        cfg = AsceticConfig(fill="front", adaptive=False)
+        cfg = dict(fill="front", adaptive=False)
 
         def processing_bytes(graph):
-            res = AsceticEngine(spec=spec, data_scale=TEST_SCALE, config=cfg).run(
+            res = AsceticEngine(spec=spec, data_scale=TEST_SCALE, **cfg).run(
                 graph, make_program("PR", tol=1e-2)
             )
             return res.processing_bytes_h2d

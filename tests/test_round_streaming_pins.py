@@ -28,7 +28,6 @@ from functools import lru_cache
 
 import pytest
 
-from repro.core.ascetic import AsceticConfig
 from repro.gpusim import rounds
 from repro.gpusim.faults import standard_plan
 from repro.harness.experiments import make_workload, run_workload
@@ -41,7 +40,7 @@ CONFIGS = {
     "Subway": ("Subway", {}),
     "Subway-pipelined": ("Subway", {"pipelined": True}),
     "Ascetic": ("Ascetic", {}),
-    "Ascetic-sequential": ("Ascetic", {"config": AsceticConfig(overlap=False)}),
+    "Ascetic-sequential": ("Ascetic", {"overlap": False}),
     "Hybrid": ("Hybrid", {}),
 }
 SPAN_CONFIGS = ("Subway", "Ascetic")

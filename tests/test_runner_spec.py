@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.ascetic import AsceticConfig
+from repro.gpusim.faults import FaultPlan
 from repro.harness.experiments import BENCH_SCALE
 from repro.runner import RunSpec
 
@@ -28,9 +28,9 @@ class TestNormalization:
         assert s.engine_kwargs() == {"a": 2, "b": 1}
 
     def test_hashable(self):
-        cfg = AsceticConfig(overlap=False)
-        s = RunSpec("FK", "BFS", "Ascetic", engine_opts={"config": cfg})
-        assert len({s, RunSpec("FK", "BFS", "Ascetic", engine_opts={"config": cfg})}) == 1
+        s = RunSpec("FK", "BFS", "Ascetic", engine_opts={"overlap": False})
+        assert len({s, RunSpec("FK", "BFS", "Ascetic",
+                               engine_opts={"overlap": False})}) == 1
 
     def test_unserializable_opt_rejected(self):
         with pytest.raises(TypeError):
@@ -46,11 +46,11 @@ class TestSerialization:
         assert RunSpec.from_dict(s.to_dict()) == s
 
     def test_round_trip_with_config(self):
-        cfg = AsceticConfig(fill="lazy", forced_ratio=0.5, adaptive=False)
-        s = RunSpec("FK", "CC", "Ascetic", engine_opts={"config": cfg})
+        opts = {"fill": "lazy", "forced_ratio": 0.5, "adaptive": False}
+        s = RunSpec("FK", "CC", "Ascetic", engine_opts=opts)
         back = RunSpec.from_dict(s.to_dict())
         assert back == s
-        assert back.opts["config"] == cfg
+        assert back.opts == opts
 
     def test_unknown_tagged_opt_rejected(self):
         d = RunSpec("FK", "BFS", "Ascetic").to_dict()
@@ -58,13 +58,42 @@ class TestSerialization:
         with pytest.raises(ValueError):
             RunSpec.from_dict(d)
 
-    def test_config_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ValueError):
-            AsceticConfig.from_dict({"k": 0.1, "warp_size": 32})
 
-    def test_config_round_trip(self):
-        cfg = AsceticConfig(k=0.25, replacement=False)
-        assert AsceticConfig.from_dict(cfg.to_dict()) == cfg
+GOOD = RunSpec("FK", "BFS", "Ascetic").to_dict()
+
+
+class TestMalformedInput:
+    """A bad cache file or CLI JSON raises ``ValueError`` naming the key —
+    never a ``KeyError`` / ``AttributeError``, never a silent drop."""
+
+    @pytest.mark.parametrize("data,key", [
+        ({}, "dataset"),
+        ({k: v for k, v in GOOD.items() if k != "engine"}, "engine"),
+        ({**GOOD, "algorithm": 3}, "algorithm"),
+        ({**GOOD, "dataset": None}, "dataset"),
+        ({**GOOD, "colour": "blue"}, "colour"),
+        ({**GOOD, "seed": True}, "seed"),
+        ({**GOOD, "seed": 1.5}, "seed"),
+        ({**GOOD, "scale": -1}, "scale"),
+        ({**GOOD, "scale": 0}, "scale"),
+        ({**GOOD, "scale": 1.5}, "scale"),
+        ({**GOOD, "scale": True}, "scale"),
+        ({**GOOD, "memory_bytes": -5}, "memory_bytes"),
+        ({**GOOD, "memory_bytes": 0}, "memory_bytes"),
+        ({**GOOD, "memory_bytes": 2.5}, "memory_bytes"),
+        ({**GOOD, "fault_plan": {"alloc_failures": "abc"}}, "alloc_failures"),
+        ({**GOOD, "fault_plan": {"max_retries": 1.5}}, "max_retries"),
+        ({**GOOD, "fault_plan": {"max_retries": True}}, "max_retries"),
+    ])
+    def test_rejected_naming_the_key(self, data, key):
+        with pytest.raises(ValueError, match=key):
+            RunSpec.from_dict(data)
+
+    def test_constructors_are_checked_too(self):
+        with pytest.raises(ValueError, match="scale"):
+            RunSpec("FK", "BFS", "Ascetic", scale=-1)
+        with pytest.raises(ValueError, match="alloc_failures"):
+            FaultPlan(alloc_failures="abc")
 
 
 class TestCacheKey:
@@ -80,7 +109,7 @@ class TestCacheKey:
             RunSpec("FK", "BFS", "Subway"),
             RunSpec("FK", "BFS", "Ascetic", scale=1e-4),
             RunSpec("FK", "BFS", "Ascetic", memory_bytes=1 << 20),
-            RunSpec("FK", "BFS", "Ascetic", engine_opts={"config": AsceticConfig(k=0.2)}),
+            RunSpec("FK", "BFS", "Ascetic", engine_opts={"k": 0.2}),
         ],
     )
     def test_differs_when_any_field_differs(self, other):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_program
+from repro.core.manager import RegionEngine
 from repro.engines import registry
 from repro.engines.sharded import ShardedEngine
 from repro.gpusim.fabric import FabricSpec
@@ -72,10 +73,9 @@ class TestConstruction:
         assert eng.fault_plan is not None
 
     def test_registered_with_opts(self):
-        info = registry.describe("Sharded")
-        assert not info.supports_warm_start
-        assert set(info.supported_engine_opts) == {
-            "fabric", "devices", "inner"}
+        assert registry.get("Sharded") is ShardedEngine
+        assert not issubclass(ShardedEngine, RegionEngine)  # no warm start
+        assert registry.options("Sharded") == ("fabric", "devices", "inner")
 
     def test_unknown_opt_rejected_by_registry(self):
         with pytest.raises(TypeError, match="chunk_bytes"):

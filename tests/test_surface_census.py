@@ -1,11 +1,11 @@
 """Guard: every option on the surface is set by something that is measured.
 
-An engine option (``EngineInfo.supported_engine_opts``), an ``AsceticConfig``
-or a ``GPUSpec`` field stays while a file under ``benchmarks/``, ``bench_e2e/``
-or ``src/`` other than its defining module passes it, by keyword or
-``engine_opts`` dict key, in a call of its owner's class or copy helper or one
-that names the engine — tests and registry entries are not callers (ROADMAP
-item 7).  The unreached set must *equal* ``DEFERRED``: an option nobody sets
+An engine option (a keyword of the engine's constructor beyond ``Engine``'s
+own, read from its signature) or a ``GPUSpec`` field stays while a file under
+``benchmarks/``, ``bench_e2e/`` or ``src/`` other than its defining module
+passes it, by keyword or ``engine_opts`` dict key, in a call of its owner's
+class or copy helper or one that names the engine — tests and the registry are
+not callers (ROADMAP item 7).  The unreached set must *equal* ``DEFERRED``: an option nobody sets
 fails, and so does a deferred one once reached, so the list can only shrink.
 """
 
@@ -14,7 +14,6 @@ import inspect
 from dataclasses import fields
 from pathlib import Path
 
-from repro.core.ascetic import AsceticConfig
 from repro.engines import registry
 from repro.gpusim.device import GPUSpec
 
@@ -31,11 +30,10 @@ DEFERRED = {
 
 def surface():
     """``{"Owner.option": (defining file, names a call that sets it goes by)}``."""
-    owners = [(name, registry.get(name), {name},
-               registry.describe(name).supported_engine_opts)
+    owners = [(name, registry.get(name), {name}, registry.options(name))
               for name in registry.available()]
-    owners += [(cls.__name__, cls, {helper}, [f.name for f in fields(cls)])
-               for cls, helper in ((AsceticConfig, "with_"), (GPUSpec, "replace"))]
+    owners.append(("GPUSpec", GPUSpec, {"replace"},
+                   [f.name for f in fields(GPUSpec)]))
     return {f"{owner}.{option}": (inspect.getsourcefile(cls), via | {cls.__name__})
             for owner, cls, via, options in owners for option in options}
 

@@ -6,7 +6,7 @@ totals.
 """
 
 from repro.algorithms import make_program
-from repro.core.ascetic import AsceticConfig, AsceticEngine
+from repro.core.ascetic import AsceticEngine
 from repro.engines.subway import SubwayEngine
 
 from conftest import TEST_SCALE, make_spec_for
@@ -41,8 +41,8 @@ class TestAsceticOverlap:
 
     def test_sequential_mode_does_not_overlap(self, small_social):
         spec = make_spec_for(small_social, edge_fraction=0.4)
-        cfg = AsceticConfig(overlap=False, replacement=False)
-        res = AsceticEngine(spec=spec, data_scale=TEST_SCALE, config=cfg).run(
+        cfg = dict(overlap=False, replacement=False)
+        res = AsceticEngine(spec=spec, data_scale=TEST_SCALE, **cfg).run(
             small_social, make_program("CC")
         )
         ph = res.metrics.phase_seconds

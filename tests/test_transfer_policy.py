@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_program
-from repro.core.ascetic import AsceticConfig, AsceticEngine
+from repro.core.ascetic import AsceticEngine
 from repro.core.static_region import StaticRegion
 from repro.engines.base import AccessPath, RunPlan, emit_access_plan
 from repro.engines.hybrid import HybridEngine
@@ -109,7 +109,7 @@ class TestEnginePlans:
         from chunk_axis_oracles import dense_touch_counts
 
         eng = AsceticEngine(spec=make_spec_for(small_web, edge_fraction=0.5),
-                            config=AsceticConfig(adaptive=False),
+                            adaptive=False,
                             data_scale=TEST_SCALE, record_events=True)
         expected, residencies = {}, set()
 
