@@ -14,7 +14,7 @@ Two programming-model choices the paper makes implicitly, quantified:
 
 import numpy as np
 
-from repro.algorithms import SSSP, make_program
+from repro.algorithms import SSSP
 from repro.algorithms.validate import reference_sssp_distances
 from repro.analysis.report import format_table
 from repro.graph.properties import best_source
@@ -26,16 +26,15 @@ from conftest import report
 
 
 def test_push_vs_pull_pagerank(benchmark):
-    w = make_workload("FK", "PR", scale=BENCH_SCALE)
+    push_w = make_workload("FK", "PR", scale=BENCH_SCALE)
+    pull_w = make_workload("FK", "PR-PULL", scale=BENCH_SCALE)
 
     def run():
-        push = SubwayEngine(spec=w.spec, data_scale=w.scale).run(
-            w.graph, make_program("PR", tol=1e-2)
+        return tuple(
+            SubwayEngine(spec=w.spec, data_scale=w.scale).run(
+                w.graph, w.fresh_program())
+            for w in (push_w, pull_w)
         )
-        pull = SubwayEngine(spec=w.spec, data_scale=w.scale).run(
-            w.graph.reverse(), make_program("PR-PULL", tol=1e-2)
-        )
-        return push, pull
 
     push, pull = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [

@@ -12,25 +12,23 @@ Run:  python examples/social_analysis.py
 
 import numpy as np
 
-from repro import AsceticEngine, GPUSpec, SubwayEngine, load_dataset
-from repro.algorithms import make_program
+from repro import AsceticEngine, SubwayEngine
 from repro.analysis.report import format_table, human_bytes, sparkline
-from repro.graph.properties import best_source, graph_stats
+from repro.graph.properties import graph_stats
+from repro.harness.experiments import make_workload
 
 SCALE = 2e-4
-dataset = load_dataset("FS", scale=SCALE)
-graph = dataset.graph
-spec = GPUSpec(memory_bytes=dataset.gpu_memory_bytes)
+graph = make_workload("FS", "BFS", scale=SCALE).graph
 print(f"analysing {graph}")
 print(f"stats: {graph_stats(graph)}\n")
 
-source = best_source(graph)
 rows = []
 for algo in ("BFS", "SSSP", "CC"):
-    g = graph.with_random_weights(high=3) if algo == "SSSP" else graph
-    kwargs = {"source": source} if algo in ("BFS", "SSSP") else {}
-    asc = AsceticEngine(spec=spec, data_scale=SCALE).run(g, make_program(algo, **kwargs))
-    sub = SubwayEngine(spec=spec, data_scale=SCALE).run(g, make_program(algo, **kwargs))
+    # Each algorithm's graph view (SSSP: weighted), GPU spec and pinned
+    # parameters (traversals start at the max-out-degree hub).
+    w = make_workload("FS", algo, scale=SCALE)
+    asc = AsceticEngine(spec=w.spec, data_scale=w.scale).run(w.graph, w.fresh_program())
+    sub = SubwayEngine(spec=w.spec, data_scale=w.scale).run(w.graph, w.fresh_program())
     rows.append(
         [
             algo,
@@ -46,7 +44,7 @@ for algo in ("BFS", "SSSP", "CC"):
         print(" ", sparkline(frontier, width=60), f" (peak {max(frontier):,} edges)")
         reached = int((asc.values >= 0).sum())
         print(f"  {reached:,}/{graph.n_vertices:,} members reachable "
-              f"from hub {source}\n")
+              f"from hub {w.fresh_program().source}\n")
     if algo == "CC":
         labels = asc.values
         sizes = np.sort(np.bincount(labels - labels.min()))[::-1]

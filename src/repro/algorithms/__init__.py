@@ -42,7 +42,7 @@ PROGRAMS = {
     "CC": ConnectedComponents,
     "PR": PageRank,
     # Extensions beyond the paper's four: widest path (max-min semiring)
-    # and pull-mode PageRank (run it on graph.reverse(); see its module
+    # and pull-mode PageRank (it streams the reverse CSR; see its module
     # docstring for why the paper's frameworks push instead).
     "SSWP": SSWP,
     "PR-PULL": PageRankPull,

@@ -91,8 +91,11 @@ class VertexProgram(abc.ABC):
 
     #: Paper abbreviation (BFS/SSSP/CC/PR).
     name: str = "?"
-    #: Whether edges must carry weights (doubles edge bytes; SSSP).
-    needs_weights: bool = False
+    #: The graph view the program streams: ``plain`` (the forward CSR),
+    #: ``weighted`` (4-byte edge weights, doubling edge bytes; SSSP),
+    #: ``sym`` (both arc directions) or ``rev`` (the transpose).  The
+    #: harness builds each view once per dataset and scale.
+    variant: str = "plain"
     #: Cost-model hint: kernel dominated by atomic scatter updates.
     atomics: bool = False
     #: Hard iteration cap (safety net; PR uses it as its budget too).
@@ -117,7 +120,7 @@ class VertexProgram(abc.ABC):
 
     def validate_graph(self, graph: CSRGraph) -> None:
         """Raise if the graph cannot run this program."""
-        if self.needs_weights and not graph.is_weighted:
+        if self.variant == "weighted" and not graph.is_weighted:
             raise ValueError(f"{self.name} requires edge weights")
 
     def run_reference(self, graph: CSRGraph) -> np.ndarray:

@@ -31,7 +31,7 @@ class BFS(VertexProgram):
     """BFS from ``source`` (default: chosen by the engine via ``best_source``)."""
 
     name = "BFS"
-    needs_weights = False
+    variant = "plain"
     atomics = False
 
     def __init__(self, source: int | None = None):

@@ -34,12 +34,12 @@ class CCState(ProgramState):
 class ConnectedComponents(VertexProgram):
     """Min-label propagation over the stored arcs (see module docstring).
 
-    For weakly connected components of a directed graph, run it on
-    ``graph.symmetrized()``.
+    For weakly connected components of a directed graph, run it on the
+    symmetrized view.
     """
 
     name = "CC"
-    needs_weights = False
+    variant = "plain"
     atomics = True
 
     def init_state(self, graph: CSRGraph) -> CCState:

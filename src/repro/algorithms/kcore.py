@@ -7,8 +7,8 @@ cleanly onto the push model: the frontier is the set of vertices being
 its neighbors — possibly knocking them below the threshold and into the
 next frontier.  When a level drains, the threshold k advances.
 
-Like CC, it is defined on undirected graphs (run directed graphs through
-``graph.symmetrized()``).  Data-movement-wise it is interesting for
+Like CC, it is defined on undirected graphs, so it streams the
+symmetrized view (``variant = "sym"``).  Data-movement-wise it is interesting for
 out-of-memory engines: activity starts at the sparse fringe (low-degree
 vertices) and ends at the dense core — the reverse of a BFS's profile.
 """
@@ -37,14 +37,14 @@ class KCore(VertexProgram):
     """Peeling k-core decomposition (undirected graphs)."""
 
     name = "KCORE"
-    needs_weights = False
+    variant = "sym"
     atomics = True  # degree decrements are scatter-atomics
 
     def validate_graph(self, graph: CSRGraph) -> None:
         super().validate_graph(graph)
         if graph.directed:
             raise ValueError(
-                "k-core is defined on undirected graphs; use graph.symmetrized()"
+                "k-core is defined on undirected graphs; run it on the symmetrized view"
             )
 
     def _advance(self, state: KCoreState) -> None:

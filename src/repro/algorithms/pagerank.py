@@ -43,7 +43,7 @@ class PageRank(VertexProgram):
     """
 
     name = "PR"
-    needs_weights = False
+    variant = "plain"
     atomics = True
     max_iterations = 500
 

@@ -10,7 +10,7 @@ engine must stream the *whole* edge array per round.  Running it under the
 engines quantifies exactly why out-of-memory frameworks push:
 ``benchmarks/bench_push_vs_pull.py``.
 
-Run it on the **reversed** graph (``graph.reverse()``): a pull over
+It streams the **reversed** graph (``variant = "rev"``): a pull over
 in-edges is a scan over the reverse CSR's out-edges, which is the array an
 engine would stream.
 """
@@ -44,7 +44,7 @@ class PageRankPull(VertexProgram):
     """
 
     name = "PR-PULL"
-    needs_weights = False
+    variant = "rev"
     atomics = False  # gather, no scatter contention
     max_iterations = 500
 

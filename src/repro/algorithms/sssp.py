@@ -45,7 +45,7 @@ class SSSP(VertexProgram):
     """
 
     name = "SSSP"
-    needs_weights = True
+    variant = "weighted"
     atomics = True
 
     def __init__(self, source: int | None = None, delta: int | None = None):

@@ -33,7 +33,7 @@ class SSWP(VertexProgram):
     """Widest path from ``source`` (default: the max-degree hub)."""
 
     name = "SSWP"
-    needs_weights = True
+    variant = "weighted"
     atomics = True
 
     def __init__(self, source: int | None = None):

@@ -29,6 +29,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.algorithms import PROGRAMS
 from repro.analysis.report import format_table, human_bytes, sparkline
 from repro.core.manager import RegionEngine
 from repro.core.static_region import FILLS
@@ -42,7 +43,7 @@ from repro.runner import RunSpec, grid_specs, run_grid
 
 __all__ = ["main", "build_parser"]
 
-ALGOS = ("BFS", "SSSP", "CC", "PR", "SSWP", "PR-PULL", "KCORE")
+ALGOS = tuple(PROGRAMS)
 
 #: Default on-disk cell cache for ``repro grid`` (relative to the CWD).
 DEFAULT_CACHE_DIR = ".repro-cache"

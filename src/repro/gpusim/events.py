@@ -46,7 +46,7 @@ from typing import (Any, Dict, Hashable, Iterable, Iterator, List, Mapping,
 
 import numpy as np
 
-from repro.gpusim.metrics import Metrics
+from repro.gpusim.metrics import COUNTER_FIELDS, Metrics
 
 __all__ = [
     "SimEvent",
@@ -72,26 +72,6 @@ __all__ = [
     "idle_breakdown",
     "validate_log",
 ]
-
-#: SimEvent fields that fold one-to-one onto :class:`Metrics` counters.
-COUNTER_FIELDS: Tuple[str, ...] = (
-    "bytes_h2d",
-    "bytes_d2h",
-    "h2d_transfers",
-    "d2h_transfers",
-    "bytes_direct",
-    "direct_accesses",
-    "kernel_launches",
-    "edges_processed",
-    "page_faults",
-    "fault_batches",
-    "pages_migrated",
-    "pages_evicted",
-    "transfer_faults",
-    "transfer_retries",
-    "kernel_aborts",
-    "retry_seconds",
-)
 
 _COUNTER_SET = frozenset(COUNTER_FIELDS)
 _COUNTER_RANK = {name: i for i, name in enumerate(COUNTER_FIELDS)}

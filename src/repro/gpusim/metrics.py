@@ -9,15 +9,20 @@ bytes over PCIe (Tables 2 and 5, Figs. 7 and 9), component times
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass, field, fields
+from typing import Dict, Tuple
 
-__all__ = ["Metrics"]
+__all__ = ["Metrics", "COUNTER_FIELDS"]
 
 
 @dataclass
 class Metrics:
-    """Mutable counter bundle owned by a :class:`~repro.gpusim.device.SimulatedGPU`."""
+    """Mutable counter bundle owned by a :class:`~repro.gpusim.device.SimulatedGPU`.
+
+    Its fields are the counter set: :data:`COUNTER_FIELDS` is read from
+    them, in their order, which is the order a recorded event row lists
+    its counters in.
+    """
 
     bytes_h2d: int = 0
     bytes_d2h: int = 0
@@ -27,12 +32,12 @@ class Metrics:
     bytes_direct: int = 0
     #: Individual zero-copy load accesses issued over the link.
     direct_accesses: int = 0
+    kernel_launches: int = 0
+    edges_processed: int = 0
     page_faults: int = 0
     fault_batches: int = 0
     pages_migrated: int = 0
     pages_evicted: int = 0
-    kernel_launches: int = 0
-    edges_processed: int = 0
     #: Failed transfer attempts injected by a fault plan (chaos mode).
     transfer_faults: int = 0
     #: Transfer attempts that had to be repeated before succeeding.
@@ -51,47 +56,14 @@ class Metrics:
             raise ValueError(f"negative phase time {seconds} for {phase!r}")
         self.phase_seconds[phase] += seconds
 
-    def merge(self, other: "Metrics") -> "Metrics":
-        """Accumulate another metrics bundle into this one (multi-run sweeps)."""
-        self.bytes_h2d += other.bytes_h2d
-        self.bytes_d2h += other.bytes_d2h
-        self.h2d_transfers += other.h2d_transfers
-        self.d2h_transfers += other.d2h_transfers
-        self.bytes_direct += other.bytes_direct
-        self.direct_accesses += other.direct_accesses
-        self.page_faults += other.page_faults
-        self.fault_batches += other.fault_batches
-        self.pages_migrated += other.pages_migrated
-        self.pages_evicted += other.pages_evicted
-        self.kernel_launches += other.kernel_launches
-        self.edges_processed += other.edges_processed
-        self.transfer_faults += other.transfer_faults
-        self.transfer_retries += other.transfer_retries
-        self.kernel_aborts += other.kernel_aborts
-        self.retry_seconds += other.retry_seconds
-        for phase, sec in other.phase_seconds.items():
-            self.phase_seconds[phase] += sec
-        return self
-
     def as_dict(self) -> Dict[str, float]:
-        d: Dict[str, float] = {
-            "bytes_h2d": self.bytes_h2d,
-            "bytes_d2h": self.bytes_d2h,
-            "h2d_transfers": self.h2d_transfers,
-            "d2h_transfers": self.d2h_transfers,
-            "bytes_direct": self.bytes_direct,
-            "direct_accesses": self.direct_accesses,
-            "page_faults": self.page_faults,
-            "fault_batches": self.fault_batches,
-            "pages_migrated": self.pages_migrated,
-            "pages_evicted": self.pages_evicted,
-            "kernel_launches": self.kernel_launches,
-            "edges_processed": self.edges_processed,
-            "transfer_faults": self.transfer_faults,
-            "transfer_retries": self.transfer_retries,
-            "kernel_aborts": self.kernel_aborts,
-            "retry_seconds": self.retry_seconds,
-        }
+        d: Dict[str, float] = {name: getattr(self, name) for name in COUNTER_FIELDS}
         for phase, sec in sorted(self.phase_seconds.items()):
             d[f"phase:{phase}"] = sec
         return d
+
+
+#: The counters (every field but ``phase_seconds``), in field order; the
+#: event-row fields that fold one-to-one onto them.
+COUNTER_FIELDS: Tuple[str, ...] = tuple(
+    f.name for f in fields(Metrics) if f.name != "phase_seconds")

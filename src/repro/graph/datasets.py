@@ -65,7 +65,14 @@ class DatasetSpec:
     seed: int
 
     def scaled_counts(self, scale: float) -> tuple[int, int]:
-        """(n_vertices, n_edges) after scaling, with sane floors."""
+        """(n_vertices, n_edges) after scaling, with sane floors.
+
+        ``scale`` must lie in (0, 1], the rule ``RunSpec`` and ``Engine``
+        apply: above 1 the graph outgrows the paper's, and at or below 0
+        the floors would hand back a 64-vertex graph stamped with it.
+        """
+        if isinstance(scale, bool) or not 0.0 < scale <= 1.0:
+            raise ValueError(f"scale must be in (0, 1], got {scale!r}")
         n = max(int(self.paper_vertices * scale), 64)
         m = max(int(self.paper_edges * scale), 4 * n)
         return n, m

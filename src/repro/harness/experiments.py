@@ -1,14 +1,19 @@
 """Workload construction and single-cell runners.
 
 A *cell* is one (dataset, algorithm, engine) combination — one number in
-Tables 4/5.  The harness pins the parameters the paper pins:
+Tables 4/5.  This module is the one place that turns (dataset, scale,
+algorithm) into a graph view, a GPU spec and a program; grid cells,
+benchmarks and serving requests are all built by :func:`make_workload`.
+It pins the parameters the paper pins:
 
 * dataset scale (``BENCH_SCALE``; vertex/edge counts *and* GPU capacity
   shrink together, costs are charged at paper scale — see
   :class:`~repro.gpusim.device.SimulatedGPU`);
+* the graph view, named by the program class's ``variant``: SSSP's
+  weights (4-byte field, doubling edge bytes, §4.1; small value range so
+  re-relaxation volume lands in the paper's regime), k-core's symmetrized
+  view, pull PageRank's reverse CSR;
 * traversal sources (the max-out-degree hub);
-* SSSP weights (4-byte field, doubling edge bytes, §4.1; small value range
-  so re-relaxation volume lands in the paper's regime);
 * PR activation threshold (chosen so iteration counts and active fractions
   match Table 1's PR rows).
 """
@@ -16,11 +21,12 @@ Tables 4/5.  The harness pins the parameters the paper pins:
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable
 
-from repro.algorithms import make_program
+from repro.algorithms import PROGRAMS
 from repro.algorithms.base import VertexProgram
 from repro.engines import registry
 from repro.engines.base import Engine, RunResult
@@ -61,14 +67,19 @@ PR_TOL = 1e-2
 
 @dataclass(frozen=True)
 class Workload:
-    """One (dataset, algorithm) pair, ready to run on any engine."""
+    """One (dataset, algorithm) pair, ready to run on any engine.
+
+    :func:`make_workload`'s ``program_factory`` is the program class with
+    the pinned parameters bound; a keyword overrides one (the serving layer
+    passes an explicit ``source``).
+    """
 
     dataset: Dataset
     algorithm: str
     graph: CSRGraph
     spec: GPUSpec
     scale: float
-    program_factory: Callable[[], VertexProgram]
+    program_factory: Callable[..., VertexProgram]
 
     def fresh_program(self) -> VertexProgram:
         return self.program_factory()
@@ -98,35 +109,45 @@ def _cached_dataset(abbr: str, scale: float) -> Dataset:
         return _cached_dataset_unlocked(abbr, scale)
 
 
+#: Every view a caller still holds, so a view the LRU below has dropped is
+#: handed back rather than rebuilt: a load test keeps one object per
+#: affinity key however many other views are built meanwhile.
+_live_views: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=32)
-def _cached_graph_unlocked(abbr: str, scale: float, algorithm: str) -> CSRGraph:
-    """The graph ``algorithm`` runs on, one object per key — so every cell
-    of a (dataset, scale, algorithm) shares its program traces (which the
-    graph memoizes, ``algorithms.base.program_trace``)."""
-    return _algorithm_graph(_cached_dataset_unlocked(abbr, scale).graph,
-                            algorithm)
+def _cached_view_unlocked(abbr: str, scale: float, variant: str) -> CSRGraph:
+    """The ``variant`` view of a dataset, one object per key — so every cell
+    and every load test over it shares its program traces (which the graph
+    memoizes, ``algorithms.base.program_trace``)."""
+    key = (abbr, scale, variant)
+    view = _live_views.get(key)
+    if view is None:
+        view = _live_views[key] = _view(
+            _cached_dataset_unlocked(abbr, scale).graph, variant)
+    return view
 
 
 def clear_dataset_cache() -> None:
-    """Drop memoized datasets and graphs, and with them their program
+    """Drop memoized datasets and graph views, and with them their program
     traces (tests and memory-conscious sweeps)."""
     with _dataset_lock:
-        _cached_graph_unlocked.cache_clear()
+        _live_views.clear()
+        _cached_view_unlocked.cache_clear()
         _cached_dataset_unlocked.cache_clear()
 
 
-def _algorithm_graph(graph: CSRGraph, algorithm: str) -> CSRGraph:
-    """The view of ``graph`` that ``algorithm`` streams."""
-    if algorithm in ("SSSP", "SSWP"):
+def _view(graph: CSRGraph, variant: str) -> CSRGraph:
+    """The ``variant`` view of ``graph`` (see ``VertexProgram.variant``)."""
+    if variant == "plain":
+        return graph
+    if variant == "weighted":
         return graph.with_random_weights(high=SSSP_WEIGHT_HIGH)
-    if algorithm == "KCORE":
-        # k-core is defined on undirected graphs; directed crawls get the
-        # weakly-connected view.
+    if variant == "sym":
         return graph.symmetrized()
-    if algorithm == "PR-PULL":
-        # Pull mode gathers over in-edges: stream the reverse CSR.
+    if variant == "rev":
         return graph.reverse()
-    return graph
+    raise ValueError(f"unknown graph variant {variant!r}")
 
 
 def make_workload(
@@ -141,29 +162,34 @@ def make_workload(
     ``memory_bytes`` (scaled) overrides the default paper-matched GPU
     capacity — the lever of Fig. 11's left sweep.  ``dataset`` substitutes
     a pre-built dataset (the RMAT family of Fig. 11's right sweep).
+    An unknown algorithm, a scale outside (0, 1] or a non-positive
+    ``memory_bytes`` raises ``ValueError`` here, not at run time.
     """
     algorithm = algorithm.upper()
+    cls = PROGRAMS.get(algorithm)
+    if cls is None:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; choose from {sorted(PROGRAMS)}")
     if dataset is None:
         with _dataset_lock:
             ds = _cached_dataset_unlocked(abbr, scale)
-            graph = _cached_graph_unlocked(abbr, scale, algorithm)
+            graph = _cached_view_unlocked(abbr, scale, cls.variant)
     else:
-        ds, graph = dataset, _algorithm_graph(dataset.graph, algorithm)
-    spec = GPUSpec(memory_bytes=memory_bytes or ds.gpu_memory_bytes)
+        ds, graph = dataset, _view(dataset.graph, cls.variant)
+    if memory_bytes is None:
+        memory_bytes = ds.gpu_memory_bytes
+    pinned = {}
     if algorithm in ("BFS", "SSSP", "SSWP"):
-        src = best_source(graph)
-        factory = lambda: make_program(algorithm, source=src)  # noqa: E731
+        pinned["source"] = best_source(graph)
     elif algorithm in ("PR", "PR-PULL"):
-        factory = lambda: make_program(algorithm, tol=PR_TOL)  # noqa: E731
-    else:
-        factory = lambda: make_program(algorithm)  # noqa: E731
+        pinned["tol"] = PR_TOL
     return Workload(
         dataset=ds,
         algorithm=algorithm,
         graph=graph,
-        spec=spec,
+        spec=GPUSpec(memory_bytes=memory_bytes),
         scale=ds.scale,
-        program_factory=factory,
+        program_factory=partial(cls, **pinned),
     )
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.engines.base import IterationRecord, RunResult
 from repro.gpusim.events import EventLog
-from repro.gpusim.metrics import Metrics
+from repro.gpusim.metrics import COUNTER_FIELDS, Metrics
 
 __all__ = [
     "result_to_dict",
@@ -43,6 +43,14 @@ SCHEMA_VERSION = 1
 
 #: Format marker for the *full* (cacheable) payload form.
 PAYLOAD_VERSION = 1
+
+#: :data:`COUNTER_FIELDS` in the order payloads have always listed them:
+#: the UVM four before the kernel pair.  The pin tests hash payload JSON
+#: unsorted (``tests/test_region_engine_pins.py``,
+#: ``tests/test_recorded_log_pins.py``), so this order is fixed just as the
+#: event rows' order is.
+_PAYLOAD_COUNTERS = (COUNTER_FIELDS[:6] + COUNTER_FIELDS[8:12]
+                     + COUNTER_FIELDS[6:8] + COUNTER_FIELDS[12:])
 
 
 def result_to_dict(result: RunResult, include_iterations: bool = False) -> Dict:
@@ -110,22 +118,7 @@ def result_to_payload(result: RunResult) -> Dict:
         "elapsed_seconds": result.elapsed_seconds,
         "gpu_idle_fraction": result.gpu_idle_fraction,
         "metrics": {
-            "bytes_h2d": result.metrics.bytes_h2d,
-            "bytes_d2h": result.metrics.bytes_d2h,
-            "h2d_transfers": result.metrics.h2d_transfers,
-            "d2h_transfers": result.metrics.d2h_transfers,
-            "bytes_direct": result.metrics.bytes_direct,
-            "direct_accesses": result.metrics.direct_accesses,
-            "page_faults": result.metrics.page_faults,
-            "fault_batches": result.metrics.fault_batches,
-            "pages_migrated": result.metrics.pages_migrated,
-            "pages_evicted": result.metrics.pages_evicted,
-            "kernel_launches": result.metrics.kernel_launches,
-            "edges_processed": result.metrics.edges_processed,
-            "transfer_faults": result.metrics.transfer_faults,
-            "transfer_retries": result.metrics.transfer_retries,
-            "kernel_aborts": result.metrics.kernel_aborts,
-            "retry_seconds": result.metrics.retry_seconds,
+            **{name: getattr(result.metrics, name) for name in _PAYLOAD_COUNTERS},
             "phase_seconds": dict(result.metrics.phase_seconds),
         },
         "per_iteration": [
@@ -155,28 +148,7 @@ def result_from_payload(payload: Dict) -> RunResult:
             f"unsupported result payload version {payload.get('payload_version')!r}"
         )
     m = payload["metrics"]
-    metrics = Metrics(
-        bytes_h2d=m["bytes_h2d"],
-        bytes_d2h=m["bytes_d2h"],
-        h2d_transfers=m["h2d_transfers"],
-        d2h_transfers=m["d2h_transfers"],
-        # Zero-copy counters arrived with the direct-access path; default
-        # for payloads written before them.
-        bytes_direct=m.get("bytes_direct", 0),
-        direct_accesses=m.get("direct_accesses", 0),
-        page_faults=m["page_faults"],
-        fault_batches=m["fault_batches"],
-        pages_migrated=m["pages_migrated"],
-        pages_evicted=m["pages_evicted"],
-        kernel_launches=m["kernel_launches"],
-        edges_processed=m["edges_processed"],
-        # Chaos counters arrived after PAYLOAD_VERSION 1; default for
-        # payloads written before them.
-        transfer_faults=m.get("transfer_faults", 0),
-        transfer_retries=m.get("transfer_retries", 0),
-        kernel_aborts=m.get("kernel_aborts", 0),
-        retry_seconds=m.get("retry_seconds", 0.0),
-    )
+    metrics = Metrics(**{name: m[name] for name in COUNTER_FIELDS})
     for phase, sec in m["phase_seconds"].items():
         metrics.phase_seconds[phase] = sec
     event_log = None

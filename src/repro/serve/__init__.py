@@ -23,15 +23,17 @@ The moving parts, each its own module:
     ``Engine.reset_for_request(keep_static=True)`` — the warm-start path.
 :mod:`~repro.serve.batching`
     Multi-source BFS/SSSP fused into one frontier program (shared edge
-    reads; the batch-size/latency knob).
+    reads; the batch-size/latency knob), and the program each dispatch
+    runs.
 :mod:`~repro.serve.slo`
     SLO report folded from request-lifecycle events (p50/p95/p99 split
     queueing vs service, goodput, shed rate, per-device utilization) under
     one schema id, with a ``degraded`` section only when device faults
     were observed; digest-stable.
 :mod:`~repro.serve.simulator`
-    ``ServeConfig``, the workload catalog, and ``run_load_test`` — the
-    one-device call into the loop below.
+    ``ServeConfig`` and ``run_load_test`` — the one-device call into the
+    loop below.  Graphs, GPU specs and single-request programs come from
+    the harness (:func:`~repro.harness.experiments.make_workload`).
 :mod:`~repro.serve.fleet`
     The one discrete-event loop tying it together, for any device count:
     a :class:`~repro.serve.fleet.Router` places each dispatch on a
@@ -45,7 +47,7 @@ dependence anywhere in this package — a load test is a pure function of
 its config, and its digest is pinned in CI.  See ``docs/serving.md``.
 """
 
-from repro.serve.batching import BatchedBFS, BatchedSSSP, make_batched
+from repro.serve.batching import BATCHABLE, BatchedBFS, BatchedSSSP, make_batched
 from repro.serve.fleet import (
     FABRIC,
     FleetConfig,
@@ -58,7 +60,6 @@ from repro.serve.fleet import (
 from repro.serve.pool import EnginePool, PoolStats
 from repro.serve.queue import QUEUE_POLICIES, AdmissionQueue, TenantAccount
 from repro.serve.request import (
-    BATCHABLE,
     Request,
     RequestStatus,
     Response,
@@ -74,7 +75,6 @@ from repro.serve.scheduler import (
 )
 from repro.serve.simulator import (
     ServeConfig,
-    WorkloadCatalog,
     quick_config,
     run_load_test,
 )
@@ -111,7 +111,6 @@ __all__ = [
     "report_digest",
     # load tests
     "ServeConfig",
-    "WorkloadCatalog",
     "run_load_test",
     "quick_config",
     # fleet

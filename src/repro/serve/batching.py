@@ -16,12 +16,16 @@ single-source program's bit for bit — the parity tests pin that.
 Latency cost: every request in a batch is charged the full batch service
 time (one fused run has one completion time).  The batch-size knob on the
 simulator trades that added latency against the shared-read throughput.
+
+:func:`program_for` is the batch → program step of a dispatch: a lone
+request that names no sources runs the harness's own program (hub source,
+``PR_TOL``); anything else runs over the sources the batch names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -29,8 +33,14 @@ from repro.algorithms.base import ProgramState, VertexProgram
 from repro.algorithms.bfs import UNREACHED
 from repro.algorithms.sssp import INF_DIST
 from repro.graph.csr import CSRGraph
+from repro.graph.properties import best_source
 
-__all__ = ["BatchedBFS", "BatchedSSSP", "BatchedState", "make_batched"]
+if TYPE_CHECKING:
+    from repro.harness.experiments import Workload
+    from repro.serve.request import Request
+
+__all__ = ["BatchedBFS", "BatchedSSSP", "BatchedState", "BATCHABLE",
+           "make_batched", "program_for"]
 
 
 @dataclass
@@ -85,7 +95,7 @@ class BatchedBFS(_BatchedTraversal):
     """B level-synchronous BFS runs fused over one shared edge stream."""
 
     _base_name = "BFS"
-    needs_weights = False
+    variant = "plain"
     atomics = False
 
     def init_state(self, graph: CSRGraph) -> BatchedState:
@@ -118,7 +128,7 @@ class BatchedSSSP(_BatchedTraversal):
     """B frontier-Bellman-Ford runs fused over one shared edge stream."""
 
     _base_name = "SSSP"
-    needs_weights = True
+    variant = "weighted"
     atomics = True
 
     def init_state(self, graph: CSRGraph) -> BatchedState:
@@ -149,11 +159,37 @@ class BatchedSSSP(_BatchedTraversal):
         state.iteration += 1
 
 
+#: Fused program class per batchable algorithm.
+_BATCHED = {cls._base_name: cls for cls in (BatchedBFS, BatchedSSSP)}
+
+#: Algorithms whose multi-source runs fuse into one batched frontier
+#: program.
+BATCHABLE = frozenset(_BATCHED)
+
+
 def make_batched(algorithm: str, sources: Sequence[int]) -> _BatchedTraversal:
     """Construct the fused program for a batchable ``algorithm``."""
-    algorithm = algorithm.upper()
-    if algorithm == "BFS":
-        return BatchedBFS(sources)
-    if algorithm == "SSSP":
-        return BatchedSSSP(sources)
-    raise ValueError(f"algorithm {algorithm!r} is not batchable (BFS/SSSP)")
+    cls = _BATCHED.get(algorithm.upper())
+    if cls is None:
+        raise ValueError(f"algorithm {algorithm!r} is not batchable "
+                         f"({'/'.join(_BATCHED)})")
+    return cls(sources)
+
+
+def program_for(batch: Sequence["Request"],
+                workload: "Workload") -> VertexProgram:
+    """The program one dispatch of ``batch`` runs on ``workload.graph``.
+
+    A lone request without sources gets ``workload``'s program.  Otherwise
+    every request contributes its sources, folded into the vertex range
+    with a modulo (none: the max-out-degree hub, like the harness), and
+    more than one source fuses into one batched program.
+    """
+    if len(batch) == 1 and batch[0].sources is None:
+        return workload.fresh_program()
+    graph = workload.graph
+    sources = [int(s) % graph.n_vertices for r in batch
+               for s in (r.sources or (best_source(graph),))]
+    if len(sources) == 1:
+        return workload.program_factory(source=sources[0])
+    return make_batched(batch[0].algorithm, sources)

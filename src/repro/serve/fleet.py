@@ -44,6 +44,8 @@ from repro.engines.base import RunResult
 from repro.gpusim.events import EventLog, SimEvent
 from repro.gpusim.fabric import FabricSpec
 from repro.gpusim.faults import FaultInjector, FaultPlan
+from repro.harness.experiments import make_workload
+from repro.serve.batching import program_for
 from repro.serve.pool import EnginePool, PoolStats
 from repro.serve.queue import AdmissionQueue, TenantAccount
 from repro.serve.request import (
@@ -54,7 +56,7 @@ from repro.serve.request import (
     generate_requests,
 )
 from repro.serve.scheduler import make_scheduler
-from repro.serve.simulator import ServeConfig, WorkloadCatalog
+from repro.serve.simulator import ServeConfig
 from repro.serve.slo import canonical_json, fold_slo
 
 __all__ = [
@@ -287,7 +289,6 @@ def run_fleet_test(config: FleetConfig,
             multi_source=serve.multi_source,
         )
     n_devices = config.fabric.n_devices
-    catalog = WorkloadCatalog(serve.scale)
     log = EventLog(record=True)
     queue = AdmissionQueue(serve.queue_capacity, serve.queue_policy)
     scheduler = make_scheduler(serve.scheduler, serve.max_batch,
@@ -392,10 +393,10 @@ def run_fleet_test(config: FleetConfig,
         for r in batch:
             queue.take(r)
         key = engine_key(batch[0])
-        graph = catalog.graph(*key)
-        graph_id = key[0]
-        spec = catalog.spec(graph_id)
-        data_scale = catalog.data_scale(graph_id)
+        workload = make_workload(batch[0].graph_id, batch[0].algorithm,
+                                 scale=serve.scale)
+        graph, spec = workload.graph, workload.spec
+        data_scale = workload.scale
 
         def start_markers(t: float, device: int, pooled: bool) -> None:
             log.marker("warm-hit" if pooled else "warm-miss",
@@ -438,7 +439,7 @@ def run_fleet_test(config: FleetConfig,
                 fabric=fab, inner=serve.engine)
             pooled, device, attempt = False, FABRIC, 0
             start_markers(start, device, pooled)
-            result = engine.run(graph, catalog.program_for(batch, graph))
+            result = engine.run(graph, program_for(batch, workload))
             finish = start + result.elapsed_seconds
             busy_devices = survivors
         else:
@@ -454,8 +455,7 @@ def run_fleet_test(config: FleetConfig,
                     engine, pooled = pools[device].acquire(
                         key, lambda: registry.create(serve.engine, spec=spec,
                                                      data_scale=data_scale))
-                    result = engine.run(
-                        graph, catalog.program_for(batch, graph))
+                    result = engine.run(graph, program_for(batch, workload))
                     finish = start + result.elapsed_seconds
                     down_t = (None if injector is None
                               else injector.device_down_at(device))

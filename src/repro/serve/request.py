@@ -9,45 +9,35 @@ the same seed replays the exact same trace bit for bit (the serving
 layer's determinism contract, see ``docs/serving.md``).
 
 Engine affinity is keyed by :func:`engine_key`: the *(graph id, variant)*
-pair that decides which device-resident graph bytes a request needs.
-Algorithms sharing a variant (BFS/CC/PR all stream the plain forward CSR)
-can reuse each other's warm Static Region; SSSP needs the weighted arrays,
-KCORE the symmetrized view, PR-PULL the reverse CSR — different bytes,
-different key, no warmth shared.
+pair that decides which device-resident graph bytes a request needs.  The
+variant is the one the algorithm's program class declares
+(``VertexProgram.variant``).  Algorithms sharing a variant (BFS/CC/PR all
+stream the plain forward CSR) run on one graph object and can reuse each
+other's warm Static Region; SSSP needs the weighted arrays, KCORE the
+symmetrized view, PR-PULL the reverse CSR — different bytes, different
+key, no warmth shared.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.algorithms import PROGRAMS
+from repro.serve.batching import BATCHABLE
 
 __all__ = [
     "Request",
     "Response",
     "RequestStatus",
-    "BATCHABLE",
     "variant_for",
     "engine_key",
     "generate_requests",
 ]
-
-#: Algorithms whose multi-source runs fuse into one batched frontier
-#: program (:mod:`repro.serve.batching`).
-BATCHABLE = frozenset({"BFS", "SSSP"})
-
-#: Algorithm → graph-variant map; see :func:`variant_for`.
-_VARIANTS = {
-    "BFS": "plain",
-    "CC": "plain",
-    "PR": "plain",
-    "SSSP": "weighted",
-    "SSWP": "weighted",
-    "KCORE": "sym",
-    "PR-PULL": "rev",
-}
 
 
 class RequestStatus(enum.Enum):
@@ -68,7 +58,7 @@ class Request:
     Times are seconds on the simulated clock.  ``deadline`` is absolute
     (not a budget); ``None`` means best-effort.  ``sources`` is ``None``
     for "engine picks" (the max-out-degree hub, like the harness), else a
-    tuple of vertex ids the catalog folds into range with a modulo.
+    tuple of vertex ids the dispatch folds into range with a modulo.
     """
 
     request_id: int
@@ -86,12 +76,13 @@ class Request:
 
 
 def variant_for(algorithm: str) -> str:
-    """The graph variant ``algorithm`` streams (plain/weighted/sym/rev)."""
+    """The graph variant ``algorithm`` streams: its program class's
+    ``variant`` (plain/weighted/sym/rev)."""
     try:
-        return _VARIANTS[algorithm.upper()]
+        return PROGRAMS[algorithm.upper()].variant
     except KeyError:
         raise ValueError(
-            f"unknown algorithm {algorithm!r}; known: {sorted(_VARIANTS)}"
+            f"unknown algorithm {algorithm!r}; known: {sorted(PROGRAMS)}"
         ) from None
 
 
@@ -177,17 +168,25 @@ def generate_requests(
     arrival (``None`` = best-effort).  ``multi_source`` > 1 makes batchable
     algorithms (BFS/SSSP) carry that many explicit sources drawn from
     ``[0, source_pool)`` — the raw ids are folded into the graph's vertex
-    range by the catalog.  Everything — gaps, tenant, graph, algorithm,
-    priority, sources — comes from the single ``default_rng(seed)`` stream
-    in a fixed draw order, so the trace is a pure function of the
-    arguments.
+    range when the dispatch builds its program.  Everything — gaps,
+    tenant, graph, algorithm, priority, sources — comes from the single
+    ``default_rng(seed)`` stream in a fixed draw order, so the trace is a
+    pure function of the arguments.  A malformed argument (a bool or
+    negative ``n_requests``, no tenants or priorities, a non-positive
+    ``deadline``) raises ``ValueError`` naming it.
     """
-    if n_requests < 0:
-        raise ValueError("n_requests must be non-negative")
+    if (isinstance(n_requests, bool) or not isinstance(n_requests, Integral)
+            or n_requests < 0):
+        raise ValueError(
+            f"n_requests must be a non-negative integer, got {n_requests!r}")
     if arrival_rate <= 0:
         raise ValueError("arrival_rate must be positive")
     if not graphs or not algorithms:
         raise ValueError("need at least one graph and one algorithm")
+    if not tenants or not priorities:
+        raise ValueError("tenants and priorities must be non-empty")
+    if deadline is not None and not deadline > 0:
+        raise ValueError(f"deadline must be positive, got {deadline!r}")
     if multi_source < 1:
         raise ValueError("multi_source must be >= 1")
     for algo in algorithms:

@@ -28,7 +28,8 @@ from __future__ import annotations
 import abc
 from typing import Hashable, Sequence, Tuple
 
-from repro.serve.request import BATCHABLE, Request, engine_key
+from repro.serve.batching import BATCHABLE
+from repro.serve.request import Request, engine_key
 
 __all__ = ["Scheduler", "FifoScheduler", "AffinityScheduler", "make_scheduler"]
 

@@ -22,20 +22,6 @@ class TestMetrics:
         with pytest.raises(ValueError):
             Metrics().add_phase("Tsr", -0.1)
 
-    def test_merge(self):
-        a, b = Metrics(), Metrics()
-        a.bytes_h2d, b.bytes_h2d = 10, 20
-        a.page_faults, b.page_faults = 1, 2
-        a.add_phase("Tsr", 1.0)
-        b.add_phase("Tsr", 2.0)
-        b.add_phase("Tfilling", 3.0)
-        out = a.merge(b)
-        assert out is a
-        assert a.bytes_h2d == 30
-        assert a.page_faults == 3
-        assert a.phase_seconds["Tsr"] == 3.0
-        assert a.phase_seconds["Tfilling"] == 3.0
-
     def test_as_dict(self):
         m = Metrics()
         m.bytes_h2d = 42

@@ -27,8 +27,9 @@ from repro.serve import (
     report_digest,
     run_load_test,
 )
+from repro.harness.experiments import PR_TOL, make_workload
+from repro.serve.batching import program_for
 from repro.serve.request import Request
-from repro.serve.simulator import WorkloadCatalog
 
 from conftest import make_spec_for
 
@@ -331,31 +332,39 @@ def test_clipped_log_invents_no_tenant_and_no_latency():
 
 
 class TestCatalog:
+    """The workload a dispatch runs: the harness's graph view and GPU spec,
+    and the program :func:`~repro.serve.batching.program_for` builds."""
+
     def test_variants_are_shared_by_identity(self):
-        cat = WorkloadCatalog(SCALE)
-        assert cat.graph("GS", "plain") is cat.graph("GS", "plain")
-        assert cat.graph("GS", "weighted") is cat.graph("GS", "weighted")
-        assert cat.graph("GS", "weighted") is not cat.graph("GS", "plain")
+        plain = make_workload("GS", "BFS", scale=SCALE).graph
+        weighted = make_workload("GS", "SSSP", scale=SCALE).graph
+        assert make_workload("GS", "CC", scale=SCALE).graph is plain
+        assert make_workload("GS", "SSWP", scale=SCALE).graph is weighted
+        assert weighted is not plain
         with pytest.raises(ValueError):
-            cat.graph("GS", "transposed")
+            make_workload("GS", "TRANSPOSED", scale=SCALE)
 
     def test_sources_fold_into_vertex_range(self):
-        cat = WorkloadCatalog(SCALE)
-        g = cat.graph("GS", "plain")
+        w = make_workload("GS", "BFS", scale=SCALE)
+        n = w.graph.n_vertices
         r = Request(request_id=0, tenant="t", graph_id="GS", algorithm="BFS",
-                    arrival=0.0, sources=(g.n_vertices + 3, 1))
-        assert cat.resolve_sources(r, g) == (3, 1)
+                    arrival=0.0, sources=(n + 3, 1))
+        assert program_for((r,), w).sources == (3, 1)
         # No explicit sources: the engine-style hub pick, in range.
-        hub = cat.resolve_sources(req(1, "BFS", 0.0), g)
-        assert len(hub) == 1 and 0 <= hub[0] < g.n_vertices
+        mate = req(1, "BFS", 0.0)
+        hub = program_for((mate, mate), w).sources
+        assert hub[0] == hub[1] == w.fresh_program().source
+        assert 0 <= hub[0] < n
 
     def test_program_for_picks_fused_vs_plain(self):
-        cat = WorkloadCatalog(SCALE)
-        g = cat.graph("GS", "plain")
+        w = make_workload("GS", "BFS", scale=SCALE)
         single = (req(0, "BFS", 0.0),)
-        assert cat.program_for(single, g).name == "BFS"
+        assert program_for(single, w).name == "BFS"
         batch = (req(0, "BFS", 0.0), req(1, "BFS", 0.1))
-        assert cat.program_for(batch, g).name == "BFSx2"
+        assert program_for(batch, w).name == "BFSx2"
+        # A lone PR request runs the harness's program, tolerance included.
+        pr = make_workload("GS", "PR", scale=SCALE)
+        assert program_for((req(2, "PR", 0.0),), pr).tol == PR_TOL
 
 
 class TestQuickConfig:
