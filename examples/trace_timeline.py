@@ -29,11 +29,11 @@ def render(result, lanes=("cpu", "copy", "gpu")):
           f"{horizon:.2f}s simulated")
     for lane in lanes:
         cells = [" "] * WIDTH
-        for e in log.events:
-            if e.lane != lane or e.end <= e.start:
+        for span in log.spans():
+            if span.lane != lane:
                 continue
-            lo = int(e.start / horizon * WIDTH)
-            hi = max(int(e.end / horizon * WIDTH), lo + 1)
+            lo = int(span.start / horizon * WIDTH)
+            hi = max(int(span.end / horizon * WIDTH), lo + 1)
             for i in range(lo, min(hi, WIDTH)):
                 cells[i] = "#"
         b = idle_breakdown(log, lane, horizon)

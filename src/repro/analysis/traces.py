@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Union
+from typing import Any, Dict, Iterator, List, Union
 
 import numpy as np
 
@@ -39,8 +39,6 @@ from repro.gpusim.events import (
     FAULT_KINDS,
     EventColumns,
     EventLog,
-    SimEvent,
-    as_columns,
 )
 
 __all__ = [
@@ -157,7 +155,7 @@ LANE_TIDS = {"gpu": 0, "copy": 1, "cpu": 2}
 #: Instant (lane-less) markers — UVM faults, pins — get their own row.
 MARKER_TID = 3
 
-TraceSource = Union[EventLog, RunResult, EventColumns, Iterable[SimEvent]]
+TraceSource = Union[EventLog, RunResult, EventColumns]
 
 
 def _source_columns(source: TraceSource) -> EventColumns:
@@ -175,7 +173,7 @@ def _source_columns(source: TraceSource) -> EventColumns:
                 "(engine record_events=True) to export a trace"
             )
         return source.events
-    return as_columns(source)
+    return source
 
 
 def _trace_rows(cols: EventColumns) -> Iterator[tuple]:

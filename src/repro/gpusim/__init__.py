@@ -20,8 +20,7 @@ GPU memory control, so this package models the platform deterministically:
   submit emits one row into the per-run
   :class:`~repro.gpusim.events.EventLog` (typed
   :class:`~repro.gpusim.events.EventColumns` when recording), and metrics,
-  phases, spans, and idle accounting are folds over it;
-  :class:`~repro.gpusim.events.SimEvent` is one row, read back;
+  phases, spans, and idle accounting are folds over its columns;
 * :mod:`repro.gpusim.fabric` — multi-device fabric: N
   :class:`~repro.gpusim.device.SimulatedGPU` instances sharing one clock
   and one event log, with typed host↔device / device↔device links built
@@ -44,7 +43,6 @@ from repro.gpusim.events import (
     EventLogError,
     IdleBreakdown,
     LaneStats,
-    SimEvent,
     Span,
     fold_device_faults,
     fold_device_metrics,
@@ -53,7 +51,6 @@ from repro.gpusim.events import (
     fold_phase_seconds,
     fold_spans,
     idle_breakdown,
-    lane_key,
     qualified_lane,
     validate_log,
 )
@@ -89,7 +86,6 @@ from repro.gpusim.device import GPUSpec, SimulatedGPU
 __all__ = [
     "VirtualClock",
     "Span",
-    "SimEvent",
     "EventColumns",
     "EventLog",
     "EventLogError",
@@ -102,7 +98,6 @@ __all__ = [
     "fold_device_metrics",
     "fold_device_faults",
     "idle_breakdown",
-    "lane_key",
     "qualified_lane",
     "validate_log",
     "DeviceSpec",

@@ -16,19 +16,17 @@ fault counts (§4.4) — comes from one source of truth:
 * :class:`EventColumns` — the retained rows as growable typed columns:
   interned lane/device, kind, label and phase ids, start/end doubles, the
   iteration, and the counter and ``extra`` payloads as an interned
-  key-tuple id plus a value tuple.  ``log.events`` *is* this store; it
-  reads as a ``Sequence`` of rows.
-* :class:`SimEvent` — one row, materialized on demand (indexing and
-  iterating ``log.events``, the JSON codec).  Nothing on an emission path
-  constructs one.
+  key-tuple id plus a value tuple.  ``log.events`` *is* this store, and
+  the only form a log takes: readers decode the rows they need through
+  :meth:`EventColumns.rows`, and the JSON codec is
+  :meth:`EventColumns.to_dicts` / :meth:`EventLog.emit_row`.
 
 ``Metrics``, ``phase_seconds``, span traces, and idle accounting are all
 *pure folds* over the columns (:func:`fold_metrics`, :func:`fold_spans`,
 :func:`fold_phase_seconds`, :func:`fold_lane_stats`, :func:`idle_breakdown`):
 NumPy selects the rows a fold reads, the floats are then added one by one
 in row order — float addition is not associative and every digest is a
-fixed point, so no fold may reduce pairwise.  Any iterable of
-:class:`SimEvent` is accepted too (it is loaded into columns first).
+fixed point, so no fold may reduce pairwise.
 :func:`validate_log` asserts the invariants that make the fold trustworthy:
 lanes never self-overlap, spans are monotone per lane, and the re-folded
 metrics equal the incrementally maintained counters bit for bit.
@@ -38,30 +36,26 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
-from typing import (Any, Dict, Hashable, Iterable, Iterator, List, Mapping,
-                    Optional, Tuple)
+from typing import (Any, Dict, Hashable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from repro.gpusim.metrics import COUNTER_FIELDS, Metrics
 
 __all__ = [
-    "SimEvent",
     "Span",
     "EventColumns",
     "EventLog",
     "EventLogError",
-    "as_columns",
     "LaneStats",
     "IdleBreakdown",
     "COUNTER_FIELDS",
     "FAULT_KINDS",
     "DEVICE_FAULT_KINDS",
     "REQUEST_KINDS",
-    "lane_key",
     "qualified_lane",
     "fold_metrics",
     "fold_spans",
@@ -110,115 +104,14 @@ REQUEST_KINDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    """One simulated activity, with everything needed to explain it.
-
-    ``lane`` names the engine the activity occupied (``gpu`` / ``copy`` /
-    ``cpu``); an empty lane marks an *instant* bookkeeping event (UVM
-    faults, pins, prefetches) that occupies no lane time.  The counter
-    fields are this event's *contribution* to the run's
-    :class:`~repro.gpusim.metrics.Metrics` — the fold is a plain sum, so
-    an event carries exactly the deltas the legacy call site added.
-    ``extra`` holds descriptive key/value pairs (trace-export args) that
-    do not fold into any counter.
-
-    ``device`` identifies the simulated device the activity belongs to
-    when several :class:`~repro.gpusim.device.SimulatedGPU` instances
-    share one log (a :class:`~repro.gpusim.fabric.Fabric`).  ``None`` —
-    the single-device default — serializes to nothing, so single-device
-    logs and digests are unchanged.
-    """
-
-    lane: str
-    kind: str
-    label: str
-    start: float
-    end: float
-    phase: Optional[str] = None
-    iteration: Optional[int] = None
-    device: Optional[int] = None
-    bytes_h2d: int = 0
-    bytes_d2h: int = 0
-    h2d_transfers: int = 0
-    d2h_transfers: int = 0
-    bytes_direct: int = 0
-    direct_accesses: int = 0
-    kernel_launches: int = 0
-    edges_processed: int = 0
-    page_faults: int = 0
-    fault_batches: int = 0
-    pages_migrated: int = 0
-    pages_evicted: int = 0
-    transfer_faults: int = 0
-    transfer_retries: int = 0
-    kernel_aborts: int = 0
-    retry_seconds: float = 0.0
-    extra: Tuple[Tuple[str, float], ...] = ()
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    @property
-    def is_instant(self) -> bool:
-        """Whether this is a zero-width bookkeeping marker (no lane time)."""
-        return not self.lane
-
-    # ------------------------------------------------------ serialization
-    def to_dict(self) -> Dict[str, Any]:
-        """Compact JSON-able form: default-valued fields are omitted."""
-        out: Dict[str, Any] = {
-            "lane": self.lane,
-            "kind": self.kind,
-            "label": self.label,
-            "start": self.start,
-            "end": self.end,
-        }
-        if self.phase is not None:
-            out["phase"] = self.phase
-        if self.iteration is not None:
-            out["iteration"] = self.iteration
-        if self.device is not None:
-            out["device"] = self.device
-        for name in COUNTER_FIELDS:
-            value = getattr(self, name)
-            if value:
-                out[name] = value
-        if self.extra:
-            out["extra"] = [[k, v] for k, v in self.extra]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SimEvent":
-        """Inverse of :meth:`to_dict`."""
-        kwargs = dict(data)
-        extra = kwargs.pop("extra", None)
-        if extra:
-            kwargs["extra"] = tuple((str(k), v) for k, v in extra)
-        known = {f.name for f in fields(cls)}
-        unknown = set(kwargs) - known
-        if unknown:
-            raise ValueError(f"unknown SimEvent fields: {sorted(unknown)}")
-        return cls(**kwargs)
-
-
-def lane_key(event: SimEvent) -> str:
-    """The lane-identity key an event's lane time is accounted under.
-
-    Single-device events (``device is None``) keep the bare lane name —
-    every existing fold, stat key, and digest is unchanged.  Events from a
-    multi-device fabric are qualified as ``"<lane>@<device>"`` so each
-    device's lanes stay serially ordered and separately accountable even
-    though all devices share one :class:`EventLog`.
-    """
-    if event.device is None:
-        return event.lane
-    return f"{event.lane}@{event.device}"
-
-
 def qualified_lane(lane: str, device: Optional[int]) -> str:
-    """The :func:`lane_key` for a bare lane name on a given device."""
+    """The key a row's lane time is accounted under.
+
+    Single-device rows (``device is None``) keep the bare lane name.  Rows
+    from a multi-device fabric are qualified as ``"<lane>@<device>"`` so
+    each device's lanes stay serially ordered and separately accountable
+    even though all devices share one :class:`EventLog`.
+    """
     return lane if device is None else f"{lane}@{device}"
 
 
@@ -300,14 +193,8 @@ class _Interner:
         return i
 
 
-def _counter_items(event: SimEvent) -> Dict[str, Any]:
-    """An event's non-zero counter fields, as an emit ``counters`` mapping."""
-    return {name: value for name in COUNTER_FIELDS
-            if (value := getattr(event, name))}
-
-
-class EventColumns(Sequence):
-    """The retained rows of a log: typed columns in, :class:`SimEvent` rows out.
+class EventColumns:
+    """The retained rows of a log, as typed columns.
 
     One entry per row in every column, in emission order:
 
@@ -334,17 +221,17 @@ class EventColumns(Sequence):
     JSON: an ``int`` value must come back an ``int``.  (Times are stored as
     C doubles: an ``int`` time comes back as the equal ``float``.)
 
-    As a ``Sequence`` the store reads like the ``List[SimEvent]`` it
-    replaces — ``len`` is O(1); indexing, iteration and ``==`` materialize
-    :class:`SimEvent` rows.  :meth:`append` takes a row *without* folding
-    it anywhere, which is how tests plant a row no emitter would produce.
+    A reader picks its rows with a mask over the id columns and decodes
+    only those through :meth:`rows`.  :meth:`add` takes a row *without*
+    folding it anywhere, which is how tests plant a row no emitter would
+    produce.
     """
 
     __slots__ = ("who", "kind", "label", "phase", "start", "end", "iteration",
                  "ckey", "cval", "xkey", "xval",
                  "whos", "kinds", "labels", "phases", "keysets")
 
-    def __init__(self, events: Iterable[SimEvent] = ()) -> None:
+    def __init__(self) -> None:
         self.who, self.kind, self.label = array("i"), array("i"), array("i")
         self.phase, self.ckey, self.xkey = array("i"), array("i"), array("i")
         self.start, self.end = array("d"), array("d")
@@ -356,8 +243,6 @@ class EventColumns(Sequence):
         self.labels = _Interner()
         self.phases = _Interner(None)
         self.keysets = _Interner(())
-        for event in events:
-            self.append(event)
 
     # -------------------------------------------------------------- writing
     def add(self, lane: str, kind: str, label: str, start: float, end: float,
@@ -407,37 +292,35 @@ class EventColumns(Sequence):
         self.xkey.extend(array("i", (self.keysets(extra_keys),)) * n)
         self.xval.extend(zip(*extra_cols) if extra_cols else repeat((), n))
 
-    def append(self, event: SimEvent) -> None:
-        """Retain ``event`` as a row — stored only, folded into nothing."""
-        self.add(event.lane, event.kind, event.label, event.start, event.end,
-                 event.phase, event.iteration, event.device,
-                 _counter_items(event), event.extra)
-
     # -------------------------------------------------------------- reading
-    def rows(self, index: slice = slice(None)) -> Iterator[tuple]:
+    def rows(self, index: "slice | Sequence[int]" = slice(None)
+             ) -> Iterator[tuple]:
         """Decoded rows: ``((lane, device), kind, label, phase, iteration,
         start, end, counter names, counter values, extra keys, extra values)``.
+
+        ``index`` is a slice or a list of row numbers in ascending order —
+        a fold's mask as ``np.flatnonzero(mask).tolist()``.
         """
+        if isinstance(index, slice):
+            def take(col):
+                return col[index]
+        else:
+            def take(col):
+                return map(col.__getitem__, index)
         keysets = self.keysets.values.__getitem__
         return zip(
-            map(self.whos.values.__getitem__, self.who[index]),
-            map(self.kinds.values.__getitem__, self.kind[index]),
-            map(self.labels.values.__getitem__, self.label[index]),
-            map(self.phases.values.__getitem__, self.phase[index]),
-            self.iteration[index], self.start[index], self.end[index],
-            map(keysets, self.ckey[index]), self.cval[index],
-            map(keysets, self.xkey[index]), self.xval[index],
+            map(self.whos.values.__getitem__, take(self.who)),
+            map(self.kinds.values.__getitem__, take(self.kind)),
+            map(self.labels.values.__getitem__, take(self.label)),
+            map(self.phases.values.__getitem__, take(self.phase)),
+            take(self.iteration), take(self.start), take(self.end),
+            map(keysets, take(self.ckey)), take(self.cval),
+            map(keysets, take(self.xkey)), take(self.xval),
         )
 
-    def _events(self, index: slice = slice(None)) -> Iterator[SimEvent]:
-        for ((lane, device), kind, label, phase, iteration, start, end,
-             cnames, cvals, xkeys, xvals) in self.rows(index):
-            yield SimEvent(lane, kind, label, start, end, phase, iteration,
-                           device, extra=tuple(zip(xkeys, xvals)),
-                           **dict(zip(cnames, cvals)))
-
     def to_dicts(self) -> List[Dict[str, Any]]:
-        """Every row's JSON form — ``[e.to_dict() for e in self]``."""
+        """Every row's JSON form — default-valued fields omitted, counters in
+        ``COUNTER_FIELDS`` order; :meth:`EventLog.emit_row` replays one."""
         out = []
         for ((lane, device), kind, label, phase, iteration, start, end,
              cnames, cvals, xkeys, xvals) in self.rows():
@@ -459,27 +342,12 @@ class EventColumns(Sequence):
     def __len__(self) -> int:
         return len(self.start)
 
-    def __iter__(self) -> Iterator[SimEvent]:
-        return self._events()
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self._events(index))
-        i = range(len(self))[index]  # normalizes negatives, raises IndexError
-        return next(self._events(slice(i, i + 1)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            mine == theirs for mine, theirs in zip(self, other))
-
     def __repr__(self) -> str:
         return f"<EventColumns: {len(self)} rows>"
 
     # ---------------------------------------------------- per-id fold views
     def lane_keys(self) -> List[Optional[str]]:
-        """Per ``who`` id: the :func:`lane_key` string, ``None`` if lane-less."""
+        """Per ``who`` id: the :func:`qualified_lane` key, ``None`` if lane-less."""
         return [qualified_lane(lane, device) if lane else None
                 for lane, device in self.whos.values]
 
@@ -494,11 +362,6 @@ class EventColumns(Sequence):
                          for k in self.kinds.values], dtype=bool)
 
 
-def as_columns(events: "EventColumns | Iterable[SimEvent]") -> EventColumns:
-    """``events`` itself when it already is the store, else loaded into one."""
-    return events if isinstance(events, EventColumns) else EventColumns(events)
-
-
 class EventLog:
     """The per-run event stream plus its incrementally maintained folds.
 
@@ -511,11 +374,11 @@ class EventLog:
 
     Emission has one path — :meth:`_emit`, the fold plus (when recording)
     one :meth:`EventColumns.add` — behind four doors: :meth:`emit_op` (lane
-    ops), :meth:`marker` / :meth:`marker_block` (instants) and :meth:`emit`
-    / :meth:`emit_row` (replaying rows that already exist).  The first
-    three reject bad input the same way in both modes: an unknown counter
-    name is a ``TypeError``, an op ending before it starts a ``ValueError``.
-    The replay doors take rows as they are — :func:`validate_log` is what
+    ops), :meth:`marker` / :meth:`marker_block` (instants) and
+    :meth:`emit_row` (replaying a serialized row).  The first three reject
+    bad input the same way in both modes: an unknown counter name is a
+    ``TypeError``, an op ending before it starts a ``ValueError``.  The
+    replay door takes rows as they are — :func:`validate_log` is what
     judges a foreign log.
 
     The log also carries the *emission context* — the engine phase and
@@ -657,15 +520,9 @@ class EventLog:
                                     self.current_iteration, device,
                                     tuple(extra_keys), extra_cols)
 
-    def emit(self, event: SimEvent) -> None:
-        """Replay an existing :class:`SimEvent` (its own phase/iteration)."""
-        self._emit(event.lane, event.kind, event.label, event.start,
-                   event.end, event.phase, event.iteration, event.device,
-                   _counter_items(event), event.extra)
-
     def emit_row(self, data: Mapping[str, Any]) -> None:
-        """Replay one serialized row — the inverse of
-        :meth:`EventColumns.to_dicts`, with no :class:`SimEvent` between."""
+        """Replay one serialized row (its own phase/iteration) — the inverse
+        of :meth:`EventColumns.to_dicts`."""
         row = dict(data)
         interval = [row.pop(name) for name in ("lane", "kind", "label",
                                                "start", "end")]
@@ -674,7 +531,7 @@ class EventLog:
         extra = tuple((str(k), v) for k, v in row.pop("extra", None) or ())
         if not _COUNTER_SET.issuperset(row):
             raise ValueError(
-                f"unknown SimEvent fields: {sorted(set(row) - _COUNTER_SET)}")
+                f"unknown row fields: {sorted(set(row) - _COUNTER_SET)}")
         self._emit(*interval, *context, row, extra)
 
     # -------------------------------------------------------------- views
@@ -737,14 +594,14 @@ def _fold_metrics(cols: EventColumns,
     return metrics
 
 
-def fold_metrics(events: "EventColumns | Iterable[SimEvent]") -> Metrics:
+def fold_metrics(cols: EventColumns) -> Metrics:
     """Replay a log's rows into a fresh counter bundle.
 
     Addition order matches emission order, so on a recorded log this
     reproduces ``log.metrics`` bit-identically — the property
     :func:`validate_log` asserts.
     """
-    return _fold_metrics(as_columns(events))
+    return _fold_metrics(cols)
 
 
 def _lane_rows(cols: EventColumns) -> Tuple[np.ndarray, np.ndarray]:
@@ -756,27 +613,24 @@ def _lane_rows(cols: EventColumns) -> Tuple[np.ndarray, np.ndarray]:
     return rows, who[rows]
 
 
-def fold_spans(events: "EventColumns | Iterable[SimEvent]") -> List[Span]:
+def fold_spans(cols: EventColumns) -> List[Span]:
     """The span timeline: one span per lane-occupying row."""
     return [
         Span(lane=qualified_lane(lane, device), label=label, start=start,
              end=end)
         for (lane, device), _, label, _, _, start, end, *_
-        in as_columns(events).rows()
+        in cols.rows()
         if lane and end > start
     ]
 
 
-def fold_phase_seconds(
-        events: "EventColumns | Iterable[SimEvent]") -> Dict[str, float]:
+def fold_phase_seconds(cols: EventColumns) -> Dict[str, float]:
     """Per-phase accumulated seconds (Fig. 10's Tsr/Tfilling/... bars)."""
-    return dict(fold_metrics(events).phase_seconds)
+    return dict(fold_metrics(cols).phase_seconds)
 
 
-def fold_lane_stats(
-        events: "EventColumns | Iterable[SimEvent]") -> Dict[str, LaneStats]:
+def fold_lane_stats(cols: EventColumns) -> Dict[str, LaneStats]:
     """Per-lane busy/op aggregates, identical to the emit-time fold."""
-    cols = as_columns(events)
     rows, who = _lane_rows(cols)
     keys = cols.lane_keys()
     stats: Dict[str, LaneStats] = {}
@@ -795,15 +649,12 @@ def fold_lane_stats(
     return stats
 
 
-def fold_device_metrics(
-    events: "EventColumns | Iterable[SimEvent]",
-) -> Dict[Optional[int], Metrics]:
+def fold_device_metrics(cols: EventColumns) -> Dict[Optional[int], Metrics]:
     """Per-device counter bundles from a shared (fabric) event log.
 
     Rows carrying no ``device`` fold under the ``None`` key, so a
-    single-device log comes back as ``{None: fold_metrics(events)}``.
+    single-device log comes back as ``{None: fold_metrics(cols)}``.
     """
-    cols = as_columns(events)
     device = cols.devices()
     row_device = device[np.array(cols.who)]
     # ``who`` ids are interned in first-seen order, so is this dict.
@@ -814,8 +665,7 @@ def fold_device_metrics(
 
 
 def fold_device_faults(
-    events: "EventColumns | Iterable[SimEvent]",
-) -> Dict[Optional[int], Dict[str, int]]:
+        cols: EventColumns) -> Dict[Optional[int], Dict[str, int]]:
     """Per-device fault/recovery counts from a recorded log.
 
     Counts every :data:`FAULT_KINDS` / :data:`DEVICE_FAULT_KINDS` row
@@ -824,7 +674,6 @@ def fold_device_faults(
     ``RunResult.extra``.  A fault-free log folds to ``{}``, so asserting
     byte-identical single-device behaviour stays a one-liner.
     """
-    cols = as_columns(events)
     out: Dict[Optional[int], Dict[str, int]] = {}
     kind = np.array(cols.kind)
     rows = np.flatnonzero(cols.kinds_in(FAULT_KINDS, DEVICE_FAULT_KINDS)[kind])
@@ -837,20 +686,19 @@ def fold_device_faults(
 
 
 def idle_breakdown(
-    log: "EventLog | EventColumns | Iterable[SimEvent]", lane: str,
-    horizon: float,
-) -> IdleBreakdown:
+        log: "EventLog | EventColumns", lane: str,
+        horizon: float) -> IdleBreakdown:
     """Attribute a lane's idle time to lead / stalls / tail.
 
     The old ``horizon - busy_seconds`` subtraction could not tell a lane
     that simply *started late* (e.g. the GPU waiting for the one-time
     vertex-state upload) from one stalling mid-run (§2.2's sequential
-    pipeline).  Works on a recorded :class:`EventLog` or a raw event list.
+    pipeline).  Works on a recorded :class:`EventLog` or its columns.
     """
+    cols = log
     if isinstance(log, EventLog):
         log._require_recorded("idle_breakdown()")
-        log = log.events
-    cols = as_columns(log)
+        cols = log.events
     rows, who = _lane_rows(cols)
     mine = np.array([key == lane for key in cols.lane_keys()], dtype=bool)
     start, end = np.array(cols.start)[rows], np.array(cols.end)[rows]

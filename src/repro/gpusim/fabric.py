@@ -34,6 +34,7 @@ the classic single-device model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -41,7 +42,7 @@ import numpy as np
 
 from repro.gpusim.clock import VirtualClock
 from repro.gpusim.device import DeviceFacade, GPUSpec, SimulatedGPU
-from repro.gpusim.events import EventLog
+from repro.gpusim.events import EventColumns, EventLog
 from repro.gpusim.stream import Lane
 
 __all__ = [
@@ -84,6 +85,23 @@ def _device_count(value: Any) -> int:
     raise ValueError(f"n_devices must be an integer, got {value!r}")
 
 
+def _link_number(name: str, value: Any) -> float:
+    """A dict's bandwidth or latency: a finite number or numeric string.
+
+    A bool, null, NaN or infinity is a ``ValueError`` naming the key, never
+    a link of 1 B/s or one that no check can compare.
+    """
+    if not isinstance(value, bool):
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if math.isfinite(x):
+                return x
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LinkSpec:
     """One typed link of the fabric (host↔device or device↔device)."""
@@ -93,10 +111,11 @@ class LinkSpec:
     latency: float  # seconds per transfer
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ValueError("link bandwidth must be positive")
-        if self.latency < 0:
-            raise ValueError("link latency must be non-negative")
+        # Negated comparisons: NaN fails every one of them.
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError("link bandwidth must be positive and finite")
+        if not 0 <= self.latency < math.inf:
+            raise ValueError("link latency must be non-negative and finite")
 
     def copy_cost(self, nbytes):
         """``(fixed, variable)`` seconds to move ``nbytes`` over this link."""
@@ -157,10 +176,11 @@ class FabricSpec:
                 raise ValueError("device_mems entries must be positive")
         for name in ("d2d_bandwidth", "h2d_bandwidth"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.d2d_latency is not None and self.d2d_latency < 0:
-            raise ValueError("d2d_latency must be non-negative")
+            if v is not None and not 0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        latency = self.d2d_latency
+        if latency is not None and not 0 <= latency < math.inf:
+            raise ValueError("d2d_latency must be non-negative and finite")
 
     # ------------------------------------------------------- serialization
     def to_dict(self) -> Dict[str, Any]:
@@ -201,13 +221,14 @@ class FabricSpec:
         # HeteroG's bandwidth pair, MB/s: [device<->device, host<->device].
         bw = data.get("bandwidth")
         if bw is not None:
-            if len(bw) != 2:
-                raise ValueError("bandwidth must be [d2d, h2d] in MB/s")
-            kwargs["d2d_bandwidth"] = float(bw[0]) * 1e6
-            kwargs["h2d_bandwidth"] = float(bw[1]) * 1e6
+            if not isinstance(bw, (list, tuple)) or len(bw) != 2:
+                raise ValueError(
+                    f"bandwidth must be [d2d, h2d] in MB/s, got {bw!r}")
+            kwargs["d2d_bandwidth"] = _link_number("bandwidth", bw[0]) * 1e6
+            kwargs["h2d_bandwidth"] = _link_number("bandwidth", bw[1]) * 1e6
         for name in ("d2d_bandwidth", "d2d_latency", "h2d_bandwidth"):
             if name in data:
-                kwargs[name] = float(data[name])
+                kwargs[name] = _link_number(name, data[name])
         return cls(**kwargs)
 
     # ------------------------------------------------------------- queries
@@ -465,17 +486,18 @@ class Fabric(DeviceFacade):
         return self.devices[device_id].gpu_idle_fraction()
 
 
-def fold_exchange_bytes(events) -> Dict[int, int]:
+def fold_exchange_bytes(events: EventColumns) -> Dict[int, int]:
     """Per-source-device exchange bytes from a recorded fabric log.
 
-    A pure fold over ``d2d`` events (payload rides in ``extra`` — exchange
+    A pure fold over ``d2d`` rows (payload rides in ``extra`` — exchange
     traffic deliberately touches no :class:`~repro.gpusim.metrics.Metrics`
     counter, keeping single-device folds untouched).
     """
+    who = np.array(events.who)
+    d2d = np.array(events.kind) == events.kinds.ids.get("d2d", -1)
+    picked = np.flatnonzero(d2d & (events.devices()[who] >= 0)).tolist()
     out: Dict[int, int] = {}
-    for e in events:
-        if e.kind != "d2d" or e.device is None:
-            continue
-        nbytes = int(dict(e.extra).get("bytes", 0.0))
-        out[e.device] = out.get(e.device, 0) + nbytes
+    for (_, device), *_, xkeys, xvals in events.rows(picked):
+        nbytes = int(dict(zip(xkeys, xvals)).get("bytes", 0.0))
+        out[device] = out.get(device, 0) + nbytes
     return out

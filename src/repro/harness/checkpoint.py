@@ -37,9 +37,9 @@ __all__ = ["IterationCheckpoint", "ShardCheckpoint", "CheckpointStore",
 #: 2: ``HotnessTable`` keeps its counters per chunk-map segment (a version-1
 #: blob would unpickle into a table without the segment fields and fail
 #: mid-iteration instead of at load).
-#: 3: ``EventLog.events`` is an ``EventColumns`` store, not a list of
-#: ``SimEvent`` (a version-2 blob of a recording run would unpickle a log
-#: whose next emit calls ``list.add``).
+#: 3: ``EventLog.events`` is an ``EventColumns`` store, not a list of row
+#: objects (a version-2 blob of a recording run would unpickle a log whose
+#: next emit calls ``list.add``).
 #: 4: the clock's span log is gone from engines, ``SimulatedGPU`` and
 #: ``VirtualClock``, and Ascetic's config object lost five fields (a version-3
 #: blob would restore all of them as dead attributes).
@@ -52,6 +52,8 @@ __all__ = ["IterationCheckpoint", "ShardCheckpoint", "CheckpointStore",
 #: 7: ``AsceticEngine`` holds its six switches (``k``, ``fill``, ...) as
 #: attributes instead of a ``config`` object (a version-6 blob would restore
 #: a dead ``config`` attribute and none of the switches).
+#: Still 7 after ``EventColumns`` stopped materializing rows: its
+#: ``__slots__`` are unchanged, so a version-7 blob loads as it did.
 CHECKPOINT_VERSION = 7
 
 

@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engines import registry
 from repro.engines.base import RunResult
-from repro.gpusim.events import EventLog, SimEvent
+from repro.gpusim.events import EventColumns, EventLog
 from repro.gpusim.fabric import FabricSpec
 from repro.gpusim.faults import FaultInjector, FaultPlan
 from repro.harness.experiments import make_workload
@@ -222,8 +222,9 @@ class FleetResult:
     config: FleetConfig
     requests: Tuple[Request, ...]
     responses: Tuple[Response, ...]
-    #: The serve log's rows (``log.events``: reads as a sequence of events).
-    events: Sequence[SimEvent]
+    #: The serve log's recorded rows (``log.events``); :func:`fold_slo`
+    #: re-folds them into ``report``.
+    events: EventColumns
     report: Dict[str, Any]
     #: Per-device warm-reuse ledgers (device id → stats).
     device_pool_stats: Dict[int, PoolStats]

@@ -172,15 +172,15 @@ def generate_requests(
     tenant, graph, algorithm, priority, sources — comes from the single
     ``default_rng(seed)`` stream in a fixed draw order, so the trace is a
     pure function of the arguments.  A malformed argument (a bool or
-    negative ``n_requests``, no tenants or priorities, a non-positive
-    ``deadline``) raises ``ValueError`` naming it.
+    negative ``n_requests``, no tenants or priorities, a non-positive or
+    NaN ``arrival_rate`` or ``deadline``) raises ``ValueError`` naming it.
     """
     if (isinstance(n_requests, bool) or not isinstance(n_requests, Integral)
             or n_requests < 0):
         raise ValueError(
             f"n_requests must be a non-negative integer, got {n_requests!r}")
-    if arrival_rate <= 0:
-        raise ValueError("arrival_rate must be positive")
+    if not arrival_rate > 0:  # NaN too: its gaps would all be NaN
+        raise ValueError(f"arrival_rate must be positive, got {arrival_rate!r}")
     if not graphs or not algorithms:
         raise ValueError("need at least one graph and one algorithm")
     if not tenants or not priorities:

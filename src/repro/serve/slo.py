@@ -23,9 +23,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, List, Set, Tuple
 
-from repro.gpusim.events import SimEvent
+import numpy as np
+
+from repro.gpusim.events import EventColumns
 
 __all__ = ["SLO_SCHEMA", "fold_slo", "report_digest", "canonical_json"]
 
@@ -41,6 +43,12 @@ _DEGRADED_KINDS = frozenset({
     "device-down", "device-up", "device-fail", "request-retry",
     "breaker-open", "breaker-close",
 })
+#: The kinds whose rows :func:`fold_slo` decodes; the admit and warm-pool
+#: markers are only counted.
+_READ_KINDS = frozenset({
+    "request-arrive", "request-shed", "request-start", "request-complete",
+    "dispatch",
+}) | _DEGRADED_KINDS
 
 
 def _percentiles(samples: List[float]) -> Dict[str, float]:
@@ -62,54 +70,54 @@ def _percentiles(samples: List[float]) -> Dict[str, float]:
     }
 
 
-def fold_slo(events: Iterable[SimEvent], horizon: float | None = None) -> Dict[str, Any]:
+def fold_slo(events: EventColumns,
+             horizon: float | None = None) -> Dict[str, Any]:
     """Fold request-lifecycle markers into the SLO report dict.
 
     ``horizon`` (the load test's end time) defaults to the latest event
     timestamp; goodput and throughput are completions per simulated
-    second over it.
+    second over it.  A kind-id mask picks the rows to read; only those are
+    decoded, in row order.
     """
-    arrive: Dict[int, SimEvent] = {}
-    start: Dict[int, SimEvent] = {}
-    complete: Dict[int, SimEvent] = {}
-    shed: Dict[int, SimEvent] = {}
-    admitted = 0
-    warm_hits = 0
-    warm_misses = 0
-    dispatches: List[SimEvent] = []
-    fault_markers: List[SimEvent] = []
-    last_t = 0.0
-    for e in events:
-        # Fault-timeline markers are emitted eagerly at *plan* times, which
-        # can sit far beyond the load test; they must not stretch the
-        # default horizon.
-        if e.kind not in _DEGRADED_KINDS:
-            last_t = max(last_t, e.end)
-        extra = dict(e.extra)
+    kind = np.array(events.kind)
+    kind_ids = events.kinds.ids
+
+    def count(name: str) -> int:
+        return int(np.count_nonzero(kind == kind_ids.get(name, -1)))
+
+    # Fault-timeline markers are emitted eagerly at *plan* times, which can
+    # sit far beyond the load test; they must not stretch the default
+    # horizon.
+    ends = np.array(events.end)[~events.kinds_in(_DEGRADED_KINDS)[kind]]
+    last_t = max([0.0, *ends.tolist()])
+    arrive: Dict[int, Tuple[str, float, Dict[str, Any]]] = {}
+    start: Dict[int, float] = {}
+    complete: Dict[int, float] = {}
+    shed: Set[int] = set()
+    dispatches: List[Dict[str, Any]] = []
+    fault_markers: List[tuple] = []
+    picked = np.flatnonzero(events.kinds_in(_READ_KINDS)[kind]).tolist()
+    for ((_, device), k, label, _, _, t0, t1, _, _, xkeys,
+         xvals) in events.rows(picked):
+        extra = dict(zip(xkeys, xvals))
         rid = int(extra["request"]) if "request" in extra else None
-        if e.kind == "request-arrive":
-            arrive[rid] = e
-        elif e.kind == "request-admit":
-            admitted += 1
-        elif e.kind == "request-shed":
-            shed[rid] = e
-        elif e.kind == "request-start":
-            start[rid] = e
-        elif e.kind == "request-complete":
-            complete[rid] = e
-        elif e.kind == "warm-hit":
-            warm_hits += 1
-        elif e.kind == "warm-miss":
-            warm_misses += 1
-        elif e.kind == "dispatch":
-            dispatches.append(e)
-        elif e.kind in _DEGRADED_KINDS:
-            fault_markers.append(e)
+        if k == "request-arrive":
+            arrive[rid] = (label, t0, extra)
+        elif k == "request-shed":
+            shed.add(rid)
+        elif k == "request-start":
+            start[rid] = t0
+        elif k == "request-complete":
+            complete[rid] = t1
+        elif k == "dispatch":
+            dispatches.append(extra)
+        else:
+            fault_markers.append((k, t0, device, extra))
     if horizon is None:
         horizon = last_t
     # A fault scheduled beyond the horizon never touched any request: the
     # report stays exactly fault-free.
-    fault_markers = [e for e in fault_markers if e.start <= horizon]
+    fault_markers = [m for m in fault_markers if m[1] <= horizon]
 
     e2e: List[float] = []
     queue: List[float] = []
@@ -117,8 +125,8 @@ def fold_slo(events: Iterable[SimEvent], horizon: float | None = None) -> Dict[s
     deadline_met = 0
     tenants: Dict[str, Dict[str, float]] = {}
 
-    def tenant_of(event: SimEvent) -> str:
-        return event.label.split("/", 2)[0]
+    def tenant_of(arrival: tuple) -> str:
+        return arrival[0].split("/", 2)[0]
 
     def tenant_bucket(name: str) -> Dict[str, float]:
         bucket = tenants.get(name)
@@ -141,16 +149,17 @@ def fold_slo(events: Iterable[SimEvent], horizon: float | None = None) -> Dict[s
         began = start.get(rid)
         if came is None or began is None:
             continue  # torn lifecycle (clipped log) — not countable
-        e2e.append(done.end - came.start)
-        queue.append(began.start - came.start)
-        service.append(done.end - began.start)
-        deadline = dict(came.extra).get("deadline", -1.0)
-        if deadline < 0 or done.end <= deadline:
+        _, came_at, extra = came
+        e2e.append(done - came_at)
+        queue.append(began - came_at)
+        service.append(done - began)
+        deadline = extra.get("deadline", -1.0)
+        if deadline < 0 or done <= deadline:
             deadline_met += 1
         bucket = tenant_bucket(tenant_of(came))
         bucket["completed"] += 1
-        bucket["e2e_seconds"] += done.end - came.start
-        bucket["service_seconds"] += done.end - began.start
+        bucket["e2e_seconds"] += done - came_at
+        bucket["service_seconds"] += done - began
 
     arrived = len(arrive)
     completed = len(complete)
@@ -159,7 +168,7 @@ def fold_slo(events: Iterable[SimEvent], horizon: float | None = None) -> Dict[s
         "horizon_seconds": horizon,
         "counts": {
             "arrived": arrived,
-            "admitted": admitted,
+            "admitted": count("request-admit"),
             "shed": len(shed),
             "completed": completed,
             "deadline_met": deadline_met,
@@ -172,7 +181,7 @@ def fold_slo(events: Iterable[SimEvent], horizon: float | None = None) -> Dict[s
         "throughput_per_second": completed / horizon if horizon > 0 else 0.0,
         "goodput_per_second": deadline_met / horizon if horizon > 0 else 0.0,
         "shed_rate": len(shed) / arrived if arrived else 0.0,
-        "warm": {"hits": warm_hits, "misses": warm_misses},
+        "warm": {"hits": count("warm-hit"), "misses": count("warm-miss")},
         "tenants": {name: tenants[name] for name in sorted(tenants)},
         "fleet": _fold_fleet(dispatches, horizon),
     }
@@ -182,8 +191,8 @@ def fold_slo(events: Iterable[SimEvent], horizon: float | None = None) -> Dict[s
     return out
 
 
-def _fold_degraded(markers: List[SimEvent], arrive: Dict[int, SimEvent],
-                   complete: Dict[int, SimEvent],
+def _fold_degraded(markers: List[tuple], arrive: Dict[int, tuple],
+                   complete: Dict[int, float],
                    horizon: float) -> Dict[str, Any]:
     """The failure ledger: downtime, failover counts, goodput-under-failure.
 
@@ -211,23 +220,21 @@ def _fold_degraded(markers: List[SimEvent], arrive: Dict[int, SimEvent],
 
     retried: Dict[int, int] = {}
     breaker_closes = 0
-    for e in markers:
-        extra = dict(e.extra)
-        dev = e.device if e.device is not None \
-            else int(extra.get("device", -1))
-        if e.kind == "device-down":
-            open_at.setdefault(dev, e.start)
-        elif e.kind == "device-up":
+    for kind, t, device, extra in markers:
+        dev = device if device is not None else int(extra.get("device", -1))
+        if kind == "device-down":
+            open_at.setdefault(dev, t)
+        elif kind == "device-up":
             t0 = open_at.pop(dev, None)
             if t0 is not None:
-                windows.append((t0, e.start, dev))
-        elif e.kind == "device-fail":
+                windows.append((t0, t, dev))
+        elif kind == "device-fail":
             bucket(dev)["dispatch_failures"] += 1
-        elif e.kind == "breaker-open":
+        elif kind == "breaker-open":
             bucket(dev)["breaker_opens"] += 1
-        elif e.kind == "breaker-close":
+        elif kind == "breaker-close":
             breaker_closes += 1
-        elif e.kind == "request-retry":
+        elif kind == "request-retry":
             rid = int(extra.get("request", -1))
             retried[rid] = retried.get(rid, 0) + 1
     for dev, t0 in sorted(open_at.items()):
@@ -250,10 +257,10 @@ def _fold_degraded(markers: List[SimEvent], arrive: Dict[int, SimEvent],
         came = arrive.get(rid)
         if came is None:
             continue
-        deadline = dict(came.extra).get("deadline", -1.0)
-        if deadline >= 0 and done.end > deadline:
+        deadline = came[2].get("deadline", -1.0)
+        if deadline >= 0 and done > deadline:
             continue
-        if any(t0 <= done.end <= t1 for t0, t1 in merged):
+        if any(t0 <= done <= t1 for t0, t1 in merged):
             met_during += 1
 
     return {
@@ -267,7 +274,7 @@ def _fold_degraded(markers: List[SimEvent], arrive: Dict[int, SimEvent],
     }
 
 
-def _fold_fleet(dispatches: List[SimEvent],
+def _fold_fleet(dispatches: List[Dict[str, Any]],
                 horizon: float) -> Dict[str, Any]:
     """Per-device utilization and exchange traffic from ``dispatch`` markers.
 
@@ -292,8 +299,7 @@ def _fold_fleet(dispatches: List[SimEvent],
 
     sharded = 0
     exchange_total = 0.0
-    for e in dispatches:
-        extra = dict(e.extra)
+    for extra in dispatches:
         dev = int(extra.get("device", 0))
         service = float(extra.get("service", 0.0))
         n_req = int(extra.get("requests", 1))

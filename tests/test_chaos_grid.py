@@ -18,6 +18,8 @@ from repro.gpusim.faults import FaultPlan, standard_plan
 from repro.harness.experiments import make_workload, run_workload
 from repro.runner import RunSpec, run_grid
 
+from event_log_oracles import rows
+
 SCALE = 5e-5
 ENGINES = ("PT", "UVM", "Subway", "Ascetic", "Hybrid", "Sharded")
 #: ``standard_plan()`` names no Hybrid buffer, so Hybrid's case adds its
@@ -93,7 +95,7 @@ class TestChaosDeterminism:
         w = make_workload("GS", "BFS", scale=SCALE)
         res = run_workload(w, "Subway", record_events=True,
                            fault_plan=plan, seed=1)
-        kinds = {e.kind for e in res.event_log.events}
+        kinds = {e.kind for e in rows(res.event_log.events)}
         assert kinds & FAULT_KINDS
         assert res.metrics.retry_seconds > 0.0
 

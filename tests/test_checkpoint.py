@@ -17,6 +17,8 @@ from repro.harness.checkpoint import (
 from repro.harness.experiments import make_workload, run_cell, run_workload
 from repro.runner import RunSpec, run_grid
 
+from event_log_oracles import rows
+
 SCALE = 5e-5
 
 #: Chaos plan for the resume tests: the injector's RNG stream must survive
@@ -35,7 +37,7 @@ def _fingerprint(result):
         tuple(sorted(result.extra.items())),
         None if result.event_log is None else tuple(
             tuple(sorted(e.to_dict().items(), key=lambda kv: kv[0]))
-            for e in result.event_log.events),
+            for e in rows(result.event_log.events)),
     )
 
 
@@ -168,7 +170,8 @@ class TestStore:
                                   checkpoint=store, checkpoint_key="cell")
             assert result.iterations == clean.iterations
             assert np.array_equal(result.values, clean.values)
-            assert result.event_log.events == clean.event_log.events
+            assert (result.event_log.events.to_dicts()
+                    == clean.event_log.events.to_dicts())
 
     def test_clear_and_keys(self, tmp_path):
         store = CheckpointStore(str(tmp_path))

@@ -97,7 +97,7 @@ def result_hash(result) -> str:
 
 
 def event_log_hash(result) -> str:
-    blob = json.dumps([e.to_dict() for e in result.event_log.events])
+    blob = json.dumps(result.event_log.events.to_dicts())
     return hashlib.sha1(blob.encode()).hexdigest()[:16]
 
 

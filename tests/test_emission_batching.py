@@ -2,10 +2,10 @@
 
 The manager's lean-mode fast paths fold whole op columns through
 :meth:`EventLog.emit_batch` and scalar ops through :meth:`EventLog.emit_op`
-instead of constructing one :class:`SimEvent` per op.  Nothing downstream
-may be able to tell: the folded :class:`Metrics` (float accumulation order
-included), the per-lane stats, and — in recorded mode — the retained event
-list must equal per-op emission bit for bit.  These tests pin that at the
+instead of replaying one row per op.  Nothing downstream may be able to
+tell: the folded :class:`Metrics` (float accumulation order included), the
+per-lane stats, and — in recorded mode — the retained rows must equal
+per-op emission bit for bit.  These tests pin that at the
 unit level and through full engine runs (Ascetic, Hybrid, and a 4-device
 Sharded fabric), where lean and recorded executions must produce identical
 result payloads.
@@ -27,6 +27,7 @@ from repro.graph.properties import best_source
 from repro.harness.persistence import result_to_payload
 
 from conftest import TEST_SCALE, make_spec_for
+from event_log_oracles import SimEvent
 
 
 def _ops_strategy():
@@ -63,9 +64,7 @@ def _lane_stats_dict(log):
 class TestEmitOp:
     @given(ops=_ops_strategy())
     def test_lean_fold_matches_per_event_emission(self, ops):
-        """emit_op without a SimEvent folds exactly like emit(SimEvent)."""
-        from repro.gpusim.events import SimEvent
-
+        """emit_op folds exactly like replaying the same row."""
         by_op, by_event = EventLog(record=False), EventLog(record=False)
         by_op.current_phase = by_event.current_phase = "Tfilling"
         starts, ends, byte_col, retry_col = _columns(ops)
@@ -74,10 +73,10 @@ class TestEmitOp:
                         "retry_seconds": float(retry_col[i])}
             by_op.emit_op("copy", "h2d", "x", float(starts[i]),
                           float(ends[i]), counters=counters, device=2)
-            by_event.emit(SimEvent(
+            by_event.emit_row(SimEvent(
                 lane="copy", kind="h2d", label="x",
                 start=float(starts[i]), end=float(ends[i]),
-                phase="Tfilling", device=2, **counters))
+                phase="Tfilling", device=2, **counters).to_dict())
         assert by_op.metrics.as_dict() == by_event.metrics.as_dict()
         assert _lane_stats_dict(by_op) == _lane_stats_dict(by_event)
 
@@ -124,7 +123,8 @@ class TestEmitBatch:
                            float(starts[i]), float(ends[i]),
                            counters={"edges_processed": int(byte_col[i])},
                            device=1)
-        assert batched.events == looped.events
+        assert json.dumps(batched.events.to_dicts()) == json.dumps(
+            looped.events.to_dicts())
         assert batched.metrics.as_dict() == looped.metrics.as_dict()
 
     def test_empty_batch_is_a_no_op(self):

@@ -2,13 +2,13 @@
 
 ``EventLog`` folds every emit into ``Metrics`` / ``LaneStats`` and, when
 recording, appends the row to typed columns (``EventColumns``); every reader
-is a fold over those columns.  ``tests/event_log_oracles.py`` keeps the code
-this replaced — one ``SimEvent`` per row, Python loops over a list — and
-hypothesis drives both with the same random emission sequences through every
-door.  Nothing may be able to tell them apart: counters, order-sensitive
-float sums, retained rows, their JSON (an ``int`` stays an ``int``), the
-Chrome-trace bytes, and which corrupted logs ``validate_log`` rejects with
-which message.
+is a fold over those columns, and the columns are the only form a log takes
+under ``src/``.  ``tests/event_log_oracles.py`` keeps the code this replaced
+— one ``SimEvent`` per row, Python loops over a list — and hypothesis drives
+both with the same random emission sequences through every door.  Nothing
+may be able to tell them apart: counters, order-sensitive float sums,
+retained rows, their JSON (an ``int`` stays an ``int``), the Chrome-trace
+bytes, and which corrupted logs ``validate_log`` rejects with which message.
 
 Times are generated as floats only: the columns store them as C doubles, so
 an ``int`` time would come back as the equal ``float``.
@@ -16,6 +16,7 @@ an ``int`` time would come back as the equal ``float``.
 
 import json
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +24,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.traces import chrome_trace_events
 from repro.gpusim import events as ev
-from repro.gpusim.events import (EventColumns, EventLog, EventLogError,
-                                 SimEvent)
+from repro.gpusim.events import (REQUEST_KINDS, EventColumns, EventLog,
+                                 EventLogError)
+from repro.gpusim.fabric import fold_exchange_bytes
+from repro.serve.slo import _DEGRADED_KINDS, canonical_json, fold_slo
 
 import event_log_oracles as oracle
+from event_log_oracles import SimEvent
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 LANES = ("gpu", "copy", "cpu")
 KINDS = ("kernel", "h2d", "backoff", "h2d-fault", "device-down", "uvm-fault",
@@ -82,7 +88,7 @@ def blocks(draw):
 
 def _sim_event(lane, kind, label, start, dur, context, device, counts, extra):
     # Lane-less rows with width and rows running backwards are legal here:
-    # emit() replays what it is given, validate_log is what rejects them.
+    # emit_row() replays what it is given, validate_log is what rejects them.
     return SimEvent(lane, kind, label, start, start + dur, context[0],
                     context[1], device, extra=extra, **counts)
 
@@ -99,7 +105,7 @@ steps = st.one_of(
     st.tuples(st.just("emit_batch"), st.sampled_from(LANES),
               st.sampled_from(KINDS), st.sampled_from(LABELS), batches(),
               devices),
-    st.tuples(st.just("emit"), st.builds(
+    st.tuples(st.just("emit_row"), st.builds(
         _sim_event, st.sampled_from(("",) + LANES), st.sampled_from(KINDS),
         st.sampled_from(LABELS), times,
         st.floats(-1.0, 2.0, allow_nan=False), contexts, devices,
@@ -130,7 +136,7 @@ def drive(log, sequence):
                            counters={k: np.array(v) for k, v in cols.items()},
                            device=device)
         else:
-            log.emit(args[0])
+            log.emit_row(args[0].to_dict())
     return log
 
 
@@ -165,15 +171,15 @@ def test_columnar_log_is_indistinguishable_from_the_oracle(sequence, horizon):
     assert len(lean.events) == 0
 
     # Retained rows, their JSON, and the Chrome-trace bytes.
-    assert list(log.events) == ref.events
-    assert log.events == ref.events and ref.events == log.events
+    assert oracle.rows(log.events) == ref.events
     assert json.dumps(log.events.to_dicts()) == json.dumps(
         [e.to_dict() for e in ref.events])
     assert json.dumps(chrome_trace_events(log)) == json.dumps(
         oracle.chrome_trace_events(ref.events))
 
-    # Every reader, on the columns and on a plain event list.
-    for rows in (log.events, list(log.events)):
+    # Every reader, on the log's columns and on the oracle's rows loaded
+    # into a fresh store.
+    for rows in (log.events, oracle.columns(ref.events)):
         assert folds_of_metrics(ev.fold_metrics(rows)) == folds_of_metrics(
             oracle.fold_metrics(ref.events))
         assert ev.fold_lane_stats(rows) == oracle.fold_lane_stats(ref.events)
@@ -224,10 +230,50 @@ def test_serialized_rows_replay_to_the_same_log(sequence):
     replayed = EventLog(record=True)
     for row in rows:
         replayed.emit_row(row)
-    assert replayed.events == log.events
-    assert replayed.events.to_dicts() == rows
+    assert json.dumps(replayed.events.to_dicts()) == json.dumps(rows)
     assert folds_of(replayed) == folds_of(log)
-    assert pickle.loads(pickle.dumps(log)).events == log.events
+    assert json.dumps(pickle.loads(pickle.dumps(log)).events.to_dicts()) \
+        == json.dumps(rows)
+
+
+SERVE_KINDS = tuple(sorted(REQUEST_KINDS | _DEGRADED_KINDS)) + ("d2d",
+                                                               "kernel")
+SERVE_LABELS = ("acme/GS/BFS", "beta/FK/CC", "queue-full", "")
+#: Small values only: a dispatch's ``devices`` is a loop bound.
+SERVE_VALUES = (-1.0, 0.0, 1.0, 2.0, 2.5, 3)
+
+
+@st.composite
+def serve_rows(draw):
+    kind = draw(st.sampled_from(SERVE_KINDS))
+    lane = {"d2d": "link", "kernel": "gpu"}.get(kind, "")
+    start = draw(times)
+    extra = (("request", float(draw(st.integers(0, 5)))),
+             ("deadline", draw(st.sampled_from((-1.0, 0.5, 4.0, 9.0))))) + \
+        tuple(draw(st.lists(st.tuples(
+            st.sampled_from(("device", "service", "requests",
+                             "exchange_bytes", "devices", "bytes")),
+            st.sampled_from(SERVE_VALUES)), max_size=3)))
+    return SimEvent(lane, kind, draw(st.sampled_from(SERVE_LABELS)), start,
+                    start + draw(durations) if lane else start,
+                    device=draw(st.sampled_from((None, 0, 1, 3))),
+                    extra=extra)
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=st.lists(serve_rows(), max_size=30),
+       horizon=st.one_of(st.none(), times))
+def test_serving_folds_are_indistinguishable_from_the_oracle(events,
+                                                             horizon):
+    """``fold_slo`` and ``fold_exchange_bytes`` read columns through a kind
+    mask; the row loops they replaced must not be able to tell — torn
+    lifecycles, out-of-order markers and faults past the horizon included."""
+    cols = oracle.columns(events)
+    assert canonical_json(fold_slo(cols, horizon)) == canonical_json(
+        oracle.fold_slo(events, horizon))
+    mine = fold_exchange_bytes(cols)
+    theirs = oracle.fold_exchange_bytes(events)
+    assert list(mine.items()) == list(theirs.items())
 
 
 def _monotone_log():
@@ -251,7 +297,7 @@ class TestValidateRejectsCorruptedLogs:
 
     def test_lane_less_width(self):
         log = _monotone_log()
-        log.events.append(SimEvent("", "pin", "p", 0.0, 1.0))
+        log.events.add("", "pin", "p", 0.0, 1.0, None, None, None, None, ())
         with pytest.raises(EventLogError, match=r"event #3 .*has width"):
             ev.validate_log(log)
 
@@ -263,7 +309,7 @@ class TestValidateRejectsCorruptedLogs:
     def test_the_first_offender_is_reported(self):
         log = _monotone_log()
         log.emit_op("gpu", "kernel", "late", 1.0, 9.0)   # overlaps k1
-        log.events.append(SimEvent("", "pin", "p", 0.0, 1.0))
+        log.events.add("", "pin", "p", 0.0, 1.0, None, None, None, None, ())
         with pytest.raises(EventLogError, match="event #3"):
             ev.validate_log(log, horizon=5.0)
 
@@ -317,7 +363,7 @@ class TestLeanLogRetainsNothing:
                    extra=(("gather", 3.0),))
         log.marker_block("access-path", ["gather"] * 3, 1.0, ("n",),
                          ([1.0, 2.0, 3.0],))
-        assert len(log.events) == 0 and log.events == []
+        assert len(log.events) == 0
         assert folds_of(log) == folds_of(EventLog())
 
     def test_counted_marker_still_folds(self):
@@ -339,22 +385,40 @@ class TestRowView:
         return log.events
 
     def test_reads_like_the_list_it_replaces(self):
-        rows = self.rows()
-        assert len(rows) == 4 and rows
+        cols = self.rows()
+        assert len(cols) == 4 and cols
+        rows = oracle.rows(cols)
         assert rows[0] == SimEvent(
             "gpu", "kernel", "k", 0.0, 1.0, phase="Tsr", iteration=2,
             kernel_launches=1, edges_processed=7)
         assert rows[-1].device == 3 and rows[-1].extra == (("requested", 4096),)
         assert [e.label for e in rows[1:3]] == ["resident", "gather"]
         assert rows[2].extra == (("chunk_lo", 4.0), ("n", 2.0))
-        assert rows[2] in rows and rows.index(rows[2]) == 2
-        with pytest.raises(IndexError):
-            rows[4]
-        assert rows == list(rows) and rows != list(rows)[:-1]
-        assert EventColumns(list(rows)) == rows
+        # A mask's row numbers decode just those rows, in order.
+        assert [row[2] for row in cols.rows([1, 3])] == ["resident",
+                                                         "static_region"]
+        assert list(cols.rows([])) == []
+        assert json.dumps(oracle.columns(rows).to_dicts()) == json.dumps(
+            cols.to_dicts())
 
     def test_an_int_stays_an_int_in_the_json(self):
         text = json.dumps(self.rows().to_dicts())
         assert '"requested", 4096]' in text and '"n", 2.0]' in text
         # Counters come out in COUNTER_FIELDS order whatever the call order.
         assert text.index("kernel_launches") < text.index("edges_processed")
+
+
+class TestTheLogIsColumns:
+    """Under ``src/`` a log has one form: no module names the row class,
+    and the store has no row protocol to fall back on."""
+
+    def test_no_module_under_src_names_the_row_class(self):
+        offenders = [str(path.relative_to(SRC))
+                     for path in sorted(SRC.rglob("*.py"))
+                     if "SimEvent" in path.read_text()]
+        assert offenders == []
+
+    @pytest.mark.parametrize("method", ["__iter__", "__getitem__", "__eq__"])
+    def test_event_columns_materializes_no_rows(self, method):
+        assert not any(method in vars(cls) for cls in EventColumns.__mro__
+                       if cls is not object)

@@ -15,7 +15,6 @@ from repro.gpusim.events import (
     COUNTER_FIELDS,
     EventLog,
     EventLogError,
-    SimEvent,
     fold_lane_stats,
     fold_metrics,
     fold_phase_seconds,
@@ -27,6 +26,7 @@ from repro.gpusim.metrics import Metrics
 from repro.gpusim.stream import Lane
 
 from conftest import TEST_SCALE, make_spec_for
+from event_log_oracles import SimEvent, columns, rows
 
 ALL_ENGINES = [PartitionEngine, UVMEngine, SubwayEngine, AsceticEngine]
 
@@ -61,14 +61,14 @@ class TestSimEvent:
 
 class TestFolds:
     def events(self):
-        return [
+        return columns([
             ev(lane="copy", kind="h2d", label="a", start=0.0, end=1.0,
                phase="Ttransfer", bytes_h2d=500, h2d_transfers=1),
             ev(lane="gpu", kind="kernel", label="b", start=1.0, end=4.0,
                phase="Tcompute", kernel_launches=1, edges_processed=99),
             ev(lane="", kind="uvm-fault", label="t", start=4.0, end=4.0,
                page_faults=3, pages_migrated=3, pages_evicted=1),
-        ]
+        ])
 
     def test_fold_metrics(self):
         m = fold_metrics(self.events())
@@ -99,8 +99,8 @@ class TestFolds:
 
     def test_incremental_fold_matches_replay(self):
         log = EventLog(record=True)
-        for e in self.events():
-            log.emit(e)
+        for row in self.events().to_dicts():
+            log.emit_row(row)
         replay = fold_metrics(log.events)
         for name in COUNTER_FIELDS:
             assert getattr(replay, name) == getattr(log.metrics, name)
@@ -108,9 +108,9 @@ class TestFolds:
 
     def test_lean_mode_retains_nothing_but_folds_everything(self):
         log = EventLog(record=False)
-        for e in self.events():
-            log.emit(e)
-        assert log.events == [] and log.n_events == 0
+        for row in self.events().to_dicts():
+            log.emit_row(row)
+        assert len(log.events) == 0 and log.n_events == 0
         assert log.metrics.bytes_h2d == 500
         assert log.busy_seconds("gpu") == 3.0
         assert log.idle_seconds("gpu", 10.0) == 7.0
@@ -120,10 +120,10 @@ class TestIdleBreakdown:
     def test_late_start_is_lead_not_stall(self):
         """A lane whose first op starts late led idle, it did not stall —
         the distinction the old ``horizon - busy_seconds`` could not make."""
-        events = [
+        events = columns([
             ev(lane="gpu", start=6.0, end=8.0),
             ev(lane="gpu", start=9.0, end=10.0),
-        ]
+        ])
         b = idle_breakdown(events, "gpu", horizon=12.0)
         assert b.lead == 6.0
         assert b.stall == 1.0
@@ -135,7 +135,7 @@ class TestIdleBreakdown:
         assert b.idle + b.busy == pytest.approx(b.horizon)
 
     def test_no_ops_all_lead(self):
-        b = idle_breakdown([], "gpu", horizon=5.0)
+        b = idle_breakdown(columns([]), "gpu", horizon=5.0)
         assert (b.lead, b.stall, b.tail, b.busy) == (5.0, 0.0, 0.0, 0.0)
 
     def test_from_recorded_log(self):
@@ -160,7 +160,7 @@ class TestPhaseContext:
         with gpu.phase("Tsr", iteration=2):
             gpu.edge_kernel(100)
         gpu.h2d(100)
-        kernel, copy = gpu.events.events
+        kernel, copy = rows(gpu.events.events)
         assert kernel.phase == "Tsr" and kernel.iteration == 2
         assert copy.phase is None and copy.iteration is None
 
@@ -168,7 +168,7 @@ class TestPhaseContext:
         gpu = SimulatedGPU(GPUSpec(memory_bytes=10**6), record_events=True)
         with gpu.phase("Ttransfer"):
             gpu.h2d(4096)
-        e = gpu.events.events[0]
+        (e,) = rows(gpu.events.events)
         assert gpu.metrics.phase_seconds["Ttransfer"] == e.duration
 
 
@@ -176,7 +176,7 @@ class TestValidator:
     def make_log(self, *events):
         log = EventLog(record=True)
         for e in events:
-            log.emit(e)
+            log.emit_row(e.to_dict())
         return log
 
     def test_valid_log_returns_fold(self):
@@ -205,7 +205,7 @@ class TestValidator:
 
     def test_detects_wide_instant(self):
         log = EventLog(record=True)
-        log.events.append(ev(lane="", start=0.0, end=1.0))
+        log.events.add("", "op", "", 0.0, 1.0, None, None, None, None, ())
         with pytest.raises(EventLogError, match="width"):
             validate_log(log)
 
@@ -241,7 +241,7 @@ class TestLeanDefault:
         gpu = SimulatedGPU(GPUSpec(memory_bytes=10**6))
         gpu.h2d(1000)
         assert gpu.events.record is False
-        assert gpu.events.events == []
+        assert len(gpu.events.events) == 0
         assert gpu.metrics.h2d_transfers == 1  # ...but folds still run
 
     def test_record_events_opt_in_attaches_log(self, small_social):
@@ -298,7 +298,7 @@ class TestCrossEngineConsistency:
                                                  small_social):
         res = self.run(engine_cls, algo, small_social)
         sums = {}
-        for e in res.event_log.events:
+        for e in rows(res.event_log.events):
             if e.phase is not None and e.end > e.start:
                 sums[e.phase] = sums.get(e.phase, 0.0) + (e.end - e.start)
         # Same events, same order, same additions → bit-identical sums.
@@ -325,4 +325,4 @@ class TestStandaloneLane:
         b = Lane("copy", clock, log=log)
         a.submit(1.0)
         b.submit(2.0)
-        assert {e.lane for e in log.events} == {"gpu", "copy"}
+        assert {e.lane for e in rows(log.events)} == {"gpu", "copy"}

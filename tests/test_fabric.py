@@ -3,7 +3,7 @@
 import pytest
 
 from repro.gpusim.device import GPUSpec
-from repro.gpusim.events import fold_device_metrics, lane_key, validate_log
+from repro.gpusim.events import fold_device_metrics, validate_log
 from repro.gpusim.fabric import (
     NVLINK_BANDWIDTH,
     NVLINK_LATENCY,
@@ -13,6 +13,8 @@ from repro.gpusim.fabric import (
     LinkSpec,
     fold_exchange_bytes,
 )
+
+from event_log_oracles import lane_key, rows
 
 
 class TestFabricSpec:
@@ -78,6 +80,23 @@ class TestFabricSpec:
         with pytest.raises(ValueError, match="n_devices"):
             FabricSpec.from_dict({"n_devices": bad, "device_mems": [1, 2]})
 
+    @pytest.mark.parametrize("data,key", [
+        ({"d2d_bandwidth": float("nan")}, "d2d_bandwidth"),
+        ({"h2d_bandwidth": float("inf")}, "h2d_bandwidth"),
+        ({"d2d_latency": float("nan")}, "d2d_latency"),
+        ({"h2d_bandwidth": True}, "h2d_bandwidth"),
+        ({"d2d_latency": False}, "d2d_latency"),
+        ({"bandwidth": 5}, "bandwidth"),
+        ({"bandwidth": [float("nan"), 747]}, "bandwidth"),
+        ({"bandwidth": ["10000", True]}, "bandwidth"),
+    ], ids=["nan-d2d", "inf-h2d", "nan-latency", "bool-h2d", "bool-latency",
+            "scalar-pair", "nan-in-pair", "bool-in-pair"])
+    def test_from_dict_rejects_bad_link_numbers(self, data, key):
+        """Each built a spec at the parent (NaN passes ``<= 0``, ``true`` is
+        1 B/s), or raised a ``TypeError`` (``len(5)``)."""
+        with pytest.raises(ValueError, match=key):
+            FabricSpec.from_dict({"n_devices": 2, **data})
+
     @pytest.mark.parametrize("good", [2, 2.0, "2"])
     def test_from_dict_accepts_integral_device_count(self, good):
         assert FabricSpec.from_dict({"n_devices": good}) == FabricSpec(n_devices=2)
@@ -108,6 +127,8 @@ class TestLinkSpec:
             LinkSpec(kind="pcie", bandwidth=0.0, latency=0.0)
         with pytest.raises(ValueError):
             LinkSpec(kind="pcie", bandwidth=1.0, latency=-1.0)
+        with pytest.raises(ValueError):
+            LinkSpec(kind="pcie", bandwidth=float("nan"), latency=0.0)
 
 
 class TestFabricTopology:
@@ -166,7 +187,7 @@ class TestFabric:
         fab = self.make()
         end = fab.transfer(0, 1, 10_000, label="halo")
         assert end > 0
-        (e,) = [e for e in fab.events.events if e.kind == "d2d"]
+        (e,) = [e for e in rows(fab.events.events) if e.kind == "d2d"]
         assert e.device == 0  # the sender's port
         assert lane_key(e) == "link@0"
         assert dict(e.extra)["bytes"] == 10_000.0
@@ -185,7 +206,7 @@ class TestFabric:
         fab = self.make()
         fab.transfer(0, 1, 0)
         assert fab.exchange_bytes == 0
-        assert not [e for e in fab.events.events if e.kind == "d2d"]
+        assert not [e for e in rows(fab.events.events) if e.kind == "d2d"]
 
     def test_fold_exchange_matches_incremental(self):
         fab = self.make(n=3)
@@ -216,7 +237,7 @@ class TestFabric:
         fab = self.make()
         with fab.phase("Texchange", iteration=3):
             fab.transfer(0, 1, 1000)
-        (e,) = [e for e in fab.events.events if e.kind == "d2d"]
+        (e,) = [e for e in rows(fab.events.events) if e.kind == "d2d"]
         assert e.phase == "Texchange"
         assert e.iteration == 3
 

@@ -21,6 +21,8 @@ from repro.gpusim.faults import (
 )
 from repro.gpusim.pcie import PCIeLink
 
+from event_log_oracles import rows
+
 
 class TestPlanValidation:
     def test_rates_must_be_probabilities(self):
@@ -171,7 +173,7 @@ class TestBackoffDeterminism:
         for i in range(40):
             gpu.h2d(1 << 20, label=f"t{i}")
         gpu.sync()
-        return [(e.kind, e.label, e.start, e.end) for e in gpu.events.events]
+        return [(e.kind, e.label, e.start, e.end) for e in rows(gpu.events.events)]
 
     def test_same_seed_identical_backoff_schedule(self):
         first = self._faulty_timeline(7)

@@ -59,6 +59,7 @@ from repro.serve import (
 )
 
 from conftest import TEST_SCALE, make_spec_for
+from event_log_oracles import rows
 
 
 def payload_digest(result) -> str:
@@ -104,9 +105,9 @@ class TestShardedRecovery:
         assert baseline.iterations == chaos.iterations
 
     def test_recovery_cost_is_typed_markers(self, chaos):
-        kinds = {e.kind for e in chaos.event_log.events}
+        kinds = {e.kind for e in rows(chaos.event_log.events)}
         assert {"device-down", "reshard", "ckpt-restore"} <= kinds
-        restores = [e for e in chaos.event_log.events
+        restores = [e for e in rows(chaos.event_log.events)
                     if e.kind == "ckpt-restore" and e.device is not None]
         # Every survivor restores vertex state from the barrier checkpoint.
         assert len(restores) == 3
@@ -251,11 +252,11 @@ class TestFabricHealth:
         assert fab.check_health(2.0) == [(1, "down")]
         assert fab.alive() == [0]
         assert fab.health[1] == "down"
-        downs = [e for e in fab.events.events if e.kind == "device-down"]
+        downs = [e for e in rows(fab.events.events) if e.kind == "device-down"]
         assert len(downs) == 1 and downs[0].device == 1
         # Health transitions are edge-triggered: re-checking emits nothing.
         assert fab.check_health(3.0) == []
-        assert len([e for e in fab.events.events
+        assert len([e for e in rows(fab.events.events)
                     if e.kind == "device-down"]) == 1
 
     def test_transient_stall_recovers(self):
@@ -266,7 +267,7 @@ class TestFabricHealth:
         assert fab.health[0] == "stalled"
         fab.check_health(2.5)
         assert fab.health[0] == "up"
-        kinds = [e.kind for e in fab.events.events
+        kinds = [e.kind for e in rows(fab.events.events)
                  if e.kind in ("device-down", "device-up")]
         assert kinds == ["device-down", "device-up"]
 

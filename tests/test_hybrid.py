@@ -20,6 +20,7 @@ from repro.graph.properties import best_source
 from repro.harness.experiments import make_workload, run_workload
 
 from conftest import TEST_SCALE, make_spec_for
+from event_log_oracles import rows
 
 SCALE = 5e-5
 
@@ -107,7 +108,7 @@ class TestPathUsage:
     def test_decisions_visible_in_trace(self):
         w = _constrained_workload("FK", "PR", 0.15)
         res = run_workload(w, "Hybrid", record_events=True)
-        markers = [e for e in res.event_log.events if e.kind == "access-path"]
+        markers = [e for e in rows(res.event_log.events) if e.kind == "access-path"]
         summaries = [m for m in markers if m.label == "Hybrid:chunk"]
         assert len(summaries) == res.iterations
         per_chunk = {m.label for m in markers} - {"Hybrid:chunk"}
@@ -265,7 +266,7 @@ class TestGatherChainAboveTheRoundLimit:
 
         eng.iteration_hook = hook
         res = eng.run(w.graph, w.fresh_program())
-        events = [e for e in res.event_log.events if e.iteration == cls.ITERATION]
+        events = [e for e in rows(res.event_log.events) if e.iteration == cls.ITERATION]
         record = res.per_iteration[cls.ITERATION]
         gathered = round((res.extra["gather_bytes"] - before[0]) * w.scale)
         return events, record.t_end - record.t_start, gathered

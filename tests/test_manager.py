@@ -10,6 +10,7 @@ from repro.graph.properties import best_source
 from repro.gpusim.rounds import ROUND_LOOP_LIMIT, stream_rounds
 
 from conftest import TEST_SCALE, make_spec_for
+from event_log_oracles import rows
 from round_oracles import round_chain_loop
 from test_timeline import lane_overlap
 
@@ -176,7 +177,7 @@ class TestSwapCausality:
         i.e. *before* its data existed."""
         gpu, out = self._forced_swap_iteration()
         assert out.swap_bytes > 0, "scenario failed to trigger a swap"
-        events = gpu.events.events
+        events = rows(gpu.events.events)
         gathers = [e for e in events if e.label == "swap-gather"]
         swaps = [e for e in events if e.label == "static-swap"]
         assert len(gathers) == 1 and len(swaps) == 1
@@ -193,7 +194,7 @@ class TestSwapCausality:
                             replacement=True)
         res = eng.run(graph, make_program("PR", tol=1e-2))
         last_gather_end = None
-        for e in res.event_log.events:
+        for e in rows(res.event_log.events):
             if e.label == "swap-gather":
                 last_gather_end = e.end
             elif e.label == "static-swap":
@@ -247,7 +248,7 @@ class TestPhaseAttribution:
     def test_forced_swap_iteration_has_no_unattributed_time(self):
         gpu, out = TestSwapCausality._forced_swap_iteration()
         assert out.swap_bytes > 0
-        orphans = self._orphans(gpu.events.events)
+        orphans = self._orphans(rows(gpu.events.events))
         assert orphans == [], (
             f"{len(orphans)} nonzero-duration events carry no phase: "
             f"{[(e.lane, e.label) for e in orphans[:5]]}"
@@ -256,10 +257,10 @@ class TestPhaseAttribution:
     def test_swap_gather_charged_to_tswap(self):
         gpu, out = TestSwapCausality._forced_swap_iteration()
         assert out.swap_bytes > 0
-        gathers = [e for e in gpu.events.events if e.label == "swap-gather"]
+        gathers = [e for e in rows(gpu.events.events) if e.label == "swap-gather"]
         assert gathers and all(e.phase == "Tswap" for e in gathers)
         # Both halves of the swap land in the same bucket.
-        swap_dur = sum(e.end - e.start for e in gpu.events.events
+        swap_dur = sum(e.end - e.start for e in rows(gpu.events.events)
                        if e.label in ("swap-gather", "static-swap"))
         assert gpu.metrics.phase_seconds["Tswap"] == pytest.approx(swap_dur)
 
@@ -270,7 +271,7 @@ class TestPhaseAttribution:
                             record_events=True, fill="front",
                             replacement=True)
         res = eng.run(graph, make_program("PR", tol=1e-2))
-        assert self._orphans(res.event_log.events) == []
+        assert self._orphans(rows(res.event_log.events)) == []
 
 
 SUBWAY_CHAIN = dict(labels=("gather", "subgraph", "compute"),
@@ -424,11 +425,11 @@ class TestSwapBudgetWindow:
         budget was cut from (gather-gated start aside)."""
         gpu, out = TestSwapCausality._forced_swap_iteration()
         assert out.swap_bytes > 0
-        swaps = [e for e in gpu.events.events if e.label == "static-swap"]
+        swaps = [e for e in rows(gpu.events.events) if e.label == "static-swap"]
         assert len(swaps) == 1
         # The budget window was [copy.busy_until, gpu.busy_until] at plan
         # time; the transfer's *duration* is what the budget bounds.
-        kernels = [e for e in gpu.events.events if e.label == "od-compute"]
+        kernels = [e for e in rows(gpu.events.events) if e.label == "od-compute"]
         window_end = max(e.end for e in kernels) if kernels else swaps[0].end
         dur = swaps[0].end - swaps[0].start
         assert dur <= (window_end - swaps[0].start) * (1 + 1e-12) or \

@@ -24,6 +24,8 @@ from repro.gpusim.faults import (
 from repro.gpusim.memory import DeviceMemory, GPUOutOfMemory
 from repro.harness.experiments import make_workload, run_workload
 
+from event_log_oracles import rows
+
 SCALE = 5e-5
 ENGINES = ("PT", "UVM", "Subway", "Ascetic")
 
@@ -69,7 +71,7 @@ class TestTransferRetries:
         for i in range(40):
             gpu.h2d(1 << 20, label=f"t{i}")
         gpu.sync()
-        kinds = {e.kind for e in gpu.events.events}
+        kinds = {e.kind for e in rows(gpu.events.events)}
         assert "h2d-fault" in kinds
         assert "backoff" in kinds
         assert kinds & FAULT_KINDS
@@ -104,7 +106,7 @@ class TestKernelFaults:
         assert m.retry_seconds > 0.0
         # Useful work is counted once per successful launch.
         assert m.edges_processed == 40 * 10_000
-        assert any(e.kind == "kernel-abort" for e in gpu.events.events)
+        assert any(e.kind == "kernel-abort" for e in rows(gpu.events.events))
         validate_log(gpu.events, metrics=m, horizon=gpu.clock.now)
 
     def test_exhausted_kernel_retries_raise(self):
@@ -169,7 +171,7 @@ class TestCapacitySqueeze:
         squeezed = run_workload(w, engine, record_events=True,
                                 fault_plan=plan, seed=0)
         assert np.array_equal(squeezed.values, baseline.values)
-        kinds = {e.kind for e in squeezed.event_log.events}
+        kinds = {e.kind for e in rows(squeezed.event_log.events)}
         assert "squeeze" in kinds
         assert "squeeze-release" in kinds
         validate_log(squeezed.event_log, metrics=squeezed.metrics,
@@ -199,9 +201,9 @@ class TestAsceticDegradation:
         # *schedule*-identical to fault-free apart from the marker.
         assert np.array_equal(result.values, baseline.values)
         assert result.extra["fault_alloc_fail"] == 1.0
-        assert any(e.kind == "alloc-fault" for e in result.event_log.events)
+        assert any(e.kind == "alloc-fault" for e in rows(result.event_log.events))
         assert not any(e.kind == "static-degrade"
-                       for e in result.event_log.events)
+                       for e in rows(result.event_log.events))
 
     def test_repeated_failures_degrade_to_pure_ondemand(self):
         w = make_workload("GS", "BFS", scale=SCALE)
@@ -210,7 +212,7 @@ class TestAsceticDegradation:
         result = run_workload(w, "Ascetic", record_events=True,
                               fault_plan=plan, seed=0)
         assert np.array_equal(result.values, baseline.values)
-        degrades = [e for e in result.event_log.events
+        degrades = [e for e in rows(result.event_log.events)
                     if e.kind == "static-degrade"]
         assert degrades, "the shrink ladder never reported degradation"
         # The ladder bottomed out: the static region granted zero bytes —

@@ -32,6 +32,7 @@ from repro.engines.base import AccessPath
 from repro.gpusim.events import FAULT_KINDS
 from repro.gpusim.faults import standard_plan
 
+from event_log_oracles import rows
 from round_oracles import iterative_split
 from test_round_streaming_pins import ALGOS, CONFIGS, workload
 
@@ -71,7 +72,7 @@ def recorded(algo, config, faulted):
         volumes = {i: round((after - before) * wl.scale)
                    for i, (before, after) in enumerate(zip(gathered, gathered[1:]))}
     labels = SUBWAY_LABELS if engine == "Subway" else ONDEMAND_LABELS
-    return (result.event_log.events, labels, volumes, 1.0 / wl.scale,
+    return (rows(result.event_log.events), labels, volumes, 1.0 / wl.scale,
             wl.spec.pcie)
 
 

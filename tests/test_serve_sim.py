@@ -15,7 +15,7 @@ import pytest
 from repro.core.ascetic import AsceticEngine
 from repro.engines.base import Engine
 from repro.gpusim.device import GPUSpec
-from repro.gpusim.events import SimEvent
+from repro.gpusim.events import EventLog
 from repro.gpusim.faults import CapacitySqueeze, FaultPlan
 from repro.serve import (
     EnginePool,
@@ -319,12 +319,10 @@ def test_clipped_log_invents_no_tenant_and_no_latency():
     # A log clipped after the arrivals: the shed marker's label is the shed
     # *reason* and the completion has nothing to measure from, so neither
     # may be attributed to a tenant or a latency sample.
-    def marker(kind, label, t, rid):
-        return SimEvent(lane="", kind=kind, label=label, start=t, end=t,
-                        extra=(("request", float(rid)),))
-
-    report = fold_slo([marker("request-shed", "queue-full", 1.0, 0),
-                       marker("request-complete", "acme", 2.0, 1)])
+    log = EventLog(record=True)
+    log.marker("request-shed", "queue-full", 1.0, extra=(("request", 0.0),))
+    log.marker("request-complete", "acme", 2.0, extra=(("request", 1.0),))
+    report = fold_slo(log.events)
     assert report["tenants"] == {}
     assert report["counts"]["shed"] == 1
     assert report["counts"]["deadline_met"] == 0

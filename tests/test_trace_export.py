@@ -13,8 +13,10 @@ from repro.analysis.traces import (
 )
 from repro.cli import main
 from repro.engines import registry
-from repro.gpusim.events import EventLog, SimEvent
+from repro.gpusim.events import EventLog
 from repro.harness.experiments import make_workload, run_workload
+
+from event_log_oracles import SimEvent, columns, rows
 
 #: The benchmark's scale: FK/BFS records 12.9 K rows on Ascetic with every
 #: row kind present.  (``conftest.TEST_SCALE`` = 1e-2 records 687 K and made
@@ -24,12 +26,12 @@ RECORDED_SCALE = 2e-4
 
 def recorded_log():
     log = EventLog(record=True)
-    log.emit(SimEvent(lane="copy", kind="h2d", label="part0", start=0.0,
-                      end=0.002, phase="Ttransfer", iteration=1,
-                      bytes_h2d=4096, h2d_transfers=1))
-    log.emit(SimEvent(lane="gpu", kind="kernel", label="relax", start=0.002,
-                      end=0.005, phase="Tcompute", kernel_launches=1,
-                      edges_processed=500))
+    log.emit_row({"lane": "copy", "kind": "h2d", "label": "part0",
+                  "start": 0.0, "end": 0.002, "phase": "Ttransfer",
+                  "iteration": 1, "bytes_h2d": 4096, "h2d_transfers": 1})
+    log.emit_row({"lane": "gpu", "kind": "kernel", "label": "relax",
+                  "start": 0.002, "end": 0.005, "phase": "Tcompute",
+                  "kernel_launches": 1, "edges_processed": 500})
     log.marker("uvm-fault", "touch", 0.004,
                counters={"page_faults": 2, "pages_migrated": 2})
     return log
@@ -70,8 +72,8 @@ class TestChromeTraceEvents:
         assert thread_names == {0: "gpu", 1: "copy", 2: "cpu", 3: "markers"}
 
     def test_unknown_lane_gets_its_own_row(self):
-        events = [SimEvent(lane="dma2", kind="op", label="x",
-                           start=0.0, end=1.0)]
+        events = columns([SimEvent(lane="dma2", kind="op", label="x",
+                                   start=0.0, end=1.0)])
         records = chrome_trace_events(events)
         (slice_,) = [r for r in records if r["ph"] == "X"]
         assert slice_["tid"] > MARKER_TID
@@ -126,10 +128,8 @@ class TestEveryEngineExports:
 class TestMultiDeviceExport:
     def device_log(self):
         log = EventLog(record=True)
-        log.emit(SimEvent(lane="gpu", kind="kernel", label="k0", start=0.0,
-                          end=0.5, device=0))
-        log.emit(SimEvent(lane="gpu", kind="kernel", label="k1", start=0.0,
-                          end=0.4, device=2))
+        log.emit_op("gpu", "kernel", "k0", 0.0, 0.5, device=0)
+        log.emit_op("gpu", "kernel", "k1", 0.0, 0.4, device=2)
         log.marker("dispatch", "dev0", 0.1)  # device-less → fabric process
         return log
 
@@ -158,7 +158,7 @@ class TestMultiDeviceExport:
         # A log where no event carries a device must export exactly as
         # before the fabric work — same records, pid 0 throughout.
         log = recorded_log()
-        assert all(e.device is None for e in log.events)
+        assert all(e.device is None for e in rows(log.events))
         records = chrome_trace_events(log)
         assert all(r["pid"] == 0 for r in records)
         assert json.dumps(records) == json.dumps(chrome_trace_events(log))

@@ -27,6 +27,7 @@ from repro.gpusim.device import GPUSpec, SimulatedGPU
 from repro.gpusim.events import EventLog
 
 from conftest import TEST_SCALE, make_spec_for
+from event_log_oracles import rows
 
 #: engine class → the granule name its access-plan markers carry.
 ENGINE_GRANULES = {
@@ -46,7 +47,7 @@ def _bfs(graph):
 def _logged_runs(result, iteration, granule):
     """``(path name, granule ids)`` per run marker of one superstep."""
     out = []
-    for m in result.event_log.events:
+    for m in rows(result.event_log.events):
         if (m.kind == "access-path" and m.iteration == iteration
                 and m.label in PATH_NAMES):
             extra = dict(m.extra)
@@ -75,7 +76,7 @@ class TestEmitAccessPlan:
         ids = np.array([0, 1, 2, 5, 6])
         paths = np.array([1, 1, 2, 2, 2], dtype=np.int8)
         emit_access_plan(gpu, "X", "chunk", RunPlan.from_ids(ids, paths))
-        markers = [e for e in gpu.events.events if e.kind == "access-path"]
+        markers = [e for e in rows(gpu.events.events) if e.kind == "access-path"]
         summary = [m for m in markers if m.label == "X:chunk"]
         assert len(summary) == 1
         counts = dict(summary[0].extra)
@@ -229,7 +230,7 @@ class TestEveryEngineEmitsItsPlan:
     def test_plan_visible_in_recorded_trace(self, engine_cls, small_social):
         granule = ENGINE_GRANULES[engine_cls]
         _, res = self._run(engine_cls, small_social, record_events=True)
-        markers = [e for e in res.event_log.events if e.kind == "access-path"]
+        markers = [e for e in rows(res.event_log.events) if e.kind == "access-path"]
         summaries = [m for m in markers
                      if m.label == f"{engine_cls.name}:{granule}"]
         assert summaries, "no per-iteration access-plan summary emitted"
@@ -312,7 +313,7 @@ class TestAccessPlanConservation:
         n_chunks = eng._region.n_chunks
         checked_migrations = 0
         for it, seen in per_iter.items():
-            markers = [e for e in res.event_log.events
+            markers = [e for e in rows(res.event_log.events)
                        if e.kind == "access-path" and e.iteration == it]
             summaries = [m for m in markers
                          if m.label == f"{engine_cls.name}:chunk"]

@@ -279,4 +279,4 @@ def test_property_any_id_order_equals_deduplicated_ids(ops, rnd):
         assert np.array_equal(raw._resident, ref._resident)
         assert np.array_equal(raw._pinned, ref._pinned)
         assert np.array_equal(raw._last_touch, ref._last_touch)
-    assert raw._events.events == ref._events.events
+    assert raw._events.events.to_dicts() == ref._events.events.to_dicts()

@@ -51,6 +51,9 @@ BAD_INPUT = [
      lambda: run_load_test(replace(quick_config(), deadline=-5.0, n_requests=3)),
      "deadline"),
     ("bool-request-count", lambda: _requests(n_requests=True), "n_requests"),
+    # NaN passed ``<= 0``: every arrival was NaN and a load test never ended.
+    ("nan-arrival-rate", lambda: _requests(arrival_rate=float("nan")),
+     "arrival_rate"),
 ]
 
 
