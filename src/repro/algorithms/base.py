@@ -14,13 +14,19 @@ computed once: :func:`program_trace` steps the program to convergence and
 records each superstep's frontier in a :class:`ProgramTrace`, memoized on
 the graph.  Engines *replay* that trace — ``Engine.run`` walks its frontiers
 and charges their data movement — and never call ``step`` themselves.
+
+A *fused* program (``serve.batching``'s multi-source BFS / SSSP) is a
+descriptor, not a program: it names a single-source program class
+(``single``) and its ``sources``.  Its rows never interact, so its trace is
+composed — :meth:`ProgramTrace.union` — from the memoized single-source
+traces, one per source; nothing steps it.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,14 +34,18 @@ from repro.algorithms.frontier import FrontierCache, FrontierExpansion
 from repro.graph.csr import CSRGraph
 
 __all__ = ["ProgramState", "VertexProgram", "ProgramTrace", "program_trace",
-           "TRACES_PER_GRAPH"]
+           "TRACE_BYTES_PER_GRAPH"]
 
-#: Traces one graph keeps; the least recently used goes first.  A bound, not
-#: an option: serving draws fresh traversal sources per request, and an
-#: unbounded memo would keep one trace per source for the graph's lifetime.
-#: The harness's graphs live in ``harness.experiments``' dataset cache
-#: (``maxsize=32``), so clearing that cache drops their traces with them.
-TRACES_PER_GRAPH = 8
+#: Bytes of traces one graph keeps (:attr:`ProgramTrace.nbytes`); the least
+#: recently used go first, and the newest stays even alone over the budget.
+#: A bound, not an option: serving draws fresh traversal sources per
+#: request, and an unbounded memo would keep one trace per source for the
+#: graph's lifetime.  16 MiB holds a serving pass's single-source traces at
+#: 1e-5 (about 65 per graph, 3–6 KB each) and about 24 of the largest grid
+#: traces at 2e-4 (UK/CC, 0.69 MB each).  The harness's graphs live in
+#: ``harness.experiments``' dataset cache (``maxsize=32``), so clearing that
+#: cache drops their traces with them.
+TRACE_BYTES_PER_GRAPH = 16 << 20
 
 
 @dataclass
@@ -58,8 +68,6 @@ class ProgramState:
 
     active: np.ndarray
     iteration: int = 0
-    #: Edges processed so far, accumulated by ``step`` (for reports).
-    edges_relaxed: int = field(default=0)
 
     def __post_init__(self) -> None:
         self._frontier = FrontierCache()
@@ -145,7 +153,7 @@ class ProgramTrace:
     ``(i)``.  Everything a trace holds is read-only.
     """
 
-    __slots__ = ("n_vertices", "_frontiers", "values")
+    __slots__ = ("n_vertices", "_frontiers", "values", "nbytes")
 
     def __init__(self, graph: CSRGraph, program: VertexProgram, cap: int) -> None:
         program.validate_graph(graph)
@@ -155,12 +163,38 @@ class ProgramTrace:
             frontiers.append((np.packbits(state.active), state.iteration))
             program.step(graph, state)
         frontiers.append((np.packbits(state.active), state.iteration))
-        self.n_vertices = graph.n_vertices
+        self._hold(graph.n_vertices, frontiers,
+                   np.array(program.values(state), copy=True))
+
+    def _hold(self, n_vertices: int, frontiers, values: np.ndarray) -> None:
+        self.n_vertices = n_vertices
         #: ``(packed frontier, pre-step iteration)`` per superstep, then
         #: the frontier and iteration the loop stopped on.
         self._frontiers = tuple(frontiers)
-        self.values = np.array(program.values(state), copy=True)
+        self.values = values
         self.values.flags.writeable = False
+        #: What the trace holds, the memo's budget unit.
+        self.nbytes = values.nbytes + sum(p.nbytes for p, _ in self._frontiers)
+
+    @classmethod
+    def union(cls, traces: Sequence["ProgramTrace"]) -> "ProgramTrace":
+        """The fused run of independent single-source ``traces``.
+
+        Superstep ``i``'s frontier is the OR of the rows' (a finished row's
+        is empty), its iteration is ``i``, and it runs as long as the
+        longest row; ``values`` stacks the rows' values, row ``r`` from
+        ``traces[r]``.  Exact for programs whose rows never interact and
+        whose iteration counts supersteps from 0 (BFS, SSSP).  Nothing is
+        stepped, and the result is not memoized: composing is cheap.
+        """
+        rows = [t._frontiers for t in traces]
+        frontiers = [
+            (np.bitwise_or.reduce([r[i][0] for r in rows if i < len(r)]), i)
+            for i in range(max(map(len, rows)))]
+        trace = cls.__new__(cls)
+        trace._hold(traces[0].n_vertices, frontiers,
+                    np.stack([t.values for t in traces]))
+        return trace
 
     def __len__(self) -> int:
         """Supersteps the run executes."""
@@ -192,17 +226,27 @@ def program_trace(graph: CSRGraph, program: VertexProgram,
     ``cap`` bounds the supersteps (default: the program's
     ``max_iterations``).  The memo key is the program's type, its instance
     attributes (what its constructor was given) and the cap, so two equal
-    programs share one trace; the graph keeps :data:`TRACES_PER_GRAPH` of
-    them, least recently used out first.
+    programs share one trace; the graph keeps
+    :data:`TRACE_BYTES_PER_GRAPH` of them, least recently used out first.
+
+    A fused program's trace is the :meth:`ProgramTrace.union` of
+    ``program.single(source=s)``'s over its ``sources``: only those
+    single-source traces are memoized, under the key a lone request's
+    program has, so fused and lone runs share them.
     """
     cap = max(program.max_iterations if cap is None else cap, 0)
+    single = getattr(program, "single", None)
+    if single is not None:
+        return ProgramTrace.union([program_trace(graph, single(source=s), cap)
+                                   for s in program.sources])
     key = (type(program), tuple(sorted(vars(program).items())), cap)
     memo = graph._traces
     trace = memo.get(key)
     if trace is None:
         trace = memo[key] = ProgramTrace(graph, program, cap)
-        if len(memo) > TRACES_PER_GRAPH:
-            memo.popitem(last=False)
+        held = sum(t.nbytes for t in memo.values())
+        while held > TRACE_BYTES_PER_GRAPH and len(memo) > 1:
+            held -= memo.popitem(last=False)[1].nbytes
     else:
         memo.move_to_end(key)
     return trace

@@ -49,7 +49,6 @@ class ConnectedComponents(VertexProgram):
 
     def step(self, graph: CSRGraph, state: CCState) -> None:
         exp = state.frontier(graph)
-        state.edges_relaxed += exp.n_edges
         nxt = np.zeros(graph.n_vertices, dtype=bool)
         if exp.n_edges:
             dsts = graph.indices[exp.positions]

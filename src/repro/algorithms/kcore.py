@@ -77,7 +77,6 @@ class KCore(VertexProgram):
     def step(self, graph: CSRGraph, state: KCoreState) -> None:
         removing = state.active
         exp = state.frontier(graph)
-        state.edges_relaxed += exp.n_edges
         # A vertex removed while the threshold is k has coreness k - 1.
         state.core[removing] = state.k - 1
         state.removed |= removing

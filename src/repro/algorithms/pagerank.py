@@ -69,7 +69,6 @@ class PageRank(VertexProgram):
         threshold = self.tol * teleport
         vs, counts = state.active_vertices(graph)
         exp = state.frontier(graph)
-        state.edges_relaxed += exp.n_edges
         # Absorb residual into rank for every active vertex (including
         # dangling ones, whose push mass is dropped — see module docstring).
         absorbed = state.residual[vs].copy()

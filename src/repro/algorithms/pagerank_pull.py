@@ -70,7 +70,6 @@ class PageRankPull(VertexProgram):
         n = reversed_graph.n_vertices
         teleport = (1.0 - self.damping) / max(n, 1)
         exp = state.frontier(reversed_graph)
-        state.edges_relaxed += exp.n_edges
         new_rank = np.full(n, teleport, dtype=np.float64)
         if exp.n_edges:
             srcs = reversed_graph.indices[exp.positions]  # original sources

@@ -75,7 +75,6 @@ class SSSP(VertexProgram):
 
     def step(self, graph: CSRGraph, state: SSSPState) -> None:
         exp = state.frontier(graph)
-        state.edges_relaxed += exp.n_edges
         nxt = np.zeros(graph.n_vertices, dtype=bool)
         if exp.n_edges:
             dsts = graph.indices[exp.positions]

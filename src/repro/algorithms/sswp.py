@@ -59,7 +59,6 @@ class SSWP(VertexProgram):
 
     def step(self, graph: CSRGraph, state: SSWPState) -> None:
         exp = state.frontier(graph)
-        state.edges_relaxed += exp.n_edges
         nxt = np.zeros(graph.n_vertices, dtype=bool)
         if exp.n_edges:
             dsts = graph.indices[exp.positions]

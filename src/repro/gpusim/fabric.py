@@ -68,11 +68,12 @@ NVLINK_LATENCY = 5.0e-6
 TOPOLOGIES = ("pcie", "nvlink")
 
 
-def _device_count(value: Any) -> int:
-    """A dict's ``n_devices``: an integer, integral float or integer string.
+def _integer(name: str, value: Any) -> int:
+    """A dict's ``n_devices`` or ``device_mems`` entry: an integer, integral
+    float (``13e9``) or integer string.
 
-    A bool, a fraction or null is a ``ValueError`` naming the key, never a
-    silently truncated fleet.
+    A bool, a fraction, NaN, infinity or null is a ``ValueError`` naming the
+    key, never a silently truncated fleet or a 1-byte device.
     """
     if not isinstance(value, bool):
         try:
@@ -82,7 +83,7 @@ def _device_count(value: Any) -> int:
         else:
             if isinstance(value, str) or n == value:
                 return n
-    raise ValueError(f"n_devices must be an integer, got {value!r}")
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _link_number(name: str, value: Any) -> float:
@@ -165,7 +166,7 @@ class FabricSpec:
         if self.device_mems is not None:
             object.__setattr__(
                 self, "device_mems",
-                tuple(int(m) for m in self.device_mems),
+                tuple(_integer("device_mems", m) for m in self.device_mems),
             )
             if len(self.device_mems) != self.n_devices:
                 raise ValueError(
@@ -212,10 +213,14 @@ class FabricSpec:
         kwargs: Dict[str, Any] = {}
         mems = data.get("device_mems")
         if mems is not None:
-            kwargs["device_mems"] = tuple(int(m) for m in mems)
-            kwargs["n_devices"] = _device_count(data.get("n_devices", len(mems)))
+            if not isinstance(mems, (list, tuple)):
+                raise ValueError(
+                    f"device_mems must be a list of byte counts, got {mems!r}")
+            kwargs["device_mems"] = tuple(mems)
+            kwargs["n_devices"] = _integer("n_devices",
+                                           data.get("n_devices", len(mems)))
         elif "n_devices" in data:
-            kwargs["n_devices"] = _device_count(data["n_devices"])
+            kwargs["n_devices"] = _integer("n_devices", data["n_devices"])
         if "topology" in data:
             kwargs["topology"] = str(data["topology"])
         # HeteroG's bandwidth pair, MB/s: [device<->device, host<->device].

@@ -22,9 +22,9 @@ The moving parts, each its own module:
     The per-graph engine pool whose hits arm
     ``Engine.reset_for_request(keep_static=True)`` — the warm-start path.
 :mod:`~repro.serve.batching`
-    Multi-source BFS/SSSP fused into one frontier program (shared edge
-    reads; the batch-size/latency knob), and the program each dispatch
-    runs.
+    Multi-source BFS/SSSP fused into one dispatch (shared edge reads; the
+    batch-size/latency knob) whose trace is composed from memoized
+    single-source traces, and the program each dispatch runs.
 :mod:`~repro.serve.slo`
     SLO report folded from request-lifecycle events (p50/p95/p99 split
     queueing vs service, goodput, shed rate, per-device utilization) under
@@ -47,7 +47,7 @@ dependence anywhere in this package — a load test is a pure function of
 its config, and its digest is pinned in CI.  See ``docs/serving.md``.
 """
 
-from repro.serve.batching import BATCHABLE, BatchedBFS, BatchedSSSP, make_batched
+from repro.serve.batching import BATCHABLE, FusedTraversal, make_batched
 from repro.serve.fleet import (
     FABRIC,
     FleetConfig,
@@ -102,8 +102,7 @@ __all__ = [
     "EnginePool",
     "PoolStats",
     # batching
-    "BatchedBFS",
-    "BatchedSSSP",
+    "FusedTraversal",
     "make_batched",
     # SLO
     "SLO_SCHEMA",

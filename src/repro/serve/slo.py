@@ -100,19 +100,23 @@ def fold_slo(events: EventColumns,
     for ((_, device), k, label, _, _, t0, t1, _, _, xkeys,
          xvals) in events.rows(picked):
         extra = dict(zip(xkeys, xvals))
-        rid = int(extra["request"]) if "request" in extra else None
+        if k == "dispatch":
+            dispatches.append(extra)
+            continue
+        if k in _DEGRADED_KINDS:
+            fault_markers.append((k, t0, device, extra))
+            continue
+        if "request" not in extra:
+            raise ValueError(f"{k} marker without a 'request' extra")
+        rid = int(extra["request"])
         if k == "request-arrive":
             arrive[rid] = (label, t0, extra)
         elif k == "request-shed":
             shed.add(rid)
         elif k == "request-start":
             start[rid] = t0
-        elif k == "request-complete":
-            complete[rid] = t1
-        elif k == "dispatch":
-            dispatches.append(extra)
         else:
-            fault_markers.append((k, t0, device, extra))
+            complete[rid] = t1
     if horizon is None:
         horizon = last_t
     # A fault scheduled beyond the horizon never touched any request: the

@@ -89,13 +89,28 @@ class TestFabricSpec:
         ({"bandwidth": 5}, "bandwidth"),
         ({"bandwidth": [float("nan"), 747]}, "bandwidth"),
         ({"bandwidth": ["10000", True]}, "bandwidth"),
+        ({"device_mems": [True, 2]}, "device_mems"),
+        ({"device_mems": [2.7, 2]}, "device_mems"),
+        ({"device_mems": [float("nan"), 2]}, "device_mems"),
+        ({"device_mems": [float("inf"), 2]}, "device_mems"),
+        ({"device_mems": "12"}, "device_mems"),
+        ({"device_mems": 5}, "device_mems"),
     ], ids=["nan-d2d", "inf-h2d", "nan-latency", "bool-h2d", "bool-latency",
-            "scalar-pair", "nan-in-pair", "bool-in-pair"])
+            "scalar-pair", "nan-in-pair", "bool-in-pair", "bool-mem",
+            "fractional-mem", "nan-mem", "inf-mem", "string-mems",
+            "scalar-mems"])
     def test_from_dict_rejects_bad_link_numbers(self, data, key):
-        """Each built a spec at the parent (NaN passes ``<= 0``, ``true`` is
-        1 B/s), or raised a ``TypeError`` (``len(5)``)."""
+        """Each built a spec (NaN passes ``<= 0``, ``true`` is 1 B/s or a
+        1-byte device, ``2.7`` a 2-byte one, ``"12"`` two devices of 1 and
+        2 bytes), or raised an error that does not name the key
+        (``len(5)``, ``int(nan)``)."""
         with pytest.raises(ValueError, match=key):
             FabricSpec.from_dict({"n_devices": 2, **data})
+
+    def test_from_dict_accepts_integral_float_memories(self):
+        spec = FabricSpec.from_dict({"device_mems": [13e9, 10e9]})
+        assert spec.device_mems == (13_000_000_000, 10_000_000_000)
+        assert spec.n_devices == 2
 
     @pytest.mark.parametrize("good", [2, 2.0, "2"])
     def test_from_dict_accepts_integral_device_count(self, good):

@@ -19,7 +19,10 @@ do not cover (no UVM or PT cell, no CC, no SSWP, no batched traversal):
   unsorted with duplicates, so it goes through the pager's fallback;
 * one SSWP cell on Ascetic;
 * ``BatchedBFS`` / ``BatchedSSSP`` with four sources on GS at 1e-5, hashing
-  the value matrix and ``fronts`` after every superstep.
+  the value matrix and ``fronts`` after every superstep.  The fused programs
+  no longer step under ``src/`` (their trace is composed from single-source
+  traces); the pin hashes their ``step``, kept verbatim as the oracle in
+  ``tests/batched_step_oracles.py``.
 """
 
 import hashlib
@@ -31,8 +34,7 @@ import pytest
 from repro.gpusim.faults import standard_plan
 from repro.harness.experiments import make_workload, run_cell, run_workload
 from repro.runner import RunSpec
-from repro.serve.batching import make_batched
-
+from batched_step_oracles import make_oracle
 from event_log_oracles import rows
 from test_chunk_axis_pins import SCALE, event_log_hash, result_hash
 
@@ -49,7 +51,7 @@ def batched_hash(algo: str) -> str:
     """Hash of ``(values, fronts)`` after every superstep of a 4-source run."""
     graph = make_workload("GS", algo, scale=BATCH_SCALE).graph
     sources = np.argsort(graph.out_degree(), kind="stable")[-4:].tolist()
-    program = make_batched(algo, sources)
+    program = make_oracle(algo, sources)
     state = program.init_state(graph)
     digest = hashlib.sha1()
     while state.active.any():

@@ -10,8 +10,9 @@ per-iteration calls ``np.unique`` / ``union1d`` / ``isin`` and friends.
 
 Graphs and reference values are built first — graph construction may dedupe
 edges, and that is set-up — then the routines are rebound to raise while
-every registered engine runs every algorithm and both fused traversals take
-three supersteps; values are checked afterwards.  ``analysis/reuse.py``
+every registered engine runs every algorithm and both fused traversals
+compose a three-superstep trace from freshly stepped single-source ones;
+values are checked afterwards.  ``analysis/reuse.py``
 (Fig. 2 post-processing) is off this path and keeps its calls.
 """
 
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import validate
+from repro.algorithms.base import program_trace
 from repro.engines import registry
 from repro.graph.generators import rmat_graph
 from repro.graph.properties import best_source
@@ -84,12 +86,10 @@ def test_no_engine_calls_a_set_routine(algo):
 def test_no_batched_superstep_calls_a_set_routine(algo):
     graph = make_workload("GS", algo, scale=SCALE).graph
     sources = np.argsort(graph.out_degree(), kind="stable")[-4:].tolist()
-    program = make_batched(algo, sources)
-    state = program.init_state(graph)
+    graph._traces.clear()  # so every single-source superstep runs guarded
     with set_routines_forbidden():
-        for _ in range(3):
-            program.step(graph, state)
-    assert state.iteration == 3 and state.fronts.any()
+        trace = program_trace(graph, make_batched(algo, sources), cap=3)
+    assert trace.iterations == 3 and trace.mask(3).any()
 
 
 def test_chunk_map_does_not_call_a_set_routine():

@@ -3,29 +3,33 @@ by every engine.
 
 ``Engine.run`` never calls ``program.step``: it replays the frontiers of
 :func:`~repro.algorithms.base.program_trace`, which the graph memoizes.
-These tests pin the exact ``step`` count of a grid pass, the trace against
-an independent loop for every program, the read-only replay masks and the
-memo's bound.
+These tests pin the exact ``step`` count of a grid pass and of a warm load
+test, the trace against an independent loop for every program (for the
+fused traversals, the stepping oracle of ``tests/batched_step_oracles.py``),
+the read-only replay masks and the memo's byte budget.
 """
 
 from __future__ import annotations
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.algorithms import PROGRAMS, make_program
-from repro.algorithms.base import (TRACES_PER_GRAPH, VertexProgram,
-                                   program_trace)
+from repro.algorithms import base
+from repro.algorithms.base import ProgramTrace, VertexProgram, program_trace
 from repro.engines.base import Engine
 from repro.graph.properties import best_source
 from repro.gpusim.device import GPUSpec
 from repro.harness.experiments import clear_dataset_cache, make_workload
 from repro.runner import RunSpec, run_grid
+from repro.serve import quick_config, run_load_test
 from repro.serve.batching import make_batched
 
+from batched_step_oracles import make_oracle
 from predict_oracles import record_active_trace
 
 SCALE = 5e-5
@@ -74,9 +78,28 @@ class TestStepCalls:
             assert np.array_equal(a.result.values, b.result.values)
             assert a.result.elapsed_seconds == b.result.elapsed_seconds
 
+    def test_a_warm_load_test_builds_no_trace(self, monkeypatch):
+        # Fused dispatches compose memoized single-source traces, so a
+        # second pass over the same sources steps nothing.  80 requests
+        # draw more distinct (graph, sources) batches than eight per graph:
+        # a memo of fused traces under a count bound would rebuild some.
+        config = replace(quick_config(0), n_requests=80)
+        first = run_load_test(config)
+        built = []
+        init = ProgramTrace.__init__
+
+        def counted(self, graph, program, cap):
+            built.append(type(program).__name__)
+            init(self, graph, program, cap)
+
+        monkeypatch.setattr(ProgramTrace, "__init__", counted)
+        second = run_load_test(config)
+        assert built == []
+        assert second.run_digest() == first.run_digest()
+
 
 def _programs(graph, sym, rev):
-    """``(id, graph, program)`` for every registered program, plus the
+    """``id -> (graph, program)`` for every registered program, plus the
     batched traversals and delta-stepping SSSP."""
     weighted = graph.with_random_weights(high=8)
     src = best_source(graph)
@@ -105,7 +128,12 @@ class TestTraceAgainstOracle:
     def test_masks_iterations_and_values(self, name, cap, small_social):
         graph, program = _programs(small_social, small_social.symmetrized(),
                                    small_social.reverse())[name]
-        oracle = record_active_trace(graph, program, cap)
+        # A fused traversal's trace is composed; its oracle steps the
+        # fused program it replaced.
+        stepped = program
+        if name.startswith("Batched"):
+            stepped = make_oracle(name[len("Batched"):], program.sources)
+        oracle = record_active_trace(graph, stepped, cap)
         trace = program_trace(graph, program, cap)
         assert len(trace) == len(oracle.masks)
         if cap is not None:
@@ -154,15 +182,40 @@ class TestReplayMasks:
         assert trace.values[0] != -1
 
 
+def _kept_sources(graph):
+    return [dict(key[1])["source"] for key in graph._traces]
+
+
 class TestMemo:
-    def test_a_graph_keeps_at_most_the_bound(self):
+    def test_a_graph_keeps_at_most_the_bound(self, monkeypatch):
+        assert base.TRACE_BYTES_PER_GRAPH == 16 << 20
         graph = make_workload("GS", "BFS", scale=SCALE).graph
-        for source in range(100):
-            program_trace(graph, make_program("BFS", source=source))
-        assert len(graph._traces) == TRACES_PER_GRAPH == 8
-        # Most recently used stay: the last eight sources.
-        kept = sorted(dict(key[1])["source"] for key in graph._traces)
-        assert kept == list(range(92, 100))
+        graph._traces.clear()
+        traces = [program_trace(graph, make_program("BFS", source=source))
+                  for source in range(100)]
+        assert len(graph._traces) == 100  # 16 MiB holds them all here
+        # Re-using source 0 makes it the most recently used.
+        assert program_trace(graph, make_program("BFS", source=0)) is traces[0]
+        budget = sum(t.nbytes for t in traces[-5:])
+        monkeypatch.setattr(base, "TRACE_BYTES_PER_GRAPH", budget)
+        program_trace(graph, make_program("BFS", source=100))
+        # Least recently used out first: what stays is the newest trace and
+        # the most recent ones before it that fit in the budget.
+        kept = _kept_sources(graph)
+        assert kept[-2:] == [0, 100]
+        assert kept == [*range(100 - len(kept) + 2, 100), 0, 100]
+        assert sum(t.nbytes for t in graph._traces.values()) <= budget
+        assert len(kept) >= 4
+
+    def test_the_newest_trace_stays_even_over_the_budget(self, monkeypatch):
+        graph = make_workload("GS", "BFS", scale=SCALE).graph
+        monkeypatch.setattr(base, "TRACE_BYTES_PER_GRAPH", 1)
+        trace = program_trace(graph, make_program("BFS", source=3))
+        assert trace.nbytes > 1
+        assert _kept_sources(graph) == [3]
+        assert program_trace(graph, make_program("BFS", source=3)) is trace
+        program_trace(graph, make_program("BFS", source=4))
+        assert _kept_sources(graph) == [4]
 
     def test_clearing_the_dataset_cache_drops_the_traces(self):
         clear_dataset_cache()

@@ -1,66 +1,117 @@
-"""Batched-traversal fusion: B=1 bit-parity and multi-source row parity."""
+"""Batched-traversal fusion: the composed trace against the stepping oracle,
+B=1 bit-parity and multi-source row parity under an engine."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.algorithms import make_program
-from repro.serve.batching import BatchedBFS, BatchedSSSP, make_batched
+from repro.algorithms.base import program_trace
+from repro.algorithms.bfs import BFS, UNREACHED
+from repro.algorithms.sssp import INF_DIST, SSSP
+from repro.engines.partition_based import PartitionEngine
+from repro.graph.generators import rmat_graph
+from repro.serve.batching import FusedTraversal, make_batched
 
+from batched_step_oracles import make_oracle
 from conftest import make_spec_for
 from dedupe_step_oracles import dedupe_relax, has_parallel_edges_and_self_loops
+from predict_oracles import record_active_trace
 
 
-def drive(program, graph):
-    """Run a program's superstep loop to quiescence (no engine)."""
-    state = program.init_state(graph)
-    while state.active.any() and not program.done(state):
-        program.step(graph, state)
-    return state
+def run(graph, program):
+    """One PT engine run (the simplest engine that replays a trace)."""
+    return PartitionEngine(spec=make_spec_for(graph)).run(graph, program)
+
+
+def charged_edges(result) -> int:
+    """Active edges the engine charged over the run — what each superstep
+    streams."""
+    return sum(rec.n_active_edges for rec in result.per_iteration)
 
 
 class TestFactory:
     def test_make_batched_dispatch(self):
-        assert isinstance(make_batched("bfs", [0]), BatchedBFS)
-        assert isinstance(make_batched("SSSP", [0, 1]), BatchedSSSP)
+        assert make_batched("bfs", [0]) == FusedTraversal(BFS, (0,))
+        assert make_batched("SSSP", [0, 1]).single is SSSP
         with pytest.raises(ValueError):
             make_batched("CC", [0])
         with pytest.raises(ValueError):
             make_batched("BFS", [])
 
     def test_name_carries_batch_size(self):
-        assert make_batched("BFS", [0, 3, 5]).name == "BFSx3"
-        assert make_batched("SSSP", [2]).batch_size == 1
+        fused = make_batched("SSSP", [0, 3, 5])
+        assert fused.name == "SSSPx3"
+        assert (fused.variant, fused.atomics, fused.max_iterations) == \
+            (SSSP.variant, SSSP.atomics, SSSP.max_iterations)
+        assert len(make_batched("BFS", [2]).sources) == 1
 
     def test_source_range_checked(self, tiny_path):
-        with pytest.raises(ValueError):
-            drive(BatchedBFS([99]), tiny_path)
+        with pytest.raises(ValueError, match="out of range"):
+            program_trace(tiny_path, make_batched("BFS", [3, 99]))
+
+
+#: The 1024-vertex RMAT graph of ``small_rmat`` (171 vertices without
+#: out-edges, parallel edges and self-loops kept), and its weighted view.
+RMAT = rmat_graph(10, 12000, seed=44)
+RMAT_WEIGHTED = RMAT.with_random_weights(high=8)
+SINK = int(np.flatnonzero(RMAT.out_degree() == 0)[0])
+HUB = int(np.argmax(RMAT.out_degree()))
+
+
+class TestComposedTraceAgainstOracle:
+    """The trace composed from single-source traces equals the trace of the
+    stepping fused program (``tests/batched_step_oracles.py``) bit for bit:
+    frontiers, iterations, values and their dtype."""
+
+    @given(algo=st.sampled_from(["BFS", "SSSP"]),
+           sources=st.lists(st.integers(0, RMAT.n_vertices - 1),
+                            min_size=1, max_size=4),
+           cap=st.sampled_from([0, 1, 3, None]))
+    @example(algo="BFS", sources=[HUB], cap=None)
+    @example(algo="SSSP", sources=[HUB, 7, HUB], cap=None)
+    @example(algo="BFS", sources=[SINK, HUB], cap=None)
+    @example(algo="SSSP", sources=[SINK], cap=3)
+    def test_composed_equals_stepped(self, algo, sources, cap):
+        graph = RMAT if algo == "BFS" else RMAT_WEIGHTED
+        oracle = record_active_trace(graph, make_oracle(algo, sources), cap)
+        trace = program_trace(graph, make_batched(algo, sources), cap)
+        assert len(trace) == len(oracle.masks)
+        for i, mask in enumerate(oracle.masks):
+            state = trace.state(i)
+            assert np.array_equal(state.active, mask)
+            assert state.iteration == oracle.iteration_numbers[i]
+        assert trace.iterations == oracle.iteration_numbers[-1]
+        assert np.array_equal(trace.values, oracle.values)
+        assert trace.values.dtype == oracle.values.dtype
+
+    def test_fused_and_lone_runs_share_the_single_source_traces(self):
+        graph = RMAT_WEIGHTED
+        lone = program_trace(graph, make_program("SSSP", source=HUB))
+        fused = program_trace(graph, make_batched("SSSP", [HUB, HUB]))
+        assert fused is not lone
+        assert np.array_equal(fused.values, np.stack([lone.values] * 2))
+        assert program_trace(graph, make_program("SSSP", source=HUB)) is lone
 
 
 class TestSingleSourceParity:
-    """With B == 1 every array equals the single-source program's."""
+    """With B == 1 an engine run equals the single-source program's."""
+
+    @staticmethod
+    def assert_bit_parity(algo, graph, src=7):
+        ref = run(graph, make_program(algo, source=src))
+        fused = run(graph, make_batched(algo, [src]))
+        assert fused.algorithm == f"{algo}x1"
+        assert np.array_equal(fused.values[0], ref.values)
+        assert fused.iterations == ref.iterations
+        assert charged_edges(fused) == charged_edges(ref)
+        assert fused.elapsed_seconds == ref.elapsed_seconds
 
     def test_bfs_bit_parity(self, small_web):
-        src = 7
-        ref = make_program("BFS", source=src)
-        ref_state = drive(ref, small_web)
-        batched = BatchedBFS([src])
-        b_state = drive(batched, small_web)
-        assert np.array_equal(batched.values(b_state)[0],
-                              ref.values(ref_state))
-        assert b_state.iteration == ref_state.iteration
-        assert b_state.edges_relaxed == ref_state.edges_relaxed
+        self.assert_bit_parity("BFS", small_web)
 
     def test_sssp_bit_parity(self, small_web):
-        g = small_web.with_random_weights(high=3)
-        src = 7
-        ref = make_program("SSSP", source=src)
-        ref_state = drive(ref, g)
-        batched = BatchedSSSP([src])
-        b_state = drive(batched, g)
-        assert np.array_equal(batched.values(b_state)[0],
-                              ref.values(ref_state))
-        assert b_state.iteration == ref_state.iteration
-        assert b_state.edges_relaxed == ref_state.edges_relaxed
+        self.assert_bit_parity("SSSP", small_web.with_random_weights(high=3))
 
 
 class TestMultiSourceParity:
@@ -68,41 +119,35 @@ class TestMultiSourceParity:
 
     def test_bfs_rows_match_independent_runs(self, small_web):
         sources = [7, 0, 113]
-        batched = BatchedBFS(sources)
-        b_state = drive(batched, small_web)
-        values = batched.values(b_state)
+        values = run(small_web, make_batched("BFS", sources)).values
         assert values.shape == (3, small_web.n_vertices)
         for row, src in enumerate(sources):
-            ref = make_program("BFS", source=src)
-            assert np.array_equal(values[row], ref.values(drive(ref, small_web)))
+            ref = run(small_web, make_program("BFS", source=src))
+            assert np.array_equal(values[row], ref.values)
 
     def test_sssp_rows_match_independent_runs(self, small_web):
         g = small_web.with_random_weights(high=3)
         sources = [7, 113]
-        batched = BatchedSSSP(sources)
-        b_state = drive(batched, g)
-        values = batched.values(b_state)
+        values = run(g, make_batched("SSSP", sources)).values
         for row, src in enumerate(sources):
-            ref = make_program("SSSP", source=src)
-            assert np.array_equal(values[row], ref.values(drive(ref, g)))
+            ref = run(g, make_program("SSSP", source=src))
+            assert np.array_equal(values[row], ref.values)
 
     def test_union_edges_charged_once(self, small_web):
         # The fused run reads at most the sum of the individual runs'
         # edges, and at least the largest individual run's (union effect).
         sources = [7, 113]
-        per_source = []
-        for src in sources:
-            ref = make_program("BFS", source=src)
-            st = drive(ref, small_web)
-            per_source.append(st.edges_relaxed)
-        fused = drive(BatchedBFS(sources), small_web)
-        assert fused.edges_relaxed <= sum(per_source)
-        assert fused.edges_relaxed >= max(per_source)
+        per_source = [charged_edges(run(small_web, make_program("BFS", source=s)))
+                      for s in sources]
+        fused = charged_edges(run(small_web, make_batched("BFS", sources)))
+        assert fused <= sum(per_source)
+        assert fused >= max(per_source)
 
 
 class TestNextFrontierByScatter:
-    """Each row of a fused superstep equals the deduplicating single-source
-    step (``tests/dedupe_step_oracles.py``) on that row's own frontier."""
+    """Each superstep of a composed trace equals the deduplicating
+    single-source step (``tests/dedupe_step_oracles.py``) applied to every
+    row's own frontier, OR-ed."""
 
     @pytest.mark.parametrize("algo", ["BFS", "SSSP"])
     def test_every_superstep_equals_the_dedupe_oracle(self, algo, small_rmat):
@@ -111,19 +156,21 @@ class TestNextFrontierByScatter:
             graph = graph.with_random_weights(high=8)
         assert has_parallel_edges_and_self_loops(graph)
         sources = np.argsort(graph.out_degree(), kind="stable")[-3:].tolist()
-        program = make_batched(algo, sources)
-        state = program.init_state(graph)
-        while state.active.any():
-            ref_values = state.values_2d.copy()
-            ref_fronts = np.array([
-                dedupe_relax(algo, graph, ref_values[row], state.fronts[row],
-                             state.iteration)
-                for row in range(len(sources))])
-            program.step(graph, state)
-            assert np.array_equal(state.values_2d, ref_values)
-            assert np.array_equal(state.fronts, ref_fronts)
-            assert np.array_equal(state.active, ref_fronts.any(axis=0))
-        assert state.iteration > 2
+        trace = program_trace(graph, make_batched(algo, sources))
+        fill, dtype = (UNREACHED, np.int32) if algo == "BFS" else (INF_DIST, np.uint64)
+        values = np.full((3, graph.n_vertices), fill, dtype=dtype)
+        fronts = np.zeros((3, graph.n_vertices), dtype=bool)
+        for row, src in enumerate(sources):
+            values[row, src] = 0
+            fronts[row, src] = True
+        for i in range(len(trace)):
+            assert np.array_equal(trace.mask(i), fronts.any(axis=0))
+            fronts = np.array([dedupe_relax(algo, graph, values[row],
+                                            fronts[row], i)
+                               for row in range(len(sources))])
+        assert not fronts.any() and not trace.mask(len(trace)).any()
+        assert np.array_equal(trace.values, values)
+        assert len(trace) > 2
 
 
 class TestUnderEngines:
@@ -133,9 +180,8 @@ class TestUnderEngines:
         sources = [7, 113]
         spec = make_spec_for(small_web)
         engine = AsceticEngine(spec=spec, data_scale=1e-2)
-        result = engine.run(small_web, BatchedBFS(sources))
+        result = engine.run(small_web, make_batched("BFS", sources))
         for row, src in enumerate(sources):
-            ref = make_program("BFS", source=src)
-            assert np.array_equal(result.values[row],
-                                  ref.values(drive(ref, small_web)))
+            ref = make_program("BFS", source=src).run_reference(small_web)
+            assert np.array_equal(result.values[row], ref)
         assert result.elapsed_seconds > 0

@@ -329,6 +329,19 @@ def test_clipped_log_invents_no_tenant_and_no_latency():
     assert report["latency_seconds"]["e2e"]["max"] == 0.0
 
 
+@pytest.mark.parametrize("kind", ["request-arrive", "request-shed",
+                                  "request-start", "request-complete"])
+def test_a_lifecycle_marker_without_a_request_id_is_named(kind):
+    # A replayed row (``EventLog.emit_row``) may lack the ``request`` extra;
+    # the fold names the kind instead of filing it under ``None`` (or
+    # raising a ``TypeError`` while sorting ids).
+    log = EventLog(record=True)
+    log.marker(kind, "acme/GS/BFS", 1.0, extra=(("request", 1.0),))
+    log.marker(kind, "acme/GS/BFS", 2.0)
+    with pytest.raises(ValueError, match=kind):
+        fold_slo(log.events)
+
+
 class TestCatalog:
     """The workload a dispatch runs: the harness's graph view and GPU spec,
     and the program :func:`~repro.serve.batching.program_for` builds."""
