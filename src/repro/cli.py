@@ -642,8 +642,12 @@ def _print_load_test(res, write_to: Optional[str]) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    """``repro serve`` and ``repro fleet``: one command, two sets of defaults."""
+def _cmd_serve(args, parser) -> int:
+    """``repro serve`` and ``repro fleet``: one command, two sets of defaults.
+
+    The configs check their own fields; a value they refuse is a usage
+    error, reported like the flag types' own checks.
+    """
     from repro.serve import (
         FleetConfig,
         ServeConfig,
@@ -658,26 +662,29 @@ def _cmd_serve(args) -> int:
         # sharded fabric-wide.
         config = fleet_quick_config(seed=args.seed)
     else:
-        serve = quick_config(seed=args.seed) if args.quick else ServeConfig(
-            seed=args.seed,
-            n_requests=args.requests,
-            arrival_rate=args.rate,
-            graphs=tuple(args.graphs),
-            algorithms=tuple(a.upper() for a in args.algos),
-            tenants=tuple(args.tenants),
-            deadline=args.deadline,
-            multi_source=args.multi_source,
-            engine=args.engine,
-            scale=args.scale,
-            queue_capacity=args.queue_capacity,
-            queue_policy=args.queue_policy,
-            scheduler=args.scheduler,
-            max_batch=args.max_batch,
-            batch_wait=args.batch_wait,
-            max_engines=args.max_engines,
-        )
-        config = FleetConfig(serve=serve, fabric=fabric,
-                             shard_over=args.shard_over)
+        try:
+            serve = quick_config(seed=args.seed) if args.quick else ServeConfig(
+                seed=args.seed,
+                n_requests=args.requests,
+                arrival_rate=args.rate,
+                graphs=tuple(args.graphs),
+                algorithms=tuple(a.upper() for a in args.algos),
+                tenants=tuple(args.tenants),
+                deadline=args.deadline,
+                multi_source=args.multi_source,
+                engine=args.engine,
+                scale=args.scale,
+                queue_capacity=args.queue_capacity,
+                queue_policy=args.queue_policy,
+                scheduler=args.scheduler,
+                max_batch=args.max_batch,
+                batch_wait=args.batch_wait,
+                max_engines=args.max_engines,
+            )
+            config = FleetConfig(serve=serve, fabric=fabric,
+                                 shard_over=args.shard_over)
+        except ValueError as exc:
+            parser.error(str(exc))
     return _print_load_test(run_fleet_test(config), args.output)
 
 
@@ -732,7 +739,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "chaos":
             return _cmd_chaos(args, parser)
         if args.command in ("serve", "fleet"):
-            return _cmd_serve(args)
+            return _cmd_serve(args, parser)
     except GPUOutOfMemory as exc:
         # The workload does not fit the device it was given: a fact about
         # the input, reported the way ``grid`` reports it per cell.

@@ -200,7 +200,7 @@ class AsceticEngine(RegionEngine):
         self._hotness = HotnessTable(
             self._region.n_chunks,
             policy=policy_for(program),
-            seg_bounds=self._region.chunk_map.seg_bounds,
+            chunk_map=self._region.chunk_map,
         )
         if self._warm_hit:
             # Fill-skip: resident chunks stayed on the device between

@@ -2,8 +2,9 @@
 
 Schedule per iteration (Fig. 4 numbering, Fig. 5 timeline):
 
-1. **GenDataMap** — a GPU scan produces StaticMap and OndemandMap from
-   ActiveBitmap ∧/⊕ StaticBitmap.
+1. **GenDataMap** — a GPU scan produces OndemandMap = ActiveBitmap ∧
+   ¬StaticBitmap in one operation (Fig. 4's ActiveBitmap ⊕ StaticMap,
+   stated and property-tested in :mod:`repro.core.bitmaps`).
 2. **Adaptive repartition** (§3.3) — if the measured on-demand volume
    overflows its region while the static region is cold, shrink the static
    region by Eq. 3, return the chunks' memory to the on-demand region, and
@@ -46,7 +47,6 @@ import numpy as np
 from repro.algorithms.base import ProgramState, VertexProgram
 from repro.engines.base import (AccessPath, Engine, RunPlan, RunResult,
                                 emit_access_plan)
-from repro.core.bitmaps import split_active
 from repro.core.ondemand import OnDemandPlan, plan_ondemand
 from repro.core.ratio import check_repartition
 from repro.core.replacement import HotnessTable
@@ -110,7 +110,7 @@ def superstep_frame(gpu: SimulatedGPU, graph: CSRGraph, state: ProgramState,
     label = "gen-datamap" if reuse is None else "regen-datamap"
     with gpu.phase("Tmap"):
         t_map = gpu.vertex_scan(graph.n_vertices, passes=2, label=label)
-    _, odmap = split_active(state.active, region.vertex_static_bitmap())
+    odmap = state.active & ~region.vertex_static_bitmap()
     round_bytes = max(stream_bytes, region.chunk_bytes)
     plan = plan_ondemand(graph, odmap, round_bytes)
     # Touches after the plan: peak RSS follows the allocation order, and
@@ -228,9 +228,10 @@ def run_iteration(
     # ➎ Static update during the on-demand compute window (§3.4).
     elif replacement:
         budget_chunks = _swap_budget_chunks(gpu, region)
+        counts = region.fragment_resident_counts(fragment_chunks)
         swap = hotness.plan_swaps(
             region.resident, budget_chunks, fragment_chunks,
-            resident_counts=region.fragment_resident_counts(fragment_chunks),
+            resident_counts=counts, candidates=region.fragment_candidates,
         )
         if swap.n_swaps:
             moved = region.swap(swap.evict, swap.load)

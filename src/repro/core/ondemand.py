@@ -47,11 +47,22 @@ class OnDemandPlan:
         return self.edge_bytes + self.request_bytes
 
 
+#: Nothing to fetch: no vertices, no bytes, no rounds.
+_EMPTY_PLAN = OnDemandPlan(n_vertices=0, n_edges=0, edge_bytes=0,
+                           request_bytes=0, n_rounds=0)
+
+
 def plan_ondemand(
     graph: CSRGraph, ondemand_mask: np.ndarray, region_bytes: int
 ) -> OnDemandPlan:
-    """Build the round schedule for this iteration's on-demand vertices."""
+    """Build the round schedule for this iteration's on-demand vertices.
+
+    An empty OndemandMap — every active vertex served in place — is the
+    zero plan, without walking any edges.
+    """
     n_vertices = int(np.count_nonzero(ondemand_mask))
+    if n_vertices == 0:
+        return _EMPTY_PLAN
     n_edges = active_edge_count(graph, ondemand_mask)
     edge_bytes = n_edges * graph.bytes_per_edge
     request_bytes = n_vertices * OFFSET_BYTES_PER_VERTEX

@@ -35,7 +35,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.graph.csr import ChunkRuns
+from repro.graph.csr import ChunkMap, ChunkRuns, fragment_geometry
 
 __all__ = ["HotnessTable", "SwapPlan"]
 
@@ -57,12 +57,13 @@ class HotnessTable:
 
     ``seg_cumulative[s]`` counts iterations in which the chunks of segment
     ``s`` were touched; ``seg_last[s]`` is 1 iff they were touched in the
-    most recent one.  ``seg_bounds`` is the owning chunk map's segment
-    partition; without one every chunk is its own segment.
+    most recent one.  The segments, and the fragment geometry the planner
+    reads, are ``chunk_map``'s — shared by every table and region over the
+    map; without one every chunk is its own segment.
     """
 
     def __init__(self, n_chunks: int, policy: str = "last", stale_threshold: int = 1,
-                 seg_bounds: Optional[np.ndarray] = None):
+                 chunk_map: Optional[ChunkMap] = None):
         if policy not in ("last", "cumulative"):
             raise ValueError("policy must be 'last' or 'cumulative'")
         if stale_threshold < 0:
@@ -78,16 +79,17 @@ class HotnessTable:
         self.n_chunks = int(n_chunks)
         self.policy = policy
         self.stale_threshold = stale_threshold
-        if seg_bounds is None:
+        self.chunk_map = chunk_map
+        if chunk_map is None:
             seg_bounds = np.arange(self.n_chunks + 1, dtype=np.int64)
-        elif seg_bounds[0] != 0 or seg_bounds[-1] != self.n_chunks:
-            raise ValueError("seg_bounds must run from 0 to n_chunks")
+        elif chunk_map.n_chunks != self.n_chunks:
+            raise ValueError("chunk_map must have n_chunks chunks")
+        else:
+            seg_bounds = chunk_map.seg_bounds
         self.seg_bounds = seg_bounds
         self._seg_len = np.diff(seg_bounds)
         self.seg_cumulative = np.zeros(self._seg_len.size, dtype=np.int64)
         self.seg_last = np.zeros(self._seg_len.size, dtype=np.int64)
-        #: Fragment geometry cache: f -> (boundaries, sizes, edge_seg, edge_off).
-        self._frag_geom: dict = {}
 
     # --------------------------------------------------------------- state
     @property
@@ -157,17 +159,12 @@ class HotnessTable:
 
     # ---------------------------------------------------------------- plan
     def _fragment_geometry(self, f: int) -> Tuple[np.ndarray, ...]:
-        """``(boundaries, sizes, edge_seg, edge_off)``: fragment edge ``i`` (``0,
-        f, .., n_chunks``) lies ``edge_off[i]`` chunks into segment ``edge_seg[i]``."""
-        geom = self._frag_geom.get(f)
-        if geom is None:
-            edges = np.append(np.arange(0, self.n_chunks, f, dtype=np.int64),
-                              self.n_chunks)
-            seg = np.minimum(np.searchsorted(self.seg_bounds, edges, side="right") - 1,
-                             self._seg_len.size - 1)
-            geom = self._frag_geom[f] = (edges[:-1], np.diff(edges), seg,
-                                         edges - self.seg_bounds[seg])
-        return geom
+        """:func:`~repro.graph.csr.fragment_geometry` of this table's segments:
+        the chunk map's shared copy, or built per call without a map (tests
+        and tools)."""
+        if self.chunk_map is None:
+            return fragment_geometry(self.seg_bounds, f)
+        return self.chunk_map.fragment_geometry(f)
 
     def _fragment_sums(self, per_segment: np.ndarray, f: int) -> np.ndarray:
         """Per-fragment chunk sums of a per-segment value: one segment
@@ -186,6 +183,7 @@ class HotnessTable:
     def plan_swaps(
         self, resident: np.ndarray, budget_chunks: int, fragment_chunks: int = 64,
         resident_counts: Optional[np.ndarray] = None,
+        candidates: Optional[bool] = None,
     ) -> SwapPlan:
         """Pick a balanced fragment-aligned swap of ≤ ``budget_chunks`` chunks.
 
@@ -194,25 +192,29 @@ class HotnessTable:
         The plan pairs the coldest eviction fragments with the hottest load
         fragments, one for one, so the region stays exactly as full.
 
-        ``resident_counts`` optionally passes precomputed per-fragment
-        resident counts (see :meth:`fragment_resident_counts`) — residency
-        changes far more rarely than the per-iteration planning cadence, so
-        the Manager caches them on the region.  Staleness aggregates are
-        only computed once both a fully-resident and a fully-absent
-        candidate fragment exist.
+        Residency changes far more rarely than the per-iteration planning
+        cadence, so the Manager passes what the region keeps current
+        instead: ``resident_counts``, the per-fragment resident counts (see
+        :meth:`fragment_resident_counts`), and ``candidates``, whether a
+        fully resident and a fully absent fragment both exist.  With
+        ``candidates`` False the plan is empty before any fragment-axis
+        work; with None it is derived from the counts.  Staleness
+        aggregates are only computed once both kinds of candidate exist.
         """
         empty = np.empty(0, dtype=np.int64)
         if budget_chunks <= 0 or self.n_chunks == 0 or fragment_chunks <= 0:
             return SwapPlan(empty, empty)
         if resident.shape != (self.n_chunks,):
             raise ValueError("resident mask shape mismatch")
+        if candidates is False:
+            return SwapPlan(empty, empty)
         f = int(fragment_chunks)
         sizes = self._fragment_geometry(f)[1]
         if resident_counts is None:
             resident_counts = self.fragment_resident_counts(resident, f)
         full = resident_counts == sizes
         absent = resident_counts == 0
-        if not full.any() or not absent.any():
+        if candidates is None and (not full.any() or not absent.any()):
             return SwapPlan(empty, empty)
         stale_cnt = self._fragment_sums(self._seg_staleness(), f)
         evict_frags = np.nonzero(full & (stale_cnt * 2 > sizes))[0]

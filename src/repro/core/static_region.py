@@ -50,6 +50,9 @@ def range_mark(lo: np.ndarray, hi_next: np.ndarray, n_bins: int) -> np.ndarray:
 #: The §5 fill policies.
 FILLS = ("front", "rear", "random", "lazy")
 
+#: No chunk ids (one side of a one-sided residency change).
+_NONE = np.empty(0, dtype=np.int64)
+
 
 class StaticRegion:
     """Chunk-granular residency of the edge array on the device."""
@@ -85,7 +88,8 @@ class StaticRegion:
         # Merged maximal runs of resident chunks — the representation the
         # per-iteration queries are answered from (see resident_runs).
         self._resident_runs: tuple | None = None
-        # (fragment_chunks, per-fragment resident counts) for plan_swaps.
+        # (fragment_chunks, per-fragment resident counts, candidates) for
+        # plan_swaps; kept current by every mutation (see _moved).
         self._frag_res: tuple | None = None
         self._fill(fill, seed)
         self._has_edges = cmap.has_edges
@@ -144,7 +148,7 @@ class StaticRegion:
         """StaticBitmap: vertices whose whole edge range is resident.
 
         Degree-0 vertices are static by convention (they need no edge data).
-        Cached; invalidated by :meth:`swap` and :meth:`shrink_to`.
+        Cached; dropped by every residency mutation.
 
         A vertex is covered exactly when its chunk span lies inside one
         maximal run of resident chunks, so the test is a searchsorted over
@@ -167,18 +171,47 @@ class StaticRegion:
         return self._vertex_bitmap
 
     def _invalidate(self) -> None:
-        """Drop caches derived from residency (bitmap, runs, frag counts)."""
+        """Drop every cache derived from residency (bitmap, runs, fragment
+        counts) — for code that writes ``resident`` directly."""
         self._vertex_bitmap = None
         self._resident_runs = None
         self._frag_res = None
 
+    def _moved(self, evicted: np.ndarray, loaded: np.ndarray) -> None:
+        """Residency just changed at these chunk ids (int64, each id once).
+
+        The vertex bitmap and the runs are dropped; the per-fragment counts
+        are brought up to date with exact integer adds, and the candidate
+        flag recomputed from them — a mutation pays the fragment axis once,
+        so the supersteps between mutations need not.
+        """
+        self._vertex_bitmap = None
+        self._resident_runs = None
+        if self._frag_res is None:
+            return
+        f, counts, _ = self._frag_res
+        n = counts.size
+        counts += np.bincount(loaded // f, minlength=n)
+        counts -= np.bincount(evicted // f, minlength=n)
+        self._frag_res = (f, counts, self._candidates(f, counts))
+
+    def _candidates(self, f: int, counts: np.ndarray) -> bool:
+        """Whether a fully resident and a fully absent fragment both exist —
+        without both, §3.4's planner has nothing to pair.  Every fragment
+        holds ``f`` chunks but the last, which holds the rest."""
+        if counts.size == 0 or not (counts == 0).any():
+            return False
+        tail = self.n_chunks - (counts.size - 1) * f
+        return bool(counts[-1] == tail or (counts[:-1] == f).any())
+
     def fragment_resident_counts(self, fragment_chunks: int) -> np.ndarray:
-        """Per-fragment resident-chunk counts (cached until residency moves).
+        """Per-fragment resident-chunk counts.
 
         The replacement planner's candidate filter needs these every
         iteration, but residency changes only on an actual swap / promote /
-        shrink — so the reduceat is paid once per mutation, not per
-        iteration.
+        shrink / top-up — so the reduceat is paid once per region and
+        fragment size, and each mutation updates the counts in place (a
+        caller that keeps the array across a mutation sees it change).
         """
         f = int(fragment_chunks)
         cached = self._frag_res
@@ -189,8 +222,15 @@ class StaticRegion:
         else:
             bounds = np.arange(0, self.n_chunks, f, dtype=np.int64)
             counts = np.add.reduceat(self.resident, bounds, dtype=np.int64)
-        self._frag_res = (f, counts)
+        self._frag_res = (f, counts, self._candidates(f, counts))
         return counts
+
+    @property
+    def fragment_candidates(self) -> bool | None:
+        """Whether a fully resident and a fully absent fragment both exist,
+        at the fragment size :meth:`fragment_resident_counts` last counted
+        (None before it ever has)."""
+        return None if self._frag_res is None else self._frag_res[2]
 
     def resident_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Maximal runs of resident chunks: ``(starts, ends, prefix)``.
@@ -350,7 +390,7 @@ class StaticRegion:
         if take.size == 0:
             return 0
         self.resident[take] = True
-        self._invalidate()
+        self._moved(_NONE, take)
         return int(take.size)
 
     # ------------------------------------------------------------ mutation
@@ -381,18 +421,17 @@ class StaticRegion:
         # Same range-mark as chunk_touch_counts, but only coverage (> 0)
         # matters, not the counts themselves.
         diff = range_mark(c_lo, c_hi + 1, self.n_chunks)
-        span = np.cumsum(diff[:-1]) > 0
-        before = self.resident_chunks
-        self.resident |= span
-        self._invalidate()
-        return self.resident_chunks - before
+        new = np.flatnonzero((np.cumsum(diff[:-1]) > 0) & ~self.resident)
+        self.resident[new] = True
+        self._moved(_NONE, new)
+        return int(new.size)
 
     def swap(self, evict: np.ndarray, load: np.ndarray) -> int:
         """Apply a replacement plan; returns bytes transferred H2D.
 
-        ``evict`` must be resident, ``load`` non-resident, and the region
-        may not overflow its capacity.  Edge data is read-only, so eviction
-        costs no writeback.
+        ``evict`` must be resident, ``load`` non-resident, neither may name
+        a chunk twice, and the region may not overflow its capacity.  Edge
+        data is read-only, so eviction costs no writeback.
         """
         evict = np.asarray(evict, dtype=np.int64)
         load = np.asarray(load, dtype=np.int64)
@@ -404,7 +443,7 @@ class StaticRegion:
             raise ValueError("swap would overflow the static region")
         self.resident[evict] = False
         self.resident[load] = True
-        self._invalidate()
+        self._moved(evict, load)
         return int(load.size) * self.chunk_bytes
 
     def shrink_to(self, capacity_bytes: int) -> int:
@@ -425,5 +464,5 @@ class StaticRegion:
         resident_ids = np.nonzero(self.resident)[0]
         victims = resident_ids[-excess:]
         self.resident[victims] = False
-        self._invalidate()
+        self._moved(victims, _NONE)
         return int(victims.size)

@@ -222,7 +222,7 @@ class HybridEngine(RegionEngine):
         # touched — the migration score's reuse estimate.
         self._hotness = HotnessTable(region.n_chunks, policy="cumulative",
                                      stale_threshold=self.reuse_horizon,
-                                     seg_bounds=region.chunk_map.seg_bounds)
+                                     chunk_map=region.chunk_map)
         self.transfer_policy = HybridPolicy(
             gpu.spec, region, self.chunk_bytes, self.reuse_horizon)
         gpu.h2d(self._vertex_state_bytes(graph), label="vertex-state")

@@ -19,9 +19,8 @@ span, no event, no counters.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.gpusim.clock import VirtualClock
 from repro.gpusim.events import EventLog
@@ -105,36 +104,58 @@ class DeviceFacade:
         """Virtual seconds since the run started."""
         return self.clock.now
 
-    @contextmanager
-    def phase(self, name: str, iteration: Optional[int] = None) -> Iterator:
+    def phase(self, name: str, iteration: Optional[int] = None) -> "_Stamp":
         """Attribute all work submitted inside the block to phase ``name``.
 
         Replaces the old per-call ``phase=`` string threading: the emitted
         events carry the phase, and ``metrics.phase_seconds`` is folded
-        from them.  Optionally also (re)binds the iteration index.
+        from them.  Optionally also (re)binds the iteration index.  Both
+        are restored on exit, also when the block raises.
         """
-        log = self.events
-        prev_phase = log.current_phase
-        prev_iter = log.current_iteration
-        log.current_phase = name
-        if iteration is not None:
-            log.current_iteration = iteration
-        try:
-            yield self
-        finally:
-            log.current_phase = prev_phase
-            log.current_iteration = prev_iter
+        return _Stamp(self, name, _KEEP if iteration is None else iteration)
 
-    @contextmanager
-    def iteration(self, index: int) -> Iterator:
+    def iteration(self, index: int) -> "_Stamp":
         """Stamp events emitted inside the block with iteration ``index``."""
-        log = self.events
-        prev = log.current_iteration
-        log.current_iteration = index
-        try:
-            yield self
-        finally:
-            log.current_iteration = prev
+        return _Stamp(self, _KEEP, index)
+
+
+#: ``_Stamp``'s "leave this one alone" (None is a value: no phase / iteration).
+_KEEP = object()
+
+
+class _Stamp:
+    """The context manager behind :meth:`DeviceFacade.phase` and
+    :meth:`DeviceFacade.iteration`.
+
+    A class rather than a ``@contextmanager`` generator: a warm serving pass
+    enters about 10^5 of them.  ``__enter__`` saves the log's phase and
+    iteration and installs the new ones (``_KEEP`` leaves one as it is);
+    ``__exit__`` puts back what it saved — ``iteration()`` leaves the phase
+    alone — and lets any exception through.
+    """
+
+    __slots__ = ("_device", "_phase", "_iteration", "_log", "_saved")
+
+    def __init__(self, device: DeviceFacade, phase, iteration) -> None:
+        self._device = device
+        self._phase = phase
+        self._iteration = iteration
+
+    def __enter__(self) -> DeviceFacade:
+        log = self._log = self._device.events
+        self._saved = (log.current_phase, log.current_iteration)
+        if self._phase is not _KEEP:
+            log.current_phase = self._phase
+        if self._iteration is not _KEEP:
+            log.current_iteration = self._iteration
+        return self._device
+
+    def __exit__(self, *exc) -> bool:
+        log = self._log
+        if self._phase is not _KEEP:
+            log.current_phase = self._saved[0]
+        log.current_iteration = self._saved[1]
+        return False
 
 
 class SimulatedGPU(DeviceFacade):

@@ -23,8 +23,9 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["CSRGraph", "ChunkMap", "ChunkRuns", "grant_in_order",
-           "EDGE_INDEX_BYTES", "WEIGHT_BYTES", "VERTEX_STATE_BYTES"]
+__all__ = ["CSRGraph", "ChunkMap", "ChunkRuns", "fragment_geometry",
+           "grant_in_order", "EDGE_INDEX_BYTES", "WEIGHT_BYTES",
+           "VERTEX_STATE_BYTES"]
 
 #: Bytes per edge for the destination-index array (int32).
 EDGE_INDEX_BYTES = 4
@@ -125,6 +126,22 @@ def grant_in_order(lengths: np.ndarray, order: np.ndarray,
     return granted
 
 
+def fragment_geometry(seg_bounds: np.ndarray, f: int) -> Tuple[np.ndarray, ...]:
+    """Fragments of ``f`` chunks over the chunk axis ``[0, seg_bounds[-1])``.
+
+    Returns ``(boundaries, sizes, edge_seg, edge_off)``: fragment ``i``
+    starts at chunk ``boundaries[i]`` and holds ``sizes[i]`` chunks (the
+    tail one may be short); fragment edge ``i`` (``0, f, .., n_chunks``)
+    lies ``edge_off[i]`` chunks into segment ``edge_seg[i]`` of the
+    partition ``seg_bounds``.
+    """
+    n_chunks = int(seg_bounds[-1])
+    edges = np.append(np.arange(0, n_chunks, f, dtype=np.int64), n_chunks)
+    seg = np.minimum(np.searchsorted(seg_bounds, edges, side="right") - 1,
+                     seg_bounds.size - 2)
+    return edges[:-1], np.diff(edges), seg, edges - seg_bounds[seg]
+
+
 @dataclass(frozen=True)
 class ChunkMap:
     """Per-vertex chunk spans of the edge array at one chunk granularity.
@@ -159,10 +176,22 @@ class ChunkMap:
     seg_len: np.ndarray  # int64, per segment
     s_lo: np.ndarray  # int64, per vertex
     s_hi: np.ndarray  # int64, per vertex
+    #: :func:`fragment_geometry` per fragment size, built on first use.  It
+    #: lives (and dies) with the map, as the map does with its graph.
+    _fragments: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     @property
     def n_segments(self) -> int:
         return len(self.seg_len)
+
+    def fragment_geometry(self, f: int) -> Tuple[np.ndarray, ...]:
+        """:func:`fragment_geometry` of this map's segments, cached per ``f``:
+        every region and hotness table over the map shares one copy."""
+        geom = self._fragments.get(f)
+        if geom is None:
+            geom = self._fragments[f] = fragment_geometry(self.seg_bounds, f)
+        return geom
 
     def segments(self, index: np.ndarray) -> ChunkRuns:
         """The segments at ``index`` (ascending) as chunk runs, unmerged."""

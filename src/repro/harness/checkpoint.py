@@ -54,7 +54,11 @@ __all__ = ["IterationCheckpoint", "ShardCheckpoint", "CheckpointStore",
 #: a dead ``config`` attribute and none of the switches).
 #: Still 7 after ``EventColumns`` stopped materializing rows: its
 #: ``__slots__`` are unchanged, so a version-7 blob loads as it did.
-CHECKPOINT_VERSION = 7
+#: 8: the fragment geometry moved from ``HotnessTable`` onto ``ChunkMap``,
+#: and ``StaticRegion``'s fragment-count cache carries a candidate flag (a
+#: version-7 blob would restore a map without the geometry cache and a
+#: two-field count cache that the next superstep indexes past).
+CHECKPOINT_VERSION = 8
 
 
 @dataclass(frozen=True)

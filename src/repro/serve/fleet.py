@@ -56,7 +56,7 @@ from repro.serve.request import (
     generate_requests,
 )
 from repro.serve.scheduler import make_scheduler
-from repro.serve.simulator import ServeConfig
+from repro.serve.simulator import ServeConfig, finite
 from repro.serve.slo import canonical_json, fold_slo
 
 __all__ = [
@@ -92,8 +92,10 @@ class FleetConfig:
     fault_plan: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
-        if self.shard_over is not None and self.shard_over <= 0:
-            raise ValueError("shard_over must be positive (or None)")
+        if self.shard_over is not None and not (
+                finite(self.shard_over) and self.shard_over > 0):
+            raise ValueError("shard_over must be finite and positive (or None "
+                             f"to turn sharding off), got {self.shard_over!r}")
         if isinstance(self.fault_plan, Mapping):
             object.__setattr__(self, "fault_plan",
                                FaultPlan.from_dict(self.fault_plan))

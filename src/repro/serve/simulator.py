@@ -13,7 +13,9 @@ single server is a fleet of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
+from numbers import Integral, Real
 from typing import Any, Dict, Optional, Tuple
 
 from repro.gpusim.fabric import FabricSpec
@@ -21,6 +23,13 @@ from repro.harness.experiments import BENCH_SCALE
 from repro.serve.request import Request
 
 __all__ = ["ServeConfig", "run_load_test", "quick_config"]
+
+
+def finite(value) -> bool:
+    """Whether ``value`` is a real number other than ±inf and NaN (a bool
+    is not a number here)."""
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -50,6 +59,19 @@ class ServeConfig:
     batch_wait: float = 0.0
     max_engines: int = 2
     aging_seconds: float = 60.0
+
+    def __post_init__(self) -> None:
+        for key in ("max_batch", "max_engines"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, Integral) \
+                    or value < 1:
+                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+        if not (finite(self.batch_wait) and self.batch_wait >= 0):
+            raise ValueError(
+                f"batch_wait must be finite and >= 0, got {self.batch_wait!r}")
+        if not (finite(self.aging_seconds) and self.aging_seconds > 0):
+            raise ValueError(
+                f"aging_seconds must be finite and > 0, got {self.aging_seconds!r}")
 
     def as_dict(self) -> Dict[str, Any]:
         return asdict(self)

@@ -153,12 +153,14 @@ class TestStore:
         class; a version-5 one a checkpoint with ``values`` and a blob with
         the full program state, from before engines replayed the program
         trace; a version-6 one an Ascetic engine holding its switches in a
-        ``config`` object.  All must be refused at load, and the recorded cell then runs
+        ``config`` object; a version-7 one a chunk map without its fragment
+        geometry cache and a region whose fragment counts carry no candidate
+        flag.  All must be refused at load, and the recorded cell then runs
         from iteration 0 to the same log an undisturbed run retains."""
         w = make_workload("GS", "BFS", scale=SCALE)
         clean = run_workload(w, "Ascetic", record_events=True)
         store = CheckpointStore(str(tmp_path))
-        for version in (2, 3, 4, 5, 6):
+        for version in (2, 3, 4, 5, 6, 7):
             stale = IterationCheckpoint(
                 engine="Ascetic", algorithm="BFS", graph_name=w.graph.name,
                 iteration=2, active=np.zeros(w.graph.n_vertices, dtype=bool),

@@ -113,7 +113,7 @@ class TestHotnessTable:
         cmap = region.chunk_map
         table = HotnessTable(cmap.n_chunks, policy=policy[0],
                              stale_threshold=policy[1],
-                             seg_bounds=cmap.seg_bounds)
+                             chunk_map=cmap)
         oracle = DenseHotnessTable(cmap.n_chunks, policy=policy[0],
                                    stale_threshold=policy[1])
         n_frags = -(-cmap.n_chunks // fragment)
@@ -145,13 +145,69 @@ class TestHotnessTable:
             assert np.array_equal(plan.load, load)
 
 
+class TestRegionKeepsFragmentsCurrent:
+    """Every residency mutation keeps the region's per-fragment counts and
+    its candidate flag exact, so the §3.4 planner never recounts."""
+
+    @given(geometries(), st.sampled_from(["front", "rear", "random", "lazy"]),
+           st.sampled_from([1, 2, 4, 7, 64]),
+           st.lists(st.sampled_from(["plan", "swap", "top_up", "shrink",
+                                     "promote"]), min_size=1, max_size=8))
+    def test_mutations_keep_counts_flags_and_plans_exact(
+            self, geometry, fill, fragment, ops):
+        graph, chunk_bytes, rng = geometry
+        region = StaticRegion(
+            graph, capacity_bytes=int(graph.edge_array_bytes * rng.random()),
+            chunk_bytes=chunk_bytes, fill=fill, fragment_chunks=fragment)
+        cmap = region.chunk_map
+        table = HotnessTable(cmap.n_chunks, chunk_map=cmap)
+        oracle = DenseHotnessTable(cmap.n_chunks)
+        bounds = np.arange(0, cmap.n_chunks, fragment, dtype=np.int64)
+        sizes = np.minimum(fragment, cmap.n_chunks - bounds)
+        counts = region.fragment_resident_counts(fragment)  # warm
+        for op in ops:
+            active = random_mask(rng, graph.n_vertices)
+            table.update(region.segment_touch_counts(active))
+            oracle.update(dense_touch_counts(cmap, active))
+            budget = int(rng.integers(0, 4 * fragment + 2))
+            plan = table.plan_swaps(region.resident, budget, fragment,
+                                    resident_counts=counts,
+                                    candidates=region.fragment_candidates)
+            evict, load = oracle.plan_swaps(region.resident, budget,
+                                            fragment_chunks=fragment)
+            assert np.array_equal(plan.evict, evict)
+            assert np.array_equal(plan.load, load)
+            if op == "plan":
+                region.swap(plan.evict, plan.load)
+            elif op == "swap":
+                resident = np.flatnonzero(region.resident)
+                out = resident[rng.random(resident.size) < 0.3]
+                absent = np.flatnonzero(~region.resident)
+                room = region.free_chunks + out.size
+                region.swap(out, rng.permutation(absent)[:room])
+            elif op == "top_up":
+                region.top_up(int(rng.integers(0, 2 * fragment + 1)))
+            elif op == "shrink":  # also grows: capacity up to 1.5x
+                region.shrink_to(int(region.capacity_chunks * chunk_bytes
+                                     * 1.5 * rng.random()))
+            else:
+                region.promote_vertices(random_mask(rng, graph.n_vertices))
+            # The same array, brought up to date — not a recount.
+            assert region.fragment_resident_counts(fragment) is counts
+            fresh = np.add.reduceat(region.resident, bounds, dtype=np.int64)
+            assert np.array_equal(counts, fresh)
+            assert region.fragment_candidates == bool(
+                (fresh == sizes).any() and (fresh == 0).any())
+            assert region.resident_chunks <= region.capacity_chunks
+
+
 def _hybrid_setup(graph, chunk_bytes, rng, reuse_horizon):
     region = lazy_region(graph, chunk_bytes)
     policy = HybridPolicy(GPUSpec(memory_bytes=1 << 20), region,
                           chunk_bytes=16384, reuse_horizon=reuse_horizon)
     table = HotnessTable(region.n_chunks, policy="cumulative",
                          stale_threshold=reuse_horizon,
-                         seg_bounds=region.chunk_map.seg_bounds)
+                         chunk_map=region.chunk_map)
     return region, policy, table
 
 
@@ -172,7 +228,7 @@ def _check_plans(policy, region, table, active, use_touch, use_hot):
     if not touched.size:
         return None
     hot = table if use_hot else HotnessTable(
-        region.n_chunks, policy="cumulative", seg_bounds=cmap.seg_bounds)
+        region.n_chunks, policy="cumulative", chunk_map=cmap)
     counts = seg_touch[touched] if use_touch else np.ones(touched.size)
     plan = policy.plan(cmap.segments(touched), counts, hot)
     assert isinstance(plan, RunPlan)

@@ -79,3 +79,50 @@ class TestStaticRegionValidation:
     def test_bad_fragment(self, small_social):
         with pytest.raises(ValueError):
             StaticRegion(small_social, 100, fragment_chunks=0)
+
+
+class TestServeConfigDoor:
+    """Each of these ran silently; the config refuses it once, at
+    construction, naming the key (the CLI reports it as a usage error)."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("batch_wait", -1.0),
+        ("batch_wait", float("nan")),
+        ("aging_seconds", float("nan")),
+        ("max_batch", 2.5),
+        ("max_engines", True),
+    ])
+    def test_serve_config_rejects(self, key, value):
+        from dataclasses import replace
+
+        from repro.serve.simulator import quick_config
+
+        with pytest.raises(ValueError, match=key):
+            replace(quick_config(0), scale=1e-5, n_requests=6, **{key: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_fleet_config_rejects_shard_over(self, value):
+        from repro.serve.fleet import FleetConfig
+
+        with pytest.raises(ValueError, match="shard_over"):
+            FleetConfig(shard_over=value)
+
+    def test_documented_edges_stay_valid(self):
+        """``queue_capacity=0`` sheds every request; ``shard_over=None``
+        turns sharding off."""
+        from dataclasses import replace
+
+        from repro.serve.fleet import FleetConfig
+        from repro.serve.simulator import quick_config
+
+        serve = replace(quick_config(0), queue_capacity=0, batch_wait=0.0)
+        assert FleetConfig(serve=serve, shard_over=None).shard_over is None
+
+    def test_cli_reports_a_refused_value_as_usage_error(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--shard-over", "inf"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "shard_over" in err

@@ -59,6 +59,42 @@ class TestCharging:
         assert gpu.events.current_phase is None
         assert gpu.events.current_iteration is None
 
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_nested_stamps_restore_phase_and_iteration(self, gpu, raises):
+        """Nested ``phase`` / ``iteration`` blocks put back both values on
+        the way out, also when the body raises; ``iteration`` leaves the
+        phase alone.  The stamps are plain context-manager objects, not
+        ``contextlib`` generators (a serving pass enters ~10^5 of them)."""
+        log = gpu.events
+        seen = []
+
+        def body():
+            with gpu.iteration(7) as dev:
+                assert dev is gpu
+                with gpu.phase("Touter", iteration=3):
+                    with gpu.phase("Tinner"):
+                        seen.append((log.current_phase, log.current_iteration))
+                        with gpu.iteration(9):
+                            seen.append((log.current_phase,
+                                         log.current_iteration))
+                            if raises:
+                                raise KeyError("body")
+                        seen.append((log.current_phase, log.current_iteration))
+                    seen.append((log.current_phase, log.current_iteration))
+                seen.append((log.current_phase, log.current_iteration))
+
+        if raises:
+            with pytest.raises(KeyError):
+                body()
+        else:
+            body()
+        expected = [("Tinner", 3), ("Tinner", 9), ("Tinner", 3),
+                    ("Touter", 3), (None, 7)]
+        assert seen == (expected[:2] if raises else expected)
+        assert (log.current_phase, log.current_iteration) == (None, None)
+        assert type(gpu.phase("T")).__module__ == "repro.gpusim.device"
+        assert type(gpu.iteration(1)).__module__ == "repro.gpusim.device"
+
     def test_zero_ops_uniformly_skipped(self, gpu):
         """Empty ops leave no counters, no lane time, and no events."""
         gpu = SimulatedGPU(GPUSpec(memory_bytes=10**6), record_events=True)

@@ -160,7 +160,7 @@ class TestSwapCausality:
         active[2 * wg.n_vertices // 3:] = True
         state.active = active
         hotness = HotnessTable(region.n_chunks, policy="last",
-                               seg_bounds=region.chunk_map.seg_bounds)
+                               chunk_map=region.chunk_map)
         with gpu.iteration(0):  # stamp events as engines do
             out = run_iteration(gpu, wg, program, state, region, hotness,
                                 static_alloc, ondemand_alloc, adaptive=False,
@@ -434,3 +434,82 @@ class TestSwapBudgetWindow:
         dur = swaps[0].end - swaps[0].start
         assert dur <= (window_end - swaps[0].start) * (1 + 1e-12) or \
             dur <= window_end * (1 + 1e-12)
+
+
+class TestSuperstepFloor:
+    """A superstep that moves nothing pays for nothing that did not change:
+    on a warm quick load test, a swap is never followed by a fragment
+    recount of its region, and each chunk map's fragment geometry is built
+    at most once, however many regions and hotness tables use it."""
+
+    def test_no_recount_after_swap_and_one_geometry_per_map(self,
+                                                             monkeypatch):
+        from repro.core import static_region
+        from repro.graph import csr
+        from repro.serve.simulator import quick_config, run_load_test
+
+        config = quick_config(0)
+        run_load_test(config)  # warm: graphs, chunk maps, traces
+        reduceats, events = [0], []
+
+        class Add:
+            """``np.add`` whose ``reduceat`` counts its calls."""
+
+            def __getattr__(self, name):
+                return getattr(np.add, name)
+
+            def reduceat(self, *args, **kwargs):
+                reduceats[0] += 1
+                return np.add.reduceat(*args, **kwargs)
+
+        class Numpy:
+            add = Add()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        count = static_region.StaticRegion.fragment_resident_counts
+        swap = static_region.StaticRegion.swap
+
+        def counting(self, f):
+            before = reduceats[0]
+            out = count(self, f)
+            if reduceats[0] > before:
+                events.append(("recount", id(self)))
+            return out
+
+        def swapping(self, evict, load):
+            events.append(("swap", id(self)))
+            return swap(self, evict, load)
+
+        built, keep, lookups = {}, [], [0]
+        geometry = csr.fragment_geometry
+        lookup = csr.ChunkMap.fragment_geometry
+
+        def building(seg_bounds, f):
+            keep.append(seg_bounds)  # no id reuse while the test runs
+            key = (id(seg_bounds), f)
+            built[key] = built.get(key, 0) + 1
+            return geometry(seg_bounds, f)
+
+        def looking_up(self, f):
+            lookups[0] += 1
+            return lookup(self, f)
+
+        monkeypatch.setattr(static_region, "np", Numpy())
+        monkeypatch.setattr(static_region.StaticRegion,
+                            "fragment_resident_counts", counting)
+        monkeypatch.setattr(static_region.StaticRegion, "swap", swapping)
+        monkeypatch.setattr(csr, "fragment_geometry", building)
+        monkeypatch.setattr(csr.ChunkMap, "fragment_geometry", looking_up)
+        run_load_test(config)
+
+        swapped = set()
+        for kind, region in events:
+            if kind == "swap":
+                swapped.add(region)
+            else:
+                assert region not in swapped, "fragment recount after a swap"
+        assert swapped, "the load test must swap for this test to bite"
+        assert lookups[0] > 0
+        assert max(built.values(), default=1) == 1

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.replacement import HotnessTable
+from repro.graph.csr import CSRGraph
 
 
 def table(n=64, policy="last", threshold=1):
@@ -198,7 +199,12 @@ class TestUpdateRuns:
     def test_runs_must_fall_on_segment_boundaries(self):
         """A table on a coarser segment partition cannot represent an
         interval that cuts a segment — refused, not silently rounded."""
-        h = HotnessTable(12, seg_bounds=np.array([0, 4, 6, 12]))
+        # Degrees 2, 1, 3 at 4 B per edge and 2 B chunks: segments
+        # [0, 4), [4, 6), [6, 12).
+        cmap = CSRGraph.from_edges(np.array([0, 0, 1, 2, 2, 2]),
+                                   np.zeros(6, dtype=np.int64), 3).chunk_map(2)
+        assert list(cmap.seg_bounds) == [0, 4, 6, 12]
+        h = HotnessTable(12, chunk_map=cmap)
         h.update_runs(np.array([4]), np.array([12]))
         assert list(h.seg_last) == [0, 1, 1]
         assert list(h.last) == [0] * 4 + [1] * 8
