@@ -10,7 +10,7 @@ are read off the plots:
   spot";
 * the per-iteration touch set is *sparse* relative to the dataset.
 
-The simulated UVM records the same signal; the report prints the summary
+A recorded UVM run logs the same signal; the report prints the summary
 statistics plus an ASCII rendering of the access-count panel.
 """
 
@@ -27,10 +27,8 @@ from conftest import report
 def test_fig2_access_patterns(benchmark, algo):
     w = make_workload("FK", algo, scale=BENCH_SCALE)
 
-    def run():
-        return trace_uvm_run(w.graph, w.fresh_program(), w.spec, data_scale=w.scale)
-
-    trace, summary, result = benchmark.pedantic(run, rounds=1, iterations=1)
+    trace, summary, result = benchmark.pedantic(
+        trace_uvm_run, args=(w,), rounds=1, iterations=1)
 
     counts = trace.access_counts(summary.n_chunks)
     rows = [

@@ -24,10 +24,8 @@ def test_fig8_breakdown(benchmark):
         out = {}
         for abbr in DATASET_ORDER:
             for algo in ALGOS:
-                w = make_workload(abbr, algo, scale=BENCH_SCALE)
                 out[(abbr, algo)] = measure_breakdown(
-                    w.graph, w.program_factory, w.spec, data_scale=w.scale
-                )
+                    make_workload(abbr, algo, scale=BENCH_SCALE))
         return out
 
     results = benchmark.pedantic(collect, rounds=1, iterations=1)

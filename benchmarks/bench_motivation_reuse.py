@@ -30,9 +30,7 @@ def test_motivation_reuse_distance(benchmark):
     w = make_workload("FK", "PR", scale=SCALE)
 
     def run():
-        trace, summary, _ = trace_uvm_run(
-            w.graph, w.fresh_program(), w.spec, data_scale=w.scale
-        )
+        trace, summary, _ = trace_uvm_run(w)
         n_chunks = summary.n_chunks
         distances = reuse_distances(trace.chunk_sets)
         caps = [n_chunks // 8, n_chunks // 4, n_chunks // 2,

@@ -13,7 +13,6 @@ of one Subway run per cell.
 
 import pytest
 
-from repro.analysis.memory_usage import subway_idle_fraction, subway_memory_usage
 from repro.analysis.report import format_table, human_bytes
 
 from conftest import ALGO_ORDER, report
@@ -26,12 +25,14 @@ PAPER_GPU_GB = 10.0
 
 
 def test_table2_memory_usage(benchmark, grid):
+    def usage(abbr, algo):
+        """Average gathered-subgraph bytes per iteration, paper scale."""
+        return grid[(abbr, algo)]["Subway"].extra["avg_iteration_bytes"]
+
     def collect():
         rows = []
         for abbr in ("FK", "UK"):
-            measured = [
-                subway_memory_usage(grid[(abbr, algo)]["Subway"]) for algo in ALGO_ORDER
-            ]
+            measured = [usage(abbr, algo) for algo in ALGO_ORDER]
             rows.append([abbr, *(human_bytes(x) for x in measured)])
             rows.append(
                 ["paper", *(f"{PAPER_GB[abbr][a]:.2f}GB" for a in ALGO_ORDER)]
@@ -50,20 +51,18 @@ def test_table2_memory_usage(benchmark, grid):
     # crawl churns harder than the paper's CC — see EXPERIMENTS.md — so the
     # hard bound is asserted on the other cells.)
     for abbr in ("FK", "UK"):
-        assert subway_memory_usage(grid[(abbr, "BFS")]["Subway"]) / 1e9 < 1.0
-        assert subway_memory_usage(grid[(abbr, "SSSP")]["Subway"]) / 1e9 < 2.5
-        assert subway_memory_usage(grid[(abbr, "PR")]["Subway"]) / 1e9 < 6.0
+        assert usage(abbr, "BFS") / 1e9 < 1.0
+        assert usage(abbr, "SSSP") / 1e9 < 2.5
+        assert usage(abbr, "PR") / 1e9 < 6.0
     # BFS uses the least memory; PR-class workloads the most (paper's order).
     for abbr in ("FK", "UK"):
-        bfs = subway_memory_usage(grid[(abbr, "BFS")]["Subway"])
-        pr = subway_memory_usage(grid[(abbr, "PR")]["Subway"])
-        assert bfs < pr
+        assert usage(abbr, "BFS") < usage(abbr, "PR")
 
 
 def test_section22_gpu_idle_time(benchmark, grid):
     """§2.2: the sequential pipeline leaves the GPU idle most of the time."""
     idle = benchmark.pedantic(
-        lambda: subway_idle_fraction(grid[("FK", "BFS")]["Subway"]),
+        lambda: grid[("FK", "BFS")]["Subway"].gpu_idle_fraction,
         rounds=1,
         iterations=1,
     )

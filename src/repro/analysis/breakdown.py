@@ -14,12 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.algorithms.base import VertexProgram
-from repro.core.ascetic import AsceticEngine
-from repro.engines.base import RunResult
-from repro.engines.subway import SubwayEngine
-from repro.graph.csr import CSRGraph
-from repro.gpusim.device import GPUSpec
+from repro.harness.experiments import Workload, run_workload
 
 __all__ = ["OptimizationBreakdown", "measure_breakdown"]
 
@@ -47,28 +42,11 @@ class OptimizationBreakdown:
         return (self.subway_seconds - self.ascetic_seconds) / self.subway_seconds
 
 
-def measure_breakdown(
-    graph: CSRGraph,
-    program_factory,
-    spec: GPUSpec,
-    data_scale: float = 1.0,
-) -> OptimizationBreakdown:
-    """Run the three configurations of §4.3 on one workload.
-
-    ``program_factory`` is a zero-argument callable returning a fresh
-    program (state must not be shared between runs).
-    """
-    t_subway = SubwayEngine(spec=spec, data_scale=data_scale).run(
-        graph, program_factory()
-    ).elapsed_seconds
-    t_no_overlap = AsceticEngine(
-        spec=spec, data_scale=data_scale, overlap=False
-    ).run(graph, program_factory()).elapsed_seconds
-    t_ascetic = AsceticEngine(spec=spec, data_scale=data_scale).run(
-        graph, program_factory()
-    ).elapsed_seconds
+def measure_breakdown(workload: Workload) -> OptimizationBreakdown:
+    """Run the three configurations of §4.3 on one workload."""
     return OptimizationBreakdown(
-        subway_seconds=t_subway,
-        no_overlap_seconds=t_no_overlap,
-        ascetic_seconds=t_ascetic,
+        subway_seconds=run_workload(workload, "Subway").elapsed_seconds,
+        no_overlap_seconds=run_workload(
+            workload, "Ascetic", overlap=False).elapsed_seconds,
+        ascetic_seconds=run_workload(workload, "Ascetic").elapsed_seconds,
     )

@@ -2,10 +2,11 @@
 
 The paper acquires edge-access traces with nvprof while edges live in UVM,
 then plots (time, chunk-id) scatter per iteration and per-chunk access
-counts.  Here the simulated UVM *is* the memory system, so the
-:class:`~repro.engines.uvm_engine.UVMEngine` reports every page touch to an
-:class:`AccessTrace`; :class:`TraceSummary` condenses the trace into the
-paper's two panels plus the quantities its prose claims:
+counts.  Here the simulated UVM *is* the memory system: a recorded
+:class:`~repro.engines.uvm_engine.UVMEngine` run logs each superstep's
+touched pages as ``access-path`` markers, :func:`trace_uvm_run` folds them
+into an :class:`AccessTrace`, and :class:`TraceSummary` condenses the trace
+into the paper's two panels plus the quantities its prose claims:
 
 * *near-sequential scan*: within an iteration the touched chunks sweep the
   id space in order (sequentiality ≈ 1);
@@ -27,19 +28,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Union
+from typing import Any, Dict, List, Union
 
 import numpy as np
 
 from repro.engines.base import RunResult
-from repro.graph.csr import CSRGraph
-from repro.gpusim.device import GPUSpec
 from repro.gpusim.events import (
     DEVICE_FAULT_KINDS,
     FAULT_KINDS,
     EventColumns,
     EventLog,
 )
+from repro.harness.experiments import Workload, run_workload
 
 __all__ = [
     "AccessTrace",
@@ -53,14 +53,10 @@ __all__ = [
 
 @dataclass
 class AccessTrace:
-    """Recorded (virtual time, chunk ids) events, one record per iteration."""
+    """(virtual time, chunk ids) per iteration, in iteration order."""
 
     times: List[float] = field(default_factory=list)
     chunk_sets: List[np.ndarray] = field(default_factory=list)
-
-    def record(self, t: float, chunk_ids: np.ndarray) -> None:
-        self.times.append(float(t))
-        self.chunk_sets.append(np.asarray(chunk_ids, dtype=np.int64).copy())
 
     @property
     def n_iterations(self) -> int:
@@ -124,25 +120,33 @@ class TraceSummary:
     touched_fraction: float
 
 
-def trace_uvm_run(
-    graph: CSRGraph,
-    program,
-    spec: GPUSpec,
-    data_scale: float = 1.0,
-) -> tuple[AccessTrace, TraceSummary, "RunResult"]:
-    """Run ``program`` under the UVM engine with tracing on (Fig. 2 setup).
+def trace_uvm_run(workload: Workload
+                  ) -> tuple[AccessTrace, TraceSummary, RunResult]:
+    """Run ``workload`` under UVM, recording, and fold its access trace.
 
     Mirrors the paper's §2 experiment: "we keep all vertices in GPU memory
-    and edges in UVM, and acquire the edge-access traces".
+    and edges in UVM, and acquire the edge-access traces" — so nothing is
+    pinned.  Each iteration's entry is its start time and the pages of its
+    ``access-path`` runs (none when it touched no page); the chunk count is
+    the edge array's page count.
     """
-    from repro.engines.base import RunResult  # noqa: F401  (doc type)
-    from repro.engines.uvm_engine import UVMEngine
-
-    engine = UVMEngine(spec=spec, data_scale=data_scale, pin_fraction=0.0)
-    trace = AccessTrace()
-    engine.trace = trace
-    result = engine.run(graph, program)
-    n_chunks = engine._uvm.n_pages
+    result = run_workload(workload, "UVM", pin_fraction=0.0,
+                          record_events=True)
+    cols = result.event_log.events
+    run_key = cols.keysets.ids.get(("page_lo", "page_hi", "n"), -1)
+    pages: Dict[int, List[np.ndarray]] = {}
+    for i in np.flatnonzero(np.array(cols.xkey) == run_key).tolist():
+        lo, hi, _ = cols.xval[i]
+        pages.setdefault(cols.iteration[i], []).append(
+            np.arange(int(lo), int(hi) + 1, dtype=np.int64))
+    records, none = result.per_iteration, [np.empty(0, dtype=np.int64)]
+    trace = AccessTrace(
+        times=[r.t_start for r in records],
+        chunk_sets=[np.concatenate(pages.get(r.iteration, none))
+                    for r in records],
+    )
+    n_chunks = -(-workload.graph.edge_array_bytes
+                 // int(result.extra["page_size"]))
     return trace, trace.summarize(n_chunks), result
 
 
@@ -176,12 +180,49 @@ def _source_columns(source: TraceSource) -> EventColumns:
     return source
 
 
-def _trace_rows(cols: EventColumns) -> Iterator[tuple]:
-    """Per row: ``(lane, device, kind, name, phase, ts, dur, args)``.
+def chrome_trace_events(source: TraceSource) -> List[Dict[str, Any]]:
+    """Flatten events to the Chrome-trace ``traceEvents`` list.
 
-    ``args`` is the per-slice payload shared by both export modes: kind,
-    phase and iteration, then the non-zero counters, then ``extra``.
+    Lane-occupying events become complete slices (``ph="X"`` with ``ts`` /
+    ``dur`` in microseconds); lane-less markers become instants
+    (``ph="i"``).  Metadata records name each process and one thread per
+    lane so Perfetto renders labelled rows; a lane outside
+    :data:`LANE_TIDS` (an engine invented it) gets the next free thread id
+    of its process.
+
+    Whether any row carries a ``device`` decides the process layout:
+
+    * none (one device): one ``repro-sim`` process, pid 0;
+    * some (a fabric log): one ``repro-sim:dev<d>`` process per device
+      (``pid`` = device id), plus a ``repro-fabric`` process one pid above
+      the highest device for device-less rows (the serve layer's request
+      lifecycle), which starts with only a markers row.  Fault and recovery
+      events additionally drive a per-process ``faults`` counter track
+      (``ph="C"``), one running count per fault kind, so chaos activity is
+      visible at a glance in each device's process group.
     """
+    cols = _source_columns(source)
+    devices = sorted({d for _, d in cols.whos.values if d is not None})
+    spare = max(devices) + 1 if devices else 0  # the pid of device-less rows
+    procs = ([(d, f"repro-sim:dev{d}", LANE_TIDS) for d in devices]
+             + [(spare, "repro-fabric", {})]
+             if devices else [(0, "repro-sim", LANE_TIDS)])
+    out: List[Dict[str, Any]] = []
+
+    def thread(pid: int, tid: int, name: str) -> None:
+        out.append({"name": "thread_name", "ph": "M", "pid": pid,
+                    "tid": tid, "args": {"name": name}})
+
+    tids: Dict[int, Dict[str, int]] = {}
+    for pid, name, lanes in procs:
+        out.append({"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+                    "args": {"name": name}})
+        for lane, tid in lanes.items():
+            thread(pid, tid, lane)
+        thread(pid, MARKER_TID, "markers")
+        tids[pid] = dict(lanes)
+    next_tid = dict.fromkeys(tids, MARKER_TID + 1)
+    fault_counts: Dict[int, Dict[str, int]] = {}
     for ((lane, device), kind, label, phase, iteration, start, end,
          cnames, cvals, xkeys, xvals) in cols.rows():
         args: Dict[str, Any] = {"kind": kind}
@@ -193,144 +234,31 @@ def _trace_rows(cols: EventColumns) -> Iterator[tuple]:
             args.update(zip(cnames, cvals))
         if xkeys:
             args.update(zip(xkeys, xvals))
-        yield (lane, device, kind, label or kind, phase, start * 1e6,
-               (end - start) * 1e6, args)
-
-
-def chrome_trace_events(source: TraceSource) -> List[Dict[str, Any]]:
-    """Flatten events to the Chrome-trace ``traceEvents`` list.
-
-    Lane-occupying events become complete slices (``ph="X"`` with ``ts`` /
-    ``dur`` in microseconds); lane-less markers become instants
-    (``ph="i"``).  Metadata records name the process and one thread per
-    lane so Perfetto renders labelled rows.
-
-    A single-device log (no event carries a ``device``) exports exactly as
-    it always has — one ``repro-sim`` process, pid 0, byte-identical output.
-    A fabric log gets one named process per device (``pid`` = device id,
-    ``repro-sim:dev<d>``) plus a shared ``repro-fabric`` process for
-    device-less markers (the serve layer's request lifecycle), so Perfetto
-    renders the fleet as parallel process groups.  Fault and recovery
-    events on a fabric log additionally drive a per-device ``faults``
-    counter track (``ph="C"``), one running count per fault kind, so chaos
-    activity is visible at a glance in each device's process group.
-    """
-    cols = _source_columns(source)
-    devices = sorted({d for _, d in cols.whos.values if d is not None})
-    if devices:
-        return _multi_device_trace_events(cols, devices)
-    out: List[Dict[str, Any]] = [{
-        "name": "process_name", "ph": "M", "pid": 0, "tid": 0,
-        "args": {"name": "repro-sim"},
-    }]
-    for lane, tid in sorted(LANE_TIDS.items(), key=lambda kv: kv[1]):
-        out.append({
-            "name": "thread_name", "ph": "M", "pid": 0, "tid": tid,
-            "args": {"name": lane},
-        })
-    out.append({
-        "name": "thread_name", "ph": "M", "pid": 0, "tid": MARKER_TID,
-        "args": {"name": "markers"},
-    })
-    next_tid = MARKER_TID + 1
-    tids = dict(LANE_TIDS)
-    for lane, _, kind, name, phase, ts, dur, args in _trace_rows(cols):
-        if not lane:
-            out.append({
-                "name": name, "ph": "i", "s": "t",
-                "ts": ts, "pid": 0, "tid": MARKER_TID,
-                "cat": kind, "args": args,
-            })
-            continue
-        tid = tids.get(lane)
-        if tid is None:  # an engine invented a lane: give it its own row
-            tid = tids[lane] = next_tid
-            next_tid += 1
-            out.append({
-                "name": "thread_name", "ph": "M", "pid": 0, "tid": tid,
-                "args": {"name": lane},
-            })
-        out.append({
-            "name": name, "ph": "X",
-            "ts": ts, "dur": dur,
-            "pid": 0, "tid": tid,
-            # Fault/retry slices keep their own category even inside a
-            # phase, so Perfetto can colour and filter chaos activity.
-            "cat": kind if kind in FAULT_KINDS else (phase or kind),
-            "args": args,
-        })
-    return out
-
-
-def _multi_device_trace_events(cols: EventColumns,
-                               devices: List[int]) -> List[Dict[str, Any]]:
-    """The fabric export: one Chrome-trace process per device.
-
-    Device ids become pids directly; device-less markers (serve-layer
-    request lifecycle, fabric-wide bookkeeping) live in a separate
-    ``repro-fabric`` process one pid above the highest device.
-    """
-    fabric_pid = max(devices) + 1
-    out: List[Dict[str, Any]] = []
-    tids: Dict[int, Dict[str, int]] = {}
-    next_tid: Dict[int, int] = {}
-    for d in devices:
-        out.append({
-            "name": "process_name", "ph": "M", "pid": d, "tid": 0,
-            "args": {"name": f"repro-sim:dev{d}"},
-        })
-        for lane, tid in sorted(LANE_TIDS.items(), key=lambda kv: kv[1]):
-            out.append({
-                "name": "thread_name", "ph": "M", "pid": d, "tid": tid,
-                "args": {"name": lane},
-            })
-        out.append({
-            "name": "thread_name", "ph": "M", "pid": d, "tid": MARKER_TID,
-            "args": {"name": "markers"},
-        })
-        tids[d] = dict(LANE_TIDS)
-        next_tid[d] = MARKER_TID + 1
-    out.append({
-        "name": "process_name", "ph": "M", "pid": fabric_pid, "tid": 0,
-        "args": {"name": "repro-fabric"},
-    })
-    out.append({
-        "name": "thread_name", "ph": "M", "pid": fabric_pid,
-        "tid": MARKER_TID, "args": {"name": "markers"},
-    })
-    fault_counts: Dict[int, Dict[str, int]] = {}
-    for lane, device, kind, name, phase, ts, dur, args in _trace_rows(cols):
-        pid = device if device is not None else fabric_pid
-        if kind in FAULT_KINDS or kind in DEVICE_FAULT_KINDS:
+        name, ts = label or kind, start * 1e6
+        pid = spare if device is None else device
+        if devices and (kind in FAULT_KINDS or kind in DEVICE_FAULT_KINDS):
             # Running per-device fault counters, one Chrome counter track
             # per process: fold_device_faults as a timeline.
             counts = fault_counts.setdefault(pid, {})
             key = "fault_" + kind.replace("-", "_")
             counts[key] = counts.get(key, 0) + 1
-            out.append({
-                "name": "faults", "ph": "C", "ts": ts,
-                "pid": pid, "args": dict(sorted(counts.items())),
-            })
+            out.append({"name": "faults", "ph": "C", "ts": ts, "pid": pid,
+                        "args": dict(sorted(counts.items()))})
         if not lane:
-            out.append({
-                "name": name, "ph": "i", "s": "t",
-                "ts": ts, "pid": pid, "tid": MARKER_TID,
-                "cat": kind, "args": args,
-            })
+            out.append({"name": name, "ph": "i", "s": "t", "ts": ts,
+                        "pid": pid, "tid": MARKER_TID, "cat": kind,
+                        "args": args})
             continue
-        lane_tids = tids.setdefault(pid, {})
-        tid = lane_tids.get(lane)
+        tid = tids[pid].get(lane)
         if tid is None:
-            tid = lane_tids[lane] = next_tid.get(pid, MARKER_TID + 1)
-            next_tid[pid] = tid + 1
-            out.append({
-                "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                "args": {"name": lane},
-            })
+            tid = tids[pid][lane] = next_tid[pid]
+            next_tid[pid] += 1
+            thread(pid, tid, lane)
         out.append({
-            "name": name, "ph": "X",
-            "ts": ts, "dur": dur,
+            "name": name, "ph": "X", "ts": ts, "dur": (end - start) * 1e6,
             "pid": pid, "tid": tid,
+            # Fault/retry slices keep their own category even inside a
+            # phase, so Perfetto can colour and filter chaos activity.
             "cat": kind if kind in FAULT_KINDS else (phase or kind),
             "args": args,
         })

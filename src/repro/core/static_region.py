@@ -435,6 +435,11 @@ class StaticRegion:
         """
         evict = np.asarray(evict, dtype=np.int64)
         load = np.asarray(load, dtype=np.int64)
+        for name, ids in (("evict", evict), ("load", load)):
+            # A sort, not a set routine: plans are small, and a repeat would
+            # pass the capacity check wrongly and be counted twice.
+            if ids.size > 1 and not np.diff(np.sort(ids)).all():
+                raise ValueError(f"swap: {name} names a chunk twice")
         if evict.size and not self.resident[evict].all():
             raise ValueError("evicting a non-resident chunk")
         if load.size and self.resident[load].any():

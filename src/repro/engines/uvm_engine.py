@@ -53,11 +53,6 @@ class UVMEngine(Engine):
         if not 0.0 <= pin_fraction <= 1.0:
             raise ValueError("pin_fraction must be in [0, 1]")
         self.pin_fraction = pin_fraction
-        #: Optional access-trace recorder with ``record(t, chunk_ids)``
-        #: (duck-typed; see :mod:`repro.analysis.traces`).  Fig. 2 is
-        #: produced through this hook — the paper acquired the same signal
-        #: with nvprof on UVM.
-        self.trace = None
 
     def _prepare(self, gpu: SimulatedGPU, graph: CSRGraph, program: VertexProgram) -> None:
         self._alloc_retry(gpu, "vertex_state", self._vertex_state_bytes(graph))
@@ -141,8 +136,6 @@ class UVMEngine(Engine):
             ahead = (pages[:, None] + np.arange(1, k + 1)[None, :]).ravel()
             ahead = ahead[ahead < self._uvm.n_pages]
             prefetch_bytes = self._uvm.prefetch(ahead)
-        if self.trace is not None:
-            self.trace.record(gpu.clock.now, pages)
         gpu.vertex_scan(graph.n_vertices, passes=1, label="gen-active")
         n_edges = state.active_edges(graph)
         spec = gpu.spec

@@ -236,23 +236,20 @@ class SimulatedGPU(DeviceFacade):
         """Queue a device→host copy on the copy engine; returns finish time."""
         return self._copy(nbytes, label, after, "d2h")
 
-    def direct_access(self, nbytes: int, n_accesses: Optional[int] = None,
-                      label: str = "zero-copy", after: float = 0.0) -> float:
+    def direct_access(self, nbytes: int, label: str = "zero-copy",
+                      after: float = 0.0) -> float:
         """Queue zero-copy reads of host memory on the direct lane.
 
-        ``nbytes`` is in scaled units like :meth:`h2d`; ``n_accesses``
-        (also scaled) defaults to one access per charged 128 B sector.
-        Fault-injectable exactly like H2D: the injector degrades only the
-        streamed term and failed attempts emit ``direct-fault`` events.
+        ``nbytes`` is in scaled units like :meth:`h2d`; the read costs one
+        access per charged ``pcie.sector`` (128 B).  Fault-injectable
+        exactly like H2D: the injector degrades only the streamed term and
+        failed attempts emit ``direct-fault`` events.
         """
         if nbytes <= 0:
             return self.direct.submit(0.0, label, after=after)
         pcie = self.spec.pcie
         payload = pcie.direct_payload_bytes(self._scale(nbytes))
-        if n_accesses is None:
-            accesses = payload // pcie.sector
-        else:
-            accesses = max(self._scale(n_accesses), 1)
+        accesses = payload // pcie.sector
         fixed, variable = pcie.direct_cost(payload, accesses)
         return self.direct.submit_transfer(
             fixed, variable, label, after=after, kind="direct",

@@ -34,7 +34,6 @@ metrics equal the incrementally maintained counters bit for bit.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
@@ -131,12 +130,14 @@ class Span:
 
 @dataclass
 class LaneStats:
-    """Lean per-lane aggregate maintained by the fold (no retained events)."""
+    """Lean per-lane aggregate maintained by the fold (no retained events).
+
+    Busy seconds and op count only: :func:`idle_breakdown` reads a lane's
+    first start and last end from the retained rows.
+    """
 
     busy_seconds: float = 0.0
     n_ops: int = 0
-    first_start: float = math.inf
-    last_end: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -422,10 +423,6 @@ class EventLog:
                 stats = self.lane_stats[key] = LaneStats()
             stats.busy_seconds += end - start
             stats.n_ops += 1
-            if start < stats.first_start:
-                stats.first_start = start
-            if end > stats.last_end:
-                stats.last_end = end
         if self.record:
             self.events.add(lane, kind, label, start, end, phase, iteration,
                             device, counters, extra)
@@ -642,10 +639,6 @@ def fold_lane_stats(cols: EventColumns) -> Dict[str, LaneStats]:
             st = stats[keys[w]] = LaneStats()
         st.busy_seconds += end - start
         st.n_ops += 1
-        if start < st.first_start:
-            st.first_start = start
-        if end > st.last_end:
-            st.last_end = end
     return stats
 
 
@@ -767,9 +760,7 @@ def validate_log(
         )
     for lane, st in refolded_stats.items():
         have = log.lane_stats[lane]
-        if (st.busy_seconds != have.busy_seconds or st.n_ops != have.n_ops
-                or st.first_start != have.first_start
-                or st.last_end != have.last_end):
+        if st.busy_seconds != have.busy_seconds or st.n_ops != have.n_ops:
             raise EventLogError(f"lane {lane!r}: folded stats diverge")
     return folded
 

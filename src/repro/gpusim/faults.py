@@ -335,16 +335,19 @@ def standard_plan() -> FaultPlan:
     )
 
 
+#: Peer-link bandwidth factor inside the standard fleet plan's window.
+FLEET_DEGRADE_FACTOR = 0.25
+
+
 def standard_fleet_plan(seed: int = 0, n_devices: int = 4, *,
                         down_at: float = 2.0,
                         degrade_start: float = 4.0,
-                        degrade_end: float = 8.0,
-                        degrade_factor: float = 0.25) -> FaultPlan:
+                        degrade_end: float = 8.0) -> FaultPlan:
     """The standard fleet chaos plan: one device loss + one peer-link window.
 
     One device — picked deterministically from the seed — fails permanently
     at ``down_at``, and one peer-link degradation window cuts
-    device↔device bandwidth to ``degrade_factor`` over
+    device↔device bandwidth to ``FLEET_DEGRADE_FACTOR`` over
     ``[degrade_start, degrade_end)``.  The default times sit on the serve
     clock (seconds-scale load tests); engine-level tests pass an explicit
     ``down_at`` inside their own (much shorter) sim horizon.
@@ -363,7 +366,7 @@ def standard_fleet_plan(seed: int = 0, n_devices: int = 4, *,
         device_faults=(DeviceFault(device=victim, start=down_at),),
         peer_degradations=(
             LinkDegradation(start=degrade_start, end=degrade_end,
-                            factor=degrade_factor),
+                            factor=FLEET_DEGRADE_FACTOR),
         ),
     )
 

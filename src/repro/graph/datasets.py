@@ -50,6 +50,8 @@ __all__ = [
 PAPER_GPU_MEMORY_BYTES = 10 * 10**9
 #: Default down-scaling of vertex/edge counts (and of GPU capacity).
 DEFAULT_SCALE = 1.0e-3
+#: Seed of the random edge weights a weighted dataset carries.
+WEIGHT_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,6 @@ def load_dataset(
     abbr: str,
     scale: float = DEFAULT_SCALE,
     weighted: bool = False,
-    weight_seed: int = 7,
 ) -> Dataset:
     """Load a scaled analogue of one of the paper's datasets.
 
@@ -174,7 +175,7 @@ def load_dataset(
     n, m = spec.scaled_counts(scale)
     g = _build_graph(spec, n, m)
     if weighted:
-        g = g.with_random_weights(seed=weight_seed)
+        g = g.with_random_weights(seed=WEIGHT_SEED)
     return Dataset(spec=spec, graph=g, scale=scale)
 
 

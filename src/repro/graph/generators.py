@@ -37,6 +37,9 @@ __all__ = [
     "complete_graph",
 ]
 
+#: Bound of RMAT's per-level multiplicative jitter on (a, b, c, d).
+RMAT_NOISE = 0.05
+
 
 def _rmat_pairs(
     scale: int,
@@ -45,14 +48,13 @@ def _rmat_pairs(
     b: float,
     c: float,
     rng: np.random.Generator,
-    noise: float = 0.05,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n_edges`` (src, dst) pairs from an RMAT(2^scale) distribution.
 
     Vectorized over edges: each recursion level consumes one uniform draw per
     edge and appends one bit to the source and destination ids.  A small
-    per-level multiplicative ``noise`` de-correlates levels, the standard
-    "smoothing" that avoids RMAT's grid artifacts.
+    per-level multiplicative jitter (up to ``RMAT_NOISE``) de-correlates
+    levels, the standard "smoothing" that avoids RMAT's grid artifacts.
     """
     d = 1.0 - a - b - c
     if d < 0:
@@ -60,7 +62,7 @@ def _rmat_pairs(
     src = np.zeros(n_edges, dtype=np.int64)
     dst = np.zeros(n_edges, dtype=np.int64)
     for _ in range(scale):
-        jitter = 1.0 + noise * (rng.random(4) * 2.0 - 1.0)
+        jitter = 1.0 + RMAT_NOISE * (rng.random(4) * 2.0 - 1.0)
         pa, pb, pc, pd = np.array([a, b, c, d]) * jitter
         total = pa + pb + pc + pd
         pa, pb, pc = pa / total, pb / total, pc / total

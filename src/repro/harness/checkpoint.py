@@ -58,7 +58,10 @@ __all__ = ["IterationCheckpoint", "ShardCheckpoint", "CheckpointStore",
 #: and ``StaticRegion``'s fragment-count cache carries a candidate flag (a
 #: version-7 blob would restore a map without the geometry cache and a
 #: two-field count cache that the next superstep indexes past).
-CHECKPOINT_VERSION = 8
+#: 9: ``LaneStats`` keeps only ``busy_seconds`` and ``n_ops`` (a version-8
+#: blob would restore lane stats still carrying ``first_start`` /
+#: ``last_end``, which no fold maintains any more).
+CHECKPOINT_VERSION = 9
 
 
 @dataclass(frozen=True)

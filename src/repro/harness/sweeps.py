@@ -28,6 +28,9 @@ __all__ = [
     "sweep_rmat_sizes",
 ]
 
+#: Fig. 11 right's fixed card, at paper scale (the 16 GB class).
+RMAT_GPU_PAPER_BYTES = 16 * 10**9
+
 
 @dataclass(frozen=True)
 class RatioPoint:
@@ -148,18 +151,17 @@ def sweep_rmat_sizes(
     algorithm: str,
     paper_edge_counts: Sequence[float],
     scale: float,
-    gpu_memory_paper_bytes: float = 16 * 10**9,
 ) -> List[MemoryPoint]:
     """Fig. 11 right: growing RMAT datasets against a fixed GPU.
 
-    The paper reserves a fixed card (16 GB class) and grows the dataset to
-    2.5–12 B edges; the interesting regime is static-region : dataset down
-    to ~20 %.
+    The paper reserves a fixed card (:data:`RMAT_GPU_PAPER_BYTES`) and
+    grows the dataset to 2.5–12 B edges; the interesting regime is
+    static-region : dataset down to ~20 %.
     """
     points: List[MemoryPoint] = []
     for paper_edges in paper_edge_counts:
         ds = rmat_dataset(paper_edges, scale=scale)
-        mem = int(gpu_memory_paper_bytes * scale)
+        mem = int(RMAT_GPU_PAPER_BYTES * scale)
         w = make_workload(ds.abbr, algorithm, scale=scale, memory_bytes=mem, dataset=ds)
         asc = run_workload(w, "Ascetic")
         sub = run_workload(w, "Subway")

@@ -149,6 +149,10 @@ class Response:
         return self.finish_time <= self.request.deadline
 
 
+#: Raw source ids of a multi-source request are drawn from ``[0, 64)``.
+SOURCE_POOL = 64
+
+
 def generate_requests(
     n_requests: int,
     seed: int,
@@ -159,7 +163,6 @@ def generate_requests(
     priorities: Sequence[int] = (0,),
     deadline: Optional[float] = None,
     multi_source: int = 1,
-    source_pool: int = 64,
 ) -> Tuple[Request, ...]:
     """Draw an open-loop Poisson request trace from one seeded RNG stream.
 
@@ -167,7 +170,7 @@ def generate_requests(
     are exponential.  ``deadline`` is a per-request budget in seconds after
     arrival (``None`` = best-effort).  ``multi_source`` > 1 makes batchable
     algorithms (BFS/SSSP) carry that many explicit sources drawn from
-    ``[0, source_pool)`` — the raw ids are folded into the graph's vertex
+    ``[0, SOURCE_POOL)`` — the raw ids are folded into the graph's vertex
     range when the dispatch builds its program.  Everything — gaps,
     tenant, graph, algorithm, priority, sources — comes from the single
     ``default_rng(seed)`` stream in a fixed draw order, so the trace is a
@@ -200,7 +203,7 @@ def generate_requests(
         sources: Optional[Tuple[int, ...]] = None
         if algo in BATCHABLE and multi_source > 1:
             sources = tuple(
-                int(s) for s in rng.integers(source_pool, size=multi_source)
+                int(s) for s in rng.integers(SOURCE_POOL, size=multi_source)
             )
         out.append(Request(
             request_id=rid,

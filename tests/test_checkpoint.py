@@ -155,12 +155,14 @@ class TestStore:
         trace; a version-6 one an Ascetic engine holding its switches in a
         ``config`` object; a version-7 one a chunk map without its fragment
         geometry cache and a region whose fragment counts carry no candidate
-        flag.  All must be refused at load, and the recorded cell then runs
-        from iteration 0 to the same log an undisturbed run retains."""
+        flag; a version-8 one lane stats with ``first_start`` /
+        ``last_end``.  All must be refused at load, and the recorded cell
+        then runs from iteration 0 to the same log an undisturbed run
+        retains."""
         w = make_workload("GS", "BFS", scale=SCALE)
         clean = run_workload(w, "Ascetic", record_events=True)
         store = CheckpointStore(str(tmp_path))
-        for version in (2, 3, 4, 5, 6, 7):
+        for version in (2, 3, 4, 5, 6, 7, 8):
             stale = IterationCheckpoint(
                 engine="Ascetic", algorithm="BFS", graph_name=w.graph.name,
                 iteration=2, active=np.zeros(w.graph.n_vertices, dtype=bool),

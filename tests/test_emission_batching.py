@@ -56,7 +56,7 @@ def _columns(ops):
 
 def _lane_stats_dict(log):
     return {
-        key: (s.busy_seconds, s.n_ops, s.first_start, s.last_end)
+        key: (s.busy_seconds, s.n_ops)
         for key, s in log.lane_stats.items()
     }
 

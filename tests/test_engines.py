@@ -153,14 +153,13 @@ class TestUVMEngine:
         with pytest.raises(ValueError):
             UVMEngine(pin_fraction=1.5)
 
-    def test_trace_hook_records(self, small_social):
-        from repro.analysis.traces import AccessTrace
+    def test_access_trace_has_one_entry_per_iteration(self):
+        from repro.analysis.traces import trace_uvm_run
+        from repro.harness.experiments import make_workload
 
-        spec = make_spec_for(small_social)
-        eng = UVMEngine(spec=spec, data_scale=TEST_SCALE)
-        eng.trace = AccessTrace()
-        res = eng.run(small_social, bfs_for(small_social))
-        assert eng.trace.n_iterations == res.iterations
+        trace, _, res = trace_uvm_run(make_workload("GS", "BFS", scale=5e-5))
+        assert trace.n_iterations == res.iterations
+        assert not hasattr(UVMEngine(), "trace")
 
     def test_page_geometry_scaled(self, small_social):
         spec = make_spec_for(small_social)

@@ -142,7 +142,7 @@ def drive(log, sequence):
 
 def folds_of(log):
     return (log.metrics.as_dict(), list(log.metrics.phase_seconds.items()),
-            {key: (s.busy_seconds, s.n_ops, s.first_start, s.last_end)
+            {key: (s.busy_seconds, s.n_ops)
              for key, s in log.lane_stats.items()})
 
 

@@ -15,6 +15,7 @@ from repro.gpusim.events import (
     COUNTER_FIELDS,
     EventLog,
     EventLogError,
+    LaneStats,
     fold_lane_stats,
     fold_metrics,
     fold_phase_seconds,
@@ -92,10 +93,7 @@ class TestFolds:
     def test_fold_lane_stats(self):
         stats = fold_lane_stats(self.events())
         assert set(stats) == {"copy", "gpu"}
-        assert stats["gpu"].busy_seconds == 3.0
-        assert stats["gpu"].first_start == 1.0
-        assert stats["gpu"].last_end == 4.0
-        assert stats["gpu"].n_ops == 1
+        assert stats["gpu"] == LaneStats(busy_seconds=3.0, n_ops=1)
 
     def test_incremental_fold_matches_replay(self):
         log = EventLog(record=True)

@@ -56,7 +56,6 @@ MODULES = [
     "repro.analysis",
     "repro.analysis.traces",
     "repro.analysis.active_edges",
-    "repro.analysis.memory_usage",
     "repro.analysis.breakdown",
     "repro.analysis.reuse",
     "repro.analysis.report",

@@ -154,6 +154,31 @@ class TestSwap:
             r.swap(np.empty(0, dtype=np.int64), missing[:1])
 
 
+    @pytest.mark.parametrize("name, evict, load", [
+        ("evict", [0, 0], []),
+        ("evict", [0, 5, 0], [-1, -2, -3]),
+        ("load", [0], [-1, -1]),
+        ("load", [0, 1], [-1, -1]),
+        ("load", [], [-2, -1, -2]),
+    ], ids=["evict-twice", "evict-apart", "load-twice-overflows",
+            "load-twice-fits", "load-apart"])
+    def test_swap_repeated_ids_rejected(self, graph, name, evict, load):
+        """A repeated id would pass the capacity check wrongly (or fail it),
+        be charged twice, and skew the cached per-fragment counts."""
+        r = StaticRegion(graph, graph.edge_array_bytes // 2, chunk_bytes=8,
+                         fill="front")
+        r.fragment_resident_counts(4)
+        before = r.resident.copy()
+        with pytest.raises(ValueError, match=f"{name} names a chunk twice"):
+            r.swap(np.array(evict, dtype=np.int64) % r.n_chunks,
+                   np.array(load, dtype=np.int64) % r.n_chunks)
+        assert np.array_equal(r.resident, before)
+        bounds = np.arange(0, r.n_chunks, 4, dtype=np.int64)
+        assert np.array_equal(
+            r.fragment_resident_counts(4),
+            np.add.reduceat(r.resident, bounds, dtype=np.int64))
+
+
 class TestShrink:
     def test_shrink_releases_chunks(self, graph):
         r = StaticRegion(graph, 800, chunk_bytes=8, fill="front")

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.traces import (
     LANE_TIDS,
@@ -13,10 +14,11 @@ from repro.analysis.traces import (
 )
 from repro.cli import main
 from repro.engines import registry
-from repro.gpusim.events import EventLog
+from repro.gpusim.events import (COUNTER_FIELDS, DEVICE_FAULT_KINDS,
+                                 FAULT_KINDS, EventColumns, EventLog)
 from repro.harness.experiments import make_workload, run_workload
 
-from event_log_oracles import SimEvent, columns, rows
+from event_log_oracles import SimEvent, columns, rows, split_chrome_trace_events
 
 #: The benchmark's scale: FK/BFS records 12.9 K rows on Ascetic with every
 #: row kind present.  (``conftest.TEST_SCALE`` = 1e-2 records 687 K and made
@@ -186,3 +188,45 @@ class TestTraceCLI:
         assert doc["otherData"]["engine"] == "Subway"
         printed = capsys.readouterr().out
         assert "events" in printed and str(out) in printed
+
+
+# --------------------------------------------------------------------------
+# One loop for both layouts, against the two loops it replaced
+# --------------------------------------------------------------------------
+
+#: Every lane the export names, plus two no engine declares.
+TRACE_LANES = ("", "", *LANE_TIDS, "direct", "peer")
+TRACE_KINDS = ("kernel", "h2d", "access-path", "dispatch",
+               *sorted(FAULT_KINDS), *sorted(DEVICE_FAULT_KINDS))
+
+
+@st.composite
+def trace_columns(draw):
+    """Random rows; a fabric log mixes device-less rows (lane ones too)
+    with rows of up to four devices, a one-device log has none."""
+    fabric = draw(st.booleans())
+    devices = st.sampled_from((None, 0, 1, 3)) if fabric else st.none()
+    cols = EventColumns()
+    for _ in range(draw(st.integers(0, 30))):
+        start = draw(st.floats(0.0, 5.0, allow_nan=False))
+        lane = draw(st.sampled_from(TRACE_LANES))
+        cols.add(
+            lane, draw(st.sampled_from(TRACE_KINDS)),
+            draw(st.sampled_from(("", "op", "chunk!fail"))),
+            start, start + (draw(st.floats(0.0, 1.0)) if lane else 0.0),
+            draw(st.sampled_from((None, "Tsr", "Ttransfer"))),
+            draw(st.sampled_from((None, 0, 4))), draw(devices),
+            draw(st.dictionaries(st.sampled_from(COUNTER_FIELDS[:4]),
+                                 st.integers(0, 9), max_size=2)),
+            tuple(draw(st.lists(st.tuples(st.sampled_from(("n", "bytes")),
+                                          st.integers(-3, 9)),
+                                max_size=2, unique_by=lambda kv: kv[0]))),
+        )
+    return cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(cols=trace_columns())
+def test_one_loop_exports_what_the_two_loops_did(cols):
+    assert json.dumps(chrome_trace_events(cols)) == json.dumps(
+        split_chrome_trace_events(cols))
