@@ -3,12 +3,13 @@
 Exposes the experiment harness without writing Python::
 
     repro datasets                                  # Table-3 inventory
+    repro engines                                   # engines and their options
     repro run --dataset FK --algo BFS --engine Ascetic
     repro compare --dataset UK --algo PR            # every registered engine
     repro compare --dataset UK --algo PR --jobs 4   # ...in parallel
     repro sweep-ratio --dataset FK --algo CC        # Fig.-10 style sweep
     repro trace FK BFS --engine Ascetic -o run.json # Perfetto timeline
-    repro grid --jobs 4                             # full 4x4x4 grid, cached
+    repro grid --jobs 4                             # 4x4 workloads x 6 engines
     repro chaos FK BFS --engine Subway --seed 7     # fault-injected run
     repro serve --quick -o slo.json                 # seeded SLO load test
     repro fleet --quick                             # 2-device fleet smoke
@@ -19,27 +20,43 @@ Every command prints the same fixed-width reports the benchmarks produce.
 with ``--jobs N`` independent cells fan out across worker processes, and
 ``grid``'s finished cells persist in an on-disk cache (default
 ``.repro-cache/``), so a re-run replays unchanged cells instead of
-recomputing them.  Installed as
-the ``repro`` console script; also runnable as ``python -m repro.cli``.
+recomputing them.  Installed as the ``repro`` console script; also
+runnable as ``python -m repro.cli``.
+
+Each flag is written once, in one table; a ``serve`` / ``fleet`` flag fills
+the config field it is keyed by and takes that field's default.  A flag the
+run would not read (one ``--quick`` pins) is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import MISSING, fields, replace
 from typing import List, Optional
+
+import numpy as np
 
 from repro.algorithms import PROGRAMS
 from repro.analysis.report import format_table, human_bytes, sparkline
+from repro.analysis.traces import save_chrome_trace
 from repro.core.manager import RegionEngine
 from repro.core.static_region import FILLS
 from repro.engines import registry
-from repro.gpusim.fabric import TOPOLOGIES
+from repro.gpusim.events import validate_log
+from repro.gpusim.fabric import TOPOLOGIES, FabricSpec
+from repro.gpusim.faults import standard_fleet_plan, standard_plan
 from repro.gpusim.memory import GPUOutOfMemory
 from repro.graph.datasets import DATASETS
 from repro.harness.experiments import BENCH_SCALE, make_workload, run_workload
+from repro.harness.persistence import result_to_payload
 from repro.harness.sweeps import sweep_static_ratio
 from repro.runner import RunSpec, grid_specs, run_grid
+from repro.serve import (QUEUE_POLICIES, FleetConfig, ServeConfig,
+                         fleet_quick_config, quick_config, report_digest,
+                         run_fleet_test)
+from repro.serve.scheduler import SCHEDULERS
 
 __all__ = ["main", "build_parser"]
 
@@ -89,6 +106,39 @@ non_negative_int = _at_least(int, 0)
 positive_float = _at_least(float, 0.0, strict=True)
 non_negative_float = _at_least(float, 0.0)
 
+#: ``repro fleet``'s defaults where they differ from the config fields'.
+FLEET_DEFAULTS = {"n_devices": 4, "n_requests": 48, "arrival_rate": 2.0,
+                  "queue_capacity": 32}
+
+#: What ``--quick`` leaves to the command line; it pins every other flag.
+QUICK_KEEPS = {
+    "serve": {"seed", "n_devices", "topology", "fabric", "shard_over", "output"},
+    "fleet": {"seed", "output"},
+}
+
+
+class _Store(argparse.Action):
+    """argparse's ``store`` that also notes the flag on ``given``, so a
+    command can refuse a flag its mode would not read."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", ()) + (self,)
+
+
+def _refuse(parser, args, unread, why: str) -> None:
+    """Usage error naming the first flag given whose dest ``unread(dest)``."""
+    for action in getattr(args, "given", ()):
+        if unread(action.dest):
+            parser.error(f"argument {'/'.join(action.option_strings)}: {why}")
+
+
+def _config_defaults(command: str) -> dict:
+    """Each config field's default, under ``command``'s own on top."""
+    out = {f.name: f.default for cls in (ServeConfig, FleetConfig, FabricSpec)
+           for f in fields(cls) if f.default is not MISSING}
+    return {**out, **FLEET_DEFAULTS} if command == "fleet" else out
+
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for the ``repro`` entry point."""
@@ -99,32 +149,100 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("datasets", help="print the Table-3 dataset inventory")
-    sub.add_parser("engines",
-                   help="print the registered engines and their capabilities")
+    # Flags by dest: spelling, parse type (the choices, for a choice), help.
+    # Read here, not at import: the engine registry is live.
+    engines = sorted(registry.available())
+    shared = {
+        "dataset": ("dataset", sorted(DATASETS), "Table-3 dataset abbreviation"),
+        "algo": ("algo", ALGOS, "vertex program"),
+        "engine": ("--engine", engines, "engine name (serve/fleet: each "
+                   "device's, and inside sharded dispatches; chaos --fleet: "
+                   "inside Sharded); `repro engines` prints each one's "
+                   "capabilities and accepted options"),
+        "scale": ("--scale", data_scale, "dataset down-scale"),
+        "memory_bytes": ("--memory-bytes", positive_int,
+                         "override the (scaled) device capacity"),
+        "jobs": ("--jobs", positive_int,
+                 "worker processes (1 = in-process serial)"),
+        "seed": ("--seed", non_negative_int, "seed of chaos's fault injector, "
+                 "or of serve/fleet's workload generator"),
+        "n_devices": ("--devices", positive_int, "simulated devices: behind "
+                      "serve/fleet's router, or chaos --fleet's fabric (at "
+                      "least 2)"),
+        "output": ("-o --output", str, "JSON output: trace's Chrome trace "
+                   "(default <dataset>_<algo>_<engine>.trace.json), "
+                   "serve/fleet's full report (trace + SLO), chaos --fleet's "
+                   "degraded SLO report"),
+    }
+    shared_defaults = {"engine": "Ascetic", "scale": BENCH_SCALE, "jobs": 1,
+                       "seed": 0}
+    # serve/fleet's own: a config field each (the default is the field's),
+    # and --fabric, the whole FabricSpec as JSON.
+    load_test = {
+        "n_requests": ("--requests", non_negative_int, "offered requests"),
+        "arrival_rate": ("--rate", positive_float,
+                         "arrival rate, requests per simulated second"),
+        "graphs": ("--graphs", sorted(DATASETS), "datasets requests draw from"),
+        "algorithms": ("--algos", ALGOS, "algorithms requests draw from"),
+        "tenants": ("--tenants", str, "tenant names"),
+        "deadline": ("--deadline", positive_float,
+                     "per-request deadline budget in simulated seconds"),
+        "multi_source": ("--multi-source", positive_int,
+                         "explicit sources per BFS/SSSP request"),
+        "queue_capacity": ("--queue-capacity", positive_int,
+                           "admission-queue bound"),
+        "queue_policy": ("--queue-policy", QUEUE_POLICIES,
+                         "backpressure policy when the queue is full"),
+        "scheduler": ("--scheduler", SCHEDULERS, "dispatch order"),
+        "max_batch": ("--max-batch", positive_int,
+                      "fuse up to N compatible traversals per dispatch"),
+        "batch_wait": ("--batch-wait", non_negative_float,
+                       "seconds to hold a free device for a fuller batch"),
+        "max_engines": ("--max-engines", positive_int,
+                        "warm engine-pool size per device"),
+        "topology": ("--topology", sorted(TOPOLOGIES), "inter-device link class"),
+        "shard_over": ("--shard-over", positive_float, "shard a graph "
+                       "fabric-wide when its edge bytes exceed this multiple "
+                       "of device capacity (default: never shard; fleet "
+                       "--quick pins 1.0)"),
+        "fabric": ("--fabric", str, "explicit FabricSpec as a JSON object "
+                   "(overrides --devices/--topology), e.g. "
+                   "'{\"n_devices\": 2, \"topology\": \"nvlink\"}'"),
+    }
+    table = {**shared, **load_test}
 
-    engine_choices = sorted(registry.available())
-    engine_help = ("engine name; `repro engines` prints each one's "
-                   "capabilities and accepted options")
+    def command(name, handler, summary, *dests, **defaults):
+        """A subcommand taking the named table flags (``--dataset``: the
+        positional as a required option), ``defaults`` over the table's.
+        The parent is per subcommand: argparse hands a parent's actions to
+        its children, so a shared one would share their defaults."""
+        parent = argparse.ArgumentParser(add_help=False)
+        for key in dests:
+            dest = key.lstrip("-")
+            spelling, kind, text = table[dest]
+            default = {**shared_defaults, **defaults}.get(dest)
+            names = [key] if key != dest else spelling.split()
+            kw = {"type": kind} if callable(kind) else {"choices": kind}
+            if isinstance(default, tuple):
+                kw.update(nargs="+", metavar=names[-1].lstrip("-").upper())
+            if names[0].startswith("-"):
+                kw.update(dest=dest, required=key != dest)
+            if default is not None:
+                shown = " ".join(default) if "nargs" in kw else default
+                text += f" (default {shown})"
+            parent.add_argument(*names, action=_Store, default=default,
+                                help=text, **kw)
+        sp = sub.add_parser(name, help=summary, parents=[parent])
+        sp.set_defaults(handler=handler)
+        return sp
 
-    def common(sp):
-        sp.add_argument("--dataset", required=True, choices=sorted(DATASETS),
-                        help="Table-3 dataset abbreviation")
-        sp.add_argument("--algo", required=True, choices=ALGOS,
-                        help="vertex program")
-        sp.add_argument("--scale", type=data_scale, default=BENCH_SCALE,
-                        help=f"dataset down-scale (default {BENCH_SCALE:g})")
-        sp.add_argument("--memory-bytes", type=positive_int, default=None,
-                        help="override the (scaled) device capacity")
+    command("datasets", _cmd_datasets, "print the Table-3 dataset inventory")
+    command("engines", _cmd_engines,
+            "print the registered engines and their capabilities")
 
-    def jobs_arg(sp):
-        sp.add_argument("--jobs", type=positive_int, default=1,
-                        help="worker processes (1 = in-process serial)")
-
-    run_p = sub.add_parser("run", help="run one engine on one workload")
-    common(run_p)
-    run_p.add_argument("--engine", default="Ascetic", choices=engine_choices,
-                      help=engine_help)
+    workload = ("--dataset", "--algo", "scale", "memory_bytes")
+    run_p = command("run", _cmd_run, "run one engine on one workload",
+                    *workload, "engine")
     run_p.add_argument("--fill", default=None, choices=FILLS,
                        help="Ascetic static-region fill policy")
     run_p.add_argument("--ratio", type=unit_ratio, default=None,
@@ -132,40 +250,21 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--no-overlap", action="store_true",
                        help="disable the §3.2 overlap (Fig. 8 ablation)")
 
-    cmp_p = sub.add_parser("compare",
-                           help="run every registered engine on one workload")
-    common(cmp_p)
-    jobs_arg(cmp_p)
-
-    sw_p = sub.add_parser("sweep-ratio", help="Fig.-10-style static-ratio sweep")
-    common(sw_p)
-    jobs_arg(sw_p)
+    command("compare", _cmd_compare,
+            "run every registered engine on one workload", *workload, "jobs")
+    sw_p = command("sweep-ratio", _cmd_sweep_ratio,
+                   "Fig.-10-style static-ratio sweep", *workload, "jobs")
     sw_p.add_argument("--ratios", type=unit_ratio, nargs="+",
                       default=[0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 1.0])
 
-    tr_p = sub.add_parser(
-        "trace",
-        help="run one engine with event recording and export a "
-             "Chrome/Perfetto trace",
-    )
-    tr_p.add_argument("dataset", choices=sorted(DATASETS),
-                      help="Table-3 dataset abbreviation")
-    tr_p.add_argument("algo", choices=ALGOS, help="vertex program")
-    tr_p.add_argument("--engine", default="Ascetic", choices=engine_choices,
-                      help=engine_help)
-    tr_p.add_argument("--scale", type=data_scale, default=BENCH_SCALE,
-                      help=f"dataset down-scale (default {BENCH_SCALE:g})")
-    tr_p.add_argument("--memory-bytes", type=positive_int, default=None,
-                      help="override the (scaled) device capacity")
-    tr_p.add_argument("-o", "--output", default=None,
-                      help="trace JSON path (default "
-                           "<dataset>_<algo>_<engine>.trace.json)")
+    command("trace", _cmd_trace,
+            "run one engine with event recording and export a "
+            "Chrome/Perfetto trace",
+            "dataset", "algo", "engine", "scale", "memory_bytes", "output")
 
-    g_p = sub.add_parser(
-        "grid",
-        help="run a datasets x algorithms x engines grid with caching",
-    )
-    jobs_arg(g_p)
+    g_p = command("grid", _cmd_grid,
+                  "run a datasets x algorithms x engines grid with caching",
+                  "jobs", "scale")
     g_p.add_argument("--datasets", nargs="+", default=list(GRID_DATASETS),
                      choices=sorted(DATASETS), metavar="ABBR",
                      help=f"datasets (default {' '.join(GRID_DATASETS)})")
@@ -173,10 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=ALGOS, metavar="ALGO",
                      help=f"algorithms (default {' '.join(GRID_ALGOS)})")
     g_p.add_argument("--engines", nargs="+", default=None,
-                     choices=engine_choices, metavar="ENGINE",
+                     choices=engines, metavar="ENGINE",
                      help="engines (default: every registered engine)")
-    g_p.add_argument("--scale", type=data_scale, default=BENCH_SCALE,
-                     help=f"dataset down-scale (default {BENCH_SCALE:g})")
     g_p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                      help=f"result cache directory (default {DEFAULT_CACHE_DIR})")
     g_p.add_argument("--no-cache", action="store_true",
@@ -186,109 +283,42 @@ def build_parser() -> argparse.ArgumentParser:
     g_p.add_argument("--retries", type=non_negative_int, default=1,
                      help="extra attempts for a failing cell (default 1)")
 
-    def load_test_args(sp):
+    for name, text in (
+        ("serve", "run a seeded multi-tenant load test against a router over "
+                  "per-device engine pools (one device by default) and emit "
+                  "a schema-versioned SLO report"),
+        ("fleet", "`serve` with multi-device defaults ({n_devices} devices, "
+                  "{n_requests} requests at {arrival_rate:g}/s, queue bound "
+                  "{queue_capacity}); --quick pins a 2-device config where "
+                  "one graph replicates and one is sharded fabric-wide"
+                  .format(**FLEET_DEFAULTS)),
+    ):
+        sp = command(name, _cmd_serve, text, "seed", "engine", "scale",
+                     "n_devices", "output", *load_test,
+                     **_config_defaults(name))
         sp.add_argument("--quick", action="store_true",
-                        help="the tiny pinned smoke config (what CI runs)")
-        sp.add_argument("--seed", type=non_negative_int, default=0,
-                        help="workload-generator seed (default 0)")
-        sp.add_argument("--requests", type=non_negative_int, default=24,
-                        help="offered requests (default %(default)s)")
-        sp.add_argument("--rate", type=positive_float, default=1.0,
-                        help="arrival rate, requests per simulated second "
-                             "(default %(default)s)")
-        sp.add_argument("--graphs", nargs="+", default=["GS"],
-                        choices=sorted(DATASETS), metavar="ABBR",
-                        help="datasets requests draw from (default GS)")
-        sp.add_argument("--algos", nargs="+", default=["BFS", "CC"],
-                        choices=ALGOS, metavar="ALGO",
-                        help="algorithms requests draw from (default BFS CC)")
-        sp.add_argument("--engine", default="Ascetic", choices=engine_choices,
-                        help=engine_help + " (per-device engine, and the "
-                                           "inner engine of sharded dispatches)")
-        sp.add_argument("--scale", type=data_scale, default=BENCH_SCALE,
-                        help=f"dataset down-scale (default {BENCH_SCALE:g})")
-        sp.add_argument("--tenants", nargs="+", default=["t0", "t1"],
-                        metavar="NAME", help="tenant names (default t0 t1)")
-        sp.add_argument("--deadline", type=positive_float, default=None,
-                        help="per-request deadline budget in simulated seconds")
-        sp.add_argument("--multi-source", type=positive_int, default=1,
-                        help="explicit sources per BFS/SSSP request")
-        sp.add_argument("--queue-capacity", type=positive_int, default=16,
-                        help="admission-queue bound (default %(default)s)")
-        sp.add_argument("--queue-policy", default="reject",
-                        choices=("reject", "drop-oldest", "deadline"),
-                        help="backpressure policy when the queue is full")
-        sp.add_argument("--scheduler", default="affinity",
-                        choices=("fifo", "affinity"),
-                        help="dispatch order (default affinity)")
-        sp.add_argument("--max-batch", type=positive_int, default=1,
-                        help="fuse up to N compatible traversals per dispatch")
-        sp.add_argument("--batch-wait", type=non_negative_float, default=0.0,
-                        help="seconds to hold a free device for a fuller batch")
-        sp.add_argument("--max-engines", type=positive_int, default=2,
-                        help="warm engine-pool size per device (default 2)")
-        sp.add_argument("--devices", type=positive_int, default=1,
-                        help="simulated devices behind the router "
-                             "(default %(default)s)")
-        sp.add_argument("--topology", default="pcie",
-                        choices=sorted(TOPOLOGIES),
-                        help="inter-device link class (default pcie)")
-        sp.add_argument("--shard-over", type=positive_float, default=None,
-                        help="shard a graph fabric-wide when its edge bytes "
-                             "exceed this multiple of device capacity "
-                             "(default: never shard; fleet --quick pins 1.0)")
-        sp.add_argument("--fabric", default=None, metavar="JSON",
-                        help="explicit FabricSpec as a JSON object (overrides "
-                             "--devices/--topology), e.g. "
-                             "'{\"n_devices\": 2, \"topology\": \"nvlink\"}'")
-        sp.add_argument("-o", "--output", default=None,
-                        help="write the full JSON report (trace + SLO) here")
+                        help="the tiny pinned smoke config (what CI runs); "
+                             "refuses the flags it pins")
 
-    load_test_args(sub.add_parser(
-        "serve",
-        help="run a seeded multi-tenant load test against a router over "
-             "per-device engine pools (one device by default) and emit a "
-             "schema-versioned SLO report",
-    ))
-    fl_p = sub.add_parser(
-        "fleet",
-        help="`serve` with multi-device defaults (4 devices, 48 requests "
-             "at 2/s, queue bound 32); --quick pins a 2-device config "
-             "where one graph replicates and one is sharded fabric-wide",
-    )
-    load_test_args(fl_p)
-    fl_p.set_defaults(devices=4, requests=48, rate=2.0, queue_capacity=32)
-
-    ch_p = sub.add_parser(
-        "chaos",
-        help="run one engine under the standard fault plan and check the "
-             "result against the fault-free baseline",
-    )
-    ch_p.add_argument("dataset", choices=sorted(DATASETS),
-                      help="Table-3 dataset abbreviation")
-    ch_p.add_argument("algo", choices=ALGOS, help="vertex program")
-    ch_p.add_argument("--engine", default="Ascetic", choices=engine_choices,
-                      help=engine_help)
-    ch_p.add_argument("--seed", type=int, default=0,
-                      help="fault-injector seed (default 0)")
-    ch_p.add_argument("--scale", type=data_scale, default=BENCH_SCALE,
-                      help=f"dataset down-scale (default {BENCH_SCALE:g})")
-    ch_p.add_argument("--memory-bytes", type=positive_int, default=None,
-                      help="override the (scaled) device capacity")
+    ch_p = command("chaos", _cmd_chaos,
+                   "run one engine under the standard fault plan and check "
+                   "the result against the fault-free baseline",
+                   "dataset", "algo", "engine", "seed", "scale",
+                   "memory_bytes", "n_devices", "output", n_devices=4)
     ch_p.add_argument("--fleet", action="store_true",
                       help="fleet chaos: kill one device mid-run under the "
                            "standard fleet plan — a sharded engine run "
                            "checked bit-identical against fault-free, plus "
                            "a fleet load test with the degraded SLO report")
-    ch_p.add_argument("--devices", type=positive_int, default=4,
-                      help="fabric size for --fleet, at least 2 (default 4)")
-    ch_p.add_argument("-o", "--output", default=None,
-                      help="with --fleet: write the degraded SLO report "
-                           "JSON here")
     return p
 
 
-def _cmd_datasets() -> int:
+def _workload(args):
+    return make_workload(args.dataset, args.algo, scale=args.scale,
+                         memory_bytes=args.memory_bytes)
+
+
+def _cmd_datasets(args, parser) -> int:
     rows = []
     for abbr, spec in DATASETS.items():
         rows.append(
@@ -303,7 +333,7 @@ def _cmd_datasets() -> int:
     return 0
 
 
-def _cmd_engines() -> int:
+def _cmd_engines(args, parser) -> int:
     rows = []
     for name in registry.available():
         cls = registry.get(name)
@@ -321,7 +351,7 @@ def _cmd_engines() -> int:
     return 0
 
 
-def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_run(args, parser) -> int:
     flags = (("--fill", args.fill, {"fill": args.fill}),
              ("--ratio", args.ratio is not None,
               {"forced_ratio": args.ratio, "adaptive": False}),
@@ -336,9 +366,7 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
             parser.error(f"{flag} configures the Ascetic engine; "
                          f"--engine {args.engine} has no such option")
         kwargs.update(opts)
-    w = make_workload(args.dataset, args.algo, scale=args.scale,
-                      memory_bytes=args.memory_bytes)
-    res = run_workload(w, args.engine, **kwargs)
+    res = run_workload(_workload(args), args.engine, **kwargs)
     print(res.summary())
     rows = [[k, f"{v:.4g}"] for k, v in sorted(res.extra.items())]
     rows += [[k, f"{v:.4g}"] for k, v in sorted(res.metrics.as_dict().items())]
@@ -346,7 +374,7 @@ def _cmd_run(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args, parser) -> int:
     specs = [
         RunSpec(dataset=args.dataset, algorithm=args.algo, engine=name,
                 scale=args.scale, memory_bytes=args.memory_bytes)
@@ -374,10 +402,9 @@ def _cmd_compare(args) -> int:
     return 0 if report.n_failed == 0 else 1
 
 
-def _cmd_sweep_ratio(args) -> int:
-    w = make_workload(args.dataset, args.algo, scale=args.scale,
-                      memory_bytes=args.memory_bytes)
-    points, subway_s, eq2 = sweep_static_ratio(w, args.ratios, jobs=args.jobs)
+def _cmd_sweep_ratio(args, parser) -> int:
+    points, subway_s, eq2 = sweep_static_ratio(_workload(args), args.ratios,
+                                               jobs=args.jobs)
     rows = [
         [f"{p.ratio:.2f}", f"{p.total_seconds:.2f}s", f"{p.t_sr:.2f}",
          f"{p.t_filling:.2f}", f"{p.t_transfer:.2f}", f"{p.t_ondemand:.2f}"]
@@ -393,13 +420,8 @@ def _cmd_sweep_ratio(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
-    from repro.analysis.traces import save_chrome_trace
-    from repro.gpusim.events import validate_log
-
-    w = make_workload(args.dataset, args.algo, scale=args.scale,
-                      memory_bytes=args.memory_bytes)
-    res = run_workload(w, args.engine, record_events=True)
+def _cmd_trace(args, parser) -> int:
+    res = run_workload(_workload(args), args.engine, record_events=True)
     # The exported trace is only worth looking at if the log is coherent.
     validate_log(res.event_log, metrics=res.metrics,
                  horizon=res.elapsed_seconds)
@@ -411,29 +433,36 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _check_chaos(chaos, baseline, rows, title: str, run: str) -> int:
+    """One chaos leg: validate the log, print the fault table and digest,
+    and exit 1 unless the values equal the fault-free baseline's."""
+    validate_log(chaos.event_log, metrics=chaos.metrics,
+                 horizon=chaos.elapsed_seconds)
+    rows.append(["slowdown vs fault-free",
+                 f"{chaos.elapsed_seconds / baseline.elapsed_seconds:.2f}x"])
+    print(format_table(["quantity", "value"], rows, title=title))
+    print(f"digest: {report_digest(result_to_payload(chaos))}")
+    if not np.array_equal(chaos.values, baseline.values):
+        print(f"error: {run} diverged from the fault-free baseline",
+              file=sys.stderr)
+        return 1
+    print("values identical to fault-free baseline")
+    return 0
+
+
 def _cmd_chaos(args, parser) -> int:
-    import hashlib
-    import json
-
-    import numpy as np
-
-    from repro.gpusim.events import validate_log
-    from repro.gpusim.faults import standard_plan
-    from repro.harness.persistence import result_to_payload
-
     if args.fleet:
-        if args.devices < 2:
+        if args.n_devices < 2:
             # A device loss needs a survivor to recover onto.
-            parser.error(f"argument --devices: {args.devices} is not in "
+            parser.error(f"argument --devices: {args.n_devices} is not in "
                          f"[2, inf) with --fleet")
         return _cmd_chaos_fleet(args)
-    w = make_workload(args.dataset, args.algo, scale=args.scale,
-                      memory_bytes=args.memory_bytes)
+    _refuse(parser, args, {"n_devices", "output"}.__contains__,
+            "only chaos --fleet reads it")
+    w = _workload(args)
     baseline = run_workload(w, args.engine)
     chaos = run_workload(w, args.engine, record_events=True,
                          fault_plan=standard_plan(), seed=args.seed)
-    validate_log(chaos.event_log, metrics=chaos.metrics,
-                 horizon=chaos.elapsed_seconds)
     print(chaos.summary())
     rows = [[k, f"{v:g}"] for k, v in sorted(chaos.extra.items())
             if k.startswith("fault_")]
@@ -441,87 +470,41 @@ def _cmd_chaos(args, parser) -> int:
         ["transfer_retries", f"{chaos.metrics.transfer_retries:g}"],
         ["kernel_aborts", f"{chaos.metrics.kernel_aborts:g}"],
         ["retry_seconds", f"{chaos.metrics.retry_seconds:.4g}"],
-        ["slowdown vs fault-free",
-         f"{chaos.elapsed_seconds / baseline.elapsed_seconds:.2f}x"],
     ]
-    print(format_table(["quantity", "value"], rows,
-                       title=f"Chaos — {args.engine} on "
-                             f"{args.dataset}/{args.algo}, seed {args.seed}"))
-    blob = json.dumps(result_to_payload(chaos), sort_keys=True,
-                      separators=(",", ":"))
-    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-    print(f"digest: {digest}")
-    if not np.array_equal(chaos.values, baseline.values):
-        print("error: chaos run diverged from the fault-free baseline",
-              file=sys.stderr)
-        return 1
-    print("values identical to fault-free baseline")
-    return 0
+    return _check_chaos(chaos, baseline, rows,
+                        f"Chaos — {args.engine} on {args.dataset}/{args.algo}, "
+                        f"seed {args.seed}", "chaos run")
 
 
 def _cmd_chaos_fleet(args) -> int:
-    """``repro chaos --fleet``: device loss under the standard fleet plan.
-
-    Two legs, both against fault-free baselines:
-
-    1. **engine** — an N-device sharded run with one device killed halfway
-       (plus a peer-link degradation window); the recovered run's values
-       must be bit-identical to the fault-free run or the command exits
-       nonzero.
-    2. **serve** — the quick fleet load test under the same plan; prints
-       the ``degraded`` SLO section and the run digest (what CI's
-       fleet-chaos-smoke diffs across two runs).
-    """
-    import hashlib
-    import json
-    from dataclasses import replace
-
-    import numpy as np
-
-    from repro.gpusim.events import validate_log
-    from repro.gpusim.faults import standard_fleet_plan
-    from repro.harness.persistence import result_to_payload
-    from repro.serve.fleet import fleet_quick_config, run_fleet_test
-
+    """``repro chaos --fleet``: an N-device sharded run with one device
+    killed halfway (plus a peer-link degradation window), held bit-identical
+    to fault-free; then the quick fleet load test under the same plan, with
+    its ``degraded`` SLO section and run digest."""
     # --- engine leg: kill one device mid-run, demand bit-identity -------
-    w = make_workload(args.dataset, args.algo, scale=args.scale,
-                      memory_bytes=args.memory_bytes)
-    baseline = run_workload(w, "Sharded", devices=args.devices,
-                            inner=args.engine)
+    n = args.n_devices
+    w = _workload(args)
+    baseline = run_workload(w, "Sharded", devices=n, inner=args.engine)
     half = baseline.elapsed_seconds / 2
     plan = standard_fleet_plan(
-        seed=args.seed, n_devices=args.devices, down_at=half,
+        seed=args.seed, n_devices=n, down_at=half,
         degrade_start=baseline.elapsed_seconds * 0.6,
         degrade_end=baseline.elapsed_seconds * 0.8,
     )
-    chaos = run_workload(w, "Sharded", devices=args.devices,
-                         inner=args.engine, record_events=True,
-                         fault_plan=plan, seed=args.seed)
-    validate_log(chaos.event_log, metrics=chaos.metrics,
-                 horizon=chaos.elapsed_seconds)
+    chaos = run_workload(w, "Sharded", devices=n, inner=args.engine,
+                         record_events=True, fault_plan=plan, seed=args.seed)
     rows = [[k, f"{v:g}"] for k, v in sorted(chaos.extra.items())
             if k.startswith("fault_") or k == "device_losses"]
-    rows += [["slowdown vs fault-free",
-              f"{chaos.elapsed_seconds / baseline.elapsed_seconds:.2f}x"]]
-    print(format_table(
-        ["quantity", "value"], rows,
-        title=f"Fleet chaos — {args.devices}x Sharded[{args.engine}] on "
-              f"{args.dataset}/{args.algo}, device "
-              f"{args.seed % args.devices} down at t={half:.2f}s"))
-    blob = json.dumps(result_to_payload(chaos), sort_keys=True,
-                      separators=(",", ":"))
-    print(f"digest: {hashlib.sha256(blob.encode()).hexdigest()[:16]}")
-    if not np.array_equal(chaos.values, baseline.values):
-        print("error: recovered run diverged from the fault-free baseline",
-              file=sys.stderr)
+    if _check_chaos(chaos, baseline, rows,
+                    f"Fleet chaos — {n}x Sharded[{args.engine}] on "
+                    f"{args.dataset}/{args.algo}, device {args.seed % n} "
+                    f"down at t={half:.2f}s", "recovered run"):
         return 1
-    print("values identical to fault-free baseline")
 
     # --- serve leg: the quick fleet load test under the same plan -------
     config = replace(
-        fleet_quick_config(seed=args.seed, n_devices=args.devices),
-        fault_plan=standard_fleet_plan(seed=args.seed,
-                                       n_devices=args.devices),
+        fleet_quick_config(seed=args.seed, n_devices=n),
+        fault_plan=standard_fleet_plan(seed=args.seed, n_devices=n),
     )
     res = run_fleet_test(config)
     report = res.report
@@ -542,62 +525,45 @@ def _cmd_chaos_fleet(args) -> int:
                          f"({d['dispatch_failures']:g} failed dispatches)"])
     print(format_table(["quantity", "value"], deg_rows,
                        title="fleet load test under standard_fleet_plan"))
-    if args.output:
-        _write_load_test(res, args.output)
+    return _write_load_test(res, args.output)
+
+
+def _fabric_from_args(args) -> FabricSpec:
+    """A :class:`FabricSpec` from ``--fabric`` JSON or ``--devices`` /
+    ``--topology``; malformed JSON exits with a message naming the key."""
+    if not args.fabric:  # both flags are range- and choice-checked already
+        return FabricSpec(n_devices=args.n_devices, topology=args.topology)
+    try:
+        data = json.loads(args.fabric)
+    except json.JSONDecodeError as exc:
+        raise SystemExit(f"error: --fabric is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise SystemExit("error: --fabric must be a JSON object of FabricSpec "
+                         "fields (n_devices, topology, device_mems, ...)")
+    try:
+        return FabricSpec.from_dict(data)
+    except (ValueError, TypeError) as exc:
+        raise SystemExit(f"error: invalid --fabric: {exc}")
+
+
+def _write_load_test(res, path: Optional[str]) -> int:
+    """Write the full JSON report to ``path``, if given; print the digest."""
+    if path:
+        payload = {**res.trace_payload(), "digest": res.run_digest(),
+                   "pool": res.pool_stats.as_dict()}
+        payload["device_pools"] = {str(d): stats.as_dict() for d, stats
+                                   in sorted(res.device_pool_stats.items())}
+        payload["tenant_accounts"] = {name: acct.as_dict() for name, acct
+                                      in sorted(res.tenants.items())}
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+        print(f"wrote {path}")
     print(f"digest: {res.run_digest()}")
     return 0
 
 
-def _fabric_from_args(args):
-    """A :class:`FabricSpec` from ``--fabric`` JSON or ``--devices`` /
-    ``--topology``, turning malformed input into a friendly ``SystemExit``
-    that names the offending key instead of a raw traceback."""
-    import json
-
-    from repro.gpusim.fabric import FabricSpec
-
-    if args.fabric:
-        try:
-            data = json.loads(args.fabric)
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"error: --fabric is not valid JSON: {exc}")
-        if not isinstance(data, dict):
-            raise SystemExit(
-                "error: --fabric must be a JSON object of FabricSpec "
-                "fields (n_devices, topology, device_mems, ...)"
-            )
-        try:
-            return FabricSpec.from_dict(data)
-        except (ValueError, TypeError) as exc:
-            raise SystemExit(f"error: invalid --fabric: {exc}")
-    try:
-        return FabricSpec(n_devices=args.devices, topology=args.topology)
-    except ValueError as exc:
-        raise SystemExit(f"error: invalid fabric: {exc}")
-
-
-def _write_load_test(res, path: str) -> None:
-    import json
-
-    payload = res.trace_payload()
-    payload["digest"] = res.run_digest()
-    payload["pool"] = res.pool_stats.as_dict()
-    payload["device_pools"] = {
-        str(d): stats.as_dict()
-        for d, stats in sorted(res.device_pool_stats.items())
-    }
-    payload["tenant_accounts"] = {
-        name: acct.as_dict() for name, acct in sorted(res.tenants.items())
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    print(f"wrote {path}")
-
-
 def _print_load_test(res, write_to: Optional[str]) -> int:
-    config = res.config
-    serve = config.serve
-    report = res.report
+    serve, fabric, report = res.config.serve, res.config.fabric, res.report
     rows = [[k, f"{v:g}"] for k, v in sorted(report["counts"].items())]
     rows += [
         ["shed_rate", f"{report['shed_rate']:.2%}"],
@@ -610,8 +576,8 @@ def _print_load_test(res, write_to: Optional[str]) -> int:
     ]
     print(format_table(
         ["quantity", "value"], rows,
-        title=f"fleet — {config.fabric.n_devices}x {serve.engine} over "
-              f"{config.fabric.topology}, {serve.scheduler} scheduler, "
+        title=f"fleet — {fabric.n_devices}x {serve.engine} over "
+              f"{fabric.topology}, {serve.scheduler} scheduler, "
               f"seed {serve.seed} ({res.horizon:.1f}s simulated)",
     ))
     lat = report["latency_seconds"]
@@ -636,51 +602,30 @@ def _print_load_test(res, write_to: Optional[str]) -> int:
                   f"{fleet['sharded_dispatches']:g} of "
                   f"{fleet['n_dispatches']:g} dispatches fabric-wide",
         ))
-    if write_to:
-        _write_load_test(res, write_to)
-    print(f"digest: {res.run_digest()}")
-    return 0
+    return _write_load_test(res, write_to)
 
 
 def _cmd_serve(args, parser) -> int:
     """``repro serve`` and ``repro fleet``: one command, two sets of defaults.
 
-    The configs check their own fields; a value they refuse is a usage
-    error, reported like the flag types' own checks.
+    ``--quick`` pins a config and refuses the flags it pins.  The configs
+    check their own fields; a value they refuse is a usage error, reported
+    like the flag types' own checks.
     """
-    from repro.serve import (
-        FleetConfig,
-        ServeConfig,
-        fleet_quick_config,
-        quick_config,
-        run_fleet_test,
-    )
-
-    fabric = _fabric_from_args(args)  # validated even when --quick pins it
+    if args.quick:
+        _refuse(parser, args, lambda dest: dest not in QUICK_KEEPS[args.command],
+                "--quick pins it")
     if args.quick and args.command == "fleet":
         # Pins the whole config: two devices over PCIe, GS replicated, FK
         # sharded fabric-wide.
         config = fleet_quick_config(seed=args.seed)
     else:
+        fabric = _fabric_from_args(args)
+        names = {f.name for f in fields(ServeConfig)}
         try:
             serve = quick_config(seed=args.seed) if args.quick else ServeConfig(
-                seed=args.seed,
-                n_requests=args.requests,
-                arrival_rate=args.rate,
-                graphs=tuple(args.graphs),
-                algorithms=tuple(a.upper() for a in args.algos),
-                tenants=tuple(args.tenants),
-                deadline=args.deadline,
-                multi_source=args.multi_source,
-                engine=args.engine,
-                scale=args.scale,
-                queue_capacity=args.queue_capacity,
-                queue_policy=args.queue_policy,
-                scheduler=args.scheduler,
-                max_batch=args.max_batch,
-                batch_wait=args.batch_wait,
-                max_engines=args.max_engines,
-            )
+                **{k: tuple(v) if isinstance(v, list) else v
+                   for k, v in vars(args).items() if k in names})
             config = FleetConfig(serve=serve, fabric=fabric,
                                  shard_over=args.shard_over)
         except ValueError as exc:
@@ -688,7 +633,7 @@ def _cmd_serve(args, parser) -> int:
     return _print_load_test(run_fleet_test(config), args.output)
 
 
-def _cmd_grid(args) -> int:
+def _cmd_grid(args, parser) -> int:
     engines = tuple(args.engines) if args.engines else registry.available()
     specs = grid_specs(args.datasets, args.algos, engines, scale=args.scale)
     cache = None if args.no_cache else args.cache_dir
@@ -718,34 +663,16 @@ def _cmd_grid(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point: parse ``argv`` (default ``sys.argv[1:]``) and dispatch."""
+    """Entry point: parse ``argv`` (default ``sys.argv[1:]``), dispatch."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "datasets":
-            return _cmd_datasets()
-        if args.command == "engines":
-            return _cmd_engines()
-        if args.command == "run":
-            return _cmd_run(args, parser)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "sweep-ratio":
-            return _cmd_sweep_ratio(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "grid":
-            return _cmd_grid(args)
-        if args.command == "chaos":
-            return _cmd_chaos(args, parser)
-        if args.command in ("serve", "fleet"):
-            return _cmd_serve(args, parser)
+        return args.handler(args, parser)
     except GPUOutOfMemory as exc:
         # The workload does not fit the device it was given: a fact about
         # the input, reported the way ``grid`` reports it per cell.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

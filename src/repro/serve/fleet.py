@@ -34,7 +34,6 @@ request trace, same event stream, same SLO report, same digest.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -57,7 +56,7 @@ from repro.serve.request import (
 )
 from repro.serve.scheduler import make_scheduler
 from repro.serve.simulator import ServeConfig, finite
-from repro.serve.slo import canonical_json, fold_slo
+from repro.serve.slo import fold_slo, report_digest
 
 __all__ = [
     "FABRIC",
@@ -266,8 +265,7 @@ class FleetResult:
 
     def run_digest(self) -> str:
         """Digest over trace + responses + report (the CI-pinned value)."""
-        blob = canonical_json(self.trace_payload())
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        return report_digest(self.trace_payload())
 
 
 def run_fleet_test(config: FleetConfig,

@@ -31,7 +31,8 @@ from typing import Hashable, Sequence, Tuple
 from repro.serve.batching import BATCHABLE
 from repro.serve.request import Request, engine_key
 
-__all__ = ["Scheduler", "FifoScheduler", "AffinityScheduler", "make_scheduler"]
+__all__ = ["Scheduler", "FifoScheduler", "AffinityScheduler", "SCHEDULERS",
+           "make_scheduler"]
 
 
 def _base_key(r: Request) -> Tuple[int, float, int]:
@@ -101,12 +102,16 @@ class AffinityScheduler(Scheduler):
         return head
 
 
+#: The names :func:`make_scheduler` builds (``repro serve --scheduler``).
+SCHEDULERS = ("fifo", "affinity")
+
+
 def make_scheduler(name: str, max_batch: int = 1,
                    aging_seconds: float = 60.0) -> Scheduler:
-    """Construct a scheduler by CLI name (``fifo`` / ``affinity``)."""
+    """Construct a scheduler by name (one of :data:`SCHEDULERS`)."""
     if name == "fifo":
         return FifoScheduler(max_batch=max_batch)
     if name == "affinity":
         return AffinityScheduler(max_batch=max_batch,
                                  aging_seconds=aging_seconds)
-    raise ValueError(f"unknown scheduler {name!r} (fifo/affinity)")
+    raise ValueError(f"unknown scheduler {name!r}; choose from {SCHEDULERS}")

@@ -15,7 +15,8 @@ maintained truth).
 Percentiles use the nearest-rank method on the sorted sample: no
 interpolation, no float averaging of neighbors, so the report is a pure
 function of the event stream and digests bit-identically across runs —
-:func:`report_digest` is what the CI smoke job pins.
+:func:`report_digest` is what the CI smoke jobs pin (of reports, load-test
+traces and chaos runs alike).
 """
 
 from __future__ import annotations
@@ -345,6 +346,7 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def report_digest(report: Dict[str, Any]) -> str:
-    """Short stable digest of a report (what the CI smoke job pins)."""
-    return hashlib.sha256(canonical_json(report).encode("utf-8")).hexdigest()[:16]
+def report_digest(payload: Any) -> str:
+    """Short stable digest of a JSON-able payload: an SLO report, a load
+    test's trace, a chaos run's result (what the CI smoke jobs pin)."""
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()[:16]

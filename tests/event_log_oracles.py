@@ -7,9 +7,9 @@ equal bit for bit — float accumulation order included — so their bodies
 live on here, moved verbatim from ``src/``: ``SimEvent`` with ``lane_key``,
 ``EventLog.emit``, ``_apply``, the ``fold_*`` family, ``idle_breakdown``,
 ``validate_log``, the Chrome-trace export with its ``_event_args``,
-``serve.slo.fold_slo`` and ``fabric.fold_exchange_bytes``.  The columnar
-Chrome export's two loops (one device, one fabric) follow them as
-:func:`split_chrome_trace_events`.
+``serve.slo.fold_slo`` and ``fabric.fold_exchange_bytes``.  The Chrome
+export here is the reference ``repro.analysis.traces.chrome_trace_events``
+must equal byte for byte, one-device and fabric logs alike.
 :class:`OracleLog`'s other doors build the ``SimEvent`` the old recorded
 paths built and hand it to ``emit``.
 
@@ -21,18 +21,16 @@ Nothing under ``src/`` imports this module.
 """
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.traces import LANE_TIDS, MARKER_TID, TraceSource
-from repro.engines.base import RunResult
+from repro.analysis.traces import LANE_TIDS, MARKER_TID
 from repro.gpusim.events import (
     COUNTER_FIELDS,
     DEVICE_FAULT_KINDS,
     FAULT_KINDS,
     EventColumns,
-    EventLog,
     EventLogError,
     IdleBreakdown,
     LaneStats,
@@ -901,190 +899,4 @@ def fold_exchange_bytes(events) -> Dict[int, int]:
             continue
         nbytes = int(dict(e.extra).get("bytes", 0.0))
         out[e.device] = out.get(e.device, 0) + nbytes
-    return out
-
-
-# ------------------------------------------- Chrome-trace export, two loops
-# The columnar export as it stood before it became one loop: a one-device
-# exporter and a near-copy for fabric logs.  The single loop in
-# ``repro.analysis.traces`` must write the same records, in the same order,
-# with the same key order.
-
-
-def _split_source_columns(source: TraceSource) -> EventColumns:
-    if isinstance(source, RunResult):
-        if source.event_log is None:
-            raise ValueError(
-                "RunResult carries no event log — run the engine with "
-                "record_events=True (engine opt / RunSpec engine_opts)"
-            )
-        return source.event_log.events
-    if isinstance(source, EventLog):
-        if not source.record:
-            raise ValueError(
-                "EventLog ran in lean mode; construct with record=True "
-                "(engine record_events=True) to export a trace"
-            )
-        return source.events
-    return source
-
-
-def _split_trace_rows(cols: EventColumns) -> Iterator[tuple]:
-    """Per row: ``(lane, device, kind, name, phase, ts, dur, args)``.
-
-    ``args`` is the per-slice payload shared by both export modes: kind,
-    phase and iteration, then the non-zero counters, then ``extra``.
-    """
-    for ((lane, device), kind, label, phase, iteration, start, end,
-         cnames, cvals, xkeys, xvals) in cols.rows():
-        args: Dict[str, Any] = {"kind": kind}
-        if phase is not None:
-            args["phase"] = phase
-        if iteration is not None:
-            args["iteration"] = iteration
-        if cnames:
-            args.update(zip(cnames, cvals))
-        if xkeys:
-            args.update(zip(xkeys, xvals))
-        yield (lane, device, kind, label or kind, phase, start * 1e6,
-               (end - start) * 1e6, args)
-
-
-def split_chrome_trace_events(source) -> List[Dict[str, Any]]:
-    """Flatten events to the Chrome-trace ``traceEvents`` list.
-
-    Lane-occupying events become complete slices (``ph="X"`` with ``ts`` /
-    ``dur`` in microseconds); lane-less markers become instants
-    (``ph="i"``).  Metadata records name the process and one thread per
-    lane so Perfetto renders labelled rows.
-
-    A single-device log (no event carries a ``device``) exports exactly as
-    it always has — one ``repro-sim`` process, pid 0, byte-identical output.
-    A fabric log gets one named process per device (``pid`` = device id,
-    ``repro-sim:dev<d>``) plus a shared ``repro-fabric`` process for
-    device-less markers (the serve layer's request lifecycle), so Perfetto
-    renders the fleet as parallel process groups.  Fault and recovery
-    events on a fabric log additionally drive a per-device ``faults``
-    counter track (``ph="C"``), one running count per fault kind, so chaos
-    activity is visible at a glance in each device's process group.
-    """
-    cols = _split_source_columns(source)
-    devices = sorted({d for _, d in cols.whos.values if d is not None})
-    if devices:
-        return _split_multi_device_trace_events(cols, devices)
-    out: List[Dict[str, Any]] = [{
-        "name": "process_name", "ph": "M", "pid": 0, "tid": 0,
-        "args": {"name": "repro-sim"},
-    }]
-    for lane, tid in sorted(LANE_TIDS.items(), key=lambda kv: kv[1]):
-        out.append({
-            "name": "thread_name", "ph": "M", "pid": 0, "tid": tid,
-            "args": {"name": lane},
-        })
-    out.append({
-        "name": "thread_name", "ph": "M", "pid": 0, "tid": MARKER_TID,
-        "args": {"name": "markers"},
-    })
-    next_tid = MARKER_TID + 1
-    tids = dict(LANE_TIDS)
-    for lane, _, kind, name, phase, ts, dur, args in _split_trace_rows(cols):
-        if not lane:
-            out.append({
-                "name": name, "ph": "i", "s": "t",
-                "ts": ts, "pid": 0, "tid": MARKER_TID,
-                "cat": kind, "args": args,
-            })
-            continue
-        tid = tids.get(lane)
-        if tid is None:  # an engine invented a lane: give it its own row
-            tid = tids[lane] = next_tid
-            next_tid += 1
-            out.append({
-                "name": "thread_name", "ph": "M", "pid": 0, "tid": tid,
-                "args": {"name": lane},
-            })
-        out.append({
-            "name": name, "ph": "X",
-            "ts": ts, "dur": dur,
-            "pid": 0, "tid": tid,
-            # Fault/retry slices keep their own category even inside a
-            # phase, so Perfetto can colour and filter chaos activity.
-            "cat": kind if kind in FAULT_KINDS else (phase or kind),
-            "args": args,
-        })
-    return out
-
-
-def _split_multi_device_trace_events(cols: EventColumns,
-                               devices: List[int]) -> List[Dict[str, Any]]:
-    """The fabric export: one Chrome-trace process per device.
-
-    Device ids become pids directly; device-less markers (serve-layer
-    request lifecycle, fabric-wide bookkeeping) live in a separate
-    ``repro-fabric`` process one pid above the highest device.
-    """
-    fabric_pid = max(devices) + 1
-    out: List[Dict[str, Any]] = []
-    tids: Dict[int, Dict[str, int]] = {}
-    next_tid: Dict[int, int] = {}
-    for d in devices:
-        out.append({
-            "name": "process_name", "ph": "M", "pid": d, "tid": 0,
-            "args": {"name": f"repro-sim:dev{d}"},
-        })
-        for lane, tid in sorted(LANE_TIDS.items(), key=lambda kv: kv[1]):
-            out.append({
-                "name": "thread_name", "ph": "M", "pid": d, "tid": tid,
-                "args": {"name": lane},
-            })
-        out.append({
-            "name": "thread_name", "ph": "M", "pid": d, "tid": MARKER_TID,
-            "args": {"name": "markers"},
-        })
-        tids[d] = dict(LANE_TIDS)
-        next_tid[d] = MARKER_TID + 1
-    out.append({
-        "name": "process_name", "ph": "M", "pid": fabric_pid, "tid": 0,
-        "args": {"name": "repro-fabric"},
-    })
-    out.append({
-        "name": "thread_name", "ph": "M", "pid": fabric_pid,
-        "tid": MARKER_TID, "args": {"name": "markers"},
-    })
-    fault_counts: Dict[int, Dict[str, int]] = {}
-    for lane, device, kind, name, phase, ts, dur, args in _split_trace_rows(cols):
-        pid = device if device is not None else fabric_pid
-        if kind in FAULT_KINDS or kind in DEVICE_FAULT_KINDS:
-            # Running per-device fault counters, one Chrome counter track
-            # per process: fold_device_faults as a timeline.
-            counts = fault_counts.setdefault(pid, {})
-            key = "fault_" + kind.replace("-", "_")
-            counts[key] = counts.get(key, 0) + 1
-            out.append({
-                "name": "faults", "ph": "C", "ts": ts,
-                "pid": pid, "args": dict(sorted(counts.items())),
-            })
-        if not lane:
-            out.append({
-                "name": name, "ph": "i", "s": "t",
-                "ts": ts, "pid": pid, "tid": MARKER_TID,
-                "cat": kind, "args": args,
-            })
-            continue
-        lane_tids = tids.setdefault(pid, {})
-        tid = lane_tids.get(lane)
-        if tid is None:
-            tid = lane_tids[lane] = next_tid.get(pid, MARKER_TID + 1)
-            next_tid[pid] = tid + 1
-            out.append({
-                "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                "args": {"name": lane},
-            })
-        out.append({
-            "name": name, "ph": "X",
-            "ts": ts, "dur": dur,
-            "pid": pid, "tid": tid,
-            "cat": kind if kind in FAULT_KINDS else (phase or kind),
-            "args": args,
-        })
     return out

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import argparse
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -294,3 +298,85 @@ class TestFabricValidation:
                    "--fabric", '{"n_devices": 2, "topology": "nvlink"}'])
         assert rc == 0
         assert "digest: " in capsys.readouterr().out
+
+
+# --------------------------------------------------------------------------
+# The surface: what a user can type, pinned, and every page of help
+# --------------------------------------------------------------------------
+
+SURFACE = Path(__file__).with_name("cli_surface.json")
+COMMANDS = ("datasets", "engines", "run", "compare", "sweep-ratio", "trace",
+            "grid", "serve", "fleet", "chaos")
+
+
+def cli_surface(parser):
+    """``{subcommand: {option strings: {default, choices, nargs,
+    required}}}`` as JSON reads it back (a tuple default is a list)."""
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return json.loads(json.dumps({
+        name: {" ".join(a.option_strings) or a.dest: {
+                   "default": a.default, "choices": a.choices,
+                   "nargs": a.nargs, "required": a.required}
+               for a in sp._actions
+               if not isinstance(a, argparse._HelpAction)}
+        for name, sp in sub.choices.items()}))
+
+
+def test_the_flag_surface_equals_the_pinned_table():
+    """``cli_surface.json`` was generated from the parser before its flags
+    were derived from shared parents and the config fields: no flag added,
+    removed or renamed, no default, choice set or ``nargs`` changed."""
+    assert cli_surface(build_parser()) == json.loads(SURFACE.read_text())
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_subcommand_formats_its_help(command, capsys):
+    # argparse %-formats help lazily: a bad derived string fails only here.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: repro {command}")
+
+
+class TestUnreadFlags:
+    """A flag the run would not read is a usage error naming it — each of
+    these was accepted and then ignored, or crashed mid-run."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["serve", "--quick", "--engine", "Hybrid"], "--engine"),
+        (["serve", "--quick", "--requests", "3"], "--requests"),
+        (["serve", "--quick", "--scale", "1e-4"], "--scale"),
+        (["fleet", "--quick", "--devices", "3"], "--devices"),
+        (["fleet", "--quick", "--shard-over", "2"], "--shard-over"),
+        (["fleet", "--quick", "--fabric", '{"n_devices": 3}'], "--fabric"),
+        (["chaos", "GS", "BFS", "--devices", "3", "-o", "x.json"],
+         "--devices"),
+        (["chaos", "GS", "BFS", "-o", "x.json"], "-o/--output"),
+        (["chaos", "GS", "BFS", "--fleet", "--seed", "-1"], "--seed"),
+    ], ids=["serve-quick-engine", "serve-quick-requests", "serve-quick-scale",
+            "fleet-quick-devices", "fleet-quick-shard-over",
+            "fleet-quick-fabric", "chaos-devices", "chaos-output",
+            "chaos-fleet-negative-seed"])
+    def test_is_a_usage_error(self, argv, flag, capsys, tmp_path,
+                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and f"argument {flag}:" in err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_serve_quick_reads_the_fabric_shard_and_output_flags(
+            self, capsys, tmp_path):
+        out = tmp_path / "slo.json"
+        assert main(["serve", "--quick", "--seed", "0", "--devices", "2",
+                     "--topology", "nvlink", "--shard-over", "1.0",
+                     "-o", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "fleet — 2x Ascetic over nvlink" in printed
+        config = json.loads(out.read_text())["config"]
+        assert config["fabric"]["n_devices"] == 2
+        assert config["shard_over"] == 1.0
+        assert config["serve"]["n_requests"] == 12  # quick_config's own

@@ -1,4 +1,5 @@
-"""Guard: every option on the surface is set by something that is measured.
+"""Guard: every option on the surface is set by something that is measured,
+and every ``serve`` / ``fleet`` flag fills a config field.
 
 An engine option (a keyword of the engine's constructor beyond ``Engine``'s
 own, read from its signature) or a ``GPUSpec`` field stays while a file under
@@ -7,15 +8,24 @@ passes it, by keyword or ``engine_opts`` dict key, in a call of its owner's
 class or copy helper or one that names the engine — tests and the registry are
 not callers (ROADMAP item 7).  The unreached set must *equal* ``DEFERRED``: an option nobody sets
 fails, and so does a deferred one once reached, so the list can only shrink.
+
+The CLI half (item 7): a ``serve`` / ``fleet`` flag's dest is the
+``ServeConfig``, ``FleetConfig`` or ``FabricSpec`` field it fills, or a
+``CLI_ONLY`` entry that says why it fills none; ``CLI_ONLY`` must equal the
+unmatched set the same way.
 """
 
+import argparse
 import ast
 import inspect
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
+from repro.cli import build_parser
 from repro.engines import registry
 from repro.gpusim.device import GPUSpec
+from repro.gpusim.fabric import FabricSpec
+from repro.serve import FleetConfig, ServeConfig
 
 REPO = Path(__file__).resolve().parent.parent
 UVM_MODEL = ("page_size", "fault_latency", "fault_batch", "migration_bandwidth",
@@ -62,3 +72,36 @@ def test_every_option_is_set_by_a_measured_caller_or_deferred():
         if not any(path != home and tag in via and name == key.split(".")[1]
                    for path, tag, name in uses)}
     assert unreached == set(DEFERRED)
+
+
+CLI_ONLY = {
+    "quick": "swaps the whole config for quick_config / fleet_quick_config",
+    "output": "where the report is written, not what is run",
+    "fabric": "JSON text for the whole FabricSpec, over --devices/--topology",
+}
+
+
+def load_test_actions(command):
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[command]._actions
+            if not isinstance(a, argparse._HelpAction)]
+
+
+def test_every_load_test_flag_fills_a_config_field_or_says_why_not():
+    # FleetConfig's ``serve`` and ``fabric`` hold the other two configs.
+    config_fields = {f.name for cls in (ServeConfig, FabricSpec)
+                     for f in fields(cls)}
+    config_fields |= {f.name for f in fields(FleetConfig)} - {"serve", "fabric"}
+    dests = {a.dest for command in ("serve", "fleet")
+             for a in load_test_actions(command)}
+    assert dests - config_fields == set(CLI_ONLY)
+
+
+def test_serve_flags_default_to_their_fields():
+    defaults = {f.name: f.default
+                for cls in (ServeConfig, FleetConfig, FabricSpec)
+                for f in fields(cls) if f.default is not MISSING}
+    actions = [a for a in load_test_actions("serve") if a.dest in defaults]
+    assert len(actions) == 19
+    assert all(a.default == defaults[a.dest] for a in actions)

@@ -18,7 +18,8 @@ from repro.gpusim.events import (COUNTER_FIELDS, DEVICE_FAULT_KINDS,
                                  FAULT_KINDS, EventColumns, EventLog)
 from repro.harness.experiments import make_workload, run_workload
 
-from event_log_oracles import SimEvent, columns, rows, split_chrome_trace_events
+import event_log_oracles as oracle
+from event_log_oracles import SimEvent, columns, rows
 
 #: The benchmark's scale: FK/BFS records 12.9 K rows on Ascetic with every
 #: row kind present.  (``conftest.TEST_SCALE`` = 1e-2 records 687 K and made
@@ -191,7 +192,7 @@ class TestTraceCLI:
 
 
 # --------------------------------------------------------------------------
-# One loop for both layouts, against the two loops it replaced
+# One loop for both layouts, against the row-per-object reference export
 # --------------------------------------------------------------------------
 
 #: Every lane the export names, plus two no engine declares.
@@ -229,4 +230,4 @@ def trace_columns(draw):
 @given(cols=trace_columns())
 def test_one_loop_exports_what_the_two_loops_did(cols):
     assert json.dumps(chrome_trace_events(cols)) == json.dumps(
-        split_chrome_trace_events(cols))
+        oracle.chrome_trace_events(rows(cols)))
