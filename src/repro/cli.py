@@ -86,6 +86,23 @@ def data_scale(text: str) -> float:
     return value
 
 
+def fabric_spec(text: str) -> FabricSpec:
+    """argparse ``type=`` for ``--fabric``: a JSON object of
+    :class:`FabricSpec` fields; a bad one is refused naming the key."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise argparse.ArgumentTypeError(f"not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise argparse.ArgumentTypeError(
+            "not a JSON object of FabricSpec fields (n_devices, topology, "
+            "device_mems, ...)")
+    try:
+        return FabricSpec.from_dict(data)
+    except (ValueError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _at_least(kind, low, strict=False):
     """argparse ``type=`` factory: ``kind(text)`` in ``[low, inf)`` — or
     ``(low, inf)`` when ``strict``."""
@@ -205,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "fabric-wide when its edge bytes exceed this multiple "
                        "of device capacity (default: never shard; fleet "
                        "--quick pins 1.0)"),
-        "fabric": ("--fabric", str, "explicit FabricSpec as a JSON object "
-                   "(overrides --devices/--topology), e.g. "
+        "fabric": ("--fabric", fabric_spec, "explicit FabricSpec as a JSON "
+                   "object (overrides --devices/--topology), e.g. "
                    "'{\"n_devices\": 2, \"topology\": \"nvlink\"}'"),
     }
     table = {**shared, **load_test}
@@ -528,24 +545,6 @@ def _cmd_chaos_fleet(args) -> int:
     return _write_load_test(res, args.output)
 
 
-def _fabric_from_args(args) -> FabricSpec:
-    """A :class:`FabricSpec` from ``--fabric`` JSON or ``--devices`` /
-    ``--topology``; malformed JSON exits with a message naming the key."""
-    if not args.fabric:  # both flags are range- and choice-checked already
-        return FabricSpec(n_devices=args.n_devices, topology=args.topology)
-    try:
-        data = json.loads(args.fabric)
-    except json.JSONDecodeError as exc:
-        raise SystemExit(f"error: --fabric is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise SystemExit("error: --fabric must be a JSON object of FabricSpec "
-                         "fields (n_devices, topology, device_mems, ...)")
-    try:
-        return FabricSpec.from_dict(data)
-    except (ValueError, TypeError) as exc:
-        raise SystemExit(f"error: invalid --fabric: {exc}")
-
-
 def _write_load_test(res, path: Optional[str]) -> int:
     """Write the full JSON report to ``path``, if given; print the digest."""
     if path:
@@ -620,7 +619,9 @@ def _cmd_serve(args, parser) -> int:
         # sharded fabric-wide.
         config = fleet_quick_config(seed=args.seed)
     else:
-        fabric = _fabric_from_args(args)
+        # Every flag here is type- or choice-checked already.
+        fabric = args.fabric or FabricSpec(n_devices=args.n_devices,
+                                           topology=args.topology)
         names = {f.name for f in fields(ServeConfig)}
         try:
             serve = quick_config(seed=args.seed) if args.quick else ServeConfig(

@@ -11,8 +11,7 @@ The paper defaults ``K = 10 %`` (Table 1: most algorithms are around or
 below that, PR excepted) and clips R into [0, 1]: when the dataset fits
 outright, everything is static; when ``K · D ≥ M``, no ratio satisfies
 Eq. 1 and the on-demand data must be processed in rounds anyway, so R
-falls back to a configurable floor rather than 0 (a tiny static region
-still saves its own transfers — §4.3's BFS observation).
+clips to 0.
 
 Adaptive re-partitioning (Eq. 3): after the data map is generated, if the
 measured on-demand volume overflows its region while the static region is
@@ -31,9 +30,8 @@ __all__ = ["DEFAULT_K", "static_ratio", "region_bytes", "RepartitionDecision",
 DEFAULT_K = 0.10
 
 
-def static_ratio(k: float, dataset_bytes: int, memory_bytes: int,
-                 floor: float = 0.0) -> float:
-    """Eq. 2, clipped to ``[floor, 1]``.
+def static_ratio(k: float, dataset_bytes: int, memory_bytes: int) -> float:
+    """Eq. 2, clipped to ``[0, 1]``.
 
     Parameters mirror the paper: ``k`` = expected active-edge fraction per
     iteration, ``dataset_bytes`` = D, ``memory_bytes`` = M (the memory
@@ -43,13 +41,11 @@ def static_ratio(k: float, dataset_bytes: int, memory_bytes: int,
         raise ValueError("K must be in [0, 1)")
     if dataset_bytes < 0 or memory_bytes <= 0:
         raise ValueError("sizes must be positive")
-    if not 0.0 <= floor <= 1.0:
-        raise ValueError("floor must be in [0, 1]")
     if dataset_bytes <= memory_bytes:
         # Whole dataset fits: Eq. 1 is slack; keep it all static.
         return 1.0
     r = (1.0 - k * dataset_bytes / memory_bytes) / (1.0 - k)
-    return min(max(r, floor), 1.0)
+    return min(max(r, 0.0), 1.0)
 
 
 def region_bytes(memory_bytes: int, ratio: float, align: int = 1) -> tuple[int, int]:

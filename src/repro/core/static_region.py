@@ -370,19 +370,16 @@ class StaticRegion:
         """
         return self.graph is graph and self.chunk_bytes == int(chunk_bytes)
 
-    def top_up(self, max_new_chunks: int | None = None) -> int:
+    def top_up(self) -> int:
         """Refill free capacity with the lowest-id non-resident chunks.
 
         The warm-start refill: after a capacity squeeze (or a capacity
         grow-back) dropped part of a warm region, only the *missing* chunks
         need transferring — the survivors are the whole point of the
-        handoff.  Marks up to ``max_new_chunks`` (default: all free
-        capacity) resident and returns the count; the caller charges the
-        corresponding gather + H2D.
+        handoff.  Fills all free capacity and returns the count marked
+        resident; the caller charges the corresponding gather + H2D.
         """
-        budget = self.free_chunks if max_new_chunks is None else min(
-            self.free_chunks, int(max_new_chunks)
-        )
+        budget = self.free_chunks
         if budget <= 0 or self.n_chunks == 0:
             return 0
         missing = np.nonzero(~self.resident)[0]
@@ -394,7 +391,7 @@ class StaticRegion:
         return int(take.size)
 
     # ------------------------------------------------------------ mutation
-    def promote_vertices(self, mask: np.ndarray, max_new_chunks: int | None = None) -> int:
+    def promote_vertices(self, mask: np.ndarray) -> int:
         """Lazy fill: keep on-demand-fetched vertices' chunks in the region.
 
         Takes vertices from ``mask`` in id order and marks their whole chunk
@@ -403,9 +400,7 @@ class StaticRegion:
         arrived in the On-demand Region — so promotion is a device-side copy
         and costs no PCIe traffic.  Returns the number of chunks promoted.
         """
-        budget = self.free_chunks if max_new_chunks is None else min(
-            self.free_chunks, int(max_new_chunks)
-        )
+        budget = self.free_chunks
         if budget <= 0 or self.n_chunks == 0:
             return 0
         vs = np.nonzero(mask & self._has_edges)[0]

@@ -435,6 +435,22 @@ class Engine(abc.ABC):
                     raise
                 attempt += 1
 
+    def _place_vertex_state(self, gpu: SimulatedGPU, graph: CSRGraph,
+                            buffer: str) -> int:
+        """Allocate the vertex state; return the device bytes left after it.
+
+        For engines that size ``buffer`` from that remainder: an empty one
+        raises :class:`GPUOutOfMemory` naming the buffer.
+        """
+        self._alloc_retry(gpu, "vertex_state", self._vertex_state_bytes(graph))
+        left = gpu.memory.available
+        if left <= 0:
+            raise GPUOutOfMemory(
+                f"no device memory left for {buffer}", name=buffer,
+                requested=1, available=left, capacity=gpu.memory.capacity,
+                live=gpu.memory.live_allocations())
+        return left
+
     def _service_squeezes(self, gpu: SimulatedGPU, graph: CSRGraph,
                           iteration: int) -> None:
         """Apply/release the plan's capacity squeezes for this iteration.

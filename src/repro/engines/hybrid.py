@@ -194,16 +194,7 @@ class HybridEngine(RegionEngine):
     # ------------------------------------------------------------ lifecycle
     def _prepare(self, gpu: SimulatedGPU, graph: CSRGraph,
                  program: VertexProgram) -> None:
-        from repro.gpusim.memory import GPUOutOfMemory
-
-        self._alloc_retry(gpu, "vertex_state", self._vertex_state_bytes(graph))
-        available = gpu.memory.available
-        if available <= 0:
-            raise GPUOutOfMemory(
-                "no device memory left for the hybrid cache",
-                name="hybrid_cache", requested=1, available=available,
-                capacity=gpu.memory.capacity, live=gpu.memory.live_allocations(),
-            )
+        available = self._place_vertex_state(gpu, graph, "hybrid_cache")
         chunk_scaled = self.scaled_bytes(self.chunk_bytes)
         # A cold cache starts empty and fills from migration decisions —
         # the lazy analogue of Ascetic's prefilled Static Region.

@@ -55,14 +55,7 @@ class PartitionEngine(Engine):
     def _prepare(self, gpu: SimulatedGPU, graph: CSRGraph, program: VertexProgram) -> None:
         from repro.gpusim.memory import GPUOutOfMemory
 
-        self._alloc_retry(gpu, "vertex_state", self._vertex_state_bytes(graph))
-        budget = gpu.memory.available
-        if budget <= 0:
-            raise GPUOutOfMemory(
-                "no device memory left for a partition buffer",
-                name="partition_buffer", requested=1, available=budget,
-                capacity=gpu.memory.capacity, live=gpu.memory.live_allocations(),
-            )
+        budget = self._place_vertex_state(gpu, graph, "partition_buffer")
         # Pinned partitions carve their share off the streaming budget.
         n_slots = (2 if self.double_buffer else 1) + self.pinned_partitions
         part_budget = budget // n_slots

@@ -37,18 +37,17 @@ mid-superstep is discovered at the next barrier, where the replicated
 vertex state is consistent.  Recovery re-shards the dead device's edge
 range across the survivors (the same byte-range tiling as the initial
 :func:`~repro.graph.shard.shard_graph` cut, so no edge is dropped or
-duplicated), restores the superstep checkpoint
-(:class:`~repro.harness.checkpoint.IterationCheckpoint` with per-shard
-:class:`~repro.harness.checkpoint.ShardCheckpoint` payloads), and charges
-the redistribution H2D plus a survivor re-sync exchange to the sim clock
-under a ``Trecover`` phase.  Values stay bit-identical to a fault-free run
-because the one program trace never depends on the shard layout; faults
-cost virtual time, never correctness.
+duplicated), restores every survivor's replicated vertex state, and
+charges the redistribution H2D, one checkpoint-restore H2D per survivor and
+a survivor re-sync exchange to the sim clock under a ``Trecover`` phase.
+Values stay bit-identical to a fault-free run because the one program trace
+never depends on the shard layout; faults cost virtual time, never
+correctness.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,11 +59,6 @@ from repro.gpusim.device import GPUSpec
 from repro.gpusim.events import fold_device_faults
 from repro.gpusim.fabric import Fabric, FabricSpec
 from repro.gpusim.faults import FaultInjector
-
-if TYPE_CHECKING:
-    # Imported lazily at runtime: repro.harness's package __init__ pulls in
-    # the engine registry, which imports this module.
-    from repro.harness.checkpoint import IterationCheckpoint
 
 __all__ = ["ShardedEngine", "DeviceLostError", "VALUE_DELTA_BYTES"]
 
@@ -198,10 +192,9 @@ class ShardedEngine(Engine):
         injector = fabric.faults
         if injector is None or not injector.plan.affects_devices:
             return
-        barrier = self._shard_checkpoint(graph, program, state)
         dead = self._handle_device_faults(fabric, injector)
         if dead:
-            self._recover(fabric, graph, program, state, dead, barrier)
+            self._recover(fabric, graph, program, state, dead)
 
     def _service_squeezes(self, gpu, graph, iteration) -> None:
         """Capacity squeezes are not applied fabric-wide (ROADMAP 5e)."""
@@ -268,36 +261,17 @@ class ShardedEngine(Engine):
                     result.extra[prefix + key] = float(per_device[dev][key])
 
     # ------------------------------------------------------- fault handling
-    def _shard_checkpoint(self, graph: CSRGraph, program: VertexProgram,
-                          state: ProgramState) -> "IterationCheckpoint":
-        """Snapshot the superstep barrier state plus per-shard layout.
+    def _shard_checkpoint(self) -> Dict[int, Tuple[int, int]]:
+        """Each live device's global edge range ``(e_lo, e_hi)``.
 
-        Taken at every barrier, before device health is sampled, so when a
-        death is detected the checkpoint is exactly the consistent state
-        every survivor already replicates — recovery restores placement and
-        charges traffic, it never needs to roll numeric state back (the
-        values are the program trace's).
+        Read at the barrier where a death is detected: the shards and the
+        superstep are still the consistent state every survivor
+        replicates, so recovery re-tiles from them live — nothing is
+        snapshotted, and no numeric state is ever rolled back (the values
+        are the program trace's).  ``bench_e2e/layers.py`` times it by name.
         """
-        from repro.harness.checkpoint import (IterationCheckpoint,
-                                              ShardCheckpoint)
-
-        return IterationCheckpoint(
-            engine=self.name,
-            algorithm=program.name,
-            graph_name=graph.name,
-            iteration=state.iteration,
-            active=state.active,
-            blob=b"",
-            shards=tuple(
-                ShardCheckpoint(
-                    device=d,
-                    e_lo=shard.e_lo,
-                    e_hi=shard.e_hi,
-                    restore_bytes=graph.vertex_state_bytes,
-                )
-                for shard, d in zip(self._shards, self._device_ids)
-            ),
-        )
+        return {d: (shard.e_lo, shard.e_hi)
+                for shard, d in zip(self._shards, self._device_ids)}
 
     def _handle_device_faults(self, fabric: Fabric,
                               injector: FaultInjector) -> List[int]:
@@ -324,7 +298,7 @@ class ShardedEngine(Engine):
 
     def _recover(self, fabric: Fabric, graph: CSRGraph,
                  program: VertexProgram, state: ProgramState,
-                 dead: List[int], checkpoint: "IterationCheckpoint") -> None:
+                 dead: List[int]) -> None:
         """Re-shard the dead devices' edge ranges across the survivors.
 
         All recovery work is attributed to a ``Trecover`` phase: a typed
@@ -342,7 +316,7 @@ class ShardedEngine(Engine):
                 f"all {len(self._device_ids)} device(s) failed at "
                 f"iteration {state.iteration}; nothing to recover onto"
             )
-        old_range = {s.device: (s.e_lo, s.e_hi) for s in checkpoint.shards}
+        old_range = self._shard_checkpoint()
         with fabric.phase("Trecover", iteration=state.iteration):
             now = fabric.clock.now
             for d in sorted(dead):
@@ -369,7 +343,7 @@ class ShardedEngine(Engine):
                 fabric.events.marker(
                     "ckpt-restore", f"dev{d}", fabric.clock.now, device=d,
                     extra=(("bytes", float(restore)),
-                           ("iteration", float(checkpoint.iteration))),
+                           ("iteration", float(state.iteration))),
                 )
                 new_inners.append(inner)
             # Survivors re-sync the in-flight frontier deltas among

@@ -59,16 +59,7 @@ class SubwayEngine(Engine):
         self.pipelined = pipelined
 
     def _prepare(self, gpu: SimulatedGPU, graph: CSRGraph, program: VertexProgram) -> None:
-        from repro.gpusim.memory import GPUOutOfMemory
-
-        self._alloc_retry(gpu, "vertex_state", self._vertex_state_bytes(graph))
-        budget = gpu.memory.available
-        if budget <= 0:
-            raise GPUOutOfMemory(
-                "no device memory left for the subgraph buffer",
-                name="subgraph_buffer", requested=1, available=budget,
-                capacity=gpu.memory.capacity, live=gpu.memory.live_allocations(),
-            )
+        budget = self._place_vertex_state(gpu, graph, "subgraph_buffer")
         if self.pipelined:
             # Two staging halves so one can fill while the other computes.
             allocs = [

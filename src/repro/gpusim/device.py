@@ -162,7 +162,8 @@ class SimulatedGPU(DeviceFacade):
     """One simulated device + host pair for one engine run.
 
     ``charge_scale`` reconciles scaled datasets with real time constants:
-    experiments run on graphs scaled down by ``s`` (1/1000 by default) with
+    experiments run on graphs scaled down by ``s``
+    (:data:`~repro.harness.experiments.BENCH_SCALE` by default) with
     device memory scaled identically, but latencies and bandwidths are
     physical.  Charging a transfer of ``n`` scaled bytes as ``n / s``
     paper-scale bytes keeps every fixed-cost : streaming-cost ratio — and

@@ -25,12 +25,11 @@ from __future__ import annotations
 import os
 import pickle
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-__all__ = ["IterationCheckpoint", "ShardCheckpoint", "CheckpointStore",
-           "CheckpointWriter"]
+__all__ = ["IterationCheckpoint", "CheckpointStore", "CheckpointWriter"]
 
 #: Bumped when the on-disk layout changes — the blob pickles engine
 #: attributes, so that includes their layout; mismatched files load as None.
@@ -61,26 +60,10 @@ __all__ = ["IterationCheckpoint", "ShardCheckpoint", "CheckpointStore",
 #: 9: ``LaneStats`` keeps only ``busy_seconds`` and ``n_ops`` (a version-8
 #: blob would restore lane stats still carrying ``first_start`` /
 #: ``last_end``, which no fold maintains any more).
-CHECKPOINT_VERSION = 9
-
-
-@dataclass(frozen=True)
-class ShardCheckpoint:
-    """One device's slice of a sharded superstep snapshot.
-
-    The sharded engine keeps one of these per device alongside the global
-    :class:`IterationCheckpoint`: the shard's global edge range (so a
-    recovery can re-tile the dead device's range across survivors) and the
-    scaled bytes re-placing this shard's replicated vertex state costs on
-    restore.  ``payload`` is an opaque per-shard blob for engine-specific
-    restore data.
-    """
-
-    device: int
-    e_lo: int
-    e_hi: int
-    restore_bytes: int
-    payload: bytes = b""
+#: 10: ``IterationCheckpoint`` lost ``shards`` and ``ShardCheckpoint`` is
+#: gone: a sharded recovery reads the live shard ranges (a version-9 file
+#: would unpickle a checkpoint carrying a dead ``shards`` attribute).
+CHECKPOINT_VERSION = 10
 
 
 @dataclass(frozen=True)
@@ -93,10 +76,6 @@ class IterationCheckpoint:
     :meth:`~repro.engines.base.Engine.snapshot_state`, from which the run
     is actually resumed — by every engine, Sharded included, whose blob
     holds the whole fabric, the shards and the per-device inner engines.
-    ``shards`` is filled only on the in-memory barrier snapshot a sharded
-    run takes each superstep under a device-fault plan: the per-device
-    :class:`ShardCheckpoint` payloads its device-loss recovery re-tiles
-    from.  That snapshot is never written to disk and has an empty ``blob``.
     """
 
     engine: str
@@ -105,7 +84,6 @@ class IterationCheckpoint:
     iteration: int
     active: np.ndarray
     blob: bytes
-    shards: Tuple[ShardCheckpoint, ...] = ()
 
 
 class CheckpointStore:

@@ -140,28 +140,25 @@ class Router:
        the fleet.
 
     The router also keeps per-device **circuit-breaker** state for chaos
-    runs: ``breaker_threshold`` consecutive failed dispatches open a
+    runs: :attr:`BREAKER_THRESHOLD` consecutive failed dispatches open a
     device's breaker (:meth:`note_failure`), after which :meth:`usable`
-    reports it unroutable until ``probe_interval`` sim-seconds have passed
-    — the half-open probe.  A completed dispatch (:meth:`note_success`)
-    closes the breaker and clears the failure count.  All state advances
-    on the deterministic serve clock, never wall time.
+    reports it unroutable until :attr:`PROBE_INTERVAL` sim-seconds have
+    passed — the half-open probe.  A completed dispatch
+    (:meth:`note_success`) closes the breaker and clears the failure count.
+    All state advances on the deterministic serve clock, never wall time.
     """
 
+    #: Consecutive failed dispatches that open a device's breaker.
+    BREAKER_THRESHOLD = 2
+    #: Sim-seconds an open breaker waits before its half-open probe.
+    PROBE_INTERVAL = 5.0
+
     def __init__(self, spec: FabricSpec,
-                 shard_over: Optional[float] = None,
-                 breaker_threshold: int = 2,
-                 probe_interval: float = 5.0) -> None:
+                 shard_over: Optional[float] = None) -> None:
         self.spec = spec
         if shard_over is not None and shard_over <= 0:
             raise ValueError("shard_over must be positive (or None)")
-        if breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1")
-        if probe_interval <= 0:
-            raise ValueError("probe_interval must be positive")
         self.shard_over = shard_over
-        self.breaker_threshold = breaker_threshold
-        self.probe_interval = probe_interval
         self._failures: Dict[int, int] = {}
         self._open_at: Dict[int, float] = {}
 
@@ -171,7 +168,7 @@ class Router:
         opens the device's breaker."""
         self._failures[device] = self._failures.get(device, 0) + 1
         if device not in self._open_at \
-                and self._failures[device] >= self.breaker_threshold:
+                and self._failures[device] >= self.BREAKER_THRESHOLD:
             self._open_at[device] = t
             return True
         return False
@@ -188,7 +185,7 @@ class Router:
         opened = self._open_at.get(device)
         if opened is None:
             return True
-        return t >= opened + self.probe_interval
+        return t >= opened + self.PROBE_INTERVAL
 
     def capacity(self, default_memory_bytes: int) -> int:
         """The largest single-device capacity in the fabric (scaled bytes)."""

@@ -9,6 +9,14 @@ relaxation applied to its own row by filtering the shared expansion on that
 row's frontier.  The ``step`` bodies are the deleted ones, verbatim; the
 state keeps its own ``edges_relaxed`` counter, which
 ``tests/test_hot_path_set_pins.py`` hashes.
+
+Oracle table — name, kind (``spec`` or ``snapshot``), and the code a
+snapshot was moved from::
+
+    BatchedState  snapshot  serve/batching.py (deleted)
+    BatchedBFS    snapshot  serve/batching.py (deleted)
+    BatchedSSSP   snapshot  serve/batching.py (deleted)
+    make_oracle   snapshot  serve/batching.py (deleted)
 """
 
 from __future__ import annotations

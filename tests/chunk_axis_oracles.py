@@ -6,6 +6,13 @@ segments (ROADMAP "Independent checks": twins kept only as oracles live in
 ``tests/``).  One entry per chunk, no run-length reasoning anywhere — the
 properties in ``test_chunk_axis_properties.py`` hold the segment code to
 them.  Do not optimise: being obviously right is their only job.
+
+Oracle table — name, kind (``spec`` or ``snapshot``), and the code a
+snapshot was moved from::
+
+    dense_touch_counts  spec
+    DenseHotnessTable   spec
+    dense_hybrid_plan   spec
 """
 
 from __future__ import annotations

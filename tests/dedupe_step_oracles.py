@@ -5,6 +5,12 @@ scattering the raw destination ids into a boolean mask (duplicates write the
 same constant).  They used to ``np.unique`` the ids first; that form lives
 on here as the oracle: :func:`dedupe_relax` is one superstep of one program
 on plain arrays, expansion rebuilt from scratch (no ``FrontierCache``).
+
+Oracle table — name, kind (``spec`` or ``snapshot``), and the code a
+snapshot was moved from::
+
+    dedupe_relax                       snapshot  four step bodies (deleted)
+    has_parallel_edges_and_self_loops  spec
 """
 
 import numpy as np

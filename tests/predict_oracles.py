@@ -8,6 +8,14 @@ engines implement the policies they claim, and a planning tool for users
 ("how much would policy X move on my workload?").
 
 All predictions are in charged (paper-scale) bytes, like engine metrics.
+
+Oracle table — name, kind (``spec`` or ``snapshot``), and the code a
+snapshot was moved from::
+
+    ActiveTrace           snapshot  analysis/predict.py (moved)
+    record_active_trace   snapshot  analysis/predict.py (moved)
+    predict_pt_bytes      snapshot  analysis/predict.py (moved)
+    predict_subway_bytes  snapshot  analysis/predict.py (moved)
 """
 
 from __future__ import annotations

@@ -3,6 +3,12 @@
 Kept out of ``src/`` on purpose: ``repro.gpusim.rounds`` splits volumes in
 closed form and charges long chains in aggregate; these are the obvious
 one-round-at-a-time versions the tests hold it to.
+
+Oracle table — name, kind (``spec`` or ``snapshot``), and the code a
+snapshot was moved from::
+
+    iterative_split   spec
+    round_chain_loop  spec
 """
 
 

@@ -7,6 +7,12 @@ edge slices), so ``tests/test_subgraph.py`` can cross-validate the
 accounting against real bytes.
 
 Everything is vectorized; extraction is O(active edges).
+
+Oracle table — name, kind (``spec`` or ``snapshot``), and the code a
+snapshot was moved from::
+
+    SubCSR            snapshot  graph/subgraph.py (moved)
+    extract_subgraph  snapshot  graph/subgraph.py (moved)
 """
 
 from __future__ import annotations

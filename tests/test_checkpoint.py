@@ -17,7 +17,6 @@ from repro.harness.checkpoint import (
 from repro.harness.experiments import make_workload, run_cell, run_workload
 from repro.runner import RunSpec, run_grid
 
-from event_log_oracles import rows
 
 SCALE = 5e-5
 
@@ -35,9 +34,8 @@ def _fingerprint(result):
         tuple(sorted(result.metrics.as_dict().items())),
         tuple(tuple(sorted(r.__dict__.items())) for r in result.per_iteration),
         tuple(sorted(result.extra.items())),
-        None if result.event_log is None else tuple(
-            tuple(sorted(e.to_dict().items(), key=lambda kv: kv[0]))
-            for e in rows(result.event_log.events)),
+        None if result.event_log is None
+        else result.event_log.events.to_dicts(),
     )
 
 

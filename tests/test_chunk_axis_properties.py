@@ -186,7 +186,7 @@ class TestRegionKeepsFragmentsCurrent:
                 room = region.free_chunks + out.size
                 region.swap(out, rng.permutation(absent)[:room])
             elif op == "top_up":
-                region.top_up(int(rng.integers(0, 2 * fragment + 1)))
+                region.top_up()
             elif op == "shrink":  # also grows: capacity up to 1.5x
                 region.shrink_to(int(region.capacity_chunks * chunk_bytes
                                      * 1.5 * rng.random()))

@@ -5,8 +5,9 @@ The manager's lean-mode fast paths fold whole op columns through
 instead of replaying one row per op.  Nothing downstream may be able to
 tell: the folded :class:`Metrics` (float accumulation order included), the
 per-lane stats, and — in recorded mode — the retained rows must equal
-per-op emission bit for bit.  These tests pin that at the
-unit level and through full engine runs (Ascetic, Hybrid, and a 4-device
+per-op emission bit for bit.  ``tests/test_event_columns.py`` states the
+rows and folds of each door; these tests pin long recorded batches, the
+batch door's errors, and full engine runs (Ascetic, Hybrid, and a 4-device
 Sharded fabric), where lean and recorded executions must produce identical
 result payloads.
 """
@@ -22,64 +23,20 @@ from repro.algorithms import make_program
 from repro.core.ascetic import AsceticEngine
 from repro.engines.hybrid import HybridEngine
 from repro.engines.sharded import ShardedEngine
-from repro.gpusim.events import COUNTER_FIELDS, EventLog
+from repro.gpusim.events import EventLog
 from repro.graph.properties import best_source
 from repro.harness.persistence import result_to_payload
 
 from conftest import TEST_SCALE, make_spec_for
-from event_log_oracles import SimEvent
 
 
-def _ops_strategy():
-    """Random op columns: sorted starts, non-negative durations, counters."""
-    return st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=10.0,
-                      allow_nan=False, allow_infinity=False),
-            st.floats(min_value=0.0, max_value=1.0,
-                      allow_nan=False, allow_infinity=False),
-            st.integers(min_value=0, max_value=1 << 30),
-            st.floats(min_value=0.0, max_value=0.5,
-                      allow_nan=False, allow_infinity=False),
-        ),
-        min_size=1, max_size=40,
-    )
-
-
-def _columns(ops):
-    starts = np.array([s for s, _, _, _ in ops], dtype=np.float64)
-    ends = starts + np.array([d for _, d, _, _ in ops], dtype=np.float64)
-    byte_col = np.array([b for _, _, b, _ in ops], dtype=np.int64)
-    retry_col = np.array([r for _, _, _, r in ops], dtype=np.float64)
-    return starts, ends, byte_col, retry_col
-
-
-def _lane_stats_dict(log):
-    return {
-        key: (s.busy_seconds, s.n_ops)
-        for key, s in log.lane_stats.items()
-    }
+#: Random ops: a start, a non-negative duration and a counter value each.
+OPS = st.lists(st.tuples(st.floats(0.0, 10.0, allow_nan=False),
+                         st.floats(0.0, 1.0, allow_nan=False),
+                         st.integers(0, 1 << 30)), min_size=1, max_size=40)
 
 
 class TestEmitOp:
-    @given(ops=_ops_strategy())
-    def test_lean_fold_matches_per_event_emission(self, ops):
-        """emit_op folds exactly like replaying the same row."""
-        by_op, by_event = EventLog(record=False), EventLog(record=False)
-        by_op.current_phase = by_event.current_phase = "Tfilling"
-        starts, ends, byte_col, retry_col = _columns(ops)
-        for i in range(starts.size):
-            counters = {"bytes_h2d": int(byte_col[i]),
-                        "retry_seconds": float(retry_col[i])}
-            by_op.emit_op("copy", "h2d", "x", float(starts[i]),
-                          float(ends[i]), counters=counters, device=2)
-            by_event.emit_row(SimEvent(
-                lane="copy", kind="h2d", label="x",
-                start=float(starts[i]), end=float(ends[i]),
-                phase="Tfilling", device=2, **counters).to_dict())
-        assert by_op.metrics.as_dict() == by_event.metrics.as_dict()
-        assert _lane_stats_dict(by_op) == _lane_stats_dict(by_event)
-
     def test_unknown_counter_rejected(self):
         log = EventLog(record=False)
         with pytest.raises(TypeError):
@@ -88,41 +45,20 @@ class TestEmitOp:
 
 
 class TestEmitBatch:
-    @given(ops=_ops_strategy())
-    def test_lean_batch_equals_op_sequence_bitwise(self, ops):
-        """One emit_batch == the same rows through emit_op, bit for bit.
-
-        Float accumulators (phase seconds, lane busy time, retry seconds)
-        must be added in row order — a pairwise np.sum would drift in the
-        last ulp, which `==` here would catch.
-        """
-        batched, looped = EventLog(record=False), EventLog(record=False)
-        batched.current_phase = looped.current_phase = "Ttransfer"
-        starts, ends, byte_col, retry_col = _columns(ops)
-        batched.emit_batch("copy", "h2d", "od-transfer", starts, ends,
-                           counters={"bytes_h2d": byte_col,
-                                     "retry_seconds": retry_col})
-        for i in range(starts.size):
-            looped.emit_op("copy", "h2d", "od-transfer",
-                           float(starts[i]), float(ends[i]),
-                           counters={"bytes_h2d": int(byte_col[i]),
-                                     "retry_seconds": float(retry_col[i])})
-        assert batched.metrics.as_dict() == looped.metrics.as_dict()
-        assert _lane_stats_dict(batched) == _lane_stats_dict(looped)
-
-    @given(ops=_ops_strategy())
+    @given(ops=OPS)
     def test_recorded_batch_materializes_identical_events(self, ops):
+        starts = np.array([start for start, _, _ in ops])
+        ends = starts + np.array([dur for _, dur, _ in ops])
+        edges = np.array([n for _, _, n in ops], dtype=np.int64)
         batched, looped = EventLog(record=True), EventLog(record=True)
-        batched.current_phase = looped.current_phase = "Tondemand"
-        batched.current_iteration = looped.current_iteration = 3
-        starts, ends, byte_col, _ = _columns(ops)
+        for log in (batched, looped):
+            log.current_phase, log.current_iteration = "Tondemand", 3
         batched.emit_batch("gpu", "kernel", "od-compute", starts, ends,
-                           counters={"edges_processed": byte_col}, device=1)
-        for i in range(starts.size):
-            looped.emit_op("gpu", "kernel", "od-compute",
-                           float(starts[i]), float(ends[i]),
-                           counters={"edges_processed": int(byte_col[i])},
-                           device=1)
+                           counters={"edges_processed": edges}, device=1)
+        for start, end, n in zip(starts.tolist(), ends.tolist(),
+                                 edges.tolist()):
+            looped.emit_op("gpu", "kernel", "od-compute", start, end,
+                           counters={"edges_processed": n}, device=1)
         assert json.dumps(batched.events.to_dicts()) == json.dumps(
             looped.events.to_dicts())
         assert batched.metrics.as_dict() == looped.metrics.as_dict()

@@ -1,14 +1,13 @@
-"""The columnar event log against its object-per-row oracle.
+"""The columnar event log against its specification.
 
 ``EventLog`` folds every emit into ``Metrics`` / ``LaneStats`` and, when
 recording, appends the row to typed columns (``EventColumns``); every reader
-is a fold over those columns, and the columns are the only form a log takes
-under ``src/``.  ``tests/event_log_oracles.py`` keeps the code this replaced
-— one ``SimEvent`` per row, Python loops over a list — and hypothesis drives
-both with the same random emission sequences through every door.  Nothing
-may be able to tell them apart: counters, order-sensitive float sums,
-retained rows, their JSON (an ``int`` stays an ``int``), the Chrome-trace
-bytes, and which corrupted logs ``validate_log`` rejects with which message.
+is a fold over those columns.  Hypothesis drives the log through every door
+with random emission sequences: each door must append the decoded rows
+:func:`door_rows` states, and every reader must return what
+``tests/event_log_oracles.py`` specifies over those rows — counters,
+order-sensitive float sums, idle attribution, the Chrome-trace records, and
+which row ``validate_log`` rejects.
 
 Times are generated as floats only: the columns store them as C doubles, so
 an ``int`` time would come back as the equal ``float``.
@@ -16,6 +15,7 @@ an ``int`` time would come back as the equal ``float``.
 
 import json
 import pickle
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +24,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.traces import chrome_trace_events
 from repro.gpusim import events as ev
-from repro.gpusim.events import (REQUEST_KINDS, EventColumns, EventLog,
-                                 EventLogError)
+from repro.gpusim.events import (COUNTER_FIELDS, REQUEST_KINDS, EventColumns,
+                                 EventLog, EventLogError)
 from repro.gpusim.fabric import fold_exchange_bytes
 from repro.serve.slo import _DEGRADED_KINDS, canonical_json, fold_slo
 
-import event_log_oracles as oracle
-from event_log_oracles import SimEvent
+import event_log_oracles as spec
+from event_log_oracles import SimEvent, columns, rows
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -86,11 +86,17 @@ def blocks(draw):
     return labels, keys, cols
 
 
-def _sim_event(lane, kind, label, start, dur, context, device, counts, extra):
+def _row_dict(lane, kind, label, start, dur, context, device, counts, extra):
     # Lane-less rows with width and rows running backwards are legal here:
     # emit_row() replays what it is given, validate_log is what rejects them.
-    return SimEvent(lane, kind, label, start, start + dur, context[0],
-                    context[1], device, extra=extra, **counts)
+    row = {"lane": lane, "kind": kind, "label": label, "start": start,
+           "end": start + dur, **counts}
+    row.update((key, value) for key, value in zip(
+        ("phase", "iteration", "device"), (*context, device))
+        if value is not None)
+    if extra:
+        row["extra"] = [list(pair) for pair in extra]
+    return row
 
 
 steps = st.one_of(
@@ -106,7 +112,7 @@ steps = st.one_of(
               st.sampled_from(KINDS), st.sampled_from(LABELS), batches(),
               devices),
     st.tuples(st.just("emit_row"), st.builds(
-        _sim_event, st.sampled_from(("",) + LANES), st.sampled_from(KINDS),
+        _row_dict, st.sampled_from(("",) + LANES), st.sampled_from(KINDS),
         st.sampled_from(LABELS), times,
         st.floats(-1.0, 2.0, allow_nan=False), contexts, devices,
         counters, extras)),
@@ -136,90 +142,154 @@ def drive(log, sequence):
                            counters={k: np.array(v) for k, v in cols.items()},
                            device=device)
         else:
-            log.emit_row(args[0].to_dict())
+            log.emit_row(args[0])
     return log
 
 
+def _row(lane, device, kind, label, phase, iteration, start, end,
+         counts=None, extra=()):
+    """One decoded row: the non-zero counters in ``COUNTER_FIELDS`` order,
+    each ``extra`` pair split into a key tuple and a value tuple."""
+    kept = [(name, counts[name]) for name in COUNTER_FIELDS
+            if (counts or {}).get(name)]
+    return ((lane, device), kind, label, phase, iteration, start, end,
+            *(tuple(zip(*kept)) or ((), ())),
+            *(tuple(zip(*extra)) or ((), ())))
+
+
+def door_rows(step, phase, iteration):
+    """The rows one step's door appends, under the context in force."""
+    op, *args = step
+    if op == "emit_op":
+        lane, kind, label, start, dur, counts, extra, device = args
+        return [_row(lane, device, kind, label, phase, iteration, start,
+                     start + dur, counts, extra)]
+    if op == "marker":
+        kind, label, t, counts, extra, device = args
+        return [_row("", device, kind, label, phase, iteration, t, t, counts,
+                     extra)]
+    if op == "marker_block":  # row i: marker(labels[i], extra: column i)
+        kind, (labels, keys, cols), t, device = args
+        return [_row("", device, kind, label, phase, iteration, t, t,
+                     extra=tuple(zip(keys, values)))
+                for label, values in zip(labels,
+                                         zip(*cols) if cols else repeat(()))]
+    if op == "emit_batch":  # row i: emit_op(starts[i], ends[i], counters i)
+        lane, kind, label, (starts, ends, cols), device = args
+        return [_row(lane, device, kind, label, phase, iteration, start, end,
+                     {name: col[i] for name, col in cols.items()})
+                for i, (start, end) in enumerate(zip(starts, ends))]
+    (data,) = args  # emit_row: the row as given, its own context
+    return [_row(data["lane"], data.get("device"), data["kind"],
+                 data["label"], data.get("phase"), data.get("iteration"),
+                 data["start"], data["end"], data,
+                 tuple(map(tuple, data.get("extra", ()))))]
+
+
+def expected_rows(sequence):
+    phase = iteration = None
+    out = []
+    for step in sequence:
+        if step[0] == "context":
+            phase, iteration = step[1]
+        else:
+            out += door_rows(step, phase, iteration)
+    return out
+
+
+def folds(metrics, lane_stats):
+    return (metrics.as_dict(), list(metrics.phase_seconds.items()),
+            {key: (s.busy_seconds, s.n_ops) for key, s in lane_stats.items()})
+
+
 def folds_of(log):
-    return (log.metrics.as_dict(), list(log.metrics.phase_seconds.items()),
-            {key: (s.busy_seconds, s.n_ops)
-             for key, s in log.lane_stats.items()})
+    return folds(log.metrics, log.lane_stats)
 
 
-def outcome(call):
-    """What a validator did: its re-fold, or the error it raised."""
-    try:
-        return folds_of_metrics(call())
-    except EventLogError as exc:
-        return str(exc)
+def spec_folds(events):
+    return folds(spec.fold_metrics(events), spec.fold_lane_stats(events))
 
 
 def folds_of_metrics(metrics):
     return metrics.as_dict(), list(metrics.phase_seconds.items())
 
 
+def check_validate_log(log, events, horizon):
+    """``validate_log`` rejects the row the spec names, or re-folds."""
+    offence = spec.first_offence(events, horizon)
+    if offence is None:
+        assert folds_of_metrics(ev.validate_log(log, horizon=horizon)) == \
+            folds_of_metrics(spec.fold_metrics(events))
+        return
+    i, reason = offence
+    with pytest.raises(EventLogError) as exc:
+        ev.validate_log(log, horizon=horizon)
+    message = str(exc.value)
+    assert message.startswith(f"event #{i} ({events[i].kind} "
+                              f"{events[i].label!r}): ") and reason in message
+
+
 @settings(max_examples=150, deadline=None)
 @given(sequence=st.lists(steps, max_size=25),
        horizon=st.one_of(st.none(), times))
-def test_columnar_log_is_indistinguishable_from_the_oracle(sequence, horizon):
+def test_every_door_and_reader_meets_its_spec(sequence, horizon):
     log = drive(EventLog(record=True), sequence)
     lean = drive(EventLog(record=False), sequence)
-    ref = drive(oracle.OracleLog(), sequence)
 
-    # The one emit-time fold, in both modes.
-    assert folds_of(log) == folds_of(lean) == folds_of(ref)
+    # Each door's rows, with their types (an ``int`` stays an ``int``).
+    assert json.dumps(list(log.events.rows())) == json.dumps(
+        expected_rows(sequence))
     assert len(lean.events) == 0
+    events = rows(log.events)
+    # The one emit-time fold, in both modes.
+    assert folds_of(log) == folds_of(lean) == spec_folds(events)
 
-    # Retained rows, their JSON, and the Chrome-trace bytes.
-    assert oracle.rows(log.events) == ref.events
-    assert json.dumps(log.events.to_dicts()) == json.dumps(
-        [e.to_dict() for e in ref.events])
-    assert json.dumps(chrome_trace_events(log)) == json.dumps(
-        oracle.chrome_trace_events(ref.events))
-
-    # Every reader, on the log's columns and on the oracle's rows loaded
-    # into a fresh store.
-    for rows in (log.events, oracle.columns(ref.events)):
-        assert folds_of_metrics(ev.fold_metrics(rows)) == folds_of_metrics(
-            oracle.fold_metrics(ref.events))
-        assert ev.fold_lane_stats(rows) == oracle.fold_lane_stats(ref.events)
-        assert ev.fold_spans(rows) == oracle.fold_spans(ref.events)
-        assert ev.fold_device_faults(rows) == oracle.fold_device_faults(
-            ref.events)
-        mine = ev.fold_device_metrics(rows)
-        theirs = oracle.fold_device_metrics(ref.events)
+    # Every reader, on the log's columns and on its rows planted afresh.
+    for cols in (log.events, columns(events)):
+        assert folds_of_metrics(ev.fold_metrics(cols)) == folds_of_metrics(
+            spec.fold_metrics(events))
+        assert ev.fold_lane_stats(cols) == spec.fold_lane_stats(events)
+        assert ev.fold_spans(cols) == spec.fold_spans(events)
+        assert ev.fold_device_faults(cols) == spec.fold_device_faults(events)
+        mine = ev.fold_device_metrics(cols)
+        theirs = spec.fold_device_metrics(events)
         assert list(mine) == list(theirs)
         assert all(folds_of_metrics(mine[d]) == folds_of_metrics(theirs[d])
                    for d in theirs)
     for lane in ("gpu", "copy@1", "nope"):
         for h in (0.0, 3.5, 20.0):
             got = ev.idle_breakdown(log, lane, h)
-            want = oracle.idle_breakdown(ref, lane, h)
+            want = spec.idle_breakdown(events, lane, h)
             assert got == want and repr(got) == repr(want)
-
-    # Same verdict, same words, from validate_log.
-    assert outcome(lambda: ev.validate_log(log, horizon=horizon)) == outcome(
-        lambda: oracle.validate_log(ref, horizon=horizon))
+    spec.check_chrome_trace(events, chrome_trace_events(log))
+    check_validate_log(log, events, horizon)
 
 
 @settings(max_examples=60, deadline=None)
 @given(ops=st.lists(st.tuples(times, durations, durations),
                     min_size=20, max_size=120))
 def test_float_sums_keep_row_order(ops):
-    """Long single-phase, single-lane columns: a pairwise (``np.sum``)
-    reduction drifts from the row-by-row sum in the last ulp here."""
-    log, ref = EventLog(record=True), oracle.OracleLog()
-    for target in (log, ref):
-        target.current_phase = "Ttransfer"
-        for start, dur, retry in ops:
-            target.emit_op("copy", "h2d-fault", "x", start, start + dur,
-                           counters={"retry_seconds": retry})
-    assert folds_of(log) == folds_of(ref)
+    """Long single-phase, single-lane columns, op by op and as one lean
+    batch: a pairwise (``np.sum``) reduction drifts from the row-by-row sum
+    in the last ulp here."""
+    starts = [start for start, _, _ in ops]
+    ends = [start + dur for start, dur, _ in ops]
+    retries = [retry for _, _, retry in ops]
+    log, batched = EventLog(record=True), EventLog()
+    log.current_phase = batched.current_phase = "Ttransfer"
+    for start, end, retry in zip(starts, ends, retries):
+        log.emit_op("copy", "h2d-fault", "x", start, end,
+                    counters={"retry_seconds": retry})
+    batched.emit_batch("copy", "h2d-fault", "x", np.array(starts),
+                       np.array(ends),
+                       counters={"retry_seconds": np.array(retries)})
+    events = rows(log.events)
+    assert folds_of(log) == folds_of(batched) == spec_folds(events)
     assert folds_of_metrics(ev.fold_metrics(log.events)) == folds_of_metrics(
-        oracle.fold_metrics(ref.events))
-    assert ev.fold_lane_stats(log.events) == oracle.fold_lane_stats(ref.events)
-    assert ev.idle_breakdown(log, "copy", 6.0) == oracle.idle_breakdown(
-        ref, "copy", 6.0)
+        spec.fold_metrics(events))
+    assert ev.fold_lane_stats(log.events) == spec.fold_lane_stats(events)
+    assert ev.idle_breakdown(log, "copy", 6.0) == spec.idle_breakdown(
+        events, "copy", 6.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -260,19 +330,48 @@ def serve_rows(draw):
                     extra=extra)
 
 
+@st.composite
+def served_logs(draw):
+    """What random rows rarely assemble, shuffled: up to a dozen whole
+    lifecycles, fabric-wide dispatches, overlapping outages, exchanges."""
+    log = []
+    for rid in range(draw(st.integers(0, 12))):
+        t, x = draw(times), (("request", float(rid)),
+                             ("deadline", draw(st.sampled_from((-1.0, 4.0)))))
+        for kind in ("request-arrive", "request-start", "request-complete"):
+            log.append(SimEvent("", kind, draw(st.sampled_from(SERVE_LABELS)),
+                                t, t, extra=x))
+            t += draw(durations)
+    for _ in range(draw(st.integers(0, 8))):
+        t = draw(times)
+        kind = draw(st.sampled_from(("dispatch", "device-down", "device-up",
+                                     "d2d")))
+        extra = ()
+        if kind == "d2d":
+            extra = (("bytes", draw(durations) * 1e3),)
+        elif kind == "dispatch":
+            extra = (("device", draw(st.sampled_from((-1.0, 0.0, 1.0)))),
+                     ("devices", float(draw(st.integers(1, 3)))),
+                     ("service", draw(durations)),
+                     ("exchange_bytes", draw(durations)))
+        log.append(SimEvent("link" if kind == "d2d" else "", kind, "", t, t,
+                            extra=extra,
+                            device=draw(st.sampled_from((None, 0, 1)))))
+    return draw(st.permutations(log))
+
+
 @settings(max_examples=150, deadline=None)
-@given(events=st.lists(serve_rows(), max_size=30),
+@given(events=st.lists(serve_rows(), max_size=30) | served_logs(),
        horizon=st.one_of(st.none(), times))
-def test_serving_folds_are_indistinguishable_from_the_oracle(events,
-                                                             horizon):
+def test_serving_folds_meet_their_spec(events, horizon):
     """``fold_slo`` and ``fold_exchange_bytes`` read columns through a kind
-    mask; the row loops they replaced must not be able to tell — torn
-    lifecycles, out-of-order markers and faults past the horizon included."""
-    cols = oracle.columns(events)
+    mask; they must return what the spec states — torn lifecycles,
+    out-of-order markers and faults past the horizon included."""
+    cols = columns(events)
     assert canonical_json(fold_slo(cols, horizon)) == canonical_json(
-        oracle.fold_slo(events, horizon))
+        spec.fold_slo(events, horizon))
     mine = fold_exchange_bytes(cols)
-    theirs = oracle.fold_exchange_bytes(events)
+    theirs = spec.fold_exchange_bytes(events)
     assert list(mine.items()) == list(theirs.items())
 
 
@@ -387,18 +486,18 @@ class TestRowView:
     def test_reads_like_the_list_it_replaces(self):
         cols = self.rows()
         assert len(cols) == 4 and cols
-        rows = oracle.rows(cols)
-        assert rows[0] == SimEvent(
+        got = rows(cols)
+        assert got[0] == SimEvent(
             "gpu", "kernel", "k", 0.0, 1.0, phase="Tsr", iteration=2,
             kernel_launches=1, edges_processed=7)
-        assert rows[-1].device == 3 and rows[-1].extra == (("requested", 4096),)
-        assert [e.label for e in rows[1:3]] == ["resident", "gather"]
-        assert rows[2].extra == (("chunk_lo", 4.0), ("n", 2.0))
+        assert got[-1].device == 3 and got[-1].extra == (("requested", 4096),)
+        assert [e.label for e in got[1:3]] == ["resident", "gather"]
+        assert got[2].extra == (("chunk_lo", 4.0), ("n", 2.0))
         # A mask's row numbers decode just those rows, in order.
         assert [row[2] for row in cols.rows([1, 3])] == ["resident",
                                                          "static_region"]
         assert list(cols.rows([])) == []
-        assert json.dumps(oracle.columns(rows).to_dicts()) == json.dumps(
+        assert json.dumps(columns(got).to_dicts()) == json.dumps(
             cols.to_dicts())
 
     def test_an_int_stays_an_int_in_the_json(self):

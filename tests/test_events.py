@@ -28,6 +28,7 @@ from repro.gpusim.stream import Lane
 
 from conftest import TEST_SCALE, make_spec_for
 from event_log_oracles import SimEvent, columns, rows
+from event_log_oracles import fold_metrics as specified_fold
 
 ALL_ENGINES = [PartitionEngine, UVMEngine, SubwayEngine, AsceticEngine]
 
@@ -48,16 +49,18 @@ class TestSimEvent:
         e = ev(lane="copy", kind="h2d", label="part3", start=0.5, end=1.25,
                phase="Ttransfer", iteration=4, bytes_h2d=1024,
                h2d_transfers=1, extra=(("note", 2.0),))
-        assert SimEvent.from_dict(e.to_dict()) == e
+        log = EventLog(record=True)
+        log.emit_row(columns([e]).to_dicts()[0])
+        assert rows(log.events) == [e]
 
     def test_dict_omits_defaults(self):
-        d = ev().to_dict()
+        (d,) = columns([ev()]).to_dicts()
         assert set(d) == {"lane", "kind", "label", "start", "end"}
 
     def test_from_dict_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            SimEvent.from_dict({"lane": "gpu", "kind": "op", "label": "",
-                                "start": 0.0, "end": 1.0, "bogus": 7})
+        with pytest.raises(ValueError, match="bogus"):
+            EventLog().emit_row({"lane": "gpu", "kind": "op", "label": "",
+                                 "start": 0.0, "end": 1.0, "bogus": 7})
 
 
 class TestFolds:
@@ -173,8 +176,8 @@ class TestPhaseContext:
 class TestValidator:
     def make_log(self, *events):
         log = EventLog(record=True)
-        for e in events:
-            log.emit_row(e.to_dict())
+        for row in columns(events).to_dicts():
+            log.emit_row(row)
         return log
 
     def test_valid_log_returns_fold(self):
@@ -295,12 +298,9 @@ class TestCrossEngineConsistency:
     def test_phase_span_sums_equal_phase_seconds(self, engine_cls, algo,
                                                  small_social):
         res = self.run(engine_cls, algo, small_social)
-        sums = {}
-        for e in rows(res.event_log.events):
-            if e.phase is not None and e.end > e.start:
-                sums[e.phase] = sums.get(e.phase, 0.0) + (e.end - e.start)
-        # Same events, same order, same additions → bit-identical sums.
-        assert sums == dict(res.metrics.phase_seconds)
+        # Same rows, same order, same additions → bit-identical sums.
+        sums = specified_fold(rows(res.event_log.events)).phase_seconds
+        assert dict(sums) == dict(res.metrics.phase_seconds)
 
     def test_lane_busy_equals_event_sums(self, engine_cls, algo, small_social):
         res = self.run(engine_cls, algo, small_social)

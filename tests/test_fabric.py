@@ -14,7 +14,7 @@ from repro.gpusim.fabric import (
     fold_exchange_bytes,
 )
 
-from event_log_oracles import lane_key, rows
+from event_log_oracles import rows
 
 
 class TestFabricSpec:
@@ -204,7 +204,7 @@ class TestFabric:
         assert end > 0
         (e,) = [e for e in rows(fab.events.events) if e.kind == "d2d"]
         assert e.device == 0  # the sender's port
-        assert lane_key(e) == "link@0"
+        assert e.lane_key == "link@0"
         assert dict(e.extra)["bytes"] == 10_000.0
         assert dict(e.extra)["dst"] == 1.0
         assert fab.exchange_bytes == 10_000

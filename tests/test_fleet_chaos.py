@@ -51,7 +51,6 @@ from repro.harness.experiments import make_workload, run_workload
 from repro.harness.persistence import result_to_payload
 from repro.serve import (
     SLO_SCHEMA,
-    FleetConfig,
     Router,
     fleet_quick_config,
     run_fleet_test,
@@ -286,9 +285,8 @@ class TestFabricHealth:
 
 
 class TestRouterBreaker:
-    def make(self, threshold=2, probe=5.0):
-        return Router(FabricSpec(n_devices=4), breaker_threshold=threshold,
-                      probe_interval=probe)
+    def make(self):
+        return Router(FabricSpec(n_devices=4))
 
     def test_opens_at_threshold(self):
         router = self.make()
@@ -313,10 +311,10 @@ class TestRouterBreaker:
         assert not router.note_failure(1, t=3.0)
 
     def test_validates_knobs(self):
+        # The breaker's threshold and probe interval are constants; the
+        # shard threshold is the one knob a caller sets.
         with pytest.raises(ValueError):
-            self.make(threshold=0)
-        with pytest.raises(ValueError):
-            self.make(probe=0.0)
+            Router(FabricSpec(n_devices=4), shard_over=0.0)
 
 
 class TestFleetDegraded:

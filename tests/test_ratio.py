@@ -21,7 +21,8 @@ class TestEquation2:
         assert static_ratio(0.5, 10_000, 1_000) == 0.0
 
     def test_floor_applied(self):
-        assert static_ratio(0.5, 10_000, 1_000, floor=0.05) == 0.05
+        # Eq. 2 goes negative here (K·D = 9 M); the floor is 0.
+        assert static_ratio(0.9, 10_000, 1_000) == 0.0
 
     def test_k_zero_gives_full_static_cap(self):
         # K=0: nothing on demand; R = 1 (but D > M still caps at 1).

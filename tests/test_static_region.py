@@ -223,10 +223,12 @@ class TestPromote:
         assert r.resident_chunks <= r.capacity_chunks
 
     def test_promote_budget_parameter(self, graph):
-        r = StaticRegion(graph, 8000, chunk_bytes=8, fill="lazy")
+        """The budget is the free capacity: a second promotion fills only
+        what the first left free."""
+        r = StaticRegion(graph, 40, chunk_bytes=8, fill="lazy")  # 5 chunks
         mask = np.ones(graph.n_vertices, dtype=bool)
-        r.promote_vertices(mask, max_new_chunks=5)
-        assert r.resident_chunks <= 5
+        first = r.promote_vertices(mask)
+        assert r.promote_vertices(mask) <= 5 - first
 
     def test_promote_empty_mask(self, graph):
         r = StaticRegion(graph, 800, chunk_bytes=8, fill="lazy")
@@ -240,10 +242,10 @@ class TestPromote:
     @given(st.integers(0, 2**20 - 1), st.integers(1, 40))
     def test_property_promotion_bounded(self, bits, budget):
         g = rmat_graph(6, 400, seed=31, directed=True)
-        r = StaticRegion(g, 64 * 8, chunk_bytes=8, fill="lazy")
+        r = StaticRegion(g, budget * 8, chunk_bytes=8, fill="lazy")
         mask = np.array([(bits >> (i % 20)) & 1 for i in range(g.n_vertices)], dtype=bool)
-        promoted = r.promote_vertices(mask, max_new_chunks=budget)
-        assert promoted <= min(budget, r.capacity_chunks)
+        promoted = r.promote_vertices(mask)
+        assert promoted <= budget
         assert r.resident_chunks <= r.capacity_chunks
         assert np.array_equal(r.vertex_static_bitmap(), brute_vertex_bitmap(r))
 
@@ -387,10 +389,11 @@ class TestResidentRuns:
         assert np.array_equal(self._reconstruct(r), r.resident)
         lazy = StaticRegion(graph, 800, chunk_bytes=8, fill="lazy")
         assert self._reconstruct(lazy).sum() == 0
-        lazy.promote_vertices(np.ones(graph.n_vertices, dtype=bool),
-                              max_new_chunks=7)
+        few = np.zeros(graph.n_vertices, dtype=bool)
+        few[:3] = True
+        assert lazy.promote_vertices(few) > 0
         assert np.array_equal(self._reconstruct(lazy), lazy.resident)
-        lazy.top_up(max_new_chunks=9)
+        assert lazy.top_up() > 0
         assert np.array_equal(self._reconstruct(lazy), lazy.resident)
 
     def test_fragment_counts_invalidated_by_swap(self, graph):

@@ -18,8 +18,7 @@ from repro.gpusim.events import (COUNTER_FIELDS, DEVICE_FAULT_KINDS,
                                  FAULT_KINDS, EventColumns, EventLog)
 from repro.harness.experiments import make_workload, run_workload
 
-import event_log_oracles as oracle
-from event_log_oracles import SimEvent, columns, rows
+from event_log_oracles import SimEvent, check_chrome_trace, columns, rows
 
 #: The benchmark's scale: FK/BFS records 12.9 K rows on Ascetic with every
 #: row kind present.  (``conftest.TEST_SCALE`` = 1e-2 records 687 K and made
@@ -192,7 +191,7 @@ class TestTraceCLI:
 
 
 # --------------------------------------------------------------------------
-# One loop for both layouts, against the row-per-object reference export
+# The export's rules, on random one-device and fabric logs
 # --------------------------------------------------------------------------
 
 #: Every lane the export names, plus two no engine declares.
@@ -201,33 +200,34 @@ TRACE_KINDS = ("kernel", "h2d", "access-path", "dispatch",
                *sorted(FAULT_KINDS), *sorted(DEVICE_FAULT_KINDS))
 
 
+#: One row's fields but its device; built once, drawn from per row.
+TRACE_ROW = st.tuples(
+    st.floats(0.0, 5.0, allow_nan=False), st.sampled_from(TRACE_LANES),
+    st.sampled_from(TRACE_KINDS), st.sampled_from(("", "op", "chunk!fail")),
+    st.floats(0.0, 1.0), st.sampled_from((None, "Tsr", "Ttransfer")),
+    st.sampled_from((None, 0, 4)),
+    st.dictionaries(st.sampled_from(COUNTER_FIELDS[:4]), st.integers(0, 9),
+                    max_size=2),
+    st.lists(st.tuples(st.sampled_from(("n", "bytes")), st.integers(-3, 9)),
+             max_size=2, unique_by=lambda kv: kv[0]).map(tuple))
+FABRIC_DEVICES = st.sampled_from((None, 0, 1, 3))
+
+
 @st.composite
 def trace_columns(draw):
     """Random rows; a fabric log mixes device-less rows (lane ones too)
     with rows of up to four devices, a one-device log has none."""
-    fabric = draw(st.booleans())
-    devices = st.sampled_from((None, 0, 1, 3)) if fabric else st.none()
+    devices = FABRIC_DEVICES if draw(st.booleans()) else st.none()
     cols = EventColumns()
     for _ in range(draw(st.integers(0, 30))):
-        start = draw(st.floats(0.0, 5.0, allow_nan=False))
-        lane = draw(st.sampled_from(TRACE_LANES))
-        cols.add(
-            lane, draw(st.sampled_from(TRACE_KINDS)),
-            draw(st.sampled_from(("", "op", "chunk!fail"))),
-            start, start + (draw(st.floats(0.0, 1.0)) if lane else 0.0),
-            draw(st.sampled_from((None, "Tsr", "Ttransfer"))),
-            draw(st.sampled_from((None, 0, 4))), draw(devices),
-            draw(st.dictionaries(st.sampled_from(COUNTER_FIELDS[:4]),
-                                 st.integers(0, 9), max_size=2)),
-            tuple(draw(st.lists(st.tuples(st.sampled_from(("n", "bytes")),
-                                          st.integers(-3, 9)),
-                                max_size=2, unique_by=lambda kv: kv[0]))),
-        )
+        (start, lane, kind, label, width, phase, iteration, counters,
+         extra) = draw(TRACE_ROW)
+        cols.add(lane, kind, label, start, start + (width if lane else 0.0),
+                 phase, iteration, draw(devices), counters, extra)
     return cols
 
 
 @settings(max_examples=150, deadline=None)
 @given(cols=trace_columns())
-def test_one_loop_exports_what_the_two_loops_did(cols):
-    assert json.dumps(chrome_trace_events(cols)) == json.dumps(
-        oracle.chrome_trace_events(rows(cols)))
+def test_export_follows_the_trace_rules(cols):
+    check_chrome_trace(rows(cols), chrome_trace_events(cols))
