@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Sequence
 
+from repro.gpusim.events import ordered_sum
+
 __all__ = ["format_table", "geomean", "sparkline", "human_bytes"]
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
@@ -55,7 +57,7 @@ def geomean(values: Iterable[float]) -> float:
         return float("nan")
     if any(v <= 0 for v in vals):
         raise ValueError("geomean requires positive values")
-    return math.exp(sum(math.log(v) for v in vals) / len(vals))
+    return math.exp(ordered_sum(math.log(v) for v in vals) / len(vals))
 
 
 def sparkline(values: Sequence[float], width: int = 60) -> str:

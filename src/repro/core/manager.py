@@ -287,16 +287,16 @@ class RegionEngine(Engine):
     #: Bytes re-sent to top up a warm region (Hybrid's cache never refills).
     _refill_bytes = 0
 
-    def reset_for_request(self, keep_static: bool) -> None:
-        """With ``keep_static``, the next run reuses this run's region.
+    def reset_for_request(self) -> None:
+        """The next run reuses this run's region.
 
         Its residency models a region that stayed device-resident between
         requests, so the next run on the *same* graph object skips filling
         it; that run checks :meth:`StaticRegion.compatible_with` itself and
         falls back to a cold region when it does not hold.
         """
-        super().reset_for_request(keep_static)
-        self._warm_region = self._region if keep_static else None
+        super().reset_for_request()
+        self._warm_region = self._region
 
     def _adopt_region(self, graph: CSRGraph, chunk_bytes: int,
                       capacity_bytes: int, fill: str,

@@ -254,13 +254,13 @@ class Engine(abc.ABC):
         """Scale a paper-scale byte geometry down to this run's data scale."""
         return max(int(nbytes * self.data_scale), floor)
 
-    def reset_for_request(self, keep_static: bool = False) -> None:
+    def reset_for_request(self) -> None:
         """Ready this instance to serve another :meth:`run` on the same graph.
 
         The serving layer (:mod:`repro.serve`) keeps engines in a per-graph
-        pool and calls this between consecutive requests.  ``keep_static``
-        asks the engine to carry device-resident state across the runs —
-        the cross-request analogue of the paper's cross-*iteration* reuse.
+        pool and calls this between consecutive requests, so an engine may
+        carry device-resident state across the runs — the cross-request
+        analogue of the paper's cross-*iteration* reuse.
         The base contract keeps nothing (every run is cold);
         :class:`~repro.core.manager.RegionEngine` (Ascetic, Hybrid)
         overrides it to hand its warm region to the next run.

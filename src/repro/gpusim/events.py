@@ -63,6 +63,7 @@ __all__ = [
     "fold_device_metrics",
     "fold_device_faults",
     "idle_breakdown",
+    "ordered_sum",
     "validate_log",
 ]
 
@@ -101,6 +102,20 @@ REQUEST_KINDS = frozenset({
     "request-start", "request-complete", "warm-hit", "warm-miss",
     "dispatch",
 })
+
+
+def ordered_sum(values) -> Any:
+    """``values`` added one by one, left to right, from the int ``0``.
+
+    This is what the builtin ``sum`` did before Python 3.12, which
+    compensates float sums (Neumaier) and so rounds differently; every fold
+    and report that adds floats goes through here so a digest is the same
+    on every Python.  An empty sum stays the int ``0``.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def qualified_lane(lane: str, device: Optional[int]) -> str:
@@ -699,7 +714,7 @@ def idle_breakdown(
     rows, start, end = rows[keep], start[keep], end[keep]
     ops = sorted(zip(start.tolist(), end.tolist()))
     wasted = cols.kinds_in(FAULT_KINDS)[np.array(cols.kind)[rows]]
-    retry = sum(
+    retry = ordered_sum(
         min(e, horizon) - min(s, horizon)
         for s, e in zip(start[wasted].tolist(), end[wasted].tolist())
     )

@@ -46,8 +46,7 @@ PAYLOAD_VERSION = 1
 
 #: :data:`COUNTER_FIELDS` in the order payloads have always listed them:
 #: the UVM four before the kernel pair.  The pin tests hash payload JSON
-#: unsorted (``tests/test_region_engine_pins.py``,
-#: ``tests/test_recorded_log_pins.py``), so this order is fixed just as the
+#: unsorted (``tests/test_pins.py``), so this order is fixed just as the
 #: event rows' order is.
 _PAYLOAD_COUNTERS = (COUNTER_FIELDS[:6] + COUNTER_FIELDS[8:12]
                      + COUNTER_FIELDS[6:8] + COUNTER_FIELDS[12:])

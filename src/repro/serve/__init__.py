@@ -20,7 +20,7 @@ The moving parts, each its own module:
     FIFO baseline and the graph-affinity policy with a starvation guard.
 :mod:`~repro.serve.pool`
     The per-graph engine pool whose hits arm
-    ``Engine.reset_for_request(keep_static=True)`` — the warm-start path.
+    ``Engine.reset_for_request()`` — the warm-start path.
 :mod:`~repro.serve.batching`
     Multi-source BFS/SSSP fused into one dispatch (shared edge reads; the
     batch-size/latency knob) whose trace is composed from memoized

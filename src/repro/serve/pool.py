@@ -7,9 +7,9 @@ of simulated device memory, so the bound models how many warm graphs the
 fleet can afford to keep resident).
 
 A pool *hit* re-arms the cached engine with
-:meth:`~repro.engines.base.Engine.reset_for_request` ``(keep_static=True)``
-— for a :class:`~repro.core.manager.RegionEngine` (Ascetic, Hybrid) that
-hands the previous run's Static Region to the next ``run``, which skips
+:meth:`~repro.engines.base.Engine.reset_for_request` — for a
+:class:`~repro.core.manager.RegionEngine` (Ascetic, Hybrid) that hands the
+previous run's Static Region to the next ``run``, which skips
 the fill phase (``static_warm_bytes``) and tops up only what a capacity
 squeeze or repartition dropped (``static_refill_bytes``); every other
 engine keeps nothing across the re-arm.  :meth:`EnginePool.fold_result`
@@ -99,7 +99,7 @@ class EnginePool:
         engine = self._engines.get(key)
         if engine is not None:
             self._engines.move_to_end(key)
-            engine.reset_for_request(keep_static=True)
+            engine.reset_for_request()
             self.stats.hits += 1
             return engine, True
         while len(self._engines) >= self.max_engines:

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Set, Tuple
 
 import numpy as np
 
-from repro.gpusim.events import EventColumns
+from repro.gpusim.events import EventColumns, ordered_sum
 
 __all__ = ["SLO_SCHEMA", "fold_slo", "report_digest", "canonical_json"]
 
@@ -66,7 +66,7 @@ def _percentiles(samples: List[float]) -> Dict[str, float]:
         "p50": rank(0.50),
         "p95": rank(0.95),
         "p99": rank(0.99),
-        "mean": sum(ordered) / n,
+        "mean": ordered_sum(ordered) / n,
         "max": ordered[-1],
     }
 
@@ -256,7 +256,7 @@ def _fold_degraded(markers: List[tuple], arrive: Dict[int, tuple],
             merged[-1][1] = max(merged[-1][1], t1)
         else:
             merged.append([t0, t1])
-    degraded_seconds = sum(t1 - t0 for t0, t1 in merged)
+    degraded_seconds = ordered_sum(t1 - t0 for t0, t1 in merged)
     met_during = 0
     for rid, done in sorted(complete.items()):
         came = arrive.get(rid)

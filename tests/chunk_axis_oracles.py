@@ -7,8 +7,8 @@ segments (ROADMAP "Independent checks": twins kept only as oracles live in
 properties in ``test_chunk_axis_properties.py`` hold the segment code to
 them.  Do not optimise: being obviously right is their only job.
 
-Oracle table — name, kind (``spec`` or ``snapshot``), and the code a
-snapshot was moved from::
+Oracle table — each oracle's name and kind (``spec``: written from a
+definition)::
 
     dense_touch_counts  spec
     DenseHotnessTable   spec

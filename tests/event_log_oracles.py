@@ -5,8 +5,8 @@ Each function states what a reader of ``gpusim.events``,
 definition, not its code.  Float sums run one row at a time in the order
 the definition names: addition is not associative, and digests are pinned.
 
-Oracle table — name, kind (``spec`` or ``snapshot``), and the code a
-snapshot was moved from::
+Oracle table — each oracle's name and kind (``spec``: written from a
+definition)::
 
     SimEvent             spec
     rows                 spec

@@ -4,8 +4,8 @@ Kept out of ``src/`` on purpose: ``repro.gpusim.rounds`` splits volumes in
 closed form and charges long chains in aggregate; these are the obvious
 one-round-at-a-time versions the tests hold it to.
 
-Oracle table — name, kind (``spec`` or ``snapshot``), and the code a
-snapshot was moved from::
+Oracle table — each oracle's name and kind (``spec``: written from a
+definition)::
 
     iterative_split   spec
     round_chain_loop  spec

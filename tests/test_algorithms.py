@@ -35,7 +35,7 @@ from repro.graph.generators import (
 )
 from repro.graph.properties import best_source
 
-from dedupe_step_oracles import dedupe_relax, has_parallel_edges_and_self_loops
+from step_oracles import has_parallel_edges_and_self_loops, relax
 
 
 class TestRegistry:
@@ -265,9 +265,10 @@ class TestProgramContract:
 
 
 class TestNextFrontierByScatter:
-    """``step`` scatters raw destination ids; the deduplicating form it
-    replaced (``tests/dedupe_step_oracles.py``) must agree superstep by
-    superstep on a graph that does produce duplicates."""
+    """``step`` scatters raw destination ids; superstep by superstep it must
+    leave the values and the next frontier of the per-edge definition
+    (``tests/step_oracles.py::relax``) on a graph that does produce
+    duplicates."""
 
     @pytest.mark.parametrize("make,kind", [
         (lambda src: BFS(source=src), "BFS"),
@@ -285,8 +286,8 @@ class TestNextFrontierByScatter:
         state = program.init_state(graph)
         while state.active.any():
             ref_values = program.values(state).copy()
-            ref_next = dedupe_relax(kind, graph, ref_values, state.active,
-                                    state.iteration)
+            ref_next = relax(kind, graph, ref_values, state.active,
+                             state.iteration)
             # Delta-stepping parks part of the next frontier in `pending`.
             pending = getattr(state, "pending", None)
             if pending is not None:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.gpusim.events import FAULT_KINDS, validate_log
-from repro.gpusim.faults import FaultPlan, standard_plan
+from repro.gpusim.faults import FaultPlan, standard_fleet_plan, standard_plan
 from repro.harness.experiments import make_workload, run_workload
 from repro.runner import RunSpec, run_grid
 
@@ -58,6 +58,23 @@ class TestChaosGrid:
         # startup degradation window fired.
         assert chaos.extra["fault_alloc_fail"] >= 1.0
         assert chaos.extra["fault_degradation_windows"] >= 1.0
+
+    @pytest.mark.parametrize("algo", ("BFS", "PR"))
+    def test_sharded_survives_the_fleet_plan(self, algo):
+        # One device lost halfway through the fault-free horizon, one
+        # peer-link window after it.
+        w = make_workload("GS", algo, scale=SCALE)
+        baseline = run_workload(w, "Sharded", devices=4)
+        horizon = baseline.elapsed_seconds
+        plan = standard_fleet_plan(11, 4, down_at=horizon / 2,
+                                   degrade_start=horizon * 0.6,
+                                   degrade_end=horizon * 0.8)
+        chaos = run_workload(w, "Sharded", devices=4, record_events=True,
+                             fault_plan=plan, seed=11)
+        assert chaos.values.tobytes() == baseline.values.tobytes()
+        validate_log(chaos.event_log, metrics=chaos.metrics,
+                     horizon=chaos.elapsed_seconds)
+        assert chaos.extra["device_losses"] >= 1.0
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_transfer_faults_only_add_time(self, engine):

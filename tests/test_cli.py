@@ -279,6 +279,29 @@ class TestFleetChaosCommand:
         assert d1 == d2
 
 
+class TestServingDigests:
+    """The serving legs CI pins reproduce ``ci/``'s digests on whichever
+    Python runs the suite (a float sum that rounds differently on one
+    version moves them)."""
+
+    CI = Path(__file__).resolve().parent.parent / "ci"
+    LEGS = {
+        "serve_digest.txt": ["serve", "--quick"],
+        "fleet_digest.txt": ["fleet", "--quick"],
+        "serve_hybrid_digest.txt": [
+            "serve", "--engine", "Hybrid", "--requests", "8", "--rate", "4.0",
+            "--graphs", "GS", "--algos", "BFS", "CC", "--scale", "5e-5",
+            "--max-engines", "2"],
+    }
+
+    @pytest.mark.parametrize("name", LEGS)
+    def test_digest_matches_ci(self, name, capsys):
+        assert main(self.LEGS[name]) == 0
+        digest = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("digest:")]
+        assert digest == (self.CI / name).read_text().splitlines()
+
+
 class TestFabricValidation:
     """A malformed fabric is a usage error naming the key (exit 2)."""
 

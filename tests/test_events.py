@@ -21,6 +21,7 @@ from repro.gpusim.events import (
     fold_phase_seconds,
     fold_spans,
     idle_breakdown,
+    ordered_sum,
     validate_log,
 )
 from repro.gpusim.metrics import Metrics
@@ -153,6 +154,14 @@ class TestIdleBreakdown:
         log = EventLog(record=False)
         with pytest.raises(EventLogError):
             idle_breakdown(log, "gpu", 1.0)
+
+
+def test_ordered_sum_adds_left_to_right_from_int_zero():
+    # A compensated sum (the builtin's on Python >= 3.12) gives 1.0 here.
+    samples = [1e16, 1.0, -1e16]
+    assert ordered_sum(samples) == 0.0
+    assert ordered_sum(iter(samples)) == (1e16 + 1.0) - 1e16
+    assert ordered_sum([]) == 0 and type(ordered_sum([])) is int
 
 
 class TestPhaseContext:

@@ -222,19 +222,11 @@ class TestWarmStart:
         cold = eng.run(w.graph, w.fresh_program())
         assert cold.extra["warm_start"] == 0.0
         assert cold.extra["resident_chunks"] > 0
-        eng.reset_for_request(keep_static=True)
+        eng.reset_for_request()
         warm = eng.run(w.graph, w.fresh_program())
         assert warm.extra["warm_start"] == 1.0
         assert warm.extra["static_warm_bytes"] > 0
         assert np.array_equal(cold.values, warm.values)
-
-    def test_cold_reset_drops_the_cache(self):
-        w = _constrained_workload("GS", "BFS", 0.15)
-        eng = HybridEngine(spec=w.spec, data_scale=SCALE)
-        eng.run(w.graph, w.fresh_program())
-        eng.reset_for_request(keep_static=False)
-        again = eng.run(w.graph, w.fresh_program())
-        assert again.extra["warm_start"] == 0.0
 
 
 class TestGatherChainAboveTheRoundLimit:

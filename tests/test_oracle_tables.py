@@ -1,6 +1,6 @@
 """Each ``tests/*_oracles.py`` module opens with a table that names every
-oracle it defines as a ``spec`` (written from a definition) or a
-``snapshot`` (code moved out of ``src/``, with where it came from)."""
+oracle it defines, and each is a ``spec``: written from a definition, not
+code moved out of ``src/`` (a snapshot proves only that nothing changed)."""
 
 import ast
 from itertools import takewhile
@@ -12,16 +12,13 @@ MODULES = sorted(Path(__file__).resolve().parent.glob("*_oracles.py"))
 
 
 def table(module: ast.Module):
-    """``{name: (kind, mirrors)}`` from the docstring's indented block
-    after its ``Oracle table`` paragraph."""
+    """``{name: kind}`` from the docstring's indented block after its
+    ``Oracle table`` paragraph."""
     lines = ast.get_docstring(module).splitlines()
     head = next(i for i, line in enumerate(lines)
                 if line.startswith("Oracle table"))
-    out = {}
-    for line in takewhile(str.strip, lines[lines.index("", head) + 1:]):
-        name, kind, *mirrors = line.split()
-        out[name] = kind, " ".join(mirrors)
-    return out
+    return dict(line.split(None, 1)
+                for line in takewhile(str.strip, lines[lines.index("", head) + 1:]))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
@@ -32,7 +29,5 @@ def test_table_names_each_oracle_and_nothing_else(path):
         node.name for node in module.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")}
-    for name, (kind, mirrors) in rows.items():
-        assert kind in ("spec", "snapshot"), name
-        assert mirrors or kind == "spec", f"{name}: mirrors what?"
-
+    for name, kind in rows.items():
+        assert kind == "spec", f"{name} is a {kind}, not a spec"

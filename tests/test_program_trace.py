@@ -5,7 +5,8 @@ by every engine.
 :func:`~repro.algorithms.base.program_trace`, which the graph memoizes.
 These tests pin the exact ``step`` count of a grid pass and of a warm load
 test, the trace against an independent loop for every program (for the
-fused traversals, the stepping oracle of ``tests/batched_step_oracles.py``),
+fused traversals, the OR of the stepped single-source frontiers,
+``tests/step_oracles.py``),
 the read-only replay masks and the memo's byte budget.
 """
 
@@ -29,8 +30,7 @@ from repro.runner import RunSpec, run_grid
 from repro.serve import quick_config, run_load_test
 from repro.serve.batching import make_batched
 
-from batched_step_oracles import make_oracle
-from predict_oracles import record_active_trace
+from step_oracles import fused_trace, record_active_trace
 
 SCALE = 5e-5
 
@@ -128,12 +128,11 @@ class TestTraceAgainstOracle:
     def test_masks_iterations_and_values(self, name, cap, small_social):
         graph, program = _programs(small_social, small_social.symmetrized(),
                                    small_social.reverse())[name]
-        # A fused traversal's trace is composed; its oracle steps the
-        # fused program it replaced.
-        stepped = program
         if name.startswith("Batched"):
-            stepped = make_oracle(name[len("Batched"):], program.sources)
-        oracle = record_active_trace(graph, stepped, cap)
+            oracle = fused_trace(graph, name[len("Batched"):],
+                                 program.sources, cap)
+        else:
+            oracle = record_active_trace(graph, program, cap)
         trace = program_trace(graph, program, cap)
         assert len(trace) == len(oracle.masks)
         if cap is not None:

@@ -34,8 +34,9 @@ from repro.gpusim.faults import standard_plan
 
 from event_log_oracles import rows
 from round_oracles import iterative_split
-from test_round_streaming_pins import ALGOS, CONFIGS, workload
+from test_pins import ROUND_CONFIGS as CONFIGS, workload
 
+ALGOS = ("BFS", "SSSP")
 SEQUENTIAL = {"Subway", "Ascetic-sequential"}
 SUBWAY_LABELS = ("gather", "subgraph", "compute")
 ONDEMAND_LABELS = ("od-gather", "od-transfer", "od-compute")
@@ -50,7 +51,7 @@ def recorded(algo, config, faulted):
     """``(events, labels, {iteration: bytes the chain set out to move},
     charge scale, link)`` of one recorded run."""
     engine, opts = CONFIGS[config]
-    wl = workload(algo)
+    wl = workload("GS", algo, 0.2)
     eng = registry.create(engine, spec=wl.spec, data_scale=wl.scale,
                           record_events=True, seed=0,
                           fault_plan=standard_plan() if faulted else None,

@@ -1,4 +1,4 @@
-"""Batched-traversal fusion: the composed trace against the stepping oracle,
+"""Batched-traversal fusion: the composed trace against its definition,
 B=1 bit-parity and multi-source row parity under an engine."""
 
 import numpy as np
@@ -13,10 +13,8 @@ from repro.engines.partition_based import PartitionEngine
 from repro.graph.generators import rmat_graph
 from repro.serve.batching import FusedTraversal, make_batched
 
-from batched_step_oracles import make_oracle
 from conftest import make_spec_for
-from dedupe_step_oracles import dedupe_relax, has_parallel_edges_and_self_loops
-from predict_oracles import record_active_trace
+from step_oracles import fused_trace, has_parallel_edges_and_self_loops, relax
 
 
 def run(graph, program):
@@ -60,9 +58,10 @@ HUB = int(np.argmax(RMAT.out_degree()))
 
 
 class TestComposedTraceAgainstOracle:
-    """The trace composed from single-source traces equals the trace of the
-    stepping fused program (``tests/batched_step_oracles.py``) bit for bit:
-    frontiers, iterations, values and their dtype."""
+    """The composed trace equals its definition bit for bit: superstep i's
+    frontier is the OR of the single-source programs' stepped from
+    ``init_state``, the run lasts as long as the longest, row b holds
+    source b's values (``tests/step_oracles.py::fused_trace``)."""
 
     @given(algo=st.sampled_from(["BFS", "SSSP"]),
            sources=st.lists(st.integers(0, RMAT.n_vertices - 1),
@@ -74,7 +73,7 @@ class TestComposedTraceAgainstOracle:
     @example(algo="SSSP", sources=[SINK], cap=3)
     def test_composed_equals_stepped(self, algo, sources, cap):
         graph = RMAT if algo == "BFS" else RMAT_WEIGHTED
-        oracle = record_active_trace(graph, make_oracle(algo, sources), cap)
+        oracle = fused_trace(graph, algo, sources, cap)
         trace = program_trace(graph, make_batched(algo, sources), cap)
         assert len(trace) == len(oracle.masks)
         for i, mask in enumerate(oracle.masks):
@@ -145,9 +144,9 @@ class TestMultiSourceParity:
 
 
 class TestNextFrontierByScatter:
-    """Each superstep of a composed trace equals the deduplicating
-    single-source step (``tests/dedupe_step_oracles.py``) applied to every
-    row's own frontier, OR-ed."""
+    """Each superstep of a composed trace equals the per-edge superstep
+    (``tests/step_oracles.py::relax``) applied to every row's own frontier,
+    OR-ed."""
 
     @pytest.mark.parametrize("algo", ["BFS", "SSSP"])
     def test_every_superstep_equals_the_dedupe_oracle(self, algo, small_rmat):
@@ -165,8 +164,7 @@ class TestNextFrontierByScatter:
             fronts[row, src] = True
         for i in range(len(trace)):
             assert np.array_equal(trace.mask(i), fronts.any(axis=0))
-            fronts = np.array([dedupe_relax(algo, graph, values[row],
-                                            fronts[row], i)
+            fronts = np.array([relax(algo, graph, values[row], fronts[row], i)
                                for row in range(len(sources))])
         assert not fronts.any() and not trace.mask(len(trace)).any()
         assert np.array_equal(trace.values, values)

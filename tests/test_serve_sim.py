@@ -55,10 +55,10 @@ class TestEnginePool:
         name = "dummy"
 
         def __init__(self):
-            self.resets = []
+            self.resets = 0
 
-        def reset_for_request(self, keep_static=False):
-            self.resets.append(keep_static)
+        def reset_for_request(self):
+            self.resets += 1
 
         def _prepare(self, gpu, graph, program):  # pragma: no cover
             pass
@@ -71,7 +71,7 @@ class TestEnginePool:
         a, warm = pool.acquire("A", self._Dummy)
         assert not warm and pool.stats.misses == 1
         a2, warm = pool.acquire("A", self._Dummy)
-        assert warm and a2 is a and a.resets == [True]
+        assert warm and a2 is a and a.resets == 1
         pool.acquire("B", self._Dummy)
         pool.acquire("C", self._Dummy)  # evicts A (LRU)
         assert pool.stats.evictions == 1
@@ -88,7 +88,7 @@ class TestWarmEngine:
         cold = engine.run(small_web, _bfs())
         assert cold.extra["warm_start"] == 0.0
         assert cold.metrics.phase_seconds["Tprefill"] > 0.0
-        engine.reset_for_request(keep_static=True)
+        engine.reset_for_request()
         warm = engine.run(small_web, _bfs())
         assert warm.extra["warm_start"] == 1.0
         assert warm.extra["static_warm_bytes"] > 0
@@ -98,18 +98,11 @@ class TestWarmEngine:
         assert np.array_equal(cold.values, warm.values)
         assert warm.metrics.phase_seconds["Tprefill"] == 0.0
 
-    def test_reset_without_keep_static_stays_cold(self, small_web):
-        engine = AsceticEngine(spec=make_spec_for(small_web), data_scale=1e-2)
-        engine.run(small_web, _bfs())
-        engine.reset_for_request(keep_static=False)
-        again = engine.run(small_web, _bfs())
-        assert again.extra["warm_start"] == 0.0
-
     def test_warm_region_invalid_for_a_different_graph(self, small_web,
                                                        small_social):
         engine = AsceticEngine(spec=make_spec_for(small_web), data_scale=1e-2)
         engine.run(small_web, _bfs())
-        engine.reset_for_request(keep_static=True)
+        engine.reset_for_request()
         other = engine.run(small_social, _bfs())
         assert other.extra["warm_start"] == 0.0
 
@@ -123,7 +116,7 @@ class TestWarmEngine:
         engine = AsceticEngine(spec=make_spec_for(small_web), data_scale=1e-2,
                                fault_plan=plan, seed=3)
         engine.run(small_web, _bfs())
-        engine.reset_for_request(keep_static=True)
+        engine.reset_for_request()
         warm = engine.run(small_web, _bfs())
         assert warm.extra["warm_start"] == 1.0
         assert warm.extra["static_warm_bytes"] > 0     # residency survived

@@ -163,7 +163,7 @@ class TestMultiDeviceExport:
         assert all(e.device is None for e in rows(log.events))
         records = chrome_trace_events(log)
         assert all(r["pid"] == 0 for r in records)
-        assert json.dumps(records) == json.dumps(chrome_trace_events(log))
+        check_chrome_trace(rows(log.events), records)
 
     def test_sharded_run_exports_one_process_per_device(self, tmp_path):
         w = make_workload("GS", "BFS", scale=RECORDED_SCALE)
