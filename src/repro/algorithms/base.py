@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Hashable, List, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.algorithms.frontier import FrontierCache, FrontierExpansion
 from repro.graph.csr import CSRGraph
 
 __all__ = ["ProgramState", "VertexProgram", "ProgramTrace", "program_trace",
-           "TRACE_BYTES_PER_GRAPH"]
+           "row_traces", "TRACE_BYTES_PER_GRAPH"]
 
 #: Bytes of traces one graph keeps (:attr:`ProgramTrace.nbytes`); the least
 #: recently used go first, and the newest stays even alone over the budget.
@@ -150,10 +150,11 @@ class ProgramTrace:
     plus the frontier it stopped on.  Then it keeps a copy of the values.
 
     Engines replay it (``Engine.run``): superstep ``i`` is :meth:`state`
-    ``(i)``.  Everything a trace holds is read-only.
+    ``(i)``.  Everything a trace holds is read-only; what an engine derives
+    from it alone is memoized with it (:meth:`derived`).
     """
 
-    __slots__ = ("n_vertices", "_frontiers", "values", "nbytes")
+    __slots__ = ("n_vertices", "_frontiers", "values", "nbytes", "_derived")
 
     def __init__(self, graph: CSRGraph, program: VertexProgram, cap: int) -> None:
         program.validate_graph(graph)
@@ -175,6 +176,7 @@ class ProgramTrace:
         self.values.flags.writeable = False
         #: What the trace holds, the memo's budget unit.
         self.nbytes = values.nbytes + sum(p.nbytes for p, _ in self._frontiers)
+        self._derived = {}
 
     @classmethod
     def union(cls, traces: Sequence["ProgramTrace"]) -> "ProgramTrace":
@@ -218,6 +220,21 @@ class ProgramTrace:
         return ProgramState(active=self.mask(i),
                             iteration=self._frontiers[i][1])
 
+    def derived(self, key: Hashable,
+                build: Callable[[], np.ndarray]) -> np.ndarray:
+        """A read-only array that is a function of this trace (and ``key``)
+        alone, built by ``build`` on first use and kept with the trace.
+
+        Charged to :attr:`nbytes`, so the graph's trace budget counts it:
+        a sharded run's exchange destinations are kept this way.
+        """
+        got = self._derived.get(key)
+        if got is None:
+            got = self._derived[key] = build()
+            got.flags.writeable = False
+            self.nbytes += got.nbytes
+        return got
+
 
 def program_trace(graph: CSRGraph, program: VertexProgram,
                   cap: Optional[int] = None) -> ProgramTrace:
@@ -235,10 +252,8 @@ def program_trace(graph: CSRGraph, program: VertexProgram,
     program has, so fused and lone runs share them.
     """
     cap = max(program.max_iterations if cap is None else cap, 0)
-    single = getattr(program, "single", None)
-    if single is not None:
-        return ProgramTrace.union([program_trace(graph, single(source=s), cap)
-                                   for s in program.sources])
+    if getattr(program, "single", None) is not None:
+        return ProgramTrace.union(row_traces(graph, program, cap))
     key = (type(program), tuple(sorted(vars(program).items())), cap)
     memo = graph._traces
     trace = memo.get(key)
@@ -250,3 +265,18 @@ def program_trace(graph: CSRGraph, program: VertexProgram,
     else:
         memo.move_to_end(key)
     return trace
+
+
+def row_traces(graph: CSRGraph, program: VertexProgram,
+               cap: Optional[int] = None) -> List[ProgramTrace]:
+    """The memoized single-source traces a run of ``program`` replays.
+
+    One per source of a fused program, in source order — the rows its
+    :meth:`ProgramTrace.union` ORs — else the program's own trace.
+    """
+    single = getattr(program, "single", None)
+    if single is None:
+        return [program_trace(graph, program, cap)]
+    cap = max(program.max_iterations if cap is None else cap, 0)
+    return [program_trace(graph, single(source=s), cap)
+            for s in program.sources]

@@ -14,10 +14,9 @@ produces bit-identical results.
 The same mask is walked more than once per superstep — while a program
 trace is built, ``step`` materializes the full expansion; while an engine
 replays it, the run loop counts the edges for telemetry and the engine's
-data-movement accounting counts them again (a sharded run also expands
-each shard's slice for its exchange).  :class:`FrontierCache` memoizes that
-work per ``(graph, mask)`` pair so each walk happens at most once per state
-(the ``state.frontier()`` / ``state.active_edges()`` API on
+data-movement accounting counts them again.  :class:`FrontierCache`
+memoizes that work per ``(graph, mask)`` pair so each walk happens at most
+once per state (the ``state.frontier()`` / ``state.active_edges()`` API on
 :class:`~repro.algorithms.base.ProgramState` fronts it).
 """
 

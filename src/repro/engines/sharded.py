@@ -16,7 +16,8 @@ contributes is the bulk-synchronous superstep body:
    broadcasts its locally-produced value/frontier deltas (one entry per
    distinct destination its active local edges touched) to every peer over
    the inter-device links, charged to the cost model and attributed to the
-   ``Texchange`` phase;
+   ``Texchange`` phase (the destinations are read from bitmaps memoized
+   with the program trace, :func:`destination_bitmaps`);
 3. the run loop moves on to the program trace's next frontier.
 
 Because the numeric computation is the one program trace every engine
@@ -47,11 +48,13 @@ correctness.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.algorithms.base import ProgramState, VertexProgram
+from repro.algorithms.base import (ProgramState, ProgramTrace, VertexProgram,
+                                   row_traces)
+from repro.algorithms.frontier import expand_frontier
 from repro.engines.base import Engine, RunResult
 from repro.graph.csr import CSRGraph
 from repro.graph.shard import GraphShard, shard_graph
@@ -60,7 +63,8 @@ from repro.gpusim.events import fold_device_faults
 from repro.gpusim.fabric import Fabric, FabricSpec
 from repro.gpusim.faults import FaultInjector
 
-__all__ = ["ShardedEngine", "DeviceLostError", "VALUE_DELTA_BYTES"]
+__all__ = ["ShardedEngine", "DeviceLostError", "VALUE_DELTA_BYTES",
+           "destination_bitmaps"]
 
 #: Bytes each exchanged vertex delta occupies on the wire: the vertex id
 #: (int32) plus its new value (the 8-byte slot every program's value array
@@ -68,16 +72,35 @@ __all__ = ["ShardedEngine", "DeviceLostError", "VALUE_DELTA_BYTES"]
 VALUE_DELTA_BYTES = 12
 
 
-def count_distinct(indices: np.ndarray, seen: np.ndarray) -> int:
-    """Number of distinct values in ``indices``, via the all-False scratch
-    ``seen`` (at least ``indices.max() + 1`` long; handed back all-False).
+#: Set bits per byte value: a packed bitmap's popcount is a table lookup.
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                          axis=1).sum(axis=1)
 
-    Mark, count, unmark: ``O(len(indices))`` against ``np.unique``'s sort.
+
+def destination_bitmaps(trace: ProgramTrace, i: int,
+                        shards: Sequence[GraphShard]) -> np.ndarray:
+    """The vertices superstep ``i``'s frontier pushes to, per shard, packed.
+
+    Row ``s`` is a :func:`numpy.packbits` bitmap of the distinct
+    destinations of the frontier's out-edges that lie in ``shards[s]`` —
+    the deltas that shard sends.  It depends on the trace and the shard set
+    alone, and a shard set on the trace's graph is a function of its size,
+    so the rows are memoized on the trace per ``(len(shards), i)``
+    (:meth:`~repro.algorithms.base.ProgramTrace.derived`, charged to the
+    graph's trace budget).  The walk below runs once per key.
     """
-    seen[indices] = True
-    n = int(np.count_nonzero(seen))
-    seen[indices] = False
-    return n
+    def walk() -> np.ndarray:
+        mask = trace.mask(i)
+        rows = np.empty((len(shards), -(-trace.n_vertices // 8)),
+                        dtype=np.uint8)
+        for row, shard in zip(rows, shards):
+            hit = np.zeros(trace.n_vertices, dtype=bool)
+            hit[shard.graph.indices[expand_frontier(shard.graph,
+                                                    mask).positions]] = True
+            row[:] = np.packbits(hit)
+        return rows
+
+    return trace.derived(("exchange", len(shards), i), walk)
 
 
 class DeviceLostError(RuntimeError):
@@ -105,6 +128,8 @@ class ShardedEngine(Engine):
     """
 
     name = "Sharded"
+    #: The row traces are the graph's memo, not run state.
+    _CKPT_EXCLUDE = Engine._CKPT_EXCLUDE + ("_rows",)
 
     def __init__(
         self,
@@ -143,6 +168,8 @@ class ShardedEngine(Engine):
         self._inners: List[Engine] = []
         self._max_shard_bytes = 0
         self._device_losses = 0
+        # (graph, program, row traces) of the run the exchange reads.
+        self._rows: Tuple = (None, None, [])
 
     # bench_e2e/layers.py binds ``ShardedEngine.run`` through the class
     # ``__dict__``; until it unbinds (ROADMAP 6b) the name stays defined here.
@@ -173,7 +200,7 @@ class ShardedEngine(Engine):
     def _prepare(self, fabric: Fabric, graph: CSRGraph,
                  program: VertexProgram) -> None:
         self._device_ids = list(range(fabric.n_devices))
-        self._shards = shard_graph(graph, fabric.n_devices)
+        self._shards = self._shard_set(graph, fabric.n_devices)
         self._inners = [self._new_inner(fabric, d) for d in self._device_ids]
         with fabric.phase("Tprepare"):
             for inner, shard, d in zip(self._inners, self._shards,
@@ -181,6 +208,12 @@ class ShardedEngine(Engine):
                 inner._prepare(fabric.devices[d], shard.graph, program)
         self._max_shard_bytes = max(s.local_edge_bytes for s in self._shards)
         self._device_losses = 0
+
+    @staticmethod
+    def _shard_set(graph: CSRGraph, n_shards: int) -> List[GraphShard]:
+        """The graph's kept set of ``n_shards``, else a fresh one; runs offer
+        theirs back (:meth:`CSRGraph.keep_shards`) when done with them."""
+        return list(graph.shards(n_shards) or shard_graph(graph, n_shards))
 
     def _begin_superstep(self, fabric: Fabric, graph: CSRGraph,
                          program: VertexProgram, state: ProgramState) -> None:
@@ -215,7 +248,7 @@ class ShardedEngine(Engine):
         # move — the bulk-synchronous contract that makes one global
         # trace equivalent to the single-device run.
         fabric.sync_all()
-        self._exchange(fabric, local_states, state.iteration)
+        self._exchange(fabric, graph, program, state.iteration)
 
     def _finish(self, fabric: Fabric, graph: CSRGraph, program: VertexProgram,
                 state: ProgramState) -> None:
@@ -223,6 +256,7 @@ class ShardedEngine(Engine):
         fabric.devices[self._device_ids[0]].d2h(self._result_bytes(graph),
                                                 label="results")
         fabric.sync_all()
+        graph.keep_shards(self._shards)
 
     def _report_extra(self, result: RunResult, fabric: Fabric,
                       graph: CSRGraph) -> None:
@@ -328,7 +362,8 @@ class ShardedEngine(Engine):
                            ("e_hi", float(e_hi)),
                            ("survivors", float(len(survivors)))),
                 )
-            new_shards = shard_graph(graph, len(survivors))
+            graph.keep_shards(self._shards)
+            new_shards = self._shard_set(graph, len(survivors))
             new_inners: List[Engine] = []
             for pos, d in enumerate(survivors):
                 gpu_d = fabric.devices[d]
@@ -365,34 +400,42 @@ class ShardedEngine(Engine):
         )
 
     # ------------------------------------------------------------- exchange
-    def _exchange(self, fabric: Fabric, local_states: List[ProgramState],
-                  iteration: int) -> None:
+    def _exchange(self, fabric: Fabric, graph: CSRGraph,
+                  program: VertexProgram, iteration: int) -> None:
         """Broadcast each shard's value/frontier deltas to every live peer.
 
         Vertex state is replicated, so after local compute each device owns
         the freshest values for exactly the destinations its local edges
-        pushed to this superstep; those deltas (vertex id + value, deduped
-        per destination) go to all peers over the inter-device links.  The
-        frontier walk is the one the inner engine already memoized on this
-        ``(shard, mask)`` pair — no second mask walk.  Only the surviving
-        fleet participates — dead devices neither send nor receive.
+        pushed to this superstep; those deltas (vertex id + value, one per
+        distinct destination) go to all peers over the inter-device links.
+        Only the surviving fleet participates — dead devices neither send
+        nor receive.
+
+        The destinations are counted, not walked: a fused frontier is the
+        OR of its rows' (:meth:`ProgramTrace.union
+        <repro.algorithms.base.ProgramTrace.union>`), so its destinations
+        are the OR of the rows' :func:`destination_bitmaps` — over exactly
+        the rows ``union`` ORs at this superstep, a row's stopping frontier
+        included — and a shard's count is that OR's popcount.  An unfused
+        run is the one-row case.  Superstep ``i`` starts at iteration ``i``
+        (every program counts supersteps from 0).
         """
         shards, device_ids = self._shards, self._device_ids
         if len(device_ids) == 1:
             return
+        marks = np.bitwise_or.reduce(
+            [destination_bitmaps(row, iteration, shards)
+             for row in self._row_traces(graph, program)
+             if iteration <= len(row)])
+        counts = _POPCOUNT[marks].sum(axis=1)
         per_pair: Dict[Tuple[int, int], int] = {}
-        # Every shard is a full-vertex-set CSR, so one scratch serves all.
-        seen = np.zeros(shards[0].graph.n_vertices, dtype=bool)
         for pos, d in enumerate(device_ids):
-            shard = shards[pos]
-            exp = local_states[pos].frontier(shard.graph)
-            if exp.n_edges == 0:
+            if not counts[pos]:
                 continue
-            n_updated = count_distinct(shard.graph.indices[exp.positions], seen)
-            # n_updated counts scaled-graph vertices, so this payload is in
+            # The count is of scaled-graph vertices, so this payload is in
             # scaled bytes, exactly like every h2d(nbytes) call; the fabric
             # charges it at paper scale.
-            payload = n_updated * VALUE_DELTA_BYTES
+            payload = int(counts[pos]) * VALUE_DELTA_BYTES
             for peer in device_ids:
                 if peer != d:
                     per_pair[(d, peer)] = payload
@@ -401,3 +444,12 @@ class ShardedEngine(Engine):
         with fabric.phase("Texchange", iteration=iteration):
             fabric.all_exchange(per_pair)
         fabric.sync_all()
+
+    def _row_traces(self, graph: CSRGraph,
+                    program: VertexProgram) -> List[ProgramTrace]:
+        """:func:`~repro.algorithms.base.row_traces` of this run, resolved
+        once per ``(graph, program)`` (a resumed run resolves its own)."""
+        if self._rows[0] is not graph or self._rows[1] is not program:
+            self._rows = (graph, program,
+                          row_traces(graph, program, self.max_iterations))
+        return self._rows[2]

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = ["CSRGraph", "ChunkMap", "ChunkRuns", "fragment_geometry",
            "grant_in_order", "EDGE_INDEX_BYTES", "WEIGHT_BYTES",
-           "VERTEX_STATE_BYTES"]
+           "VERTEX_STATE_BYTES", "SHARD_BYTES_PER_GRAPH"]
 
 #: Bytes per edge for the destination-index array (int32).
 EDGE_INDEX_BYTES = 4
@@ -35,6 +35,14 @@ WEIGHT_BYTES = 4
 #: array (8), the CSR offsets (8), active/static bitmaps and frontier
 #: scratch (8).  Used when sizing datasets the way §4.1 does.
 VERTEX_STATE_BYTES = 24
+#: Bytes of shard sets one graph keeps (:meth:`CSRGraph.keep_shards`): what
+#: the shards own, the chunk maps and fragment geometry their runs built on
+#: them included (their edge slices are views of this graph's).  A set over
+#: the bound is never kept, and the least recently used go first.  A bound,
+#: not an option: a serving pass's 4-device set owns about 145 KB at 1e-5,
+#: while one at 2e-4 owns 3.0–3.7 MB, and keeping those raised
+#: ``oom_pressure``'s peak RSS by 13 %.
+SHARD_BYTES_PER_GRAPH = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -185,6 +193,15 @@ class ChunkMap:
     def n_segments(self) -> int:
         return len(self.seg_len)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the map's arrays and of its fragment geometry."""
+        arrays = (self.has_edges, self.c_lo, self.c_hi, self.seg_bounds,
+                  self.seg_len, self.s_lo, self.s_hi)
+        return (sum(a.nbytes for a in arrays)
+                + sum(a.nbytes for geom in self._fragments.values()
+                      for a in geom))
+
     def fragment_geometry(self, f: int) -> Tuple[np.ndarray, ...]:
         """:func:`fragment_geometry` of this map's segments, cached per ``f``:
         every region and hotness table over the map shares one copy."""
@@ -237,6 +254,10 @@ class CSRGraph:
     #: Program traces memoized on this graph (``algorithms.base.program_trace``).
     _traces: OrderedDict = field(default_factory=OrderedDict, init=False,
                                  repr=False, compare=False)
+    #: Shard sets memoized on this graph, ``n_shards → (shards, nbytes)``
+    #: (:meth:`shards` / :meth:`keep_shards`).
+    _shard_sets: OrderedDict = field(default_factory=OrderedDict, init=False,
+                                     repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
@@ -263,11 +284,16 @@ class CSRGraph:
             raise ValueError("edge destination out of range")
 
     def __getstate__(self):
-        # Traces are derived and can be large; a pickled graph (a Static
-        # Region in a checkpoint blob) rebuilds them on demand.
+        # Traces and shard sets are derived and can be large; a pickled
+        # graph (a Static Region in a checkpoint blob) carries neither and
+        # rebuilds them on demand.
         state = dict(self.__dict__)
-        state["_traces"] = OrderedDict()
+        del state["_traces"], state["_shard_sets"]
         return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state, _traces=OrderedDict(),
+                             _shard_sets=OrderedDict())
 
     # ------------------------------------------------------------------ size
     @property
@@ -348,6 +374,42 @@ class CSRGraph:
                         s_lo=s_lo, s_hi=s_hi)
         self._chunk_maps[chunk_bytes] = cmap
         return cmap
+
+    @property
+    def derived_nbytes(self) -> int:
+        """Bytes of the geometry built on this graph: out-degrees and chunk
+        maps (traces and shard sets are budgeted on their own)."""
+        degree = 0 if self._out_degree is None else self._out_degree.nbytes
+        return degree + sum(cmap.nbytes for cmap in self._chunk_maps.values())
+
+    def shards(self, n_shards: int) -> Optional[tuple]:
+        """The kept shard set of ``n_shards`` (a tuple of
+        :class:`~repro.graph.shard.GraphShard`), or ``None``: the caller
+        builds one with :func:`~repro.graph.shard.shard_graph` and offers it
+        back through :meth:`keep_shards` once its run is done with it."""
+        kept = self._shard_sets.get(n_shards)
+        if kept is None:
+            return None
+        self._shard_sets.move_to_end(n_shards)
+        return kept[0]
+
+    def keep_shards(self, shards: Sequence) -> None:
+        """Keep ``shards`` for the next :meth:`shards` lookup of their count.
+
+        Measured when offered, so the chunk maps and fragment geometry its
+        runs built on the shard graphs count: a set over
+        :data:`SHARD_BYTES_PER_GRAPH` is dropped, and the least recently
+        used sets go until the rest fit.
+        """
+        n = len(shards)
+        self._shard_sets.pop(n, None)
+        nbytes = sum(s.nbytes for s in shards)
+        if nbytes > SHARD_BYTES_PER_GRAPH:
+            return
+        self._shard_sets[n] = (tuple(shards), nbytes)
+        held = sum(size for _, size in self._shard_sets.values())
+        while held > SHARD_BYTES_PER_GRAPH:
+            held -= self._shard_sets.popitem(last=False)[1][1]
 
     def neighbors(self, v: int) -> np.ndarray:
         """Destination vertices of ``v``'s out-edges (a view, not a copy)."""

@@ -20,6 +20,15 @@ the thing that does not fit — is split:
 ``boundary_vertices`` is the shard's halo: the vertices whose global edge
 list crosses this shard's boundary and is therefore co-processed by a
 neighbouring device in the same superstep.
+
+A shard set is a function of ``(graph, n_shards)`` alone, so it is built
+once and reused: :func:`shard_graph` builds it, and the graph keeps it
+(:meth:`CSRGraph.shards <repro.graph.csr.CSRGraph.shards>` /
+:meth:`~repro.graph.csr.CSRGraph.keep_shards`) together with the chunk maps
+and fragment geometry its runs built on the shard graphs, under the byte
+bound :data:`~repro.graph.csr.SHARD_BYTES_PER_GRAPH`.  A shard's edge slice
+is a view of the parent's arrays; :attr:`GraphShard.nbytes` counts only what
+the shard owns.
 """
 
 from __future__ import annotations
@@ -60,6 +69,13 @@ class GraphShard:
     @property
     def local_edge_bytes(self) -> int:
         return self.n_local_edges * self.graph.bytes_per_edge
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the shard owns: its offsets, its halo and the geometry built
+        on its graph (the edge slice is a view of the parent's arrays)."""
+        return (self.graph.indptr.nbytes + self.boundary_vertices.nbytes
+                + self.graph.derived_nbytes)
 
     def local_degree(self) -> np.ndarray:
         """Per-vertex edge count inside this shard (0 for foreign vertices)."""

@@ -63,6 +63,10 @@ __all__ = ["IterationCheckpoint", "CheckpointStore", "CheckpointWriter"]
 #: 10: ``IterationCheckpoint`` lost ``shards`` and ``ShardCheckpoint`` is
 #: gone: a sharded recovery reads the live shard ranges (a version-9 file
 #: would unpickle a checkpoint carrying a dead ``shards`` attribute).
+#: Still 10 after a graph stopped pickling its (always empty) trace memo and
+#: gained a kept-shard-set memo it does not pickle either: ``__setstate__``
+#: gives a version-10 graph both, empty, and the engines' pickled attributes
+#: are unchanged.
 CHECKPOINT_VERSION = 10
 
 

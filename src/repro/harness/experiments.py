@@ -130,7 +130,7 @@ def _cached_view_unlocked(abbr: str, scale: float, variant: str) -> CSRGraph:
 
 def clear_dataset_cache() -> None:
     """Drop memoized datasets and graph views, and with them their program
-    traces (tests and memory-conscious sweeps)."""
+    traces and kept shard sets (tests and memory-conscious sweeps)."""
     with _dataset_lock:
         _live_views.clear()
         _cached_view_unlocked.cache_clear()

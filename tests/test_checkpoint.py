@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.engines import registry
+from repro.graph.csr import CSRGraph
 from repro.gpusim.faults import FaultPlan, standard_fleet_plan
 from repro.harness.checkpoint import (
     CheckpointStore,
@@ -292,3 +293,22 @@ class TestResume:
         w = make_workload("GS", "BFS", scale=SCALE)
         with pytest.raises(ValueError, match="checkpoint_key"):
             run_workload(w, "Subway", checkpoint=CheckpointStore(str(tmp_path)))
+
+
+def test_sharded_blob_is_no_larger_once_its_shard_set_is_kept(tmp_path):
+    """A kept shard set reaches the next run's blob as the same shards a
+    fresh cut gives, and the blob carries neither traces nor kept sets."""
+    w = make_workload("GS", "BFS", scale=SCALE)
+    g = w.graph
+    graph = CSRGraph(g.indptr, g.indices, g.weights, g.directed, g.name)
+
+    def blob():
+        store = CheckpointStore(str(tmp_path))
+        engine = _make_engine("Sharded", w, devices=3)
+        engine.checkpoint = CheckpointWriter(store, "cell")
+        engine.run(graph, w.fresh_program())
+        return store.load("cell").blob
+
+    cold = blob()
+    assert graph.shards(3) is not None
+    assert len(blob()) <= len(cold)

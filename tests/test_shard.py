@@ -1,18 +1,27 @@
-"""Tests for graph sharding: exact edge tiling, mega-vertices, halos, budgets."""
+"""Tests for graph sharding: exact edge tiling, mega-vertices, halos, budgets,
+and the shard sets a graph keeps."""
+
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.graph.csr import CSRGraph
-from repro.graph.generators import rmat_graph, star_graph
+from repro.algorithms import make_program
+from repro.engines import registry
+from repro.graph import csr
+from repro.graph.csr import SHARD_BYTES_PER_GRAPH, CSRGraph
+from repro.graph.generators import path_graph, rmat_graph, star_graph
+from repro.graph.properties import best_source
 from repro.graph.shard import (
     GraphShard,
     halo_map,
     per_shard_budgets,
     shard_graph,
 )
+
+from conftest import TEST_SCALE, make_spec_for
 
 
 def assert_tiles_exactly(graph, shards):
@@ -138,3 +147,60 @@ class TestHaloMap:
                 assert starts[v] < s.e_lo or ends[v] > s.e_hi
                 # ...while the vertex still owns local edges here.
                 assert s.local_degree()[v] > 0
+
+
+def fresh(graph):
+    """The same graph as a new object, with nothing memoized on it."""
+    return CSRGraph(graph.indptr, graph.indices, graph.weights,
+                    graph.directed, graph.name)
+
+
+class TestKeptShardSets:
+    """A graph keeps the shard sets its sharded runs built, under
+    ``SHARD_BYTES_PER_GRAPH``; a pickled graph carries none of them."""
+
+    def _run(self, graph, devices=4):
+        engine = registry.create("Sharded", spec=make_spec_for(graph),
+                                 data_scale=TEST_SCALE, devices=devices)
+        engine.run(graph, make_program("BFS", source=best_source(graph)))
+        return engine._shards
+
+    def test_a_set_under_the_bound_comes_back_as_the_same_objects(
+            self, small_rmat):
+        graph = fresh(small_rmat)
+        first = self._run(graph)
+        kept = graph.shards(4)
+        assert kept is not None and all(a is b for a, b in zip(first, kept))
+        # What the run built on the shard graphs rode along and is counted.
+        assert all(s.graph._chunk_maps for s in kept)
+        assert sum(s.nbytes for s in kept) \
+            > sum(s.graph.indptr.nbytes for s in kept)
+        assert all(a is b for a, b in zip(self._run(graph), first))
+
+    def test_a_set_over_the_bound_is_rebuilt(self):
+        graph = path_graph(40_000)
+        shards = shard_graph(graph, 4)
+        assert sum(s.nbytes for s in shards) > SHARD_BYTES_PER_GRAPH
+        graph.keep_shards(shards)
+        assert graph.shards(4) is None
+
+    def test_least_recently_used_sets_go_first(self, small_rmat, monkeypatch):
+        graph = fresh(small_rmat)
+        sets = {n: shard_graph(graph, n) for n in (1, 2, 3)}
+        size = {n: sum(s.nbytes for s in sets[n]) for n in sets}
+        monkeypatch.setattr(csr, "SHARD_BYTES_PER_GRAPH", size[2] + size[3])
+        graph.keep_shards(sets[2])
+        graph.keep_shards(sets[3])
+        assert graph.shards(2) is not None  # 3 is now the least recent
+        graph.keep_shards(sets[1])
+        assert graph.shards(3) is None
+        assert graph.shards(2)[0] is sets[2][0]
+        assert graph.shards(1)[0] is sets[1][0]
+
+    def test_pickled_graph_carries_no_kept_set(self, small_rmat):
+        graph = fresh(small_rmat)
+        before = len(pickle.dumps(graph))
+        graph.keep_shards(shard_graph(graph, 4))
+        assert graph.shards(4) is not None
+        assert len(pickle.dumps(graph)) == before
+        assert pickle.loads(pickle.dumps(graph)).shards(4) is None

@@ -13,14 +13,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import make_program
+from repro.algorithms.base import program_trace
 from repro.core.manager import RegionEngine
 from repro.engines import registry
-from repro.engines.sharded import ShardedEngine
+from repro.engines.sharded import VALUE_DELTA_BYTES, ShardedEngine
 from repro.gpusim.fabric import FabricSpec
+from repro.gpusim.faults import standard_fleet_plan
+from repro.graph.generators import social_graph
 from repro.graph.properties import best_source
+from repro.graph.shard import shard_graph
 from repro.harness.persistence import result_to_payload
+from repro.serve.batching import make_batched
 
 from conftest import TEST_SCALE, make_spec_for
 
@@ -148,21 +155,6 @@ class TestShardedRunShape:
         assert "Texchange" in res.metrics.phase_seconds
         assert res.metrics.phase_seconds["Texchange"] > 0
 
-    def test_exchange_counts_destinations_like_unique(self, small_social):
-        """The mark/count/unmark scratch is the same integer ``np.unique``
-        gave (so ``exchange_bytes`` cannot move), duplicates included, and
-        hands the scratch back clean."""
-        from repro.engines.sharded import count_distinct
-
-        seen = np.zeros(small_social.n_vertices, dtype=bool)
-        rng = np.random.default_rng(5)
-        for size in (0, 1, 7, 5000):
-            # Destination lists as _exchange sees them: int32, repeats.
-            dst = small_social.indices[
-                rng.integers(0, small_social.n_edges, size=size)]
-            assert count_distinct(dst, seen) == np.unique(dst).size
-            assert not seen.any()
-
     def test_zero_iteration_cap_runs_no_superstep(self, small_social):
         factory = lambda: make_program(
             "BFS", source=best_source(small_social))
@@ -218,6 +210,98 @@ class TestShardedRunShape:
                 zip(res.per_iteration, res.per_iteration[1:])]
         assert sum(g > 0 for g in gaps) == 1
         assert res.metrics.phase_seconds["Trecover"] > 0
+
+
+class ExchangeLog(ShardedEngine):
+    """A Sharded engine that notes what each superstep's exchange sent:
+    ``log[iteration] = (live device ids, {(src, dst): payload})``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.log = {}
+
+    def _exchange(self, fabric, graph, program, iteration):
+        sent = {}
+        send = fabric.all_exchange
+        fabric.all_exchange = lambda per_pair, **kw: (
+            sent.update(per_pair), send(per_pair, **kw))[1]
+        try:
+            super()._exchange(fabric, graph, program, iteration)
+        finally:
+            del fabric.all_exchange
+        self.log[iteration] = (list(self._device_ids), sent)
+
+
+def spec_exchange(graph, mask, live):
+    """What a superstep with frontier ``mask`` must send over the fleet
+    ``live``: each shard of a fresh ``len(live)``-way cut sends one delta per
+    distinct destination of the mask's out-edges it holds, to every peer."""
+    sent = {}
+    for d, shard in zip(live, shard_graph(graph, len(live))):
+        dests = [shard.graph.neighbors(v) for v in np.flatnonzero(mask)]
+        n = np.unique(np.concatenate(dests)).size if dests else 0
+        sent.update({(d, peer): n * VALUE_DELTA_BYTES
+                     for peer in live if peer != d and n})
+    return sent
+
+
+def check_exchange(engine, graph, program):
+    """Run ``engine`` twice (the second run reads the memoized shard set
+    and destinations) and hold each superstep's exchange to the spec."""
+    trace = program_trace(graph, program, engine.max_iterations)
+    for _ in range(2):
+        engine.log = {}
+        res = engine.run(graph, program)
+        assert sorted(engine.log) == list(range(len(trace)))
+        for i, (live, sent) in engine.log.items():
+            assert sent == spec_exchange(graph, trace.mask(i), live), i
+    return res
+
+
+class TestExchangeSpec:
+    """The exchange counts read from memoized destination bitmaps equal
+    distinct destinations counted per vertex, superstep by superstep."""
+
+    @settings(max_examples=12)
+    @given(seed=st.integers(0, 2**16), algo=st.sampled_from(["BFS", "SSSP"]),
+           n_sources=st.integers(1, 4), devices=st.integers(2, 4),
+           cap=st.one_of(st.none(), st.integers(1, 4)))
+    def test_counts_equal_the_spec(self, seed, algo, n_sources, devices, cap):
+        graph = social_graph(300, 2400, seed=seed)
+        if algo == "SSSP":
+            graph = graph.with_random_weights(high=16, seed=seed)
+        rng = np.random.default_rng(seed)
+        sources = rng.integers(0, graph.n_vertices, size=n_sources).tolist()
+        program = (make_program(algo, source=sources[0]) if n_sources == 1
+                   else make_batched(algo, sources))
+        engine = ExchangeLog(spec=make_spec_for(graph), data_scale=TEST_SCALE,
+                             devices=devices, max_iterations=cap)
+        check_exchange(engine, graph, program)
+
+    def test_cap_stops_a_row_on_a_live_frontier(self, small_social):
+        """A cap of two supersteps stops a row on a non-empty frontier."""
+        sources = [best_source(small_social), 0, 1]
+        program = make_batched("BFS", sources)
+        rows = [program_trace(small_social, make_program("BFS", source=s), 2)
+                for s in sources]
+        assert any(len(r) == 2 and r.mask(2).any() for r in rows)
+        engine = ExchangeLog(spec=make_spec_for(small_social),
+                             data_scale=TEST_SCALE, devices=4,
+                             max_iterations=2)
+        check_exchange(engine, small_social, program)
+
+    def test_three_survivors_after_a_device_loss(self, small_social):
+        program = make_batched("BFS", [best_source(small_social), 7, 300])
+        t = run_engine("Sharded", small_social, lambda: program,
+                       devices=4).elapsed_seconds
+        plan = standard_fleet_plan(seed=0, n_devices=4, down_at=t / 2,
+                                   degrade_start=t * 2, degrade_end=t * 3)
+        engine = ExchangeLog(spec=make_spec_for(small_social),
+                             data_scale=TEST_SCALE, devices=4,
+                             fault_plan=plan, seed=0)
+        res = check_exchange(engine, small_social, program)
+        assert res.extra["device_losses"] == 1.0
+        assert {len(live) for live, _ in engine.log.values()} == {4, 3}
 
 
 class TestOutOfSingleDeviceCapacity:
