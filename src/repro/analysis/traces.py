@@ -62,16 +62,6 @@ class AccessTrace:
     def n_iterations(self) -> int:
         return len(self.times)
 
-    def events(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flatten to parallel (time, chunk) arrays — Fig. 2's scatter."""
-        if not self.times:
-            return np.empty(0), np.empty(0, dtype=np.int64)
-        times = np.concatenate(
-            [np.full(c.size, t) for t, c in zip(self.times, self.chunk_sets)]
-        )
-        chunks = np.concatenate(self.chunk_sets) if self.chunk_sets else np.empty(0, np.int64)
-        return times, chunks
-
     def access_counts(self, n_chunks: int) -> np.ndarray:
         """Per-chunk total access counts — Fig. 2's bottom panels."""
         counts = np.zeros(n_chunks, dtype=np.int64)

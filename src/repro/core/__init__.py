@@ -11,7 +11,6 @@ server refreshes stale chunks during the on-demand compute window (§3.4).
 
 Module map:
 
-* :mod:`repro.core.bitmaps` — ActiveBitmap/StaticBitmap algebra (Fig. 4);
 * :mod:`repro.core.ratio` — Eq. 1–3;
 * :mod:`repro.core.static_region` — chunk table + fill policies;
 * :mod:`repro.core.replacement` — hotness table and swap planning (§3.4);
@@ -21,7 +20,6 @@ Module map:
 """
 
 from repro.core.ascetic import AsceticEngine
-from repro.core.bitmaps import and_map, ondemand_map
 from repro.core.ratio import static_ratio, region_bytes, RepartitionDecision, check_repartition
 from repro.core.static_region import StaticRegion
 from repro.core.replacement import HotnessTable, SwapPlan
@@ -29,8 +27,6 @@ from repro.core.ondemand import OnDemandPlan, plan_ondemand
 
 __all__ = [
     "AsceticEngine",
-    "and_map",
-    "ondemand_map",
     "static_ratio",
     "region_bytes",
     "RepartitionDecision",

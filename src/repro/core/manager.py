@@ -3,8 +3,8 @@
 Schedule per iteration (Fig. 4 numbering, Fig. 5 timeline):
 
 1. **GenDataMap** — a GPU scan produces OndemandMap = ActiveBitmap ∧
-   ¬StaticBitmap in one operation (Fig. 4's ActiveBitmap ⊕ StaticMap,
-   stated and property-tested in :mod:`repro.core.bitmaps`).
+   ¬StaticBitmap in one operation (Fig. 4's ActiveBitmap ⊕ StaticMap;
+   ``tests/test_bitmaps.py`` specifies the identity).
 2. **Adaptive repartition** (§3.3) — if the measured on-demand volume
    overflows its region while the static region is cold, shrink the static
    region by Eq. 3, return the chunks' memory to the on-demand region, and

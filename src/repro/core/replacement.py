@@ -24,8 +24,7 @@ barely moves the needle (the ablation benchmark reproduces that).
 
 Representation: counters are stored per *segment* of the chunk map
 (:class:`~repro.graph.csr.ChunkMap`) — touch counts are constant on a
-segment, so the counters are too.  The dense per-chunk ``cumulative`` /
-``last`` arrays exist only as derived views.
+segment, so the counters are too.
 """
 
 from __future__ import annotations
@@ -92,18 +91,8 @@ class HotnessTable:
         self.seg_last = np.zeros(self._seg_len.size, dtype=np.int64)
 
     # --------------------------------------------------------------- state
-    @property
-    def cumulative(self) -> np.ndarray:
-        """Dense per-chunk view of ``seg_cumulative`` (tests and tools)."""
-        return np.repeat(self.seg_cumulative, self._seg_len)
-
-    @property
-    def last(self) -> np.ndarray:
-        """Dense per-chunk view of ``seg_last`` (tests and tools)."""
-        return np.repeat(self.seg_last, self._seg_len)
-
     def cumulative_at(self, chunk_ids: np.ndarray) -> np.ndarray:
-        """``cumulative`` of the given chunks, without the dense array."""
+        """``seg_cumulative`` of the segments holding the given chunks."""
         return self.seg_cumulative[
             np.searchsorted(self.seg_bounds, chunk_ids, side="right") - 1]
 
@@ -175,15 +164,9 @@ class HotnessTable:
         at_edge = prefix[edge_seg] + value[edge_seg] * edge_off
         return at_edge[1:] - at_edge[:-1]
 
-    def fragment_resident_counts(self, resident: np.ndarray, f: int) -> np.ndarray:
-        """Per-fragment resident-chunk counts (callers may cache this)."""
-        return np.add.reduceat(resident, self._fragment_geometry(f)[0],
-                               dtype=np.int64)
-
     def plan_swaps(
-        self, resident: np.ndarray, budget_chunks: int, fragment_chunks: int = 64,
-        resident_counts: Optional[np.ndarray] = None,
-        candidates: Optional[bool] = None,
+        self, resident: np.ndarray, budget_chunks: int, fragment_chunks: int,
+        resident_counts: np.ndarray, candidates: bool,
     ) -> SwapPlan:
         """Pick a balanced fragment-aligned swap of ≤ ``budget_chunks`` chunks.
 
@@ -193,13 +176,12 @@ class HotnessTable:
         fragments, one for one, so the region stays exactly as full.
 
         Residency changes far more rarely than the per-iteration planning
-        cadence, so the Manager passes what the region keeps current
-        instead: ``resident_counts``, the per-fragment resident counts (see
-        :meth:`fragment_resident_counts`), and ``candidates``, whether a
-        fully resident and a fully absent fragment both exist.  With
-        ``candidates`` False the plan is empty before any fragment-axis
-        work; with None it is derived from the counts.  Staleness
-        aggregates are only computed once both kinds of candidate exist.
+        cadence, so the caller passes what the region keeps current:
+        ``resident_counts``, the per-fragment resident counts
+        (:meth:`StaticRegion.fragment_resident_counts`), and ``candidates``,
+        whether a fully resident and a fully absent fragment both exist.
+        With ``candidates`` False the plan is empty before any fragment-axis
+        work.
         """
         empty = np.empty(0, dtype=np.int64)
         if budget_chunks <= 0 or self.n_chunks == 0 or fragment_chunks <= 0:
@@ -210,12 +192,8 @@ class HotnessTable:
             return SwapPlan(empty, empty)
         f = int(fragment_chunks)
         sizes = self._fragment_geometry(f)[1]
-        if resident_counts is None:
-            resident_counts = self.fragment_resident_counts(resident, f)
         full = resident_counts == sizes
         absent = resident_counts == 0
-        if candidates is None and (not full.any() or not absent.any()):
-            return SwapPlan(empty, empty)
         stale_cnt = self._fragment_sums(self._seg_staleness(), f)
         evict_frags = np.nonzero(full & (stale_cnt * 2 > sizes))[0]
         load_frags = np.nonzero(absent & (stale_cnt * 2 <= sizes))[0]

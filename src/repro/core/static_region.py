@@ -170,13 +170,6 @@ class StaticRegion:
                     self._vertex_bitmap = covered | ~self._has_edges
         return self._vertex_bitmap
 
-    def _invalidate(self) -> None:
-        """Drop every cache derived from residency (bitmap, runs, fragment
-        counts) — for code that writes ``resident`` directly."""
-        self._vertex_bitmap = None
-        self._resident_runs = None
-        self._frag_res = None
-
     def _moved(self, evicted: np.ndarray, loaded: np.ndarray) -> None:
         """Residency just changed at these chunk ids (int64, each id once).
 

@@ -134,10 +134,6 @@ class IterationRecord:
     t_start: float
     t_end: float
 
-    @property
-    def duration(self) -> float:
-        return self.t_end - self.t_start
-
 
 @dataclass
 class RunResult:
@@ -160,17 +156,13 @@ class RunResult:
     event_log: Optional[EventLog] = None
 
     @property
-    def bytes_h2d(self) -> int:
-        return self.metrics.bytes_h2d
-
-    @property
     def processing_bytes_h2d(self) -> float:
         """H2D bytes excluding any Static Region prestore.
 
         The paper's transfer comparisons report processing traffic without
         the one-time prefill (Fig. 7's note; Table 5's sub-dataset BFS/CC
-        volumes) — this is that number.  Equal to :attr:`bytes_h2d` for
-        engines without a prestore.
+        volumes) — this is that number.  Equal to ``metrics.bytes_h2d``
+        for engines without a prestore.
         """
         return self.metrics.bytes_h2d - self.extra.get("static_prefill_bytes", 0.0)
 

@@ -45,10 +45,8 @@ from repro.gpusim.events import (
     LaneStats,
     Span,
     fold_device_faults,
-    fold_device_metrics,
     fold_lane_stats,
     fold_metrics,
-    fold_phase_seconds,
     fold_spans,
     idle_breakdown,
     qualified_lane,
@@ -93,9 +91,7 @@ __all__ = [
     "IdleBreakdown",
     "fold_metrics",
     "fold_spans",
-    "fold_phase_seconds",
     "fold_lane_stats",
-    "fold_device_metrics",
     "fold_device_faults",
     "idle_breakdown",
     "qualified_lane",

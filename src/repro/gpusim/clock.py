@@ -20,18 +20,8 @@ class VirtualClock:
 
     now: float = 0.0
 
-    def advance(self, dt: float) -> float:
-        """Move time forward by ``dt`` seconds (must be non-negative)."""
-        if dt < 0:
-            raise ValueError(f"cannot advance clock by negative dt={dt}")
-        self.now += dt
-        return self.now
-
     def advance_to(self, t: float) -> float:
         """Move time forward to ``t`` if ``t`` is in the future (else no-op)."""
         if t > self.now:
             self.now = t
         return self.now
-
-    def reset(self) -> None:
-        self.now = 0.0

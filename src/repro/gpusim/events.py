@@ -23,7 +23,7 @@ fault counts (§4.4) — comes from one source of truth:
 
 ``Metrics``, ``phase_seconds``, span traces, and idle accounting are all
 *pure folds* over the columns (:func:`fold_metrics`, :func:`fold_spans`,
-:func:`fold_phase_seconds`, :func:`fold_lane_stats`, :func:`idle_breakdown`):
+:func:`fold_lane_stats`, :func:`idle_breakdown`):
 NumPy selects the rows a fold reads, the floats are then added one by one
 in row order — float addition is not associative and every digest is a
 fixed point, so no fold may reduce pairwise.
@@ -58,9 +58,7 @@ __all__ = [
     "qualified_lane",
     "fold_metrics",
     "fold_spans",
-    "fold_phase_seconds",
     "fold_lane_stats",
-    "fold_device_metrics",
     "fold_device_faults",
     "idle_breakdown",
     "ordered_sum",
@@ -137,10 +135,6 @@ class Span:
     label: str
     start: float
     end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 @dataclass
@@ -358,19 +352,11 @@ class EventColumns:
     def __len__(self) -> int:
         return len(self.start)
 
-    def __repr__(self) -> str:
-        return f"<EventColumns: {len(self)} rows>"
-
     # ---------------------------------------------------- per-id fold views
     def lane_keys(self) -> List[Optional[str]]:
         """Per ``who`` id: the :func:`qualified_lane` key, ``None`` if lane-less."""
         return [qualified_lane(lane, device) if lane else None
                 for lane, device in self.whos.values]
-
-    def devices(self) -> np.ndarray:
-        """Per ``who`` id: the device, ``-1`` for ``None``."""
-        return np.array([-1 if device is None else device
-                         for _, device in self.whos.values], dtype=np.int64)
 
     def kinds_in(self, *kind_sets: frozenset) -> np.ndarray:
         """Per ``kind`` id: whether the kind is in any of ``kind_sets``."""
@@ -547,11 +533,6 @@ class EventLog:
         self._emit(*interval, *context, row, extra)
 
     # -------------------------------------------------------------- views
-    @property
-    def n_events(self) -> int:
-        """Retained row count (0 in lean mode)."""
-        return len(self.events)
-
     def busy_seconds(self, lane: str) -> float:
         stats = self.lane_stats.get(lane)
         return stats.busy_seconds if stats is not None else 0.0
@@ -579,22 +560,19 @@ def _unknown_counter(counters: Mapping[str, Any]) -> TypeError:
 
 
 # ------------------------------------------------------------------- folds
-def _fold_metrics(cols: EventColumns,
-                  mask: Optional[np.ndarray] = None) -> Metrics:
-    """Fold the rows of ``cols`` (those under ``mask``) into a fresh bundle.
+def fold_metrics(cols: EventColumns) -> Metrics:
+    """Replay a log's rows into a fresh counter bundle.
 
     NumPy picks the rows that carry counters or phase time; the additions
     then run one row at a time in row order, exactly as the emit-time fold
-    made them.
+    made them.  So on a recorded log this reproduces ``log.metrics``
+    bit-identically — the property :func:`validate_log` asserts.
     """
     metrics = Metrics()
     counted = np.array(cols.ckey) != 0
     phase, start, end = (np.array(cols.phase), np.array(cols.start),
                          np.array(cols.end))
     timed = (phase != 0) & (end > start)
-    if mask is not None:
-        counted &= mask
-        timed &= mask
     ckey, cval, keysets = cols.ckey, cols.cval, cols.keysets.values
     for i in np.flatnonzero(counted).tolist():
         for name, value in zip(keysets[ckey[i]], cval[i]):
@@ -604,16 +582,6 @@ def _fold_metrics(cols: EventColumns,
                           (end[timed] - start[timed]).tolist()):
         metrics.add_phase(phases[p], seconds)
     return metrics
-
-
-def fold_metrics(cols: EventColumns) -> Metrics:
-    """Replay a log's rows into a fresh counter bundle.
-
-    Addition order matches emission order, so on a recorded log this
-    reproduces ``log.metrics`` bit-identically — the property
-    :func:`validate_log` asserts.
-    """
-    return _fold_metrics(cols)
 
 
 def _lane_rows(cols: EventColumns) -> Tuple[np.ndarray, np.ndarray]:
@@ -636,11 +604,6 @@ def fold_spans(cols: EventColumns) -> List[Span]:
     ]
 
 
-def fold_phase_seconds(cols: EventColumns) -> Dict[str, float]:
-    """Per-phase accumulated seconds (Fig. 10's Tsr/Tfilling/... bars)."""
-    return dict(fold_metrics(cols).phase_seconds)
-
-
 def fold_lane_stats(cols: EventColumns) -> Dict[str, LaneStats]:
     """Per-lane busy/op aggregates, identical to the emit-time fold."""
     rows, who = _lane_rows(cols)
@@ -655,21 +618,6 @@ def fold_lane_stats(cols: EventColumns) -> Dict[str, LaneStats]:
         st.busy_seconds += end - start
         st.n_ops += 1
     return stats
-
-
-def fold_device_metrics(cols: EventColumns) -> Dict[Optional[int], Metrics]:
-    """Per-device counter bundles from a shared (fabric) event log.
-
-    Rows carrying no ``device`` fold under the ``None`` key, so a
-    single-device log comes back as ``{None: fold_metrics(cols)}``.
-    """
-    device = cols.devices()
-    row_device = device[np.array(cols.who)]
-    # ``who`` ids are interned in first-seen order, so is this dict.
-    return {
-        (None if d < 0 else d): _fold_metrics(cols, row_device == d)
-        for d in dict.fromkeys(device.tolist())
-    }
 
 
 def fold_device_faults(

@@ -243,19 +243,6 @@ class FabricSpec:
             return default
         return self.device_mems[device_id]
 
-    def scaled(self, factor: float) -> "FabricSpec":
-        """The same fabric with ``device_mems`` scaled by ``factor``.
-
-        Matches the dataset-scaling convention: capacities shrink with the
-        data, link bandwidths/latencies stay physical (charging happens at
-        paper scale).
-        """
-        if self.device_mems is None:
-            return self
-        return replace(self, device_mems=tuple(
-            max(int(m * factor), 1) for m in self.device_mems
-        ))
-
 
 class FabricTopology:
     """The resolved link graph of a fabric: devices + typed links.
@@ -288,10 +275,6 @@ class FabricTopology:
             DeviceSpec(d, spec.memory_of(d, base.memory_bytes))
             for d in range(spec.n_devices)
         ]
-
-    @property
-    def n_devices(self) -> int:
-        return len(self.devices)
 
     def link(self, src: int, dst: int) -> LinkSpec:
         """The link used between two devices (each reaches the host through
@@ -367,16 +350,9 @@ class Fabric(DeviceFacade):
     def n_devices(self) -> int:
         return len(self.devices)
 
-    def device(self, device_id: int) -> SimulatedGPU:
-        return self.devices[device_id]
-
     def exchange_bytes_of(self, device_id: int) -> int:
         """Paper-scale bytes device ``device_id`` has sent over its port."""
         return self._exchange_by_device[device_id]
-
-    def alive(self) -> List[int]:
-        """Device ids not permanently down, in id order."""
-        return [d for d in sorted(self.health) if self.health[d] != "down"]
 
     # --------------------------------------------------------------- health
     def check_health(self, t: Optional[float] = None) -> List[Tuple[int, str]]:
@@ -498,11 +474,12 @@ def fold_exchange_bytes(events: EventColumns) -> Dict[int, int]:
     traffic deliberately touches no :class:`~repro.gpusim.metrics.Metrics`
     counter, keeping single-device folds untouched).
     """
-    who = np.array(events.who)
-    d2d = np.array(events.kind) == events.kinds.ids.get("d2d", -1)
-    picked = np.flatnonzero(d2d & (events.devices()[who] >= 0)).tolist()
+    kind = np.array(events.kind)
+    d2d = np.flatnonzero(kind == events.kinds.ids.get("d2d", -1)).tolist()
     out: Dict[int, int] = {}
-    for (_, device), *_, xkeys, xvals in events.rows(picked):
+    for (_, device), *_, xkeys, xvals in events.rows(d2d):
+        if device is None:
+            continue
         nbytes = int(dict(zip(xkeys, xvals)).get("bytes", 0.0))
         out[device] = out.get(device, 0) + nbytes
     return out

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from numbers import Integral
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -266,10 +266,6 @@ class FaultPlan:
         if attempt < 0:
             raise ValueError("attempt must be non-negative")
         return self.backoff_base * self.backoff_factor ** attempt
-
-    def with_(self, **kwargs) -> "FaultPlan":
-        """A copy with some fields replaced (sweep convenience)."""
-        return replace(self, **kwargs)
 
     # ------------------------------------------------------ serialization
     def to_dict(self) -> Dict[str, Any]:

@@ -84,10 +84,6 @@ class DeviceMemory:
         self.clock = clock
 
     @property
-    def used(self) -> int:
-        return self._used
-
-    @property
     def available(self) -> int:
         return self.capacity - self._used
 

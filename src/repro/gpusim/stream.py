@@ -213,21 +213,3 @@ class Lane:
                                label, after=after, kind="kernel",
                                counters=counters, extra=extra)
 
-    def sync(self) -> float:
-        """Block the caller until this lane drains; returns the new time."""
-        return self.clock.advance_to(self.busy_until)
-
-    @property
-    def busy_seconds(self) -> float:
-        """Total seconds of work this lane has executed (event-log fold)."""
-        return self.log.busy_seconds(self.key)
-
-    @property
-    def n_ops(self) -> int:
-        stats = self.log.lane_stats.get(self.key)
-        return stats.n_ops if stats is not None else 0
-
-    def idle_seconds(self, horizon: float | None = None) -> float:
-        """Idle time of this lane within ``[0, horizon]`` (default: now)."""
-        h = self.clock.now if horizon is None else horizon
-        return self.log.idle_seconds(self.key, h)

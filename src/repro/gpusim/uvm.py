@@ -106,22 +106,9 @@ class UVMMemory:
         return self._n_resident
 
     @property
-    def resident_bytes(self) -> int:
-        return self._n_resident * self.page_size
-
-    @property
     def pinned_pages(self) -> int:
         """Number of pages pinned via :meth:`advise_pin` (never evicted)."""
         return self._n_pinned
-
-    def is_resident(self, pages: np.ndarray) -> np.ndarray:
-        return self._resident[pages]
-
-    def pages_of_byte_range(self, lo: int, hi: int) -> np.ndarray:
-        """Page ids covering the byte range ``[lo, hi)``."""
-        if hi <= lo:
-            return np.empty(0, dtype=np.int64)
-        return np.arange(lo // self.page_size, -(-hi // self.page_size), dtype=np.int64)
 
     def _emit(self, kind: str, label: str,
               counters: Optional[Mapping[str, int]] = None,

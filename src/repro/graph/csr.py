@@ -70,10 +70,6 @@ class ChunkRuns:
     def lengths(self) -> np.ndarray:
         return self.ends - self.starts
 
-    @property
-    def n_chunks(self) -> int:
-        return int(self.lengths.sum())
-
     def ids(self) -> np.ndarray:
         """The chunk ids, expanded run by run in the order given (a
         chunk-length array: use sparingly)."""
@@ -411,19 +407,6 @@ class CSRGraph:
         while held > SHARD_BYTES_PER_GRAPH:
             held -= self._shard_sets.popitem(last=False)[1][1]
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Destination vertices of ``v``'s out-edges (a view, not a copy)."""
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    def edge_weights_of(self, v: int) -> np.ndarray:
-        if self.weights is None:
-            raise ValueError("graph is unweighted")
-        return self.weights[self.indptr[v] : self.indptr[v + 1]]
-
-    def edge_range(self, v_lo: int, v_hi: int) -> tuple[int, int]:
-        """Half-open edge-array index range covering vertices ``[v_lo, v_hi)``."""
-        return int(self.indptr[v_lo]), int(self.indptr[v_hi])
-
     # ---------------------------------------------------------- construction
     @classmethod
     def from_edges(
@@ -499,18 +482,6 @@ class CSRGraph:
         """Attach uniform random integer weights in ``[low, high)`` (SSSP)."""
         rng = np.random.default_rng(seed)
         return self.with_weights(rng.integers(low, high, size=self.n_edges, dtype=np.uint32))
-
-    def unweighted(self) -> "CSRGraph":
-        """Drop weights (BFS/CC/PR sizing)."""
-        if self.weights is None:
-            return self
-        return CSRGraph(
-            indptr=self.indptr,
-            indices=self.indices,
-            weights=None,
-            directed=self.directed,
-            name=self.name,
-        )
 
     def symmetrized(self) -> "CSRGraph":
         """Both arc directions materialized (weakly-connected-components view).

@@ -67,14 +67,6 @@ class CacheStats:
     invalidations: int = 0
     stores: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "stores": self.stores,
-        }
-
     def summary(self) -> str:
         return (
             f"cache: {self.hits} hit(s), {self.misses} miss(es), "

@@ -139,11 +139,6 @@ class RunSpec:
                                FaultPlan.from_dict(self.fault_plan))
 
     # ------------------------------------------------------------- views
-    @property
-    def opts(self) -> Dict[str, OptValue]:
-        """The engine options as a plain dict."""
-        return dict(self.engine_opts)
-
     def engine_kwargs(self) -> Dict[str, OptValue]:
         """Keyword arguments to pass to the engine factory."""
         return dict(self.engine_opts)

@@ -14,7 +14,7 @@ The moving parts, each its own module:
     seeded-Poisson workload generator (simulated clock only — a seed
     replays the exact trace).
 :mod:`~repro.serve.queue`
-    Bounded admission queue with reject / drop-oldest / deadline
+    Bounded admission queue with reject / deadline
     backpressure and per-tenant fairness accounting.
 :mod:`~repro.serve.scheduler`
     FIFO baseline and the graph-affinity policy with a starvation guard.

@@ -45,8 +45,8 @@ __all__ = ["FusedTraversal", "BATCHABLE", "make_batched", "program_for"]
 class FusedTraversal:
     """B runs of one single-source traversal fused over one edge stream.
 
-    ``name`` (``BFSx3``), ``variant``, ``atomics`` and ``max_iterations``
-    are the single-source class's; ``program_trace`` composes the trace, and
+    ``name`` (``BFSx3``), ``atomics`` and ``max_iterations`` are the
+    single-source class's; ``program_trace`` composes the trace, and
     the single-source ``init_state`` range-checks each source.
     """
 
@@ -61,10 +61,6 @@ class FusedTraversal:
     @property
     def name(self) -> str:
         return f"{self.single.name}x{len(self.sources)}"
-
-    @property
-    def variant(self) -> str:
-        return self.single.variant
 
     @property
     def atomics(self) -> bool:

@@ -1,16 +1,11 @@
 """Bounded admission queue with backpressure and per-tenant accounting.
 
 The queue is the serving layer's only backpressure point: offered load
-beyond ``capacity`` is *shed*, never buffered unboundedly.  Three policies
+beyond ``capacity`` is *shed*, never buffered unboundedly.  Two policies
 decide who pays when the queue is full:
 
 ``reject``
     The newcomer is refused (classic bounded queue).
-``drop-oldest``
-    The newcomer is admitted by evicting the oldest request of the tenant
-    with the most queued work — the heaviest tenant funds the headroom,
-    which is the fairness story (a single flooding tenant cannot push
-    others' requests out).
 ``deadline``
     Expired requests are purged first; if the queue is still full the
     newcomer is rejected.
@@ -34,7 +29,7 @@ from repro.serve.request import Request
 __all__ = ["AdmissionQueue", "TenantAccount", "QUEUE_POLICIES"]
 
 #: Recognized backpressure policies.
-QUEUE_POLICIES = ("reject", "drop-oldest", "deadline")
+QUEUE_POLICIES = ("reject", "deadline")
 
 
 @dataclass
@@ -95,8 +90,8 @@ class AdmissionQueue:
         """Try to admit ``request`` at time ``now``.
 
         Returns ``(admitted, shed)`` where ``shed`` lists ``(victim,
-        reason)`` pairs — the newcomer itself when refused, or a queued
-        request evicted to make room under ``drop-oldest``.
+        reason)`` pairs — the newcomer itself when refused, and the queued
+        requests purged as expired under ``deadline``.
         """
         acct = self.account(request.tenant)
         acct.submitted += 1
@@ -106,12 +101,6 @@ class AdmissionQueue:
         shed: List[Tuple[Request, str]] = []
         if len(self._items) >= self.capacity and self.policy == "deadline":
             shed.extend(self.purge_expired(now))
-        if len(self._items) >= self.capacity and self.policy == "drop-oldest":
-            victim = self._drop_oldest_victim()
-            if victim is not None:
-                self._items.remove(victim)
-                self.account(victim.tenant).shed += 1
-                shed.append((victim, "drop-oldest"))
         if len(self._items) >= self.capacity:
             acct.shed += 1
             shed.append((request, "queue-full"))
@@ -119,19 +108,6 @@ class AdmissionQueue:
         self._items.append(request)
         acct.admitted += 1
         return True, shed
-
-    def _drop_oldest_victim(self) -> Request | None:
-        """Oldest queued request of the most-loaded tenant (ties: first)."""
-        if not self._items:
-            return None
-        load: Dict[str, int] = {}
-        for r in self._items:
-            load[r.tenant] = load.get(r.tenant, 0) + 1
-        heaviest = max(load, key=lambda t: (load[t], t))
-        for r in self._items:
-            if r.tenant == heaviest:
-                return r
-        return None  # pragma: no cover - heaviest always has an item
 
     def purge_expired(self, now: float) -> List[Tuple[Request, str]]:
         """Remove every queued request whose deadline passed; returns them."""

@@ -61,7 +61,7 @@ class ServeConfig:
     aging_seconds: float = 60.0
 
     def __post_init__(self) -> None:
-        for key in ("max_batch", "max_engines"):
+        for key in ("queue_capacity", "max_batch", "max_engines"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, Integral) \
                     or value < 1:

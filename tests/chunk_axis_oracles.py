@@ -11,6 +11,7 @@ Oracle table — each oracle's name and kind (``spec``: written from a
 definition)::
 
     dense_touch_counts  spec
+    fragment_counts     spec
     DenseHotnessTable   spec
     dense_hybrid_plan   spec
 """
@@ -33,6 +34,17 @@ def dense_touch_counts(cmap, active: np.ndarray) -> np.ndarray:
     for v in np.nonzero(active & cmap.has_edges)[0]:
         counts[cmap.c_lo[v]:cmap.c_hi[v] + 1] += 1
     return counts
+
+
+def fragment_counts(resident: np.ndarray, f: int):
+    """``(per-fragment resident counts, candidates)`` — what a region keeps
+    for the §3.4 planner: candidates is whether a fully resident and a fully
+    absent fragment both exist (the last fragment holds the rest)."""
+    bounds = np.arange(0, resident.size, f, dtype=np.int64)
+    counts = np.array([int(resident[lo:lo + f].sum()) for lo in bounds],
+                      dtype=np.int64)
+    sizes = np.minimum(f, resident.size - bounds)
+    return counts, bool((counts == sizes).any() and (counts == 0).any())
 
 
 class DenseHotnessTable:

@@ -78,6 +78,11 @@ def make_spec_for(graph: CSRGraph, edge_fraction: float = 0.4) -> GPUSpec:
     return GPUSpec(memory_bytes=max(cap, 4096))
 
 
+def neighbors(g: CSRGraph, v: int) -> np.ndarray:
+    """Out-neighbours of ``v``: its slice of the CSR index array."""
+    return g.indices[g.indptr[v]:g.indptr[v + 1]]
+
+
 def assert_graph_valid(g: CSRGraph) -> None:
     """Structural invariants every generated graph must satisfy."""
     assert g.indptr[0] == 0

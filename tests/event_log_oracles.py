@@ -14,7 +14,6 @@ definition)::
     fold_metrics         spec
     fold_lane_stats      spec
     fold_spans           spec
-    fold_device_metrics  spec
     fold_device_faults   spec
     idle_breakdown       spec
     first_offence        spec
@@ -122,14 +121,6 @@ def fold_spans(events: Iterable[SimEvent]) -> List[Span]:
     """One span per lane row of positive width, in row order."""
     return [Span(e.lane_key, e.label, e.start, e.end)
             for e in events if e.lane and e.end > e.start]
-
-
-def fold_device_metrics(events: List[SimEvent]
-                        ) -> Dict[Optional[int], Metrics]:
-    """:func:`fold_metrics` of each device's rows, devices in first-seen
-    order (``None`` for device-less rows)."""
-    return {d: fold_metrics(e for e in events if e.device == d)
-            for d in dict.fromkeys(e.device for e in events)}
 
 
 def fold_device_faults(events: Iterable[SimEvent]

@@ -16,20 +16,12 @@ SCALE = 5e-5
 
 
 class TestAccessTrace:
-    def test_record_and_events(self):
-        t = AccessTrace([1.0, 2.0], [np.array([0, 1, 2]), np.array([1, 3])])
-        times, chunks = t.events()
-        assert times.size == 5
-        assert list(chunks) == [0, 1, 2, 1, 3]
-
     def test_access_counts(self):
         t = AccessTrace([0.0, 1.0], [np.array([0, 1]), np.array([1])])
         assert list(t.access_counts(3)) == [1, 2, 0]
 
     def test_empty_trace(self):
         t = AccessTrace()
-        times, chunks = t.events()
-        assert times.size == 0
         s = t.summarize(10)
         assert s.n_iterations == 0
 

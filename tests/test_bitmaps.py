@@ -1,63 +1,71 @@
-"""Tests for the Fig. 4 bitmap algebra."""
+"""Fig. 4's bitmap identity, specified where it is computed.
+
+``core/manager.py::superstep_frame`` opens every Ascetic and Hybrid
+superstep: OndemandMap = ActiveBitmap ∧ ¬StaticBitmap in one operation.
+Fig. 4 states it as StaticMap = Active ∧ Static and OndemandMap = Active ⊕
+StaticMap.  These properties check the frame against that definition on
+random graphs, regions and active masks, with StaticBitmap computed
+vertex by vertex from the region's resident chunks.
+"""
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.bitmaps import and_map, ondemand_map, split_active
+from repro.algorithms.base import ProgramState
+from repro.core.manager import superstep_frame
+from repro.core.static_region import FILLS, StaticRegion
+from repro.gpusim.device import GPUSpec, SimulatedGPU
+from repro.graph.csr import CSRGraph
 
 
-def masks(n=24):
-    return st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1)).map(
-        lambda t: (
-            np.array([(t[0] >> i) & 1 for i in range(n)], dtype=bool),
-            np.array([(t[1] >> i) & 1 for i in range(n)], dtype=bool),
-        )
-    )
+@st.composite
+def frames(draw):
+    """``(graph, region, active, frame)`` for one random superstep."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(0, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = CSRGraph.from_edges(rng.integers(0, n, m), rng.integers(0, n, m), n)
+    chunk_bytes = draw(st.sampled_from([4, 8, 16, 64]))
+    region = StaticRegion(
+        graph, int(graph.edge_array_bytes * draw(st.floats(0.0, 1.0))),
+        chunk_bytes=chunk_bytes, fill=draw(st.sampled_from(FILLS)),
+        seed=draw(st.integers(0, 7)), fragment_chunks=draw(st.integers(1, 8)))
+    active = rng.random(n) < draw(st.floats(0.0, 1.0))
+    frame = superstep_frame(SimulatedGPU(GPUSpec()), graph,
+                            ProgramState(active=active), region,
+                            draw(st.integers(0, 256)))
+    return graph, region, active, frame
 
 
-class TestAndMap:
-    def test_basic(self):
-        a = np.array([1, 1, 0, 0], dtype=bool)
-        s = np.array([1, 0, 1, 0], dtype=bool)
-        assert list(and_map(a, s)) == [True, False, False, False]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            and_map(np.zeros(3, bool), np.zeros(4, bool))
-
-
-class TestOndemandMap:
-    def test_xor_equals_active_minus_static(self):
-        a = np.array([1, 1, 1, 0], dtype=bool)
-        smap = np.array([1, 0, 0, 0], dtype=bool)
-        assert list(ondemand_map(a, smap)) == [False, True, True, False]
-
-    def test_subset_violation_rejected(self):
-        a = np.array([0, 1], dtype=bool)
-        smap = np.array([1, 0], dtype=bool)  # static map not ⊆ active
-        with pytest.raises(ValueError):
-            ondemand_map(a, smap)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            ondemand_map(np.zeros(2, bool), np.zeros(3, bool))
+def static_bitmap(graph, region):
+    """StaticBitmap by definition: every chunk of the vertex's edge range
+    is resident; a vertex without edges is static."""
+    bpe, cb = graph.bytes_per_edge, region.chunk_bytes
+    out = np.ones(graph.n_vertices, dtype=bool)
+    for v in range(graph.n_vertices):
+        lo, hi = int(graph.indptr[v]) * bpe, int(graph.indptr[v + 1]) * bpe
+        if hi > lo:
+            out[v] = bool(region.resident[lo // cb:(hi - 1) // cb + 1].all())
+    return out
 
 
 class TestSplitActive:
-    @given(masks())
-    def test_property_partition_of_active(self, ms):
-        """StaticMap and OndemandMap partition the active set exactly."""
-        active, static = ms
-        smap, odmap = split_active(active, static)
-        assert not (smap & odmap).any()  # disjoint
-        assert np.array_equal(smap | odmap, active)  # cover
-        assert np.array_equal(smap, active & static)  # Fig. 4 definition
+    @given(frames())
+    def test_property_partition_of_active(self, drawn):
+        """StaticMap and OndemandMap partition the active set exactly, and
+        the static edges are the out-degrees of StaticMap's vertices."""
+        graph, region, active, frame = drawn
+        smap = active & static_bitmap(graph, region)
+        assert not (smap & frame.odmap).any()
+        assert np.array_equal(smap | frame.odmap, active)
+        degree = np.diff(graph.indptr)
+        assert frame.static_edges == sum(
+            int(degree[v]) for v in range(graph.n_vertices) if smap[v])
 
-    @given(masks())
-    def test_property_xor_identity(self, ms):
-        """The paper's XOR formulation equals AND-NOT for subset maps."""
-        active, static = ms
-        smap, odmap = split_active(active, static)
-        assert np.array_equal(odmap, active & ~static)
+    @given(frames())
+    def test_property_xor_identity(self, drawn):
+        """The paper's XOR formulation: OndemandMap = Active ⊕ StaticMap."""
+        graph, region, active, frame = drawn
+        smap = active & static_bitmap(graph, region)
+        assert np.array_equal(frame.odmap, active ^ smap)

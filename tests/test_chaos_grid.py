@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.gpusim.events import FAULT_KINDS, validate_log
-from repro.gpusim.faults import FaultPlan, standard_fleet_plan, standard_plan
+from repro.gpusim.faults import (DeviceFault, FaultPlan, standard_fleet_plan,
+                                 standard_plan)
 from repro.harness.experiments import make_workload, run_workload
 from repro.runner import RunSpec, run_grid
 
@@ -75,6 +76,29 @@ class TestChaosGrid:
         validate_log(chaos.event_log, metrics=chaos.metrics,
                      horizon=chaos.elapsed_seconds)
         assert chaos.extra["device_losses"] >= 1.0
+
+    @pytest.mark.parametrize("algo", ("BFS", "PR"))
+    def test_sharded_waits_out_a_device_stall(self, algo):
+        # Device 1 stalls over [0.3, 0.6) of the fault-free horizon: the
+        # barrier that sees it charges the rest of the window to the
+        # device's compute lane, and the run goes on with the same values.
+        w = make_workload("GS", algo, scale=SCALE)
+        baseline = run_workload(w, "Sharded", devices=4)
+        horizon = baseline.elapsed_seconds
+        plan = FaultPlan(device_faults=(
+            DeviceFault(1, 0.3 * horizon, 0.6 * horizon),))
+        chaos = run_workload(w, "Sharded", devices=4, record_events=True,
+                             fault_plan=plan)
+        assert chaos.values.tobytes() == baseline.values.tobytes()
+        validate_log(chaos.event_log, metrics=chaos.metrics,
+                     horizon=chaos.elapsed_seconds)
+        stall, = [e for e in rows(chaos.event_log.events)
+                  if e.kind == "device-stall"]
+        assert stall.device == 1
+        assert stall.retry_seconds == pytest.approx(stall.end - stall.start,
+                                                    rel=1e-12)
+        assert chaos.extra["fault_device_stall"] == 1.0
+        assert chaos.elapsed_seconds >= horizon
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_transfer_faults_only_add_time(self, engine):

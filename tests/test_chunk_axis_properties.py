@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chunk_axis_oracles import (DenseHotnessTable, dense_hybrid_plan,
-                                dense_touch_counts)
+                                dense_touch_counts, fragment_counts)
 from repro.core.replacement import HotnessTable
 from repro.core.static_region import StaticRegion
 from repro.engines.base import AccessPath, RunPlan
@@ -124,8 +124,11 @@ class TestHotnessTable:
             else:
                 table.update(region.segment_touch_counts(active))
             oracle.update(dense_touch_counts(cmap, active))
-            assert np.array_equal(table.cumulative, oracle.cumulative)
-            assert np.array_equal(table.last, oracle.last)
+            seg_len = np.diff(table.seg_bounds)
+            assert np.array_equal(np.repeat(table.seg_cumulative, seg_len),
+                                  oracle.cumulative)
+            assert np.array_equal(np.repeat(table.seg_last, seg_len),
+                                  oracle.last)
             assert np.array_equal(table.staleness(), oracle.staleness())
             assert np.array_equal(table.hotness(), oracle.hotness())
             probe = rng.integers(0, cmap.n_chunks, size=5)
@@ -138,7 +141,8 @@ class TestHotnessTable:
             mixed = np.repeat(state == 2, fragment)[:cmap.n_chunks]
             resident = resident | (mixed & (rng.random(cmap.n_chunks) < 0.5))
             budget = int(rng.integers(0, 4 * fragment + 2))
-            plan = table.plan_swaps(resident, budget, fragment_chunks=fragment)
+            plan = table.plan_swaps(resident, budget, fragment,
+                                    *fragment_counts(resident, fragment))
             evict, load = oracle.plan_swaps(resident, budget,
                                             fragment_chunks=fragment)
             assert np.array_equal(plan.evict, evict)
@@ -222,7 +226,8 @@ def _check_plans(policy, region, table, active, use_touch, use_hot):
     ids = np.nonzero(touch)[0]
     oracle = dense_hybrid_plan(
         policy, ids, touch[ids] if use_touch else None,
-        table.cumulative if use_hot else None)
+        np.repeat(table.seg_cumulative, np.diff(table.seg_bounds))
+        if use_hot else None)
     seg_touch = region.segment_touch_counts(active)
     touched = np.nonzero(seg_touch)[0]
     if not touched.size:

@@ -91,6 +91,7 @@ class TestServeConfigDoor:
         ("aging_seconds", float("nan")),
         ("max_batch", 2.5),
         ("max_engines", True),
+        ("queue_capacity", 0),
     ])
     def test_serve_config_rejects(self, key, value):
         from dataclasses import replace
@@ -108,14 +109,14 @@ class TestServeConfigDoor:
             FleetConfig(shard_over=value)
 
     def test_documented_edges_stay_valid(self):
-        """``queue_capacity=0`` sheds every request; ``shard_over=None``
-        turns sharding off."""
+        """``batch_wait=0`` dispatches at once; ``shard_over=None`` turns
+        sharding off."""
         from dataclasses import replace
 
         from repro.serve.fleet import FleetConfig
         from repro.serve.simulator import quick_config
 
-        serve = replace(quick_config(0), queue_capacity=0, batch_wait=0.0)
+        serve = replace(quick_config(0), batch_wait=0.0)
         assert FleetConfig(serve=serve, shard_over=None).shard_over is None
 
     def test_cli_reports_a_refused_value_as_usage_error(self, capsys):

@@ -110,7 +110,8 @@ class TestCharging:
             k: 0 for k in gpu.metrics.as_dict()
         }
         for lane in (gpu.gpu, gpu.copy, gpu.cpu):
-            assert lane.n_ops == 0 and lane.busy_until == 0.0
+            assert lane.key not in gpu.events.lane_stats
+            assert lane.busy_until == 0.0
 
 
 class TestScheduling:

@@ -18,7 +18,6 @@ from repro.gpusim.events import (
     LaneStats,
     fold_lane_stats,
     fold_metrics,
-    fold_phase_seconds,
     fold_spans,
     idle_breakdown,
     ordered_sum,
@@ -90,7 +89,7 @@ class TestFolds:
         ]
 
     def test_fold_phase_seconds(self):
-        assert fold_phase_seconds(self.events()) == {
+        assert fold_metrics(self.events()).phase_seconds == {
             "Ttransfer": 1.0, "Tcompute": 3.0
         }
 
@@ -112,7 +111,7 @@ class TestFolds:
         log = EventLog(record=False)
         for row in self.events().to_dicts():
             log.emit_row(row)
-        assert len(log.events) == 0 and log.n_events == 0
+        assert len(log.events) == 0
         assert log.metrics.bytes_h2d == 500
         assert log.busy_seconds("gpu") == 3.0
         assert log.idle_seconds("gpu", 10.0) == 7.0
@@ -323,7 +322,7 @@ class TestStandaloneLane:
         lane = Lane("gpu", VirtualClock())
         assert isinstance(lane.log, EventLog)
         lane.submit(2.0)
-        assert lane.busy_seconds == 2.0
+        assert lane.log.busy_seconds(lane.key) == 2.0
 
     def test_shared_log_across_lanes(self):
         clock = VirtualClock()

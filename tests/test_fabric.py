@@ -3,7 +3,7 @@
 import pytest
 
 from repro.gpusim.device import GPUSpec
-from repro.gpusim.events import fold_device_metrics, validate_log
+from repro.gpusim.events import validate_log
 from repro.gpusim.fabric import (
     NVLINK_BANDWIDTH,
     NVLINK_LATENCY,
@@ -122,13 +122,10 @@ class TestFabricSpec:
         with pytest.raises(ValueError, match="n_devices"):
             ShardedEngine(fabric={"n_devices": 1.9})
 
-    def test_memory_of_and_scaled(self):
+    def test_memory_of(self):
         spec = FabricSpec(n_devices=2, device_mems=(1000, 2000))
         assert spec.memory_of(1, default=7) == 2000
         assert FabricSpec(n_devices=2).memory_of(1, default=7) == 7
-        shrunk = spec.scaled(0.5)
-        assert shrunk.device_mems == (500, 1000)
-        assert FabricSpec(n_devices=2).scaled(0.5).device_mems is None
 
 
 class TestLinkSpec:
@@ -260,13 +257,13 @@ class TestFabric:
         fab = self.make()
         fab.devices[0].h2d(1_000_000, label="fill")
         fab.devices[1].h2d(64_000, label="fill")
-        per_dev = fold_device_metrics(fab.events.events)
-        # Each device's slice of the shared log folds independently
-        # (sizes round up to the transfer granule, so compare, not pin).
-        assert per_dev[0].h2d_transfers == 1
-        assert per_dev[1].h2d_transfers == 1
-        assert per_dev[0].bytes_h2d >= 1_000_000
-        assert per_dev[1].bytes_h2d < per_dev[0].bytes_h2d
+        # Each device's copy is its own row of the shared log, counters
+        # included (sizes round up to the transfer granule, so compare,
+        # not pin).
+        h2d = [e for e in rows(fab.events.events) if e.h2d_transfers]
+        assert [(e.device, e.h2d_transfers) for e in h2d] == [(0, 1), (1, 1)]
+        assert h2d[0].bytes_h2d >= 1_000_000
+        assert h2d[1].bytes_h2d < h2d[0].bytes_h2d
 
     def test_log_validates(self):
         fab = self.make()

@@ -247,10 +247,9 @@ class TestFabricHealth:
         plan = FaultPlan(device_faults=(DeviceFault(device=1, start=1.0),))
         fab = self.make_fabric(plan)
         assert fab.check_health(0.5) == []
-        assert fab.alive() == [0, 1]
+        assert fab.health == {0: "up", 1: "up"}
         assert fab.check_health(2.0) == [(1, "down")]
-        assert fab.alive() == [0]
-        assert fab.health[1] == "down"
+        assert fab.health == {0: "up", 1: "down"}
         downs = [e for e in rows(fab.events.events) if e.kind == "device-down"]
         assert len(downs) == 1 and downs[0].device == 1
         # Health transitions are edge-triggered: re-checking emits nothing.

@@ -36,7 +36,7 @@ class TestExpand:
         active[v] = True
         exp = expand_frontier(small_rmat, active)
         assert np.all(exp.sources == v)
-        lo, hi = small_rmat.edge_range(v, v + 1)
+        lo, hi = small_rmat.indptr[v], small_rmat.indptr[v + 1]
         assert np.array_equal(exp.positions, np.arange(lo, hi))
 
     def test_zero_degree_vertices_skipped(self, tiny_star):

@@ -114,7 +114,7 @@ class TestPartitionsOfVertices:
     def _brute(self, graph, parts, active):
         touched = np.zeros(len(parts), dtype=bool)
         for v in np.nonzero(active)[0]:
-            lo, hi = graph.edge_range(v, v + 1)
+            lo, hi = graph.indptr[v], graph.indptr[v + 1]
             if hi == lo:
                 continue  # degree-0 vertex owns no edge bytes
             for i, p in enumerate(parts):

@@ -11,7 +11,6 @@ MODULES = [
     "repro.graph.csr",
     "repro.graph.generators",
     "repro.graph.datasets",
-    "repro.graph.io",
     "repro.graph.partition",
     "repro.graph.properties",
     "repro.graph.reorder",
@@ -47,7 +46,6 @@ MODULES = [
     "repro.engines.uvm_engine",
     "repro.core",
     "repro.core.ascetic",
-    "repro.core.bitmaps",
     "repro.core.manager",
     "repro.core.ondemand",
     "repro.core.ratio",

@@ -8,23 +8,32 @@ from hypothesis import strategies as st
 from repro.core.replacement import HotnessTable
 from repro.graph.csr import CSRGraph
 
+from chunk_axis_oracles import fragment_counts
+
 
 def table(n=64, policy="last", threshold=1):
+    """A table without a chunk map: every chunk is its own segment, so
+    ``seg_last`` / ``seg_cumulative`` are per chunk."""
     return HotnessTable(n, policy=policy, stale_threshold=threshold)
+
+
+def plan_of(h, resident, budget, f=64):
+    """``plan_swaps`` fed the counts and candidate flag a region keeps."""
+    return h.plan_swaps(resident, budget, f, *fragment_counts(resident, f))
 
 
 class TestUpdate:
     def test_binarized(self):
         h = table(4)
         h.update(np.array([0, 5, 1, 0]))
-        assert list(h.last) == [0, 1, 1, 0]
-        assert list(h.cumulative) == [0, 1, 1, 0]
+        assert list(h.seg_last) == [0, 1, 1, 0]
+        assert list(h.seg_cumulative) == [0, 1, 1, 0]
 
     def test_cumulative_counts_iterations(self):
         h = table(2)
         h.update(np.array([3, 0]))
         h.update(np.array([9, 0]))
-        assert list(h.cumulative) == [2, 0]
+        assert list(h.seg_cumulative) == [2, 0]
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -63,8 +72,7 @@ class TestPlanSwaps:
         touched = np.zeros(64)
         touched[32:] = 1
         h.update(touched)
-        plan = h.plan_swaps(self._resident_front(64, 32), budget_chunks=16,
-                            fragment_chunks=8)
+        plan = plan_of(h, self._resident_front(64, 32), 16, 8)
         assert plan.n_swaps == 16
         assert plan.evict.size == plan.load.size
         assert plan.evict.max() < 32 and plan.load.min() >= 32
@@ -74,8 +82,7 @@ class TestPlanSwaps:
         touched = np.zeros(64)
         touched[32:] = 1
         h.update(touched)
-        plan = h.plan_swaps(self._resident_front(64, 32), budget_chunks=9,
-                            fragment_chunks=8)
+        plan = plan_of(h, self._resident_front(64, 32), 9, 8)
         assert plan.n_swaps <= 9
 
     def test_fragment_alignment(self):
@@ -83,8 +90,7 @@ class TestPlanSwaps:
         touched = np.zeros(64)
         touched[32:] = 1
         h.update(touched)
-        plan = h.plan_swaps(self._resident_front(64, 32), budget_chunks=64,
-                            fragment_chunks=8)
+        plan = plan_of(h, self._resident_front(64, 32), 64, 8)
         # Loaded chunks form whole fragments.
         assert set(plan.load // 8) <= set(range(4, 8))
         for f in set(plan.load // 8):
@@ -92,13 +98,12 @@ class TestPlanSwaps:
 
     def test_no_budget_no_plan(self):
         h = table(16)
-        assert h.plan_swaps(np.ones(16, bool), 0).n_swaps == 0
+        assert plan_of(h, np.ones(16, bool), 0).n_swaps == 0
 
     def test_no_candidates_no_plan(self):
         h = table(16, policy="last")
         h.update(np.ones(16))  # everything hot
-        plan = h.plan_swaps(self._resident_front(16, 8), budget_chunks=8,
-                            fragment_chunks=4)
+        plan = plan_of(h, self._resident_front(16, 8), 8, 4)
         assert plan.n_swaps == 0  # nothing stale to evict
 
     def test_mixed_fragments_not_touched(self):
@@ -106,16 +111,16 @@ class TestPlanSwaps:
         h.update(np.zeros(16))
         resident = np.zeros(16, dtype=bool)
         resident[::2] = True  # every fragment partially resident
-        plan = h.plan_swaps(resident, budget_chunks=16, fragment_chunks=4)
+        plan = plan_of(h, resident, 16, 4)
         assert plan.n_swaps == 0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            table(8).plan_swaps(np.ones(4, bool), 4)
+            plan_of(table(8), np.ones(4, bool), 4)
 
     def test_empty_table(self):
         h = HotnessTable(0)
-        assert h.plan_swaps(np.zeros(0, bool), 10).n_swaps == 0
+        assert plan_of(h, np.zeros(0, bool), 10).n_swaps == 0
 
     @given(
         st.integers(0, 2**24 - 1),
@@ -130,7 +135,7 @@ class TestPlanSwaps:
         h = table(n, policy="last")
         h.update(np.array([(touch_bits >> i) & 1 for i in range(n)]))
         resident = np.array([(res_bits >> i) & 1 for i in range(n)], dtype=bool)
-        plan = h.plan_swaps(resident, budget, fragment_chunks=frag)
+        plan = plan_of(h, resident, budget, frag)
         assert plan.evict.size == plan.load.size
         assert plan.n_swaps <= budget
         if plan.n_swaps:
@@ -156,7 +161,7 @@ class TestConstructorValidation:
         if threshold == 0:
             assert not stale.any()
         else:
-            assert np.array_equal(stale, h.last == 0)
+            assert np.array_equal(stale, h.seg_last == 0)
 
     def test_cumulative_policy_allows_large_thresholds(self):
         h = table(8, policy="cumulative", threshold=5)
@@ -181,20 +186,20 @@ class TestUpdateRuns:
             starts, ends = _bits_to_runs(dense)
             by_runs.update_runs(starts, ends)
             by_dense.update(dense)
-        assert np.array_equal(by_runs.cumulative, by_dense.cumulative)
-        assert np.array_equal(by_runs.last, by_dense.last)
+        assert np.array_equal(by_runs.seg_cumulative, by_dense.seg_cumulative)
+        assert np.array_equal(by_runs.seg_last, by_dense.seg_last)
         assert np.array_equal(by_runs.staleness(), by_dense.staleness())
 
     def test_updates_fold_immediately(self):
         """Every interval update is visible to the next read — per segment
-        and through the dense views — with nothing deferred."""
+        and through the dense staleness view — with nothing deferred."""
         h = table(16)
         h.update_runs(np.array([0]), np.array([4]))
         assert list(h.seg_cumulative[:5]) == [1, 1, 1, 1, 0]
         h.update_runs(np.array([8]), np.array([12]))
-        assert list(h.last[:13]) == [0] * 8 + [1] * 4 + [0]
-        assert list(h.cumulative[:13]) == [1] * 4 + [0] * 4 + [1] * 4 + [0]
-        assert np.array_equal(h.staleness(), h.last == 0)
+        assert list(h.seg_last[:13]) == [0] * 8 + [1] * 4 + [0]
+        assert list(h.seg_cumulative[:13]) == [1] * 4 + [0] * 4 + [1] * 4 + [0]
+        assert np.array_equal(h.staleness(), h.seg_last == 0)
 
     def test_runs_must_fall_on_segment_boundaries(self):
         """A table on a coarser segment partition cannot represent an
@@ -207,7 +212,6 @@ class TestUpdateRuns:
         h = HotnessTable(12, chunk_map=cmap)
         h.update_runs(np.array([4]), np.array([12]))
         assert list(h.seg_last) == [0, 1, 1]
-        assert list(h.last) == [0] * 4 + [1] * 8
         with pytest.raises(ValueError, match="segment boundaries"):
             h.update_runs(np.array([5]), np.array([12]))
 
@@ -218,8 +222,8 @@ class TestUpdateRuns:
         h.update(np.array([0, 1, 0, 0, 1, 0, 0, 0]))
         ref.update(np.array([1, 1, 1, 0, 0, 0, 0, 0]))
         ref.update(np.array([0, 1, 0, 0, 1, 0, 0, 0]))
-        assert np.array_equal(h.cumulative, ref.cumulative)
-        assert np.array_equal(h.last, ref.last)
+        assert np.array_equal(h.seg_cumulative, ref.seg_cumulative)
+        assert np.array_equal(h.seg_last, ref.seg_last)
 
     def test_overlapping_intervals_rejected(self):
         h = table(16)
@@ -239,29 +243,5 @@ class TestUpdateRuns:
         h.update_runs(np.array([0]), np.array([4]))
         empty = np.empty(0, dtype=np.int64)
         h.update_runs(empty, empty)
-        assert not h.last.any()
-        assert list(h.cumulative) == [1, 1, 1, 1]
-
-
-class TestPlanSwapsResidentCounts:
-    """Passing precomputed per-fragment resident counts must not change
-    the plan — it only skips the reduceat."""
-
-    @given(
-        st.integers(0, 2**24 - 1),
-        st.integers(0, 2**24 - 1),
-        st.integers(1, 30),
-        st.integers(1, 8),
-    )
-    def test_property_same_plan(self, res_bits, touch_bits, budget, frag):
-        n = 24
-        h = table(n, policy="last")
-        h.update(np.array([(touch_bits >> i) & 1 for i in range(n)]))
-        resident = np.array([(res_bits >> i) & 1 for i in range(n)],
-                            dtype=bool)
-        counts = h.fragment_resident_counts(resident, frag)
-        a = h.plan_swaps(resident, budget, fragment_chunks=frag)
-        b = h.plan_swaps(resident, budget, fragment_chunks=frag,
-                         resident_counts=counts)
-        assert np.array_equal(a.evict, b.evict)
-        assert np.array_equal(a.load, b.load)
+        assert not h.seg_last.any()
+        assert list(h.seg_cumulative) == [1, 1, 1, 1]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engines.base import IterationRecord, RunResult
+from repro.engines.base import RunResult
 from repro.gpusim.metrics import Metrics
 
 
@@ -23,11 +23,6 @@ def make_result(**overrides):
 
 
 class TestRunResult:
-    def test_bytes_h2d_passthrough(self):
-        m = Metrics()
-        m.bytes_h2d = 1234
-        assert make_result(metrics=m).bytes_h2d == 1234
-
     def test_processing_excludes_prefill(self):
         m = Metrics()
         m.bytes_h2d = 1000
@@ -54,10 +49,3 @@ class TestRunResult:
         s = make_result().summary()
         for token in ("Ascetic", "BFS", "FK", "iters=3"):
             assert token in s
-
-    def test_iteration_record_duration(self):
-        rec = IterationRecord(
-            iteration=0, n_active_vertices=5, n_active_edges=9,
-            bytes_h2d=100, t_start=1.0, t_end=3.5,
-        )
-        assert rec.duration == 2.5

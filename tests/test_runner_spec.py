@@ -24,7 +24,7 @@ class TestNormalization:
     def test_engine_opts_accepts_mapping(self):
         s = RunSpec("FK", "BFS", "Ascetic", engine_opts={"b": 1, "a": 2})
         assert s.engine_opts == (("a", 2), ("b", 1))
-        assert s.opts == {"a": 2, "b": 1}
+        assert s.engine_kwargs() == {"a": 2, "b": 1}
         assert s.engine_kwargs() == {"a": 2, "b": 1}
 
     def test_hashable(self):
@@ -50,7 +50,7 @@ class TestSerialization:
         s = RunSpec("FK", "CC", "Ascetic", engine_opts=opts)
         back = RunSpec.from_dict(s.to_dict())
         assert back == s
-        assert back.opts == opts
+        assert back.engine_kwargs() == opts
 
     def test_unknown_tagged_opt_rejected(self):
         d = RunSpec("FK", "BFS", "Ascetic").to_dict()

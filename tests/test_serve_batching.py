@@ -40,8 +40,8 @@ class TestFactory:
     def test_name_carries_batch_size(self):
         fused = make_batched("SSSP", [0, 3, 5])
         assert fused.name == "SSSPx3"
-        assert (fused.variant, fused.atomics, fused.max_iterations) == \
-            (SSSP.variant, SSSP.atomics, SSSP.max_iterations)
+        assert (fused.atomics, fused.max_iterations) == \
+            (SSSP.atomics, SSSP.max_iterations)
         assert len(make_batched("BFS", [2]).sources) == 1
 
     def test_source_range_checked(self, tiny_path):

@@ -98,19 +98,6 @@ class TestAdmissionQueue:
             assert len(q) == 0 and not q
             assert q.account("t0").shed == 3
 
-    def test_drop_oldest_charges_the_heaviest_tenant(self):
-        q = AdmissionQueue(capacity=3, policy="drop-oldest")
-        q.offer(req(0, tenant="flood"), 0.0)
-        q.offer(req(1, tenant="flood"), 0.0)
-        q.offer(req(2, tenant="light"), 0.0)
-        admitted, shed = q.offer(req(3, tenant="light"), 1.0)
-        assert admitted
-        # flood has 2 queued vs light's 1: flood's oldest (id 0) pays.
-        assert [(v.request_id, why) for v, why in shed] == [(0, "drop-oldest")]
-        assert [r.request_id for r in q.items] == [1, 2, 3]
-        assert q.account("flood").shed == 1
-        assert q.account("light").shed == 0
-
     def test_deadline_policy_purges_expired_first(self):
         q = AdmissionQueue(capacity=2, policy="deadline")
         q.offer(req(0, deadline=1.0), 0.0)

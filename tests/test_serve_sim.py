@@ -258,14 +258,6 @@ class TestEdgeCases:
         assert res.report["counts"]["shed"] == 1
         assert res.report["counts"]["completed"] == 0
 
-    def test_zero_capacity_queue_sheds_all_load(self):
-        trace = tuple(req(i, "BFS", arrival=0.1 * i) for i in range(4))
-        res = run_load_test(base_config(n_requests=4, queue_capacity=0), trace)
-        assert all(r.status is RequestStatus.SHED for r in res.responses)
-        assert res.report["counts"]["completed"] == 0
-        assert res.report["shed_rate"] == pytest.approx(1.0)
-        assert res.report["throughput_per_second"] == 0.0
-
     def test_deadline_expiry_in_queue(self):
         # Request 1's deadline passes while request 0 occupies the server.
         trace = (req(0, "BFS", arrival=0.0),

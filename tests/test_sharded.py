@@ -29,7 +29,7 @@ from repro.graph.shard import shard_graph
 from repro.harness.persistence import result_to_payload
 from repro.serve.batching import make_batched
 
-from conftest import TEST_SCALE, make_spec_for
+from conftest import TEST_SCALE, make_spec_for, neighbors
 
 
 def run_engine(name, graph, program_factory, **opts):
@@ -193,7 +193,8 @@ class TestShardedRunShape:
         def hook(eng, fabric, graph, state):
             assert eng is engine and isinstance(fabric, Fabric)
             seen.append((state.iteration, fabric.clock.now,
-                         fabric.alive(), list(eng._device_ids)))
+                         [d for d, h in sorted(fabric.health.items()) if h != "down"],
+                         list(eng._device_ids)))
 
         engine.iteration_hook = hook
         res = engine.run(small_social, factory())
@@ -238,7 +239,7 @@ def spec_exchange(graph, mask, live):
     distinct destination of the mask's out-edges it holds, to every peer."""
     sent = {}
     for d, shard in zip(live, shard_graph(graph, len(live))):
-        dests = [shard.graph.neighbors(v) for v in np.flatnonzero(mask)]
+        dests = [neighbors(shard.graph, v) for v in np.flatnonzero(mask)]
         n = np.unique(np.concatenate(dests)).size if dests else 0
         sent.update({(d, peer): n * VALUE_DELTA_BYTES
                      for peer in live if peer != d and n})

@@ -69,7 +69,7 @@ class TestEmitAccessPlan:
                          RunPlan.from_ids(np.arange(4), AccessPath.MIGRATE))
         # Markers are counter-less: metrics (and hence digests) cannot move.
         assert (gpu.metrics.bytes_h2d, gpu.metrics.bytes_direct) == before
-        assert gpu.events.n_events == 0  # nothing retained in lean mode
+        assert len(gpu.events.events) == 0  # nothing retained in lean mode
 
     def test_recorded_mode_emits_contiguous_runs(self):
         gpu = self._gpu(record=True)
@@ -95,7 +95,7 @@ class TestEmitAccessPlan:
         gpu = self._gpu(record=True)
         emit_access_plan(gpu, "X", "page",
                          RunPlan.from_ids(np.empty(0), AccessPath.DIRECT))
-        assert gpu.events.n_events == 0
+        assert len(gpu.events.events) == 0
 
 
 class TestEnginePlans:
