@@ -2,8 +2,9 @@
 traffic runs.
 
 The traffic is every ``bench_e2e`` workload and its smoke pass, the paper
-figures under ``benchmarks/``, the scripts under ``examples/`` and every
-``repro`` command that ``.github/workflows/ci.yml`` runs.  Each runs in a
+figures under ``benchmarks/``, the scripts under ``examples/``, every
+``repro`` command that ``.github/workflows/ci.yml`` runs and a small grid
+run twice with its result cache on.  Each runs in a
 subprocess whose ``sitecustomize`` installs a ``sys.setprofile`` hook (kept
 armed when a caller such as pytest-benchmark clears the profiler) that
 appends each function under ``src/repro`` to a log the first time it runs, so
@@ -88,6 +89,10 @@ def traffic(out):
     for jobs in ("1", "2"):
         yield repro("grid", "--datasets", "FK", "GS", "--algos", "BFS", "SSSP",
                     "CC", "PR", *SCALE, "--no-cache", "--jobs", jobs), out
+    # A grid with its result cache on (the command's default), twice: the
+    # second run is served from the cache.
+    for _ in range(2):
+        yield repro("grid", "--datasets", "GS", "--algos", "BFS", *SCALE), out
     yield repro("serve", "--quick", "-o", "slo-report.json"), out
     yield repro("serve", "--engine", "Hybrid", "--requests", "8", "--rate",
                 "4.0", "--graphs", "GS", "--algos", "BFS", "CC", *SCALE,

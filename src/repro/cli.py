@@ -86,23 +86,6 @@ def data_scale(text: str) -> float:
     return value
 
 
-def fabric_spec(text: str) -> FabricSpec:
-    """argparse ``type=`` for ``--fabric``: a JSON object of
-    :class:`FabricSpec` fields; a bad one is refused naming the key."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise argparse.ArgumentTypeError(f"not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise argparse.ArgumentTypeError(
-            "not a JSON object of FabricSpec fields (n_devices, topology, "
-            "device_mems, ...)")
-    try:
-        return FabricSpec.from_dict(data)
-    except (ValueError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
 def _at_least(kind, low, strict=False):
     """argparse ``type=`` factory: ``kind(text)`` in ``[low, inf)`` — or
     ``(low, inf)`` when ``strict``."""
@@ -129,7 +112,7 @@ FLEET_DEFAULTS = {"n_devices": 4, "n_requests": 48, "arrival_rate": 2.0,
 
 #: What ``--quick`` leaves to the command line; it pins every other flag.
 QUICK_KEEPS = {
-    "serve": {"seed", "n_devices", "topology", "fabric", "shard_over", "output"},
+    "serve": {"seed", "n_devices", "topology", "shard_over", "output"},
     "fleet": {"seed", "output"},
 }
 
@@ -193,8 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     }
     shared_defaults = {"engine": "Ascetic", "scale": BENCH_SCALE, "jobs": 1,
                        "seed": 0}
-    # serve/fleet's own: a config field each (the default is the field's),
-    # and --fabric, the whole FabricSpec as JSON.
+    # serve/fleet's own: a config field each (the default is the field's).
     load_test = {
         "n_requests": ("--requests", non_negative_int, "offered requests"),
         "arrival_rate": ("--rate", positive_float,
@@ -222,9 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "fabric-wide when its edge bytes exceed this multiple "
                        "of device capacity (default: never shard; fleet "
                        "--quick pins 1.0)"),
-        "fabric": ("--fabric", fabric_spec, "explicit FabricSpec as a JSON "
-                   "object (overrides --devices/--topology), e.g. "
-                   "'{\"n_devices\": 2, \"topology\": \"nvlink\"}'"),
     }
     table = {**shared, **load_test}
 
@@ -620,8 +599,7 @@ def _cmd_serve(args, parser) -> int:
         config = fleet_quick_config(seed=args.seed)
     else:
         # Every flag here is type- or choice-checked already.
-        fabric = args.fabric or FabricSpec(n_devices=args.n_devices,
-                                           topology=args.topology)
+        fabric = FabricSpec(n_devices=args.n_devices, topology=args.topology)
         names = {f.name for f in fields(ServeConfig)}
         try:
             serve = quick_config(seed=args.seed) if args.quick else ServeConfig(

@@ -27,8 +27,9 @@ from repro.gpusim.rounds import round_shares
 __all__ = ["OnDemandPlan", "plan_ondemand", "round_shares",
            "OFFSET_BYTES_PER_VERTEX"]
 
-#: Bytes per on-demand vertex for the request/offset structures that ride
-#: along with the edges (mirrors Subway's SubVertex arrays).
+#: Bytes per requested vertex for the offset/degree entry that rides along
+#: with its edges (Subway's SubVertex arrays): the On-demand Engine's
+#: requests and every Subway iteration's active vertices.
 OFFSET_BYTES_PER_VERTEX = 8
 
 

@@ -462,7 +462,6 @@ class Engine(abc.ABC):
                 gpu.memory.free(alloc)
                 gpu.events.marker("squeeze-release", alloc.name, gpu.clock.now,
                                   extra=(("nbytes", float(alloc.nbytes)),))
-                self._squeeze_released(gpu, graph)
         for idx, sq in faults.squeeze_starts(iteration):
             want = sq.resolve(gpu.memory.capacity)
             if want <= 0:
@@ -487,9 +486,6 @@ class Engine(abc.ABC):
         has nothing it can safely release.
         """
         return 0
-
-    def _squeeze_released(self, gpu: SimulatedGPU, graph: CSRGraph) -> None:
-        """Hook: a squeeze ended and its bytes are available again."""
 
     # ------------------------------------------------------------- helpers
     def _report_extra(self, result: RunResult, gpu: SimulatedGPU, graph: CSRGraph) -> None:

@@ -48,7 +48,7 @@ correctness.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,10 +117,9 @@ class ShardedEngine(Engine):
     Parameters (beyond the base :class:`~repro.engines.base.Engine` set)
     ----------------------------------------------------------------------
     fabric:
-        A :class:`~repro.gpusim.fabric.FabricSpec` (or its plain-dict /
-        HeteroG form) describing the device fleet.  ``None`` builds
-        ``devices`` PCIe-linked devices, each inheriting the base spec's
-        memory.
+        A :class:`~repro.gpusim.fabric.FabricSpec` describing the device
+        fleet; every device is a copy of the base spec.  ``None`` builds
+        ``devices`` PCIe-linked devices.
     devices:
         Device count shorthand when ``fabric`` is not given (default 2).
     inner:
@@ -139,7 +138,7 @@ class ShardedEngine(Engine):
         record_events: bool = False,
         fault_plan=None,
         seed: int = 0,
-        fabric: Union[FabricSpec, Mapping, None] = None,
+        fabric: Optional[FabricSpec] = None,
         devices: Optional[int] = None,
         inner: str = "Ascetic",
     ) -> None:
@@ -147,8 +146,6 @@ class ShardedEngine(Engine):
                          data_scale=data_scale,
                          record_events=record_events, fault_plan=fault_plan,
                          seed=seed)
-        if isinstance(fabric, Mapping):
-            fabric = FabricSpec.from_dict(fabric)
         if fabric is None:
             fabric = FabricSpec(n_devices=2 if devices is None else devices)
         elif devices is not None and devices != fabric.n_devices:
@@ -187,12 +184,12 @@ class ShardedEngine(Engine):
             faults=faults,
         )
 
-    def _new_inner(self, fabric: Fabric, device: int) -> Engine:
+    def _new_inner(self) -> Engine:
         from repro.engines import registry
 
         return registry.create(
             self.inner,
-            spec=fabric.topology.gpu_spec(device),
+            spec=self.spec,
             data_scale=self.data_scale,
             max_iterations=self.max_iterations,
         )
@@ -201,7 +198,7 @@ class ShardedEngine(Engine):
                  program: VertexProgram) -> None:
         self._device_ids = list(range(fabric.n_devices))
         self._shards = self._shard_set(graph, fabric.n_devices)
-        self._inners = [self._new_inner(fabric, d) for d in self._device_ids]
+        self._inners = [self._new_inner() for _ in self._device_ids]
         with fabric.phase("Tprepare"):
             for inner, shard, d in zip(self._inners, self._shards,
                                        self._device_ids):
@@ -367,7 +364,7 @@ class ShardedEngine(Engine):
             new_inners: List[Engine] = []
             for pos, d in enumerate(survivors):
                 gpu_d = fabric.devices[d]
-                inner = self._new_inner(fabric, d)
+                inner = self._new_inner()
                 # Redistribution H2D: the survivor drops its old shard's
                 # placement and re-stages the (larger) re-tiled shard
                 # exactly like the initial placement did.

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import ProgramState, VertexProgram
+from repro.core.ondemand import OFFSET_BYTES_PER_VERTEX
 from repro.engines.base import (AccessPath, Engine, RunPlan, RunResult,
                                 emit_access_plan)
 from repro.graph.csr import CSRGraph
@@ -30,10 +31,6 @@ from repro.gpusim.device import SimulatedGPU
 from repro.gpusim.rounds import stream_rounds
 
 __all__ = ["SubwayEngine"]
-
-#: Bytes per active vertex for the subgraph's offset/degree arrays that
-#: accompany the gathered edges (Subway's SubVertex structure).
-OFFSET_BYTES_PER_ACTIVE_VERTEX = 8
 
 
 class SubwayEngine(Engine):
@@ -100,7 +97,7 @@ class SubwayEngine(Engine):
     ) -> None:
         n_edges = state.active_edges(graph)
         edge_bytes = n_edges * graph.bytes_per_edge
-        offset_bytes = state.n_active * OFFSET_BYTES_PER_ACTIVE_VERTEX
+        offset_bytes = state.n_active * OFFSET_BYTES_PER_VERTEX
         total_bytes = edge_bytes + offset_bytes
         self._sum_iteration_bytes += total_bytes
         self._n_iterations += 1

@@ -23,8 +23,8 @@ GPU memory control, so this package models the platform deterministically:
   phases, spans, and idle accounting are folds over its columns;
 * :mod:`repro.gpusim.fabric` — multi-device fabric: N
   :class:`~repro.gpusim.device.SimulatedGPU` instances sharing one clock
-  and one event log, with typed host↔device / device↔device links built
-  from a :class:`~repro.gpusim.fabric.FabricSpec` (see ``docs/fleet.md``);
+  and one event log, with one typed device↔device link built from a
+  :class:`~repro.gpusim.fabric.FabricSpec` (see ``docs/fleet.md``);
 * :mod:`repro.gpusim.faults` — deterministic chaos mode: a seeded
   :class:`~repro.gpusim.faults.FaultPlan` /
   :class:`~repro.gpusim.faults.FaultInjector` pair injecting transfer
@@ -52,14 +52,7 @@ from repro.gpusim.events import (
     qualified_lane,
     validate_log,
 )
-from repro.gpusim.fabric import (
-    DeviceSpec,
-    Fabric,
-    FabricSpec,
-    FabricTopology,
-    LinkSpec,
-    fold_exchange_bytes,
-)
+from repro.gpusim.fabric import Fabric, FabricSpec, LinkSpec, fold_exchange_bytes
 from repro.gpusim.events import DEVICE_FAULT_KINDS, FAULT_KINDS
 from repro.gpusim.faults import (
     CapacitySqueeze,
@@ -96,10 +89,8 @@ __all__ = [
     "idle_breakdown",
     "qualified_lane",
     "validate_log",
-    "DeviceSpec",
     "LinkSpec",
     "FabricSpec",
-    "FabricTopology",
     "Fabric",
     "fold_exchange_bytes",
     "FAULT_KINDS",

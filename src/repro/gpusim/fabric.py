@@ -9,14 +9,9 @@ fleet (:mod:`repro.serve.fleet`) can charge cross-device traffic to the same
 cost model as everything else.
 
 Topology comes from a :class:`FabricSpec` — a frozen, picklable value object
-that rides through :class:`~repro.runner.spec.RunSpec` engine options and
-serve configs.  It can be built HeteroG-style from a plain dict::
-
-    FabricSpec.from_dict({
-        "device_mems": [13e9, 13e9, 10e9, 10e9],
-        "bandwidth": ["10000", "747"],   # [device<->device, host<->device] MB/s
-        "topology": "nvlink",
-    })
+naming the device count and the link class, e.g.
+``FabricSpec(n_devices=4, topology="nvlink")``.  Every device is a copy of
+the base :class:`~repro.gpusim.device.GPUSpec` the fabric is built on.
 
 Two link classes are modelled (§"typed links"):
 
@@ -35,21 +30,21 @@ the classic single-device model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from numbers import Integral
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.gpusim.clock import VirtualClock
 from repro.gpusim.device import DeviceFacade, GPUSpec, SimulatedGPU
 from repro.gpusim.events import EventColumns, EventLog
+from repro.gpusim.pcie import PCIeLink
 from repro.gpusim.stream import Lane
 
 __all__ = [
-    "DeviceSpec",
     "LinkSpec",
     "FabricSpec",
-    "FabricTopology",
     "Fabric",
     "fold_exchange_bytes",
     "NVLINK_BANDWIDTH",
@@ -68,44 +63,9 @@ NVLINK_LATENCY = 5.0e-6
 TOPOLOGIES = ("pcie", "nvlink")
 
 
-def _integer(name: str, value: Any) -> int:
-    """A dict's ``n_devices`` or ``device_mems`` entry: an integer, integral
-    float (``13e9``) or integer string.
-
-    A bool, a fraction, NaN, infinity or null is a ``ValueError`` naming the
-    key, never a silently truncated fleet or a 1-byte device.
-    """
-    if not isinstance(value, bool):
-        try:
-            n = int(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-        else:
-            if isinstance(value, str) or n == value:
-                return n
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _link_number(name: str, value: Any) -> float:
-    """A dict's bandwidth or latency: a finite number or numeric string.
-
-    A bool, null, NaN or infinity is a ``ValueError`` naming the key, never
-    a link of 1 B/s or one that no check can compare.
-    """
-    if not isinstance(value, bool):
-        try:
-            x = float(value)
-        except (TypeError, ValueError):
-            pass
-        else:
-            if math.isfinite(x):
-                return x
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class LinkSpec:
-    """One typed link of the fabric (host↔device or device↔device)."""
+    """One typed device↔device link of the fabric."""
 
     kind: str  # "pcie" | "nvlink"
     bandwidth: float  # bytes / second
@@ -118,178 +78,41 @@ class LinkSpec:
         if not 0 <= self.latency < math.inf:
             raise ValueError("link latency must be non-negative and finite")
 
+    @classmethod
+    def peer(cls, topology: str, host: PCIeLink) -> "LinkSpec":
+        """The link between two devices whose host link is ``host``."""
+        if topology == "nvlink":
+            return cls("nvlink", NVLINK_BANDWIDTH, NVLINK_LATENCY)
+        # Peer traffic over PCIe bounces through the root complex: two hops
+        # share the host link, so half bandwidth, double latency.
+        return cls("pcie", host.bandwidth / 2, host.latency * 2)
+
     def copy_cost(self, nbytes):
         """``(fixed, variable)`` seconds to move ``nbytes`` over this link."""
         return self.latency, nbytes / self.bandwidth
 
 
 @dataclass(frozen=True)
-class DeviceSpec:
-    """One device of the fabric: identity + its (scaled) memory capacity."""
-
-    device_id: int
-    memory_bytes: int
-
-    def __post_init__(self) -> None:
-        if self.device_id < 0:
-            raise ValueError("device_id must be non-negative")
-        if self.memory_bytes <= 0:
-            raise ValueError("memory_bytes must be positive")
-
-
-@dataclass(frozen=True)
 class FabricSpec:
-    """The serializable fabric description (rides through RunSpec/serve).
-
-    ``device_mems`` optionally gives each device its own memory cap (same
-    units as the :class:`~repro.gpusim.device.GPUSpec` it is applied to);
-    ``None`` replicates the base spec's capacity to every device.
-    ``d2d_bandwidth`` / ``d2d_latency`` / ``h2d_bandwidth`` override the
-    topology's defaults (useful for HeteroG-style configs that pin both
-    numbers explicitly).
-    """
+    """The serializable fabric description (rides through serve configs)."""
 
     n_devices: int = 1
     topology: str = "pcie"
-    device_mems: Optional[Tuple[int, ...]] = None
-    d2d_bandwidth: Optional[float] = None
-    d2d_latency: Optional[float] = None
-    h2d_bandwidth: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.n_devices <= 0:
-            raise ValueError("n_devices must be positive")
+        if isinstance(self.n_devices, bool) \
+                or not isinstance(self.n_devices, Integral) \
+                or self.n_devices < 1:
+            raise ValueError(
+                f"n_devices must be an integer >= 1, got {self.n_devices!r}")
         if self.topology not in TOPOLOGIES:
             raise ValueError(
                 f"unknown topology {self.topology!r}; expected one of {TOPOLOGIES}"
             )
-        if self.device_mems is not None:
-            object.__setattr__(
-                self, "device_mems",
-                tuple(_integer("device_mems", m) for m in self.device_mems),
-            )
-            if len(self.device_mems) != self.n_devices:
-                raise ValueError(
-                    f"device_mems has {len(self.device_mems)} entries "
-                    f"for {self.n_devices} devices"
-                )
-            if any(m <= 0 for m in self.device_mems):
-                raise ValueError("device_mems entries must be positive")
-        for name in ("d2d_bandwidth", "h2d_bandwidth"):
-            v = getattr(self, name)
-            if v is not None and not 0 < v < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        latency = self.d2d_latency
-        if latency is not None and not 0 <= latency < math.inf:
-            raise ValueError("d2d_latency must be non-negative and finite")
 
-    # ------------------------------------------------------- serialization
     def to_dict(self) -> Dict[str, Any]:
-        """Compact JSON-able form (default-valued fields omitted)."""
-        out: Dict[str, Any] = {"n_devices": self.n_devices,
-                               "topology": self.topology}
-        if self.device_mems is not None:
-            out["device_mems"] = list(self.device_mems)
-        for name in ("d2d_bandwidth", "d2d_latency", "h2d_bandwidth"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = v
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FabricSpec":
-        """Build from a plain dict — native or HeteroG-style keys.
-
-        HeteroG configs spell per-device memory as ``device_mems`` (floats)
-        and both link speeds as ``bandwidth: [d2d, h2d]`` in MB/s (often as
-        strings); both spellings are accepted and may be mixed with the
-        native ``n_devices`` / ``d2d_bandwidth`` keys.
-        """
-        known = {"n_devices", "topology", "device_mems",
-                 "d2d_bandwidth", "d2d_latency", "h2d_bandwidth", "bandwidth"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown FabricSpec fields: {sorted(unknown)}")
-        kwargs: Dict[str, Any] = {}
-        mems = data.get("device_mems")
-        if mems is not None:
-            if not isinstance(mems, (list, tuple)):
-                raise ValueError(
-                    f"device_mems must be a list of byte counts, got {mems!r}")
-            kwargs["device_mems"] = tuple(mems)
-            kwargs["n_devices"] = _integer("n_devices",
-                                           data.get("n_devices", len(mems)))
-        elif "n_devices" in data:
-            kwargs["n_devices"] = _integer("n_devices", data["n_devices"])
-        if "topology" in data:
-            kwargs["topology"] = str(data["topology"])
-        # HeteroG's bandwidth pair, MB/s: [device<->device, host<->device].
-        bw = data.get("bandwidth")
-        if bw is not None:
-            if not isinstance(bw, (list, tuple)) or len(bw) != 2:
-                raise ValueError(
-                    f"bandwidth must be [d2d, h2d] in MB/s, got {bw!r}")
-            kwargs["d2d_bandwidth"] = _link_number("bandwidth", bw[0]) * 1e6
-            kwargs["h2d_bandwidth"] = _link_number("bandwidth", bw[1]) * 1e6
-        for name in ("d2d_bandwidth", "d2d_latency", "h2d_bandwidth"):
-            if name in data:
-                kwargs[name] = _link_number(name, data[name])
-        return cls(**kwargs)
-
-    # ------------------------------------------------------------- queries
-    def memory_of(self, device_id: int, default: int) -> int:
-        """Device ``device_id``'s memory cap (``default`` when unspecified)."""
-        if self.device_mems is None:
-            return default
-        return self.device_mems[device_id]
-
-
-class FabricTopology:
-    """The resolved link graph of a fabric: devices + typed links.
-
-    Built by resolving a :class:`FabricSpec` against the base
-    :class:`~repro.gpusim.device.GPUSpec` (whose PCIe link supplies the
-    host↔device defaults).  Symmetric and fully connected — every device
-    pair gets one :class:`LinkSpec` of the topology's class.
-    """
-
-    def __init__(self, spec: FabricSpec, base: GPUSpec) -> None:
-        self.spec = spec
-        self.base = base
-        pcie = base.pcie
-        if spec.h2d_bandwidth is not None:
-            pcie = replace(pcie, bandwidth=spec.h2d_bandwidth)
-        if spec.topology == "nvlink":
-            d2d_bw = spec.d2d_bandwidth or NVLINK_BANDWIDTH
-            d2d_lat = spec.d2d_latency if spec.d2d_latency is not None \
-                else NVLINK_LATENCY
-        else:
-            # Peer traffic over PCIe bounces through the root complex: two
-            # hops share the host link, so half bandwidth, double latency.
-            d2d_bw = spec.d2d_bandwidth or pcie.bandwidth / 2
-            d2d_lat = spec.d2d_latency if spec.d2d_latency is not None \
-                else pcie.latency * 2
-        self.device_link = LinkSpec(kind=spec.topology, bandwidth=d2d_bw,
-                                    latency=d2d_lat)
-        self.devices: List[DeviceSpec] = [
-            DeviceSpec(d, spec.memory_of(d, base.memory_bytes))
-            for d in range(spec.n_devices)
-        ]
-
-    def link(self, src: int, dst: int) -> LinkSpec:
-        """The link used between two devices (each reaches the host through
-        its :class:`GPUSpec`'s PCIe link)."""
-        if src == dst:
-            raise ValueError(f"no link from device {src} to itself")
-        return self.device_link
-
-    def gpu_spec(self, device_id: int) -> GPUSpec:
-        """The per-device :class:`GPUSpec` (base + this device's memory cap)."""
-        spec = self.base.with_memory(self.devices[device_id].memory_bytes)
-        if self.spec.h2d_bandwidth is not None:
-            spec = replace(spec, pcie=replace(
-                spec.pcie, bandwidth=self.spec.h2d_bandwidth))
-        return spec
+        """JSON-able form."""
+        return {"n_devices": self.n_devices, "topology": self.topology}
 
 
 class Fabric(DeviceFacade):
@@ -310,40 +133,33 @@ class Fabric(DeviceFacade):
         if charge_scale <= 0:
             raise ValueError("charge_scale must be positive")
         self.spec = spec
-        self.topology = FabricTopology(spec, base or GPUSpec())
+        base = base or GPUSpec()
+        #: The one link every pair of devices uses (each device reaches the
+        #: host through its own :class:`GPUSpec`'s PCIe link).
+        self.device_link = LinkSpec.peer(spec.topology, base.pcie)
         self.charge_scale = charge_scale
         self.clock = VirtualClock()
         self.events = EventLog(record=record_events)
         self.faults = faults
+        ids = range(spec.n_devices)
         self.devices: List[SimulatedGPU] = [
-            SimulatedGPU(
-                self.topology.gpu_spec(d.device_id),
-                charge_scale=charge_scale,
-                faults=faults,
-                device_id=d.device_id,
-                clock=self.clock,
-                events=self.events,
-            )
-            for d in self.topology.devices
+            SimulatedGPU(base, charge_scale=charge_scale, faults=faults,
+                         device_id=d, clock=self.clock, events=self.events)
+            for d in ids
         ]
         #: Per-device link port: the serially-ordered egress engine for
         #: device↔device traffic.
         self.links: List[Lane] = [
-            Lane("link", self.clock, log=self.events, device=d.device_id)
-            for d in self.topology.devices
+            Lane("link", self.clock, log=self.events, device=d) for d in ids
         ]
         #: Total paper-scale device↔device bytes moved (incremental; the
         #: recorded-mode equivalent is :func:`fold_exchange_bytes`).
         self.exchange_bytes: int = 0
-        self._exchange_by_device: Dict[int, int] = {
-            d.device_id: 0 for d in self.topology.devices
-        }
+        self._exchange_by_device: Dict[int, int] = dict.fromkeys(ids, 0)
         #: Per-device health (``"up"`` / ``"stalled"`` / ``"down"``),
         #: advanced by :meth:`check_health` against the fault plan's
         #: device faults.  Without an injector every device stays up.
-        self.health: Dict[int, str] = {
-            d.device_id: "up" for d in self.topology.devices
-        }
+        self.health: Dict[int, str] = dict.fromkeys(ids, "up")
 
     # -------------------------------------------------------------- queries
     @property
@@ -404,11 +220,12 @@ class Fabric(DeviceFacade):
         the completion time for the receiver to depend on.  Zero-byte
         transfers are short-circuited like every other empty op.
         """
-        link = self.topology.link(src, dst)
+        if src == dst:
+            raise ValueError(f"no link from device {src} to itself")
         if nbytes <= 0:
             return self.links[src].submit(0.0, label, after=after)
         charged = int(round(nbytes * self.charge_scale))
-        fixed, variable = link.copy_cost(charged)
+        fixed, variable = self.device_link.copy_cost(charged)
         dur = fixed + variable
         if self.faults is not None and self.faults.plan.peer_degradations:
             t0 = max(self.clock.now, self.links[src].busy_until, after)

@@ -9,10 +9,10 @@ also a cache key: :meth:`RunSpec.cache_key` is a stable content hash that
 the :mod:`repro.runner.cache` uses to replay unchanged cells across
 sessions.
 
-``RunSpec`` is frozen and hashable; option values must themselves be
-hashable and serializable (JSON scalars, ``FaultPlan`` or ``FabricSpec``).
-A malformed spec — from a constructor, a cache file or CLI JSON — raises
-``ValueError`` naming the offending key.
+``RunSpec`` is frozen and hashable; option values must be JSON scalars (a
+fault plan rides in its own ``fault_plan`` field).  A malformed spec — from
+a constructor, a cache file or CLI JSON — raises ``ValueError`` naming the
+offending key.
 """
 
 from __future__ import annotations
@@ -23,41 +23,15 @@ from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from repro.gpusim.fabric import FabricSpec
 from repro.gpusim.faults import FaultPlan
 
 __all__ = ["RunSpec"]
 
-#: Option values a spec can carry: JSON scalars plus the tagged types.
-OptValue = Union[str, int, float, bool, None, FaultPlan, FabricSpec]
-
-#: The option types that serialize under a ``__kind__`` tag.
-_TAGGED = {cls.__name__: cls for cls in (FaultPlan, FabricSpec)}
+#: Option values a spec can carry: JSON scalars.
+OptValue = Union[str, int, float, bool, None]
 
 #: The fields a serialized spec must carry.
 _REQUIRED = ("dataset", "algorithm", "engine")
-
-
-def _encode_opt(value: OptValue) -> Any:
-    """One engine option → a JSON-able value (configs get a type tag)."""
-    if isinstance(value, tuple(_TAGGED.values())):
-        return {"__kind__": type(value).__name__, "fields": value.to_dict()}
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    raise TypeError(
-        f"engine option {value!r} is not serializable; use JSON scalars, "
-        "FaultPlan, or FabricSpec"
-    )
-
-
-def _decode_opt(value: Any) -> OptValue:
-    """Inverse of :func:`_encode_opt`."""
-    if isinstance(value, dict):
-        kind = _TAGGED.get(value.get("__kind__"))
-        if kind is None:
-            raise ValueError(f"unknown tagged engine option {value!r}")
-        return kind.from_dict(value["fields"])
-    return value
 
 
 def _is_int(value: Any) -> bool:
@@ -92,8 +66,8 @@ class RunSpec:
         ``fault_plan``).  The default ``0`` is omitted from serialization
         so pre-chaos cache keys stay valid.
     fault_plan:
-        Optional :class:`~repro.gpusim.faults.FaultPlan` (or its
-        ``to_dict`` mapping) injected deterministically into the run.
+        Optional :class:`~repro.gpusim.faults.FaultPlan` injected
+        deterministically into the run.
     """
 
     dataset: str
@@ -130,13 +104,15 @@ class RunSpec:
             opts = tuple(sorted(opts.items()))
         else:
             opts = tuple(sorted((str(k), v) for k, v in opts))
-        for _, v in opts:
-            _encode_opt(v)  # reject unserializable values eagerly
+        for k, v in opts:
+            if isinstance(v, (dict, list)):  # JSON read back from a file
+                raise ValueError(f"RunSpec engine option {k!r} must be a "
+                                 f"JSON scalar, got {v!r}")
+            if not (v is None or isinstance(v, (str, int, float, bool))):
+                raise TypeError(f"engine option {k}={v!r} is not serializable; "
+                                "use JSON scalars")
         object.__setattr__(self, "engine_opts", opts)
         object.__setattr__(self, "seed", int(self.seed))
-        if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
-            object.__setattr__(self, "fault_plan",
-                               FaultPlan.from_dict(self.fault_plan))
 
     # ------------------------------------------------------------- views
     def engine_kwargs(self) -> Dict[str, OptValue]:
@@ -161,7 +137,7 @@ class RunSpec:
             "engine": self.engine,
             "scale": self.scale,
             "memory_bytes": self.memory_bytes,
-            "engine_opts": {k: _encode_opt(v) for k, v in self.engine_opts},
+            "engine_opts": self.engine_kwargs(),
         }
         if self.seed != 0:
             out["seed"] = self.seed
@@ -187,9 +163,7 @@ class RunSpec:
             engine=data["engine"],
             scale=data.get("scale"),
             memory_bytes=data.get("memory_bytes"),
-            engine_opts={
-                k: _decode_opt(v) for k, v in (data.get("engine_opts") or {}).items()
-            },
+            engine_opts=data.get("engine_opts") or {},
             seed=data.get("seed", 0),
             fault_plan=FaultPlan.from_dict(plan) if plan is not None else None,
         )

@@ -16,10 +16,10 @@ With N devices sharing the queue two placement regimes fall out:
   replicated across devices organically, one warm pool entry per device
   that served it.
 * **shard-oversized** — a graph whose (scaled) edge array exceeds
-  ``shard_over`` × the largest single device's capacity is routed to the
-  fabric: one :class:`ShardedEngine` run over all devices, with the
-  inter-device exchange traffic charged by the fabric's cost model and
-  surfaced in the SLO report's ``fleet`` section.
+  ``shard_over`` × a single device's capacity is routed to the fabric:
+  one :class:`ShardedEngine` run over all devices, with the inter-device
+  exchange traffic charged by the fabric's cost model and surfaced in the
+  SLO report's ``fleet`` section.
 
 The batching knob: with ``max_batch > 1`` the dispatcher may *hold* a free
 device for up to ``batch_wait`` seconds when another arrival is imminent
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.engines import registry
 from repro.engines.base import RunResult
@@ -79,10 +79,11 @@ class FleetConfig:
     #: The workload / queue / scheduler / pool knobs: the part of the
     #: input that does not depend on how many devices serve it.
     serve: ServeConfig = field(default_factory=ServeConfig)
-    #: Device count, per-device memories, and link topology.
+    #: Device count and link topology; every device has the workload's
+    #: device memory.
     fabric: FabricSpec = field(default_factory=FabricSpec)
     #: Shard threshold: route a graph fabric-wide when its scaled edge
-    #: bytes exceed ``shard_over`` × the largest device capacity.
+    #: bytes exceed ``shard_over`` × a device's capacity.
     #: ``None`` disables sharding (replicate-only routing).
     shard_over: Optional[float] = None
     #: Chaos mode: a seeded fault plan whose device faults (times on the
@@ -95,9 +96,6 @@ class FleetConfig:
                 finite(self.shard_over) and self.shard_over > 0):
             raise ValueError("shard_over must be finite and positive (or None "
                              f"to turn sharding off), got {self.shard_over!r}")
-        if isinstance(self.fault_plan, Mapping):
-            object.__setattr__(self, "fault_plan",
-                               FaultPlan.from_dict(self.fault_plan))
 
     def as_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -131,7 +129,7 @@ class Router:
     Decision order (first match wins):
 
     1. **oversized** — the graph's scaled edge array exceeds
-       ``shard_over`` × the largest single-device capacity: run it
+       ``shard_over`` × a device's capacity: run it
        fabric-wide with :class:`~repro.engines.sharded.ShardedEngine`.
     2. **warm-affinity** — a free device's pool already holds the
        affinity key: route there (lowest device id on ties).
@@ -153,9 +151,7 @@ class Router:
     #: Sim-seconds an open breaker waits before its half-open probe.
     PROBE_INTERVAL = 5.0
 
-    def __init__(self, spec: FabricSpec,
-                 shard_over: Optional[float] = None) -> None:
-        self.spec = spec
+    def __init__(self, shard_over: Optional[float] = None) -> None:
         if shard_over is not None and shard_over <= 0:
             raise ValueError("shard_over must be positive (or None)")
         self.shard_over = shard_over
@@ -187,22 +183,17 @@ class Router:
             return True
         return t >= opened + self.PROBE_INTERVAL
 
-    def capacity(self, default_memory_bytes: int) -> int:
-        """The largest single-device capacity in the fabric (scaled bytes)."""
-        return max(self.spec.memory_of(d, default_memory_bytes)
-                   for d in range(self.spec.n_devices))
-
-    def oversized(self, edge_bytes: int, default_memory_bytes: int) -> bool:
-        """Whether a graph of ``edge_bytes`` must be sharded fabric-wide."""
+    def oversized(self, edge_bytes: int, memory_bytes: int) -> bool:
+        """Whether a graph of ``edge_bytes`` must be sharded fabric-wide
+        over devices of ``memory_bytes`` each (scaled bytes)."""
         if self.shard_over is None:
             return False
-        return edge_bytes > self.shard_over * self.capacity(
-            default_memory_bytes)
+        return edge_bytes > self.shard_over * memory_bytes
 
     def decide(self, key: Tuple[str, str], edge_bytes: int,
-               default_memory_bytes: int, free_devices: Sequence[int],
+               memory_bytes: int, free_devices: Sequence[int],
                pools: Sequence[EnginePool]) -> RouteDecision:
-        if self.oversized(edge_bytes, default_memory_bytes):
+        if self.oversized(edge_bytes, memory_bytes):
             return RouteDecision(FABRIC, "oversized")
         if not free_devices:
             raise ValueError("router needs at least one free device")
@@ -292,7 +283,7 @@ def run_fleet_test(config: FleetConfig,
     scheduler = make_scheduler(serve.scheduler, serve.max_batch,
                                serve.aging_seconds)
     pools = [EnginePool(serve.max_engines) for _ in range(n_devices)]
-    router = Router(config.fabric, config.shard_over)
+    router = Router(config.shard_over)
     responses: Dict[int, Response] = {}
     run_results: List[RunResult] = []
     plan = config.fault_plan
@@ -427,11 +418,7 @@ def run_fleet_test(config: FleetConfig,
             admit_until(start)
             fab = config.fabric
             if len(survivors) < n_devices:
-                mems = None
-                if fab.device_mems is not None:
-                    mems = tuple(fab.device_mems[d] for d in survivors)
-                fab = replace(fab, n_devices=len(survivors),
-                              device_mems=mems)
+                fab = replace(fab, n_devices=len(survivors))
             engine = registry.create(
                 "Sharded", spec=spec, data_scale=data_scale,
                 fabric=fab, inner=serve.engine)

@@ -180,11 +180,10 @@ class TestBadInput:
 
     @pytest.mark.parametrize("value", ["2.7", "true", "null"])
     def test_fabric_device_count_must_be_an_integer(self, value, capsys):
-        """``2.7`` ran on 2 devices, ``true`` on 1, and ``null`` failed
-        without naming the key."""
-        argv = ["fleet", "--fabric", f'{{"n_devices": {value}}}']
-        assert "error: argument --fabric: n_devices" in usage_error(argv,
-                                                                    capsys)
+        """``--devices`` is the one door for the fabric's device count."""
+        argv = ["fleet", "--devices", value]
+        assert "error: argument --devices: invalid int value" in usage_error(
+            argv, capsys)
 
 
 class TestGridCommand:
@@ -303,25 +302,31 @@ class TestServingDigests:
 
 
 class TestFabricValidation:
-    """A malformed fabric is a usage error naming the key (exit 2)."""
+    """A fabric is ``--devices`` and ``--topology``; there is no JSON door."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--fabric", '{"n_devices": 2}'],
+        ["serve", "--quick", "--fabric", '{"n_devices": 2}'],
+    ], ids=["fleet", "serve-quick"])
+    def test_fabric_json_is_not_a_flag(self, argv, capsys):
+        assert "unrecognized arguments: --fabric" in usage_error(argv, capsys)
 
     def test_fleet_rejects_malformed_fabric_json(self, capsys):
-        assert "argument --fabric: not valid JSON" in usage_error(
+        assert "unrecognized arguments: --fabric" in usage_error(
             ["fleet", "--fabric", "{oops"], capsys)
 
     def test_fleet_rejects_unknown_fabric_key(self, capsys):
-        assert "bogus_key" in usage_error(
+        assert "unrecognized arguments: --fabric" in usage_error(
             ["fleet", "--fabric", '{"n_devices": 2, "bogus_key": 1}'], capsys)
 
-    def test_serve_rejects_non_object_fabric(self, capsys):
-        assert "argument --fabric: not a JSON object" in usage_error(
-            ["serve", "--quick", "--fabric", '["not", "a", "dict"]'], capsys)
-
     def test_fleet_accepts_explicit_fabric(self, capsys):
-        rc = main(["fleet", "--requests", "4", "--scale", "5e-5",
-                   "--fabric", '{"n_devices": 2, "topology": "nvlink"}'])
+        rc = main(["fleet", "--devices", "3", "--topology", "nvlink",
+                   "--shard-over", "1.0", "--requests", "4",
+                   "--scale", "5e-5"])
         assert rc == 0
-        assert "digest: " in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "fleet — 3x Ascetic over nvlink" in out
+        assert "digest: " in out
 
 
 # --------------------------------------------------------------------------
@@ -373,7 +378,7 @@ class TestUnreadFlags:
         (["serve", "--quick", "--scale", "1e-4"], "--scale"),
         (["fleet", "--quick", "--devices", "3"], "--devices"),
         (["fleet", "--quick", "--shard-over", "2"], "--shard-over"),
-        (["fleet", "--quick", "--fabric", '{"n_devices": 3}'], "--fabric"),
+        (["fleet", "--quick", "--topology", "nvlink"], "--topology"),
         (["chaos", "GS", "BFS", "--devices", "3", "-o", "x.json"],
          "--devices"),
         (["chaos", "GS", "BFS", "-o", "x.json"], "-o/--output"),

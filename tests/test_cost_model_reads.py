@@ -19,10 +19,9 @@ CONSTANTS = {"latency", "bandwidth", "setup", "direct_latency",
              "atomic_penalty", "vertex_scan_throughput"}
 #: Files that define a cost function.
 HOMES = {"gpusim/pcie.py", "gpusim/kernel.py", "gpusim/host.py"}
-#: (file, scope prefix): the fabric's link type, and the topology deriving
-#: the peer link from the host link's constants.
-SCOPES = {("gpusim/fabric.py", "LinkSpec"),
-          ("gpusim/fabric.py", "FabricTopology.__init__")}
+#: (file, scope prefix): the fabric's link type, which also derives the peer
+#: link from the host link's constants.
+SCOPES = {("gpusim/fabric.py", "LinkSpec")}
 
 
 def constant_reads(node: ast.AST, scope: str = ""):

@@ -1,5 +1,7 @@
 """Tests for the multi-device fabric: specs, topology, and shared-log charging."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.gpusim.device import GPUSpec
@@ -9,7 +11,6 @@ from repro.gpusim.fabric import (
     NVLINK_LATENCY,
     Fabric,
     FabricSpec,
-    FabricTopology,
     LinkSpec,
     fold_exchange_bytes,
 )
@@ -22,7 +23,7 @@ class TestFabricSpec:
         spec = FabricSpec()
         assert spec.n_devices == 1
         assert spec.topology == "pcie"
-        assert spec.device_mems is None
+        assert [f.name for f in fields(FabricSpec)] == ["n_devices", "topology"]
 
     def test_rejects_bad_topology(self):
         with pytest.raises(ValueError, match="topology"):
@@ -32,100 +33,31 @@ class TestFabricSpec:
         with pytest.raises(ValueError, match="n_devices"):
             FabricSpec(n_devices=0)
 
-    def test_rejects_mismatched_device_mems(self):
-        with pytest.raises(ValueError, match="device_mems"):
-            FabricSpec(n_devices=3, device_mems=(100, 200))
-
-    def test_rejects_nonpositive_memory(self):
-        with pytest.raises(ValueError, match="positive"):
-            FabricSpec(n_devices=2, device_mems=(100, 0))
+    @pytest.mark.parametrize("bad", [2.7, 1.9, True, False, None, "2.5",
+                                     "two", [2], 2.0, "2", -1])
+    def test_from_dict_rejects_non_integer_device_count(self, bad):
+        """A fabric read from a dict goes through the constructor, which is
+        the only door: ``True`` built a 1-device fabric and ``2.7`` failed
+        later inside ``Fabric`` with a ``TypeError`` that does not name the
+        key."""
+        with pytest.raises(ValueError, match="n_devices"):
+            FabricSpec(**{"n_devices": bad})
 
     def test_roundtrip(self):
-        spec = FabricSpec(n_devices=4, topology="nvlink",
-                          device_mems=(10, 20, 30, 40),
-                          d2d_bandwidth=1e9, d2d_latency=1e-6,
-                          h2d_bandwidth=2e9)
-        assert FabricSpec.from_dict(spec.to_dict()) == spec
+        spec = FabricSpec(n_devices=4, topology="nvlink")
+        assert FabricSpec(**spec.to_dict()) == spec
 
     def test_default_roundtrip_is_compact(self):
         spec = FabricSpec(n_devices=2)
         d = spec.to_dict()
         assert d == {"n_devices": 2, "topology": "pcie"}
-        assert FabricSpec.from_dict(d) == spec
-
-    def test_heterog_style_dict(self):
-        # The HeteroG config idiom: device memories as floats, both link
-        # bandwidths as one [d2d, h2d] pair in MB/s, often strings.
-        spec = FabricSpec.from_dict({
-            "device_mems": [13e9, 13e9, 10e9, 10e9],
-            "bandwidth": ["10000", "747"],
-            "topology": "nvlink",
-        })
-        assert spec.n_devices == 4  # inferred from device_mems
-        assert spec.device_mems == (int(13e9), int(13e9),
-                                    int(10e9), int(10e9))
-        assert spec.d2d_bandwidth == pytest.approx(10000 * 1e6)
-        assert spec.h2d_bandwidth == pytest.approx(747 * 1e6)
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown"):
-            FabricSpec.from_dict({"n_devices": 2, "nvlinks": 4})
-
-    @pytest.mark.parametrize("bad", [2.7, 1.9, True, False, None, "2.5",
-                                     "two", [2]])
-    def test_from_dict_rejects_non_integer_device_count(self, bad):
-        """Was truncated (2.7 → 2, true → 1), or a message without the key."""
-        with pytest.raises(ValueError, match="n_devices"):
-            FabricSpec.from_dict({"n_devices": bad})
-        with pytest.raises(ValueError, match="n_devices"):
-            FabricSpec.from_dict({"n_devices": bad, "device_mems": [1, 2]})
-
-    @pytest.mark.parametrize("data,key", [
-        ({"d2d_bandwidth": float("nan")}, "d2d_bandwidth"),
-        ({"h2d_bandwidth": float("inf")}, "h2d_bandwidth"),
-        ({"d2d_latency": float("nan")}, "d2d_latency"),
-        ({"h2d_bandwidth": True}, "h2d_bandwidth"),
-        ({"d2d_latency": False}, "d2d_latency"),
-        ({"bandwidth": 5}, "bandwidth"),
-        ({"bandwidth": [float("nan"), 747]}, "bandwidth"),
-        ({"bandwidth": ["10000", True]}, "bandwidth"),
-        ({"device_mems": [True, 2]}, "device_mems"),
-        ({"device_mems": [2.7, 2]}, "device_mems"),
-        ({"device_mems": [float("nan"), 2]}, "device_mems"),
-        ({"device_mems": [float("inf"), 2]}, "device_mems"),
-        ({"device_mems": "12"}, "device_mems"),
-        ({"device_mems": 5}, "device_mems"),
-    ], ids=["nan-d2d", "inf-h2d", "nan-latency", "bool-h2d", "bool-latency",
-            "scalar-pair", "nan-in-pair", "bool-in-pair", "bool-mem",
-            "fractional-mem", "nan-mem", "inf-mem", "string-mems",
-            "scalar-mems"])
-    def test_from_dict_rejects_bad_link_numbers(self, data, key):
-        """Each built a spec (NaN passes ``<= 0``, ``true`` is 1 B/s or a
-        1-byte device, ``2.7`` a 2-byte one, ``"12"`` two devices of 1 and
-        2 bytes), or raised an error that does not name the key
-        (``len(5)``, ``int(nan)``)."""
-        with pytest.raises(ValueError, match=key):
-            FabricSpec.from_dict({"n_devices": 2, **data})
-
-    def test_from_dict_accepts_integral_float_memories(self):
-        spec = FabricSpec.from_dict({"device_mems": [13e9, 10e9]})
-        assert spec.device_mems == (13_000_000_000, 10_000_000_000)
-        assert spec.n_devices == 2
-
-    @pytest.mark.parametrize("good", [2, 2.0, "2"])
-    def test_from_dict_accepts_integral_device_count(self, good):
-        assert FabricSpec.from_dict({"n_devices": good}) == FabricSpec(n_devices=2)
+        assert FabricSpec(**d) == spec
 
     def test_sharded_engine_rejects_fractional_fabric(self):
         from repro.engines.sharded import ShardedEngine
 
         with pytest.raises(ValueError, match="n_devices"):
-            ShardedEngine(fabric={"n_devices": 1.9})
-
-    def test_memory_of(self):
-        spec = FabricSpec(n_devices=2, device_mems=(1000, 2000))
-        assert spec.memory_of(1, default=7) == 2000
-        assert FabricSpec(n_devices=2).memory_of(1, default=7) == 7
+            ShardedEngine(fabric=FabricSpec(n_devices=2.7))
 
 
 class TestLinkSpec:
@@ -146,35 +78,36 @@ class TestLinkSpec:
 class TestFabricTopology:
     def test_pcie_peer_link_bounces_through_host(self):
         base = GPUSpec()
-        topo = FabricTopology(FabricSpec(n_devices=2, topology="pcie"), base)
-        assert topo.device_link.kind == "pcie"
-        assert topo.device_link.bandwidth == pytest.approx(
-            base.pcie.bandwidth / 2)
-        assert topo.device_link.latency == pytest.approx(
-            base.pcie.latency * 2)
+        link = Fabric(FabricSpec(n_devices=2, topology="pcie"),
+                      base).device_link
+        assert link.kind == "pcie"
+        assert link.bandwidth == pytest.approx(base.pcie.bandwidth / 2)
+        assert link.latency == pytest.approx(base.pcie.latency * 2)
 
     def test_nvlink_defaults(self):
-        topo = FabricTopology(FabricSpec(n_devices=2, topology="nvlink"),
-                              GPUSpec())
-        assert topo.device_link.kind == "nvlink"
-        assert topo.device_link.bandwidth == NVLINK_BANDWIDTH
-        assert topo.device_link.latency == NVLINK_LATENCY
+        link = Fabric(FabricSpec(n_devices=2, topology="nvlink"),
+                      GPUSpec()).device_link
+        assert link.kind == "nvlink"
+        assert link.bandwidth == NVLINK_BANDWIDTH
+        assert link.latency == NVLINK_LATENCY
         # NVLink-class peers are an order of magnitude above host PCIe.
-        assert topo.device_link.bandwidth > GPUSpec().pcie.bandwidth
+        assert link.bandwidth > GPUSpec().pcie.bandwidth
 
     def test_link_selection(self):
-        topo = FabricTopology(FabricSpec(n_devices=2), GPUSpec())
-        assert topo.link(0, 1) is topo.device_link
+        fab = Fabric(FabricSpec(n_devices=2), GPUSpec(), record_events=True)
+        end = fab.transfer(0, 1, 1_000_000)
+        fixed, variable = fab.device_link.copy_cost(1_000_000)
+        assert end == pytest.approx(fixed + variable)
         with pytest.raises(ValueError, match="itself"):
-            topo.link(1, 1)
+            fab.transfer(1, 1, 10)
 
     def test_per_device_gpu_spec(self):
-        spec = FabricSpec(n_devices=2, device_mems=(111_111, 222_222),
-                          h2d_bandwidth=5e8)
-        topo = FabricTopology(spec, GPUSpec())
-        assert topo.gpu_spec(0).memory_bytes == 111_111
-        assert topo.gpu_spec(1).memory_bytes == 222_222
-        assert topo.gpu_spec(0).pcie.bandwidth == pytest.approx(5e8)
+        # Every device is the base spec: what a sharded run's inner
+        # engines are built on.
+        base = GPUSpec().with_memory(111_111)
+        fab = Fabric(FabricSpec(n_devices=3), base)
+        assert [g.spec for g in fab.devices] == [base] * 3
+        assert [g.memory.capacity for g in fab.devices] == [111_111] * 3
 
 
 class TestFabric:

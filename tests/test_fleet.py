@@ -38,9 +38,8 @@ class FakePool:
 
 
 class TestRouter:
-    def make(self, n=4, mems=None, shard_over=None):
-        spec = FabricSpec(n_devices=n, device_mems=mems)
-        return Router(spec, shard_over)
+    def make(self, shard_over=None):
+        return Router(shard_over)
 
     def test_warm_affinity_wins(self):
         router = self.make()
@@ -75,11 +74,11 @@ class TestRouter:
         assert d.sharded
 
     def test_capacity_is_largest_device(self):
-        router = self.make(mems=(1000, 4000, 2000, 1000), shard_over=1.0)
-        assert router.capacity(999) == 4000
-        # 3000 bytes fits the biggest device, so it is not oversized.
-        assert not router.oversized(3000, 999)
-        assert router.oversized(5000, 999)
+        # Every device has the workload's memory, so that is the largest:
+        # a graph is oversized only past shard_over times it.
+        router = self.make(shard_over=1.5)
+        assert not router.oversized(1500, 1000)
+        assert router.oversized(1501, 1000)
 
     def test_no_shard_over_disables_sharding(self):
         router = self.make(shard_over=None)
@@ -94,7 +93,7 @@ class TestRouter:
 
     def test_rejects_bad_shard_over(self):
         with pytest.raises(ValueError):
-            Router(FabricSpec(n_devices=2), shard_over=0.0)
+            Router(shard_over=0.0)
         with pytest.raises(ValueError):
             FleetConfig(shard_over=-1.0)
 

@@ -278,14 +278,14 @@ class TestFabricHealth:
         fast = clean.transfer(0, 1, payload, label="x")
         assert slow > fast
         # The degradation divides only the streamed term of the link's cost.
-        fixed, variable = clean.topology.link(0, 1).copy_cost(payload)
+        fixed, variable = clean.device_link.copy_cost(payload)
         assert fast == fixed + variable
         assert slow == fixed + variable / 0.25
 
 
 class TestRouterBreaker:
     def make(self):
-        return Router(FabricSpec(n_devices=4))
+        return Router()
 
     def test_opens_at_threshold(self):
         router = self.make()
@@ -313,7 +313,7 @@ class TestRouterBreaker:
         # The breaker's threshold and probe interval are constants; the
         # shard threshold is the one knob a caller sets.
         with pytest.raises(ValueError):
-            Router(FabricSpec(n_devices=4), shard_over=0.0)
+            Router(shard_over=0.0)
 
 
 class TestFleetDegraded:

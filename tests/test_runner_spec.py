@@ -53,10 +53,13 @@ class TestSerialization:
         assert back.engine_kwargs() == opts
 
     def test_unknown_tagged_opt_rejected(self):
+        # Engine options are JSON scalars; a fault plan has its own field.
         d = RunSpec("FK", "BFS", "Ascetic").to_dict()
-        d["engine_opts"] = {"config": {"__kind__": "Mystery"}}
-        with pytest.raises(ValueError):
-            RunSpec.from_dict(d)
+        for value in ({"__kind__": "Mystery"},
+                      {"__kind__": "FaultPlan", "fields": {}}, [1, 2]):
+            d["engine_opts"] = {"config": value}
+            with pytest.raises(ValueError, match="config"):
+                RunSpec.from_dict(d)
 
 
 GOOD = RunSpec("FK", "BFS", "Ascetic").to_dict()

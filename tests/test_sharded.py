@@ -60,10 +60,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="n_devices"):
             ShardedEngine(devices=0)
 
-    def test_fabric_dict_accepted(self):
-        eng = ShardedEngine(fabric={"n_devices": 3, "topology": "nvlink"})
-        assert eng.fabric_spec.n_devices == 3
-
     def test_contradictory_shorthand_rejected(self):
         with pytest.raises(ValueError):
             ShardedEngine(fabric=FabricSpec(n_devices=2), devices=4)
@@ -313,21 +309,22 @@ class TestOutOfSingleDeviceCapacity:
         g = small_social
         # Each device can hold vertex state plus ~40% of the edges — the
         # whole edge array fits no single device.
-        cap = g.vertex_state_bytes + int(g.edge_array_bytes * 0.4)
-        fabric = FabricSpec(n_devices=4, device_mems=(cap,) * 4)
+        spec = make_spec_for(g, edge_fraction=0.4)
+        cap = spec.memory_bytes
+        fabric = FabricSpec(n_devices=4)
         assert g.edge_array_bytes > cap  # the premise
         factory = lambda: make_program("BFS", source=best_source(g))
 
         reference = run_engine("Ascetic", g, factory)
-        engine = registry.create("Sharded", spec=make_spec_for(g),
+        engine = registry.create("Sharded", spec=spec,
                                  data_scale=TEST_SCALE, fabric=fabric)
         res = engine.run(g, factory())
         assert np.array_equal(reference.values, res.values)
         # Every shard's slice actually fit its device (the extra is at
-        # paper scale; cap is in scaled units like device_mems).
+        # paper scale; cap is in scaled units like the spec's memory).
         assert res.extra["max_shard_edge_bytes"] * TEST_SCALE <= cap
 
         # Twice-run digests are bit-identical (the acceptance pin).
-        engine2 = registry.create("Sharded", spec=make_spec_for(g),
+        engine2 = registry.create("Sharded", spec=spec,
                                   data_scale=TEST_SCALE, fabric=fabric)
         assert payload_digest(res) == payload_digest(engine2.run(g, factory()))

@@ -84,7 +84,6 @@ def test_every_option_is_set_by_a_measured_caller_or_deferred():
 CLI_ONLY = {
     "quick": "swaps the whole config for quick_config / fleet_quick_config",
     "output": "where the report is written, not what is run",
-    "fabric": "JSON text for the whole FabricSpec, over --devices/--topology",
 }
 
 
@@ -161,24 +160,18 @@ UNREACHED = {
         "src/repro/harness/checkpoint.py:CheckpointWriter.save",
     ], "bench-bound"),
     **dict.fromkeys([
-        # repro run / compare / sweep-ratio and the --fabric / --ratio parsers
+        # repro run / compare / sweep-ratio and the --ratio parser
         "src/repro/cli.py:_cmd_compare",
         "src/repro/cli.py:_cmd_run",
         "src/repro/cli.py:_cmd_sweep_ratio",
-        "src/repro/cli.py:fabric_spec",
         "src/repro/cli.py:unit_ratio",
         "src/repro/engines/registry.py:register",
         "src/repro/engines/registry.py:unregister",
+        # docs/extending.md's way to resize a spec
+        "src/repro/gpusim/device.py:GPUSpec.with_memory",
         "src/repro/gpusim/events.py:EventLog.emit_row",
-        "src/repro/gpusim/fabric.py:FabricSpec.from_dict",
-        "src/repro/gpusim/fabric.py:_integer",
-        "src/repro/gpusim/fabric.py:_link_number",
         "src/repro/gpusim/faults.py:FaultPlan.from_dict",
         "src/repro/harness/persistence.py:load_results",
-        # a grid with its result cache on (the default)
-        "src/repro/runner/cache.py:CacheStats.summary",
-        # a cached spec with engine options read back
-        "src/repro/runner/spec.py:_decode_opt",
         # the on-disk checkpoint store and the blob it pickles
         "src/repro/engines/base.py:Engine._restore",
         "src/repro/engines/base.py:Engine.snapshot_state",
