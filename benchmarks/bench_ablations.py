@@ -9,24 +9,33 @@
 * Eq. 2's K parameter sensitivity around the 10 % default.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.report import format_table
-from repro.harness.experiments import BENCH_SCALE, make_workload, run_workload
+from repro.runner import RunSpec
 
 from conftest import report
 
+FILLS = {fill: RunSpec("FK", "PR", "Ascetic", engine_opts={"fill": fill})
+         for fill in ("front", "rear", "random", "lazy")}
+REPLACEMENT = {on: RunSpec("FK", "PR", "Ascetic",
+                           engine_opts={"fill": "front", "replacement": on})
+               for on in (True, False)}
+# A deliberately mis-sized static region on an id-local dataset.
+ADAPTIVE = {on: RunSpec("UK", "SSSP", "Ascetic", engine_opts={
+                "fill": "rear", "forced_ratio": 0.97, "adaptive": on})
+            for on in (True, False)}
+K = {k: RunSpec("FS", "CC", "Ascetic", engine_opts={"k": k})
+     for k in (0.05, 0.10, 0.20)}
+RUNS = [*FILLS.values(), *REPLACEMENT.values(), *ADAPTIVE.values(),
+        *K.values()]
 
-def test_ablation_fill_policies(benchmark):
-    w = make_workload("FK", "PR", scale=BENCH_SCALE)
 
-    def run():
-        return {
-            fill: run_workload(w, "Ascetic", fill=fill)
-            for fill in ("front", "rear", "random", "lazy")
-        }
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_fill_policies(benchmark, cells):
+    results = benchmark.pedantic(
+        lambda: {fill: cells[spec] for fill, spec in FILLS.items()},
+        rounds=1, iterations=1)
     rows = [
         [fill, f"{r.elapsed_seconds:.2f}s",
          f"{r.extra['static_prefill_bytes'] / 1e9:.2f}GB",
@@ -46,15 +55,10 @@ def test_ablation_fill_policies(benchmark):
     assert results["lazy"].extra["static_prefill_bytes"] == 0
 
 
-def test_ablation_replacement(benchmark):
-    w = make_workload("FK", "PR", scale=BENCH_SCALE)
-
-    def run():
-        on = run_workload(w, "Ascetic", fill="front", replacement=True)
-        off = run_workload(w, "Ascetic", fill="front", replacement=False)
-        return on, off
-
-    on, off = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_replacement(benchmark, cells):
+    on, off = benchmark.pedantic(
+        lambda: (cells[REPLACEMENT[True]], cells[REPLACEMENT[False]]),
+        rounds=1, iterations=1)
     swap_share = on.extra["swap_bytes"] / max(on.metrics.bytes_h2d, 1)
     delta = (off.elapsed_seconds - on.elapsed_seconds) / off.elapsed_seconds
     rows = [
@@ -75,18 +79,11 @@ def test_ablation_replacement(benchmark):
     assert abs(delta) < 0.15
 
 
-def test_ablation_adaptive_repartition(benchmark):
-    # A deliberately mis-sized static region on an id-local dataset: the
-    # Eq. 3 valve must recover most of the loss.
-    w = make_workload("UK", "SSSP", scale=BENCH_SCALE)
-    bad = dict(fill="rear", forced_ratio=0.97)
-
-    def run():
-        on = run_workload(w, "Ascetic", adaptive=True, **bad)
-        off = run_workload(w, "Ascetic", adaptive=False, **bad)
-        return on, off
-
-    on, off = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_adaptive_repartition(benchmark, cells):
+    # The mis-sized region: the Eq. 3 valve must recover most of the loss.
+    on, off = benchmark.pedantic(
+        lambda: (cells[ADAPTIVE[True]], cells[ADAPTIVE[False]]),
+        rounds=1, iterations=1)
     rows = [
         ["adaptive on", f"{on.elapsed_seconds:.2f}s", f"{on.extra['repartitions']:.0f}"],
         ["adaptive off", f"{off.elapsed_seconds:.2f}s", "0"],
@@ -102,19 +99,12 @@ def test_ablation_adaptive_repartition(benchmark):
     # The mechanism fires and both configurations stay correct; the paper's
     # even-spread assumption decides which wins (see the report note).
     assert on.extra["repartitions"] >= 1
-    import numpy as np
-
     assert np.array_equal(on.values, off.values)
 
 
-@pytest.mark.parametrize("k", [0.05, 0.10, 0.20])
-def test_ablation_k_sensitivity(benchmark, k):
-    w = make_workload("FS", "CC", scale=BENCH_SCALE)
-    res = benchmark.pedantic(
-        lambda: run_workload(w, "Ascetic", k=k),
-        rounds=1,
-        iterations=1,
-    )
+@pytest.mark.parametrize("k", list(K))
+def test_ablation_k_sensitivity(benchmark, cells, k):
+    res = benchmark.pedantic(lambda: cells[K[k]], rounds=1, iterations=1)
     report(
         f"ablation_k_{k}",
         f"§3.3 ablation — K = {k:.0%} (Eq. 2 input; paper default 10%)",

@@ -13,24 +13,26 @@ Two questions the paper leaves implicit, answered quantitatively:
 """
 
 from repro.analysis.report import format_table
-from repro.harness.experiments import BENCH_SCALE, make_workload, run_workload
+from repro.runner import RunSpec
 
 from conftest import report
 
+VARIANTS = {
+    "PT (single buffer)": RunSpec("FK", "PR", "PT"),
+    "PT (double buffer)": RunSpec("FK", "PR", "PT",
+                                  engine_opts={"double_buffer": True}),
+    "Subway (sequential)": RunSpec("FK", "PR", "Subway"),
+    "Subway (pipelined)": RunSpec("FK", "PR", "Subway",
+                                  engine_opts={"pipelined": True}),
+    "Ascetic": RunSpec("FK", "PR", "Ascetic"),
+}
+RUNS = list(VARIANTS.values())
 
-def test_engine_variants(benchmark):
-    w = make_workload("FK", "PR", scale=BENCH_SCALE)
 
-    def run():
-        return {
-            "PT (single buffer)": run_workload(w, "PT"),
-            "PT (double buffer)": run_workload(w, "PT", double_buffer=True),
-            "Subway (sequential)": run_workload(w, "Subway"),
-            "Subway (pipelined)": run_workload(w, "Subway", pipelined=True),
-            "Ascetic": run_workload(w, "Ascetic"),
-        }
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_engine_variants(benchmark, cells):
+    results = benchmark.pedantic(
+        lambda: {name: cells[spec] for name, spec in VARIANTS.items()},
+        rounds=1, iterations=1)
     best = results["Ascetic"].elapsed_seconds
     rows = [
         [name, f"{r.elapsed_seconds:.1f}s", f"{r.elapsed_seconds / best:.2f}x",

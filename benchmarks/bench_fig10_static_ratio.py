@@ -10,52 +10,69 @@ horizontal Subway line is beaten across a wide ratio range.
 import pytest
 
 from repro.analysis.report import format_table, sparkline
-from repro.harness.experiments import BENCH_SCALE, make_workload
-from repro.harness.sweeps import sweep_static_ratio
+from repro.core.ratio import DEFAULT_K, static_ratio
+from repro.harness.experiments import make_workload
+from repro.runner import RunSpec
 
 from conftest import report
 
+ALGOS = ("BFS", "CC", "PR")
 RATIOS = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0]
+#: FK at each algorithm's card size, which Eq. 2's marker also reads.
+WORKLOADS = {algo: make_workload("FK", algo) for algo in ALGOS}
+# Fig. 10 isolates the ratio: adaptive repartitioning would move the forced
+# ratio mid-run, so it is pinned off for every point.
+SWEEP = {
+    (algo, r): RunSpec("FK", algo, "Ascetic", memory_bytes=w.spec.memory_bytes,
+                       engine_opts={"forced_ratio": r, "adaptive": False})
+    for algo, w in WORKLOADS.items() for r in RATIOS
+}
+SUBWAY = {algo: RunSpec("FK", algo, "Subway", memory_bytes=w.spec.memory_bytes)
+          for algo, w in WORKLOADS.items()}
+RUNS = [*SWEEP.values(), *SUBWAY.values()]
+PHASES = ("Tsr", "Tfilling", "Ttransfer", "Tondemand")
 
 
-@pytest.mark.parametrize("algo", ["BFS", "CC", "PR"])
-def test_fig10_static_ratio(benchmark, algo):
-    w = make_workload("FK", algo, scale=BENCH_SCALE)
+def sweep(cells, algo):
+    """Fig. 10's runs by ratio, Subway line and Eq. 2 marker (default K)."""
+    w = WORKLOADS[algo]
+    eq2 = static_ratio(DEFAULT_K, w.graph.edge_array_bytes,
+                       max(w.spec.memory_bytes - w.graph.vertex_state_bytes, 1))
+    return ({r: cells[SWEEP[(algo, r)]] for r in RATIOS},
+            cells[SUBWAY[algo]].elapsed_seconds, eq2)
 
-    def run():
-        return sweep_static_ratio(w, RATIOS)
 
-    points, subway_s, eq2 = benchmark.pedantic(run, rounds=1, iterations=1)
+@pytest.mark.parametrize("algo", ALGOS)
+def test_fig10_static_ratio(benchmark, cells, algo):
+    runs, subway_s, eq2 = benchmark.pedantic(
+        sweep, args=(cells, algo), rounds=1, iterations=1)
+    t = {r: res.elapsed_seconds for r, res in runs.items()}
 
-    rows = [
-        [f"{p.ratio:.2f}", f"{p.total_seconds:.2f}s", f"{p.t_sr:.2f}",
-         f"{p.t_filling:.2f}", f"{p.t_transfer:.2f}", f"{p.t_ondemand:.2f}"]
-        for p in points
-    ]
+    def phase(r, name):
+        return runs[r].metrics.phase_seconds.get(name, 0.0)
+
+    rows = [[f"{r:.2f}", f"{t[r]:.2f}s", *(f"{phase(r, p):.2f}" for p in PHASES)]
+            for r in RATIOS]
     rows.append(["Subway", f"{subway_s:.2f}s", "", "", "", ""])
     rows.append([f"Eq.2={eq2:.2f}", "", "", "", "", ""])
-    text = format_table(
-        ["ratio", "total", "Tsr", "Tfilling", "Ttransfer", "Tondemand"], rows
-    )
+    text = format_table(["ratio", "total", *PHASES], rows)
     text += "\n\ntotal time over ratio: " + sparkline(
-        [p.total_seconds for p in points], width=len(points)
+        list(t.values()), width=len(t)
     )
     report(f"fig10_{algo}", f"Fig. 10 — static-ratio sweep, {algo} on FK", text)
 
-    by_ratio = {p.ratio: p for p in points}
     # Component shapes: Tsr grows with the ratio; transfer/filling shrink.
-    assert by_ratio[0.95].t_sr > by_ratio[0.1].t_sr
-    assert by_ratio[0.95].t_transfer < by_ratio[0.1].t_transfer
-    assert by_ratio[0.95].t_filling < by_ratio[0.1].t_filling
+    assert phase(0.95, "Tsr") > phase(0.1, "Tsr")
+    assert phase(0.95, "Ttransfer") < phase(0.1, "Ttransfer")
+    assert phase(0.95, "Tfilling") < phase(0.1, "Tfilling")
     # A well-chosen ratio beats both extremes…
-    best = min(p.total_seconds for p in points)
-    assert by_ratio[0.9].total_seconds < by_ratio[0.0].total_seconds
-    assert by_ratio[1.0].total_seconds > best  # right-edge collapse
+    best = min(t.values())
+    assert t[0.9] < t[0.0]
+    assert t[1.0] > best  # right-edge collapse
     # …and the optimum sits in the high-ratio region (paper: ≈0.95).
-    best_ratio = min(points, key=lambda p: p.total_seconds).ratio
-    assert best_ratio >= 0.6
+    assert min(t, key=t.get) >= 0.6
     # Eq. 2's pick performs within 25 % of the sweep optimum.
-    eq2_nearest = min(points, key=lambda p: abs(p.ratio - eq2))
-    assert eq2_nearest.total_seconds < 1.25 * best
+    eq2_nearest = min(t, key=lambda r: abs(r - eq2))
+    assert t[eq2_nearest] < 1.25 * best
     # Ascetic at the chosen ratio beats the Subway baseline.
-    assert eq2_nearest.total_seconds < subway_s
+    assert t[eq2_nearest] < subway_s

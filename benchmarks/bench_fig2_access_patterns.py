@@ -10,25 +10,34 @@ are read off the plots:
   spot";
 * the per-iteration touch set is *sparse* relative to the dataset.
 
-A recorded UVM run logs the same signal; the report prints the summary
-statistics plus an ASCII rendering of the access-count panel.
+A recorded UVM run logs the same signal, and the trace is folded from the
+log its cell carries; the report prints the summary statistics plus an
+ASCII rendering of the access-count panel.
 """
 
 import pytest
 
 from repro.analysis.report import format_table, sparkline
-from repro.analysis.traces import trace_uvm_run
-from repro.harness.experiments import BENCH_SCALE, make_workload
+from repro.analysis.traces import fold_access_trace
+from repro.harness.experiments import make_workload
+from repro.runner import RunSpec
 
 from conftest import report
 
+ALGOS = ("PR", "SSSP", "CC")
+# §2's setup: nothing pinned, every superstep's page set recorded.
+TRACED = {algo: RunSpec("FK", algo, "UVM", engine_opts={
+              "pin_fraction": 0.0, "record_events": True})
+          for algo in ALGOS}
+RUNS = list(TRACED.values())
 
-@pytest.mark.parametrize("algo", ["PR", "SSSP", "CC"])
-def test_fig2_access_patterns(benchmark, algo):
-    w = make_workload("FK", algo, scale=BENCH_SCALE)
 
-    trace, summary, result = benchmark.pedantic(
-        trace_uvm_run, args=(w,), rounds=1, iterations=1)
+@pytest.mark.parametrize("algo", ALGOS)
+def test_fig2_access_patterns(benchmark, cells, algo):
+    graph = make_workload("FK", algo).graph
+    trace, summary = benchmark.pedantic(
+        fold_access_trace, args=(cells[TRACED[algo]], graph),
+        rounds=1, iterations=1)
 
     counts = trace.access_counts(summary.n_chunks)
     rows = [

@@ -7,7 +7,9 @@ processing-transfer accounting here).
 
 from repro.analysis.report import format_table, geomean
 
-from conftest import ALGO_ORDER, DATASET_ORDER, report
+from conftest import ALGO_ORDER, DATASET_ORDER, GRID, report
+
+RUNS = GRID
 
 
 def test_fig7_vs_subway(benchmark, grid):

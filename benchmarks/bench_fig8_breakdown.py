@@ -8,27 +8,27 @@ cross-iteration reuse — still gets ~6.5 % static savings because static-
 resident data needs no transfer at all.
 """
 
-import pytest
-
-from repro.analysis.breakdown import measure_breakdown
+from repro.analysis.breakdown import OptimizationBreakdown
 from repro.analysis.report import format_table
-from repro.harness.experiments import BENCH_SCALE, make_workload
+from repro.runner import RunSpec
 
 from conftest import DATASET_ORDER, report
 
 ALGOS = ("BFS", "CC", "PR")
+#: Per workload: Subway, Ascetic with the §3.2 overlap off, Ascetic.
+BARS = {(abbr, algo): (RunSpec(abbr, algo, "Subway"),
+                       RunSpec(abbr, algo, "Ascetic",
+                               engine_opts={"overlap": False}),
+                       RunSpec(abbr, algo, "Ascetic"))
+        for abbr in DATASET_ORDER for algo in ALGOS}
+RUNS = [spec for bar in BARS.values() for spec in bar]
 
 
-def test_fig8_breakdown(benchmark):
-    def collect():
-        out = {}
-        for abbr in DATASET_ORDER:
-            for algo in ALGOS:
-                out[(abbr, algo)] = measure_breakdown(
-                    make_workload(abbr, algo, scale=BENCH_SCALE))
-        return out
-
-    results = benchmark.pedantic(collect, rounds=1, iterations=1)
+def test_fig8_breakdown(benchmark, cells):
+    results = benchmark.pedantic(
+        lambda: {key: OptimizationBreakdown(*(cells[s] for s in bar))
+                 for key, bar in BARS.items()},
+        rounds=1, iterations=1)
 
     rows = []
     static_all, overlap_all = [], []

@@ -7,7 +7,9 @@ overheads; transfer-volume ratios reach 12–16× on the worst workloads.
 
 from repro.analysis.report import format_table, geomean
 
-from conftest import ALGO_ORDER, DATASET_ORDER, report
+from conftest import ALGO_ORDER, DATASET_ORDER, GRID, report
+
+RUNS = GRID
 
 
 def test_fig9_vs_uvm(benchmark, grid):

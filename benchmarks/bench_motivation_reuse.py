@@ -15,22 +15,29 @@ moves a large multiple of the graph per run (the paper measured 1306 GB ≈
 2× the dataset *per iteration* on its 11 GB card).
 """
 
-from repro.algorithms import make_program
+import numpy as np
+
 from repro.analysis.report import format_table
 from repro.analysis.reuse import lru_hit_rate_curve, pinned_hit_rate, reuse_distances
-from repro.analysis.traces import trace_uvm_run
+from repro.analysis.traces import fold_access_trace
 from repro.harness.experiments import make_workload
+from repro.runner import RunSpec
 
 from conftest import report
 
 SCALE = 5e-5  # reuse-distance analysis is O(accesses · log) — keep it light
+# §2's UVM trace: nothing pinned, every superstep's page set recorded.
+TRACED = RunSpec("FK", "PR", "UVM", scale=SCALE,
+                 engine_opts={"pin_fraction": 0.0, "record_events": True})
+PT = RunSpec("FK", "PR", "PT")
+PINNED = RunSpec("FK", "PR", "PT", engine_opts={"pinned_partitions": 1})
+RUNS = [TRACED, PT, PINNED]
 
 
-def test_motivation_reuse_distance(benchmark):
-    w = make_workload("FK", "PR", scale=SCALE)
-
+def test_motivation_reuse_distance(benchmark, cells):
     def run():
-        trace, summary, _ = trace_uvm_run(w)
+        trace, summary = fold_access_trace(
+            cells[TRACED], make_workload("FK", "PR", scale=SCALE).graph)
         n_chunks = summary.n_chunks
         distances = reuse_distances(trace.chunk_sets)
         caps = [n_chunks // 8, n_chunks // 4, n_chunks // 2,
@@ -42,8 +49,6 @@ def test_motivation_reuse_distance(benchmark):
     n_chunks, distances, caps, lru, pinned = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
-
-    import numpy as np
 
     median_d = float(np.median(distances)) if distances.size else 0.0
     rows = [
@@ -68,20 +73,12 @@ def test_motivation_reuse_distance(benchmark):
     assert pinned[2] > lru[2] + 0.25
 
 
-def test_motivation_fig1_partition_reuse(benchmark):
+def test_motivation_fig1_partition_reuse(benchmark, cells):
     """§1's measured motivation: on PR/FK, pinning one partition in the
     PT scheme cut CPU→GPU transfer from 1306 GB to 966 GB (−26 %) — the
     seed of the Static Region idea (Fig. 1's "Partition + Reuse" row)."""
-    from repro.harness.experiments import BENCH_SCALE, make_workload, run_workload
-
-    w = make_workload("FK", "PR", scale=BENCH_SCALE)
-
-    def run():
-        base = run_workload(w, "PT")
-        pinned = run_workload(w, "PT", pinned_partitions=1)
-        return base, pinned
-
-    base, pinned = benchmark.pedantic(run, rounds=1, iterations=1)
+    base, pinned = benchmark.pedantic(lambda: (cells[PT], cells[PINNED]),
+                                      rounds=1, iterations=1)
     reduction = 1 - pinned.metrics.bytes_h2d / base.metrics.bytes_h2d
     rows = [
         ["PT (swap everything)", f"{base.metrics.bytes_h2d / 1e9:.0f}GB", "1306GB"],

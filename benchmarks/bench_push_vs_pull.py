@@ -18,25 +18,20 @@ from repro.algorithms import SSSP
 from repro.algorithms.validate import reference_sssp_distances
 from repro.analysis.report import format_table
 from repro.graph.properties import best_source
-from repro.harness.experiments import BENCH_SCALE, make_workload
+from repro.harness.experiments import make_workload
 from repro.core.ascetic import AsceticEngine
-from repro.engines.subway import SubwayEngine
+from repro.runner import RunSpec
 
 from conftest import report
 
+PUSH = RunSpec("FK", "PR", "Subway")
+PULL = RunSpec("FK", "PR-PULL", "Subway")
+RUNS = [PUSH, PULL]
 
-def test_push_vs_pull_pagerank(benchmark):
-    push_w = make_workload("FK", "PR", scale=BENCH_SCALE)
-    pull_w = make_workload("FK", "PR-PULL", scale=BENCH_SCALE)
 
-    def run():
-        return tuple(
-            SubwayEngine(spec=w.spec, data_scale=w.scale).run(
-                w.graph, w.fresh_program())
-            for w in (push_w, pull_w)
-        )
-
-    push, pull = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_push_vs_pull_pagerank(benchmark, cells):
+    push, pull = benchmark.pedantic(lambda: (cells[PUSH], cells[PULL]),
+                                    rounds=1, iterations=1)
     rows = [
         ["push (residual)", push.iterations, f"{push.elapsed_seconds:.1f}s",
          f"{push.metrics.bytes_h2d / push.iterations / 1e9:.2f}GB"],
@@ -57,7 +52,8 @@ def test_push_vs_pull_pagerank(benchmark):
 
 
 def test_sssp_delta_stepping(benchmark):
-    w = make_workload("UK", "SSSP", scale=BENCH_SCALE)
+    # Direct runs: delta is a program parameter, which a spec does not name.
+    w = make_workload("UK", "SSSP")
     src = best_source(w.graph)
 
     def run():

@@ -17,7 +17,7 @@ from repro.engines.subway import SubwayEngine
 from repro.gpusim.host import HostGather
 from repro.gpusim.kernel import KernelModel
 from repro.gpusim.pcie import PCIeLink
-from repro.harness.experiments import BENCH_SCALE, make_workload
+from repro.harness.experiments import make_workload
 
 from conftest import report
 
@@ -45,7 +45,8 @@ def variants(spec):
 
 
 def test_cost_model_sensitivity(benchmark):
-    w = make_workload("FK", "CC", scale=BENCH_SCALE)
+    # Direct runs: a perturbed GPUSpec is not a field a spec carries.
+    w = make_workload("FK", "CC")
 
     def run():
         out = []

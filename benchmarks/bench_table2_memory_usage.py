@@ -15,7 +15,9 @@ import pytest
 
 from repro.analysis.report import format_table, human_bytes
 
-from conftest import ALGO_ORDER, report
+from conftest import ALGO_ORDER, GRID, report
+
+RUNS = GRID
 
 PAPER_GB = {
     "FK": {"BFS": 0.45, "SSSP": 0.64, "CC": 1.64, "PR": 2.97},

@@ -6,7 +6,9 @@ Ascetic beats Subway in every cell, with the largest wins on BFS.
 
 from repro.analysis.report import format_table, geomean
 
-from conftest import ALGO_ORDER, DATASET_ORDER, report
+from conftest import ALGO_ORDER, DATASET_ORDER, GRID, report
+
+RUNS = GRID
 
 PAPER = {  # (PT seconds, Subway ×, Ascetic ×)
     ("GS", "SSSP"): (279.9, 9.4, 15.2), ("FK", "SSSP"): (145.2, 7.3, 10.9),

@@ -9,7 +9,9 @@ it explicitly for the Subway comparison).
 
 from repro.analysis.report import format_table, geomean
 
-from conftest import ALGO_ORDER, DATASET_ORDER, report
+from conftest import ALGO_ORDER, DATASET_ORDER, GRID, report
+
+RUNS = GRID
 
 PAPER = {  # (size GB, PT ×, Subway ×, Ascetic ×)
     ("GS", "SSSP"): (13.7, 84.5, 4.2, 2.3), ("FK", "SSSP"): (19.5, 30.0, 2.1, 1.3),

@@ -84,6 +84,12 @@ def traffic(out):
     for args in (("--help",), ("engines",), ("datasets",)):
         yield repro(*args), out
     for engine in ENGINES + ("Sharded",):
+        flags = ("--fill", "lazy", "--ratio", "0.5") if engine == "Ascetic" else ()
+        yield repro("run", "--dataset", "FK", "--algo", "BFS", *SCALE,
+                    "--engine", engine, *flags), out
+    yield repro("run", "--dataset", "FK", "--algo", "BFS", *SCALE,
+                "--engine", "Ascetic", "--no-overlap"), out
+    for engine in ENGINES + ("Sharded",):
         yield repro("trace", "FK", "BFS", "--engine", engine, *SCALE,
                     "-o", f"fk_bfs_{engine}.trace.json"), out
     for jobs in ("1", "2"):

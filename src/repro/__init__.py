@@ -27,8 +27,8 @@ Layout
 ``repro.analysis``
     Trace/statistics tooling that regenerates the paper's tables and figures.
 ``repro.harness``
-    Experiment configuration, sweeps and table formatting used by
-    ``benchmarks/``.
+    Experiment configuration: workloads, single-cell runs and result
+    persistence used by ``benchmarks/``.
 ``repro.runner``
     Batch execution: :class:`~repro.runner.spec.RunSpec` cells fanned out
     across worker processes with a persistent result cache and per-cell

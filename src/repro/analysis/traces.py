@@ -4,9 +4,9 @@ The paper acquires edge-access traces with nvprof while edges live in UVM,
 then plots (time, chunk-id) scatter per iteration and per-chunk access
 counts.  Here the simulated UVM *is* the memory system: a recorded
 :class:`~repro.engines.uvm_engine.UVMEngine` run logs each superstep's
-touched pages as ``access-path`` markers, :func:`trace_uvm_run` folds them
-into an :class:`AccessTrace`, and :class:`TraceSummary` condenses the trace
-into the paper's two panels plus the quantities its prose claims:
+touched pages as ``access-path`` markers, :func:`fold_access_trace` folds
+them into an :class:`AccessTrace`, and :class:`TraceSummary` condenses the
+trace into the paper's two panels plus the quantities its prose claims:
 
 * *near-sequential scan*: within an iteration the touched chunks sweep the
   id space in order (sequentiality ≈ 1);
@@ -39,12 +39,12 @@ from repro.gpusim.events import (
     EventColumns,
     EventLog,
 )
-from repro.harness.experiments import Workload, run_workload
+from repro.graph.csr import CSRGraph
 
 __all__ = [
     "AccessTrace",
     "TraceSummary",
-    "trace_uvm_run",
+    "fold_access_trace",
     "chrome_trace_events",
     "to_chrome_trace",
     "save_chrome_trace",
@@ -110,18 +110,16 @@ class TraceSummary:
     touched_fraction: float
 
 
-def trace_uvm_run(workload: Workload
-                  ) -> tuple[AccessTrace, TraceSummary, RunResult]:
-    """Run ``workload`` under UVM, recording, and fold its access trace.
+def fold_access_trace(result: RunResult, graph: CSRGraph
+                      ) -> tuple[AccessTrace, TraceSummary]:
+    """Fold the access trace of a recorded UVM run of ``graph``.
 
-    Mirrors the paper's §2 experiment: "we keep all vertices in GPU memory
-    and edges in UVM, and acquire the edge-access traces" — so nothing is
-    pinned.  Each iteration's entry is its start time and the pages of its
-    ``access-path`` runs (none when it touched no page); the chunk count is
-    the edge array's page count.
+    The paper's §2 experiment — "we keep all vertices in GPU memory and
+    edges in UVM, and acquire the edge-access traces" — is a UVM run with
+    ``pin_fraction=0.0`` and ``record_events=True``.  Each iteration's entry
+    is its start time and the pages of its ``access-path`` runs (none when
+    it touched no page); the chunk count is the edge array's page count.
     """
-    result = run_workload(workload, "UVM", pin_fraction=0.0,
-                          record_events=True)
     cols = result.event_log.events
     run_key = cols.keysets.ids.get(("page_lo", "page_hi", "n"), -1)
     pages: Dict[int, List[np.ndarray]] = {}
@@ -135,9 +133,8 @@ def trace_uvm_run(workload: Workload
         chunk_sets=[np.concatenate(pages.get(r.iteration, none))
                     for r in records],
     )
-    n_chunks = -(-workload.graph.edge_array_bytes
-                 // int(result.extra["page_size"]))
-    return trace, trace.summarize(n_chunks), result
+    n_chunks = -(-graph.edge_array_bytes // int(result.extra["page_size"]))
+    return trace, trace.summarize(n_chunks)
 
 
 # --------------------------------------------------------------------------

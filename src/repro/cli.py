@@ -5,23 +5,20 @@ Exposes the experiment harness without writing Python::
     repro datasets                                  # Table-3 inventory
     repro engines                                   # engines and their options
     repro run --dataset FK --algo BFS --engine Ascetic
-    repro compare --dataset UK --algo PR            # every registered engine
-    repro compare --dataset UK --algo PR --jobs 4   # ...in parallel
-    repro sweep-ratio --dataset FK --algo CC        # Fig.-10 style sweep
     repro trace FK BFS --engine Ascetic -o run.json # Perfetto timeline
     repro grid --jobs 4                             # 4x4 workloads x 6 engines
+    repro grid --datasets UK --algos PR             # every engine, one workload
     repro chaos FK BFS --engine Subway --seed 7     # fault-injected run
     repro serve --quick -o slo.json                 # seeded SLO load test
     repro fleet --quick                             # 2-device fleet smoke
     repro fleet --requests 120                      # `serve`, 4-device defaults
 
 Every command prints the same fixed-width reports the benchmarks produce.
-``grid``, ``compare`` and ``sweep-ratio`` go through :mod:`repro.runner`:
-with ``--jobs N`` independent cells fan out across worker processes, and
-``grid``'s finished cells persist in an on-disk cache (default
-``.repro-cache/``), so a re-run replays unchanged cells instead of
-recomputing them.  Installed as the ``repro`` console script; also
-runnable as ``python -m repro.cli``.
+``grid`` goes through :mod:`repro.runner`: with ``--jobs N`` independent
+cells fan out across worker processes, and finished cells persist in an
+on-disk cache (default ``.repro-cache/``), so a re-run replays unchanged
+cells instead of recomputing them.  Installed as the ``repro`` console
+script; also runnable as ``python -m repro.cli``.
 
 Each flag is written once, in one table; a ``serve`` / ``fleet`` flag fills
 the config field it is keyed by and takes that field's default.  A flag the
@@ -39,7 +36,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.algorithms import PROGRAMS
-from repro.analysis.report import format_table, human_bytes, sparkline
+from repro.analysis.report import format_table, human_bytes
 from repro.analysis.traces import save_chrome_trace
 from repro.core.manager import RegionEngine
 from repro.core.static_region import FILLS
@@ -51,8 +48,7 @@ from repro.gpusim.memory import GPUOutOfMemory
 from repro.graph.datasets import DATASETS
 from repro.harness.experiments import BENCH_SCALE, make_workload, run_workload
 from repro.harness.persistence import result_to_payload
-from repro.harness.sweeps import sweep_static_ratio
-from repro.runner import RunSpec, grid_specs, run_grid
+from repro.runner import grid_specs, run_grid
 from repro.serve import (QUEUE_POLICIES, FleetConfig, ServeConfig,
                          fleet_quick_config, quick_config, report_digest,
                          run_fleet_test)
@@ -236,22 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     command("engines", _cmd_engines,
             "print the registered engines and their capabilities")
 
-    workload = ("--dataset", "--algo", "scale", "memory_bytes")
     run_p = command("run", _cmd_run, "run one engine on one workload",
-                    *workload, "engine")
+                    "--dataset", "--algo", "scale", "memory_bytes", "engine")
     run_p.add_argument("--fill", default=None, choices=FILLS,
                        help="Ascetic static-region fill policy")
     run_p.add_argument("--ratio", type=unit_ratio, default=None,
                        help="Ascetic forced static ratio (overrides Eq. 2)")
     run_p.add_argument("--no-overlap", action="store_true",
                        help="disable the §3.2 overlap (Fig. 8 ablation)")
-
-    command("compare", _cmd_compare,
-            "run every registered engine on one workload", *workload, "jobs")
-    sw_p = command("sweep-ratio", _cmd_sweep_ratio,
-                   "Fig.-10-style static-ratio sweep", *workload, "jobs")
-    sw_p.add_argument("--ratios", type=unit_ratio, nargs="+",
-                      default=[0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 1.0])
 
     command("trace", _cmd_trace,
             "run one engine with event recording and export a "
@@ -367,52 +355,6 @@ def _cmd_run(args, parser) -> int:
     rows = [[k, f"{v:.4g}"] for k, v in sorted(res.extra.items())]
     rows += [[k, f"{v:.4g}"] for k, v in sorted(res.metrics.as_dict().items())]
     print(format_table(["quantity", "value"], rows))
-    return 0
-
-
-def _cmd_compare(args, parser) -> int:
-    specs = [
-        RunSpec(dataset=args.dataset, algorithm=args.algo, engine=name,
-                scale=args.scale, memory_bytes=args.memory_bytes)
-        for name in registry.available()
-    ]
-    # Cells are deterministic: a retry would only repeat a failure.
-    report = run_grid(specs, jobs=args.jobs, retries=0)
-    for cell in report.cells:
-        if not cell.ok:
-            print(f"error: {cell.spec.label()}: {cell.error}", file=sys.stderr)
-    results = {c.spec.engine: c.result for c in report.cells if c.ok}
-    if results:
-        best = min(r.elapsed_seconds for r in results.values())
-        rows = [
-            [name, f"{r.elapsed_seconds:.2f}s",
-             f"{r.elapsed_seconds / best:.2f}x",
-             human_bytes(r.metrics.bytes_h2d), f"{r.gpu_idle_fraction:.0%}",
-             r.iterations]
-            for name, r in results.items()
-        ]
-        print(format_table(
-            ["engine", "time", "vs best", "H2D", "GPU idle", "iters"], rows,
-            title=f"{args.algo} on {args.dataset} (scale {args.scale:g})",
-        ))
-    return 0 if report.n_failed == 0 else 1
-
-
-def _cmd_sweep_ratio(args, parser) -> int:
-    points, subway_s, eq2 = sweep_static_ratio(_workload(args), args.ratios,
-                                               jobs=args.jobs)
-    rows = [
-        [f"{p.ratio:.2f}", f"{p.total_seconds:.2f}s", f"{p.t_sr:.2f}",
-         f"{p.t_filling:.2f}", f"{p.t_transfer:.2f}", f"{p.t_ondemand:.2f}"]
-        for p in points
-    ]
-    print(format_table(
-        ["ratio", "total", "Tsr", "Tfilling", "Ttransfer", "Tondemand"], rows,
-        title=f"Static-ratio sweep — {args.algo} on {args.dataset}",
-    ))
-    print("\ntotal over ratio:", sparkline([p.total_seconds for p in points],
-                                           width=len(points)))
-    print(f"Subway baseline: {subway_s:.2f}s   Eq. 2 pick: {eq2:.2f}")
     return 0
 
 

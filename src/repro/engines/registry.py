@@ -1,7 +1,7 @@
 """Engine registry — the one name → class map.
 
 Every place that needs the engine names (the CLI's ``--engine`` choices,
-``repro compare``, the grid runner) reads them from here.  An engine is its
+``repro grid``, the grid runner) reads them from here.  An engine is its
 class: the constructor's keyword parameters are the options it accepts, so
 :func:`create` checks option names against them and a typo fails up front,
 naming the engine and what it accepts.  A constructor taking ``**kwargs``

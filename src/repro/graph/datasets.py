@@ -28,8 +28,9 @@ count, mirroring how a CUDA push framework must symmetrize.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -50,8 +51,6 @@ __all__ = [
 PAPER_GPU_MEMORY_BYTES = 10 * 10**9
 #: Default down-scaling of vertex/edge counts (and of GPU capacity).
 DEFAULT_SCALE = 1.0e-3
-#: Seed of the random edge weights a weighted dataset carries.
-WEIGHT_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -87,10 +86,6 @@ class Dataset:
     spec: DatasetSpec
     graph: CSRGraph
     scale: float
-
-    @property
-    def abbr(self) -> str:
-        return self.spec.abbr
 
     @property
     def gpu_memory_bytes(self) -> int:
@@ -153,60 +148,52 @@ def _build_graph(spec: DatasetSpec, n: int, m: int) -> CSRGraph:
     return CSRGraph.from_edges(src, dst, n, directed=spec.directed, name=spec.abbr)
 
 
-def load_dataset(
-    abbr: str,
-    scale: float = DEFAULT_SCALE,
-    weighted: bool = False,
-) -> Dataset:
+def load_dataset(abbr: str, scale: float = DEFAULT_SCALE) -> Dataset:
     """Load a scaled analogue of one of the paper's datasets.
 
     Parameters
     ----------
     abbr:
-        ``"GS"``, ``"FK"``, ``"FS"``, or ``"UK"`` (Table 3).
+        ``"GS"``, ``"FK"``, ``"FS"``, or ``"UK"`` (Table 3), or an RMAT-rand
+        member ``"RMAT-<x>B"`` with ``x`` billion paper-scale edges (the
+        name :func:`rmat_dataset` gives it).  Anything else is a
+        ``ValueError`` naming it and the valid names.
     scale:
         Linear down-scaling of vertex and edge counts.  The matching GPU
         capacity is :attr:`Dataset.gpu_memory_bytes`.
-    weighted:
-        Attach 4-byte random edge weights, doubling edge bytes exactly as the
-        paper notes for SSSP (§4.1).
     """
-    spec = DATASETS[abbr]
+    if abbr.startswith("RMAT-"):
+        match = re.fullmatch(r"RMAT-(\d+(?:\.\d+)?)B", abbr)
+        if match is None or float(match[1]) == 0:
+            raise ValueError(f"malformed RMAT dataset name {abbr!r}; "
+                             "expected RMAT-<x>B, x billion edges > 0")
+        return rmat_dataset(float(match[1]) * 1e9, scale=scale)
+    spec = DATASETS.get(abbr)
+    if spec is None:
+        raise ValueError(f"unknown dataset {abbr!r}; choose from "
+                         f"{', '.join(DATASETS)} or RMAT-<x>B")
     n, m = spec.scaled_counts(scale)
-    g = _build_graph(spec, n, m)
-    if weighted:
-        g = g.with_random_weights(seed=WEIGHT_SEED)
-    return Dataset(spec=spec, graph=g, scale=scale)
+    return Dataset(spec=spec, graph=_build_graph(spec, n, m), scale=scale)
 
 
-def rmat_dataset(
-    paper_edges: float,
-    paper_vertices: Optional[float] = None,
-    scale: float = DEFAULT_SCALE,
-    weighted: bool = False,
-    seed: int = 21,
-) -> Dataset:
+def rmat_dataset(paper_edges: float, scale: float = DEFAULT_SCALE) -> Dataset:
     """Build a member of the paper's RMAT-rand family (Table 3, Fig. 11 right).
 
     ``paper_edges`` is the paper-scale edge count (2.5e9 … 12e9); the graph is
-    generated at ``paper_edges * scale`` arcs.  Vertices default to the
-    paper's 40–100 M range, interpolated with edge count.
+    generated at ``paper_edges * scale`` arcs.  Vertices are the paper's
+    40–100 M range, interpolated with edge count.  The dataset is named
+    ``RMAT-<x>B``, which :func:`load_dataset` resolves back to it.
     """
-    if paper_vertices is None:
-        lo_e, hi_e = 2.5e9, 12.0e9
-        frac = min(max((paper_edges - lo_e) / (hi_e - lo_e), 0.0), 1.0)
-        paper_vertices = 40e6 + frac * 60e6
+    lo_e, hi_e = 2.5e9, 12.0e9
+    frac = min(max((paper_edges - lo_e) / (hi_e - lo_e), 0.0), 1.0)
     spec = DatasetSpec(
         abbr=f"RMAT-{paper_edges / 1e9:g}B",
         full_name="RMAT-rand",
-        paper_vertices=int(paper_vertices),
+        paper_vertices=int(40e6 + frac * 60e6),
         paper_edges=int(paper_edges),
         directed=False,
         kind="rmat",
-        seed=seed,
+        seed=21,
     )
     n, m = spec.scaled_counts(scale)
-    g = _build_graph(spec, n, m)
-    if weighted:
-        g = g.with_random_weights(seed=seed + 1)
-    return Dataset(spec=spec, graph=g, scale=scale)
+    return Dataset(spec=spec, graph=_build_graph(spec, n, m), scale=scale)

@@ -8,7 +8,7 @@ the paper's single test platform (§4.1).
 Cell execution at scale (process fan-out, persistent result cache, fault
 isolation) lives in :mod:`repro.runner`; this package provides the
 building blocks it schedules (:func:`make_workload`, :func:`run_workload`,
-:func:`run_cell`) plus the sweeps behind Figures 10/11.
+:func:`run_cell`).
 """
 
 from repro.harness.checkpoint import (
@@ -32,13 +32,6 @@ from repro.harness.persistence import (
     result_to_payload,
     save_results,
 )
-from repro.harness.sweeps import (
-    RatioPoint,
-    sweep_static_ratio,
-    MemoryPoint,
-    sweep_gpu_memory,
-    sweep_rmat_sizes,
-)
 
 __all__ = [
     "BENCH_SCALE",
@@ -48,11 +41,6 @@ __all__ = [
     "run_workload",
     "run_cell",
     "clear_dataset_cache",
-    "RatioPoint",
-    "sweep_static_ratio",
-    "MemoryPoint",
-    "sweep_gpu_memory",
-    "sweep_rmat_sizes",
     "result_to_dict",
     "result_to_payload",
     "result_from_payload",

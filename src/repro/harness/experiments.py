@@ -155,27 +155,24 @@ def make_workload(
     algorithm: str,
     scale: float = BENCH_SCALE,
     memory_bytes: int | None = None,
-    dataset: Dataset | None = None,
 ) -> Workload:
     """Build a workload cell.
 
-    ``memory_bytes`` (scaled) overrides the default paper-matched GPU
-    capacity — the lever of Fig. 11's left sweep.  ``dataset`` substitutes
-    a pre-built dataset (the RMAT family of Fig. 11's right sweep).
-    An unknown algorithm, a scale outside (0, 1] or a non-positive
-    ``memory_bytes`` raises ``ValueError`` here, not at run time.
+    ``abbr`` is any name :func:`~repro.graph.datasets.load_dataset` resolves
+    (a Table-3 abbreviation or an RMAT-rand ``RMAT-<x>B``).  ``memory_bytes``
+    (scaled) overrides the default paper-matched GPU capacity — the lever of
+    Fig. 11's left sweep.  An unknown dataset or algorithm, a scale outside
+    (0, 1] or a non-positive ``memory_bytes`` raises ``ValueError`` here, not
+    at run time.
     """
     algorithm = algorithm.upper()
     cls = PROGRAMS.get(algorithm)
     if cls is None:
         raise ValueError(
             f"unknown algorithm {algorithm!r}; choose from {sorted(PROGRAMS)}")
-    if dataset is None:
-        with _dataset_lock:
-            ds = _cached_dataset_unlocked(abbr, scale)
-            graph = _cached_view_unlocked(abbr, scale, cls.variant)
-    else:
-        ds, graph = dataset, _view(dataset.graph, cls.variant)
+    with _dataset_lock:
+        ds = _cached_dataset_unlocked(abbr, scale)
+        graph = _cached_view_unlocked(abbr, scale, cls.variant)
     if memory_bytes is None:
         memory_bytes = ds.gpu_memory_bytes
     pinned = {}
@@ -208,8 +205,8 @@ def run_workload(workload: Workload, engine_name: str, checkpoint=None,
     """Run one registered engine on a pre-built workload.
 
     This is the primitive under :func:`run_cell`; use it directly when the
-    workload carries something a spec cannot name (a custom or RMAT
-    dataset, a pre-weighted graph).
+    run needs something a spec cannot name (a relabelled graph, a perturbed
+    ``GPUSpec``, a program parameter).
 
     ``checkpoint`` (a :class:`~repro.harness.checkpoint.CheckpointStore`)
     with ``checkpoint_key`` enables crash recovery: the engine snapshots

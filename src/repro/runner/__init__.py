@@ -12,8 +12,8 @@ out across worker processes with per-cell fault isolation.
 * :func:`~repro.runner.executor.run_grid` — the executor;
 * :func:`~repro.runner.executor.grid_specs` — cross-product helper.
 
-Exposed on the CLI as ``repro grid`` and through ``--jobs`` on
-``repro compare`` / ``repro sweep-ratio``.
+Exposed on the CLI as ``repro grid``; ``benchmarks/conftest.py`` runs the
+whole figure suite as one ``run_grid`` call.
 """
 
 from repro.runner.spec import RunSpec

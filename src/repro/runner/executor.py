@@ -90,10 +90,6 @@ class GridReport:
     def n_failed(self) -> int:
         return sum(1 for c in self.cells if c.status == "failed")
 
-    def results(self) -> List[RunResult]:
-        """Results of the cells that produced one, in input order."""
-        return [c.result for c in self.cells if c.result is not None]
-
     def result_map(self) -> Dict[Tuple[str, str], Dict[str, RunResult]]:
         """``(dataset, algorithm) → engine → result`` for succeeded cells."""
         out: Dict[Tuple[str, str], Dict[str, RunResult]] = {}

@@ -5,12 +5,13 @@ import pytest
 
 from repro.algorithms import make_program
 from repro.analysis.active_edges import active_edge_fractions, table1_row
-from repro.analysis.breakdown import measure_breakdown
+from repro.analysis.breakdown import OptimizationBreakdown
 from repro.analysis.report import format_table, geomean, human_bytes, sparkline
-from repro.analysis.traces import AccessTrace, trace_uvm_run
+from repro.analysis.traces import AccessTrace, fold_access_trace
 from repro.engines import registry
 from repro.graph.properties import best_source
 from repro.harness.experiments import make_workload, run_workload
+from repro.harness.persistence import result_from_payload, result_to_payload
 
 SCALE = 5e-5
 
@@ -28,8 +29,9 @@ class TestAccessTrace:
     def test_fig2_claims_on_uvm_run(self):
         """The §2 observations: near-sequential per-iteration scans, flat
         access counts, full coverage over the run."""
-        trace, summary, result = trace_uvm_run(
-            make_workload("FK", "PR", scale=SCALE))
+        w = make_workload("FK", "PR", scale=SCALE)
+        result = run_workload(w, "UVM", pin_fraction=0.0, record_events=True)
+        trace, summary = fold_access_trace(result, w.graph)
         assert summary.n_iterations == result.iterations
         assert summary.sequentiality > 0.8  # "roughly sequential scan"
         assert summary.count_cv < 1.0  # "no noticeable hot spot"
@@ -37,11 +39,14 @@ class TestAccessTrace:
 
     @pytest.mark.parametrize("algo", ["PR", "SSSP", "CC"])
     def test_log_fold_equals_a_per_iteration_recording(self, algo):
-        """The trace folded from the recorded log is the one a hook reading
-        the pager's page set at each superstep's start would record, and
-        recording moves no modelled number."""
+        """The trace folded from the recorded log, as a cached cell replays
+        it, is the one a hook reading the pager's page set at each
+        superstep's start would record, and recording moves no modelled
+        number."""
         w = make_workload("FK", algo, scale=SCALE)
-        trace, summary, result = trace_uvm_run(w)
+        result = run_workload(w, "UVM", pin_fraction=0.0, record_events=True)
+        trace, summary = fold_access_trace(
+            result_from_payload(result_to_payload(result)), w.graph)
 
         engine = registry.create("UVM", spec=w.spec, data_scale=w.scale,
                                  pin_fraction=0.0)
@@ -104,11 +109,12 @@ class TestMemoryUsage:
 class TestBreakdown:
     def test_savings_decompose(self):
         w = make_workload("FK", "CC", scale=SCALE)
-        bd = measure_breakdown(w)
-        assert bd.subway_seconds == run_workload(w, "Subway").elapsed_seconds
-        assert bd.no_overlap_seconds == run_workload(
-            w, "Ascetic", overlap=False).elapsed_seconds
-        assert bd.ascetic_seconds == run_workload(w, "Ascetic").elapsed_seconds
+        bd = OptimizationBreakdown(
+            subway=run_workload(w, "Subway"),
+            no_overlap=run_workload(w, "Ascetic", overlap=False),
+            ascetic=run_workload(w, "Ascetic"))
+        t = bd.subway.elapsed_seconds
+        assert bd.static_saving == (t - bd.no_overlap.elapsed_seconds) / t
         assert bd.static_saving + bd.overlap_saving == pytest.approx(bd.total_saving)
         assert bd.total_saving > 0.0
         assert bd.overlap_saving >= 0.0

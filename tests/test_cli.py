@@ -72,39 +72,6 @@ class TestCommands:
         assert rc == 0
         assert "Subway" in capsys.readouterr().out
 
-    def test_compare(self, capsys):
-        rc = main(["compare", "--dataset", "FK", "--algo", "BFS", "--scale", "5e-5"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        for engine in ("PT", "UVM", "Subway", "Ascetic"):
-            assert engine in out
-
-    def test_sweep_ratio(self, capsys):
-        rc = main(
-            ["sweep-ratio", "--dataset", "FK", "--algo", "CC", "--scale", "5e-5",
-             "--ratios", "0.0", "0.9"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "Eq. 2" in out
-        assert "Subway baseline" in out
-
-    def test_compare_parallel_matches_serial(self, capsys):
-        assert main(["compare", "--dataset", "FK", "--algo", "BFS",
-                     "--scale", "5e-5"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["compare", "--dataset", "FK", "--algo", "BFS",
-                     "--scale", "5e-5", "--jobs", "2"]) == 0
-        assert capsys.readouterr().out == serial
-
-    def test_sweep_ratio_parallel(self, capsys):
-        rc = main(
-            ["sweep-ratio", "--dataset", "FK", "--algo", "CC", "--scale", "5e-5",
-             "--ratios", "0.0", "0.9", "--jobs", "2"]
-        )
-        assert rc == 0
-        assert "Subway baseline" in capsys.readouterr().out
-
 
 RUN = ["run", "--dataset", "FK", "--algo", "BFS", "--scale", "5e-5"]
 
@@ -132,8 +99,7 @@ class TestBadInput:
     @pytest.mark.parametrize("argv", [
         RUN + ["--ratio", "1.5"],
         RUN + ["--ratio", "nan"],
-        ["sweep-ratio", "--dataset", "FK", "--algo", "CC", "--scale", "5e-5",
-         "--ratios", "0.2", "-0.1"],
+        RUN + ["--ratio", "-0.1"],
         RUN[:-1] + ["0"],
         RUN[:-1] + ["1.5"],
         ["trace", "FK", "BFS", "--scale", "0"],
@@ -151,9 +117,9 @@ class TestBadInput:
         ["grid", "--jobs", "0"],
         ["grid", "--retries", "-1"],
         RUN + ["--memory-bytes", "-5"],
+        ["trace", "FK", "BFS", "--memory-bytes", "0"],
+        ["chaos", "FK", "BFS", "--memory-bytes", "0"],
         # ... and each of these was accepted and ran.
-        ["compare"] + RUN[1:] + ["--jobs", "0"],
-        ["sweep-ratio"] + RUN[1:] + ["--jobs", "0"],
         ["grid", "--timeout", "0"],
         ["serve", "--deadline", "-1"],
         ["serve", "--batch-wait", "-1"],
@@ -170,7 +136,8 @@ class TestBadInput:
         assert f"argument {flag}" in err
 
     @pytest.mark.parametrize("argv", [
-        RUN, ["compare"] + RUN[1:], ["trace", "FK", "BFS", "--scale", "5e-5"],
+        RUN, RUN + ["--engine", "Subway"],
+        ["trace", "FK", "BFS", "--scale", "5e-5"],
         ["chaos", "FK", "BFS", "--scale", "5e-5"],
     ])
     def test_out_of_memory_is_reported_not_raised(self, argv, capsys):
@@ -334,8 +301,8 @@ class TestFabricValidation:
 # --------------------------------------------------------------------------
 
 SURFACE = Path(__file__).with_name("cli_surface.json")
-COMMANDS = ("datasets", "engines", "run", "compare", "sweep-ratio", "trace",
-            "grid", "serve", "fleet", "chaos")
+COMMANDS = ("datasets", "engines", "run", "trace", "grid", "serve", "fleet",
+            "chaos")
 
 
 def cli_surface(parser):

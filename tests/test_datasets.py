@@ -56,9 +56,13 @@ class TestLoading:
         assert ds.gpu_memory_bytes == int(PAPER_GPU_MEMORY_BYTES * SCALE)
 
     def test_weighted_doubles_edge_bytes(self):
-        a = load_dataset("GS", scale=SCALE)
-        b = load_dataset("GS", scale=SCALE, weighted=True)
-        assert b.graph.edge_array_bytes == 2 * a.graph.edge_array_bytes
+        """SSSP's view carries 4-byte weights: twice the BFS view's edge
+        bytes, as the paper notes (§4.1)."""
+        from repro.harness.experiments import make_workload
+
+        plain = make_workload("GS", "BFS", scale=SCALE).graph
+        weighted = make_workload("GS", "SSSP", scale=SCALE).graph
+        assert weighted.edge_array_bytes == 2 * plain.edge_array_bytes
 
     def test_deterministic(self):
         a = load_dataset("UK", scale=SCALE).graph
@@ -66,8 +70,13 @@ class TestLoading:
         assert np.array_equal(a.indices, b.indices)
 
     def test_unknown_abbreviation(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="'XX'; choose from GS, FK, FS, UK"):
             load_dataset("XX")
+
+    @pytest.mark.parametrize("name", ["RMAT-xB", "RMAT--1B"])
+    def test_malformed_rmat_name(self, name):
+        with pytest.raises(ValueError, match=f"malformed RMAT dataset name '{name}'"):
+            load_dataset(name, scale=5e-5)
 
     def test_social_ids_are_shuffled(self):
         """KONECT/SNAP-style shuffling: active sets spread over the edge
@@ -107,12 +116,20 @@ class TestRMATFamily:
         assert lo.spec.paper_vertices == pytest.approx(40e6, rel=0.01)
         assert hi.spec.paper_vertices == pytest.approx(100e6, rel=0.01)
 
-    def test_weighted(self):
-        ds = rmat_dataset(2.5e9, scale=5e-5, weighted=True)
-        assert ds.graph.is_weighted
-
     def test_abbr(self):
-        assert rmat_dataset(5e9, scale=5e-5).abbr == "RMAT-5B"
+        assert rmat_dataset(5e9, scale=5e-5).spec.abbr == "RMAT-5B"
+
+    def test_a_spec_names_an_rmat_member(self):
+        """``RMAT-<x>B`` is a dataset name: a spec naming it runs on the
+        graph :func:`rmat_dataset` builds."""
+        from repro.harness.experiments import workload_for_spec
+        from repro.runner import RunSpec
+
+        got = workload_for_spec(RunSpec("RMAT-5B", "BFS", "Ascetic",
+                                        scale=2e-5)).graph
+        want = rmat_dataset(5e9, scale=2e-5).graph
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
 
 
 class TestMultiScaleConsistency:

@@ -154,10 +154,12 @@ class TestUVMEngine:
             UVMEngine(pin_fraction=1.5)
 
     def test_access_trace_has_one_entry_per_iteration(self):
-        from repro.analysis.traces import trace_uvm_run
-        from repro.harness.experiments import make_workload
+        from repro.analysis.traces import fold_access_trace
+        from repro.harness.experiments import make_workload, run_workload
 
-        trace, _, res = trace_uvm_run(make_workload("GS", "BFS", scale=5e-5))
+        w = make_workload("GS", "BFS", scale=5e-5)
+        res = run_workload(w, "UVM", pin_fraction=0.0, record_events=True)
+        trace, _ = fold_access_trace(res, w.graph)
         assert trace.n_iterations == res.iterations
         assert not hasattr(UVMEngine(), "trace")
 

@@ -1,4 +1,4 @@
-"""Tests for the experiment harness and sweeps."""
+"""Tests for the experiment harness and the sweeps the figures declare."""
 
 import pytest
 
@@ -8,8 +8,10 @@ from repro.harness.experiments import (
     make_workload,
     run_cell,
     run_workload,
+    workload_for_spec,
 )
-from repro.harness.sweeps import sweep_gpu_memory, sweep_rmat_sizes, sweep_static_ratio
+from repro.harness.persistence import result_to_payload
+from repro.runner import RunSpec, run_grid
 
 SCALE = 5e-5  # tiny but structurally faithful
 
@@ -89,34 +91,47 @@ class TestRunCell:
         assert cell.elapsed_seconds == direct.elapsed_seconds
 
 
+def ratio_specs(*ratios):
+    """Fig. 10's cells on CC/FK: Ascetic at each forced ratio, adaptive off."""
+    return [RunSpec("FK", "CC", "Ascetic", scale=SCALE, engine_opts={
+                "forced_ratio": r, "adaptive": False}) for r in ratios]
+
+
 class TestSweeps:
+    """The model properties behind Figs. 10 and 11, over the specs their
+    benchmark modules declare."""
+
     def test_static_ratio_sweep(self):
-        w = make_workload("FK", "CC", scale=SCALE)
-        points, subway_s, eq2 = sweep_static_ratio(w, [0.0, 0.5, 0.9])
-        assert [p.ratio for p in points] == [0.0, 0.5, 0.9]
-        assert subway_s > 0
-        assert 0.0 <= eq2 <= 1.0
+        report = run_grid(ratio_specs(0.0, 0.5, 0.9))
+        low, _, high = (c.result.metrics.phase_seconds for c in report.cells)
         # More static region ⇒ more static compute, less transfer.
-        assert points[-1].t_sr > points[0].t_sr
-        assert points[-1].t_transfer < points[0].t_transfer
+        assert high["Tsr"] > low["Tsr"]
+        assert high["Ttransfer"] < low["Ttransfer"]
 
     def test_static_ratio_sweep_parallel_matches_serial(self):
-        w = make_workload("FK", "CC", scale=SCALE)
-        serial = sweep_static_ratio(w, [0.0, 0.9])
-        parallel = sweep_static_ratio(w, [0.0, 0.9], jobs=2)
-        assert serial == parallel  # RatioPoints are frozen dataclasses
+        specs = ratio_specs(0.0, 0.9) + [RunSpec("FK", "CC", "Subway",
+                                                 scale=SCALE)]
+        serial, parallel = (run_grid(specs, jobs=jobs) for jobs in (1, 2))
+        assert ([result_to_payload(c.result) for c in serial.cells]
+                == [result_to_payload(c.result) for c in parallel.cells])
 
     def test_memory_sweep(self):
-        points = sweep_gpu_memory("FK", "CC", [0.4, 0.8], scale=SCALE)
-        assert len(points) == 2
-        for p in points:
-            assert p.ascetic_seconds > 0 and p.subway_seconds > 0
-            assert p.speedup > 0
+        """A spec's ``memory_bytes`` is the card the engine sizes its Static
+        Region against: less memory, fewer static edges."""
+        data = make_workload("FK", "CC", scale=SCALE).graph.dataset_bytes
+        small, large = (run_cell(RunSpec("FK", "CC", "Ascetic", scale=SCALE,
+                                         memory_bytes=int(data * frac)))
+                        for frac in (0.4, 0.8))
+        assert 0 < small.extra["static_edges"] < large.extra["static_edges"]
 
     def test_rmat_sweep(self):
-        points = sweep_rmat_sizes("CC", [2.5e9, 5e9], scale=2e-5)
-        assert len(points) == 2
-        assert points[0].memory_fraction > points[1].memory_fraction
+        """Fig. 11 right's premise: against a fixed card, memory:dataset
+        falls as the RMAT member a spec names grows."""
+        specs = [RunSpec(name, "CC", "Ascetic", scale=2e-5, memory_bytes=1 << 20)
+                 for name in ("RMAT-2.5B", "RMAT-5B")]
+        fracs = [s.memory_bytes / workload_for_spec(s).graph.dataset_bytes
+                 for s in specs]
+        assert fracs[0] > fracs[1]
 
 
 class TestExtensionWorkloads:

@@ -60,7 +60,6 @@ MODULES = [
     "repro.harness",
     "repro.harness.checkpoint",
     "repro.harness.experiments",
-    "repro.harness.sweeps",
     "repro.harness.persistence",
     "repro.runner",
     "repro.runner.spec",

@@ -160,16 +160,10 @@ UNREACHED = {
         "src/repro/harness/checkpoint.py:CheckpointWriter.save",
     ], "bench-bound"),
     **dict.fromkeys([
-        # repro run / compare / sweep-ratio and the --ratio parser
-        "src/repro/cli.py:_cmd_compare",
-        "src/repro/cli.py:_cmd_run",
-        "src/repro/cli.py:_cmd_sweep_ratio",
-        "src/repro/cli.py:unit_ratio",
         "src/repro/engines/registry.py:register",
         "src/repro/engines/registry.py:unregister",
         # docs/extending.md's way to resize a spec
         "src/repro/gpusim/device.py:GPUSpec.with_memory",
-        "src/repro/gpusim/events.py:EventLog.emit_row",
         "src/repro/gpusim/faults.py:FaultPlan.from_dict",
         "src/repro/harness/persistence.py:load_results",
         # the on-disk checkpoint store and the blob it pickles

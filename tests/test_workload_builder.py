@@ -42,6 +42,8 @@ BAD_INPUT = [
      "scale"),
     ("unknown-algorithm", lambda: make_workload("GS", "BOGUS", scale=SCALE),
      "BOGUS"),
+    ("unknown-dataset", lambda: make_workload("NOPE", "BFS", scale=SCALE),
+     "'NOPE'; choose from GS, FK, FS, UK"),
     ("zero-memory",
      lambda: make_workload("GS", "BFS", scale=SCALE, memory_bytes=0),
      "memory_bytes"),
@@ -62,11 +64,6 @@ BAD_INPUT = [
 def test_bad_input_is_a_value_error_at_the_workload_door(call, names):
     with pytest.raises(ValueError, match=names):
         call()
-
-
-def test_unknown_dataset_keeps_its_key_error():
-    with pytest.raises(KeyError):
-        make_workload("NOPE", "BFS", scale=SCALE)
 
 
 @pytest.fixture(scope="module")
